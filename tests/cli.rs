@@ -527,3 +527,87 @@ fn analyze_tolerates_comments_before_header() {
     );
     std::fs::remove_file(path).ok();
 }
+
+/// Reads a fixture from `tests/golden/`.
+fn golden(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Runs `sweetspot` with the whitespace-separated `args` plus
+/// `--threads threads` and returns its stdout, failing on a non-zero exit.
+fn stdout_at(args: &str, threads: &str) -> Vec<u8> {
+    let out = bin()
+        .args(args.split_whitespace())
+        .args(["--threads", threads])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{args} --threads {threads} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+// Byte-for-byte pins of fleetsim output against fixtures written by the
+// engine before its epoch loop was collapsed into a single step path. None
+// of the outputs carries a wall-clock field, so any difference is a
+// behaviour change. Each fixture is checked at one and at four threads.
+//
+// To regenerate after an intended output change, rerun the commands below
+// with `--threads 1` and redirect stdout (and `--metrics-out`) into
+// `tests/golden/`.
+
+#[test]
+fn fleetsim_budget_point_matches_golden_fixture() {
+    let args = "fleetsim --devices 84 --days 3 --seed 11 --budget 30000 --policy fair \
+                --json --json-devices";
+    for threads in ["1", "4"] {
+        assert!(
+            stdout_at(args, threads) == golden("fleetsim_fair_point.json"),
+            "fair budget point diverged at --threads {threads}"
+        );
+    }
+}
+
+#[test]
+fn fleetsim_frontier_matches_golden_fixture() {
+    for threads in ["1", "4"] {
+        let frontier = stdout_at("fleetsim --devices 84 --days 3 --seed 11", threads);
+        assert!(
+            frontier == golden("fleetsim_frontier.txt"),
+            "frontier text diverged at --threads {threads}:\n{}",
+            String::from_utf8_lossy(&frontier)
+        );
+    }
+}
+
+#[test]
+fn fleetsim_chaos_run_matches_golden_fixtures() {
+    for threads in ["1", "4"] {
+        let jsonl = std::env::temp_dir().join(format!(
+            "sweetspot-cli-golden-chaos-{threads}-{}.jsonl",
+            std::process::id()
+        ));
+        let args = format!(
+            "fleetsim --devices 56 --days 24 --seed 990951 --budget 300000 --policy waterfill \
+             --scenario churn+incident+duty --scenario-seed 11 --recovery-budget-frac 0.25 \
+             --json --metrics-out {}",
+            jsonl.display()
+        );
+        let chaos = stdout_at(&args, threads);
+        let stream = std::fs::read(&jsonl).unwrap();
+        std::fs::remove_file(&jsonl).ok();
+        assert!(
+            chaos == golden("fleetsim_chaos.json"),
+            "chaos JSON diverged at --threads {threads}"
+        );
+        assert!(
+            stream == golden("fleetsim_chaos.jsonl"),
+            "chaos metrics stream diverged at --threads {threads}"
+        );
+    }
+}
