@@ -15,10 +15,10 @@
 //!   on stderr via `--timing` only, never in the JSON-lines stream.
 //! * **Wall scope** — phase timings and peak RSS. stderr only.
 //!
-//! Collection is **always on and non-perturbing**: the per-worker
-//! [`ShardMetrics`] tallies are O(1) integer bumps against a per-member step
-//! that does milliseconds of spectral work, and they are merged **in shard
-//! order** (never completion order). A [`MetricsRecorder`] — present only
+//! Collection is **always on and non-perturbing**: the [`ShardMetrics`]
+//! tallies are O(1) integer bumps, made by the engine's serial fold over
+//! each epoch's member steps in device order, against a per-member step
+//! that does milliseconds of spectral work. A [`MetricsRecorder`] — present only
 //! when the caller asked for output — adds the journal, the grant histogram,
 //! and the JSON-lines emission on top; simulation stdout stays byte-identical
 //! whether a recorder is attached or not, and the whole metrics path of a
@@ -82,7 +82,7 @@ impl ControllerCounters {
         }
     }
 
-    /// Folds another shard's counts into this one.
+    /// Folds another tally's counts into this one.
     pub fn merge(&mut self, other: &ControllerCounters) {
         self.probe.merge(other.probe);
         self.reramp.merge(other.reramp);
@@ -142,16 +142,6 @@ impl AppliedCounters {
             DeviceEvent::Healthy => {}
         }
     }
-
-    /// Folds another shard's counts into this one.
-    pub fn merge(&mut self, other: &AppliedCounters) {
-        self.absent_epochs.merge(other.absent_epochs);
-        self.reboot_steps.merge(other.reboot_steps);
-        self.dropped_reports.merge(other.dropped_reports);
-        self.delayed_reports.merge(other.delayed_reports);
-        self.duplicated_reports.merge(other.duplicated_reports);
-        self.dormant_epochs.merge(other.dormant_epochs);
-    }
 }
 
 /// Watchdog / recovery-plane tallies of one policy run — present only when
@@ -182,27 +172,16 @@ pub struct WatchdogCounters {
     pub dormant: u64,
 }
 
-/// One worker's metric tallies, owned by its [`ShardState`] and bumped
-/// inline during the step loop — no locks, no atomics, no allocation. The
-/// engine folds shards together **in shard order** whenever a snapshot or
-/// summary is built; since every field merges by addition, the totals are
-/// identical for any shard split.
-///
-/// [`ShardState`]: super::run_policy
+/// The per-step metric tallies, bumped by the engine's serial fold over
+/// each epoch's member steps — no locks, no atomics, no allocation. Every
+/// field is an integer count, so the totals are identical for any shard
+/// split.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardMetrics {
-    /// Controller transitions stepped on this shard.
+    /// Controller transitions stepped.
     pub controller: ControllerCounters,
-    /// Scenario events this shard's members actually applied.
+    /// Scenario events the members actually applied.
     pub applied: AppliedCounters,
-}
-
-impl ShardMetrics {
-    /// Folds another shard's tallies into this one.
-    pub fn merge(&mut self, other: &ShardMetrics) {
-        self.controller.merge(&other.controller);
-        self.applied.merge(&other.applied);
-    }
 }
 
 /// Fleet-scope metric totals of one finished policy run — always computed
@@ -211,9 +190,9 @@ impl ShardMetrics {
 /// thread-invariant; tests pin summaries equal across `--threads N`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MetricsSummary {
-    /// Controller transitions, merged over shards in shard order.
+    /// Controller transitions over the run.
     pub controller: ControllerCounters,
-    /// Scenario events applied, merged over shards in shard order.
+    /// Scenario events applied over the run.
     pub applied: AppliedCounters,
     /// FFT planner handle statistics summed over members in device order
     /// (`lookups == hits + misses` by construction).
@@ -237,7 +216,7 @@ pub struct EpochSnapshot<'a> {
     pub devices: usize,
     /// This epoch's ledger account.
     pub account: &'a EpochAccount,
-    /// Shard tallies merged in shard order.
+    /// Per-step tallies so far.
     pub shard: ShardMetrics,
     /// FFT handle statistics summed over members in device order.
     pub fft: FftHandleStats,

@@ -11,10 +11,11 @@
 //!    in **lockstep epochs** (the scheduling quantum).
 //! 2. Each epoch, controllers *request* rates; a [`scheduler`] policy
 //!    converts the cost-unit budget into grantable rate and splits it.
-//! 3. Members run their epoch at the granted rate
-//!    ([`AdaptiveSampler::step_granted`](sweetspot_core::adaptive::AdaptiveSampler::step_granted)):
-//!    throttled controllers record deferrals and re-ramp through their
-//!    Nyquist memory when budget returns.
+//! 3. Members run their epoch at the granted rate through
+//!    [`FleetMember::step_epoch`], which drives
+//!    [`AdaptiveSampler::step_granted_scratch`](sweetspot_core::adaptive::AdaptiveSampler::step_granted_scratch)
+//!    on the worker's scratch: throttled controllers record deferrals and
+//!    re-ramp through their Nyquist memory when budget returns.
 //! 4. A ground-truth [`quality`] model scores every device's achieved rate
 //!    against its true Nyquist rate; an [`EpochLedger`] accounts every cost
 //!    unit. The output is a **cost-vs-quality frontier per policy** — the
@@ -25,11 +26,13 @@
 //! Epochs are inherently sequential (epoch `k`'s grants depend on epoch
 //! `k−1`'s outcomes), but *within* an epoch every device is independent
 //! given its grant. The engine reuses the `analysis::study` pattern: the
-//! device index space is split into contiguous per-worker shards (scoped
-//! threads, persistent per-device state), grants are computed serially on
-//! the merged request vector, and all aggregation sums run in device index
-//! order — so output is **byte-identical for any `--threads N`** (pinned by
-//! tests and the CI smoke).
+//! device index space is split into contiguous per-worker shards
+//! (persistent per-device state) that one fan-out steps — inline for a
+//! single shard, on scoped threads otherwise. Every other epoch pass (deal,
+//! request, allocate + watchdog, the fold into coverage and the ledger, the
+//! recovery clock, emission) runs serially in device index order — so
+//! output is **byte-identical for any `--threads N`** (pinned by golden
+//! fixtures, tests and the CI smoke).
 //!
 //! # The memory wall
 //!
@@ -48,14 +51,15 @@ pub mod quality;
 pub mod scenario;
 pub mod scheduler;
 
-use std::thread;
 use std::time::{Duration, Instant};
 use sweetspot_arena::Slab;
 use sweetspot_core::adaptive::{AdaptiveConfig, EpochAction, HealthState};
-use sweetspot_dsp::fft::FftHandleStats;
+use sweetspot_dsp::fft::{FftHandleStats, FftPlanner};
 use sweetspot_monitor::poller::{EpochScratch, FleetMember};
 use sweetspot_monitor::{CostModel, EpochAccount, EpochLedger};
-use sweetspot_telemetry::{paper_scale_work, scaled_work, FleetConfig, MetricProfile, SignalModel};
+use sweetspot_telemetry::{
+    paper_scale_work, scaled_work, DeviceTrace, FleetConfig, MetricProfile, SignalModel,
+};
 use sweetspot_timeseries::{Hertz, Seconds};
 
 use metrics::{EpochSnapshot, MetricsRecorder, MetricsSummary, ShardMetrics, WatchdogCounters};
@@ -113,9 +117,11 @@ pub struct FleetSimConfig {
     /// at its own rate; smaller fleets never evict.
     pub fft_table_budget: Option<usize>,
     /// Fleet lifecycle & failure injection (see [`scenario`]). The default
-    /// — [`ScenarioSpec::none`] — is inert: no engine is built and the
-    /// healthy simulation path runs byte-identical to a scenario-free
-    /// build.
+    /// — [`ScenarioSpec::none`] — deals `Healthy` to every device every
+    /// epoch through the same step path as any other scenario, which leaves
+    /// the healthy run's outputs untouched; only the scenario report
+    /// (`PolicyOutcome::scenario`, the snapshot's `dealt` totals) is
+    /// omitted.
     pub scenario: ScenarioSpec,
     /// Fraction of the epoch budget reserved as the watchdog's **recovery
     /// slice**: each epoch, after the ordinary grants are placed, suspect-
@@ -124,9 +130,9 @@ pub struct FleetSimConfig {
     /// top of the budget — the slice is the measured price of self-healing,
     /// and the ledger's `granted` column excludes it so budget invariants
     /// hold). Re-probes back off exponentially per member and stop after
-    /// [`REPROBE_RETRY_CAP`] attempts. `0.0` — the default — builds no
-    /// watchdog state at all: outputs are bit-identical to a pre-watchdog
-    /// engine.
+    /// [`REPROBE_RETRY_CAP`] attempts. `0.0` — the default — disarms the
+    /// watchdog: the run carries none, its pass never runs, and outputs
+    /// omit the watchdog tallies.
     pub recovery_budget_frac: f64,
 }
 
@@ -261,10 +267,7 @@ struct ShardState {
     scratch: EpochScratch,
     /// A handle on the shard's shared FFT plan cache (every member holds a
     /// clone) — kept for the post-run `fft_table_bytes` accounting.
-    planner: sweetspot_dsp::fft::FftPlanner,
-    /// The shard's metric tallies, bumped inline during the step loop and
-    /// merged in shard order at snapshot time (see [`metrics`]).
-    metrics: ShardMetrics,
+    planner: FftPlanner,
 }
 
 impl ShardState {
@@ -380,6 +383,7 @@ pub fn run_policy_recorded(
     let n = work.len();
     let epochs = cfg.epochs();
     let threads = cfg.resolve_threads(n);
+    let chunk = crate::shard::chunk_size(n, threads);
     let mut timing = FleetTimings::default();
 
     // Build members (deterministic per (profile, idx, seed); build order is
@@ -396,49 +400,34 @@ pub fn run_policy_recorded(
     // Split the plan-cache budget across shards. Eviction rebuilds tables
     // bit-identically, so neither the budget nor the split affects output.
     let shard_fft_budget = cfg.fft_table_budget.map(|total| total / threads.max(1));
-    let mut shards: Vec<ShardState> = build_shards(
-        &work,
-        threads,
-        || {
-            let planner = sweetspot_dsp::fft::FftPlanner::new();
-            planner.set_table_budget(shard_fft_budget);
-            planner
-        },
-        |planner, index, profile, device| {
+    let mut shards = crate::shard::fan_out(work.chunks(chunk).enumerate(), |(shard, span)| {
+        let planner = FftPlanner::new();
+        planner.set_table_budget(shard_fft_budget);
+        let mut members = Slab::with_capacity(span.len());
+        for (j, &(profile, device)) in span.iter().enumerate() {
             let mut config = member_config(&profile, window);
             config.verify_every = verify_every;
-            FleetMember::with_planner(
-                index,
-                sweetspot_telemetry::DeviceTrace::synthesize(profile, device, seed),
+            members.push(FleetMember::with_planner(
+                shard * chunk + j,
+                DeviceTrace::synthesize(profile, device, seed),
                 config,
                 planner.clone(),
-            )
-        },
-    )
-    .into_iter()
-    .map(|(planner, members)| ShardState {
-        members,
-        scratch: EpochScratch::new(),
-        planner,
-        metrics: ShardMetrics::default(),
-    })
-    .collect();
+            ));
+        }
+        ShardState {
+            members,
+            scratch: EpochScratch::new(),
+            planner,
+        }
+    });
     if let Some(rec) = recorder.as_deref_mut() {
         rec.begin_run(policy.name(), budget_per_epoch);
     }
     // Quality requirement per device. A quiescent device's signal never
     // moves a full quantum, so *any* rate fully captures what is observable:
     // its requirement is zero (coverage 1.0 by definition in `quality`).
-    let mut nyquist: Vec<f64> = shards
-        .iter()
-        .flat_map(|s| s.members.iter())
-        .map(|m| {
-            if m.device().trace().is_quiet() {
-                0.0
-            } else {
-                m.true_nyquist_rate().value()
-            }
-        })
+    let mut nyquist: Vec<f64> = members(&shards)
+        .map(|m| requirement(m, m.true_nyquist_rate()))
         .collect();
     let production: Vec<f64> = work
         .iter()
@@ -449,36 +438,15 @@ pub fn run_policy_recorded(
         .map(|(p, _)| cfg.metric_weights[p.kind.index()])
         .collect();
 
-    // Failure injection. Inert scenarios build no engine, so the healthy
-    // path below runs exactly as before — byte for byte.
-    let scenario_spec = cfg.scenario;
-    let engine = scenario_spec
-        .is_active()
-        .then(|| ScenarioEngine::new(scenario_spec, epochs));
-    let incident = engine.as_ref().and_then(ScenarioEngine::incident);
-    // Regime incident: pre-build every member's incident-phase signal model
-    // (tone frequencies scaled, identity and noise seed untouched) so phase
-    // boundaries in the epoch loop only `mem::swap` models and requirement
-    // vectors — no allocation, no re-synthesis.
-    let mut alt_models: Vec<SignalModel> = Vec::new();
-    let mut alt_nyquist: Vec<f64> = Vec::new();
-    if incident.is_some() {
-        let members = || shards.iter().flat_map(|s| s.members.iter());
-        alt_models = members()
-            .map(|m| m.device().trace().regime_model(scenario_spec.incident_factor))
-            .collect();
-        alt_nyquist = members()
-            .zip(&alt_models)
-            .map(|(m, alt)| {
-                if m.device().trace().is_quiet() {
-                    0.0
-                } else {
-                    alt.nyquist_rate().value()
-                }
-            })
-            .collect();
-    }
-    let cost_factors = engine.as_ref().and_then(|e| e.cost_factors(n));
+    // Failure injection. "No scenario" is the scenario that deals every
+    // device `Healthy`: nobody leaves, sleeps or reboots, nothing is
+    // counted, so the one step path below reproduces the healthy engine
+    // bit for bit. Only the scenario *reporting* is gated on the spec.
+    let engine = ScenarioEngine::new(cfg.scenario, epochs);
+    let mut incident = engine
+        .incident()
+        .map(|_| IncidentClock::new(members(&shards), cfg.scenario.incident_factor));
+    let cost_factors = engine.cost_factors(n);
     timing.build = t0.elapsed();
 
     // The scheduler works in rate space: convert the cost budget once.
@@ -491,231 +459,50 @@ pub fn run_policy_recorded(
     // bit-identical to the stateless `scheduler::allocate` reference.
     let mut sched = policy.scheduler(&weights, &production);
     let mut ledger = EpochLedger::with_capacity(epochs);
+    // Per-device vectors allocated once, so churn never resizes the
+    // request/grant geometry (absent devices keep their slot, request 0.0,
+    // and skip their step) and steady-state epochs stay allocation-free
+    // even while devices leave, rejoin, and reboot.
     let mut requests = vec![0.0f64; n];
     let mut grants: Vec<f64> = Vec::with_capacity(n);
+    let mut steps = vec![MemberStep::default(); n];
     let mut coverage_sum = vec![0.0f64; n];
-    let mut epoch_samples = vec![0usize; n];
-    let mut epoch_throttled = vec![false; n];
-    // Per-device action taken this epoch (`None` = absent, no step ran).
-    // Workers write their chunk; the flight recorder reads it *serially* in
-    // device order, so journal contents and drop counts never depend on the
-    // worker split.
-    let mut epoch_actions: Vec<Option<EpochAction>> = vec![None; n];
-
-    // Scenario state: fixed-size per-device vectors allocated once, so
-    // churn never resizes the request/grant geometry (absent devices keep
-    // their slot, request 0.0, and skip their step) and steady-state epochs
-    // stay allocation-free even while devices leave, rejoin, and reboot.
-    let scenario_len = if engine.is_some() { n } else { 0 };
-    let mut active = vec![true; scenario_len];
-    let mut active_epochs = vec![0usize; scenario_len];
-    let mut events = vec![DeviceEvent::Healthy; scenario_len];
-    let mut epoch_cov = vec![0.0f64; scenario_len];
-    let mut epoch_means: Vec<f64> = Vec::with_capacity(if engine.is_some() { epochs } else { 0 });
-    let mut counters = ScenarioCounters::default();
-
-    // Per-member incident phase: staggered and diurnal regimes switch
-    // members individually (the classic one-shot incident is the case where
-    // every member flips at the same two epochs). The onset/exit transitions
-    // also drive each device's recovery clock — baseline coverage before its
-    // first onset, exit epoch, and the first post-exit epoch back at ≥95% of
-    // its own baseline — which the TTR histogram summarizes.
-    let incident_len = if incident.is_some() { n } else { 0 };
-    let mut incident_prev = vec![false; incident_len];
-    let mut ttr_seen_onset = vec![false; incident_len];
-    let mut ttr_base_sum = vec![0.0f64; incident_len];
-    let mut ttr_base_epochs = vec![0usize; incident_len];
-    let mut ttr_exit = vec![usize::MAX; incident_len];
-    let mut ttr: Vec<Option<usize>> = vec![None; incident_len];
-
-    // Watchdog recovery plane. Inert at frac 0: no state is allocated, the
-    // pass never runs, and every output bit matches a pre-watchdog engine.
-    let watchdog_on = cfg.recovery_budget_frac > 0.0;
-    let wd_len = if watchdog_on { n } else { 0 };
-    let mut reprobe_retries = vec![0u32; wd_len];
-    let mut reprobe_due = vec![0usize; wd_len];
-    let mut wd = WatchdogCounters::default();
+    let mut active_epochs = vec![0usize; n];
+    let mut epoch_means: Vec<f64> = Vec::with_capacity(epochs);
+    let mut lifecycle = Lifecycle::new(n);
+    let mut tallies = ShardMetrics::default();
+    let mut watchdog = Watchdog::new(cfg.recovery_budget_frac, capacity_rate, epoch_unit, n);
 
     for epoch in 0..epochs {
+        // Deal → request → allocate + watchdog, serial in device order.
         let t_sched = Instant::now();
-        if let Some(eng) = &engine {
-            // Regime phase boundaries, per member: each device swaps to its
-            // other model when *its own* incident activity flips (staggered
-            // and diurnal regimes switch members individually; the one-shot
-            // incident flips the whole fleet at the same two epochs). The
-            // ground-truth requirement swaps element-wise with the model,
-            // and the transitions clock the per-device recovery tracker.
-            if incident.is_some() {
-                for (i, (member, alt)) in shards
-                    .iter_mut()
-                    .flat_map(|s| s.members.iter_mut())
-                    .zip(alt_models.iter_mut())
-                    .enumerate()
-                {
-                    let now = eng.incident_active(epoch, i);
-                    if now != incident_prev[i] {
-                        member.swap_model(alt);
-                        std::mem::swap(&mut nyquist[i], &mut alt_nyquist[i]);
-                        incident_prev[i] = now;
-                        if now {
-                            // (Re-)entering the incident: the recovery clock
-                            // restarts from the next exit.
-                            ttr_seen_onset[i] = true;
-                            ttr_exit[i] = usize::MAX;
-                            ttr[i] = None;
-                        } else {
-                            ttr_exit[i] = epoch;
-                        }
-                    }
-                }
-            }
-            // Deal this epoch's events — serial, pure hashing, so the fault
-            // schedule is identical for every policy and thread count.
-            // Reboots apply here (cheap state resets) so a rebooted member's
-            // *request* below already reflects its re-ramp.
-            for (i, member) in shards
-                .iter_mut()
-                .flat_map(|s| s.members.iter_mut())
-                .enumerate()
-            {
-                let ev = eng.deal(epoch, i, active[i]);
-                // Lifecycle transitions feed the flight recorder here, in
-                // the serial deal loop, so event order is device order.
-                // Continued absences are counted but not journaled — only
-                // the leave itself is an event.
-                let journal_kind = match ev {
-                    DeviceEvent::Absent => {
-                        let left = active[i];
-                        if left {
-                            counters.leaves += 1;
-                        }
-                        active[i] = false;
-                        counters.absent_epochs += 1;
-                        left.then_some("leave")
-                    }
-                    DeviceEvent::Reboot => {
-                        let joined = !active[i];
-                        if joined {
-                            counters.joins += 1;
-                        }
-                        active[i] = true;
-                        counters.reboots += 1;
-                        member.reboot();
-                        Some(if joined { "join" } else { "reboot" })
-                    }
-                    DeviceEvent::ReportDropped => {
-                        counters.dropped_reports += 1;
-                        Some("report_drop")
-                    }
-                    DeviceEvent::ReportDelayed => {
-                        counters.delayed_reports += 1;
-                        Some("report_delay")
-                    }
-                    DeviceEvent::ReportDuplicated => {
-                        counters.duplicated_reports += 1;
-                        Some("report_dup")
-                    }
-                    // Scheduled sleep is counted, never journaled — like
-                    // continued absences, it is high-volume steady state
-                    // (a duty cycle naps a fixed fraction of the fleet
-                    // every epoch) and would drown the ring.
-                    DeviceEvent::Dormant => {
-                        counters.dormant_epochs += 1;
-                        None
-                    }
-                    DeviceEvent::Healthy => None,
-                };
-                if let (Some(rec), Some(kind)) = (recorder.as_deref_mut(), journal_kind) {
-                    rec.journal(epoch as u32, i as u32, kind, 0.0);
-                }
-                events[i] = ev;
-            }
+        if let Some(clock) = &mut incident {
+            clock.switch(epoch, &engine, members_mut(&mut shards), &mut nyquist);
         }
-        if engine.is_some() {
-            for (i, (r, m)) in requests
-                .iter_mut()
-                .zip(shards.iter().flat_map(|s| s.members.iter()))
-                .enumerate()
-            {
-                // Sleeping devices poll nothing: like absences, they request
-                // 0.0 and release their share — but without the request
-                // decay, so the wake epoch re-requests the full rate.
-                *r = if active[i] && events[i] != DeviceEvent::Dormant {
-                    m.requested_rate().value()
-                } else {
-                    0.0
-                };
-            }
-        } else {
-            for (r, m) in requests
-                .iter_mut()
-                .zip(shards.iter().flat_map(|s| s.members.iter()))
-            {
-                *r = m.requested_rate().value();
-            }
+        lifecycle.deal(
+            &engine,
+            epoch,
+            members_mut(&mut shards),
+            recorder.as_deref_mut(),
+        );
+        for (i, (r, m)) in requests.iter_mut().zip(members(&shards)).enumerate() {
+            *r = if lifecycle.polls(i) {
+                m.requested_rate().value()
+            } else {
+                0.0
+            };
         }
         sched.allocate(&requests, capacity_rate, &mut grants);
-        // Watchdog pass, serial in device order: after the ordinary grants
-        // are placed, force suspect-deadlocked members into a re-probe
-        // above their remembered max, spending at most `frac × budget` of
-        // *extra* rate per epoch — a bounded recovery slice on top of the
-        // budget that can never displace a healthy device's grant. Each
-        // member backs off exponentially between attempts and gives up
-        // after [`REPROBE_RETRY_CAP`]; sleeping and absent members are
-        // never probed. Affordability is peeked before the controller is
-        // committed, so a dry pool perturbs nothing.
-        let mut recovery_rate = 0.0f64;
-        if watchdog_on {
-            let mut pool = cfg.recovery_budget_frac * capacity_rate; // INF stays INF
-            wd.healthy = 0;
-            wd.recovering = 0;
-            wd.suspect = 0;
-            wd.dormant = 0;
-            for (i, member) in shards
-                .iter_mut()
-                .flat_map(|s| s.members.iter_mut())
-                .enumerate()
-            {
-                if engine.is_some() && !active[i] {
-                    continue; // offline: out of the census, never probed
-                }
-                let health = if engine.is_some() && events[i] == DeviceEvent::Dormant {
-                    // The nap is dealt but not yet stepped; the controller's
-                    // own flag still reflects the previous epoch.
-                    HealthState::Dormant
-                } else {
-                    member.sampler().health()
-                };
-                match health {
-                    HealthState::Healthy => wd.healthy += 1,
-                    HealthState::Recovering => wd.recovering += 1,
-                    HealthState::SuspectDeadlocked => wd.suspect += 1,
-                    HealthState::Dormant => wd.dormant += 1,
-                }
-                if health != HealthState::SuspectDeadlocked
-                    || reprobe_retries[i] >= REPROBE_RETRY_CAP
-                    || epoch < reprobe_due[i]
-                {
-                    continue;
-                }
-                let extra = (member.reprobe_rate().value() - grants[i]).max(0.0);
-                if extra > pool {
-                    wd.starved += 1;
-                    continue;
-                }
-                pool -= extra;
-                let target = member.begin_reprobe().value();
-                grants[i] = grants[i].max(target);
-                recovery_rate += extra;
-                wd.reprobes += 1;
-                wd.recovery_granted += extra * epoch_unit;
-                reprobe_retries[i] += 1;
-                reprobe_due[i] = epoch + (1usize << reprobe_retries[i].min(20));
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.journal(epoch as u32, i as u32, "reprobe", target);
-                }
-            }
-        }
+        let recovery_rate = match &mut watchdog {
+            Some(wd) => wd.pass(
+                epoch,
+                members_mut(&mut shards),
+                &lifecycle,
+                &mut grants,
+                recorder.as_deref_mut(),
+            ),
+            None => 0.0,
+        };
         if let Some(rec) = recorder.as_deref_mut() {
             // Grant distribution histogram: fed serially in device order
             // (recovery top-ups included — they are real granted rate).
@@ -725,155 +512,58 @@ pub fn run_policy_recorded(
         }
         timing.schedule += t_sched.elapsed();
 
+        // Step: every shard's members, each writing its own `MemberStep`.
         let start = Seconds(epoch as f64 * window.value());
-        let chunk = crate::shard::chunk_size(n, threads);
-        if threads == 1 {
-            let t_step = Instant::now();
-            let ShardState { members, scratch, metrics, .. } = &mut shards[0];
-            if engine.is_some() {
-                for (i, member) in members.iter_mut().enumerate() {
-                    let step = step_scenario_member(
+        let inputs = grants
+            .chunks(chunk)
+            .zip(lifecycle.events.chunks(chunk))
+            .zip(nyquist.chunks(chunk));
+        let worker_times = crate::shard::fan_out(
+            shards.iter_mut().zip(steps.chunks_mut(chunk)).zip(inputs),
+            |((shard, steps), ((grants, events), nyquist))| {
+                let t = Instant::now();
+                for (i, member) in shard.members.iter_mut().enumerate() {
+                    steps[i] = step_member(
                         member,
                         events[i],
-                        scratch,
+                        &mut shard.scratch,
                         start,
                         Hertz(grants[i]),
                         window,
                         nyquist[i],
                     );
-                    metrics.applied.record(events[i]);
-                    if let Some(a) = step.action {
-                        metrics.controller.record(a, step.verified);
-                    }
-                    epoch_actions[i] = step.action;
-                    coverage_sum[i] += step.coverage;
-                    epoch_cov[i] = step.coverage;
-                    epoch_samples[i] = step.samples;
-                    epoch_throttled[i] = step.throttled;
-                    active_epochs[i] += step.counted as usize;
                 }
-            } else {
-                for (i, member) in members.iter_mut().enumerate() {
-                    let report = member.step_epoch(scratch, start, Hertz(grants[i]), window);
-                    metrics.controller.record(report.action, report.verified);
-                    epoch_actions[i] = Some(report.action);
-                    coverage_sum[i] += quality::coverage(report.primary_rate, Hertz(nyquist[i]));
-                    epoch_samples[i] = report.samples_taken;
-                    epoch_throttled[i] = report.throttled;
-                }
-            }
-            timing.step += t_step.elapsed();
-        } else if engine.is_some() {
-            let step_time: Duration = thread::scope(|s| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .zip(grants.chunks(chunk))
-                    .zip(nyquist.chunks(chunk))
-                    .zip(events.chunks(chunk))
-                    .zip(
-                        coverage_sum
-                            .chunks_mut(chunk)
-                            .zip(epoch_cov.chunks_mut(chunk))
-                            .zip(epoch_samples.chunks_mut(chunk))
-                            .zip(epoch_throttled.chunks_mut(chunk))
-                            .zip(active_epochs.chunks_mut(chunk))
-                            .zip(epoch_actions.chunks_mut(chunk)),
-                    )
-                    .map(
-                        |(
-                            (((shard, grants), nyquist), events),
-                            (((((coverage, ecov), samples), throttled), act), actions),
-                        )| {
-                            s.spawn(move || {
-                                let t = Instant::now();
-                                let ShardState { members, scratch, metrics, .. } = shard;
-                                for (i, member) in members.iter_mut().enumerate() {
-                                    let step = step_scenario_member(
-                                        member,
-                                        events[i],
-                                        scratch,
-                                        start,
-                                        Hertz(grants[i]),
-                                        window,
-                                        nyquist[i],
-                                    );
-                                    metrics.applied.record(events[i]);
-                                    if let Some(a) = step.action {
-                                        metrics.controller.record(a, step.verified);
-                                    }
-                                    actions[i] = step.action;
-                                    coverage[i] += step.coverage;
-                                    ecov[i] = step.coverage;
-                                    samples[i] = step.samples;
-                                    throttled[i] = step.throttled;
-                                    act[i] += step.counted as usize;
-                                }
-                                t.elapsed()
-                            })
-                        },
-                    )
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fleetsim worker panicked"))
-                    .sum()
-            });
-            timing.step += step_time;
-        } else {
-            let step_time: Duration = thread::scope(|s| {
-                let handles: Vec<_> = shards
-                    .iter_mut()
-                    .zip(grants.chunks(chunk))
-                    .zip(nyquist.chunks(chunk))
-                    .zip(
-                        coverage_sum
-                            .chunks_mut(chunk)
-                            .zip(epoch_samples.chunks_mut(chunk))
-                            .zip(epoch_throttled.chunks_mut(chunk))
-                            .zip(epoch_actions.chunks_mut(chunk)),
-                    )
-                    .map(
-                        |(((shard, grants), nyquist), (((coverage, samples), throttled), actions))| {
-                            s.spawn(move || {
-                                let t = Instant::now();
-                                let ShardState { members, scratch, metrics, .. } = shard;
-                                for (i, member) in members.iter_mut().enumerate() {
-                                    let report =
-                                        member.step_epoch(scratch, start, Hertz(grants[i]), window);
-                                    metrics.controller.record(report.action, report.verified);
-                                    actions[i] = Some(report.action);
-                                    coverage[i] +=
-                                        quality::coverage(report.primary_rate, Hertz(nyquist[i]));
-                                    samples[i] = report.samples_taken;
-                                    throttled[i] = report.throttled;
-                                }
-                                t.elapsed()
-                            })
-                        },
-                    )
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fleetsim worker panicked"))
-                    .sum()
-            });
-            timing.step += step_time;
-        }
+                t.elapsed()
+            },
+        );
+        timing.step += worker_times.into_iter().sum::<Duration>();
 
-        if let Some(rec) = recorder.as_deref_mut() {
-            // Controller transitions feed the flight recorder here, serially
-            // in device order, from the per-device action array the workers
-            // filled — so journal contents (and ring drops) never depend on
-            // the worker split. Holds are not events.
-            for (i, member) in shards.iter().flat_map(|s| s.members.iter()).enumerate() {
-                if let Some(kind) = epoch_actions[i].and_then(metrics::action_kind) {
-                    rec.journal(epoch as u32, i as u32, kind, member.requested_rate().value());
-                }
-            }
-        }
-
-        // Ledger: every sum in device index order (deterministic).
+        // Fold, serial in device order: tallies, the controller-transition
+        // journal (so its contents and ring drops never depend on the
+        // worker split; holds are not events), and coverage.
         let t_ledger = Instant::now();
+        for (i, (member, (step, &event))) in members(&shards)
+            .zip(steps.iter().zip(&lifecycle.events))
+            .enumerate()
+        {
+            tallies.applied.record(event);
+            if let Some(action) = step.action {
+                tallies.controller.record(action, step.verified);
+                if let (Some(rec), Some(kind)) =
+                    (recorder.as_deref_mut(), metrics::action_kind(action))
+                {
+                    rec.journal(
+                        epoch as u32,
+                        i as u32,
+                        kind,
+                        member.requested_rate().value(),
+                    );
+                }
+            }
+            coverage_sum[i] += step.coverage;
+            active_epochs[i] += step.counted as usize;
+        }
+        // Ledger: every sum in device index order (deterministic).
         let demanded: f64 = requests.iter().map(|r| r * epoch_unit).sum();
         // The recovery slice is spend *on top of* the budget: `granted`
         // excludes it so the scheduler's budget invariant (granted ≤ budget)
@@ -883,15 +573,15 @@ pub fn run_policy_recorded(
         // runs stay bit-identical.)
         let granted: f64 =
             grants.iter().map(|g| g * epoch_unit).sum::<f64>() - recovery_rate * epoch_unit;
-        let samples: usize = epoch_samples.iter().sum();
-        let throttled_devices = epoch_throttled.iter().filter(|&&t| t).count();
+        let samples: usize = steps.iter().map(|s| s.samples).sum();
+        let throttled_devices = steps.iter().filter(|s| s.throttled).count();
         // Cost asymmetry bills through the ledger only — the schedulers
         // stay cost-naive, and what that naivety costs is the measurement.
         let spent = match &cost_factors {
-            Some(f) => epoch_samples
+            Some(f) => steps
                 .iter()
                 .zip(f)
-                .map(|(&s, &c)| s as f64 * unit_cost * c)
+                .map(|(s, &c)| s.samples as f64 * unit_cost * c)
                 .sum(),
             None => samples as f64 * unit_cost,
         };
@@ -904,32 +594,11 @@ pub fn run_policy_recorded(
             spent,
             throttled_devices,
         });
-        if engine.is_some() {
-            // Fleet mean coverage this epoch (absent devices count as 0):
-            // the recovery trajectory the incident analysis reads.
-            epoch_means.push(epoch_cov.iter().sum::<f64>() / n.max(1) as f64);
-        }
-        if incident.is_some() {
-            // Per-device recovery clock, serial in device order. A device's
-            // baseline is its mean coverage over pre-onset epochs it was
-            // actually awake and present for; after its incident exits, the
-            // first such epoch back at ≥95% of that baseline stamps its
-            // time-to-recover.
-            for i in 0..n {
-                if matches!(events[i], DeviceEvent::Absent | DeviceEvent::Dormant) {
-                    continue;
-                }
-                if !ttr_seen_onset[i] {
-                    ttr_base_sum[i] += epoch_cov[i];
-                    ttr_base_epochs[i] += 1;
-                } else if ttr[i].is_none() && ttr_exit[i] != usize::MAX && ttr_base_epochs[i] > 0
-                {
-                    let threshold = 0.95 * ttr_base_sum[i] / ttr_base_epochs[i] as f64;
-                    if epoch_cov[i] >= threshold {
-                        ttr[i] = Some(epoch - ttr_exit[i]);
-                    }
-                }
-            }
+        // Fleet mean coverage this epoch (absent devices count as 0): the
+        // recovery trajectory the incident analysis reads.
+        epoch_means.push(steps.iter().map(|s| s.coverage).sum::<f64>() / n.max(1) as f64);
+        if let Some(clock) = &mut incident {
+            clock.observe(epoch, &lifecycle.events, &steps);
         }
         timing.schedule += t_ledger.elapsed();
 
@@ -940,11 +609,11 @@ pub fn run_policy_recorded(
                     budget: budget_per_epoch,
                     devices: n,
                     account: ledger.accounts().last().expect("epoch just recorded"),
-                    shard: merged_shard_metrics(&shards),
+                    shard: tallies,
                     fft: fft_handle_totals(&shards),
                     sched: sched.stats(),
-                    dealt: engine.is_some().then_some(&counters),
-                    watchdog: watchdog_on.then_some(wd),
+                    dealt: cfg.scenario.is_active().then_some(&lifecycle.counters),
+                    watchdog: watchdog.as_ref().map(|wd| wd.counters),
                 });
             }
         }
@@ -953,51 +622,25 @@ pub fn run_policy_recorded(
     let t_quality = Instant::now();
     // Coverage averages over the epochs a device was actually present for:
     // an absent device is not "uncovered", it is out of the study — but a
-    // present device whose report was dropped scores the 0 it earned.
-    // Healthy runs divide by the horizon exactly as before.
-    let device_quality: Vec<DeviceQuality> = shards
-        .iter()
-        .flat_map(|s| s.members.iter())
+    // present device whose report was dropped scores the 0 it earned. A
+    // healthy device is present every epoch, so it divides by the horizon.
+    let device_quality: Vec<DeviceQuality> = members(&shards)
         .enumerate()
         .map(|(i, m)| DeviceQuality {
             index: i,
             kind: m.kind(),
-            mean_coverage: if engine.is_some() {
-                coverage_sum[i] / active_epochs[i].max(1) as f64
-            } else {
-                coverage_sum[i] / epochs as f64
-            },
+            mean_coverage: coverage_sum[i] / active_epochs[i].max(1) as f64,
             final_rate: m.requested_rate().value(),
             deferred_epochs: m.sampler().deferred_epochs(),
             missed_epochs: m.sampler().missed_epochs(),
         })
         .collect();
     let quality = FleetQuality::from_devices(&device_quality);
-    let scenario = engine.as_ref().map(|eng| {
-        let (baseline_coverage, time_to_recover) = eng.recovery(&epoch_means);
-        // Per-device recovery quantiles, summarized through an obs
-        // log-bucket histogram fed in device order (the fleet-mean
-        // `time_to_recover` hides the slow tail the p95 exposes).
-        let mut hist = sweetspot_obs::Histogram::log_scale(1.0, (epochs as f64).max(2.0), 32);
-        let mut recovered_devices = 0usize;
-        let mut unrecovered_devices = 0usize;
-        for i in 0..incident_len {
-            if !ttr_seen_onset[i] {
-                continue;
-            }
-            match ttr[i] {
-                Some(e) => {
-                    recovered_devices += 1;
-                    hist.record(e as f64);
-                }
-                None => unrecovered_devices += 1,
-            }
-        }
-        let (ttr_p50, ttr_p95) = if hist.count() > 0 {
-            (Some(hist.quantile(0.50)), Some(hist.quantile(0.95)))
-        } else {
-            (None, None)
-        };
+    let scenario = cfg.scenario.is_active().then(|| {
+        let (baseline_coverage, time_to_recover) = engine.recovery(&epoch_means);
+        let (ttr_p50, ttr_p95, recovered_devices, unrecovered_devices) = incident
+            .as_ref()
+            .map_or((None, None, 0, 0), |c| c.summary(epochs));
         // Aliasing-deadlock census: present devices that end the run both
         // *classified* suspect-deadlocked (settled below their remembered
         // max with no aliasing alarm — see [`HealthState`]) and *actually*
@@ -1006,22 +649,20 @@ pub fn run_policy_recorded(
         // below its old ceiling (suspect but covered), and a budget-starved
         // device whose detector still flaps (under-covered but alarming —
         // the scheduler's problem, not a deadlock).
-        let deadlocked = shards
-            .iter()
-            .flat_map(|s| s.members.iter())
+        let deadlocked = members(&shards)
             .enumerate()
-            .filter(|(i, m)| {
-                active[*i]
-                    && nyquist[*i] > 0.0
+            .filter(|&(i, m)| {
+                lifecycle.active[i]
+                    && nyquist[i] > 0.0
                     && m.sampler().health() == HealthState::SuspectDeadlocked
-                    && quality::coverage(m.requested_rate(), Hertz(nyquist[*i])) < 0.95
+                    && quality::coverage(m.requested_rate(), Hertz(nyquist[i])) < 0.95
             })
             .count();
         ScenarioStats {
-            label: scenario_spec.label(),
-            seed: scenario_spec.seed,
-            counters,
-            incident: eng.incident(),
+            label: cfg.scenario.label(),
+            seed: cfg.scenario.seed,
+            counters: lifecycle.counters,
+            incident: engine.incident(),
             baseline_coverage,
             time_to_recover,
             ttr_p50,
@@ -1029,7 +670,7 @@ pub fn run_policy_recorded(
             recovered_devices,
             unrecovered_devices,
             deadlocked,
-            epoch_mean_coverage: std::mem::take(&mut epoch_means),
+            epoch_mean_coverage: epoch_means,
         }
     });
     timing.schedule += t_quality.elapsed();
@@ -1041,13 +682,12 @@ pub fn run_policy_recorded(
         fft_table_bytes: shards.iter().map(|s| s.planner.table_bytes()).sum(),
         workers: shards.len(),
     };
-    let merged = merged_shard_metrics(&shards);
     let metrics = MetricsSummary {
-        controller: merged.controller,
-        applied: merged.applied,
+        controller: tallies.controller,
+        applied: tallies.applied,
         fft: fft_handle_totals(&shards),
         sched: sched.stats(),
-        watchdog: watchdog_on.then_some(wd),
+        watchdog: watchdog.map(|wd| wd.counters),
     };
 
     PolicyOutcome {
@@ -1066,29 +706,370 @@ pub fn run_policy_recorded(
     }
 }
 
-/// Steps one member through one epoch under a scenario event. Returns
-/// `(epoch coverage, billed samples, throttled, counted-as-active)`.
-///
-/// Reboots were already applied serially when the event was dealt, so here
-/// `Reboot` steps like `Healthy` (the first post-reboot epoch *is* a normal
-/// epoch, just from re-ramp state). A dropped report takes no samples and
-/// earns no coverage; a delayed report takes (and bills) its samples but
-/// the controller's adaptation froze; a duplicated report bills double.
-/// Per-device outcome of one scenario epoch: the quality/ledger numbers the
-/// epoch loop already consumed as a tuple, plus the controller action and
-/// verification flag the metrics layer tallies.
+/// Every member in fleet order, across shards.
+fn members(shards: &[ShardState]) -> impl Iterator<Item = &FleetMember> {
+    shards.iter().flat_map(|s| s.members.iter())
+}
+
+/// [`members`], mutably.
+fn members_mut(shards: &mut [ShardState]) -> impl Iterator<Item = &mut FleetMember> {
+    shards.iter_mut().flat_map(|s| s.members.iter_mut())
+}
+
+/// A member's ground-truth requirement given its signal's Nyquist rate:
+/// zero for a quiescent device, whose signal never moves a full quantum.
+fn requirement(member: &FleetMember, nyquist: Hertz) -> f64 {
+    if member.device().trace().is_quiet() {
+        0.0
+    } else {
+        nyquist.value()
+    }
+}
+
+/// The fleet's lifecycle as the scenario deals it: who is present, what
+/// each device drew this epoch, and the run's event totals. A healthy
+/// scenario deals `Healthy` to everyone, so every device stays present and
+/// every counter stays zero.
+struct Lifecycle {
+    /// Whether each device is online (absent devices keep their slot).
+    active: Vec<bool>,
+    /// Each device's event for the current epoch.
+    events: Vec<DeviceEvent>,
+    /// What was dealt over the run.
+    counters: ScenarioCounters,
+}
+
+impl Lifecycle {
+    fn new(devices: usize) -> Lifecycle {
+        Lifecycle {
+            active: vec![true; devices],
+            events: vec![DeviceEvent::Healthy; devices],
+            counters: ScenarioCounters::default(),
+        }
+    }
+
+    /// Whether device `i` polls this epoch. Absent and sleeping devices
+    /// request 0.0 and release their share — a sleeper without the request
+    /// decay, so its wake epoch re-requests the full rate.
+    fn polls(&self, i: usize) -> bool {
+        self.active[i] && self.events[i] != DeviceEvent::Dormant
+    }
+
+    /// Deals this epoch's events — serial, pure hashing, so the fault
+    /// schedule is identical for every policy and thread count. Reboots
+    /// apply here (cheap state resets) so a rebooted member's *request*
+    /// already reflects its re-ramp. Lifecycle transitions feed the flight
+    /// recorder in device order; continued absences and scheduled sleep are
+    /// counted but not journaled — they are high-volume steady state and
+    /// would drown the ring.
+    fn deal<'a>(
+        &mut self,
+        engine: &ScenarioEngine,
+        epoch: usize,
+        members: impl Iterator<Item = &'a mut FleetMember>,
+        mut recorder: Option<&mut MetricsRecorder>,
+    ) {
+        let c = &mut self.counters;
+        for (i, member) in members.enumerate() {
+            let event = engine.deal(epoch, i, self.active[i]);
+            let journal_kind = match event {
+                DeviceEvent::Absent => {
+                    let left = self.active[i];
+                    c.leaves += left as usize;
+                    c.absent_epochs += 1;
+                    self.active[i] = false;
+                    left.then_some("leave")
+                }
+                DeviceEvent::Reboot => {
+                    let joined = !self.active[i];
+                    c.joins += joined as usize;
+                    c.reboots += 1;
+                    self.active[i] = true;
+                    member.reboot();
+                    Some(if joined { "join" } else { "reboot" })
+                }
+                DeviceEvent::ReportDropped => {
+                    c.dropped_reports += 1;
+                    Some("report_drop")
+                }
+                DeviceEvent::ReportDelayed => {
+                    c.delayed_reports += 1;
+                    Some("report_delay")
+                }
+                DeviceEvent::ReportDuplicated => {
+                    c.duplicated_reports += 1;
+                    Some("report_dup")
+                }
+                DeviceEvent::Dormant => {
+                    c.dormant_epochs += 1;
+                    None
+                }
+                DeviceEvent::Healthy => None,
+            };
+            if let (Some(rec), Some(kind)) = (recorder.as_deref_mut(), journal_kind) {
+                rec.journal(epoch as u32, i as u32, kind, 0.0);
+            }
+            self.events[i] = event;
+        }
+    }
+}
+
+/// The watchdog's recovery plane: the epoch's recovery pool, each member's
+/// re-probe backoff, and the run's tallies. Built only when
+/// [`FleetSimConfig::recovery_budget_frac`] is positive; without one the
+/// pass never runs and every output bit matches an engine that has none.
+struct Watchdog {
+    /// Extra rate the watchdog may grant per epoch: `frac × capacity`.
+    pool: f64,
+    /// Cost units per unit of granted rate over one epoch.
+    epoch_unit: f64,
+    /// Re-probes forced so far, per member.
+    retries: Vec<u32>,
+    /// First epoch each member may be re-probed again.
+    due: Vec<usize>,
+    counters: WatchdogCounters,
+}
+
+impl Watchdog {
+    fn new(frac: f64, capacity_rate: f64, epoch_unit: f64, devices: usize) -> Option<Watchdog> {
+        (frac > 0.0).then(|| Watchdog {
+            pool: frac * capacity_rate, // INF stays INF
+            epoch_unit,
+            retries: vec![0; devices],
+            due: vec![0; devices],
+            counters: WatchdogCounters::default(),
+        })
+    }
+
+    /// One pass, serial in device order, after the ordinary grants are
+    /// placed: force suspect-deadlocked members into a re-probe above their
+    /// remembered max, spending at most the pool of *extra* rate — a bounded
+    /// recovery slice on top of the budget that can never displace a
+    /// healthy device's grant. Each member backs off exponentially between
+    /// attempts and gives up after [`REPROBE_RETRY_CAP`]; sleeping and
+    /// absent members are never probed. Affordability is peeked before the
+    /// controller is committed, so a dry pool perturbs nothing. Returns the
+    /// extra rate granted.
+    fn pass<'a>(
+        &mut self,
+        epoch: usize,
+        members: impl Iterator<Item = &'a mut FleetMember>,
+        lifecycle: &Lifecycle,
+        grants: &mut [f64],
+        mut recorder: Option<&mut MetricsRecorder>,
+    ) -> f64 {
+        let wd = &mut self.counters;
+        let mut pool = self.pool;
+        let mut recovery_rate = 0.0f64;
+        wd.healthy = 0;
+        wd.recovering = 0;
+        wd.suspect = 0;
+        wd.dormant = 0;
+        for (i, member) in members.enumerate() {
+            if !lifecycle.active[i] {
+                continue; // offline: out of the census, never probed
+            }
+            let health = if lifecycle.events[i] == DeviceEvent::Dormant {
+                // The nap is dealt but not yet stepped; the controller's
+                // own flag still reflects the previous epoch.
+                HealthState::Dormant
+            } else {
+                member.sampler().health()
+            };
+            match health {
+                HealthState::Healthy => wd.healthy += 1,
+                HealthState::Recovering => wd.recovering += 1,
+                HealthState::SuspectDeadlocked => wd.suspect += 1,
+                HealthState::Dormant => wd.dormant += 1,
+            }
+            if health != HealthState::SuspectDeadlocked
+                || self.retries[i] >= REPROBE_RETRY_CAP
+                || epoch < self.due[i]
+            {
+                continue;
+            }
+            let extra = (member.sampler().reprobe_rate().value() - grants[i]).max(0.0);
+            if extra > pool {
+                wd.starved += 1;
+                continue;
+            }
+            pool -= extra;
+            let target = member.sampler_mut().begin_reprobe().value();
+            grants[i] = grants[i].max(target);
+            recovery_rate += extra;
+            wd.reprobes += 1;
+            wd.recovery_granted += extra * self.epoch_unit;
+            self.retries[i] += 1;
+            self.due[i] = epoch + (1usize << self.retries[i].min(20));
+            if let Some(rec) = recorder.as_deref_mut() {
+                rec.journal(epoch as u32, i as u32, "reprobe", target);
+            }
+        }
+        recovery_rate
+    }
+}
+
+/// One device's incident phase and recovery clock.
+#[derive(Debug, Clone, Copy)]
+struct DeviceClock {
+    /// Requirement of the model currently swapped *out*.
+    alt_nyquist: f64,
+    /// Whether the device currently runs its incident-phase model.
+    in_incident: bool,
+    /// Whether the device has entered the incident at least once.
+    seen_onset: bool,
+    /// Coverage summed over pre-onset epochs it was awake and present for.
+    base_sum: f64,
+    base_epochs: usize,
+    /// Epoch of the latest incident exit (`None` while inside or before).
+    exit: Option<usize>,
+    /// Epochs from the exit back to ≥95% of baseline, once measured.
+    ttr: Option<usize>,
+}
+
+/// Per-member incident phase plus the per-device recovery clock, built only
+/// when the scenario has a regime incident. Every member's incident-phase
+/// signal model is pre-built (tone frequencies scaled, identity and noise
+/// seed untouched), so phase boundaries only `mem::swap` models and
+/// requirements — no allocation, no re-synthesis.
+struct IncidentClock {
+    /// Each member's swapped-out signal model.
+    alt_models: Vec<SignalModel>,
+    devices: Vec<DeviceClock>,
+}
+
+impl IncidentClock {
+    fn new<'a>(members: impl Iterator<Item = &'a FleetMember>, factor: f64) -> IncidentClock {
+        let (alt_models, devices) = members
+            .map(|m| {
+                let alt = m.device().trace().regime_model(factor);
+                let clock = DeviceClock {
+                    alt_nyquist: requirement(m, alt.nyquist_rate()),
+                    in_incident: false,
+                    seen_onset: false,
+                    base_sum: 0.0,
+                    base_epochs: 0,
+                    exit: None,
+                    ttr: None,
+                };
+                (alt, clock)
+            })
+            .unzip();
+        IncidentClock {
+            alt_models,
+            devices,
+        }
+    }
+
+    /// Regime phase boundaries, per member: each device swaps to its other
+    /// model when *its own* incident activity flips (staggered and diurnal
+    /// regimes switch members individually; the one-shot incident flips the
+    /// whole fleet at the same two epochs). The ground-truth requirement
+    /// swaps with the model, and the transitions clock the recovery tracker.
+    fn switch<'a>(
+        &mut self,
+        epoch: usize,
+        engine: &ScenarioEngine,
+        members: impl Iterator<Item = &'a mut FleetMember>,
+        nyquist: &mut [f64],
+    ) {
+        for (i, (member, alt)) in members.zip(self.alt_models.iter_mut()).enumerate() {
+            let d = &mut self.devices[i];
+            let now = engine.incident_active(epoch, i);
+            if now == d.in_incident {
+                continue;
+            }
+            member.swap_model(alt);
+            std::mem::swap(&mut nyquist[i], &mut d.alt_nyquist);
+            d.in_incident = now;
+            if now {
+                // (Re-)entering the incident: the clock restarts from the
+                // next exit.
+                d.seen_onset = true;
+                d.exit = None;
+                d.ttr = None;
+            } else {
+                d.exit = Some(epoch);
+            }
+        }
+    }
+
+    /// The recovery clock, serial in device order. A device's baseline is
+    /// its mean coverage over pre-onset epochs it was actually awake and
+    /// present for; after its incident exits, the first such epoch back at
+    /// ≥95% of that baseline stamps its time-to-recover.
+    fn observe(&mut self, epoch: usize, events: &[DeviceEvent], steps: &[MemberStep]) {
+        for ((d, event), step) in self.devices.iter_mut().zip(events).zip(steps) {
+            if matches!(event, DeviceEvent::Absent | DeviceEvent::Dormant) {
+                continue;
+            }
+            if !d.seen_onset {
+                d.base_sum += step.coverage;
+                d.base_epochs += 1;
+            } else if let (None, Some(exit)) = (d.ttr, d.exit) {
+                if d.base_epochs > 0 && step.coverage >= 0.95 * d.base_sum / d.base_epochs as f64 {
+                    d.ttr = Some(epoch - exit);
+                }
+            }
+        }
+    }
+
+    /// `(p50, p95, recovered, unrecovered)` over devices that saw an
+    /// incident. The quantiles come from an obs log-bucket histogram fed in
+    /// device order — the fleet-mean time-to-recover hides the slow tail
+    /// the p95 exposes.
+    fn summary(&self, epochs: usize) -> (Option<f64>, Option<f64>, usize, usize) {
+        let mut hist = sweetspot_obs::Histogram::log_scale(1.0, (epochs as f64).max(2.0), 32);
+        let (mut recovered, mut unrecovered) = (0usize, 0usize);
+        for d in self.devices.iter().filter(|d| d.seen_onset) {
+            match d.ttr {
+                Some(e) => {
+                    recovered += 1;
+                    hist.record(e as f64);
+                }
+                None => unrecovered += 1,
+            }
+        }
+        if hist.count() == 0 {
+            return (None, None, recovered, unrecovered);
+        }
+        (
+            Some(hist.quantile(0.50)),
+            Some(hist.quantile(0.95)),
+            recovered,
+            unrecovered,
+        )
+    }
+}
+
+/// Per-device outcome of one epoch: the quality/ledger inputs plus the
+/// controller action and verification flag the metrics layer tallies.
+/// Workers write one per device; the serial fold reads them in device
+/// order.
+#[derive(Debug, Clone, Copy, Default)]
 struct MemberStep {
     coverage: f64,
     samples: usize,
     throttled: bool,
     /// Whether this epoch counts toward the device's active-epoch divisor.
     counted: bool,
-    /// Controller decision this epoch; `None` while the device is absent.
+    /// Controller decision this epoch; `None` while absent or asleep.
     action: Option<EpochAction>,
     verified: bool,
 }
 
-fn step_scenario_member(
+/// Steps one member through one epoch under its dealt event — the engine's
+/// only per-member step.
+///
+/// Reboots were already applied serially when the event was dealt, so here
+/// `Reboot` steps like `Healthy` (the first post-reboot epoch *is* a normal
+/// epoch, just from re-ramp state). An absent device does nothing. A
+/// sleeping one takes no samples and — unlike an absence — does not decay
+/// its request; the controller merely notes its state aged and owes a
+/// verification on wake. A dropped report takes no samples and earns no
+/// coverage; a delayed report takes (and bills) its samples but the
+/// controller's adaptation froze; a duplicated report bills double.
+fn step_member(
     member: &mut FleetMember,
     event: DeviceEvent,
     scratch: &mut EpochScratch,
@@ -1097,85 +1078,30 @@ fn step_scenario_member(
     window: Seconds,
     nyquist: f64,
 ) -> MemberStep {
-    let nyquist = Hertz(nyquist);
-    match event {
-        DeviceEvent::Absent => MemberStep {
-            coverage: 0.0,
-            samples: 0,
-            throttled: false,
-            counted: false,
-            action: None,
-            verified: false,
-        },
+    let report = match event {
+        DeviceEvent::Absent => return MemberStep::default(),
         DeviceEvent::Dormant => {
-            // Scheduled sleep: no samples, no report, no deferral, and —
-            // unlike an absence — no request decay; the controller merely
-            // notes its state aged and owes a verification on wake.
-            member.note_dormant_epoch();
-            MemberStep {
-                coverage: 0.0,
-                samples: 0,
-                throttled: false,
-                counted: false,
-                action: None,
-                verified: false,
-            }
+            member.sampler_mut().note_dormant_epoch();
+            return MemberStep::default();
         }
-        DeviceEvent::ReportDropped => {
-            let r = member.note_missed_epoch(start, grant, window);
-            MemberStep {
-                coverage: quality::coverage(r.primary_rate, nyquist),
-                samples: 0,
-                throttled: r.throttled,
-                counted: true,
-                action: Some(r.action),
-                verified: r.verified,
-            }
+        DeviceEvent::ReportDropped => member.sampler_mut().note_missed_epoch(start, grant, window),
+        DeviceEvent::ReportDelayed => member.step_epoch_delayed(scratch, start, grant, window),
+        DeviceEvent::ReportDuplicated | DeviceEvent::Healthy | DeviceEvent::Reboot => {
+            member.step_epoch(scratch, start, grant, window)
         }
-        DeviceEvent::ReportDelayed => {
-            let r = member.step_epoch_delayed(scratch, start, grant, window);
-            MemberStep {
-                coverage: quality::coverage(r.primary_rate, nyquist),
-                samples: r.samples_taken,
-                throttled: r.throttled,
-                counted: true,
-                action: Some(r.action),
-                verified: r.verified,
-            }
-        }
-        DeviceEvent::ReportDuplicated => {
-            let r = member.step_epoch(scratch, start, grant, window);
-            MemberStep {
-                coverage: quality::coverage(r.primary_rate, nyquist),
-                samples: r.samples_taken * 2,
-                throttled: r.throttled,
-                counted: true,
-                action: Some(r.action),
-                verified: r.verified,
-            }
-        }
-        DeviceEvent::Healthy | DeviceEvent::Reboot => {
-            let r = member.step_epoch(scratch, start, grant, window);
-            MemberStep {
-                coverage: quality::coverage(r.primary_rate, nyquist),
-                samples: r.samples_taken,
-                throttled: r.throttled,
-                counted: true,
-                action: Some(r.action),
-                verified: r.verified,
-            }
-        }
+    };
+    MemberStep {
+        coverage: quality::coverage(report.primary_rate, Hertz(nyquist)),
+        samples: match event {
+            DeviceEvent::ReportDropped => 0,
+            DeviceEvent::ReportDuplicated => report.samples_taken * 2,
+            _ => report.samples_taken,
+        },
+        throttled: report.throttled,
+        counted: true,
+        action: Some(report.action),
+        verified: report.verified,
     }
-}
-
-/// Folds per-worker [`ShardMetrics`] in shard order — never completion
-/// order — so the merged totals are identical for any `--threads N`.
-fn merged_shard_metrics(shards: &[ShardState]) -> ShardMetrics {
-    let mut merged = ShardMetrics::default();
-    for shard in shards {
-        merged.merge(&shard.metrics);
-    }
-    merged
 }
 
 /// Sums per-member FFT planner-handle counters in fleet (device) order.
@@ -1183,62 +1109,10 @@ fn merged_shard_metrics(shards: &[ShardState]) -> ShardMetrics {
 /// are independent of how the fleet was sharded across workers.
 fn fft_handle_totals(shards: &[ShardState]) -> FftHandleStats {
     let mut totals = FftHandleStats::default();
-    for member in shards.iter().flat_map(|s| s.members.iter()) {
+    for member in members(shards) {
         totals.merge(&member.fft_handle_stats());
     }
     totals
-}
-
-/// Builds per-device state in parallel shards, one contiguous [`Slab`] per
-/// shard, in fleet order. Each shard owns one context built by `mk_ctx`
-/// (e.g. a shared FFT planner), handed to every `build` call on that shard
-/// and returned alongside the slab. Shard boundaries follow
-/// [`crate::shard::chunk_size`], matching the epoch loop's chunking of the
-/// global grant/quality arrays.
-fn build_shards<T, C, M, F>(
-    work: &[(MetricProfile, usize)],
-    threads: usize,
-    mk_ctx: M,
-    build: F,
-) -> Vec<(C, Slab<T>)>
-where
-    T: Send,
-    C: Send,
-    M: Fn() -> C + Sync,
-    F: Fn(&mut C, usize, MetricProfile, usize) -> T + Sync,
-{
-    let n = work.len();
-    if threads <= 1 || n < 2 {
-        let mut ctx = mk_ctx();
-        let mut slab = Slab::with_capacity(n);
-        for (i, &(p, d)) in work.iter().enumerate() {
-            slab.push(build(&mut ctx, i, p, d));
-        }
-        return vec![(ctx, slab)];
-    }
-    let chunk = crate::shard::chunk_size(n, threads);
-    thread::scope(|s| {
-        let build = &build;
-        let mk_ctx = &mk_ctx;
-        let handles: Vec<_> = work
-            .chunks(chunk)
-            .enumerate()
-            .map(|(shard, span)| {
-                s.spawn(move || {
-                    let mut ctx = mk_ctx();
-                    let mut slab = Slab::with_capacity(span.len());
-                    for (j, &(p, d)) in span.iter().enumerate() {
-                        slab.push(build(&mut ctx, shard * chunk + j, p, d));
-                    }
-                    (ctx, slab)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleetsim build worker panicked"))
-            .collect()
-    })
 }
 
 /// One row of the cost-vs-quality frontier.

@@ -1,10 +1,10 @@
-//! Shared sharding math for the deterministic fan-out engines
+//! Shared sharding math and the one fan-out for the deterministic engines
 //! ([`study`](crate::study) and [`fleetsim`](crate::fleetsim)).
 //!
-//! Both engines split a work-index space into contiguous per-worker spans
-//! and merge results back in index order — the byte-identical-across-
-//! `--threads N` guarantee rests on this arithmetic, so there is exactly
-//! one copy of it.
+//! Both engines split a work-index space into contiguous per-worker spans,
+//! run each span through [`fan_out`], and merge results back in index
+//! order — the byte-identical-across-`--threads N` guarantee rests on this
+//! arithmetic, so there is exactly one copy of it.
 
 use std::thread;
 
@@ -36,9 +36,66 @@ pub(crate) fn shard_spans(total: usize, workers: usize) -> Vec<std::ops::Range<u
         .collect()
 }
 
+/// Runs `work` once per shard and returns the results in shard order —
+/// never completion order. A single shard runs inline on the calling thread
+/// (a one-worker run spawns nothing); several run on one scoped thread
+/// each. A worker's panic resumes on the calling thread.
+pub(crate) fn fan_out<I, R, F>(shards: I, work: F) -> Vec<R>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    let shards: Vec<I::Item> = shards.into_iter().collect();
+    if shards.len() <= 1 {
+        return shards.into_iter().map(work).collect();
+    }
+    thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = shards
+            .into_iter()
+            .map(|shard| s.spawn(move || work(shard)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fan_out_returns_results_in_shard_order() {
+        for shards in [1usize, 2, 7] {
+            let caller = thread::current().id();
+            let results = fan_out(0..shards, |i| (i * i, thread::current().id()));
+            let squares: Vec<usize> = results.iter().map(|&(sq, _)| sq).collect();
+            let expected: Vec<usize> = (0..shards).map(|i| i * i).collect();
+            assert_eq!(squares, expected, "shards={shards}");
+            let inline = results.iter().all(|&(_, id)| id == caller);
+            // One shard runs on the caller; several never do.
+            assert_eq!(inline, shards == 1, "shards={shards}");
+        }
+        assert!(fan_out(0..0, |i: usize| i).is_empty());
+    }
+
+    #[test]
+    fn fan_out_lends_mutable_shards() {
+        let mut totals = vec![0u64; 3];
+        let sums = fan_out(totals.iter_mut().zip([1u64, 2, 3]), |(total, k)| {
+            *total += k * 10;
+            *total
+        });
+        assert_eq!(sums, vec![10, 20, 30]);
+        assert_eq!(totals, vec![10, 20, 30]);
+    }
 
     #[test]
     fn shard_spans_cover_everything_exactly_once() {

@@ -22,7 +22,6 @@
 //! `--threads 1` and `--threads 64` produce byte-identical reports. The
 //! `parallel_and_serial_agree` test pins this.
 
-use std::thread;
 use std::time::{Duration, Instant};
 use sweetspot_core::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
 use sweetspot_core::reduction::{reduction_outcome, summarize, ReductionOutcome, ReductionSummary};
@@ -220,56 +219,23 @@ impl FleetStudy {
     }
 
     /// Shared fan-out/merge skeleton: splits `total` items into per-worker
-    /// spans, runs `process` for each span on a scoped thread with a
-    /// persistent worker-local [`WorkerScratch`], and merges the shards in
+    /// spans, runs `process` for each span through [`crate::shard::fan_out`]
+    /// with a fresh worker-local [`WorkerScratch`], and merges the shards in
     /// index order.
     fn run_sharded<F>(total: usize, cfg: &StudyConfig, process: F) -> FleetStudy
     where
         F: Fn(std::ops::Range<usize>, &mut WorkerScratch) -> Vec<PairResult> + Sync,
     {
         let threads = cfg.resolve_threads(total);
-        let spans = shard_spans(total, threads);
-
-        let shards: Vec<Shard> = if threads == 1 {
-            // Serial fast path: no thread overhead, same code path semantics.
+        let shards = crate::shard::fan_out(shard_spans(total, threads), |span| {
             let mut scratch = WorkerScratch::new(cfg.estimator);
-            spans
-                .into_iter()
-                .map(|span| {
-                    scratch.timings = PhaseTimings::default();
-                    let pairs = process(span.clone(), &mut scratch);
-                    Shard {
-                        start_index: span.start,
-                        pairs,
-                        timings: scratch.timings,
-                    }
-                })
-                .collect()
-        } else {
-            thread::scope(|s| {
-                let handles: Vec<_> = spans
-                    .into_iter()
-                    .map(|span| {
-                        let process = &process;
-                        let estimator_cfg = cfg.estimator;
-                        s.spawn(move || {
-                            let mut scratch = WorkerScratch::new(estimator_cfg);
-                            let pairs = process(span.clone(), &mut scratch);
-                            Shard {
-                                start_index: span.start,
-                                pairs,
-                                timings: scratch.timings,
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("study worker panicked"))
-                    .collect()
-            })
-        };
-
+            let pairs = process(span.clone(), &mut scratch);
+            Shard {
+                start_index: span.start,
+                pairs,
+                timings: scratch.timings,
+            }
+        });
         let (pairs, timing) = merge_shards(shards, total);
         FleetStudy { pairs, timing }
     }

@@ -1,77 +1,24 @@
 //! Contiguous typed arenas with byte-level footprint accounting.
 //!
-//! The fleet simulator's memory wall (ISSUE 6) was scattered ownership:
-//! 10⁵ member records, each a separate heap object dragging its own working
-//! buffers, cost ~46 GB where the durable state is a few hundred bytes per
-//! member. The cure has two halves — per-worker scratch (see
+//! The fleet simulator's memory wall was scattered ownership: 10⁵ member
+//! records, each a separate heap object dragging its own working buffers,
+//! cost ~46 GB where the durable state is a few hundred bytes per member.
+//! The cure has two halves — per-worker scratch (see
 //! `monitor::poller::EpochScratch`) for the transient buffers, and *this
 //! crate* for the durable half: shard-local arenas that keep every member
-//! record in one contiguous block addressed by index handles.
+//! record in one contiguous block.
 //!
-//! Two allocators cover the two durable shapes:
-//!
-//! * [`Slab<T>`] — a typed, append-only record store. `push` returns a
-//!   [`Handle<T>`] (a `u32` index branded with the element type); records
-//!   never move or drop until the slab does, so handles stay valid for the
-//!   slab's lifetime. Epoch loops iterate it like a slice — one cache
-//!   stream, no pointer chasing.
-//! * [`BumpArena<T>`] — a typed bump allocator for small fixed-length
-//!   buffers (per-member accumulators, requirement tables). `alloc` carves
-//!   a [`Span`] out of one growing block; spans are dereferenced to slices
-//!   on demand.
-//!
-//! Both report [`resident_bytes`](Slab::resident_bytes) (capacity, not
-//! length — what the process actually holds) and track a high-water mark so
-//! tests can pin "per-member bytes stay flat as the fleet scales"
-//! (`crates/analysis/tests/alloc_steady_state.rs`).
-
-use std::fmt;
-use std::marker::PhantomData;
-
-/// Index-based handle into a [`Slab<T>`]: 4 bytes instead of a pointer,
-/// branded with the element type so a handle from a `Slab<A>` cannot be
-/// used on a `Slab<B>` by accident. (Handles from *different slabs of the
-/// same type* are not distinguished — keep one slab per role, as the fleet
-/// shards do.)
-pub struct Handle<T> {
-    index: u32,
-    _brand: PhantomData<fn() -> T>,
-}
-
-impl<T> Handle<T> {
-    /// The raw slab index.
-    pub fn index(self) -> usize {
-        self.index as usize
-    }
-}
-
-// Manual impls: `derive` would bound them on `T: Clone` etc., but a handle
-// is plain data regardless of what it points at.
-impl<T> Clone for Handle<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for Handle<T> {}
-impl<T> PartialEq for Handle<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.index == other.index
-    }
-}
-impl<T> Eq for Handle<T> {}
-impl<T> fmt::Debug for Handle<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Handle({})", self.index)
-    }
-}
+//! [`Slab<T>`] is a typed, append-only record store. Records never drop
+//! until the slab does, and epoch loops iterate it like a slice — one cache
+//! stream, no pointer chasing. It reports
+//! [`resident_bytes`](Slab::resident_bytes) (capacity, not length — what
+//! the process actually holds) so tests can pin "per-member bytes stay flat
+//! as the fleet scales" (`crates/analysis/tests/alloc_steady_state.rs`).
 
 /// A typed, append-only arena of records in one contiguous allocation.
 ///
-/// Records are addressed by [`Handle<T>`] and never move (logically — the
-/// backing storage may reallocate while growing, which is why handles are
-/// indices, not pointers). There is no per-record free: fleet shards build
-/// once and run for the whole simulation, so the only teardown is dropping
-/// the slab.
+/// There is no per-record free: fleet shards build once and run for the
+/// whole simulation, so the only teardown is dropping the slab.
 #[derive(Debug, Clone, Default)]
 pub struct Slab<T> {
     items: Vec<T>,
@@ -91,46 +38,9 @@ impl<T> Slab<T> {
         }
     }
 
-    /// Appends a record, returning its handle.
-    ///
-    /// # Panics
-    /// Panics past `u32::MAX` records (a 4-billion-member shard is beyond
-    /// any fleet this simulates).
-    pub fn push(&mut self, value: T) -> Handle<T> {
-        let index = u32::try_from(self.items.len()).expect("slab overflow: > u32::MAX records");
+    /// Appends a record.
+    pub fn push(&mut self, value: T) {
         self.items.push(value);
-        Handle {
-            index,
-            _brand: PhantomData,
-        }
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// `true` when no records have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// The record behind `handle`.
-    pub fn get(&self, handle: Handle<T>) -> &T {
-        &self.items[handle.index()]
-    }
-
-    /// Mutable access to the record behind `handle`.
-    pub fn get_mut(&mut self, handle: Handle<T>) -> &mut T {
-        &mut self.items[handle.index()]
-    }
-
-    /// All handles, in insertion order.
-    pub fn handles(&self) -> impl Iterator<Item = Handle<T>> + '_ {
-        (0..self.items.len() as u32).map(|index| Handle {
-            index,
-            _brand: PhantomData,
-        })
     }
 
     /// Iterates records in insertion order.
@@ -150,154 +60,9 @@ impl<T> Slab<T> {
 
     /// Bytes of record storage the slab holds (capacity, not length).
     /// Heap owned *inside* records is the records' business — see
-    /// `FleetMember::resident_bytes` for the composed figure.
+    /// `FleetMember::heap_bytes` for the composed figure.
     pub fn resident_bytes(&self) -> usize {
         self.items.capacity() * std::mem::size_of::<T>()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a Slab<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.iter()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a mut Slab<T> {
-    type Item = &'a mut T;
-    type IntoIter = std::slice::IterMut<'a, T>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.items.iter_mut()
-    }
-}
-
-/// A fixed-length slice carved from a [`BumpArena<T>`]. Plain data — copy
-/// it freely, it stays valid as long as the arena lives (the arena never
-/// frees individual spans).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    start: u32,
-    len: u32,
-}
-
-impl Span {
-    /// Elements in the span.
-    pub fn len(self) -> usize {
-        self.len as usize
-    }
-
-    /// `true` for a zero-length span.
-    pub fn is_empty(self) -> bool {
-        self.len == 0
-    }
-}
-
-/// A typed bump allocator: many small fixed-length buffers packed into one
-/// growing block, addressed by [`Span`]. No per-span free — drop the whole
-/// arena (or [`reset`](BumpArena::reset) it) when the run ends.
-#[derive(Debug, Clone, Default)]
-pub struct BumpArena<T> {
-    data: Vec<T>,
-}
-
-impl<T> BumpArena<T> {
-    /// An empty arena.
-    pub fn new() -> Self {
-        BumpArena { data: Vec::new() }
-    }
-
-    /// An empty arena pre-sized for `capacity` elements.
-    pub fn with_capacity(capacity: usize) -> Self {
-        BumpArena {
-            data: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Bump-allocates `len` elements initialized to `value`.
-    ///
-    /// # Panics
-    /// Panics past `u32::MAX` total elements.
-    pub fn alloc_fill(&mut self, value: T, len: usize) -> Span
-    where
-        T: Clone,
-    {
-        self.alloc_from_iter(std::iter::repeat_n(value, len))
-    }
-
-    /// Bump-allocates a copy of `values`.
-    pub fn alloc_slice(&mut self, values: &[T]) -> Span
-    where
-        T: Clone,
-    {
-        self.alloc_from_iter(values.iter().cloned())
-    }
-
-    /// Bump-allocates whatever `iter` yields, as one span.
-    pub fn alloc_from_iter(&mut self, iter: impl IntoIterator<Item = T>) -> Span {
-        let start = self.data.len();
-        self.data.extend(iter);
-        let len = self.data.len() - start;
-        Span {
-            start: u32::try_from(start).expect("bump arena overflow: > u32::MAX elements"),
-            len: u32::try_from(len).expect("bump arena overflow: span > u32::MAX elements"),
-        }
-    }
-
-    /// The slice behind `span`.
-    pub fn get(&self, span: Span) -> &[T] {
-        &self.data[span.start as usize..span.start as usize + span.len as usize]
-    }
-
-    /// Mutable access to the slice behind `span`.
-    pub fn get_mut(&mut self, span: Span) -> &mut [T] {
-        &mut self.data[span.start as usize..span.start as usize + span.len as usize]
-    }
-
-    /// Two disjoint spans, both mutable (e.g. an accumulator updated from a
-    /// requirement table in the same arena).
-    ///
-    /// # Panics
-    /// Panics if the spans overlap.
-    pub fn get_pair_mut(&mut self, a: Span, b: Span) -> (&mut [T], &mut [T]) {
-        let (lo, hi, swap) = if a.start <= b.start {
-            (a, b, false)
-        } else {
-            (b, a, true)
-        };
-        assert!(
-            lo.start + lo.len <= hi.start,
-            "spans overlap: {lo:?} vs {hi:?}"
-        );
-        let (head, tail) = self.data.split_at_mut(hi.start as usize);
-        let first = &mut head[lo.start as usize..lo.start as usize + lo.len as usize];
-        let second = &mut tail[..hi.len as usize];
-        if swap {
-            (second, first)
-        } else {
-            (first, second)
-        }
-    }
-
-    /// Total elements allocated.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` when nothing has been allocated.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Forgets every span but keeps the block for reuse. All outstanding
-    /// spans become logically dangling — only call between runs.
-    pub fn reset(&mut self) {
-        self.data.clear();
-    }
-
-    /// Bytes the arena's block holds (capacity, not length).
-    pub fn resident_bytes(&self) -> usize {
-        self.data.capacity() * std::mem::size_of::<T>()
     }
 }
 
@@ -306,30 +71,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slab_pushes_and_resolves_handles() {
+    fn slab_push_appends_records() {
         let mut slab = Slab::new();
-        let a = slab.push("alpha");
-        let b = slab.push("beta");
-        assert_eq!(slab.len(), 2);
-        assert_eq!(*slab.get(a), "alpha");
-        assert_eq!(*slab.get(b), "beta");
-        *slab.get_mut(a) = "gamma";
-        assert_eq!(*slab.get(a), "gamma");
-        assert_eq!(a.index(), 0);
-        assert_eq!(b.index(), 1);
+        slab.push("alpha");
+        slab.push("beta");
+        assert_eq!(slab.as_slice(), &["alpha", "beta"]);
+        for name in slab.iter_mut() {
+            *name = "gamma";
+        }
+        assert_eq!(slab.as_slice(), &["gamma", "gamma"]);
     }
 
     #[test]
-    fn slab_handles_iterate_in_insertion_order() {
+    fn slab_iterates_in_insertion_order() {
         let mut slab = Slab::new();
         for i in 0..10 {
             slab.push(i * i);
         }
-        let via_handles: Vec<i32> = slab.handles().map(|h| *slab.get(h)).collect();
         let via_iter: Vec<i32> = slab.iter().copied().collect();
-        assert_eq!(via_handles, via_iter);
-        assert_eq!(via_handles[7], 49);
-        assert_eq!(slab.as_slice().len(), 10);
+        assert_eq!(via_iter, (0..10).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(slab.as_slice(), via_iter.as_slice());
+        assert_eq!(via_iter[7], 49);
     }
 
     #[test]
@@ -353,59 +115,5 @@ mod tests {
         assert_eq!(slab.resident_bytes(), 100 * 8);
         let empty: Slab<u64> = Slab::new();
         assert_eq!(empty.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn bump_allocates_disjoint_spans() {
-        let mut arena = BumpArena::new();
-        let a = arena.alloc_fill(0.0f64, 3);
-        let b = arena.alloc_slice(&[1.0, 2.0]);
-        assert_eq!(arena.get(a), &[0.0, 0.0, 0.0]);
-        assert_eq!(arena.get(b), &[1.0, 2.0]);
-        arena.get_mut(a)[1] = 9.0;
-        assert_eq!(arena.get(a), &[0.0, 9.0, 0.0]);
-        // `a`'s write never bleeds into `b`.
-        assert_eq!(arena.get(b), &[1.0, 2.0]);
-        assert_eq!(a.len(), 3);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn bump_pair_mut_borrows_both_orders() {
-        let mut arena = BumpArena::new();
-        let a = arena.alloc_fill(1.0f64, 2);
-        let b = arena.alloc_fill(2.0f64, 2);
-        {
-            let (sa, sb) = arena.get_pair_mut(a, b);
-            sa[0] += sb[0];
-        }
-        {
-            let (sb, sa) = arena.get_pair_mut(b, a);
-            sb[1] += sa[1];
-        }
-        assert_eq!(arena.get(a), &[3.0, 1.0]);
-        assert_eq!(arena.get(b), &[2.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn bump_pair_mut_rejects_overlap() {
-        let mut arena = BumpArena::new();
-        let a = arena.alloc_fill(0u8, 4);
-        let mut arena2 = BumpArena::new();
-        let _ = arena2.alloc_fill(0u8, 4);
-        // Fabricate an overlapping pair by reusing the same span twice.
-        let _ = arena.get_pair_mut(a, a);
-    }
-
-    #[test]
-    fn bump_reset_keeps_capacity() {
-        let mut arena = BumpArena::new();
-        arena.alloc_fill(7u32, 1000);
-        let bytes = arena.resident_bytes();
-        assert!(bytes >= 4000);
-        arena.reset();
-        assert!(arena.is_empty());
-        assert_eq!(arena.resident_bytes(), bytes, "reset must keep the block");
     }
 }

@@ -232,6 +232,12 @@ impl FleetMember {
         &self.sampler
     }
 
+    /// The controller, mutably: for the epochs that need no sampling
+    /// (missed reports, scheduled sleep) and for watchdog re-probes.
+    pub fn sampler_mut(&mut self) -> &mut AdaptiveSampler {
+        &mut self.sampler
+    }
+
     /// The simulated device.
     pub fn device(&self) -> &SimDevice {
         &self.device
@@ -269,19 +275,6 @@ impl FleetMember {
             .step_granted_scratch(&mut scratch.sampler, &mut source, start, granted, window)
     }
 
-    /// One lockstep epoch whose report never arrived (dropped in flight or
-    /// the device was absent): no samples are taken, and the controller
-    /// applies its hold-and-decay missing-epoch semantics
-    /// ([`AdaptiveSampler::note_missed_epoch`]).
-    pub fn note_missed_epoch(
-        &mut self,
-        start: Seconds,
-        granted: Hertz,
-        window: Seconds,
-    ) -> EpochReport {
-        self.sampler.note_missed_epoch(start, granted, window)
-    }
-
     /// One lockstep epoch whose report reaches the controller too late to
     /// adapt on: the primary stream is sampled (and billed), adaptation is
     /// frozen for the epoch ([`AdaptiveSampler::step_delayed_scratch`]).
@@ -298,28 +291,6 @@ impl FleetMember {
         };
         self.sampler
             .step_delayed_scratch(&mut scratch.sampler, &mut source, start, granted, window)
-    }
-
-    /// The rate a watchdog-forced re-probe would request — a read-only peek
-    /// ([`AdaptiveSampler::reprobe_rate`]) so a fleet watchdog can price the
-    /// re-probe against its recovery pool before committing to it.
-    pub fn reprobe_rate(&self) -> Hertz {
-        self.sampler.reprobe_rate()
-    }
-
-    /// Forces the controller into a watchdog-scheduled re-probe above its
-    /// remembered maximum ([`AdaptiveSampler::begin_reprobe`]); returns the
-    /// rate the re-probe will request.
-    pub fn begin_reprobe(&mut self) -> Hertz {
-        self.sampler.begin_reprobe()
-    }
-
-    /// Records a scheduled sleep epoch (duty cycle / battery conservation):
-    /// nothing is deferred and the request does not decay, but the next
-    /// awake epoch is forced to verify
-    /// ([`AdaptiveSampler::note_dormant_epoch`]).
-    pub fn note_dormant_epoch(&mut self) {
-        self.sampler.note_dormant_epoch();
     }
 
     /// Reboots the member mid-study: the device rewinds its noise stream and

@@ -413,7 +413,10 @@ fn settled_fleet_under_one_percent_churn_stays_allocation_free() {
         for (i, m) in members.iter_mut().enumerate() {
             let report = match events[i] {
                 DeviceEvent::Absent => continue,
-                DeviceEvent::ReportDropped => m.note_missed_epoch(start, Hertz(grants[i]), window),
+                DeviceEvent::ReportDropped => {
+                    m.sampler_mut()
+                        .note_missed_epoch(start, Hertz(grants[i]), window)
+                }
                 DeviceEvent::ReportDelayed => {
                     m.step_epoch_delayed(&mut scratch, start, Hertz(grants[i]), window)
                 }
