@@ -9,8 +9,10 @@
 //! * [`quantization`] — quanta sweep vs estimator and reconstruction (§4.3).
 
 use sweetspot_core::adaptive::{AdaptiveConfig, AdaptiveSampler};
-use sweetspot_core::aliasing::{companion_rate, detect_aliasing, DualRateConfig};
-use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
+use sweetspot_core::aliasing::{
+    companion_rate, detect_aliasing_scratch, DetectScratch, DualRateConfig,
+};
+use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
 use sweetspot_core::reconstruct::{roundtrip, ReconstructionConfig};
 use sweetspot_core::source::FunctionSource;
 use sweetspot_dsp::fft::FftPlanner;
@@ -43,6 +45,7 @@ pub fn cutoff(seed: u64, devices: usize, cutoffs: &[f64]) -> Vec<CutoffRow> {
     use sweetspot_timeseries::clean::{clean, CleanConfig};
     let profile = MetricProfile::for_kind(MetricKind::Temperature);
     let mut planner = FftPlanner::new();
+    let mut scratch = EstimatorScratch::new();
     let mut rows = Vec::new();
     for &c in cutoffs {
         let mut est = NyquistEstimator::new(NyquistConfig {
@@ -73,7 +76,10 @@ pub fn cutoff(seed: u64, devices: usize, cutoffs: &[f64]) -> Vec<CutoffRow> {
                 Ok(s) => s,
                 Err(_) => continue,
             };
-            if let Some(rate) = est.estimate_series(&series).rate() {
+            if let Some(rate) = est
+                .estimate_samples(&mut scratch, series.values(), series.sample_rate())
+                .rate()
+            {
                 // Reconstruction error vs the *clean* ground truth: does the
                 // extra captured "signal" actually buy fidelity? (Comparing
                 // against the measured trace would reward keeping noise.)
@@ -146,6 +152,8 @@ pub fn detector_accuracy(cases_per_side: usize) -> DetectorAccuracy {
     let fold = f2 / 2.0; // ≈ 0.309
     let duration = 3000.0;
     let cfg = DualRateConfig::default();
+    let mut planner = FftPlanner::new();
+    let mut scratch = DetectScratch::new();
     let mut acc = DetectorAccuracy::default();
     let mut lcg = 0x0123_4567_89AB_CDEFu64;
     let mut noise = move || {
@@ -173,7 +181,7 @@ pub fn detector_accuracy(cases_per_side: usize) -> DetectorAccuracy {
             };
             let fast = make(f1, &mut noise);
             let slow = make(f2, &mut noise);
-            let verdict = detect_aliasing(&fast, &slow, cfg);
+            let verdict = detect_aliasing_scratch(&mut planner, &mut scratch, &fast, &slow, cfg);
             match (is_aliased, verdict.aliased) {
                 (true, true) => acc.true_positives += 1,
                 (true, false) => acc.false_negatives += 1,
@@ -254,6 +262,7 @@ pub fn quantization(seed: u64, steps: &[f64]) -> Vec<QuantizationRow> {
     let fs = Hertz(dev.true_nyquist_rate().value() * 8.0);
     let series = dev.ground_truth(fs, Seconds(4096.0 / fs.value()));
     let mut est = NyquistEstimator::new(NyquistConfig::default());
+    let mut scratch = EstimatorScratch::new();
     let mut planner = FftPlanner::new();
     steps
         .iter()
@@ -265,7 +274,7 @@ pub fn quantization(seed: u64, steps: &[f64]) -> Vec<QuantizationRow> {
                 q.quantized(series.values()),
             );
             let rate = est
-                .estimate_series(&quantized)
+                .estimate_samples(&mut scratch, quantized.values(), quantized.sample_rate())
                 .rate()
                 .map_or(f64::NAN, |r| r.value());
             let target = if rate.is_nan() {

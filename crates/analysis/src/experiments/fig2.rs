@@ -7,7 +7,7 @@
 //! `fs > 2·f0` the baseband image stays separate (recoverable), when
 //! `fs < 2·f0` the first image folds into the baseband (aliasing).
 
-use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
+use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
 use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_dsp::psd::{periodogram, PsdConfig};
 use sweetspot_timeseries::Hertz;
@@ -40,6 +40,7 @@ pub struct Fig2 {
 pub fn run(tone_hz: f64, sample_rates: &[f64], duration: f64) -> Fig2 {
     let mut planner = FftPlanner::new();
     let mut estimator = NyquistEstimator::new(NyquistConfig::default());
+    let mut scratch = EstimatorScratch::new();
     let cases = sample_rates
         .iter()
         .map(|&fs| {
@@ -52,7 +53,7 @@ pub fn run(tone_hz: f64, sample_rates: &[f64], duration: f64) -> Fig2 {
             let folded = tone_hz % fs;
             let predicted_peak = folded.min((fs - folded).abs());
             let estimate_rate = estimator
-                .estimate_samples(&samples, Hertz(fs))
+                .estimate_samples(&mut scratch, &samples, Hertz(fs))
                 .rate()
                 .map(|r| r.value());
             SpectralCopyCase {

@@ -13,7 +13,7 @@
 //!    converts the cost-unit budget into grantable rate and splits it.
 //! 3. Members run their epoch at the granted rate through
 //!    [`FleetMember::step_epoch`], which drives
-//!    [`AdaptiveSampler::step_granted_scratch`](sweetspot_core::adaptive::AdaptiveSampler::step_granted_scratch)
+//!    [`AdaptiveSampler::step_granted`](sweetspot_core::adaptive::AdaptiveSampler::step_granted)
 //!    on the worker's scratch: throttled controllers record deferrals and
 //!    re-ramp through their Nyquist memory when budget returns.
 //! 4. A ground-truth [`quality`] model scores every device's achieved rate

@@ -132,48 +132,22 @@ pub fn boxplot_table(title: &str, rows: &[(String, FiveNumber)]) -> String {
     out
 }
 
-/// A small hand-rolled JSON writer.
+/// A small push-style JSON writer.
 ///
 /// The vendored `serde` is a no-op stub (its derives generate nothing), so
-/// machine-readable output is built with these two push-style builders
-/// instead. Scope is deliberately tiny: objects, arrays, strings, finite
-/// numbers, booleans and null — exactly what `--json` output needs.
-/// Numbers are formatted with Rust's shortest-roundtrip `{}` so output is
-/// stable and parseable; non-finite numbers serialize as `null` (JSON has
-/// no `inf`/`nan`).
+/// machine-readable output is built with these two builders instead. Scope
+/// is deliberately tiny: objects, arrays, strings, finite numbers, booleans
+/// and null — exactly what `--json` output needs. Strings and numbers are
+/// written by the [`sweetspot_obs::json`] primitives, the same ones the
+/// metrics stream uses: numbers in Rust's shortest-roundtrip `{}` form,
+/// non-finite numbers as `null` (JSON has no `inf`/`nan`).
 pub mod json {
-    /// Escapes a string for a JSON string literal (quotes included).
-    pub fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-
-    /// Formats a number as a JSON value (`null` when not finite).
-    pub fn number(v: f64) -> String {
-        if v.is_finite() {
-            format!("{v}")
-        } else {
-            "null".to_string()
-        }
-    }
+    use sweetspot_obs::json::{number_into, string_into};
 
     /// Builds one JSON object, field by field.
     #[derive(Debug, Default)]
     pub struct JsonObject {
-        parts: Vec<String>,
+        body: String,
     }
 
     impl JsonObject {
@@ -182,46 +156,57 @@ pub mod json {
             Self::default()
         }
 
+        /// Starts a field (separator, quoted key, colon) and returns the
+        /// buffer its value is appended to.
+        fn key(&mut self, key: &str) -> &mut String {
+            if !self.body.is_empty() {
+                self.body.push(',');
+            }
+            string_into(&mut self.body, key);
+            self.body.push(':');
+            &mut self.body
+        }
+
         /// Adds a string field.
         pub fn field_str(&mut self, key: &str, value: &str) -> &mut Self {
-            self.parts.push(format!("{}:{}", escape(key), escape(value)));
+            string_into(self.key(key), value);
             self
         }
 
         /// Adds a numeric field (`null` when not finite).
         pub fn field_num(&mut self, key: &str, value: f64) -> &mut Self {
-            self.parts.push(format!("{}:{}", escape(key), number(value)));
+            number_into(self.key(key), value);
             self
         }
 
         /// Adds a boolean field.
         pub fn field_bool(&mut self, key: &str, value: bool) -> &mut Self {
-            self.parts.push(format!("{}:{value}", escape(key)));
+            self.key(key).push_str(if value { "true" } else { "false" });
             self
         }
 
         /// Adds an explicit `null` field.
         pub fn field_null(&mut self, key: &str) -> &mut Self {
-            self.parts.push(format!("{}:null", escape(key)));
+            self.key(key).push_str("null");
             self
         }
 
         /// Adds a pre-serialized JSON value (nested object or array).
         pub fn field_raw(&mut self, key: &str, raw: &str) -> &mut Self {
-            self.parts.push(format!("{}:{raw}", escape(key)));
+            self.key(key).push_str(raw);
             self
         }
 
         /// Serializes the object.
         pub fn finish(&self) -> String {
-            format!("{{{}}}", self.parts.join(","))
+            format!("{{{}}}", self.body)
         }
     }
 
     /// Builds one JSON array, element by element.
     #[derive(Debug, Default)]
     pub struct JsonArray {
-        parts: Vec<String>,
+        body: String,
     }
 
     impl JsonArray {
@@ -230,27 +215,35 @@ pub mod json {
             Self::default()
         }
 
+        /// Starts an element and returns the buffer it is appended to.
+        fn next(&mut self) -> &mut String {
+            if !self.body.is_empty() {
+                self.body.push(',');
+            }
+            &mut self.body
+        }
+
         /// Appends a string element.
         pub fn push_str(&mut self, value: &str) -> &mut Self {
-            self.parts.push(escape(value));
+            string_into(self.next(), value);
             self
         }
 
         /// Appends a numeric element (`null` when not finite).
         pub fn push_num(&mut self, value: f64) -> &mut Self {
-            self.parts.push(number(value));
+            number_into(self.next(), value);
             self
         }
 
         /// Appends a pre-serialized JSON value.
         pub fn push_raw(&mut self, raw: &str) -> &mut Self {
-            self.parts.push(raw.to_string());
+            self.next().push_str(raw);
             self
         }
 
         /// Serializes the array.
         pub fn finish(&self) -> String {
-            format!("[{}]", self.parts.join(","))
+            format!("[{}]", self.body)
         }
     }
 }
@@ -275,21 +268,6 @@ mod tests {
             "{\"name\":\"fleet \\\"a\\\"\\n\",\"count\":3,\"bad\":null,\
              \"ok\":true,\"none\":null,\"items\":[1,2.5,\"x\"]}"
         );
-    }
-
-    #[test]
-    fn json_numbers_round_trip() {
-        assert_eq!(json::number(0.1), "0.1");
-        assert_eq!(json::number(-3.0), "-3");
-        assert_eq!(json::number(f64::NAN), "null");
-        let v: f64 = json::number(1.0 / 3.0).parse().unwrap();
-        assert_eq!(v, 1.0 / 3.0, "shortest-roundtrip formatting");
-    }
-
-    #[test]
-    fn json_escape_handles_control_chars() {
-        assert_eq!(json::escape("a\u{1}b"), "\"a\\u0001b\"");
-        assert_eq!(json::escape("tab\tnl\n"), "\"tab\\tnl\\n\"");
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //! `parallel_and_serial_agree` test pins this.
 
 use std::time::{Duration, Instant};
-use sweetspot_core::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
+use sweetspot_core::estimator::{
+    EstimatorScratch, NyquistConfig, NyquistEstimate, NyquistEstimator,
+};
 use sweetspot_core::reduction::{reduction_outcome, summarize, ReductionOutcome, ReductionSummary};
 use sweetspot_dsp::stats::{Cdf, FiveNumber};
 use sweetspot_telemetry::{DeviceTrace, Fleet, FleetConfig, MetricKind, MetricProfile, TraceSynth};
@@ -99,8 +101,8 @@ impl PhaseTimings {
 }
 
 /// Persistent per-worker state for the study loop: synthesis scratch
-/// (oscillator bank + trace buffers), cleaning scratch, and the estimator
-/// (FFT plans + PSD scratch). With one `WorkerScratch` per worker the
+/// (oscillator bank + trace buffers), cleaning scratch, the estimator (FFT
+/// plans) and the estimator scratch it is lent. With one `WorkerScratch` per worker the
 /// steady-state per-pair loop recycles every sample buffer it touches —
 /// the only remaining allocations are the O(tones) model and identity
 /// strings a fresh [`DeviceTrace`] itself owns.
@@ -110,6 +112,7 @@ pub struct WorkerScratch {
     values: Vec<f64>,
     clean: CleanScratch,
     estimator: NyquistEstimator,
+    estimate: EstimatorScratch,
     timings: PhaseTimings,
 }
 
@@ -122,6 +125,7 @@ impl WorkerScratch {
             values: Vec::new(),
             clean: CleanScratch::new(),
             estimator: NyquistEstimator::new(cfg),
+            estimate: EstimatorScratch::new(),
             timings: PhaseTimings::default(),
         }
     }
@@ -321,7 +325,11 @@ fn analyze_pair(
 
     let estimate = match cleaned {
         Ok(series) if series.len() >= 4 => {
-            let estimate = ws.estimator.estimate_series(&series);
+            let estimate = ws.estimator.estimate_samples(
+                &mut ws.estimate,
+                series.values(),
+                series.sample_rate(),
+            );
             ws.clean.reclaim(series);
             estimate
         }

@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
-use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
-use sweetspot_dsp::fft::FftPlanner;
+use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
+use sweetspot_dsp::fft::{FftPlanner, FftScratch};
 use sweetspot_dsp::goertzel::goertzel_power;
 use sweetspot_dsp::psd::{periodogram, welch, PsdConfig, WelchConfig};
 use sweetspot_dsp::resample::resample_fft;
@@ -25,12 +25,16 @@ fn signal(n: usize) -> Vec<f64> {
 /// The pre-rework periodogram, kept as an in-run reference so every bench
 /// run reports the real-input fast path's speedup under identical load:
 /// promote the signal to complex, run the full-length FFT, fold one-sided.
-fn periodogram_promote_reference(planner: &mut FftPlanner, samples: &[f64]) -> Vec<f64> {
+fn periodogram_promote_reference(
+    planner: &mut FftPlanner,
+    scratch: &mut FftScratch,
+    samples: &[f64],
+) -> Vec<f64> {
     use sweetspot_dsp::window::Window;
     let n = samples.len();
     let seg: Vec<f64> = samples.to_vec();
     let mut buf: Vec<Complex64> = seg.iter().map(|&x| Complex64::from_real(x)).collect();
-    planner.fft_in_place(&mut buf);
+    planner.fft_in_place(&mut buf, scratch);
     let bins = n / 2 + 1;
     let mut power = Vec::with_capacity(bins);
     for (k, c) in buf.iter().take(bins).enumerate() {
@@ -51,7 +55,12 @@ fn periodogram_promote_reference(planner: &mut FftPlanner, samples: &[f64]) -> V
 /// segment, window coefficients re-evaluated (trig per sample) and the
 /// energy gain recomputed for every segment — the per-segment costs the
 /// cached-table pipeline eliminates.
-fn welch_promote_reference(planner: &mut FftPlanner, samples: &[f64], seg_len: usize) -> Vec<f64> {
+fn welch_promote_reference(
+    planner: &mut FftPlanner,
+    scratch: &mut FftScratch,
+    samples: &[f64],
+    seg_len: usize,
+) -> Vec<f64> {
     use sweetspot_dsp::window::Window;
     let hop = seg_len / 2;
     let bins = seg_len / 2 + 1;
@@ -66,7 +75,7 @@ fn welch_promote_reference(planner: &mut FftPlanner, samples: &[f64], seg_len: u
         }
         Window::Hann.apply(&mut seg);
         let mut buf: Vec<Complex64> = seg.iter().map(|&x| Complex64::from_real(x)).collect();
-        planner.fft_in_place(&mut buf);
+        planner.fft_in_place(&mut buf, scratch);
         let norm = (seg_len as f64) * (seg_len as f64) * Window::Hann.energy_gain(seg_len);
         for (k, c) in buf.iter().take(bins).enumerate() {
             let mut p = c.norm_sqr();
@@ -91,10 +100,11 @@ fn bench(c: &mut Criterion) {
         let label = if n.is_power_of_two() { "radix2" } else { "bluestein" };
         c.bench_function(&format!("fft/{label}_{n}"), |b| {
             let mut planner = FftPlanner::new();
+            let mut scratch = FftScratch::new();
             let buf: Vec<Complex64> = sig.iter().map(|&x| Complex64::from_real(x)).collect();
             b.iter(|| {
                 let mut work = buf.clone();
-                planner.fft_in_place(&mut work);
+                planner.fft_in_place(&mut work, &mut scratch);
                 black_box(work)
             })
         });
@@ -109,7 +119,14 @@ fn bench(c: &mut Criterion) {
         let s = signal(n);
         c.bench_function(&format!("psd/periodogram_promote_{n}"), |b| {
             let mut planner = FftPlanner::new();
-            b.iter(|| black_box(periodogram_promote_reference(&mut planner, &s)))
+            let mut scratch = FftScratch::new();
+            b.iter(|| {
+                black_box(periodogram_promote_reference(
+                    &mut planner,
+                    &mut scratch,
+                    &s,
+                ))
+            })
         });
         c.bench_function(&format!("psd/periodogram_{n}"), |b| {
             let mut planner = FftPlanner::new();
@@ -117,7 +134,8 @@ fn bench(c: &mut Criterion) {
         });
         c.bench_function(&format!("psd/welch_promote_{n}_seg256"), |b| {
             let mut planner = FftPlanner::new();
-            b.iter(|| black_box(welch_promote_reference(&mut planner, &s, 256)))
+            let mut scratch = FftScratch::new();
+            b.iter(|| black_box(welch_promote_reference(&mut planner, &mut scratch, &s, 256)))
         });
         c.bench_function(&format!("psd/welch_{n}_seg256"), |b| {
             let mut planner = FftPlanner::new();
@@ -147,8 +165,11 @@ fn bench(c: &mut Criterion) {
     // End-to-end §3.2 estimation of a day-long trace.
     c.bench_function("estimator/day_trace_2880", |b| {
         let mut est = NyquistEstimator::new(NyquistConfig::default());
+        let mut scratch = EstimatorScratch::new();
         let series = RegularSeries::new(Seconds::ZERO, Seconds(30.0), sig.clone());
-        b.iter(|| black_box(est.estimate_series(&series)))
+        b.iter(|| {
+            black_box(est.estimate_samples(&mut scratch, series.values(), series.sample_rate()))
+        })
     });
     let _ = Hertz(1.0); // keep the import used in all cfgs
 }

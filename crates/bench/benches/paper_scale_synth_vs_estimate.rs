@@ -10,7 +10,7 @@ use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
+use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
 use sweetspot_telemetry::{Fleet, TraceSynth};
 use sweetspot_timeseries::clean::{clean_into, CleanConfig, CleanScratch};
 use sweetspot_timeseries::{IrregularSeries, Seconds};
@@ -74,10 +74,13 @@ fn bench(c: &mut Criterion) {
             })
             .collect();
         let mut estimator = NyquistEstimator::new(NyquistConfig::default());
+        let mut est_scratch = EstimatorScratch::new();
         b.iter(|| {
             let mut aliased = 0usize;
-            for series in &cleaned {
-                aliased += estimator.estimate_series(series).is_aliased() as usize;
+            for s in &cleaned {
+                aliased += estimator
+                    .estimate_samples(&mut est_scratch, s.values(), s.sample_rate())
+                    .is_aliased() as usize;
             }
             black_box(aliased)
         })

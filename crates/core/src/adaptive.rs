@@ -95,7 +95,7 @@ const MIN_DETECT_SAMPLES: usize = 16;
 /// remembered maximum before the controller is classified
 /// [`HealthState::SuspectDeadlocked`]. "Without an alarm" covers both a
 /// verified-clean §4.1 verdict *and* an epoch too slow to verify at all
-/// (fewer than [`MIN_EPOCH_SAMPLES`] samples in the window): a controller
+/// (fewer than the estimator's 64-sample minimum in the window): a controller
 /// that cannot even check itself is silent, not healthy. Small by design
 /// (the KISS principle: the signal must stay cheap) — a fleet watchdog
 /// rate-limits what it does about the suspicion, not the suspicion itself.
@@ -266,14 +266,13 @@ pub struct EpochReport {
 /// estimator scratch, and the recycled value buffers for the primary and
 /// companion streams.
 ///
-/// Every [`AdaptiveSampler`] owns one for the classic
-/// [`step`](AdaptiveSampler::step)/[`step_granted`](AdaptiveSampler::step_granted)
-/// API; the fleet engine instead lends one *per worker* through
-/// [`AdaptiveSampler::step_granted_scratch`], so 10⁵ member controllers
-/// share a handful of warmed-up working sets and keep only durable control
-/// state (rates, hysteresis, deferral counters, remembered max) per member.
-/// Scratch contents never influence results — every buffer is cleared or
-/// overwritten before use.
+/// Callers lend one to [`AdaptiveSampler::step_granted`] and
+/// [`AdaptiveSampler::step_delayed`]; [`AdaptiveSampler::run`] keeps one for
+/// the whole run, and the fleet engine keeps one *per worker*, so 10⁵ member
+/// controllers share a handful of warmed-up working sets and hold only
+/// durable control state (rates, hysteresis, deferral counters, remembered
+/// max). Scratch contents never influence results — every buffer is cleared
+/// or overwritten before use.
 #[derive(Debug, Default)]
 pub struct SamplerScratch {
     /// §4.1 detector working storage.
@@ -337,9 +336,6 @@ pub struct AdaptiveSampler {
     /// Lifetime count of watchdog-forced re-probes ([`Self::begin_reprobe`]),
     /// never reset.
     reprobes: usize,
-    /// Working storage for the owned-scratch API; stays empty when every
-    /// epoch runs through [`AdaptiveSampler::step_granted_scratch`].
-    scratch: SamplerScratch,
 }
 
 impl AdaptiveSampler {
@@ -396,7 +392,6 @@ impl AdaptiveSampler {
             dormant: false,
             dormant_epochs: 0,
             reprobes: 0,
-            scratch: SamplerScratch::new(),
         }
     }
 
@@ -407,12 +402,6 @@ impl AdaptiveSampler {
 
     /// Rate the next epoch will use — equivalently, the rate the controller
     /// *requests* from a fleet scheduler for its next epoch.
-    pub fn current_rate(&self) -> Hertz {
-        self.rate
-    }
-
-    /// Alias of [`AdaptiveSampler::current_rate`] with scheduler vocabulary:
-    /// the rate this controller asks the shared budget for.
     pub fn requested_rate(&self) -> Hertz {
         self.rate
     }
@@ -551,49 +540,15 @@ impl AdaptiveSampler {
         self.estimator.planner().handle_stats()
     }
 
-    /// Heap bytes of the controller's *owned* working storage (its scratch
-    /// plus the estimator's) — zero as long as every epoch runs through
-    /// [`AdaptiveSampler::step_granted_scratch`] with worker-lent scratch
-    /// (the fleet engine's memory-wall invariant).
-    pub fn owned_scratch_bytes(&self) -> usize {
-        self.scratch.resident_bytes() + self.estimator.scratch_resident_bytes()
-    }
-
-    /// Runs one adaptation epoch starting at `start` and returns the report.
-    pub fn step<S: SignalSource>(&mut self, source: &mut S, start: Seconds) -> EpochReport {
-        let secondary = companion_rate(self.rate);
-        // Extend the window until the *slower* stream holds enough samples.
-        let min_duration = MIN_EPOCH_SAMPLES as f64 / secondary.value();
-        let duration = Seconds(self.config.epoch.value().max(min_duration));
-        let rate = self.rate;
-        self.step_owned(source, start, rate, duration)
-    }
-
     /// Runs one epoch at an externally `granted` rate over a fixed lockstep
-    /// `window` (see the module docs on budget grants).
+    /// `window` (see the module docs on budget grants), through caller-lent
+    /// working storage (see [`SamplerScratch`]).
     ///
     /// `granted` is clamped into `[min_rate, max_rate]`; the window is used
     /// as-is (no auto-extension — fleet epochs must stay aligned). With
-    /// `granted == requested_rate()` and a window at least as long as
-    /// [`AdaptiveSampler::step`] would pick, this is exactly `step`.
+    /// `granted == requested_rate()` and the window [`AdaptiveSampler::run`]
+    /// would pick, this is exactly one epoch of `run`.
     pub fn step_granted<S: SignalSource>(
-        &mut self,
-        source: &mut S,
-        start: Seconds,
-        granted: Hertz,
-        window: Seconds,
-    ) -> EpochReport {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let report = self.step_granted_scratch(&mut scratch, source, start, granted, window);
-        self.scratch = scratch;
-        report
-    }
-
-    /// [`AdaptiveSampler::step_granted`] through caller-owned working
-    /// storage — bit-identical results, but a fleet of controllers can share
-    /// one warmed-up [`SamplerScratch`] per worker instead of each holding
-    /// its own buffers (see [`SamplerScratch`]).
-    pub fn step_granted_scratch<S: SignalSource>(
         &mut self,
         scratch: &mut SamplerScratch,
         source: &mut S,
@@ -682,7 +637,7 @@ impl AdaptiveSampler {
     /// runs, and the next detectable epoch is forced to verify. The epoch
     /// counts as deferred — adaptation was pushed out — but the arrival
     /// (however late) resets the missed streak: the device is alive.
-    pub fn step_delayed_scratch<S: SignalSource>(
+    pub fn step_delayed<S: SignalSource>(
         &mut self,
         scratch: &mut SamplerScratch,
         source: &mut S,
@@ -757,21 +712,6 @@ impl AdaptiveSampler {
         self.dormant = false;
     }
 
-    /// Epoch body through the sampler's own scratch (the borrow dance is
-    /// pointer-sized moves, never an allocation).
-    fn step_owned<S: SignalSource>(
-        &mut self,
-        source: &mut S,
-        start: Seconds,
-        primary: Hertz,
-        duration: Seconds,
-    ) -> EpochReport {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let report = self.step_at(&mut scratch, source, start, primary, duration);
-        self.scratch = scratch;
-        report
-    }
-
     /// Shared epoch body: sample at `primary` over `duration`, verify and
     /// estimate, then update the request for the next epoch.
     fn step_at<S: SignalSource>(
@@ -843,8 +783,11 @@ impl AdaptiveSampler {
         // samples (see module docs); a short window contributes no evidence.
         let estimator_trusted = fast.len() >= MIN_EPOCH_SAMPLES;
         let mut estimate = if estimator_trusted {
-            self.estimator
-                .estimate_series_with(&mut scratch.estimator, &fast)
+            self.estimator.estimate_samples(
+                &mut scratch.estimator,
+                fast.values(),
+                fast.sample_rate(),
+            )
         } else {
             NyquistEstimate::Aliased
         };
@@ -1009,12 +952,23 @@ impl AdaptiveSampler {
         report
     }
 
-    /// Runs epochs back-to-back from `t = 0` until `total` time is covered.
+    /// The self-paced epoch window: the configured epoch, extended until the
+    /// *slower* (companion) stream holds enough samples.
+    fn auto_window(&self) -> Seconds {
+        let min_duration = MIN_EPOCH_SAMPLES as f64 / companion_rate(self.rate).value();
+        Seconds(self.config.epoch.value().max(min_duration))
+    }
+
+    /// Runs self-paced epochs back-to-back from `t = 0` until `total` time is
+    /// covered, each at the requested rate over an auto-extended window, all
+    /// through one local [`SamplerScratch`].
     pub fn run<S: SignalSource>(&mut self, source: &mut S, total: Seconds) -> Vec<EpochReport> {
+        let mut scratch = SamplerScratch::new();
         let mut reports = Vec::new();
         let mut t = Seconds::ZERO;
         while t.value() < total.value() {
-            let r = self.step(source, t);
+            let (rate, window) = (self.rate, self.auto_window());
+            let r = self.step_at(&mut scratch, source, t, rate, window);
             t = t + r.duration;
             reports.push(r);
         }
@@ -1300,7 +1254,8 @@ mod tests {
             epoch: Seconds(10.0), // nominal epoch is far too short
             ..AdaptiveConfig::default()
         });
-        let r = ctl.step(&mut source, Seconds::ZERO);
+        let reports = ctl.run(&mut source, Seconds(1.0));
+        let r = &reports[0];
         // Companion rate ≈ 0.000618 → 64 samples need ≥ ~103k s.
         assert!(r.duration.value() >= 64.0 / r.secondary_rate.value() * 0.99);
         assert!(r.samples_taken >= 64);
@@ -1330,21 +1285,20 @@ mod tests {
 
     #[test]
     fn step_granted_full_grant_matches_step_exactly() {
-        // With grant == request and the lockstep window equal to what step()
+        // With grant == request and the lockstep window equal to what run()
         // would pick, the budget-aware path must be bit-identical to the
         // classic controller (the fleetsim uncapped-policy guarantee).
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5;
         let mut src_a = FunctionSource::new(band_signal(edge));
         let mut src_b = FunctionSource::new(band_signal(edge));
         let mut classic = AdaptiveSampler::new(config(0.3, 2000.0));
         let mut granted = AdaptiveSampler::new(config(0.3, 2000.0));
-        let mut t = Seconds::ZERO;
-        for _ in 0..12 {
-            let a = classic.step(&mut src_a, t);
-            let window = a.duration;
-            let b = granted.step_granted(&mut src_b, t, granted.requested_rate(), window);
+        for a in classic.run(&mut src_a, Seconds(24_000.0)) {
+            let (t, window) = (a.start, a.duration);
+            let request = granted.requested_rate();
+            let b = granted.step_granted(&mut scratch, &mut src_b, t, request, window);
             assert_eq!(a, b);
-            t = t + a.duration;
         }
         assert_eq!(classic.deferred_epochs(), 0);
         assert_eq!(granted.deferred_epochs(), 0);
@@ -1355,13 +1309,13 @@ mod tests {
         // Settle on a signal, force a deep cut for a few epochs, then restore
         // the grant: the remembered maximum must carry the request straight
         // back up instead of re-climbing the probe ladder from the cut rate.
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5; // true Nyquist sampling rate = 1.0 Hz
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let mut t = Seconds::ZERO;
         // Reach steady state.
-        for _ in 0..12 {
-            let r = ctl.step(&mut source, t);
+        for r in ctl.run(&mut source, Seconds(24_000.0)) {
             t = t + r.duration;
         }
         assert_eq!(ctl.mode(), Mode::Steady);
@@ -1373,7 +1327,7 @@ mod tests {
         let cut = Hertz(settled.value() / 8.0);
         let before = ctl.deferred_epochs();
         for _ in 0..3 {
-            let r = ctl.step_granted(&mut source, t, cut, window);
+            let r = ctl.step_granted(&mut scratch, &mut source, t, cut, window);
             assert!(r.throttled, "grant below request must be recorded");
             assert!(
                 r.next_rate.value() >= settled.value() * (1.0 - 1e-9),
@@ -1388,7 +1342,7 @@ mod tests {
 
         // Budget restored: the very next fully-granted epoch runs at (or
         // above) the remembered requirement — no probe ladder.
-        let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+        let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
         assert!(!r.throttled);
         assert!(
             r.primary_rate.value() >= remembered.value(),
@@ -1453,6 +1407,7 @@ mod tests {
 
     #[test]
     fn grant_clamps_to_min_and_max_rate() {
+        let mut scratch = SamplerScratch::new();
         let edge = 0.05;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(AdaptiveConfig {
@@ -1466,7 +1421,7 @@ mod tests {
         // Settle first so there is an estimate to undercut.
         let mut t = Seconds::ZERO;
         for _ in 0..4 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
             t = t + r.duration;
         }
         let estimate = ctl.remembered_max().expect("settled");
@@ -1475,13 +1430,13 @@ mod tests {
         // min_rate — must clamp up to min_rate, not run at the raw grant.
         let starve = Hertz((estimate.value() * MIN_VERIFY_HEADROOM) / 1e6);
         assert!(starve.value() < 0.02);
-        let r = ctl.step_granted(&mut source, t, starve, window);
+        let r = ctl.step_granted(&mut scratch, &mut source, t, starve, window);
         assert_eq!(r.primary_rate, Hertz(0.02), "grant must clamp to min_rate");
         assert!(r.throttled);
         t = t + window;
 
         // An absurdly high grant clamps to max_rate and is not throttling.
-        let r = ctl.step_granted(&mut source, t, Hertz(1e9), window);
+        let r = ctl.step_granted(&mut scratch, &mut source, t, Hertz(1e9), window);
         assert_eq!(r.primary_rate, Hertz(8.0), "grant must clamp to max_rate");
         assert!(!r.throttled, "a grant above the request is not a cut");
     }
@@ -1491,13 +1446,14 @@ mod tests {
         // A device that misses k consecutive epochs must report exactly k in
         // deferred_epochs — the counter cannot only advance on granted
         // epochs (the report never arriving IS the deferral).
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
             t = t + r.duration;
         }
         assert_eq!(ctl.mode(), Mode::Steady);
@@ -1522,7 +1478,7 @@ mod tests {
         let mut src2 = FunctionSource::new(band_signal(edge));
         let mut t2 = Seconds::ZERO;
         for _ in 0..10 {
-            let r = probe.step_granted(&mut src2, t2, probe.requested_rate(), window);
+            let r = probe.step_granted(&mut scratch, &mut src2, t2, probe.requested_rate(), window);
             t2 = t2 + r.duration;
         }
         let before = probe.requested_rate();
@@ -1549,13 +1505,14 @@ mod tests {
 
     #[test]
     fn reboot_reramps_bounded_by_remembered_max() {
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5; // true Nyquist sampling rate = 1.0 Hz
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
             t = t + r.duration;
         }
         assert_eq!(ctl.mode(), Mode::Steady);
@@ -1571,7 +1528,7 @@ mod tests {
         // never past it (bounded, no ladder past the known requirement).
         let mut reached = false;
         for _ in 0..4 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
             assert!(
                 r.next_rate.value() <= bound,
                 "re-ramp overshot the remembered bound: {} > {}",
@@ -1595,19 +1552,19 @@ mod tests {
 
     #[test]
     fn delayed_epoch_samples_but_freezes_adaptation() {
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
             t = t + r.duration;
         }
         let settled = ctl.requested_rate();
         let deferred = ctl.deferred_epochs();
-        let mut scratch = SamplerScratch::new();
-        let r = ctl.step_delayed_scratch(&mut scratch, &mut source, t, settled, window);
+        let r = ctl.step_delayed(&mut scratch, &mut source, t, settled, window);
         // The data is real (billed, covering the signal) ...
         assert!(r.samples_taken > 0, "a delayed report still acquires samples");
         assert_eq!(r.primary_rate, settled);
@@ -1619,13 +1576,14 @@ mod tests {
 
     #[test]
     fn health_classifier_tracks_the_controller_lifecycle() {
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         // Probing epochs classify as Recovering (after the first step).
-        let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+        let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
         t = t + r.duration;
         if ctl.mode() == Mode::Probe {
             assert_eq!(ctl.health(), HealthState::Recovering);
@@ -1633,7 +1591,7 @@ mod tests {
         // Settle and run a clean streak: with the request at or above the
         // remembered max (headroom > 1), the controller is Healthy.
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
             t = t + r.duration;
         }
         assert_eq!(ctl.mode(), Mode::Steady);
@@ -1648,7 +1606,7 @@ mod tests {
         ctl.note_dormant_epoch();
         assert_eq!(ctl.health(), HealthState::Dormant);
         assert_eq!(ctl.dormant_epochs(), 1);
-        let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+        let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
         t = t + r.duration;
         assert_ne!(ctl.health(), HealthState::Dormant);
         let _ = t;
@@ -1662,6 +1620,7 @@ mod tests {
         // the SuspectDeadlocked signature (over-inclusive by design). A
         // forced re-probe runs one epoch above the old requirement and
         // re-settles, retiring the suspicion.
+        let mut scratch = SamplerScratch::new();
         let mut source = FunctionSource::new(|t: f64| {
             let base = (2.0 * PI * 0.01 * t).sin();
             if t < 60_000.0 {
@@ -1678,7 +1637,7 @@ mod tests {
         // qualifies as suspect.
         let mut suspect_seen = false;
         for _ in 0..40 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
             t = t + r.duration;
             if ctl.health() == HealthState::SuspectDeadlocked {
                 suspect_seen = true;
@@ -1701,7 +1660,7 @@ mod tests {
         assert_eq!(ctl.health(), HealthState::Recovering);
         // … and one clean epoch at the elevated rate re-settles near the
         // true (now lower) requirement: suspicion retired, no deadlock.
-        let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+        let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
         assert_eq!(r.primary_rate, reprobe);
         assert!(!r.aliased, "the calmed signal verifies clean above the old max");
         assert_eq!(ctl.mode(), Mode::Steady);
@@ -1715,19 +1674,20 @@ mod tests {
 
     #[test]
     fn dormant_epochs_age_state_without_decaying_the_request() {
+        let mut scratch = SamplerScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
             t = t + r.duration;
         }
         let settled = ctl.requested_rate();
         let deferred = ctl.deferred_epochs();
         let index_before = {
-            let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
             t = t + r.duration;
             r.index
         };
@@ -1744,7 +1704,7 @@ mod tests {
         // The first epoch after waking is forced to verify (a regime change
         // during the nap must not pass unchecked) and advances the index by
         // exactly the napped epochs plus one.
-        let r = ctl.step_granted(&mut source, t, ctl.requested_rate(), window);
+        let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
         assert!(r.verified, "the wake-up epoch must run the §4.1 detector");
         assert_eq!(r.index, index_before + 7);
     }
@@ -1753,10 +1713,17 @@ mod tests {
     fn unverifiable_epoch_skips_companion_stream() {
         // A window too short for 16 detector samples must not panic, must
         // not bill for a companion stream, and must stay conservative.
+        let mut scratch = SamplerScratch::new();
         let mut source = FunctionSource::new(band_signal(0.5));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         // 0.02 Hz over 600 s = 12 primary samples < 16.
-        let r = ctl.step_granted(&mut source, Seconds::ZERO, Hertz(0.02), Seconds(600.0));
+        let r = ctl.step_granted(
+            &mut scratch,
+            &mut source,
+            Seconds::ZERO,
+            Hertz(0.02),
+            Seconds(600.0),
+        );
         assert_eq!(r.samples_taken, 12, "companion must not be acquired");
         assert!(r.throttled);
         assert!(

@@ -84,40 +84,32 @@ pub fn ratio_is_valid(f1: Hertz, f2: Hertz) -> bool {
 /// Compares two traces of the same signal sampled at different rates and
 /// decides whether the *slower* one is aliased.
 ///
-/// Convenience wrapper around [`detect_aliasing_with`] that builds a
-/// throwaway planner; repeated callers (the §4.2 adaptive controller, the
-/// detector ablation) should thread their own planner through so twiddle
-/// and window tables are computed once.
+/// One-shot convenience around [`detect_aliasing_scratch`] with a throwaway
+/// planner and scratch; repeated callers (the §4.2 adaptive controller, the
+/// detector ablation) should hold their own so twiddle and window tables are
+/// computed once and steady state allocates nothing.
+///
+/// # Panics
+/// Exactly as [`detect_aliasing_scratch`].
 pub fn detect_aliasing(
     fast: &RegularSeries,
     slow: &RegularSeries,
     cfg: DualRateConfig,
 ) -> AliasingVerdict {
-    let mut planner = FftPlanner::new();
-    detect_aliasing_with(&mut planner, fast, slow, cfg)
-}
-
-/// [`detect_aliasing`] against a caller-owned [`FftPlanner`].
-///
-/// `fast` must be sampled at a higher rate than `slow`, with a non-integer
-/// rate ratio (checked). Both should cover the same time window.
-///
-/// # Panics
-/// Panics if the ratio guard fails, either trace has fewer than 16 samples,
-/// or the configuration is out of range.
-pub fn detect_aliasing_with(
-    planner: &mut FftPlanner,
-    fast: &RegularSeries,
-    slow: &RegularSeries,
-    cfg: DualRateConfig,
-) -> AliasingVerdict {
-    detect_aliasing_scratch(planner, &mut DetectScratch::default(), fast, slow, cfg)
+    detect_aliasing_scratch(
+        &mut FftPlanner::new(),
+        &mut DetectScratch::new(),
+        fast,
+        slow,
+        cfg,
+    )
 }
 
 /// Reusable working storage for [`detect_aliasing_scratch`]: the PSD
 /// scratch, the two one-sided power buffers and the two band-power tables.
-/// Keep one per long-lived detector (the §4.2 adaptive controller owns one)
-/// so steady-state verification performs no heap allocations.
+/// Keep one per loop or worker (the fleet engine lends one per worker to
+/// every controller) so steady-state verification performs no heap
+/// allocations.
 #[derive(Debug, Default)]
 pub struct DetectScratch {
     psd: PsdScratch,
@@ -145,11 +137,15 @@ impl DetectScratch {
     }
 }
 
-/// [`detect_aliasing_with`] with caller-owned scratch: identical verdicts,
-/// zero steady-state heap allocations.
+/// The dual-rate comparison against a caller-owned [`FftPlanner`] and
+/// caller-lent [`DetectScratch`]: zero steady-state heap allocations.
+///
+/// `fast` must be sampled at a higher rate than `slow`, with a non-integer
+/// rate ratio (checked). Both should cover the same time window.
 ///
 /// # Panics
-/// Exactly as [`detect_aliasing_with`].
+/// Panics if the ratio guard fails, either trace has fewer than 16 samples,
+/// or the configuration is out of range.
 pub fn detect_aliasing_scratch(
     planner: &mut FftPlanner,
     scratch: &mut DetectScratch,

@@ -121,11 +121,9 @@ impl NyquistEstimate {
 /// the recycled one-sided power buffer (handed to `Spectrum` per estimate
 /// and reclaimed with `Spectrum::into_power` afterwards).
 ///
-/// Every estimator owns one for the classic API, but the
-/// [`NyquistEstimator::estimate_samples_with`] path accepts an *external*
-/// scratch instead — that is how the fleet engine shares one warmed-up
-/// buffer set per worker across 10⁵ member estimators whose own scratch
-/// then stays empty (ISSUE 6's memory wall).
+/// Callers lend one to [`NyquistEstimator::estimate_samples`]; a loop keeps
+/// one for all its estimates, and the fleet engine keeps one per worker for
+/// 10⁵ member estimators. Contents never influence results.
 #[derive(Debug, Default)]
 pub struct EstimatorScratch {
     psd: PsdScratch,
@@ -144,16 +142,13 @@ impl EstimatorScratch {
     }
 }
 
-/// The estimator. Owns an [`FftPlanner`] plus reusable PSD scratch so
-/// repeated estimates over equal-length traces reuse twiddle tables, window
-/// tables and every working buffer — the steady-state fleet-study loop
-/// performs no heap allocations per trace. Create one per worker thread.
+/// The estimator: a configuration plus an [`FftPlanner`], so repeated
+/// estimates over equal-length traces reuse twiddle and window tables. With
+/// a lent [`EstimatorScratch`] the steady-state loop performs no heap
+/// allocations per trace. Create one per worker thread.
 pub struct NyquistEstimator {
     config: NyquistConfig,
     planner: FftPlanner,
-    /// Working storage for the owned-scratch API; stays empty when every
-    /// estimate goes through [`NyquistEstimator::estimate_samples_with`].
-    scratch: EstimatorScratch,
 }
 
 impl NyquistEstimator {
@@ -178,11 +173,7 @@ impl NyquistEstimator {
             "energy_cutoff must be in (0, 1], got {}",
             config.energy_cutoff
         );
-        NyquistEstimator {
-            config,
-            planner,
-            scratch: EstimatorScratch::new(),
-        }
+        NyquistEstimator { config, planner }
     }
 
     /// Estimator with the paper's defaults (99% cutoff, raw FFT).
@@ -208,40 +199,13 @@ impl NyquistEstimator {
         &self.planner
     }
 
-    /// Heap bytes of the estimator's *owned* working storage: its scratch
-    /// plus the planner clone's private FFT buffers. Zero as long as every
-    /// estimate runs through [`NyquistEstimator::estimate_samples_with`]
-    /// (the fleet engine asserts exactly that — the planner term is what
-    /// catches a transform accidentally routed through planner-owned
-    /// scratch, which at 10⁵ members costs gigabytes).
-    pub fn scratch_resident_bytes(&self) -> usize {
-        self.scratch.resident_bytes() + self.planner.scratch_resident_bytes()
-    }
-
     /// Estimates the Nyquist rate of raw samples taken at `sample_rate`,
-    /// through the estimator's own working storage.
+    /// through caller-lent working storage.
     ///
     /// # Panics
     /// Panics if `samples` has fewer than 4 points (no spectral content to
     /// threshold) or `sample_rate` is not positive.
-    pub fn estimate_samples(&mut self, samples: &[f64], sample_rate: Hertz) -> NyquistEstimate {
-        // The borrow dance (take, use, put back) lets the shared body borrow
-        // the planner and the scratch independently; the swap is pointer-
-        // sized moves, never an allocation.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let estimate = self.estimate_samples_with(&mut scratch, samples, sample_rate);
-        self.scratch = scratch;
-        estimate
-    }
-
-    /// [`NyquistEstimator::estimate_samples`] through caller-owned working
-    /// storage — bit-identical results, but a fleet of estimators can share
-    /// one warmed-up [`EstimatorScratch`] per worker instead of each holding
-    /// its own power/PSD buffers.
-    ///
-    /// # Panics
-    /// Exactly as [`NyquistEstimator::estimate_samples`].
-    pub fn estimate_samples_with(
+    pub fn estimate_samples(
         &mut self,
         scratch: &mut EstimatorScratch,
         samples: &[f64],
@@ -312,19 +276,12 @@ impl NyquistEstimator {
         estimate
     }
 
-    /// Estimates the Nyquist rate of a regular series.
+    /// Estimates the Nyquist rate of a regular series — the one-shot
+    /// convenience: builds throwaway scratch, so loops should hold an
+    /// [`EstimatorScratch`] and call [`NyquistEstimator::estimate_samples`].
     pub fn estimate_series(&mut self, series: &RegularSeries) -> NyquistEstimate {
-        self.estimate_samples(series.values(), series.sample_rate())
-    }
-
-    /// [`NyquistEstimator::estimate_series`] through caller-owned working
-    /// storage (see [`NyquistEstimator::estimate_samples_with`]).
-    pub fn estimate_series_with(
-        &mut self,
-        scratch: &mut EstimatorScratch,
-        series: &RegularSeries,
-    ) -> NyquistEstimate {
-        self.estimate_samples_with(scratch, series.values(), series.sample_rate())
+        let mut scratch = EstimatorScratch::new();
+        self.estimate_samples(&mut scratch, series.values(), series.sample_rate())
     }
 }
 
@@ -547,7 +504,7 @@ mod tests {
     #[should_panic(expected = "at least 4 samples")]
     fn tiny_trace_panics() {
         let mut est = NyquistEstimator::paper_defaults();
-        est.estimate_samples(&[1.0, 2.0], Hertz(1.0));
+        est.estimate_samples(&mut EstimatorScratch::new(), &[1.0, 2.0], Hertz(1.0));
     }
 
     #[test]

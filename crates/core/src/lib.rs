@@ -46,8 +46,7 @@ pub mod tracker;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveSampler, EpochReport};
 pub use aliasing::{
-    detect_aliasing, detect_aliasing_scratch, detect_aliasing_with, AliasingVerdict,
-    DetectScratch, DualRateConfig,
+    detect_aliasing, detect_aliasing_scratch, AliasingVerdict, DetectScratch, DualRateConfig,
 };
 pub use estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
 pub use source::SignalSource;

@@ -7,8 +7,9 @@
 //! every member preserves the ensemble — and (b) an experimental check that
 //! per-signal Nyquist resampling indeed preserves cross-correlations.
 
-use crate::estimator::{NyquistEstimate, NyquistEstimator};
-use sweetspot_dsp::fft::FftPlanner;
+use crate::estimator::{EstimatorScratch, NyquistEstimate, NyquistEstimator};
+use sweetspot_dsp::fft::{FftPlanner, FftScratch};
+use sweetspot_dsp::resample::resample_fft_into;
 use sweetspot_dsp::stats::pearson;
 use sweetspot_timeseries::{Hertz, RegularSeries};
 
@@ -31,8 +32,11 @@ pub fn estimate_joint(
     signals: &[RegularSeries],
 ) -> MultivariateEstimate {
     assert!(!signals.is_empty(), "need at least one signal");
-    let per_signal: Vec<NyquistEstimate> =
-        signals.iter().map(|s| estimator.estimate_series(s)).collect();
+    let mut scratch = EstimatorScratch::new();
+    let per_signal: Vec<NyquistEstimate> = signals
+        .iter()
+        .map(|s| estimator.estimate_samples(&mut scratch, s.values(), s.sample_rate()))
+        .collect();
     let joint = per_signal.iter().try_fold(Hertz(0.0), |acc, e| match e {
         NyquistEstimate::Aliased => None,
         NyquistEstimate::Rate(r) => Some(Hertz(acc.value().max(r.value()))),
@@ -83,13 +87,15 @@ pub fn correlation_preservation(
     let n = a.len();
     let m = ((n as f64 * rate.value() / a.sample_rate().value()).round() as usize)
         .clamp(1, n);
-    // Both signals stream through the same pair of resampling buffers.
+    // Both signals stream through the same pair of resampling buffers and
+    // one FFT scratch.
+    let mut scratch = FftScratch::new();
     let mut down = Vec::new();
     let mut ra = Vec::new();
     let mut rb = Vec::new();
     let mut ideal_roundtrip = |s: &RegularSeries, out: &mut Vec<f64>| {
-        sweetspot_dsp::resample::resample_fft_into(planner, s.values(), m, &mut down);
-        sweetspot_dsp::resample::resample_fft_into(planner, &down, n, out);
+        resample_fft_into(planner, &mut scratch, s.values(), m, &mut down);
+        resample_fft_into(planner, &mut scratch, &down, n, out);
     };
     ideal_roundtrip(a, &mut ra);
     ideal_roundtrip(b, &mut rb);

@@ -4,7 +4,7 @@
 //! 6-hour window stepping every 5 minutes; the timestamps mark the beginning
 //! of each window. [`track`] reproduces that computation for any series.
 
-use crate::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
+use crate::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimate, NyquistEstimator};
 use sweetspot_timeseries::windowing::moving_windows;
 use sweetspot_timeseries::{Hertz, RegularSeries, Seconds};
 
@@ -44,12 +44,13 @@ pub struct TrackedPoint {
 /// Windows too short for the estimator (< 4 samples) are skipped.
 pub fn track(series: &RegularSeries, cfg: TrackerConfig) -> Vec<TrackedPoint> {
     let mut estimator = NyquistEstimator::new(cfg.estimator);
+    let mut scratch = EstimatorScratch::new();
     let rate = series.sample_rate();
     moving_windows(series, cfg.window, cfg.step)
         .filter(|w| w.values.len() >= 4)
         .map(|w| TrackedPoint {
             window_start: w.start,
-            estimate: estimator.estimate_samples(&w.values, rate),
+            estimate: estimator.estimate_samples(&mut scratch, &w.values, rate),
         })
         .collect()
 }

@@ -2,8 +2,11 @@
 
 use proptest::prelude::*;
 use std::f64::consts::PI;
-use sweetspot_core::aliasing::{companion_rate, ratio_is_valid};
-use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
+use sweetspot_core::aliasing::{
+    companion_rate, detect_aliasing, detect_aliasing_scratch, ratio_is_valid, AliasingVerdict,
+    DetectScratch, DualRateConfig,
+};
+use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
 use sweetspot_core::reconstruct::{decimation_factor, roundtrip, ReconstructionConfig};
 use sweetspot_core::reduction::{reduction_outcome, PairClass};
 use sweetspot_core::NyquistEstimate;
@@ -17,16 +20,42 @@ fn tones_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
 }
 
 fn series_of(tones: &[(f64, f64)], n: usize) -> RegularSeries {
+    sampled_at(tones, 1.0, n)
+}
+
+/// `n` samples of the tone sum at `rate` Hz, starting at `t = 0`.
+fn sampled_at(tones: &[(f64, f64)], rate: f64, n: usize) -> RegularSeries {
     let values: Vec<f64> = (0..n)
         .map(|i| {
-            let t = i as f64;
+            let t = i as f64 / rate;
             tones
                 .iter()
                 .map(|&(f, a)| a * (2.0 * PI * f * t).sin())
                 .sum()
         })
         .collect();
-    RegularSeries::new(Seconds::ZERO, Seconds(1.0), values)
+    RegularSeries::new(Seconds::ZERO, Seconds(1.0 / rate), values)
+}
+
+/// Trace lengths that cover every FFT path: odd (full complex transform),
+/// even non-power-of-two (packed real over a Bluestein half) and power of
+/// two (packed real over a radix-2 half).
+fn trace_len(kind: usize, k: usize) -> usize {
+    match kind {
+        0 => 65 + 74 * k,
+        1 => 66 + 74 * k,
+        _ => 64 << k,
+    }
+}
+
+/// Verdicts compared bit for bit (`f64 ==` would also accept `0.0 == -0.0`).
+fn verdict_bits(v: &AliasingVerdict) -> (bool, u64, Option<u64>, usize) {
+    (
+        v.aliased,
+        v.max_discrepancy.to_bits(),
+        v.worst_frequency.map(f64::to_bits),
+        v.compared,
+    )
 }
 
 proptest! {
@@ -136,6 +165,43 @@ proptest! {
             report.interior_nrmse,
             report.factor
         );
+    }
+
+    #[test]
+    fn reused_scratch_matches_fresh_scratch(
+        tones in tones_strategy(),
+        lens in prop::collection::vec((0usize..3, 0usize..6), 2..8),
+    ) {
+        // One estimator scratch, and one detector scratch plus planner, held
+        // across a random sequence of trace lengths — as `track`, the study
+        // workers and the fleet workers hold theirs — must give bit for bit
+        // what a fresh scratch gives every call.
+        let mut est = NyquistEstimator::new(NyquistConfig::default());
+        let mut est_scratch = EstimatorScratch::new();
+        let mut planner = FftPlanner::new();
+        let mut detect = DetectScratch::new();
+        let slow_rate = companion_rate(Hertz(1.0)).value();
+        for (kind, k) in lens {
+            let n = trace_len(kind, k);
+            let fast = series_of(&tones, n);
+            let reused = est.estimate_samples(&mut est_scratch, fast.values(), fast.sample_rate());
+            let fresh = NyquistEstimator::new(NyquistConfig::default()).estimate_series(&fast);
+            prop_assert_eq!(
+                reused.rate().map(|r| r.value().to_bits()),
+                fresh.rate().map(|r| r.value().to_bits()),
+                "estimate diverged at n={}", n
+            );
+
+            let slow = sampled_at(&tones, slow_rate, (n as f64 * slow_rate) as usize);
+            let cfg = DualRateConfig::default();
+            let reused = detect_aliasing_scratch(&mut planner, &mut detect, &fast, &slow, cfg);
+            let fresh = detect_aliasing(&fast, &slow, cfg);
+            prop_assert_eq!(
+                verdict_bits(&reused),
+                verdict_bits(&fresh),
+                "verdict diverged at n={}", n
+            );
+        }
     }
 
     #[test]

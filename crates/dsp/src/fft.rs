@@ -17,10 +17,10 @@
 //! transforms of the same size (the common case when scanning a fleet of
 //! equally-long traces) pay the setup cost once. The whole table cache lives
 //! behind `Arc<Mutex<…>>`: a planner is `Send`, and [`FftPlanner::clone`]
-//! shares **one mutable cache** between the clones (each with fresh scratch
-//! space), so a fleet of 10⁵ per-device analyzers on one worker holds every
-//! distinct plan once instead of once per device — tables are pure data and
-//! never influence results, only memory and setup time.
+//! shares **one mutable cache** between the clones, so a fleet of 10⁵
+//! per-device analyzers on one worker holds every distinct plan once instead
+//! of once per device — tables are pure data and never influence results,
+//! only memory and setup time.
 //!
 //! By default the cache is unbounded — fine for workloads that revisit a
 //! handful of lengths. Fleet-scale workloads that sweep *many* distinct
@@ -30,8 +30,9 @@
 //! pure functions of their length, eviction is invisible to results — a
 //! re-requested length rebuilds the identical table and pays only setup time.
 //!
-//! The `*_into` methods write into caller-owned buffers and reuse the
-//! planner's [`FftScratch`]; once the buffers have warmed up, steady-state
+//! A planner holds tables, never working buffers: every transform borrows
+//! a caller-lent [`FftScratch`], and the `*_into` methods write into
+//! caller-owned outputs. Once those buffers have warmed up, steady-state
 //! transforms of previously seen lengths perform **no heap allocations** —
 //! the property the PSD/Welch/STFT pipeline in [`crate::psd`] relies on.
 //!
@@ -72,10 +73,9 @@ pub fn one_sided_len(n: usize) -> usize {
 
 /// Reusable scratch space for the planner's transforms.
 ///
-/// Every [`FftPlanner`] owns one (used by the planner-internal convenience
-/// APIs); the `*_into_with` variants accept an external scratch so several
-/// pipelines can keep independent warmed-up buffers. All buffers grow on
-/// demand and are reused across calls — steady state allocates nothing.
+/// Callers lend one to every transform; a loop keeps one and passes it each
+/// iteration. All buffers grow on demand and are reused across calls —
+/// steady state allocates nothing. Contents never influence results.
 #[derive(Debug, Default)]
 pub struct FftScratch {
     /// Bluestein convolution buffer (length `m = next_pow2(2n − 1)`).
@@ -391,17 +391,18 @@ impl RealPlan {
 ///
 /// Create once and reuse: tables are computed lazily per length and cached
 /// behind [`Arc`]. The planner is `Send`, and [`Clone`] shares the cached
-/// tables (cheap `Arc` bumps) while giving the clone fresh scratch buffers,
-/// so fleet-study workers can start from a warmed planner.
+/// tables (cheap `Arc` bumps), so fleet-study workers can start from a
+/// warmed planner. Working buffers are lent per call as an [`FftScratch`].
 ///
 /// ```
-/// use sweetspot_dsp::fft::FftPlanner;
+/// use sweetspot_dsp::fft::{FftPlanner, FftScratch};
 /// use sweetspot_dsp::Complex64;
 ///
 /// let mut p = FftPlanner::new();
+/// let mut scratch = FftScratch::new();
 /// // Arbitrary (non-power-of-two) lengths are fine:
 /// let mut buf = vec![Complex64::ONE; 12];
-/// p.fft_in_place(&mut buf);
+/// p.fft_in_place(&mut buf, &mut scratch);
 /// assert!((buf[0].re - 12.0).abs() < 1e-9); // DC bin = Σ x_n
 /// ```
 pub struct FftPlanner {
@@ -410,7 +411,6 @@ pub struct FftPlanner {
     /// share a cache are stepped by one thread at a time), and a rounding
     /// error next to the transform it precedes.
     tables: Arc<Mutex<PlanTables>>,
-    scratch: FftScratch,
     /// This handle's own lookup/hit/miss counts (see [`FftHandleStats`]).
     handle_stats: FftHandleStats,
     /// Sorted transform lengths this handle has requested, split by plan
@@ -685,14 +685,12 @@ impl Default for FftPlanner {
 
 impl Clone for FftPlanner {
     /// Shares the table cache — past *and future* plans — with the clone;
-    /// the clone gets fresh scratch buffers (scratch is working state, not a
-    /// table) and fresh handle statistics (a clone's request history is its
-    /// own). A fleet of per-device analyzers built from clones of one
+    /// the clone gets fresh handle statistics (a clone's request history is
+    /// its own). A fleet of per-device analyzers built from clones of one
     /// planner therefore holds every distinct plan exactly once.
     fn clone(&self) -> Self {
         FftPlanner {
             tables: Arc::clone(&self.tables),
-            scratch: FftScratch::default(),
             handle_stats: FftHandleStats::default(),
             seen_complex: Vec::new(),
             seen_real: Vec::new(),
@@ -706,7 +704,6 @@ impl FftPlanner {
     pub fn new() -> Self {
         FftPlanner {
             tables: Arc::new(Mutex::new(PlanTables::default())),
-            scratch: FftScratch::default(),
             handle_stats: FftHandleStats::default(),
             seen_complex: Vec::new(),
             seen_real: Vec::new(),
@@ -786,18 +783,18 @@ impl FftPlanner {
 
     /// Forward DFT, in place, unnormalized. Any length (including 0 and 1,
     /// which are no-ops).
-    pub fn fft_in_place(&mut self, buf: &mut [Complex64]) {
+    pub fn fft_in_place(&mut self, buf: &mut [Complex64], scratch: &mut FftScratch) {
         let n = buf.len();
         if n <= 1 {
             return;
         }
         let plan = self.plan(n);
-        plan.fft(buf, &mut self.scratch.conv);
+        plan.fft(buf, &mut scratch.conv);
     }
 
     /// Inverse DFT, in place, scaled by `1/N` so it exactly undoes
     /// [`fft_in_place`](FftPlanner::fft_in_place).
-    pub fn ifft_in_place(&mut self, buf: &mut [Complex64]) {
+    pub fn ifft_in_place(&mut self, buf: &mut [Complex64], scratch: &mut FftScratch) {
         let n = buf.len();
         if n <= 1 {
             return;
@@ -805,38 +802,21 @@ impl FftPlanner {
         for x in buf.iter_mut() {
             *x = x.conj();
         }
-        self.fft_in_place(buf);
+        self.fft_in_place(buf, scratch);
         let scale = 1.0 / n as f64;
         for x in buf.iter_mut() {
             *x = x.conj().scale(scale);
         }
     }
 
-    /// Heap bytes of the planner's *own* [`FftScratch`] (capacities, not
-    /// lengths). Zero for planner clones whose transforms all run through
-    /// the `*_into_with` variants — the fleet engine's per-member accounting
-    /// pins exactly that, so a stream-sized buffer sneaking into 10⁵ member
-    /// planners shows up as a test failure instead of a memory wall.
-    pub fn scratch_resident_bytes(&self) -> usize {
-        self.scratch.resident_bytes()
-    }
-
     /// Forward DFT of a real signal into `out` as a **one-sided** spectrum:
     /// bins `0..=n/2` ([`one_sided_len`] entries; the mirror half is implied
-    /// by conjugate symmetry). Uses the planner's own scratch — steady state
-    /// allocates nothing once `out` has capacity.
+    /// by conjugate symmetry). Steady state allocates nothing once `out` and
+    /// `scratch` have capacity.
     ///
     /// Even lengths take the packed fast path (one `n/2` complex FFT); odd
     /// lengths fall back to a full complex transform internally.
-    pub fn fft_real_into(&mut self, input: &[f64], out: &mut Vec<Complex64>) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.fft_real_into_with(input, out, &mut scratch);
-        self.scratch = scratch;
-    }
-
-    /// [`fft_real_into`](FftPlanner::fft_real_into) with an explicit
-    /// [`FftScratch`], for callers keeping their own warmed buffers.
-    pub fn fft_real_into_with(
+    pub fn fft_real_into(
         &mut self,
         input: &[f64],
         out: &mut Vec<Complex64>,
@@ -870,15 +850,7 @@ impl FftPlanner {
     ///
     /// # Panics
     /// Panics if `spectrum.len() != one_sided_len(n)`.
-    pub fn ifft_real_into(&mut self, spectrum: &[Complex64], n: usize, out: &mut Vec<f64>) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.ifft_real_into_with(spectrum, n, out, &mut scratch);
-        self.scratch = scratch;
-    }
-
-    /// [`ifft_real_into`](FftPlanner::ifft_real_into) with an explicit
-    /// [`FftScratch`].
-    pub fn ifft_real_into_with(
+    pub fn ifft_real_into(
         &mut self,
         spectrum: &[Complex64],
         n: usize,
@@ -922,14 +894,15 @@ impl FftPlanner {
 
     /// Forward DFT of a real signal; returns all `N` complex bins.
     ///
-    /// Allocating convenience wrapper: even lengths run the packed fast path
-    /// and mirror the one-sided half; prefer
+    /// Allocating convenience wrapper with throwaway scratch: even lengths
+    /// run the packed fast path and mirror the one-sided half; prefer
     /// [`fft_real_into`](FftPlanner::fft_real_into) in steady-state loops.
     pub fn fft_real(&mut self, input: &[f64]) -> Vec<Complex64> {
         let n = input.len();
+        let mut scratch = FftScratch::new();
         if n >= 2 && n.is_multiple_of(2) {
             let mut out = Vec::with_capacity(n);
-            self.fft_real_into(input, &mut out);
+            self.fft_real_into(input, &mut out, &mut scratch);
             for j in n / 2 + 1..n {
                 let c = out[n - j].conj();
                 out.push(c);
@@ -937,17 +910,17 @@ impl FftPlanner {
             out
         } else {
             let mut buf: Vec<Complex64> = input.iter().map(|&x| Complex64::from_real(x)).collect();
-            self.fft_in_place(&mut buf);
+            self.fft_in_place(&mut buf, &mut scratch);
             buf
         }
     }
 
     /// Inverse DFT returning only real parts — the counterpart of
     /// [`fft_real`](FftPlanner::fft_real) for **full** spectra with
-    /// (approximate) conjugate symmetry.
+    /// (approximate) conjugate symmetry. Allocates throwaway scratch.
     pub fn ifft_real(&mut self, spectrum: &[Complex64]) -> Vec<f64> {
         let mut buf = spectrum.to_vec();
-        self.ifft_in_place(&mut buf);
+        self.ifft_in_place(&mut buf, &mut FftScratch::new());
         buf.into_iter().map(|c| c.re).collect()
     }
 }
@@ -987,10 +960,11 @@ mod tests {
 
     #[test]
     fn impulse_has_flat_spectrum() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in [2usize, 4, 8, 64, 3, 5, 12, 100] {
             let mut buf = impulse(n);
-            p.fft_in_place(&mut buf);
+            p.fft_in_place(&mut buf, &mut scratch);
             for b in &buf {
                 assert!((b.re - 1.0).abs() < 1e-9 && b.im.abs() < 1e-9, "n={n}");
             }
@@ -999,18 +973,20 @@ mod tests {
 
     #[test]
     fn matches_naive_dft_pow2() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let input: Vec<Complex64> = (0..16)
             .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
             .collect();
         let expected = dft_naive(&input);
         let mut buf = input;
-        p.fft_in_place(&mut buf);
+        p.fft_in_place(&mut buf, &mut scratch);
         assert_close(&buf, &expected, 1e-9);
     }
 
     #[test]
     fn matches_naive_dft_arbitrary_lengths() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in [3usize, 5, 6, 7, 9, 11, 15, 17, 31, 50, 101] {
             let input: Vec<Complex64> = (0..n)
@@ -1018,21 +994,22 @@ mod tests {
                 .collect();
             let expected = dft_naive(&input);
             let mut buf = input;
-            p.fft_in_place(&mut buf);
+            p.fft_in_place(&mut buf, &mut scratch);
             assert_close(&buf, &expected, 1e-8);
         }
     }
 
     #[test]
     fn roundtrip_identity() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in [1usize, 2, 8, 13, 64, 100, 257] {
             let orig: Vec<Complex64> = (0..n)
                 .map(|i| Complex64::new((i as f64).sin(), (i as f64 * 0.5).cos()))
                 .collect();
             let mut buf = orig.clone();
-            p.fft_in_place(&mut buf);
-            p.ifft_in_place(&mut buf);
+            p.fft_in_place(&mut buf, &mut scratch);
+            p.ifft_in_place(&mut buf, &mut scratch);
             assert_close(&buf, &orig, 1e-9);
         }
     }
@@ -1071,16 +1048,17 @@ mod tests {
 
     #[test]
     fn rfft_one_sided_matches_full_complex_fft() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         // Even pow2, even Bluestein-half, odd, and tiny lengths.
         for n in [2usize, 4, 8, 64, 256, 6, 10, 12, 90, 100, 1000, 3, 7, 101] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin() + 0.2).collect();
             let mut one_sided = Vec::new();
-            p.fft_real_into(&input, &mut one_sided);
+            p.fft_real_into(&input, &mut one_sided, &mut scratch);
             assert_eq!(one_sided.len(), one_sided_len(n));
             let mut full: Vec<Complex64> =
                 input.iter().map(|&x| Complex64::from_real(x)).collect();
-            p.fft_in_place(&mut full);
+            p.fft_in_place(&mut full, &mut scratch);
             let tol = 1e-9 * n as f64;
             for (k, c) in one_sided.iter().enumerate() {
                 assert!(
@@ -1094,13 +1072,14 @@ mod tests {
 
     #[test]
     fn rfft_roundtrip_recovers_signal() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in [1usize, 2, 4, 12, 64, 90, 100, 3, 7, 101, 255] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.413).cos() - 0.7).collect();
             let mut spec = Vec::new();
-            p.fft_real_into(&input, &mut spec);
+            p.fft_real_into(&input, &mut spec, &mut scratch);
             let mut back = Vec::new();
-            p.ifft_real_into(&spec, n, &mut back);
+            p.ifft_real_into(&spec, n, &mut back, &mut scratch);
             assert_eq!(back.len(), n);
             for (a, b) in input.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-9, "n={n}: {a} vs {b}");
@@ -1110,12 +1089,13 @@ mod tests {
 
     #[test]
     fn fft_real_full_matches_one_sided_mirror() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in [8usize, 90, 101] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 1.7).sin()).collect();
             let full = p.fft_real(&input);
             let mut one_sided = Vec::new();
-            p.fft_real_into(&input, &mut one_sided);
+            p.fft_real_into(&input, &mut one_sided, &mut scratch);
             for (k, c) in one_sided.iter().enumerate() {
                 assert!((full[k] - *c).norm() < 1e-9 * n as f64, "n={n} bin {k}");
             }
@@ -1130,12 +1110,12 @@ mod tests {
         let mut warm = FftPlanner::new();
         let sig: Vec<f64> = (0..64).map(|i| (i as f64).sin()).collect();
         let mut expected = Vec::new();
-        warm.fft_real_into(&sig, &mut expected);
+        warm.fft_real_into(&sig, &mut expected, &mut FftScratch::new());
 
         let mut moved = warm.clone();
         let from_thread = std::thread::spawn(move || {
             let mut out = Vec::new();
-            moved.fft_real_into(&sig, &mut out);
+            moved.fft_real_into(&sig, &mut out, &mut FftScratch::new());
             out
         })
         .join()
@@ -1155,6 +1135,7 @@ mod tests {
 
     #[test]
     fn parseval_energy_conserved() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in [32usize, 77] {
             let input: Vec<Complex64> = (0..n)
@@ -1162,7 +1143,7 @@ mod tests {
                 .collect();
             let time_energy: f64 = input.iter().map(|c| c.norm_sqr()).sum();
             let mut buf = input;
-            p.fft_in_place(&mut buf);
+            p.fft_in_place(&mut buf, &mut scratch);
             let freq_energy: f64 = buf.iter().map(|c| c.norm_sqr()).sum::<f64>() / n as f64;
             assert!(
                 (time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0),
@@ -1173,6 +1154,7 @@ mod tests {
 
     #[test]
     fn linearity() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let n = 24;
         let a: Vec<Complex64> = (0..n).map(|i| Complex64::new(i as f64, 0.0)).collect();
@@ -1182,44 +1164,46 @@ mod tests {
         let sum: Vec<Complex64> = a.iter().zip(&b).map(|(&x, &y)| x + y.scale(2.0)).collect();
 
         let mut fa = a.clone();
-        p.fft_in_place(&mut fa);
+        p.fft_in_place(&mut fa, &mut scratch);
         let mut fb = b.clone();
-        p.fft_in_place(&mut fb);
+        p.fft_in_place(&mut fb, &mut scratch);
         let mut fsum = sum;
-        p.fft_in_place(&mut fsum);
+        p.fft_in_place(&mut fsum, &mut scratch);
         let expected: Vec<Complex64> = fa.iter().zip(&fb).map(|(&x, &y)| x + y.scale(2.0)).collect();
         assert_close(&fsum, &expected, 1e-8);
     }
 
     #[test]
     fn zero_and_one_point_are_noops() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let mut empty: Vec<Complex64> = vec![];
-        p.fft_in_place(&mut empty);
+        p.fft_in_place(&mut empty, &mut scratch);
         let mut one = vec![Complex64::new(3.0, -1.0)];
-        p.fft_in_place(&mut one);
+        p.fft_in_place(&mut one, &mut scratch);
         assert_eq!(one[0], Complex64::new(3.0, -1.0));
-        p.ifft_in_place(&mut one);
+        p.ifft_in_place(&mut one, &mut scratch);
         assert_eq!(one[0], Complex64::new(3.0, -1.0));
 
         let mut out = Vec::new();
-        p.fft_real_into(&[], &mut out);
+        p.fft_real_into(&[], &mut out, &mut scratch);
         assert!(out.is_empty());
-        p.fft_real_into(&[2.5], &mut out);
+        p.fft_real_into(&[2.5], &mut out, &mut scratch);
         assert_eq!(out, vec![Complex64::from_real(2.5)]);
         let mut back = Vec::new();
-        p.ifft_real_into(&out, 1, &mut back);
+        p.ifft_real_into(&out, 1, &mut back, &mut scratch);
         assert_eq!(back, vec![2.5]);
     }
 
     #[test]
     fn planner_reuse_is_consistent() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let input: Vec<Complex64> = (0..48).map(|i| Complex64::new(i as f64, 0.0)).collect();
         let mut first = input.clone();
-        p.fft_in_place(&mut first);
+        p.fft_in_place(&mut first, &mut scratch);
         let mut second = input;
-        p.fft_in_place(&mut second);
+        p.fft_in_place(&mut second, &mut scratch);
         assert_close(&first, &second, 0.0);
     }
 
@@ -1239,13 +1223,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "one-sided spectrum")]
     fn ifft_real_into_rejects_wrong_bin_count() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let mut out = Vec::new();
-        p.ifft_real_into(&[Complex64::ONE; 4], 8, &mut out);
+        p.ifft_real_into(&[Complex64::ONE; 4], 8, &mut out, &mut scratch);
     }
 
     #[test]
     fn table_budget_bounds_the_cache() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         // Sweep many distinct non-power-of-two lengths: unbounded, the
         // cache grows with every one.
@@ -1253,7 +1239,7 @@ mod tests {
         for n in (101..151).step_by(2) {
             buf.clear();
             buf.resize(n, Complex64::ONE);
-            p.fft_in_place(&mut buf);
+            p.fft_in_place(&mut buf, &mut scratch);
         }
         let unbounded = p.table_bytes();
         assert!(unbounded > 100_000, "expected a grown cache, got {unbounded} B");
@@ -1266,7 +1252,7 @@ mod tests {
         for n in (201..251).step_by(2) {
             buf.clear();
             buf.resize(n, Complex64::ONE);
-            p.fft_in_place(&mut buf);
+            p.fft_in_place(&mut buf, &mut scratch);
         }
         assert!(p.table_bytes() <= budget, "{} > {budget}", p.table_bytes());
     }
@@ -1277,10 +1263,11 @@ mod tests {
         // plan is rebuilt from scratch, and a rebuilt-after-eviction plan.
         // Tables are pure functions of length, so all spectra must match
         // bit for bit.
+        let mut scratch = FftScratch::new();
         let input: Vec<f64> = (0..300).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut unbounded = FftPlanner::new();
         let mut reference = Vec::new();
-        unbounded.fft_real_into(&input, &mut reference);
+        unbounded.fft_real_into(&input, &mut reference, &mut scratch);
 
         let mut tiny = FftPlanner::new();
         tiny.set_table_budget(Some(1));
@@ -1288,8 +1275,8 @@ mod tests {
         for _ in 0..3 {
             // Alternate lengths so each request misses and rebuilds.
             let mut churn = vec![Complex64::ONE; 77];
-            tiny.fft_in_place(&mut churn);
-            tiny.fft_real_into(&input, &mut out);
+            tiny.fft_in_place(&mut churn, &mut scratch);
+            tiny.fft_real_into(&input, &mut out, &mut scratch);
             assert_eq!(out.len(), reference.len());
             for (a, b) in out.iter().zip(&reference) {
                 assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
@@ -1303,23 +1290,25 @@ mod tests {
 
     #[test]
     fn oversized_single_table_is_still_served() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         p.set_table_budget(Some(1));
         let mut buf = vec![Complex64::ONE; 4096];
-        p.fft_in_place(&mut buf); // must not loop forever or panic
+        p.fft_in_place(&mut buf, &mut scratch); // must not loop forever or panic
         assert!((buf[0].re - 4096.0).abs() < 1e-6);
     }
 
     #[test]
     fn handle_stats_count_lookups_hits_and_misses() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let mut buf = vec![Complex64::ONE; 64];
-        p.fft_in_place(&mut buf); // miss (complex 64)
-        p.fft_in_place(&mut buf); // hit
+        p.fft_in_place(&mut buf, &mut scratch); // miss (complex 64)
+        p.fft_in_place(&mut buf, &mut scratch); // hit
         let input = vec![1.0f64; 64];
         let mut out = Vec::new();
-        p.fft_real_into(&input, &mut out); // miss (real 64 ≠ complex 64)
-        p.fft_real_into(&input, &mut out); // hit
+        p.fft_real_into(&input, &mut out, &mut scratch); // miss (real 64 ≠ complex 64)
+        p.fft_real_into(&input, &mut out, &mut scratch); // hit
 
         let s = p.handle_stats();
         assert_eq!(s.lookups.get(), 4);
@@ -1332,7 +1321,7 @@ mod tests {
         // shared cache is warm.
         let mut clone = p.clone();
         let mut buf2 = vec![Complex64::ONE; 64];
-        clone.fft_in_place(&mut buf2);
+        clone.fft_in_place(&mut buf2, &mut scratch);
         assert_eq!(clone.handle_stats().lookups.get(), 1);
         assert_eq!(clone.handle_stats().misses.get(), 1);
         assert_eq!(p.handle_stats().lookups.get(), 4, "parent unchanged");
@@ -1345,9 +1334,10 @@ mod tests {
 
     #[test]
     fn cache_stats_bill_evictions_and_rebuilds() {
+        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let mut buf = vec![Complex64::ONE; 128];
-        p.fft_in_place(&mut buf);
+        p.fft_in_place(&mut buf, &mut scratch);
         let warm = p.cache_stats();
         assert!(warm.builds >= 1);
         assert!(warm.built_bytes > 0);
@@ -1359,8 +1349,8 @@ mod tests {
         // re-request an evicted one: its bytes must be billed as rebuilt.
         p.set_table_budget(Some(1));
         let mut other = vec![Complex64::ONE; 77];
-        p.fft_in_place(&mut other);
-        p.fft_in_place(&mut buf); // rebuilds the evicted length-128 plan
+        p.fft_in_place(&mut other, &mut scratch);
+        p.fft_in_place(&mut buf, &mut scratch); // rebuilds the evicted length-128 plan
         let churned = p.cache_stats();
         assert!(churned.evictions > 0);
         assert!(churned.evicted_bytes > 0);

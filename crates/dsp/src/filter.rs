@@ -6,7 +6,7 @@
 //! suppression mentioned in §4.1 is covered by [`moving_average`],
 //! [`single_pole_lowpass`] and [`median_filter`].
 
-use crate::fft::FftPlanner;
+use crate::fft::{FftPlanner, FftScratch};
 
 /// Ideal low-pass: keeps frequency content in `[0, cutoff_hz]`, zeroes the
 /// rest, and returns the re-synthesized time-domain signal.
@@ -29,8 +29,9 @@ pub fn fft_lowpass(
     assert!(sample_rate > 0.0, "sample_rate must be positive");
     assert!(cutoff_hz >= 0.0, "cutoff must be non-negative");
     let n = samples.len();
+    let mut scratch = FftScratch::new();
     let mut spec = Vec::with_capacity(crate::fft::one_sided_len(n));
-    planner.fft_real_into(samples, &mut spec);
+    planner.fft_real_into(samples, &mut spec, &mut scratch);
     let resolution = sample_rate / n as f64;
     for (k, c) in spec.iter_mut().enumerate() {
         if k as f64 * resolution > cutoff_hz {
@@ -38,7 +39,7 @@ pub fn fft_lowpass(
         }
     }
     let mut out = Vec::with_capacity(n);
-    planner.ifft_real_into(&spec, n, &mut out);
+    planner.ifft_real_into(&spec, n, &mut out, &mut scratch);
     out
 }
 

@@ -18,11 +18,10 @@
 //! across all segments, and window coefficients come from the planner's
 //! cached per-`(window, n)` tables — so the steady-state inner loop performs
 //! **zero heap allocations per segment** (pinned by
-//! `tests/alloc_steady_state.rs`). Keeping the FFT working buffers inside
-//! the scratch (rather than the planner) matters at fleet scale: every
-//! member's estimator holds a lightweight planner clone, and routing the
-//! transform through the caller's scratch keeps those clones permanently
-//! empty instead of each retaining stream-sized conv/half/full buffers.
+//! `tests/alloc_steady_state.rs`). Planners hold tables only, so the
+//! scratch is the one place working buffers live: at fleet scale every
+//! member's estimator holds a lightweight planner clone that stays empty
+//! by construction.
 
 use crate::complex::Complex64;
 use crate::fft::{one_sided_len, FftPlanner, FftScratch};
@@ -77,7 +76,7 @@ impl Default for WelchConfig {
 ///
 /// Holds the windowed-segment buffer, the one-sided spectrum buffer and a
 /// per-segment power buffer; all grow on demand and are reused across calls.
-/// Keep one per long-lived estimator (the Nyquist estimator owns one) so the
+/// Keep one per loop (or per worker) and lend it to every call so the
 /// steady-state pipeline allocates nothing.
 #[derive(Debug, Default)]
 pub struct PsdScratch {
@@ -87,8 +86,7 @@ pub struct PsdScratch {
     spec: Vec<Complex64>,
     /// Per-segment folded power, used by [`welch_into`]'s accumulation.
     power: Vec<f64>,
-    /// FFT working buffers, threaded into the planner's `*_into_with` fast
-    /// path so per-member planner clones never grow private scratch.
+    /// FFT working buffers, lent to the planner's transforms.
     fft: FftScratch,
 }
 
@@ -134,7 +132,7 @@ fn segment_power_into(
     }
     let table = planner.window_table(cfg.window, n);
     table.apply(seg);
-    planner.fft_real_into_with(seg, spec, fft);
+    planner.fft_real_into(seg, spec, fft);
     let norm = (n as f64) * (n as f64) * table.energy_gain();
     out.clear();
     out.reserve(spec.len());

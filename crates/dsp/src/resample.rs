@@ -11,7 +11,7 @@
 //!   the spectrum and inverse-transform.
 
 use crate::complex::Complex64;
-use crate::fft::{one_sided_len, FftPlanner};
+use crate::fft::{one_sided_len, FftPlanner, FftScratch};
 
 /// Keeps every `factor`-th sample, starting with the first.
 ///
@@ -58,12 +58,13 @@ pub fn fractional_decimate(samples: &[f64], ratio: f64) -> Vec<f64> {
 /// Panics if `samples` is empty or `new_len == 0`.
 pub fn resample_fft(planner: &mut FftPlanner, samples: &[f64], new_len: usize) -> Vec<f64> {
     let mut out = Vec::with_capacity(new_len);
-    resample_fft_into(planner, samples, new_len, &mut out);
+    resample_fft_into(planner, &mut FftScratch::new(), samples, new_len, &mut out);
     out
 }
 
-/// [`resample_fft`] into a caller-owned output buffer (cleared first), for
-/// pipelines that resample repeatedly (e.g. the §6 correlation roundtrip).
+/// [`resample_fft`] into a caller-owned output buffer (cleared first)
+/// through caller-lent FFT scratch, for pipelines that resample repeatedly
+/// (e.g. the §6 correlation roundtrip).
 ///
 /// Both the analysis and the synthesis run one-sided through the real-input
 /// FFT fast path: the source's one-sided spectrum is mapped onto the
@@ -74,6 +75,7 @@ pub fn resample_fft(planner: &mut FftPlanner, samples: &[f64], new_len: usize) -
 /// Panics if `samples` is empty or `new_len == 0`.
 pub fn resample_fft_into(
     planner: &mut FftPlanner,
+    scratch: &mut FftScratch,
     samples: &[f64],
     new_len: usize,
     out: &mut Vec<f64>,
@@ -87,7 +89,7 @@ pub fn resample_fft_into(
         return;
     }
     let mut spec = Vec::with_capacity(one_sided_len(n));
-    planner.fft_real_into(samples, &mut spec);
+    planner.fft_real_into(samples, &mut spec, scratch);
     let m = new_len;
     let mut out_spec = vec![Complex64::ZERO; one_sided_len(m)];
 
@@ -116,7 +118,7 @@ pub fn resample_fft_into(
     for c in &mut out_spec {
         *c = c.scale(scale);
     }
-    planner.ifft_real_into(&out_spec, m, out);
+    planner.ifft_real_into(&out_spec, m, out, scratch);
 }
 
 /// Convenience wrapper: upsamples by an integer `factor` via [`resample_fft`].

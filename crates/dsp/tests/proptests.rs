@@ -5,7 +5,7 @@
 //! stay within physical bounds.
 
 use proptest::prelude::*;
-use sweetspot_dsp::fft::{dft_naive, one_sided_len, FftPlanner};
+use sweetspot_dsp::fft::{dft_naive, one_sided_len, FftPlanner, FftScratch};
 use sweetspot_dsp::interp::Interp;
 use sweetspot_dsp::quantize::Quantizer;
 use sweetspot_dsp::resample::resample_fft;
@@ -27,9 +27,10 @@ proptest! {
     #[test]
     fn fft_roundtrip_is_identity(sig in complex_signal_strategy(200)) {
         let mut planner = FftPlanner::new();
+        let mut scratch = FftScratch::new();
         let mut buf = sig.clone();
-        planner.fft_in_place(&mut buf);
-        planner.ifft_in_place(&mut buf);
+        planner.fft_in_place(&mut buf, &mut scratch);
+        planner.ifft_in_place(&mut buf, &mut scratch);
         for (a, b) in sig.iter().zip(&buf) {
             prop_assert!((a.re - b.re).abs() < 1e-6);
             prop_assert!((a.im - b.im).abs() < 1e-6);
@@ -39,9 +40,10 @@ proptest! {
     #[test]
     fn fft_matches_naive_dft(sig in complex_signal_strategy(48)) {
         let mut planner = FftPlanner::new();
+        let mut scratch = FftScratch::new();
         let expected = dft_naive(&sig);
         let mut buf = sig;
-        planner.fft_in_place(&mut buf);
+        planner.fft_in_place(&mut buf, &mut scratch);
         for (a, b) in buf.iter().zip(&expected) {
             prop_assert!((a.re - b.re).abs() < 1e-5);
             prop_assert!((a.im - b.im).abs() < 1e-5);
@@ -51,10 +53,11 @@ proptest! {
     #[test]
     fn parseval_holds(sig in complex_signal_strategy(150)) {
         let mut planner = FftPlanner::new();
+        let mut scratch = FftScratch::new();
         let n = sig.len() as f64;
         let time_energy: f64 = sig.iter().map(|c| c.norm_sqr()).sum();
         let mut buf = sig;
-        planner.fft_in_place(&mut buf);
+        planner.fft_in_place(&mut buf, &mut scratch);
         let freq_energy: f64 = buf.iter().map(|c| c.norm_sqr()).sum::<f64>() / n;
         let tol = 1e-9 * time_energy.max(1.0);
         prop_assert!((time_energy - freq_energy).abs() < tol);
@@ -65,12 +68,13 @@ proptest! {
         // Lengths 1..300 cover the packed fast path over both inner plans
         // (power-of-two and Bluestein halves) plus the odd-length fallback.
         let mut planner = FftPlanner::new();
+        let mut scratch = FftScratch::new();
         let n = sig.len();
         let mut one_sided = Vec::new();
-        planner.fft_real_into(&sig, &mut one_sided);
+        planner.fft_real_into(&sig, &mut one_sided, &mut scratch);
         prop_assert_eq!(one_sided.len(), one_sided_len(n));
         let mut full: Vec<Complex64> = sig.iter().map(|&x| Complex64::from_real(x)).collect();
-        planner.fft_in_place(&mut full);
+        planner.fft_in_place(&mut full, &mut scratch);
         let scale = sig.iter().map(|x| x.abs()).fold(1.0, f64::max);
         let tol = 1e-9 * scale * n as f64;
         for (k, c) in one_sided.iter().enumerate() {
@@ -82,10 +86,11 @@ proptest! {
     #[test]
     fn rfft_inverse_roundtrips(sig in signal_strategy(300)) {
         let mut planner = FftPlanner::new();
+        let mut scratch = FftScratch::new();
         let mut spec = Vec::new();
-        planner.fft_real_into(&sig, &mut spec);
+        planner.fft_real_into(&sig, &mut spec, &mut scratch);
         let mut back = Vec::new();
-        planner.ifft_real_into(&spec, sig.len(), &mut back);
+        planner.ifft_real_into(&spec, sig.len(), &mut back, &mut scratch);
         let scale = sig.iter().map(|x| x.abs()).fold(1.0, f64::max);
         for (a, b) in sig.iter().zip(&back) {
             prop_assert!((a - b).abs() < 1e-8 * scale, "{} vs {}", a, b);

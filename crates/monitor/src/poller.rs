@@ -251,11 +251,11 @@ impl FleetMember {
         self.sampler.fft_handle_stats()
     }
 
-    /// Durable heap bytes this member retains between epochs (trace identity
-    /// and signal model, plus any working buffers parked in the sampler —
-    /// zero when epochs run through a worker's [`EpochScratch`]).
+    /// Durable heap bytes this member retains between epochs: the trace
+    /// identity and signal model. The controller holds no working buffers —
+    /// every epoch borrows a worker's [`EpochScratch`].
     pub fn heap_bytes(&self) -> usize {
-        self.device.heap_bytes() + self.sampler.owned_scratch_bytes()
+        self.device.heap_bytes()
     }
 
     /// Runs one lockstep epoch at the scheduler's `granted` rate, through a
@@ -272,12 +272,12 @@ impl FleetMember {
             scratch: &mut scratch.poll,
         };
         self.sampler
-            .step_granted_scratch(&mut scratch.sampler, &mut source, start, granted, window)
+            .step_granted(&mut scratch.sampler, &mut source, start, granted, window)
     }
 
     /// One lockstep epoch whose report reaches the controller too late to
     /// adapt on: the primary stream is sampled (and billed), adaptation is
-    /// frozen for the epoch ([`AdaptiveSampler::step_delayed_scratch`]).
+    /// frozen for the epoch ([`AdaptiveSampler::step_delayed`]).
     pub fn step_epoch_delayed(
         &mut self,
         scratch: &mut EpochScratch,
@@ -290,7 +290,7 @@ impl FleetMember {
             scratch: &mut scratch.poll,
         };
         self.sampler
-            .step_delayed_scratch(&mut scratch.sampler, &mut source, start, granted, window)
+            .step_delayed(&mut scratch.sampler, &mut source, start, granted, window)
     }
 
     /// Reboots the member mid-study: the device rewinds its noise stream and

@@ -60,11 +60,19 @@ mod tests {
         assert_eq!(s(|o| string_into(o, "plain")), "\"plain\"");
         assert_eq!(s(|o| string_into(o, "a\"b\\c\n")), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(s(|o| string_into(o, "\u{1}")), "\"\\u0001\"");
+        assert_eq!(s(|o| string_into(o, "a\u{1}b")), "\"a\\u0001b\"");
+        assert_eq!(
+            s(|o| string_into(o, "tab\tnl\ncr\r")),
+            "\"tab\\tnl\\ncr\\r\""
+        );
     }
 
     #[test]
     fn numbers_round_trip_and_null_out_nonfinite() {
         assert_eq!(s(|o| number_into(o, 0.25)), "0.25");
+        assert_eq!(s(|o| number_into(o, 0.1)), "0.1");
+        let third: f64 = s(|o| number_into(o, 1.0 / 3.0)).parse().unwrap();
+        assert_eq!(third, 1.0 / 3.0, "shortest-roundtrip formatting");
         assert_eq!(s(|o| number_into(o, -3.0)), "-3");
         assert_eq!(s(|o| number_into(o, f64::NAN)), "null");
         assert_eq!(s(|o| number_into(o, f64::INFINITY)), "null");
