@@ -552,8 +552,9 @@ fn stdout_at(args: &str, threads: &str) -> Vec<u8> {
     out.stdout
 }
 
-// Byte-for-byte pins of fleetsim output against fixtures written by the
-// engine before its epoch loop was collapsed into a single step path. None
+// Byte-for-byte pins of fleetsim and study output against fixtures written
+// by the engine before its epoch loop was collapsed into a single step path
+// (fleetsim) and before the measurement chain was flattened (study). None
 // of the outputs carries a wall-clock field, so any difference is a
 // behaviour change. Each fixture is checked at one and at four threads.
 //
@@ -608,6 +609,18 @@ fn fleetsim_chaos_run_matches_golden_fixtures() {
         assert!(
             stream == golden("fleetsim_chaos.jsonl"),
             "chaos metrics stream diverged at --threads {threads}"
+        );
+    }
+}
+
+#[test]
+fn study_json_matches_golden_fixture() {
+    for threads in ["1", "4"] {
+        let study = stdout_at("study --devices 16 --json", threads);
+        assert!(
+            study == golden("study_16.json"),
+            "study JSON diverged at --threads {threads}:\n{}",
+            String::from_utf8_lossy(&study)
         );
     }
 }
