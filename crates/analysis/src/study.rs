@@ -29,9 +29,9 @@ use sweetspot_core::estimator::{
 use sweetspot_core::reduction::{reduction_outcome, summarize, ReductionOutcome, ReductionSummary};
 use sweetspot_dsp::stats::{Cdf, FiveNumber};
 use sweetspot_telemetry::{DeviceTrace, Fleet, FleetConfig, MetricKind, MetricProfile, TraceSynth};
-use sweetspot_timeseries::clean::{clean_into, CleanConfig, CleanScratch};
+use sweetspot_timeseries::clean::{clean_slices_into, CleanConfig, CleanScratch};
 use sweetspot_timeseries::ingest::TraceMeta;
-use sweetspot_timeseries::{Hertz, IrregularSeries, Seconds};
+use sweetspot_timeseries::{Hertz, Seconds};
 
 /// Study parameters.
 #[derive(Debug, Clone, Copy)]
@@ -306,15 +306,13 @@ fn analyze_pair(
     // Synthesis: oscillator-bank ground truth + impairments, streamed into
     // the worker's recycled buffers.
     let t_synth = Instant::now();
-    let mut times = std::mem::take(&mut ws.times);
-    let mut values = std::mem::take(&mut ws.values);
-    trace.production_trace_into(&mut ws.synth, duration, &mut times, &mut values);
-    let raw = IrregularSeries::from_recycled(times, values);
+    trace.production_trace_into(&mut ws.synth, duration, &mut ws.times, &mut ws.values);
     let t_clean = Instant::now();
 
     // §3.2 pre-cleaning: nearest-neighbour re-grid onto the nominal interval.
-    let cleaned = clean_into(
-        &raw,
+    let cleaned = clean_slices_into(
+        &ws.times,
+        &ws.values,
         CleanConfig {
             interval: Some(production_rate.period()),
             outlier_mads: Some(8.0),
@@ -330,12 +328,12 @@ fn analyze_pair(
                 series.values(),
                 series.sample_rate(),
             );
-            ws.clean.reclaim(series);
+            ws.clean.lend(series.into_values());
             estimate
         }
         // Too little data ⇒ treat as "cannot assess", conservatively aliased.
         Ok(series) => {
-            ws.clean.reclaim(series);
+            ws.clean.lend(series.into_values());
             NyquistEstimate::Aliased
         }
         Err(_) => NyquistEstimate::Aliased,
@@ -345,7 +343,6 @@ fn analyze_pair(
     ws.timings.synthesis += t_clean - t_synth;
     ws.timings.clean += t_estimate - t_clean;
     ws.timings.estimate += t_done - t_estimate;
-    (ws.times, ws.values) = raw.into_parts();
 
     PairResult {
         kind: trace.profile().kind,

@@ -12,8 +12,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
 use sweetspot_telemetry::{Fleet, TraceSynth};
-use sweetspot_timeseries::clean::{clean_into, CleanConfig, CleanScratch};
-use sweetspot_timeseries::{IrregularSeries, Seconds};
+use sweetspot_timeseries::clean::{clean_slices_into, CleanConfig, CleanScratch};
+use sweetspot_timeseries::Seconds;
 
 const SEED: u64 = 0x5EED_CAFE;
 
@@ -63,9 +63,9 @@ fn bench(c: &mut Criterion) {
                 let mut times = Vec::new();
                 let mut values = Vec::new();
                 trace.production_trace_into(&mut synth, day, &mut times, &mut values);
-                let raw = IrregularSeries::from_recycled(times, values);
-                clean_into(
-                    &raw,
+                clean_slices_into(
+                    &times,
+                    &values,
                     CleanConfig { interval: Some(rate.period()), outlier_mads: Some(8.0) },
                     &mut scratch,
                 )

@@ -10,7 +10,7 @@ use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile, TraceSynth};
+use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile, ToneBank, TraceSynth};
 use sweetspot_timeseries::Seconds;
 
 fn bench(c: &mut Criterion) {
@@ -25,10 +25,10 @@ fn bench(c: &mut Criterion) {
     });
     // …vs the streaming oscillator bank into recycled buffers.
     c.bench_function("synth/ground_truth_tonebank_2880", |b| {
-        let mut synth = TraceSynth::new();
+        let mut bank = ToneBank::new();
         let mut out = Vec::new();
         b.iter(|| {
-            trace.ground_truth_into(&mut synth, rate, day, &mut out);
+            trace.model().sample_into(&mut bank, Seconds::ZERO, rate, day, &mut out);
             black_box(out.last().copied())
         })
     });
@@ -57,10 +57,10 @@ fn bench(c: &mut Criterion) {
     // three times the samples, same per-sample cost.
     let fast_rate = sweetspot_timeseries::Hertz(3.0 * trace.profile().folding_frequency().value());
     c.bench_function("synth/ground_truth_tonebank_4320_fastgrid", |b| {
-        let mut synth = TraceSynth::new();
+        let mut bank = ToneBank::new();
         let mut out = Vec::new();
         b.iter(|| {
-            trace.ground_truth_into(&mut synth, fast_rate, day, &mut out);
+            trace.model().sample_into(&mut bank, Seconds::ZERO, fast_rate, day, &mut out);
             black_box(out.last().copied())
         })
     });

@@ -77,7 +77,7 @@
 use crate::aliasing::{companion_rate, detect_aliasing_scratch, DetectScratch, DualRateConfig};
 use crate::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimate, NyquistEstimator};
 use crate::source::SignalSource;
-use sweetspot_timeseries::{Hertz, Seconds};
+use sweetspot_timeseries::{grid_len, Hertz, Seconds};
 
 /// Minimum steady-state headroom compatible with continuous dual-rate
 /// verification (see module docs).
@@ -279,10 +279,10 @@ pub struct SamplerScratch {
     detect: DetectScratch,
     /// §3.2 estimator working storage.
     estimator: EstimatorScratch,
-    /// Recycled value buffers for the primary/companion streams: each epoch
-    /// hands them to the source via `sample_recycled` and reclaims them from
-    /// the returned series, so a source with a zero-allocation path (e.g.
-    /// `monitor::ScratchSource`) makes the whole epoch allocation-free.
+    /// Value buffers for the primary/companion streams: each epoch lends them
+    /// to [`SignalSource::sample`] and takes them back from the returned
+    /// series, so a source with a zero-allocation path (e.g.
+    /// `monitor::DeviceSource`) makes the whole epoch allocation-free.
     fast_spare: Vec<f64>,
     slow_spare: Vec<f64>,
 }
@@ -653,12 +653,7 @@ impl AdaptiveSampler {
                 .clamp(self.config.min_rate.value(), self.config.max_rate.value()),
         );
         let throttled = primary.value() < requested.value() * (1.0 - 1e-9);
-        let fast = source.sample_recycled(
-            start,
-            primary,
-            window,
-            std::mem::take(&mut scratch.fast_spare),
-        );
+        let fast = source.sample(start, primary, window, std::mem::take(&mut scratch.fast_spare));
         let samples_taken = fast.len();
         scratch.fast_spare = fast.into_values();
         self.deferred_epochs += 1;
@@ -726,12 +721,11 @@ impl AdaptiveSampler {
         let throttled = primary.value() < requested.value() * (1.0 - 1e-9);
         let secondary = companion_rate(primary);
 
-        let expected = |rate: Hertz| (duration.value() * rate.value()).round().max(1.0) as usize;
         // The §4.1 detector needs 16+ samples in *both* streams; when the
         // window cannot even nominally hold them the companion stream buys
         // nothing, so it is not acquired at all.
-        let detectable =
-            expected(primary) >= MIN_DETECT_SAMPLES && expected(secondary) >= MIN_DETECT_SAMPLES;
+        let detectable = grid_len(duration, primary) >= MIN_DETECT_SAMPLES
+            && grid_len(duration, secondary) >= MIN_DETECT_SAMPLES;
         // Batched verification cadence: probing epochs always verify (the
         // verdict is the probe's exit condition); settled epochs verify
         // every `verify_every`-th epoch. The default cadence 1 makes
@@ -744,12 +738,7 @@ impl AdaptiveSampler {
         let skipped_verify = detectable && !verify_due;
         let mut force_verify_next = false;
 
-        let fast = source.sample_recycled(
-            start,
-            primary,
-            duration,
-            std::mem::take(&mut scratch.fast_spare),
-        );
+        let fast = source.sample(start, primary, duration, std::mem::take(&mut scratch.fast_spare));
         let mut samples_taken = fast.len();
         // Share the estimator's planner so the detector reuses the same
         // cached twiddle and window tables every epoch. The detector's
@@ -759,12 +748,8 @@ impl AdaptiveSampler {
         let mut verified = false;
         let mut verdict_aliased = false;
         if worth_verifying {
-            let slow = source.sample_recycled(
-                start,
-                secondary,
-                duration,
-                std::mem::take(&mut scratch.slow_spare),
-            );
+            let slow =
+                source.sample(start, secondary, duration, std::mem::take(&mut scratch.slow_spare));
             samples_taken += slow.len();
             if fast.len() >= MIN_DETECT_SAMPLES && slow.len() >= MIN_DETECT_SAMPLES {
                 verified = true;

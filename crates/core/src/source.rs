@@ -3,10 +3,11 @@
 //! The §4.2 controller must *acquire* measurements, not just analyze recorded
 //! ones — acquiring is the expensive part the paper wants to minimize. A
 //! [`SignalSource`] is anything that can be polled over a time window at a
-//! chosen rate: the synthetic telemetry generator, the monitoring simulator's
-//! devices, or (in a real deployment) an SNMP/gNMI poller.
+//! chosen rate: an analytic signal ([`FunctionSource`]), the monitoring
+//! simulator's devices (`monitor::DeviceSource`), or (in a real deployment)
+//! an SNMP/gNMI poller.
 
-use sweetspot_timeseries::{Hertz, RegularSeries, Seconds};
+use sweetspot_timeseries::{grid_len, Hertz, RegularSeries, Seconds};
 
 /// Something that can be sampled at an arbitrary rate over a window.
 pub trait SignalSource {
@@ -14,43 +15,19 @@ pub trait SignalSource {
     ///
     /// Implementations must return a [`RegularSeries`] whose `start` is
     /// `start` and whose interval is `1/rate`. The number of samples is
-    /// `round(duration · rate)`, at least 1.
-    fn sample(&mut self, start: Seconds, rate: Hertz, duration: Seconds) -> RegularSeries;
-
-    /// [`SignalSource::sample`] with a recycled value buffer: the caller
-    /// hands back storage from a previous series (via
-    /// [`RegularSeries::into_values`]) and the source *may* build the result
-    /// in it, making the steady-state sampling loop allocation-free.
+    /// [`grid_len`]`(duration, rate)`: `round(duration · rate)`, at least 1.
     ///
-    /// Must return exactly what [`SignalSource::sample`] would. The default
-    /// implementation discards the buffer and delegates, so sources only
-    /// opt in when they have a zero-allocation path (e.g.
-    /// `monitor::ScratchSource`).
-    fn sample_recycled(
+    /// `buf` is storage the caller lends (typically a previous series'
+    /// buffer, via [`RegularSeries::into_values`]); the source builds the
+    /// result in it, so a sampling loop that hands each result back runs
+    /// without heap allocations. Its contents are ignored.
+    fn sample(
         &mut self,
         start: Seconds,
         rate: Hertz,
         duration: Seconds,
-        recycled: Vec<f64>,
-    ) -> RegularSeries {
-        drop(recycled);
-        self.sample(start, rate, duration)
-    }
-}
-
-/// Adapter implementing [`SignalSource`] from a closure — handy in tests and
-/// for wrapping foreign generators without a newtype per call-site.
-pub struct FnSource<F>(pub F)
-where
-    F: FnMut(Seconds, Hertz, Seconds) -> RegularSeries;
-
-impl<F> SignalSource for FnSource<F>
-where
-    F: FnMut(Seconds, Hertz, Seconds) -> RegularSeries,
-{
-    fn sample(&mut self, start: Seconds, rate: Hertz, duration: Seconds) -> RegularSeries {
-        (self.0)(start, rate, duration)
-    }
+        buf: Vec<f64>,
+    ) -> RegularSeries;
 }
 
 /// A [`SignalSource`] that evaluates a pure function of time — the cheapest
@@ -77,15 +54,21 @@ impl<F> SignalSource for FunctionSource<F>
 where
     F: FnMut(f64) -> f64,
 {
-    fn sample(&mut self, start: Seconds, rate: Hertz, duration: Seconds) -> RegularSeries {
+    fn sample(
+        &mut self,
+        start: Seconds,
+        rate: Hertz,
+        duration: Seconds,
+        mut buf: Vec<f64>,
+    ) -> RegularSeries {
         assert!(rate.value() > 0.0, "rate must be positive");
         assert!(duration.value() > 0.0, "duration must be positive");
         let interval = rate.period();
-        let n = (duration.value() * rate.value()).round().max(1.0) as usize;
-        let values = (0..n)
-            .map(|k| (self.f)(start.value() + k as f64 * interval.value()))
-            .collect();
-        RegularSeries::new(start, interval, values)
+        buf.clear();
+        buf.extend(
+            (0..grid_len(duration, rate)).map(|k| (self.f)(start.value() + k as f64 * interval.value())),
+        );
+        RegularSeries::new(start, interval, buf)
     }
 }
 
@@ -96,25 +79,16 @@ mod tests {
     #[test]
     fn function_source_samples_the_function() {
         let mut src = FunctionSource::new(|t| 2.0 * t);
-        let s = src.sample(Seconds(10.0), Hertz(0.5), Seconds(10.0));
+        let s = src.sample(Seconds(10.0), Hertz(0.5), Seconds(10.0), Vec::new());
         assert_eq!(s.len(), 5);
         assert_eq!(s.start(), Seconds(10.0));
         assert_eq!(s.values(), &[20.0, 24.0, 28.0, 32.0, 36.0]);
     }
 
     #[test]
-    fn fn_source_delegates() {
-        let mut src = FnSource(|start: Seconds, rate: Hertz, _dur: Seconds| {
-            RegularSeries::new(start, rate.period(), vec![1.0, 2.0])
-        });
-        let s = src.sample(Seconds(0.0), Hertz(1.0), Seconds(2.0));
-        assert_eq!(s.values(), &[1.0, 2.0]);
-    }
-
-    #[test]
     fn function_source_respects_rate_grid() {
         let mut src = FunctionSource::new(|t| t);
-        let s = src.sample(Seconds(0.0), Hertz(4.0), Seconds(1.0));
+        let s = src.sample(Seconds(0.0), Hertz(4.0), Seconds(1.0), Vec::new());
         assert_eq!(s.len(), 4);
         assert_eq!(s.interval(), Seconds(0.25));
         assert_eq!(s.values(), &[0.0, 0.25, 0.5, 0.75]);

@@ -7,24 +7,22 @@
 //! controller can drive it directly.
 
 use sweetspot_core::source::SignalSource;
-use sweetspot_telemetry::{DeviceTrace, ToneBank};
+use sweetspot_telemetry::{DeviceTrace, ToneBank, TraceSynth};
 use sweetspot_timeseries::clean::{clean_slices_into, CleanConfig, CleanScratch};
 use sweetspot_timeseries::ingest::TraceMeta;
 use sweetspot_timeseries::{Hertz, IrregularSeries, RegularSeries, Seconds};
 
-/// Reusable working storage for the polling chain: the oscillator bank, the
-/// ground-truth grid, the measured `(time, value)` buffers, and the cleaning
-/// scratch. One per *worker* (see `poller::EpochScratch`) — the bank and
-/// every buffer are pure scratch, so lending the same instance to each
-/// member in turn is sample-for-sample identical to per-member copies, and
-/// steady-state polling — synthesis, impairments, pre-cleaning — stays
-/// allocation-free.
+/// Reusable working storage for the polling chain: the synthesis scratch
+/// (oscillator bank and ground-truth grid), the measured `(time, value)`
+/// buffers, and the cleaning scratch. One per *worker* (see
+/// `poller::EpochScratch`) — every buffer is pure scratch, so lending the
+/// same instance to each member in turn is sample-for-sample identical to
+/// per-member copies, and steady-state polling — synthesis, impairments,
+/// pre-cleaning — stays allocation-free.
 #[derive(Debug, Default)]
 pub struct PollScratch {
-    /// Oscillator-bank scratch for ground-truth synthesis.
-    bank: ToneBank,
-    /// Ground-truth sample grid (oscillator-bank output).
-    truth: Vec<f64>,
+    /// Ground-truth synthesis scratch.
+    synth: TraceSynth,
     /// Measured timestamps surviving the impairment chain.
     times: Vec<Seconds>,
     /// Measured values (parallel to `times`).
@@ -39,16 +37,9 @@ impl PollScratch {
         Self::default()
     }
 
-    /// Hands a spare value buffer to the next [`SimDevice::poll_clean_into`]
-    /// call, which moves it into the returned series' storage.
-    pub fn lend(&mut self, buf: Vec<f64>) {
-        self.clean.lend(buf);
-    }
-
     /// Heap bytes currently resident in this scratch (capacity, not length).
     pub fn resident_bytes(&self) -> usize {
-        self.bank.resident_bytes()
-            + self.truth.capacity() * std::mem::size_of::<f64>()
+        self.synth.resident_bytes()
             + self.times.capacity() * std::mem::size_of::<Seconds>()
             + self.values.capacity() * std::mem::size_of::<f64>()
             + self.clean.resident_bytes()
@@ -112,12 +103,12 @@ impl SimDevice {
     pub fn poll(&mut self, start: Seconds, rate: Hertz, duration: Seconds) -> IrregularSeries {
         let mut scratch = PollScratch::new();
         self.poll_into(start, rate, duration, &mut scratch);
-        IrregularSeries::from_recycled(scratch.times, scratch.values)
+        IrregularSeries::new(scratch.times, scratch.values)
     }
 
-    /// [`SimDevice::poll`] into recycled buffers: the measured samples land
-    /// in `scratch.times`/`scratch.values` (cleared, then filled). Identical
-    /// samples and RNG stream; zero steady-state heap allocations.
+    /// [`SimDevice::poll`] into reused buffers: the measured samples land
+    /// in the scratch's `(time, value)` buffers (cleared, then filled).
+    /// Identical samples and RNG stream; zero steady-state heap allocations.
     pub fn poll_into(
         &mut self,
         start: Seconds,
@@ -125,24 +116,17 @@ impl SimDevice {
         duration: Seconds,
         scratch: &mut PollScratch,
     ) {
-        let stream = self.next_stream;
+        let mut rng = stream_rng(&self.trace, self.next_stream);
         self.next_stream += 1;
-        // Ground truth over the requested window, streamed through the
-        // oscillator bank (which handles arbitrary window starts).
-        let PollScratch {
-            bank,
-            truth,
-            times,
-            values,
-            ..
-        } = scratch;
-        self.trace
-            .model()
-            .sample_into(bank, start, rate, duration, truth);
-        let mut rng = stream_rng(&self.trace, stream);
-        self.trace
-            .impairments()
-            .apply_grid_into(&mut rng, start, rate.period(), truth, times, values);
+        self.trace.measured_into(
+            &mut scratch.synth,
+            start,
+            rate,
+            duration,
+            &mut rng,
+            &mut scratch.times,
+            &mut scratch.values,
+        );
     }
 
     /// Polls and pre-cleans (the §3.2 pipeline): re-grids onto the nominal
@@ -157,9 +141,9 @@ impl SimDevice {
     }
 
     /// [`SimDevice::poll_clean`] through caller-owned scratch: the returned
-    /// series' value buffer comes from the scratch's lent storage (hand a
-    /// spare back with [`PollScratch::lend`]), so the steady-state
-    /// poll-and-clean loop performs no heap allocations.
+    /// series' value buffer is the one lent to the scratch's cleaning stage
+    /// (see [`DeviceSource`]), so the steady-state poll-and-clean loop
+    /// performs no heap allocations.
     pub fn poll_clean_into(
         &mut self,
         start: Seconds,
@@ -168,20 +152,11 @@ impl SimDevice {
         scratch: &mut PollScratch,
     ) -> Option<RegularSeries> {
         self.poll_into(start, rate, duration, scratch);
-        let PollScratch {
-            times,
-            values,
-            clean,
-            ..
-        } = scratch;
         clean_slices_into(
-            times,
-            values,
-            CleanConfig {
-                interval: Some(rate.period()),
-                outlier_mads: None,
-            },
-            clean,
+            &scratch.times,
+            &scratch.values,
+            precleaning(rate),
+            &mut scratch.clean,
         )
         .ok()
     }
@@ -196,23 +171,14 @@ impl SimDevice {
             .sample_into(&mut bank, start, rate, duration, &mut values);
         RegularSeries::new(start, rate.period(), values)
     }
+}
 
-    /// [`SimDevice::ground_truth`] into a recycled value buffer through a
-    /// caller-owned oscillator bank (the bank is pure scratch — output is
-    /// identical to [`SimDevice::ground_truth`]). The cold fallback of the
-    /// zero-allocation polling path.
-    pub fn ground_truth_recycled(
-        &self,
-        bank: &mut ToneBank,
-        start: Seconds,
-        rate: Hertz,
-        duration: Seconds,
-        mut buf: Vec<f64>,
-    ) -> RegularSeries {
-        self.trace
-            .model()
-            .sample_into(bank, start, rate, duration, &mut buf);
-        RegularSeries::new(start, rate.period(), buf)
+/// The §3.2 pre-cleaning of a poll at `rate`: nearest-neighbour re-grid onto
+/// the nominal interval, no outlier discard.
+pub(crate) fn precleaning(rate: Hertz) -> CleanConfig {
+    CleanConfig {
+        interval: Some(rate.period()),
+        outlier_mads: None,
     }
 }
 
@@ -228,52 +194,37 @@ fn stream_rng(trace: &DeviceTrace, stream: u64) -> rand::rngs::StdRng {
 }
 
 /// [`SignalSource`] adapter: lets the §4.2 adaptive controller poll a
-/// [`SimDevice`] through the full measurement chain, with pre-cleaning.
-pub struct DeviceSource<'a>(pub &'a mut SimDevice);
-
-impl SignalSource for DeviceSource<'_> {
-    fn sample(&mut self, start: Seconds, rate: Hertz, duration: Seconds) -> RegularSeries {
-        match self.0.poll_clean(start, rate, duration) {
-            Some(series) => series,
-            // Degenerate window (everything dropped): fall back to ground
-            // truth re-polled once more; in practice drop probability is
-            // 0.2% so this path is cold.
-            None => self.0.ground_truth(start, rate, duration),
-        }
-    }
-}
-
-/// [`DeviceSource`] with per-member scratch: the zero-allocation polling
-/// path a [`FleetMember`](crate::poller::FleetMember) runs its lockstep
-/// epochs through. Output is identical to [`DeviceSource`] sample for
-/// sample — only the storage strategy differs.
-pub struct ScratchSource<'a> {
+/// [`SimDevice`] through the full measurement chain, with pre-cleaning,
+/// using `scratch` for every buffer. The buffer the controller lends
+/// becomes the returned series' storage, so a controller that hands each
+/// series back polls without heap allocations.
+pub struct DeviceSource<'a> {
     /// The device being polled.
     pub device: &'a mut SimDevice,
-    /// The member's persistent polling scratch.
+    /// The polling scratch (a worker's, in a fleet).
     pub scratch: &'a mut PollScratch,
 }
 
-impl SignalSource for ScratchSource<'_> {
-    fn sample(&mut self, start: Seconds, rate: Hertz, duration: Seconds) -> RegularSeries {
-        self.sample_recycled(start, rate, duration, Vec::new())
-    }
-
-    fn sample_recycled(
+impl SignalSource for DeviceSource<'_> {
+    fn sample(
         &mut self,
         start: Seconds,
         rate: Hertz,
         duration: Seconds,
-        recycled: Vec<f64>,
+        buf: Vec<f64>,
     ) -> RegularSeries {
-        self.scratch.lend(recycled);
+        self.scratch.clean.lend(buf);
         match self.device.poll_clean_into(start, rate, duration, self.scratch) {
             Some(series) => series,
-            // Same cold fallback as `DeviceSource`, reusing the lent buffer.
+            // Degenerate window (fewer than 2 samples survived): fall back
+            // to the window's ground truth, which the poll just synthesized.
+            // Drops are rare (0.2%), so in practice only windows too short
+            // to hold two samples take this path.
             None => {
-                let buf = self.scratch.clean.take_lent();
-                self.device
-                    .ground_truth_recycled(&mut self.scratch.bank, start, rate, duration, buf)
+                let mut buf = self.scratch.clean.take_lent();
+                buf.clear();
+                buf.extend_from_slice(self.scratch.synth.truth());
+                RegularSeries::new(start, rate.period(), buf)
             }
         }
     }
@@ -335,8 +286,12 @@ mod tests {
     #[test]
     fn device_source_implements_signal_source() {
         let mut d = device();
-        let mut src = DeviceSource(&mut d);
-        let s = src.sample(Seconds::ZERO, Hertz(1.0 / 60.0), Seconds::from_hours(1.0));
+        let mut scratch = PollScratch::new();
+        let mut src = DeviceSource {
+            device: &mut d,
+            scratch: &mut scratch,
+        };
+        let s = src.sample(Seconds::ZERO, Hertz(1.0 / 60.0), Seconds::from_hours(1.0), Vec::new());
         assert!(s.len() >= 59);
         assert_eq!(s.interval(), Seconds(60.0));
     }

@@ -17,11 +17,12 @@
 //! *lockstep* fleet simulation: an external scheduler grants each member a
 //! rate per shared epoch (see `analysis::fleetsim`).
 
-use crate::device::{DeviceSource, PollScratch, ScratchSource, SimDevice};
+use crate::device::{precleaning, DeviceSource, PollScratch, SimDevice};
 use sweetspot_core::adaptive::{AdaptiveConfig, AdaptiveSampler, EpochReport, SamplerScratch};
 use sweetspot_telemetry::{DeviceTrace, MetricKind};
 use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
 use sweetspot_core::reconstruct::{decimation_factor, downsample};
+use sweetspot_timeseries::clean::clean;
 use sweetspot_timeseries::{Hertz, Seconds};
 
 /// What one policy run produced for one device.
@@ -35,6 +36,17 @@ pub struct PolicyRun {
     pub epochs: Option<Vec<EpochReport>>,
 }
 
+impl PolicyRun {
+    /// A run that stores every sample it collected.
+    fn storing_all(stored: Vec<(Seconds, f64)>) -> Self {
+        PolicyRun {
+            collected: stored.len(),
+            stored,
+            epochs: None,
+        }
+    }
+}
+
 /// Fixed-rate polling (the production baseline).
 #[derive(Debug, Clone, Copy)]
 pub struct FixedRatePlan {
@@ -46,12 +58,7 @@ impl FixedRatePlan {
     /// Polls `device` for `duration`, storing every sample.
     pub fn run(&self, device: &mut SimDevice, duration: Seconds) -> PolicyRun {
         let raw = device.poll(Seconds::ZERO, self.rate, duration);
-        let stored: Vec<(Seconds, f64)> = raw.iter().collect();
-        PolicyRun {
-            collected: stored.len(),
-            stored,
-            epochs: None,
-        }
+        PolicyRun::storing_all(raw.iter().collect())
     }
 }
 
@@ -69,12 +76,17 @@ pub struct PosterioriPlan {
 impl PosterioriPlan {
     /// Polls fast, stores at the estimated Nyquist rate.
     ///
-    /// When the estimator reports "aliased", everything collected is stored
-    /// (there is no safe rate to thin to).
+    /// When the estimator reports "aliased", or the window is too short to
+    /// assess (the poll cannot be re-gridded, or fewer than 4 re-gridded
+    /// samples remain), everything collected is stored: there is no safe
+    /// rate to thin to.
     pub fn run(&self, device: &mut SimDevice, duration: Seconds) -> PolicyRun {
-        let cleaned = device
-            .poll_clean(Seconds::ZERO, self.acquisition_rate, duration)
-            .expect("acquisition rate should produce enough samples");
+        let raw = device.poll(Seconds::ZERO, self.acquisition_rate, duration);
+        let cleaned = match clean(&raw, precleaning(self.acquisition_rate)) {
+            Ok(cleaned) if cleaned.len() >= 4 => cleaned,
+            Ok(too_short) => return PolicyRun::storing_all(too_short.iter().collect()),
+            Err(_) => return PolicyRun::storing_all(raw.iter().collect()),
+        };
         let collected = cleaned.len();
         let mut estimator = NyquistEstimator::new(self.estimator);
         let stored_series = match estimator.estimate_series(&cleaned).rate() {
@@ -106,10 +118,13 @@ impl AdaptivePlan {
     /// Runs the controller against the device; the primary stream is stored.
     pub fn run(&self, device: &mut SimDevice, duration: Seconds) -> PolicyRun {
         let mut sampler = AdaptiveSampler::new(self.config);
-        let reports = {
-            let mut source = DeviceSource(device);
-            sampler.run(&mut source, duration)
-        };
+        let reports = sampler.run(
+            &mut DeviceSource {
+                device,
+                scratch: &mut PollScratch::new(),
+            },
+            duration,
+        );
         let collected = sweetspot_core::adaptive::total_samples(&reports);
         // Replay each epoch's primary stream into storage. (The controller
         // already acquired these samples; the replay regenerates the values
@@ -138,8 +153,8 @@ impl AdaptivePlan {
 /// hundred kilobytes total.
 #[derive(Debug, Default)]
 pub struct EpochScratch {
-    /// Polling-chain scratch (oscillator bank, truth grid, measured
-    /// buffers, cleaning scratch).
+    /// Polling-chain scratch (synthesis scratch, measured buffers, cleaning
+    /// scratch).
     pub poll: PollScratch,
     /// Controller scratch (detector, estimator, recycled series storage).
     pub sampler: SamplerScratch,
@@ -267,7 +282,7 @@ impl FleetMember {
         granted: Hertz,
         window: Seconds,
     ) -> EpochReport {
-        let mut source = ScratchSource {
+        let mut source = DeviceSource {
             device: &mut self.device,
             scratch: &mut scratch.poll,
         };
@@ -285,7 +300,7 @@ impl FleetMember {
         granted: Hertz,
         window: Seconds,
     ) -> EpochReport {
-        let mut source = ScratchSource {
+        let mut source = DeviceSource {
             device: &mut self.device,
             scratch: &mut scratch.poll,
         };

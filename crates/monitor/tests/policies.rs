@@ -125,7 +125,10 @@ fn adaptive_policy_raises_rate_for_undersampled_devices() {
         ..AdaptiveConfig::default()
     });
     let reports = {
-        let mut source = sweetspot_monitor::device::DeviceSource(&mut device);
+        let mut source = sweetspot_monitor::device::DeviceSource {
+            device: &mut device,
+            scratch: &mut sweetspot_monitor::device::PollScratch::new(),
+        };
         controller.run(&mut source, Seconds::from_days(1.0))
     };
     let last = reports.last().unwrap();
@@ -159,4 +162,25 @@ fn quiet_devices_cost_almost_nothing_under_posteriori() {
         "a flat counter should keep <1% of samples, kept {:.3}",
         kept
     );
+}
+
+#[test]
+fn posteriori_short_windows_store_everything_collected() {
+    // A 300 s window holds one production-rate poll (too few to re-grid);
+    // a 900 s window re-grids to fewer than the estimator's 4 samples.
+    // Neither can be assessed, so the policy must keep what it collected.
+    let system = MonitoringSystem::default();
+    let profile = MetricProfile::for_kind(MetricKind::Temperature);
+    for window in [Seconds(300.0), Seconds(900.0)] {
+        let mut device = SimDevice::new(DeviceTrace::synthesize(profile, 0, 42));
+        let out = system.run_device(
+            &mut device,
+            &Policy::PosterioriNyquist { headroom: 1.25 },
+            window,
+        );
+        assert_eq!(
+            out.cost.samples_stored, out.cost.samples_collected,
+            "{window} window"
+        );
+    }
 }

@@ -33,7 +33,8 @@ fn mix_seed(a: u64, b: u64, c: u64) -> u64 {
 /// oscillator plus the ground-truth grid buffer. One `TraceSynth` per worker
 /// lets [`DeviceTrace::measured_into`] synthesize trace after trace with
 /// zero steady-state heap allocations (pinned by
-/// `crates/telemetry/tests/alloc_steady_state.rs`).
+/// `crates/telemetry/tests/alloc_steady_state.rs`). The bank is pure
+/// scratch: its prior contents never change a result.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSynth {
     bank: ToneBank,
@@ -44,6 +45,17 @@ impl TraceSynth {
     /// Empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The pristine ground-truth grid the last [`DeviceTrace::measured_into`]
+    /// call synthesized (before impairments).
+    pub fn truth(&self) -> &[f64] {
+        &self.truth
+    }
+
+    /// Heap bytes currently resident in this scratch (capacity, not length).
+    pub fn resident_bytes(&self) -> usize {
+        self.bank.resident_bytes() + self.truth.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -219,8 +231,8 @@ impl DeviceTrace {
     /// Pristine ground truth sampled at `rate` for `duration` from t=0.
     ///
     /// Evaluates through the streaming [`ToneBank`] oscillator (allocating
-    /// fresh buffers); the zero-allocation loop uses
-    /// [`DeviceTrace::ground_truth_into`].
+    /// fresh buffers); a loop that needs no allocations calls
+    /// [`SignalModel::sample_into`] on [`DeviceTrace::model`] directly.
     pub fn ground_truth(&self, rate: Hertz, duration: Seconds) -> RegularSeries {
         let mut bank = ToneBank::new();
         let mut values = Vec::new();
@@ -229,27 +241,13 @@ impl DeviceTrace {
         RegularSeries::new(Seconds::ZERO, rate.period(), values)
     }
 
-    /// [`DeviceTrace::ground_truth`] into a recycled buffer: `out` is
-    /// cleared and refilled; `synth` carries the oscillator bank. Zero
-    /// steady-state heap allocations.
-    pub fn ground_truth_into(
-        &self,
-        synth: &mut TraceSynth,
-        rate: Hertz,
-        duration: Seconds,
-        out: &mut Vec<f64>,
-    ) {
-        self.model
-            .sample_into(&mut synth.bank, Seconds::ZERO, rate, duration, out);
-    }
-
     /// The measured trace at the *production* rate: ground truth through the
     /// impairment chain. Deterministic per device.
     pub fn production_trace(&self, duration: Seconds) -> IrregularSeries {
         self.measured(self.profile.production_rate(), duration, 0)
     }
 
-    /// [`DeviceTrace::production_trace`] into recycled buffers (see
+    /// [`DeviceTrace::production_trace`] into reused buffers (see
     /// [`DeviceTrace::measured_into`]).
     pub fn production_trace_into(
         &self,
@@ -258,47 +256,55 @@ impl DeviceTrace {
         times: &mut Vec<Seconds>,
         values: &mut Vec<f64>,
     ) {
-        self.measured_into(synth, self.profile.production_rate(), duration, 0, times, values);
+        let rate = self.profile.production_rate();
+        let mut rng = self.stream_rng(0);
+        self.measured_into(synth, Seconds::ZERO, rate, duration, &mut rng, times, values);
     }
 
     /// Measured trace at an arbitrary rate. `stream` decorrelates repeated
     /// measurements of the same device (e.g. the two pollers of the
     /// dual-rate aliasing detector must not share noise).
     pub fn measured(&self, rate: Hertz, duration: Seconds, stream: u64) -> IrregularSeries {
-        let mut synth = TraceSynth::new();
         let mut times = Vec::new();
         let mut values = Vec::new();
-        self.measured_into(&mut synth, rate, duration, stream, &mut times, &mut values);
-        IrregularSeries::from_recycled(times, values)
+        let mut rng = self.stream_rng(stream);
+        self.measured_into(
+            &mut TraceSynth::new(),
+            Seconds::ZERO,
+            rate,
+            duration,
+            &mut rng,
+            &mut times,
+            &mut values,
+        );
+        IrregularSeries::new(times, values)
     }
 
-    /// [`DeviceTrace::measured`] into recycled buffers: the ground truth is
-    /// streamed into `synth`'s grid buffer and the impairment chain writes
-    /// the surviving `(time, value)` pairs into `times`/`values` (cleared,
-    /// then filled). Identical output to [`DeviceTrace::measured`]; zero
-    /// steady-state heap allocations.
-    pub fn measured_into(
+    /// The measurement kernel: ground truth on `[start, start + duration)`
+    /// at `rate` is streamed into `synth`'s grid buffer, and the impairment
+    /// chain, drawing its noise from `rng`, writes the surviving
+    /// `(time, value)` pairs into `times`/`values` (cleared, then filled).
+    /// Zero steady-state heap allocations.
+    #[allow(clippy::too_many_arguments)]
+    pub fn measured_into<R: Rng>(
         &self,
         synth: &mut TraceSynth,
+        start: Seconds,
         rate: Hertz,
         duration: Seconds,
-        stream: u64,
+        rng: &mut R,
         times: &mut Vec<Seconds>,
         values: &mut Vec<f64>,
     ) {
-        let mut truth = std::mem::take(&mut synth.truth);
-        self.model
-            .sample_into(&mut synth.bank, Seconds::ZERO, rate, duration, &mut truth);
-        let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, 0xDA7A, stream));
-        self.impairments.apply_grid_into(
-            &mut rng,
-            Seconds::ZERO,
-            rate.period(),
-            &truth,
-            times,
-            values,
-        );
-        synth.truth = truth;
+        let TraceSynth { bank, truth } = synth;
+        self.model.sample_into(bank, start, rate, duration, truth);
+        self.impairments
+            .apply_grid_into(rng, start, rate.period(), truth, times, values);
+    }
+
+    /// The measurement-noise RNG of stream `stream` of this device.
+    fn stream_rng(&self, stream: u64) -> StdRng {
+        StdRng::seed_from_u64(mix_seed(self.seed, 0xDA7A, stream))
     }
 }
 
@@ -416,7 +422,8 @@ mod tests {
         let mut synth = TraceSynth::new();
         let mut times = Vec::new();
         let mut values = Vec::new();
-        t.measured_into(&mut synth, rate, day, 3, &mut times, &mut values);
+        let mut rng = t.stream_rng(3);
+        t.measured_into(&mut synth, Seconds::ZERO, rate, day, &mut rng, &mut times, &mut values);
         assert_eq!(times, reference.times());
         assert_eq!(values, reference.values());
     }
@@ -435,18 +442,6 @@ mod tests {
         assert_eq!(times.as_ptr(), tp, "times buffer must be reused");
         assert_eq!(values.as_ptr(), vp, "values buffer must be reused");
         assert_eq!(values, b.production_trace(day).values());
-    }
-
-    #[test]
-    fn ground_truth_into_matches_ground_truth() {
-        let t = temp_trace(4);
-        let rate = Hertz(1.0 / 300.0);
-        let dur = Seconds::from_hours(12.0);
-        let reference = t.ground_truth(rate, dur);
-        let mut synth = TraceSynth::new();
-        let mut out = Vec::new();
-        t.ground_truth_into(&mut synth, rate, dur, &mut out);
-        assert_eq!(out, reference.values());
     }
 
     #[test]

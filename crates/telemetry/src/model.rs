@@ -12,7 +12,7 @@
 use crate::events::Event;
 use rand::Rng;
 use std::f64::consts::PI;
-use sweetspot_timeseries::{Hertz, RegularSeries, Seconds};
+use sweetspot_timeseries::{grid_len, Hertz, RegularSeries, Seconds};
 
 /// One sinusoidal component.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -392,7 +392,7 @@ impl SignalModel {
         assert!(rate.value() > 0.0, "rate must be positive");
         assert!(duration.value() > 0.0, "duration must be positive");
         let interval = rate.period();
-        let n = (duration.value() * rate.value()).round().max(1.0) as usize;
+        let n = grid_len(duration, rate);
         let values = (0..n)
             .map(|k| self.value_at(start.value() + k as f64 * interval.value()))
             .collect();
@@ -418,7 +418,7 @@ impl SignalModel {
         assert!(rate.value() > 0.0, "rate must be positive");
         assert!(duration.value() > 0.0, "duration must be positive");
         let interval = rate.period();
-        let n = (duration.value() * rate.value()).round().max(1.0) as usize;
+        let n = grid_len(duration, rate);
         out.clear();
         out.resize(n, self.mean);
         bank.load(&self.tones, start, interval);

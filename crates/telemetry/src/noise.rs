@@ -102,8 +102,8 @@ impl Impairments {
     /// the same timestamp (never out of order); the cleaning layer
     /// deduplicates them deterministically.
     ///
-    /// Allocates the output; the synthesis hot loop uses
-    /// [`Impairments::apply_into`] with recycled buffers instead.
+    /// Allocates the output; the synthesis hot loop calls
+    /// [`Impairments::apply_grid_into`] with reused buffers instead.
     pub fn apply<R: Rng>(&self, rng: &mut R, truth: &RegularSeries) -> IrregularSeries {
         let mut times = Vec::with_capacity(truth.len());
         let mut values = Vec::with_capacity(truth.len());
@@ -115,28 +115,15 @@ impl Impairments {
             &mut times,
             &mut values,
         );
-        IrregularSeries::from_recycled(times, values)
+        IrregularSeries::new(times, values)
     }
 
-    /// [`Impairments::apply`] into caller-owned `times`/`values` buffers
-    /// (cleared, then filled): identical samples and RNG stream, zero heap
-    /// allocations once the buffers have grown to the trace length. Pair
-    /// with [`IrregularSeries::from_recycled`] / `into_parts` to cycle the
-    /// buffers through a series and back.
-    pub fn apply_into<R: Rng>(
-        &self,
-        rng: &mut R,
-        truth: &RegularSeries,
-        times: &mut Vec<Seconds>,
-        values: &mut Vec<f64>,
-    ) {
-        self.apply_grid_into(rng, truth.start(), truth.interval(), truth.values(), times, values);
-    }
-
-    /// The buffer-level primitive behind [`Impairments::apply_into`]: the
-    /// ground truth arrives as a bare uniform grid (`start`, `interval`,
-    /// `truth`), so the generator can feed its recycled synthesis buffer
-    /// without wrapping it in a [`RegularSeries`] first.
+    /// The impairment kernel: [`Impairments::apply`] into caller-owned
+    /// `times`/`values` buffers (cleared, then filled) — identical samples
+    /// and RNG stream, zero heap allocations once the buffers have grown to
+    /// the trace length. The ground truth arrives as a bare uniform grid
+    /// (`start`, `interval`, `truth`), so the generator feeds its synthesis
+    /// buffer without wrapping it in a [`RegularSeries`] first.
     pub fn apply_grid_into<R: Rng>(
         &self,
         rng: &mut R,
@@ -362,7 +349,14 @@ mod tests {
         let reference = imp.apply(&mut StdRng::seed_from_u64(5), &t);
         let mut times = Vec::new();
         let mut values = Vec::new();
-        imp.apply_into(&mut StdRng::seed_from_u64(5), &t, &mut times, &mut values);
+        imp.apply_grid_into(
+            &mut StdRng::seed_from_u64(5),
+            t.start(),
+            t.interval(),
+            t.values(),
+            &mut times,
+            &mut values,
+        );
         assert_eq!(times, reference.times());
         assert_eq!(values, reference.values());
     }
@@ -377,9 +371,9 @@ mod tests {
         };
         let mut times = Vec::new();
         let mut values = Vec::new();
-        imp.apply_into(&mut rng(), &t, &mut times, &mut values);
+        imp.apply_grid_into(&mut rng(), t.start(), t.interval(), t.values(), &mut times, &mut values);
         let (tp, vp) = (times.as_ptr(), values.as_ptr());
-        imp.apply_into(&mut rng(), &t, &mut times, &mut values);
+        imp.apply_grid_into(&mut rng(), t.start(), t.interval(), t.values(), &mut times, &mut values);
         assert_eq!(times.as_ptr(), tp, "times buffer must be reused");
         assert_eq!(values.as_ptr(), vp, "values buffer must be reused");
     }

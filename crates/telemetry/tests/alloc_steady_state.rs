@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile, TraceSynth};
+use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile, ToneBank, TraceSynth};
 use sweetspot_timeseries::{IrregularSeries, Seconds};
 
 std::thread_local! {
@@ -83,18 +83,19 @@ fn trace_synthesis_steady_state_is_allocation_free() {
     });
     assert_eq!(count, 0, "buffers must be reusable across devices");
 
-    // Pristine ground truth into a recycled buffer is allocation-free too.
+    // Pristine ground truth into a reused buffer is allocation-free too.
+    let mut bank = ToneBank::new();
     let mut out = Vec::new();
-    trace.ground_truth_into(&mut synth, rate, day, &mut out);
+    trace.model().sample_into(&mut bank, Seconds::ZERO, rate, day, &mut out);
     let count = allocations_during(|| {
-        trace.ground_truth_into(&mut synth, rate, day, &mut out);
+        trace.model().sample_into(&mut bank, Seconds::ZERO, rate, day, &mut out);
     });
     assert_eq!(count, 0, "steady-state ground-truth synthesis must not allocate");
 
     // Cycling the buffers through an IrregularSeries and back (the study
     // loop's shape) stays allocation-free as well.
     let count = allocations_during(|| {
-        let raw = IrregularSeries::from_recycled(std::mem::take(&mut times), std::mem::take(&mut values));
+        let raw = IrregularSeries::new(std::mem::take(&mut times), std::mem::take(&mut values));
         (times, values) = raw.into_parts();
     });
     assert_eq!(count, 0, "series recycling must move buffers, not copy them");

@@ -191,8 +191,8 @@ pub fn regularize(
 /// Full cleaning pipeline: drop invalid readings, optionally discard
 /// outliers, then re-grid at the configured (or inferred) interval.
 ///
-/// Allocates fresh working storage per call; the fleet-study hot loop uses
-/// [`clean_into`] with a persistent [`CleanScratch`] instead.
+/// Allocates fresh working storage per call; the fleet-study hot loop calls
+/// [`clean_slices_into`] with a persistent [`CleanScratch`] instead.
 ///
 /// # Errors
 /// * [`CleanError::TooSparse`] — fewer than 2 valid samples remain.
@@ -201,10 +201,10 @@ pub fn regularize(
 /// * [`CleanError::BadOutlierMads`] — the configured MAD multiple is not
 ///   positive.
 pub fn clean(series: &IrregularSeries, cfg: CleanConfig) -> Result<RegularSeries, CleanError> {
-    clean_into(series, cfg, &mut CleanScratch::new())
+    clean_slices_into(series.times(), series.values(), cfg, &mut CleanScratch::new())
 }
 
-/// Reusable working storage for [`clean_into`]: the filtered trace, the
+/// Reusable working storage for [`clean_slices_into`]: the filtered trace, the
 /// median/MAD sort buffer and the re-gridded output all live here, so a
 /// steady-state cleaning loop performs no heap allocations once the buffers
 /// have grown to the trace length.
@@ -226,15 +226,9 @@ impl CleanScratch {
         Self::default()
     }
 
-    /// Hands a cleaned series' value buffer back for the next call. Without
-    /// this, every [`clean_into`] result keeps its output buffer and the
-    /// scratch re-allocates one per trace.
-    pub fn reclaim(&mut self, series: RegularSeries) {
-        self.grid = series.into_values();
-    }
-
-    /// [`CleanScratch::reclaim`] for callers holding a bare buffer instead
-    /// of a series: the next [`clean_into`] moves `buf` into its output.
+    /// Lends an output buffer to the next [`clean_slices_into`] call, which
+    /// moves it into the returned series. Hand each result's buffer back
+    /// (via [`RegularSeries::into_values`]) or every call allocates one.
     pub fn lend(&mut self, buf: Vec<f64>) {
         self.grid = buf;
     }
@@ -254,25 +248,13 @@ impl CleanScratch {
     }
 }
 
-/// [`clean`] with caller-owned scratch: identical results, but all working
-/// storage (including the returned series' value buffer — hand it back with
-/// [`CleanScratch::reclaim`]) is recycled across calls, so the steady-state
-/// per-trace cleaning cost is zero heap allocations.
-///
-/// # Errors
-/// Exactly as [`clean`].
-pub fn clean_into(
-    series: &IrregularSeries,
-    cfg: CleanConfig,
-    scratch: &mut CleanScratch,
-) -> Result<RegularSeries, CleanError> {
-    clean_slices_into(series.times(), series.values(), cfg, scratch)
-}
-
-/// The slice-level primitive behind [`clean_into`]: the trace arrives as
-/// parallel `times`/`values` slices so a poller that already holds its
-/// samples in recycled buffers (e.g. `monitor::SimDevice::poll_into`) can
-/// clean them without wrapping an [`IrregularSeries`] first.
+/// The cleaning kernel: [`clean`] through caller-owned scratch. The trace
+/// arrives as parallel `times`/`values` slices, so a poller or synthesis
+/// loop that holds its samples in reused buffers cleans them without
+/// wrapping an [`IrregularSeries`] first. Results are identical to
+/// [`clean`]; all working storage, including the returned series' value
+/// buffer (lent with [`CleanScratch::lend`]), is reused across calls, so the
+/// steady-state per-trace cleaning cost is zero heap allocations.
 ///
 /// # Errors
 /// Exactly as [`clean`].
@@ -677,7 +659,7 @@ mod tests {
             let expected = regularize(&reference, interval).unwrap();
 
             let mut scratch = CleanScratch::new();
-            let got = clean_into(&ir, cfg, &mut scratch).unwrap();
+            let got = clean_slices_into(ir.times(), ir.values(), cfg, &mut scratch).unwrap();
             assert_eq!(got, expected, "cfg {cfg:?}");
         }
     }
@@ -712,10 +694,14 @@ mod tests {
     fn clean_into_recycles_the_output_buffer() {
         let ir = jittered_trace();
         let mut scratch = CleanScratch::new();
-        let first = clean_into(&ir, CleanConfig::default(), &mut scratch).unwrap();
+        let first =
+            clean_slices_into(ir.times(), ir.values(), CleanConfig::default(), &mut scratch)
+                .unwrap();
         let ptr = first.values().as_ptr();
-        scratch.reclaim(first);
-        let second = clean_into(&ir, CleanConfig::default(), &mut scratch).unwrap();
+        scratch.lend(first.into_values());
+        let second =
+            clean_slices_into(ir.times(), ir.values(), CleanConfig::default(), &mut scratch)
+                .unwrap();
         assert_eq!(second.values().as_ptr(), ptr, "grid buffer must be recycled");
     }
 

@@ -25,5 +25,5 @@ pub mod series;
 pub mod time;
 pub mod windowing;
 
-pub use series::{IrregularSeries, RegularSeries};
+pub use series::{grid_len, IrregularSeries, RegularSeries};
 pub use time::{Hertz, Seconds};

@@ -3,6 +3,13 @@
 use crate::time::{Hertz, Seconds};
 use serde::{Deserialize, Serialize};
 
+/// Number of samples on the uniform grid covering `duration` at `rate`:
+/// `round(duration · rate)`, at least 1. This is the length every
+/// `SignalSource` returns and every synthesized ground-truth grid has.
+pub fn grid_len(duration: Seconds, rate: Hertz) -> usize {
+    (duration.value() * rate.value()).round().max(1.0) as usize
+}
+
 /// A regularly sampled time series: samples at `start + k·interval`.
 ///
 /// This is what an ideal poller produces and what every spectral method in
@@ -81,19 +88,6 @@ impl RegularSeries {
     /// Consumes the series, returning its values.
     pub fn into_values(self) -> Vec<f64> {
         self.values
-    }
-
-    /// Rebuilds the series in place from recycled storage: `values` (e.g.
-    /// reclaimed from a previous series via [`RegularSeries::into_values`])
-    /// is moved in without copying, and the old value buffer is returned so
-    /// the caller can keep cycling it. The steady-state synthesis loop uses
-    /// this to rebuild series trace after trace with zero heap allocations.
-    ///
-    /// # Panics
-    /// Same invariants as [`RegularSeries::new`].
-    pub fn refill(&mut self, start: Seconds, interval: Seconds, values: Vec<f64>) -> Vec<f64> {
-        let old = std::mem::replace(self, RegularSeries::new(start, interval, values));
-        old.values
     }
 
     /// Timestamp of sample `k`.
@@ -271,17 +265,9 @@ impl IrregularSeries {
         }
     }
 
-    /// Builds a series from buffers reclaimed via
-    /// [`IrregularSeries::into_parts`]. Identical invariants to
-    /// [`IrregularSeries::new`]; the buffers are moved, not copied, so a
-    /// synthesis loop that hands its series back with `into_parts` rebuilds
-    /// trace after trace without touching the heap.
-    pub fn from_recycled(times: Vec<Seconds>, values: Vec<f64>) -> Self {
-        IrregularSeries::new(times, values)
-    }
-
-    /// Consumes the series, returning its `(times, values)` buffers for
-    /// recycling through [`IrregularSeries::from_recycled`].
+    /// Consumes the series, returning its `(times, values)` buffers so a
+    /// loop can refill them and rebuild the next series with
+    /// [`IrregularSeries::new`] (which moves them, never copies).
     pub fn into_parts(self) -> (Vec<Seconds>, Vec<f64>) {
         (self.times, self.values)
     }
@@ -430,19 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn refill_reuses_the_value_buffer() {
-        let mut s = series();
-        let old_ptr = s.values().as_ptr();
-        let mut spare = Vec::with_capacity(8);
-        spare.extend_from_slice(&[9.0, 8.0]);
-        let returned = s.refill(Seconds(1.0), Seconds(0.5), spare);
-        assert_eq!(s.start(), Seconds(1.0));
-        assert_eq!(s.values(), &[9.0, 8.0]);
-        assert_eq!(returned.as_ptr(), old_ptr, "old buffer must come back");
-        assert_eq!(returned, vec![1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
     fn irregular_recycling_roundtrip() {
         let ir = IrregularSeries::new(
             vec![Seconds(0.0), Seconds(1.0)],
@@ -450,15 +423,9 @@ mod tests {
         );
         let (times, values) = ir.into_parts();
         let t_ptr = times.as_ptr();
-        let rebuilt = IrregularSeries::from_recycled(times, values);
+        let rebuilt = IrregularSeries::new(times, values);
         assert_eq!(rebuilt.times().as_ptr(), t_ptr, "buffers are moved, not copied");
         assert_eq!(rebuilt.values(), &[10.0, 20.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decreasing")]
-    fn from_recycled_keeps_invariants() {
-        IrregularSeries::from_recycled(vec![Seconds(2.0), Seconds(1.0)], vec![0.0, 0.0]);
     }
 
     #[test]

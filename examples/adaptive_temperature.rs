@@ -11,7 +11,7 @@
 //! ```
 
 use sweetspot::analysis::experiments::{fig6, fig7};
-use sweetspot::monitor::device::{DeviceSource, SimDevice};
+use sweetspot::monitor::device::{DeviceSource, PollScratch, SimDevice};
 use sweetspot::prelude::*;
 
 fn main() {
@@ -34,7 +34,10 @@ fn main() {
         ..AdaptiveConfig::default()
     });
     let reports = {
-        let mut source = DeviceSource(&mut sim);
+        let mut source = DeviceSource {
+            device: &mut sim,
+            scratch: &mut PollScratch::new(),
+        };
         controller.run(&mut source, Seconds::from_days(7.0))
     };
 

@@ -4,7 +4,7 @@
 //! telemetry → cleaning → estimation → decision → simulation → accounting.
 
 use sweetspot::analysis::study::{FleetStudy, StudyConfig};
-use sweetspot::monitor::device::{DeviceSource, SimDevice};
+use sweetspot::monitor::device::{DeviceSource, PollScratch, SimDevice};
 use sweetspot::monitor::sweep::{knee_point, rate_sweep};
 use sweetspot::prelude::*;
 
@@ -70,7 +70,10 @@ fn adaptive_controller_beats_fixed_polling_on_cost() {
     });
     let total = Seconds::from_days(7.0);
     let reports = {
-        let mut source = DeviceSource(&mut sim);
+        let mut source = DeviceSource {
+            device: &mut sim,
+            scratch: &mut PollScratch::new(),
+        };
         ctl.run(&mut source, total)
     };
     let spent = sweetspot::core::adaptive::total_samples(&reports);
