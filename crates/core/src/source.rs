@@ -64,10 +64,10 @@ where
         assert!(rate.value() > 0.0, "rate must be positive");
         assert!(duration.value() > 0.0, "duration must be positive");
         let interval = rate.period();
+        let values = (0..grid_len(duration, rate))
+            .map(|k| (self.f)(start.value() + k as f64 * interval.value()));
         buf.clear();
-        buf.extend(
-            (0..grid_len(duration, rate)).map(|k| (self.f)(start.value() + k as f64 * interval.value())),
-        );
+        buf.extend(values);
         RegularSeries::new(start, interval, buf)
     }
 }

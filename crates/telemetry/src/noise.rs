@@ -371,9 +371,10 @@ mod tests {
         };
         let mut times = Vec::new();
         let mut values = Vec::new();
-        imp.apply_grid_into(&mut rng(), t.start(), t.interval(), t.values(), &mut times, &mut values);
+        let (start, interval) = (t.start(), t.interval());
+        imp.apply_grid_into(&mut rng(), start, interval, t.values(), &mut times, &mut values);
         let (tp, vp) = (times.as_ptr(), values.as_ptr());
-        imp.apply_grid_into(&mut rng(), t.start(), t.interval(), t.values(), &mut times, &mut values);
+        imp.apply_grid_into(&mut rng(), start, interval, t.values(), &mut times, &mut values);
         assert_eq!(times.as_ptr(), tp, "times buffer must be reused");
         assert_eq!(values.as_ptr(), vp, "values buffer must be reused");
     }

@@ -204,8 +204,8 @@ pub fn clean(series: &IrregularSeries, cfg: CleanConfig) -> Result<RegularSeries
     clean_slices_into(series.times(), series.values(), cfg, &mut CleanScratch::new())
 }
 
-/// Reusable working storage for [`clean_slices_into`]: the filtered trace, the
-/// median/MAD sort buffer and the re-gridded output all live here, so a
+/// Reusable working storage for [`clean_slices_into`]: the filtered trace,
+/// the median/MAD sort buffer and the re-gridded output all live here, so a
 /// steady-state cleaning loop performs no heap allocations once the buffers
 /// have grown to the trace length.
 #[derive(Debug, Default)]

@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 /// Number of samples on the uniform grid covering `duration` at `rate`:
 /// `round(duration · rate)`, at least 1. This is the length every
 /// `SignalSource` returns and every synthesized ground-truth grid has.
+#[inline]
 pub fn grid_len(duration: Seconds, rate: Hertz) -> usize {
     (duration.value() * rate.value()).round().max(1.0) as usize
 }

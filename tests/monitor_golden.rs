@@ -47,12 +47,9 @@ fn adaptive_plan_epochs_match_golden_fixture() {
     }
     // The stored stream is the replayed primary polls: pin its size and
     // every value bit.
-    let checksum = run
-        .stored
-        .iter()
-        .fold(0u64, |h, (t, v)| {
-            (h ^ t.value().to_bits() ^ v.to_bits().rotate_left(17)).wrapping_mul(0x100000001b3)
-        });
+    let checksum = run.stored.iter().fold(0u64, |h, (t, v)| {
+        (h ^ t.value().to_bits() ^ v.to_bits().rotate_left(17)).wrapping_mul(0x100000001b3)
+    });
     writeln!(
         got,
         "collected {} stored {} checksum {checksum:016x}",
