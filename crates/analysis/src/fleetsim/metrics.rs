@@ -7,8 +7,8 @@
 //! * **Fleet scope** — thread-invariant by construction: controller action
 //!   counts and FFT handle statistics are owned per member (each member's
 //!   request sequence is simulation-determined), scenario counts are dealt
-//!   serially, scheduler statistics come from the serial `allocate` call,
-//!   and the grant histogram is fed serially in device order. Snapshots
+//!   serially, watchdog tallies come from the serial watchdog pass, and
+//!   the grant histogram is fed serially in device order. Snapshots
 //!   built from these are **byte-identical for any `--threads N`**.
 //! * **Topology scope** — honest numbers that depend on the worker split
 //!   (per-shard FFT cache evictions, scratch bytes, worker count). Reported
@@ -24,6 +24,48 @@
 //! whether a recorder is attached or not, and the whole metrics path of a
 //! warm epoch — tallies, histogram, journal, emission — performs zero heap
 //! allocations (`crates/analysis/tests/metrics_steady_state.rs`).
+//!
+//! # JSON-lines schema, version 2
+//!
+//! Every line is one JSON object whose first two keys are `"type"` (`"event"`
+//! or `"epoch"`) and `"schema"` (the integer `2`). Version 1 — the
+//! unversioned stream — had no `schema` key and carried a `"sched"` object
+//! (water-fill order-maintenance counters) between `fft` and `watchdog`.
+//! Every value is fleet scope; numbers that are not finite (an uncapped
+//! budget) are written as `null`.
+//!
+//! An **event** line is one flight-recorder entry, drained oldest first
+//! just before the epoch line that follows it:
+//!
+//! | key | value |
+//! |---|---|
+//! | `policy` | policy name (`uncapped`, `uniform`, `fair`, `waterfill`) |
+//! | `budget` | budget per epoch in cost units, `null` when uncapped |
+//! | `epoch` | 0-based epoch the event happened in |
+//! | `device` | fleet index of the device |
+//! | `kind` | controller action (`probe`, `reramp`, `settle`, `raise`, `cut`, `defer`; value = the device's requested rate), lifecycle fault (`leave`, `join`, `reboot`, `report_drop`, `report_delay`, `report_dup`; value 0) or watchdog `reprobe` (value = the re-probe target rate) |
+//! | `value` | the number described under `kind` |
+//!
+//! An **epoch** line is one snapshot, written every `--metrics-every`-th
+//! epoch and always on a run's last epoch:
+//!
+//! | key | value | scope |
+//! |---|---|---|
+//! | `policy`, `budget` | as on event lines | the run |
+//! | `epoch` | 0-based epoch of the snapshot | — |
+//! | `devices` | fleet size | the run |
+//! | `ledger` | `demanded`, `granted`, `spent` (cost units), `samples`, `throttled_devices` | this epoch |
+//! | `controller` | `probe`, `reramp`, `settle`, `raise`, `cut`, `hold`, `defer` transitions and the `verified` / `unverified` split | cumulative over the run |
+//! | `fft` | planner `lookups`, `hits`, `misses` summed over member handles | cumulative over the run |
+//! | `watchdog` | `reprobes`, `starved`, `recovery_granted` (cost units); health census `healthy`, `recovering`, `suspect`, `dormant` | cumulative; the census is this epoch's |
+//! | `scenario` | `dealt`: `leaves`, `joins`, `reboots`, `absent_epochs`, `dropped_reports`, `duplicated_reports`, `delayed_reports`, `dormant_epochs`; `applied`: `absent_epochs`, `reboot_steps`, `dropped_reports`, `delayed_reports`, `duplicated_reports`, `dormant_epochs` | cumulative over the run |
+//! | `grants` | `count`, `sum`, `min`, `max`, `p10`, `p50`, `p90`, `p99` of the granted rates (Hz) | epochs since the previous snapshot |
+//! | `journal` | flight-recorder `events` and `dropped` | cumulative over the run |
+//!
+//! `watchdog` appears only when the recovery slice is armed
+//! (`--recovery-budget-frac` > 0) and `scenario` only when a scenario is
+//! active; a healthy, unwatched run omits both. When present they sit
+//! between `fft` and `grants`, `watchdog` first.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
@@ -35,7 +77,6 @@ use sweetspot_monitor::EpochAccount;
 use sweetspot_obs::{json, Counter, Histogram, Journal, JournalEvent};
 
 use super::scenario::{DeviceEvent, ScenarioCounters};
-use super::scheduler::SchedStats;
 
 /// Controller state-machine transitions, one counter per
 /// [`EpochAction`] variant, plus the verification split. Fleet scope: each
@@ -197,8 +238,6 @@ pub struct MetricsSummary {
     /// FFT planner handle statistics summed over members in device order
     /// (`lookups == hits + misses` by construction).
     pub fft: FftHandleStats,
-    /// Water-fill order-maintenance work (zeros for stateless policies).
-    pub sched: SchedStats,
     /// Watchdog tallies (`None` when `--recovery-budget-frac` is 0 and no
     /// watchdog ran).
     pub watchdog: Option<WatchdogCounters>,
@@ -220,8 +259,6 @@ pub struct EpochSnapshot<'a> {
     pub shard: ShardMetrics,
     /// FFT handle statistics summed over members in device order.
     pub fft: FftHandleStats,
-    /// Scheduler order-maintenance statistics.
-    pub sched: SchedStats,
     /// Serially dealt scenario totals (`None` on healthy runs — the
     /// snapshot then omits the `scenario` object entirely).
     pub dealt: Option<&'a ScenarioCounters>,
@@ -388,7 +425,8 @@ impl MetricsRecorder {
         for i in 0..self.journal.len() {
             let ev = self.journal.get(i).expect("index < len");
             self.line.clear();
-            self.line.push_str("{\"type\":\"event\",\"policy\":");
+            self.line
+                .push_str("{\"type\":\"event\",\"schema\":2,\"policy\":");
             json::string_into(&mut self.line, snap.policy);
             self.line.push_str(",\"budget\":");
             json::number_into(&mut self.line, self.budget);
@@ -415,7 +453,7 @@ impl MetricsRecorder {
 
     fn format_epoch_line(&mut self, snap: &EpochSnapshot<'_>) {
         let out = &mut self.line;
-        out.push_str("{\"type\":\"epoch\",\"policy\":");
+        out.push_str("{\"type\":\"epoch\",\"schema\":2,\"policy\":");
         json::string_into(out, snap.policy);
         out.push_str(",\"budget\":");
         json::number_into(out, self.budget);
@@ -462,16 +500,6 @@ impl MetricsRecorder {
         json::uint_into(out, snap.fft.hits.get());
         out.push_str(",\"misses\":");
         json::uint_into(out, snap.fft.misses.get());
-        out.push_str("},\"sched\":{\"untouched_epochs\":");
-        json::uint_into(out, snap.sched.untouched_epochs);
-        out.push_str(",\"nochurn_epochs\":");
-        json::uint_into(out, snap.sched.nochurn_epochs);
-        out.push_str(",\"incremental_repairs\":");
-        json::uint_into(out, snap.sched.incremental_repairs);
-        out.push_str(",\"full_resorts\":");
-        json::uint_into(out, snap.sched.full_resorts);
-        out.push_str(",\"changed_keys\":");
-        json::uint_into(out, snap.sched.changed_keys);
         out.push('}');
         if let Some(wd) = &snap.watchdog {
             out.push_str(",\"watchdog\":{\"reprobes\":");
@@ -725,7 +753,6 @@ mod tests {
             account: &account(),
             shard: ShardMetrics::default(),
             fft: FftHandleStats::default(),
-            sched: SchedStats::default(),
             dealt: None,
             watchdog: None,
         };
@@ -733,10 +760,18 @@ mod tests {
         let out = rec.buffer().to_string();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2, "{out}");
-        assert!(lines[0].starts_with("{\"type\":\"event\""), "{}", lines[0]);
+        assert!(
+            lines[0].starts_with("{\"type\":\"event\",\"schema\":2,"),
+            "{}",
+            lines[0]
+        );
         assert!(lines[0].contains("\"device\":17"), "{}", lines[0]);
         assert!(lines[0].contains("\"kind\":\"probe\""), "{}", lines[0]);
-        assert!(lines[1].starts_with("{\"type\":\"epoch\""), "{}", lines[1]);
+        assert!(
+            lines[1].starts_with("{\"type\":\"epoch\",\"schema\":2,"),
+            "{}",
+            lines[1]
+        );
         assert!(lines[1].contains("\"policy\":\"waterfill\""), "{}", lines[1]);
         assert!(lines[1].contains("\"grants\":{\"count\":4"), "{}", lines[1]);
         assert!(lines[1].contains("\"journal\":{\"events\":1,\"dropped\":0}"));
@@ -781,7 +816,6 @@ mod tests {
             account: &account(),
             shard: ShardMetrics::default(),
             fft: FftHandleStats::default(),
-            sched: SchedStats::default(),
             dealt: Some(&dealt),
             watchdog: Some(wd),
         };

@@ -330,7 +330,7 @@ pub struct PolicyOutcome {
     /// Resident-heap accounting (observability only).
     pub memory: MemoryStats,
     /// Fleet-scope metric totals (controller actions, FFT handle stats,
-    /// scheduler maintenance, scenario events applied) — thread-invariant.
+    /// scenario events applied, watchdog tallies) — thread-invariant.
     pub metrics: MetricsSummary,
     /// What the scenario dealt and how the fleet weathered it — `None` for
     /// healthy (`--scenario none`) runs.
@@ -454,9 +454,8 @@ pub fn run_policy_recorded(
     let epoch_unit = unit_cost * window.value() * VERIFY_OVERHEAD;
     let capacity_rate = budget_per_epoch / epoch_unit; // INF stays INF
 
-    // One stateful scheduler per run: recycled buffers plus (for
-    // water-filling) the incrementally maintained sorted order. Grants are
-    // bit-identical to the stateless `scheduler::allocate` reference.
+    // One scheduler per run: the fleet's weights and production rates plus
+    // the lent water-fill order buffer, so scheduling allocates nothing.
     let mut sched = policy.scheduler(&weights, &production);
     let mut ledger = EpochLedger::with_capacity(epochs);
     // Per-device vectors allocated once, so churn never resizes the
@@ -611,7 +610,6 @@ pub fn run_policy_recorded(
                     account: ledger.accounts().last().expect("epoch just recorded"),
                     shard: tallies,
                     fft: fft_handle_totals(&shards),
-                    sched: sched.stats(),
                     dealt: cfg.scenario.is_active().then_some(&lifecycle.counters),
                     watchdog: watchdog.as_ref().map(|wd| wd.counters),
                 });
@@ -686,7 +684,6 @@ pub fn run_policy_recorded(
         controller: tallies.controller,
         applied: tallies.applied,
         fft: fft_handle_totals(&shards),
-        sched: sched.stats(),
         watchdog: watchdog.map(|wd| wd.counters),
     };
 

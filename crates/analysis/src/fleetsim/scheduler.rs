@@ -4,13 +4,10 @@
 //! Every policy is a pure function from (requests, weights, production
 //! rates, capacity) to grants — no RNG, no time, no result-bearing shared
 //! state — so the fleet simulation stays byte-identical for any thread
-//! count. The [`Scheduler`] trait adds *performance-bearing* state on top:
-//! recycled `grants`/`order` buffers and, for water-filling, a persistent
-//! sorted order maintained incrementally (adaptive controllers hold their
-//! rates on most epochs, so re-sorting all `n` requests every epoch — fine
-//! at 1613 devices, O(n log n) at 10⁵ — is almost always wasted work). The
-//! stateful path is pinned bit-identical to the stateless [`allocate`]
-//! reference by unit and property tests.
+//! count. A [`Scheduler`] holds the fleet's fixed weights and production
+//! rates plus one lent `order` buffer that water-filling sorts into, so a
+//! warm epoch allocates nothing. The buffer carries no result across
+//! epochs: water-filling re-sorts every binding epoch from scratch.
 //!
 //! Capacity and grants live in **rate space** (Hz summed over devices): the
 //! engine converts the operator's cost-unit budget with the
@@ -64,14 +61,14 @@ impl SchedulerPolicy {
             .find(|p| p.name().eq_ignore_ascii_case(name))
     }
 
-    /// Builds the stateful [`Scheduler`] for this policy over a fixed fleet:
+    /// Builds the [`Scheduler`] for this policy over a fixed fleet:
     /// `weights` and `production` are per-device, in fleet order, and must
     /// not change between epochs (the fleet population is fixed for a run).
     ///
     /// # Panics
     /// Panics if the slices disagree in length or any weight is not finite
     /// and positive.
-    pub fn scheduler(self, weights: &[f64], production: &[f64]) -> Box<dyn Scheduler> {
+    pub fn scheduler(self, weights: &[f64], production: &[f64]) -> Scheduler {
         assert_eq!(
             weights.len(),
             production.len(),
@@ -81,15 +78,11 @@ impl SchedulerPolicy {
             weights.iter().all(|w| w.is_finite() && *w > 0.0),
             "weights must be finite and positive"
         );
-        match self {
-            SchedulerPolicy::Uncapped => Box::new(UncappedScheduler {
-                devices: weights.len(),
-            }),
-            SchedulerPolicy::Uniform => Box::new(UniformScheduler::new(production)),
-            SchedulerPolicy::Fair => Box::new(FairScheduler {
-                devices: weights.len(),
-            }),
-            SchedulerPolicy::WaterFill => Box::new(WaterFillScheduler::new(weights)),
+        Scheduler {
+            policy: self,
+            weights: weights.to_vec(),
+            production: production.to_vec(),
+            order: Vec::new(),
         }
     }
 }
@@ -100,62 +93,12 @@ impl std::fmt::Display for SchedulerPolicy {
     }
 }
 
-/// Order-maintenance work counters for one [`Scheduler`] over a run.
+/// Computes one epoch's grants in a single call: builds throwaway
+/// [`Scheduler`] state and runs [`Scheduler::allocate`]. Loops should build
+/// the scheduler once with [`SchedulerPolicy::scheduler`] instead.
 ///
-/// Schedulers run serially in the engine (one `allocate` call per epoch on
-/// the coordinating thread), so these totals are **thread-invariant**: the
-/// same simulation yields the same counts for any `--threads N`. Policies
-/// without incremental state report zeros.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Epochs where aggregate demand fit the budget: grants passed through
-    /// and the persistent sorted order was never consulted.
-    pub untouched_epochs: u64,
-    /// Binding epochs where no request changed since the last refresh — the
-    /// stored order was reused as-is.
-    pub nochurn_epochs: u64,
-    /// Binding epochs repaired with the incremental merge (changed indices
-    /// re-sorted among themselves and merged into the unchanged remainder).
-    pub incremental_repairs: u64,
-    /// Binding epochs that re-sorted the full fleet: the priming sort plus
-    /// every epoch whose churn crossed [`full_resort_due`].
-    pub full_resorts: u64,
-    /// Total re-keyed devices across all refresh passes (the churn volume
-    /// the incremental path absorbed or punted on).
-    pub changed_keys: u64,
-}
-
-impl SchedStats {
-    /// Accumulates `other` into `self` (summing across runs or policies).
-    pub fn merge(&mut self, other: &SchedStats) {
-        self.untouched_epochs += other.untouched_epochs;
-        self.nochurn_epochs += other.nochurn_epochs;
-        self.incremental_repairs += other.incremental_repairs;
-        self.full_resorts += other.full_resorts;
-        self.changed_keys += other.changed_keys;
-    }
-}
-
-/// Computes per-device grants for one epoch — the stateless **from-scratch
-/// reference** implementation. The engine runs the stateful [`Scheduler`]
-/// objects instead (same grants bit for bit, without the per-epoch sort);
-/// tests pin the two against each other.
-///
-/// * `requests` — each controller's requested rate (Hz).
-/// * `weights` — per-device scheduling weights (only [`WaterFill`] uses
-///   them; must be positive).
-/// * `production` — each device's production default rate (only
-///   [`Uniform`] uses them).
-/// * `capacity` — total grantable rate (Hz); `f64::INFINITY` disables the
-///   budget.
-///
-/// `grants` is cleared and refilled (recycled across epochs). Every policy
-/// guarantees `Σ grants ≤ max(capacity, Σ requests)` and, except
-/// [`Uniform`] (which ignores requests by design), `grants[i] ≤
-/// requests[i]` whenever the budget binds.
-///
-/// [`Uniform`]: SchedulerPolicy::Uniform
-/// [`WaterFill`]: SchedulerPolicy::WaterFill
+/// # Panics
+/// As [`SchedulerPolicy::scheduler`] and [`Scheduler::allocate`].
 pub fn allocate(
     policy: SchedulerPolicy,
     requests: &[f64],
@@ -164,46 +107,87 @@ pub fn allocate(
     capacity: f64,
     grants: &mut Vec<f64>,
 ) {
-    assert_eq!(requests.len(), weights.len(), "one weight per device");
-    assert_eq!(requests.len(), production.len(), "one production rate per device");
-    assert!(capacity >= 0.0, "capacity must be non-negative");
-    assert!(
-        requests.iter().all(|r| r.is_finite() && *r >= 0.0),
-        "requests must be finite and non-negative"
-    );
-    assert!(
-        weights.iter().all(|w| w.is_finite() && *w > 0.0),
-        "weights must be finite and positive"
-    );
-    grants.clear();
-    let demand: f64 = requests.iter().sum();
-    match policy {
-        SchedulerPolicy::Uncapped => grants.extend_from_slice(requests),
-        SchedulerPolicy::Uniform => {
-            // One fleet-wide fraction of production polling; never exceeds
-            // the production default (an operator cutting cost does not
-            // poll *faster* than today).
-            let prod_total: f64 = production.iter().sum();
-            let fraction = if prod_total > 0.0 {
-                (capacity / prod_total).min(1.0)
-            } else {
-                0.0
-            };
-            grants.extend(production.iter().map(|p| p * fraction));
-        }
-        SchedulerPolicy::Fair => {
-            if demand <= capacity {
-                grants.extend_from_slice(requests);
-            } else {
-                let scale = if demand > 0.0 { capacity / demand } else { 0.0 };
-                grants.extend(requests.iter().map(|r| r * scale));
+    policy
+        .scheduler(weights, production)
+        .allocate(requests, capacity, grants);
+}
+
+/// One run's scheduler: the policy, the fleet's fixed per-device weights
+/// and production rates, and the lent `order` buffer water-filling sorts
+/// into. Built once per simulation, called once per epoch.
+#[derive(Debug)]
+pub struct Scheduler {
+    /// The policy this scheduler runs.
+    pub policy: SchedulerPolicy,
+    weights: Vec<f64>,
+    production: Vec<f64>,
+    order: Vec<usize>,
+}
+
+impl Scheduler {
+    /// Computes per-device grants for one epoch.
+    ///
+    /// * `requests` — each controller's requested rate (Hz), in fleet order.
+    /// * `capacity` — total grantable rate (Hz); `f64::INFINITY` disables
+    ///   the budget.
+    ///
+    /// `grants` is cleared and refilled (recycled across epochs). Every
+    /// grant is finite and non-negative. Every policy guarantees `Σ grants ≤
+    /// max(capacity, Σ requests)` and, except [`Uniform`] (which ignores
+    /// requests by design and never grants above `production[i]`),
+    /// `grants[i] ≤ requests[i]` whenever the budget binds. Binding
+    /// [`WaterFill`] grants sit at one common level `grants[i]/weights[i]`
+    /// for every unsatisfied device, with every satisfied device's
+    /// `requests[i]/weights[i]` at or below it.
+    ///
+    /// # Panics
+    /// Panics if `requests` disagrees in length with the fleet the
+    /// scheduler was built for, holds non-finite/negative entries, or
+    /// `capacity` is negative.
+    ///
+    /// [`Uniform`]: SchedulerPolicy::Uniform
+    /// [`WaterFill`]: SchedulerPolicy::WaterFill
+    pub fn allocate(&mut self, requests: &[f64], capacity: f64, grants: &mut Vec<f64>) {
+        assert_eq!(
+            requests.len(),
+            self.weights.len(),
+            "request vector must match the fleet the scheduler was built for"
+        );
+        assert!(capacity >= 0.0, "capacity must be non-negative");
+        assert!(
+            requests.iter().all(|r| r.is_finite() && *r >= 0.0),
+            "requests must be finite and non-negative"
+        );
+        grants.clear();
+        let demand: f64 = requests.iter().sum();
+        match self.policy {
+            SchedulerPolicy::Uncapped => grants.extend_from_slice(requests),
+            SchedulerPolicy::Uniform => {
+                // One fleet-wide fraction of production polling; never
+                // exceeds the production default (an operator cutting cost
+                // does not poll *faster* than today).
+                let prod_total: f64 = self.production.iter().sum();
+                let fraction = if prod_total > 0.0 {
+                    (capacity / prod_total).min(1.0)
+                } else {
+                    0.0
+                };
+                grants.extend(self.production.iter().map(|p| p * fraction));
             }
-        }
-        SchedulerPolicy::WaterFill => {
-            if demand <= capacity {
-                grants.extend_from_slice(requests);
-            } else {
-                water_fill(requests, weights, capacity, grants);
+            SchedulerPolicy::Fair => {
+                if demand <= capacity {
+                    grants.extend_from_slice(requests);
+                } else {
+                    let scale = if demand > 0.0 { capacity / demand } else { 0.0 };
+                    grants.extend(requests.iter().map(|r| r * scale));
+                }
+            }
+            SchedulerPolicy::WaterFill => {
+                if demand <= capacity {
+                    grants.extend_from_slice(requests);
+                } else {
+                    water_fill(requests, &self.weights, capacity, &mut self.order, grants);
+                }
             }
         }
     }
@@ -215,12 +199,24 @@ pub fn allocate(
 /// below the water level are fully satisfied; the rest share the remainder
 /// level with the surplus of the satisfied redistributed — the max-min
 /// fair allocation.
-fn water_fill(requests: &[f64], weights: &[f64], capacity: f64, grants: &mut Vec<f64>) {
+///
+/// `order` is lent working storage: it is refilled and re-sorted on every
+/// call, so nothing from an earlier epoch reaches the grants.
+fn water_fill(
+    requests: &[f64],
+    weights: &[f64],
+    capacity: f64,
+    order: &mut Vec<usize>,
+    grants: &mut Vec<f64>,
+) {
     let n = requests.len();
     // Sort device indices by normalized request (the order the water level
-    // passes them). Ties break by index: fully deterministic.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
+    // passes them). Ties break by index, so the comparator is a strict
+    // total order: the unstable sort yields one permutation, deterministic
+    // and allocation-free.
+    order.clear();
+    order.extend(0..n);
+    order.sort_unstable_by(|&a, &b| {
         let ra = requests[a] / weights[a];
         let rb = requests[b] / weights[b];
         ra.partial_cmp(&rb)
@@ -254,344 +250,6 @@ fn water_fill(requests: &[f64], weights: &[f64], capacity: f64, grants: &mut Vec
         for &i in &order[cursor..] {
             grants[i] = (level * weights[i]).min(requests[i]);
         }
-    }
-}
-
-/// A stateful per-run scheduler: built once per simulation (fixed weights
-/// and production rates), called once per epoch. Implementations recycle
-/// every working buffer, so steady-state scheduling allocates nothing.
-///
-/// Grants must be **bit-identical** to [`allocate`] with the same policy and
-/// inputs — state is a performance device, never a result input.
-pub trait Scheduler: Send {
-    /// The policy this scheduler implements.
-    fn policy(&self) -> SchedulerPolicy;
-
-    /// Computes this epoch's grants: `grants` is cleared and refilled
-    /// (recycled across epochs by the caller). Semantics are exactly
-    /// [`allocate`]'s.
-    ///
-    /// # Panics
-    /// Panics if `requests` disagrees in length with the construction-time
-    /// fleet, holds non-finite/negative entries, or `capacity` is negative.
-    fn allocate(&mut self, requests: &[f64], capacity: f64, grants: &mut Vec<f64>);
-
-    /// Order-maintenance work accumulated so far. State-free policies keep
-    /// the default: all zeros.
-    fn stats(&self) -> SchedStats {
-        SchedStats::default()
-    }
-}
-
-fn validate_epoch_inputs(requests: &[f64], expected_len: usize, capacity: f64) {
-    assert_eq!(
-        requests.len(),
-        expected_len,
-        "request vector must match the fleet the scheduler was built for"
-    );
-    assert!(capacity >= 0.0, "capacity must be non-negative");
-    assert!(
-        requests.iter().all(|r| r.is_finite() && *r >= 0.0),
-        "requests must be finite and non-negative"
-    );
-}
-
-/// [`SchedulerPolicy::Uncapped`]: every request granted verbatim.
-struct UncappedScheduler {
-    devices: usize,
-}
-
-impl Scheduler for UncappedScheduler {
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::Uncapped
-    }
-
-    fn allocate(&mut self, requests: &[f64], capacity: f64, grants: &mut Vec<f64>) {
-        validate_epoch_inputs(requests, self.devices, capacity);
-        grants.clear();
-        grants.extend_from_slice(requests);
-    }
-}
-
-/// [`SchedulerPolicy::Uniform`]: one fleet-wide fraction of production
-/// polling. The production total is summed once at construction (same
-/// left-to-right sum as the reference computes per epoch).
-struct UniformScheduler {
-    production: Vec<f64>,
-    production_total: f64,
-}
-
-impl UniformScheduler {
-    fn new(production: &[f64]) -> Self {
-        UniformScheduler {
-            production: production.to_vec(),
-            production_total: production.iter().sum(),
-        }
-    }
-}
-
-impl Scheduler for UniformScheduler {
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::Uniform
-    }
-
-    fn allocate(&mut self, requests: &[f64], capacity: f64, grants: &mut Vec<f64>) {
-        validate_epoch_inputs(requests, self.production.len(), capacity);
-        grants.clear();
-        let fraction = if self.production_total > 0.0 {
-            (capacity / self.production_total).min(1.0)
-        } else {
-            0.0
-        };
-        grants.extend(self.production.iter().map(|p| p * fraction));
-    }
-}
-
-/// [`SchedulerPolicy::Fair`]: proportional throttling (stateless beyond the
-/// fleet-size contract — the demand sum has to be recomputed every epoch
-/// anyway).
-struct FairScheduler {
-    devices: usize,
-}
-
-impl Scheduler for FairScheduler {
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::Fair
-    }
-
-    fn allocate(&mut self, requests: &[f64], capacity: f64, grants: &mut Vec<f64>) {
-        validate_epoch_inputs(requests, self.devices, capacity);
-        grants.clear();
-        let demand: f64 = requests.iter().sum();
-        if demand <= capacity {
-            grants.extend_from_slice(requests);
-        } else {
-            let scale = if demand > 0.0 { capacity / demand } else { 0.0 };
-            grants.extend(requests.iter().map(|r| r * scale));
-        }
-    }
-}
-
-/// [`SchedulerPolicy::WaterFill`] with **incremental order maintenance**.
-///
-/// The water level passes devices in ascending normalized-request order
-/// (`request/weight`, ties by index). Instead of re-sorting all `n` devices
-/// every epoch, the scheduler keeps the sorted order from the previous
-/// binding epoch and repairs it: requests that changed since then (typically
-/// a small fraction — settled and evidence-free controllers hold their
-/// rates) are extracted, sorted among themselves, and merged back into the
-/// unchanged — still sorted — remainder. One O(n) merge walk replaces the
-/// O(n log n) comparison sort, and the normalized keys are divided once per
-/// *change* instead of O(n log n) times per epoch.
-///
-/// Because the comparator is a strict total order (index tie-break), the
-/// repaired order equals the from-scratch sort exactly, and the fill walk
-/// performs the reference's arithmetic operation for operation — grants stay
-/// bit-identical (pinned by tests).
-pub struct WaterFillScheduler {
-    weights: Vec<f64>,
-    /// `Σ weights`, summed once (same order as the reference's per-call sum).
-    weight_total: f64,
-    /// Requests as of the last order refresh.
-    prev: Vec<f64>,
-    /// `requests[i] / weights[i]`, maintained alongside `prev`.
-    norm: Vec<f64>,
-    /// Device indices sorted by `(norm, index)`.
-    order: Vec<usize>,
-    /// `true` once `prev`/`norm`/`order` hold a real epoch.
-    primed: bool,
-    /// Scratch: indices whose request changed this epoch.
-    changed: Vec<usize>,
-    /// Scratch: merge output, swapped with `order`.
-    merged: Vec<usize>,
-    /// Change marker per device, stamped with `generation` (O(1) membership
-    /// for the merge walk without clearing a flag array each epoch).
-    stamp: Vec<u64>,
-    generation: u64,
-    /// Which maintenance path each epoch took (reported via
-    /// [`Scheduler::stats`]; never consulted by the allocation itself).
-    stats: SchedStats,
-}
-
-impl WaterFillScheduler {
-    /// One scheduler per run; `weights` are per-device, in fleet order.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w > 0.0),
-            "weights must be finite and positive"
-        );
-        WaterFillScheduler {
-            weight_total: weights.iter().sum(),
-            weights: weights.to_vec(),
-            prev: Vec::new(),
-            norm: Vec::new(),
-            order: Vec::new(),
-            primed: false,
-            changed: Vec::new(),
-            merged: Vec::new(),
-            stamp: Vec::new(),
-            generation: 0,
-            stats: SchedStats::default(),
-        }
-    }
-
-    fn key_less(&self, a: usize, b: usize) -> bool {
-        sort_key(self.norm[a], a, self.norm[b], b) == std::cmp::Ordering::Less
-    }
-
-    fn full_sort(&mut self, requests: &[f64]) {
-        let n = requests.len();
-        self.norm.clear();
-        self.norm
-            .extend(requests.iter().zip(&self.weights).map(|(r, w)| r / w));
-        self.prev.clear();
-        self.prev.extend_from_slice(requests);
-        self.order.clear();
-        self.order.extend(0..n);
-        let norm = &self.norm;
-        self.order
-            .sort_unstable_by(|&a, &b| sort_key(norm[a], a, norm[b], b));
-        self.stamp.clear();
-        self.stamp.resize(n, 0);
-        self.primed = true;
-    }
-
-    /// Brings `order` up to date with this epoch's requests.
-    fn refresh_order(&mut self, requests: &[f64]) {
-        let n = requests.len();
-        if !self.primed {
-            self.full_sort(requests);
-            self.stats.full_resorts += 1;
-            return;
-        }
-        self.changed.clear();
-        for (i, (&req, prev)) in requests.iter().zip(self.prev.iter_mut()).enumerate() {
-            // Exact comparison is correct here: every request is finite
-            // (validated) and a held rate is bit-identical across epochs.
-            if req != *prev {
-                self.changed.push(i);
-                *prev = req;
-                self.norm[i] = req / self.weights[i];
-            }
-        }
-        if self.changed.is_empty() {
-            self.stats.nochurn_epochs += 1;
-            return;
-        }
-        self.stats.changed_keys += self.changed.len() as u64;
-        if full_resort_due(self.changed.len(), n) {
-            self.stats.full_resorts += 1;
-            let norm = &self.norm;
-            self.order
-                .sort_unstable_by(|&a, &b| sort_key(norm[a], a, norm[b], b));
-            return;
-        }
-        self.stats.incremental_repairs += 1;
-        self.generation += 1;
-        for &i in &self.changed {
-            self.stamp[i] = self.generation;
-        }
-        let norm = &self.norm;
-        self.changed
-            .sort_unstable_by(|&a, &b| sort_key(norm[a], a, norm[b], b));
-        // Merge the unchanged subsequence of `order` (already sorted, keys
-        // untouched) with the re-keyed changed indices.
-        self.merged.clear();
-        self.merged.reserve(n);
-        let mut c = 0;
-        for &i in &self.order {
-            if self.stamp[i] == self.generation {
-                continue; // re-inserted from `changed` at its new position
-            }
-            while c < self.changed.len() && self.key_less(self.changed[c], i) {
-                self.merged.push(self.changed[c]);
-                c += 1;
-            }
-            self.merged.push(i);
-        }
-        self.merged.extend_from_slice(&self.changed[c..]);
-        std::mem::swap(&mut self.order, &mut self.merged);
-        debug_assert_eq!(self.order.len(), n);
-    }
-}
-
-/// Churn divisor for [`full_resort_due`]: the incremental merge wins only
-/// while at most `1/FULL_RESORT_CHURN_DIVISOR` of the fleet re-keyed.
-///
-/// The merge path pays `c·log c` to sort the changed indices plus an `O(n)`
-/// merge walk with stamp bookkeeping; the full path is one
-/// `sort_unstable_by` over an almost-sorted permutation (pdqsort's best
-/// case). The walk's per-element cost is a fraction of the sort's, so the
-/// crossover sits well below one-half — a quarter in practice on fleet
-/// workloads, where epochs are either quiet (a few probing devices) or
-/// stormy (budget steps re-keying most of the fleet), with little in
-/// between. Both paths yield the same permutation — the comparator is a
-/// strict total order — so this is a pure performance knob: a wrong value
-/// costs time, never correctness.
-pub const FULL_RESORT_CHURN_DIVISOR: usize = 4;
-
-/// True when this epoch's churn (`changed` of `n` devices re-keyed) crosses
-/// the [`FULL_RESORT_CHURN_DIVISOR`] threshold and `refresh_order` should
-/// abandon the incremental merge for a full re-sort. The boundary is
-/// *strict*: exactly `n / FULL_RESORT_CHURN_DIVISOR` changed devices (for
-/// divisible `n`) still merge.
-pub fn full_resort_due(changed: usize, n: usize) -> bool {
-    changed * FULL_RESORT_CHURN_DIVISOR > n
-}
-
-fn sort_key(na: f64, a: usize, nb: f64, b: usize) -> std::cmp::Ordering {
-    na.partial_cmp(&nb)
-        .expect("requests and weights must be finite and positive")
-        .then(a.cmp(&b))
-}
-
-impl Scheduler for WaterFillScheduler {
-    fn policy(&self) -> SchedulerPolicy {
-        SchedulerPolicy::WaterFill
-    }
-
-    fn allocate(&mut self, requests: &[f64], capacity: f64, grants: &mut Vec<f64>) {
-        validate_epoch_inputs(requests, self.weights.len(), capacity);
-        grants.clear();
-        let demand: f64 = requests.iter().sum();
-        if demand <= capacity {
-            self.stats.untouched_epochs += 1;
-            grants.extend_from_slice(requests);
-            return;
-        }
-        self.refresh_order(requests);
-        // The fill walk, exactly as the reference `water_fill` (same
-        // operations in the same order on the same values — `norm[i]` caches
-        // the reference's `requests[i] / weights[i]` division bitwise).
-        let n = requests.len();
-        let mut level = 0.0f64;
-        let mut remaining = capacity;
-        let mut weight_left = self.weight_total;
-        grants.resize(n, 0.0);
-        let mut cursor = 0;
-        while cursor < n {
-            let i = self.order[cursor];
-            let target = self.norm[i];
-            let lift = (target - level) * weight_left;
-            if lift > remaining {
-                break;
-            }
-            remaining -= lift;
-            level = target;
-            weight_left -= self.weights[i];
-            grants[i] = requests[i];
-            cursor += 1;
-        }
-        if cursor < n && weight_left > 0.0 {
-            level += remaining / weight_left;
-            for &i in &self.order[cursor..] {
-                grants[i] = (level * self.weights[i]).min(requests[i]);
-            }
-        }
-    }
-
-    fn stats(&self) -> SchedStats {
-        self.stats
     }
 }
 
@@ -684,53 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn waterfill_stats_classify_each_epochs_maintenance_path() {
-        let weights = vec![1.0; 8];
-        let mut sched = WaterFillScheduler::new(&weights);
-        let mut grants = Vec::new();
-
-        // Binding epoch on an unprimed scheduler: the priming full sort.
-        let mut r = vec![2.0; 8];
-        sched.allocate(&r, 4.0, &mut grants);
-        // Same binding requests again: the stored order is reused untouched.
-        sched.allocate(&r, 4.0, &mut grants);
-        // One device re-keys (1 of 8 ≤ churn threshold): incremental merge.
-        r[3] = 3.0;
-        sched.allocate(&r, 4.0, &mut grants);
-        // Every device re-keys: falls back to a full re-sort.
-        for (i, req) in r.iter_mut().enumerate() {
-            *req = 5.0 + i as f64;
-        }
-        sched.allocate(&r, 4.0, &mut grants);
-        // Demand fits the budget: fast path, order never consulted.
-        sched.allocate(&r, 1e9, &mut grants);
-
-        let stats = sched.stats();
-        assert_eq!(
-            stats,
-            SchedStats {
-                untouched_epochs: 1,
-                nochurn_epochs: 1,
-                incremental_repairs: 1,
-                full_resorts: 2,
-                changed_keys: 1 + 8,
-            }
-        );
-
-        // Stateless policies report zeros through the trait default.
-        let mut fair = SchedulerPolicy::Fair.scheduler(&weights, &weights);
-        fair.allocate(&r, 4.0, &mut grants);
-        assert_eq!(fair.stats(), SchedStats::default());
-
-        // Merging accumulates every field.
-        let mut merged = SchedStats::default();
-        merged.merge(&stats);
-        merged.merge(&stats);
-        assert_eq!(merged.changed_keys, 2 * stats.changed_keys);
-        assert_eq!(merged.full_resorts, 2 * stats.full_resorts);
-    }
-
-    #[test]
     fn binding_budget_is_conserved_by_every_policy() {
         let r = [5.0, 0.25, 1.5, 3.0, 0.75];
         for policy in [
@@ -739,11 +350,7 @@ mod tests {
             SchedulerPolicy::WaterFill,
         ] {
             let g = alloc(policy, &r, 2.0);
-            assert!(
-                total(&g) <= 2.0 + 1e-9,
-                "{policy} overspent: {}",
-                total(&g)
-            );
+            assert!(total(&g) <= 2.0 + 1e-9, "{policy} overspent: {}", total(&g));
             assert!(total(&g) >= 2.0 * 0.999, "{policy} left budget unused");
         }
     }
@@ -811,12 +418,12 @@ mod tests {
             .collect();
         for policy in SchedulerPolicy::ALL {
             let mut sched = policy.scheduler(&weights, &production);
-            assert_eq!(sched.policy(), policy);
+            assert_eq!(sched.policy, policy);
             let mut grants = Vec::new();
             let mut reference = Vec::new();
             // Multi-epoch churn: most requests hold, a few move — the regime
-            // the incremental order is built for. Capacity sweeps from
-            // non-binding to starved.
+            // of a settled fleet. Capacity sweeps from non-binding to
+            // starved.
             for epoch in 0..40 {
                 let capacity = match epoch % 4 {
                     0 => f64::INFINITY,
@@ -825,7 +432,14 @@ mod tests {
                     _ => 0.0,
                 };
                 sched.allocate(&requests, capacity, &mut grants);
-                allocate(policy, &requests, &weights, &production, capacity, &mut reference);
+                allocate(
+                    policy,
+                    &requests,
+                    &weights,
+                    &production,
+                    capacity,
+                    &mut reference,
+                );
                 assert_eq!(
                     grants, reference,
                     "{policy} diverged at epoch {epoch} (capacity {capacity})"
@@ -845,7 +459,8 @@ mod tests {
 
     #[test]
     fn waterfill_incremental_survives_full_fleet_churn() {
-        // Every request changes every epoch — the re-sort crossover path.
+        // Every request changes every epoch: the reused order buffer must
+        // never carry one epoch's permutation into the next.
         let n = 33;
         let weights = vec![1.0; n];
         let production = vec![1.0; n];
@@ -905,56 +520,58 @@ mod tests {
     }
 
     #[test]
-    fn full_resort_threshold_boundary() {
-        // n divisible by the divisor: exactly n/4 changed still merges; one
-        // more tips into the full re-sort.
-        assert!(!full_resort_due(25, 100));
-        assert!(full_resort_due(26, 100));
-        // Indivisible n: strict `>` means floor(n/4) and even the exact
-        // rational boundary round down to the merge path.
-        assert!(!full_resort_due(25, 101));
-        assert!(full_resort_due(26, 101));
-        // Degenerate fleets: a single changed device of few is a "storm".
-        assert!(full_resort_due(1, 1));
-        assert!(full_resort_due(1, 3));
-        assert!(!full_resort_due(1, 4));
-        // No churn never forces a re-sort (refresh_order returns earlier
-        // anyway, but the predicate must agree).
-        assert!(!full_resort_due(0, 100));
+    fn waterfill_ties_break_by_index() {
+        // Heavy ties on a fleet large enough that the unstable sort would
+        // reorder equal keys without the index tie-break.
+        let n = 200;
+        let mut state = 0x71E5u64;
+        let weights: Vec<f64> = (0..n)
+            .map(|_| [1.0, 2.0][(xorshift(&mut state) % 2) as usize])
+            .collect();
+        let mut sched = SchedulerPolicy::WaterFill.scheduler(&weights, &weights);
+        let mut grants = Vec::new();
+        for epoch in 0..3 {
+            let requests: Vec<f64> = weights
+                .iter()
+                .map(|w| w * (xorshift(&mut state) % 4) as f64)
+                .collect();
+            sched.allocate(&requests, total(&requests) * 0.5, &mut grants);
+            let mut expected: Vec<usize> = (0..n).collect();
+            // Stable sort on the key alone: equal keys keep index order.
+            expected.sort_by(|&a, &b| {
+                (requests[a] / weights[a]).total_cmp(&(requests[b] / weights[b]))
+            });
+            assert_eq!(sched.order, expected, "epoch {epoch}");
+        }
     }
 
     #[test]
-    fn merge_and_full_resort_agree_around_the_boundary() {
-        // Walk churn counts across the threshold on one fleet and pin the
-        // stateful scheduler (which switches paths at the boundary) to the
-        // stateless reference (which sorts from scratch every epoch): the
-        // crossover must be invisible in the grants.
-        let n = 40;
-        let weights = vec![1.0; n];
-        let production: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64).collect();
-        let mut requests: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 13) % 17) as f64).collect();
-        let capacity: f64 = requests.iter().sum::<f64>() * 0.6;
-        let mut sched = SchedulerPolicy::WaterFill.scheduler(&weights, &production);
-        let mut grants = Vec::new();
-        let mut reference = Vec::new();
-        sched.allocate(&requests, capacity, &mut grants);
-        // n/4 = 10: churn 9 and 10 take the merge path, 11 and 12 the full
-        // re-sort.
-        for churn in [9usize, 10, 11, 12] {
-            for i in 0..churn {
-                let j = (i * 5) % n;
-                requests[j] = (requests[j] * 1.7 + j as f64 * 0.11) % 19.0 + 0.25;
-            }
-            sched.allocate(&requests, capacity, &mut grants);
+    fn waterfill_never_grants_above_request_at_the_budget_edge() {
+        // A budget one ulp short of demand: the last device's lift barely
+        // fails, and the shared level lands on its request up to rounding.
+        let mut state = 0xED6Eu64;
+        for case in 0..200 {
+            let n = 2 + (xorshift(&mut state) % 30) as usize;
+            let weights: Vec<f64> = (0..n)
+                .map(|_| 0.1 + (xorshift(&mut state) % 1000) as f64 / 300.0)
+                .collect();
+            let requests: Vec<f64> = (0..n)
+                .map(|_| (xorshift(&mut state) % 10_000) as f64 / 700.0)
+                .collect();
+            let demand = total(&requests);
+            let capacity = f64::from_bits(demand.to_bits() - 1);
+            let mut grants = Vec::new();
             allocate(
                 SchedulerPolicy::WaterFill,
                 &requests,
                 &weights,
-                &production,
+                &weights,
                 capacity,
-                &mut reference,
+                &mut grants,
             );
-            assert_eq!(grants, reference, "diverged at churn {churn}");
+            for (i, (g, r)) in grants.iter().zip(&requests).enumerate() {
+                assert!(g <= r, "case {case}, device {i}: grant {g} > request {r}");
+            }
         }
     }
 }

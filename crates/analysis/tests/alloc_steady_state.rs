@@ -1,12 +1,13 @@
 //! Allocation accounting for the fleet-simulation epoch loop.
 //!
 //! Extends the `crates/telemetry/tests/alloc_steady_state.rs` pattern to the
-//! whole lockstep epoch: request gathering, scheduling (incremental
-//! water-fill), and every member's controller epoch — polling through the
-//! oscillator bank and impairment chain, pre-cleaning, §4.1 dual-rate
-//! verification and §3.2 estimation. Once the worker's [`EpochScratch`]
-//! buffers, the scheduler's order and the planner's cached tables are warm,
-//! a steady-state epoch must not touch the heap at all.
+//! whole lockstep epoch: request gathering, scheduling (water-fill,
+//! re-sorting its reused order buffer), and every member's controller
+//! epoch — polling through the oscillator bank and impairment chain,
+//! pre-cleaning, §4.1 dual-rate verification and §3.2 estimation. Once
+//! the worker's [`EpochScratch`] buffers, the scheduler's order and the
+//! planner's cached tables are warm, a steady-state epoch must not touch
+//! the heap at all.
 //!
 //! Also pins the memory-wall invariants themselves: durable per-member
 //! bytes stay flat as the fleet scales (the working set lives in the

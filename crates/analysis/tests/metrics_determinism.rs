@@ -11,9 +11,9 @@
 //!    simulation: ledger, per-device quality, and the always-on counter
 //!    summary are identical with and without one.
 //!
-//! Both halves are checked under an active churn+lossy scenario, where the
-//! journal, the applied-event counters, and the scheduler's incremental
-//! repair paths all carry real traffic.
+//! Both halves are checked under an active churn+lossy scenario and a
+//! binding water-fill budget, where the journal, the applied-event
+//! counters, and the scheduler all carry real traffic.
 
 use proptest::prelude::*;
 use sweetspot_analysis::fleetsim::{

@@ -78,7 +78,7 @@ fn allocations_during(f: impl FnOnce()) -> usize {
 /// engine's per-shard view.
 struct Fleet {
     members: Vec<FleetMember>,
-    sched: Box<dyn sweetspot_analysis::fleetsim::scheduler::Scheduler>,
+    sched: sweetspot_analysis::fleetsim::scheduler::Scheduler,
     capacity: f64,
     requests: Vec<f64>,
     grants: Vec<f64>,
@@ -185,7 +185,6 @@ impl Fleet {
                     account: &account,
                     shard,
                     fft,
-                    sched: self.sched.stats(),
                     dealt: None,
                     watchdog: None,
                 };

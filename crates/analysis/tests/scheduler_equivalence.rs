@@ -1,17 +1,21 @@
-//! Property tests pinning the stateful [`Scheduler`] implementations —
-//! incremental water-fill order maintenance included — **bit-identical** to
-//! the stateless from-scratch [`allocate`] reference over randomized
-//! multi-epoch request sequences.
+//! Property tests for the [`Scheduler`]: a scheduler **reused** across a
+//! randomized multi-epoch request sequence must equal the one-shot
+//! [`allocate`] call bit for bit, and every grant vector must honour the
+//! contract documented on [`Scheduler::allocate`] — finite, non-negative
+//! grants; `Σ grants ≤ max(capacity, Σ requests)`; no grant above its
+//! request when the budget binds (Uniform: none above production); and
+//! binding water-fill grants level at one common `grants[i]/weights[i]`.
 //!
 //! The sequences model what a real fleet feeds the scheduler: most
 //! controllers hold their rate between epochs (settled steady state,
 //! evidence-free holds), a random minority moves, and capacity swings
-//! between slack and starvation. Every epoch's grants from the persistent
-//! scheduler must equal the reference computed from scratch — not "close",
-//! *equal*: scheduler state is a performance device and must never leak
-//! into results (the byte-identical `--threads N` guarantee depends on it).
+//! between zero, slack, starvation and an uncapped budget. Reused and
+//! one-shot grants must be *equal*, not "close": the lent order buffer is
+//! a performance device and must never leak into results (the
+//! byte-identical `--threads N` guarantee depends on it).
 //!
 //! [`Scheduler`]: sweetspot_analysis::fleetsim::scheduler::Scheduler
+//! [`Scheduler::allocate`]: sweetspot_analysis::fleetsim::scheduler::Scheduler::allocate
 //! [`allocate`]: sweetspot_analysis::fleetsim::scheduler::allocate
 
 use proptest::prelude::*;
@@ -22,8 +26,7 @@ use sweetspot_analysis::fleetsim::scheduler::{allocate, SchedulerPolicy};
 struct EpochChurn {
     /// `(device index seed, new request)` — index is reduced modulo n.
     moves: Vec<(usize, f64)>,
-    /// Capacity as a fraction of a nominal fleet demand; huge values model
-    /// a non-binding budget.
+    /// Epoch capacity (Hz): zero, unbounded, or drawn from `0..400`.
     capacity: f64,
 }
 
@@ -31,7 +34,11 @@ fn churn_strategy() -> impl Strategy<Value = Vec<EpochChurn>> {
     prop::collection::vec(
         (
             prop::collection::vec((0usize..10_000, 0.0f64..20.0), 0..12),
-            0.0f64..400.0,
+            (0u8..4, 0.0f64..400.0).prop_map(|(pick, x)| match pick {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                _ => x,
+            }),
         ),
         1..30,
     )
@@ -41,6 +48,79 @@ fn churn_strategy() -> impl Strategy<Value = Vec<EpochChurn>> {
             .map(|(moves, capacity)| EpochChurn { moves, capacity })
             .collect()
     })
+}
+
+/// Relative tolerance for sums and levels, matching CI's budget check.
+const TOL: f64 = 1e-9;
+
+/// Asserts the grant contract of `Scheduler::allocate` for one epoch.
+fn check_contract(
+    policy: SchedulerPolicy,
+    requests: &[f64],
+    weights: &[f64],
+    production: &[f64],
+    capacity: f64,
+    grants: &[f64],
+) {
+    assert_eq!(
+        grants.len(),
+        requests.len(),
+        "{policy}: one grant per device"
+    );
+    assert!(
+        grants.iter().all(|g| g.is_finite() && *g >= 0.0),
+        "{policy}: grants must be finite and non-negative: {grants:?}"
+    );
+    let demand: f64 = requests.iter().sum();
+    let granted: f64 = grants.iter().sum();
+    assert!(
+        granted <= capacity.max(demand) * (1.0 + TOL),
+        "{policy}: granted {granted} over max(capacity {capacity}, demand {demand})"
+    );
+    let binding = demand > capacity;
+    for i in 0..grants.len() {
+        match policy {
+            SchedulerPolicy::Uniform => assert!(
+                grants[i] <= production[i],
+                "uniform: device {i} granted {} above production {}",
+                grants[i],
+                production[i]
+            ),
+            _ if binding => assert!(
+                grants[i] <= requests[i],
+                "{policy}: device {i} granted {} above request {}",
+                grants[i],
+                requests[i]
+            ),
+            _ => {}
+        }
+    }
+    if policy == SchedulerPolicy::WaterFill && binding {
+        // Every unsatisfied device sits at one water level; every satisfied
+        // device's normalized request is at or below it.
+        let unsatisfied: Vec<usize> = (0..grants.len())
+            .filter(|&i| grants[i] < requests[i])
+            .collect();
+        let Some(&first) = unsatisfied.first() else {
+            return;
+        };
+        let level = grants[first] / weights[first];
+        let close = |a: f64, b: f64| (a - b).abs() <= TOL * a.abs().max(b.abs());
+        for &i in &unsatisfied {
+            let li = grants[i] / weights[i];
+            assert!(
+                close(li, level),
+                "waterfill: device {i} at level {li}, not {level}"
+            );
+        }
+        for i in (0..grants.len()).filter(|&i| grants[i] >= requests[i]) {
+            let ni = requests[i] / weights[i];
+            assert!(
+                ni <= level || close(ni, level),
+                "waterfill: satisfied device {i} has normalized request {ni} above level {level}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -73,6 +153,7 @@ proptest! {
                     epoch,
                     step.capacity
                 );
+                check_contract(policy, &requests, weights, production, step.capacity, &grants);
                 // Apply this epoch's churn; untouched requests stay
                 // bit-identical, exactly like holding controllers.
                 for &(i, value) in &step.moves {

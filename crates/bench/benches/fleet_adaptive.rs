@@ -9,16 +9,15 @@
 //! `waterfill_20k_2ep` row exercises the scaled 2×10⁴-pair fleet end to
 //! end (its `_metrics` twin re-runs it with the full `--metrics-out`
 //! recorder attached, and its `_watchdog` twin with the recovery slice
-//! armed — each pair pins a ≤2% overhead budget), and the `sched_100k_*`
-//! rows isolate the scheduler at 10⁵
-//! requests:
-//! incremental order maintenance (steady fleet, ~1% churn) against the
-//! from-scratch re-sort reference.
+//! armed — each pair pins a ≤2% overhead budget), and the `sched_100k`
+//! row isolates the scheduler at 10⁵ requests: one reused water-fill
+//! scheduler re-sorting every binding epoch under ~1% request churn, as
+//! the engine drives it.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use sweetspot_analysis::fleetsim::{
-    self, scenario::ScenarioSpec, scheduler, scheduler::SchedulerPolicy, FleetSimConfig,
+    self, scenario::ScenarioSpec, scheduler::SchedulerPolicy, FleetSimConfig,
 };
 use sweetspot_telemetry::FleetConfig;
 use sweetspot_timeseries::Seconds;
@@ -64,7 +63,7 @@ fn bench(c: &mut Criterion) {
 
     // Large-fleet variant: a 2×10⁴-pair round-robin fleet, two lockstep
     // epochs under a binding budget — the zero-allocation epoch loop and the
-    // incremental scheduler together, at scale.
+    // water-fill scheduler together, at scale.
     let large = FleetSimConfig {
         devices: Some(20_000),
         days: 2.0,
@@ -127,54 +126,25 @@ fn bench(c: &mut Criterion) {
     });
 
     // Scheduler isolation at 10⁵ requests: steady-fleet churn (~1% of
-    // requests move per epoch) through the persistent incremental scheduler
-    // vs. the stateless from-scratch reference (full re-sort per epoch).
-    // Both rows churn from the same post-base RNG state, so per-iteration
-    // workloads are identical and the comparison is apples to apples.
+    // requests move per epoch) through one reused water-fill scheduler
+    // under a binding budget, so every iteration re-sorts the full order.
     let n = 100_000usize;
     let weights = vec![1.0f64; n];
     let production = vec![1.0f64; n];
     let mut state = 0x5EEDu64;
-    let base: Vec<f64> = (0..n)
+    let mut requests: Vec<f64> = (0..n)
         .map(|_| (xorshift(&mut state) % 10_000) as f64 / 700.0)
         .collect();
-    let churn_start = state;
-    let capacity = base.iter().sum::<f64>() * 0.5;
-    let churn = |requests: &mut Vec<f64>, state: &mut u64| {
-        for _ in 0..n / 100 {
-            let i = (xorshift(state) as usize) % n;
-            requests[i] = (xorshift(state) % 10_000) as f64 / 700.0;
-        }
-    };
-
-    c.bench_function("fleet_adaptive/sched_100k_incremental", |b| {
+    let capacity = requests.iter().sum::<f64>() * 0.5;
+    c.bench_function("fleet_adaptive/sched_100k", |b| {
         let mut sched = SchedulerPolicy::WaterFill.scheduler(&weights, &production);
-        let mut requests = base.clone();
         let mut grants = Vec::with_capacity(n);
-        let mut state = churn_start;
-        // Prime the persistent order once; iterations then model epochs.
-        sched.allocate(&requests, capacity, &mut grants);
         b.iter(|| {
-            churn(&mut requests, &mut state);
+            for _ in 0..n / 100 {
+                let i = (xorshift(&mut state) as usize) % n;
+                requests[i] = (xorshift(&mut state) % 10_000) as f64 / 700.0;
+            }
             sched.allocate(&requests, capacity, &mut grants);
-            black_box(grants.len())
-        })
-    });
-
-    c.bench_function("fleet_adaptive/sched_100k_fullsort", |b| {
-        let mut requests = base.clone();
-        let mut grants = Vec::with_capacity(n);
-        let mut state = churn_start;
-        b.iter(|| {
-            churn(&mut requests, &mut state);
-            scheduler::allocate(
-                SchedulerPolicy::WaterFill,
-                &requests,
-                &weights,
-                &production,
-                capacity,
-                &mut grants,
-            );
             black_box(grants.len())
         })
     });
