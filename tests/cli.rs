@@ -575,6 +575,20 @@ fn fleetsim_budget_point_matches_golden_fixture() {
 }
 
 #[test]
+fn fleetsim_lossy_devices_match_golden_fixture() {
+    // Per-device deferral tallies under churn, lost and late reports and
+    // duty-cycled sleep: the only fixture with non-zero `missed_epochs`.
+    let args = "fleetsim --devices 56 --days 12 --seed 11 --budget 300000 --policy waterfill \
+                --scenario churn+lossy-reports+duty --scenario-seed 7 --json --json-devices";
+    for threads in ["1", "4"] {
+        assert!(
+            stdout_at(args, threads) == golden("fleetsim_lossy_devices.json"),
+            "lossy per-device records diverged at --threads {threads}"
+        );
+    }
+}
+
+#[test]
 fn fleetsim_frontier_matches_golden_fixture() {
     for threads in ["1", "4"] {
         let frontier = stdout_at("fleetsim --devices 84 --days 3 --seed 11", threads);
