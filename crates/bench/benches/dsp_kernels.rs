@@ -1,13 +1,12 @@
 //! DSP kernel microbenchmarks: the primitives every experiment sits on.
 //!
-//! Covers both FFT paths (radix-2 and Bluestein), PSD estimation, Goertzel,
+//! Covers both FFT paths (radix-2 and Bluestein), PSD estimation,
 //! Fourier resampling and the end-to-end Nyquist estimator.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
 use sweetspot_dsp::fft::{FftPlanner, FftScratch};
-use sweetspot_dsp::goertzel::goertzel_power;
 use sweetspot_dsp::psd::{periodogram, welch, PsdConfig, WelchConfig};
 use sweetspot_dsp::resample::resample_fft;
 use sweetspot_dsp::Complex64;
@@ -148,11 +147,6 @@ fn bench(c: &mut Criterion) {
         let s = signal(4096);
         let cfg = PsdConfig { window: sweetspot_dsp::window::Window::Hann, detrend: true };
         b.iter(|| black_box(periodogram(&mut planner, &s, 1.0, cfg)))
-    });
-
-    // Goertzel single-bin evaluation.
-    c.bench_function("goertzel/2880_one_bin", |b| {
-        b.iter(|| black_box(goertzel_power(&sig, 1.0, 0.01)))
     });
 
     // Fourier resampling (the §4.3 reconstruction workhorse).

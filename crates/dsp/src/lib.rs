@@ -48,14 +48,12 @@
 pub mod complex;
 pub mod fft;
 pub mod filter;
-pub mod goertzel;
 pub mod interp;
 pub mod psd;
 pub mod quantize;
 pub mod resample;
 pub mod spectrum;
 pub mod stats;
-pub mod stft;
 pub mod window;
 
 pub use complex::Complex64;

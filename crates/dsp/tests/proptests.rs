@@ -175,17 +175,4 @@ proptest! {
         prop_assert!(f.min <= f.q1 && f.q1 <= f.median);
         prop_assert!(f.median <= f.q3 && f.q3 <= f.max);
     }
-
-    #[test]
-    fn goertzel_matches_fft_bin(sig in signal_strategy(64)) {
-        let mut planner = FftPlanner::new();
-        let n = sig.len();
-        let fs = 1.0;
-        let spec = planner.fft_real(&sig);
-        let k = n / 3;
-        let f = k as f64 * fs / n as f64;
-        let g = sweetspot_dsp::goertzel::goertzel_power(&sig, fs, f);
-        let want = spec[k].norm_sqr();
-        prop_assert!((g - want).abs() < 1e-5 * want.max(1.0), "{g} vs {want}");
-    }
 }
