@@ -15,15 +15,16 @@
 //!   on stderr via `--timing` only, never in the JSON-lines stream.
 //! * **Wall scope** — phase timings and peak RSS. stderr only.
 //!
-//! Collection is **always on and non-perturbing**: the [`ShardMetrics`]
-//! tallies are O(1) integer bumps, made by the engine's serial fold over
-//! each epoch's member steps in device order, against a per-member step
-//! that does milliseconds of spectral work. A [`MetricsRecorder`] — present only
-//! when the caller asked for output — adds the journal, the grant histogram,
-//! and the JSON-lines emission on top; simulation stdout stays byte-identical
-//! whether a recorder is attached or not, and the whole metrics path of a
-//! warm epoch — tallies, histogram, journal, emission — performs zero heap
-//! allocations (`crates/analysis/tests/metrics_steady_state.rs`).
+//! Collection is **always on and non-perturbing**: the controller and
+//! applied tallies of [`MetricsSummary`] are O(1) integer bumps, made by the
+//! engine's serial fold over each epoch's member reports in device order,
+//! against a per-member step that does milliseconds of spectral work. A
+//! [`MetricsRecorder`] — present only when the caller asked for output —
+//! adds the journal, the grant histogram, and the JSON-lines emission on
+//! top; simulation stdout stays byte-identical whether a recorder is
+//! attached or not, and the whole metrics path of a warm epoch — tallies,
+//! histogram, journal, emission — performs zero heap allocations
+//! (`crates/analysis/tests/metrics_steady_state.rs`).
 //!
 //! # JSON-lines schema, version 2
 //!
@@ -123,19 +124,6 @@ impl ControllerCounters {
         }
     }
 
-    /// Folds another tally's counts into this one.
-    pub fn merge(&mut self, other: &ControllerCounters) {
-        self.probe.merge(other.probe);
-        self.reramp.merge(other.reramp);
-        self.settle.merge(other.settle);
-        self.raise.merge(other.raise);
-        self.cut.merge(other.cut);
-        self.hold.merge(other.hold);
-        self.defer.merge(other.defer);
-        self.verified.merge(other.verified);
-        self.unverified.merge(other.unverified);
-    }
-
     /// Total member-epochs stepped (every action is exactly one step, so
     /// this also equals `verified + unverified`).
     pub fn stepped(&self) -> u64 {
@@ -213,22 +201,13 @@ pub struct WatchdogCounters {
     pub dormant: u64,
 }
 
-/// The per-step metric tallies, bumped by the engine's serial fold over
-/// each epoch's member steps — no locks, no atomics, no allocation. Every
-/// field is an integer count, so the totals are identical for any shard
-/// split.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardMetrics {
-    /// Controller transitions stepped.
-    pub controller: ControllerCounters,
-    /// Scenario events the members actually applied.
-    pub applied: AppliedCounters,
-}
-
-/// Fleet-scope metric totals of one finished policy run — always computed
-/// (the counters are on whether or not a recorder is attached) and carried
-/// on [`PolicyOutcome`](super::PolicyOutcome). Every field is
-/// thread-invariant; tests pin summaries equal across `--threads N`.
+/// Fleet-scope metric totals of a policy run — always computed (the
+/// counters are on whether or not a recorder is attached) and carried on
+/// [`PolicyOutcome`](super::PolicyOutcome). The engine's serial fold bumps
+/// the controller and applied tallies in device order — no locks, no
+/// atomics, no allocation — and refreshes `fft` and `watchdog` before each
+/// snapshot and at the end of the run. Every field is thread-invariant;
+/// tests pin summaries equal across `--threads N`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MetricsSummary {
     /// Controller transitions over the run.
@@ -255,17 +234,13 @@ pub struct EpochSnapshot<'a> {
     pub devices: usize,
     /// This epoch's ledger account.
     pub account: &'a EpochAccount,
-    /// Per-step tallies so far.
-    pub shard: ShardMetrics,
-    /// FFT handle statistics summed over members in device order.
-    pub fft: FftHandleStats,
+    /// The run's totals so far. A `None` watchdog (no watchdog ran) omits
+    /// the `watchdog` object entirely, keeping zero-frac JSONL
+    /// byte-identical to a pre-watchdog build.
+    pub metrics: &'a MetricsSummary,
     /// Serially dealt scenario totals (`None` on healthy runs — the
     /// snapshot then omits the `scenario` object entirely).
     pub dealt: Option<&'a ScenarioCounters>,
-    /// Watchdog tallies (`None` when no watchdog ran — the snapshot then
-    /// omits the `watchdog` object entirely, keeping zero-frac JSONL
-    /// byte-identical to a pre-watchdog build).
-    pub watchdog: Option<WatchdogCounters>,
 }
 
 /// Journal tag for a controller action (`Hold` is the steady-state no-op
@@ -472,7 +447,7 @@ impl MetricsRecorder {
         out.push_str(",\"throttled_devices\":");
         json::uint_into(out, snap.account.throttled_devices as u64);
         out.push_str("},\"controller\":{");
-        let c = &snap.shard.controller;
+        let c = &snap.metrics.controller;
         for (i, (name, counter)) in [
             ("probe", c.probe),
             ("reramp", c.reramp),
@@ -495,13 +470,13 @@ impl MetricsRecorder {
             json::uint_into(out, counter.get());
         }
         out.push_str("},\"fft\":{\"lookups\":");
-        json::uint_into(out, snap.fft.lookups.get());
+        json::uint_into(out, snap.metrics.fft.lookups.get());
         out.push_str(",\"hits\":");
-        json::uint_into(out, snap.fft.hits.get());
+        json::uint_into(out, snap.metrics.fft.hits.get());
         out.push_str(",\"misses\":");
-        json::uint_into(out, snap.fft.misses.get());
+        json::uint_into(out, snap.metrics.fft.misses.get());
         out.push('}');
-        if let Some(wd) = &snap.watchdog {
+        if let Some(wd) = &snap.metrics.watchdog {
             out.push_str(",\"watchdog\":{\"reprobes\":");
             json::uint_into(out, wd.reprobes);
             out.push_str(",\"starved\":");
@@ -519,7 +494,7 @@ impl MetricsRecorder {
             out.push('}');
         }
         if let Some(dealt) = snap.dealt {
-            let a = &snap.shard.applied;
+            let a = &snap.metrics.applied;
             out.push_str(",\"scenario\":{\"dealt\":{\"leaves\":");
             json::uint_into(out, dealt.leaves as u64);
             out.push_str(",\"joins\":");
@@ -685,13 +660,13 @@ mod tests {
 
     #[test]
     fn controller_counters_tally_and_merge() {
-        let mut a = ControllerCounters::default();
-        a.record(EpochAction::Probe, true);
-        a.record(EpochAction::Hold, false);
-        a.record(EpochAction::Cut, true);
+        // The engine's serial fold tallies every device's report into one
+        // counter set.
         let mut b = ControllerCounters::default();
         b.record(EpochAction::Hold, true);
-        b.merge(&a);
+        b.record(EpochAction::Probe, true);
+        b.record(EpochAction::Hold, false);
+        b.record(EpochAction::Cut, true);
         assert_eq!(b.probe.get(), 1);
         assert_eq!(b.hold.get(), 2);
         assert_eq!(b.cut.get(), 1);
@@ -751,10 +726,8 @@ mod tests {
             budget: 40.0,
             devices: 28,
             account: &account(),
-            shard: ShardMetrics::default(),
-            fft: FftHandleStats::default(),
+            metrics: &MetricsSummary::default(),
             dealt: None,
-            watchdog: None,
         };
         rec.emit_epoch(&snap);
         let out = rec.buffer().to_string();
@@ -814,10 +787,11 @@ mod tests {
             budget: f64::INFINITY,
             devices: 28,
             account: &account(),
-            shard: ShardMetrics::default(),
-            fft: FftHandleStats::default(),
+            metrics: &MetricsSummary {
+                watchdog: Some(wd),
+                ..MetricsSummary::default()
+            },
             dealt: Some(&dealt),
-            watchdog: Some(wd),
         };
         rec.emit_epoch(&snap);
         let out = rec.buffer();

@@ -13,9 +13,12 @@
 //!    converts the cost-unit budget into grantable rate and splits it.
 //! 3. Members run their epoch at the granted rate through
 //!    [`FleetMember::step_epoch`], which drives
-//!    [`AdaptiveSampler::step_granted`](sweetspot_core::adaptive::AdaptiveSampler::step_granted)
-//!    on the worker's scratch: throttled controllers record deferrals and
-//!    re-ramp through their Nyquist memory when budget returns.
+//!    [`AdaptiveSampler::step`](sweetspot_core::adaptive::AdaptiveSampler::step)
+//!    on the worker's scratch and returns the epoch's
+//!    [`EpochReport`]; throttled controllers re-ramp through their Nyquist
+//!    memory when budget returns. Every tally — coverage, the ledger's
+//!    samples, controller actions, per-device deferrals — is a serial fold
+//!    over those reports.
 //! 4. A ground-truth [`quality`] model scores every device's achieved rate
 //!    against its true Nyquist rate; an [`EpochLedger`] accounts every cost
 //!    unit. The output is a **cost-vs-quality frontier per policy** — the
@@ -53,7 +56,7 @@ pub mod scheduler;
 
 use std::time::{Duration, Instant};
 use sweetspot_arena::Slab;
-use sweetspot_core::adaptive::{AdaptiveConfig, EpochAction, HealthState};
+use sweetspot_core::adaptive::{AdaptiveConfig, Delivery, EpochReport, HealthState};
 use sweetspot_dsp::fft::{FftHandleStats, FftPlanner};
 use sweetspot_monitor::poller::{EpochScratch, FleetMember};
 use sweetspot_monitor::{CostModel, EpochAccount, EpochLedger};
@@ -62,7 +65,7 @@ use sweetspot_telemetry::{
 };
 use sweetspot_timeseries::{Hertz, Seconds};
 
-use metrics::{EpochSnapshot, MetricsRecorder, MetricsSummary, ShardMetrics, WatchdogCounters};
+use metrics::{EpochSnapshot, MetricsRecorder, MetricsSummary, WatchdogCounters};
 use quality::{DeviceQuality, FleetQuality};
 use scenario::{DeviceEvent, ScenarioCounters, ScenarioEngine, ScenarioSpec, ScenarioStats};
 use scheduler::SchedulerPolicy;
@@ -464,12 +467,14 @@ pub fn run_policy_recorded(
     // even while devices leave, rejoin, and reboot.
     let mut requests = vec![0.0f64; n];
     let mut grants: Vec<f64> = Vec::with_capacity(n);
-    let mut steps = vec![MemberStep::default(); n];
+    let mut reports: Vec<Option<EpochReport>> = vec![None; n];
     let mut coverage_sum = vec![0.0f64; n];
     let mut active_epochs = vec![0usize; n];
+    let mut deferred_epochs = vec![0usize; n];
+    let mut missed_epochs = vec![0usize; n];
     let mut epoch_means: Vec<f64> = Vec::with_capacity(epochs);
     let mut lifecycle = Lifecycle::new(n);
-    let mut tallies = ShardMetrics::default();
+    let mut metrics = MetricsSummary::default();
     let mut watchdog = Watchdog::new(cfg.recovery_budget_frac, capacity_rate, epoch_unit, n);
 
     for epoch in 0..epochs {
@@ -511,25 +516,21 @@ pub fn run_policy_recorded(
         }
         timing.schedule += t_sched.elapsed();
 
-        // Step: every shard's members, each writing its own `MemberStep`.
+        // Step: every shard's members, each writing its own report.
         let start = Seconds(epoch as f64 * window.value());
-        let inputs = grants
-            .chunks(chunk)
-            .zip(lifecycle.events.chunks(chunk))
-            .zip(nyquist.chunks(chunk));
+        let inputs = grants.chunks(chunk).zip(lifecycle.events.chunks(chunk));
         let worker_times = crate::shard::fan_out(
-            shards.iter_mut().zip(steps.chunks_mut(chunk)).zip(inputs),
-            |((shard, steps), ((grants, events), nyquist))| {
+            shards.iter_mut().zip(reports.chunks_mut(chunk)).zip(inputs),
+            |((shard, reports), (grants, events))| {
                 let t = Instant::now();
                 for (i, member) in shard.members.iter_mut().enumerate() {
-                    steps[i] = step_member(
+                    reports[i] = step_member(
                         member,
                         events[i],
                         &mut shard.scratch,
                         start,
                         Hertz(grants[i]),
                         window,
-                        nyquist[i],
                     );
                 }
                 t.elapsed()
@@ -537,30 +538,40 @@ pub fn run_policy_recorded(
         );
         timing.step += worker_times.into_iter().sum::<Duration>();
 
-        // Fold, serial in device order: tallies, the controller-transition
-        // journal (so its contents and ring drops never depend on the
-        // worker split; holds are not events), and coverage.
+        // Fold, serial in device order, over the reports and the dealt
+        // events: tallies, the controller-transition journal (so its
+        // contents and ring drops never depend on the worker split; holds
+        // are not events), coverage, deferrals and the billed samples. A
+        // device without a report (absent or asleep) earns nothing and is
+        // billed nothing; a lost report carries no samples; a duplicated
+        // one is billed twice.
         let t_ledger = Instant::now();
-        for (i, (member, (step, &event))) in members(&shards)
-            .zip(steps.iter().zip(&lifecycle.events))
-            .enumerate()
-        {
-            tallies.applied.record(event);
-            if let Some(action) = step.action {
-                tallies.controller.record(action, step.verified);
-                if let (Some(rec), Some(kind)) =
-                    (recorder.as_deref_mut(), metrics::action_kind(action))
-                {
-                    rec.journal(
-                        epoch as u32,
-                        i as u32,
-                        kind,
-                        member.requested_rate().value(),
-                    );
-                }
+        let (mut samples, mut skewed, mut covered) = (0usize, 0.0f64, 0.0f64);
+        let mut throttled_devices = 0usize;
+        for (i, (report, &event)) in reports.iter().zip(&lifecycle.events).enumerate() {
+            metrics.applied.record(event);
+            let Some(r) = report else { continue };
+            metrics.controller.record(r.action, r.verified);
+            if let (Some(rec), Some(kind)) =
+                (recorder.as_deref_mut(), metrics::action_kind(r.action))
+            {
+                rec.journal(epoch as u32, i as u32, kind, r.next_rate.value());
             }
-            coverage_sum[i] += step.coverage;
-            active_epochs[i] += step.counted as usize;
+            let coverage = quality::coverage(r.primary_rate, Hertz(nyquist[i]));
+            coverage_sum[i] += coverage;
+            covered += coverage;
+            active_epochs[i] += 1;
+            deferred_epochs[i] += r.deferred() as usize;
+            missed_epochs[i] += (event == DeviceEvent::ReportDropped) as usize;
+            throttled_devices += r.throttled as usize;
+            let billed = match event {
+                DeviceEvent::ReportDuplicated => r.samples_taken * 2,
+                _ => r.samples_taken,
+            };
+            samples += billed;
+            if let Some(f) = &cost_factors {
+                skewed += billed as f64 * unit_cost * f[i];
+            }
         }
         // Ledger: every sum in device index order (deterministic).
         let demanded: f64 = requests.iter().map(|r| r * epoch_unit).sum();
@@ -572,16 +583,10 @@ pub fn run_policy_recorded(
         // runs stay bit-identical.)
         let granted: f64 =
             grants.iter().map(|g| g * epoch_unit).sum::<f64>() - recovery_rate * epoch_unit;
-        let samples: usize = steps.iter().map(|s| s.samples).sum();
-        let throttled_devices = steps.iter().filter(|s| s.throttled).count();
         // Cost asymmetry bills through the ledger only — the schedulers
         // stay cost-naive, and what that naivety costs is the measurement.
         let spent = match &cost_factors {
-            Some(f) => steps
-                .iter()
-                .zip(f)
-                .map(|(s, &c)| s.samples as f64 * unit_cost * c)
-                .sum(),
+            Some(_) => skewed,
             None => samples as f64 * unit_cost,
         };
         ledger.record(EpochAccount {
@@ -595,23 +600,23 @@ pub fn run_policy_recorded(
         });
         // Fleet mean coverage this epoch (absent devices count as 0): the
         // recovery trajectory the incident analysis reads.
-        epoch_means.push(steps.iter().map(|s| s.coverage).sum::<f64>() / n.max(1) as f64);
+        epoch_means.push(covered / n.max(1) as f64);
         if let Some(clock) = &mut incident {
-            clock.observe(epoch, &lifecycle.events, &steps);
+            clock.observe(epoch, &reports, &nyquist);
         }
         timing.schedule += t_ledger.elapsed();
 
         if let Some(rec) = recorder.as_deref_mut() {
             if rec.should_emit(epoch, epochs) {
+                metrics.fft = fft_handle_totals(&shards);
+                metrics.watchdog = watchdog.as_ref().map(|wd| wd.counters);
                 rec.emit_epoch(&EpochSnapshot {
                     policy: policy.name(),
                     budget: budget_per_epoch,
                     devices: n,
                     account: ledger.accounts().last().expect("epoch just recorded"),
-                    shard: tallies,
-                    fft: fft_handle_totals(&shards),
+                    metrics: &metrics,
                     dealt: cfg.scenario.is_active().then_some(&lifecycle.counters),
-                    watchdog: watchdog.as_ref().map(|wd| wd.counters),
                 });
             }
         }
@@ -629,8 +634,8 @@ pub fn run_policy_recorded(
             kind: m.kind(),
             mean_coverage: coverage_sum[i] / active_epochs[i].max(1) as f64,
             final_rate: m.requested_rate().value(),
-            deferred_epochs: m.sampler().deferred_epochs(),
-            missed_epochs: m.sampler().missed_epochs(),
+            deferred_epochs: deferred_epochs[i],
+            missed_epochs: missed_epochs[i],
         })
         .collect();
     let quality = FleetQuality::from_devices(&device_quality);
@@ -680,12 +685,8 @@ pub fn run_policy_recorded(
         fft_table_bytes: shards.iter().map(|s| s.planner.table_bytes()).sum(),
         workers: shards.len(),
     };
-    let metrics = MetricsSummary {
-        controller: tallies.controller,
-        applied: tallies.applied,
-        fft: fft_handle_totals(&shards),
-        watchdog: watchdog.map(|wd| wd.counters),
-    };
+    metrics.fft = fft_handle_totals(&shards);
+    metrics.watchdog = watchdog.map(|wd| wd.counters);
 
     PolicyOutcome {
         policy,
@@ -993,18 +994,18 @@ impl IncidentClock {
 
     /// The recovery clock, serial in device order. A device's baseline is
     /// its mean coverage over pre-onset epochs it was actually awake and
-    /// present for; after its incident exits, the first such epoch back at
-    /// ≥95% of that baseline stamps its time-to-recover.
-    fn observe(&mut self, epoch: usize, events: &[DeviceEvent], steps: &[MemberStep]) {
-        for ((d, event), step) in self.devices.iter_mut().zip(events).zip(steps) {
-            if matches!(event, DeviceEvent::Absent | DeviceEvent::Dormant) {
-                continue;
-            }
+    /// present for (the epochs it produced a report); after its incident
+    /// exits, the first such epoch back at ≥95% of that baseline stamps its
+    /// time-to-recover.
+    fn observe(&mut self, epoch: usize, reports: &[Option<EpochReport>], nyquist: &[f64]) {
+        for ((d, report), &need) in self.devices.iter_mut().zip(reports).zip(nyquist) {
+            let Some(r) = report else { continue };
+            let coverage = quality::coverage(r.primary_rate, Hertz(need));
             if !d.seen_onset {
-                d.base_sum += step.coverage;
+                d.base_sum += coverage;
                 d.base_epochs += 1;
             } else if let (None, Some(exit)) = (d.ttr, d.exit) {
-                if d.base_epochs > 0 && step.coverage >= 0.95 * d.base_sum / d.base_epochs as f64 {
+                if d.base_epochs > 0 && coverage >= 0.95 * d.base_sum / d.base_epochs as f64 {
                     d.ttr = Some(epoch - exit);
                 }
             }
@@ -1039,33 +1040,17 @@ impl IncidentClock {
     }
 }
 
-/// Per-device outcome of one epoch: the quality/ledger inputs plus the
-/// controller action and verification flag the metrics layer tallies.
-/// Workers write one per device; the serial fold reads them in device
-/// order.
-#[derive(Debug, Clone, Copy, Default)]
-struct MemberStep {
-    coverage: f64,
-    samples: usize,
-    throttled: bool,
-    /// Whether this epoch counts toward the device's active-epoch divisor.
-    counted: bool,
-    /// Controller decision this epoch; `None` while absent or asleep.
-    action: Option<EpochAction>,
-    verified: bool,
-}
-
 /// Steps one member through one epoch under its dealt event — the engine's
-/// only per-member step.
+/// only per-member step. Returns the epoch's report, or `None` when the
+/// device is absent or asleep and so produced none.
 ///
 /// Reboots were already applied serially when the event was dealt, so here
 /// `Reboot` steps like `Healthy` (the first post-reboot epoch *is* a normal
-/// epoch, just from re-ramp state). An absent device does nothing. A
-/// sleeping one takes no samples and — unlike an absence — does not decay
-/// its request; the controller merely notes its state aged and owes a
-/// verification on wake. A dropped report takes no samples and earns no
-/// coverage; a delayed report takes (and bills) its samples but the
-/// controller's adaptation froze; a duplicated report bills double.
+/// epoch, just from re-ramp state). A sleeping device takes no samples and
+/// — unlike a lost report — does not decay its request; the controller
+/// merely notes its state aged and owes a verification on wake. A dropped
+/// report is [`Delivery::Lost`] and a delayed one [`Delivery::Late`]; a
+/// duplicated report steps on time, and the fold bills it twice.
 fn step_member(
     member: &mut FleetMember,
     event: DeviceEvent,
@@ -1073,32 +1058,20 @@ fn step_member(
     start: Seconds,
     grant: Hertz,
     window: Seconds,
-    nyquist: f64,
-) -> MemberStep {
-    let report = match event {
-        DeviceEvent::Absent => return MemberStep::default(),
+) -> Option<EpochReport> {
+    let delivery = match event {
+        DeviceEvent::Absent => return None,
         DeviceEvent::Dormant => {
             member.sampler_mut().note_dormant_epoch();
-            return MemberStep::default();
+            return None;
         }
-        DeviceEvent::ReportDropped => member.sampler_mut().note_missed_epoch(start, grant, window),
-        DeviceEvent::ReportDelayed => member.step_epoch_delayed(scratch, start, grant, window),
+        DeviceEvent::ReportDropped => Delivery::Lost,
+        DeviceEvent::ReportDelayed => Delivery::Late,
         DeviceEvent::ReportDuplicated | DeviceEvent::Healthy | DeviceEvent::Reboot => {
-            member.step_epoch(scratch, start, grant, window)
+            Delivery::OnTime
         }
     };
-    MemberStep {
-        coverage: quality::coverage(report.primary_rate, Hertz(nyquist)),
-        samples: match event {
-            DeviceEvent::ReportDropped => 0,
-            DeviceEvent::ReportDuplicated => report.samples_taken * 2,
-            _ => report.samples_taken,
-        },
-        throttled: report.throttled,
-        counted: true,
-        action: Some(report.action),
-        verified: report.verified,
-    }
+    Some(member.step_epoch(scratch, start, grant, window, delivery))
 }
 
 /// Sums per-member FFT planner-handle counters in fleet (device) order.
@@ -1629,7 +1602,8 @@ mod tests {
             let mut scratch = EpochScratch::new();
             for epoch in 0..out.epochs {
                 let start = Seconds(epoch as f64 * cfg.window.value());
-                let r = member.step_epoch(&mut scratch, start, member.requested_rate(), cfg.window);
+                let grant = member.requested_rate();
+                let r = member.step_epoch(&mut scratch, start, grant, cfg.window, Delivery::OnTime);
                 coverage += quality::coverage(r.primary_rate, requirement);
             }
             let expected = coverage / out.epochs as f64;
@@ -1961,6 +1935,13 @@ mod tests {
             deferred,
             stats.counters.dropped_reports + stats.counters.delayed_reports
         );
+        // A missed epoch is exactly a dropped report (absences are not
+        // missed), and every missed epoch is also a deferred one.
+        let missed: usize = out.device_quality.iter().map(|d| d.missed_epochs).sum();
+        assert_eq!(missed, stats.counters.dropped_reports);
+        for d in &out.device_quality {
+            assert!(d.missed_epochs <= d.deferred_epochs, "{d:?}");
+        }
     }
 
     #[test]

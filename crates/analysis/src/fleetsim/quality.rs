@@ -26,20 +26,28 @@ pub fn coverage(rate: Hertz, nyquist: Hertz) -> f64 {
     (rate.value() / nyquist.value()).clamp(0.0, 1.0)
 }
 
-/// One device's quality over a whole simulation.
+/// One device's quality over a whole simulation, folded from the epoch
+/// reports its controller produced. A device produces a report every epoch
+/// it is present and awake; an absent or sleeping epoch produces none and
+/// counts toward nothing below.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceQuality {
     /// Device position in the fleet work list.
     pub index: usize,
     /// Metric kind (for per-metric breakdowns).
     pub kind: MetricKind,
-    /// Mean spectral coverage over all epochs.
+    /// Mean spectral coverage over the epochs the device reported; a lost
+    /// report scores 0.
     pub mean_coverage: f64,
     /// Controller-requested polling rate (Hz) after the final epoch.
     pub final_rate: f64,
-    /// Epochs whose grant was below the controller's request.
+    /// Epochs whose adaptation was pushed out
+    /// ([`EpochReport::deferred`](sweetspot_core::adaptive::EpochReport::deferred)):
+    /// the grant was cut below the request, or the report arrived late or
+    /// was lost.
     pub deferred_epochs: usize,
-    /// Epochs stepped without a report (scenario drops / absences).
+    /// Epochs whose report was lost in flight (dropped reports only, never
+    /// absences); each is also a deferred epoch.
     pub missed_epochs: usize,
 }
 

@@ -28,6 +28,7 @@ use proptest::prelude::*;
 use sweetspot_analysis::fleetsim::{
     member_config, quality, run_policy, scheduler, scheduler::SchedulerPolicy, FleetSimConfig,
 };
+use sweetspot_core::adaptive::Delivery;
 use sweetspot_monitor::poller::{EpochScratch, FleetMember};
 use sweetspot_monitor::CostModel;
 use sweetspot_telemetry::{scaled_work, DeviceTrace};
@@ -116,7 +117,7 @@ fn fleetsim_steady_state_epoch_is_allocation_free() {
         }
         sched.allocate(&requests, capacity, &mut grants);
         for (m, &g) in members.iter_mut().zip(grants.iter()) {
-            let report = m.step_epoch(&mut scratch, start, Hertz(g), window);
+            let report = m.step_epoch(&mut scratch, start, Hertz(g), window, Delivery::OnTime);
             std::hint::black_box(report.samples_taken);
         }
     };
@@ -249,6 +250,7 @@ proptest! {
         let mut requests = vec![0.0f64; devices];
         let mut grants: Vec<f64> = Vec::new();
         let mut coverage_sum = vec![0.0f64; devices];
+        let mut deferred = vec![0usize; devices];
         let mut epoch_sample_sums = Vec::with_capacity(epochs);
         for epoch in 0..epochs {
             for (r, m) in requests.iter_mut().zip(members.iter()) {
@@ -258,8 +260,10 @@ proptest! {
             let start = Seconds(epoch as f64 * window.value());
             let mut samples = 0usize;
             for (i, (m, scratch)) in members.iter_mut().zip(scratches.iter_mut()).enumerate() {
-                let report = m.step_epoch(scratch, start, Hertz(grants[i]), window);
+                let report =
+                    m.step_epoch(scratch, start, Hertz(grants[i]), window, Delivery::OnTime);
                 coverage_sum[i] += quality::coverage(report.primary_rate, requirement[i]);
+                deferred[i] += report.deferred() as usize;
                 samples += report.samples_taken;
             }
             epoch_sample_sums.push(samples);
@@ -271,7 +275,7 @@ proptest! {
                 "device {} coverage diverged from the boxed reference",
                 i
             );
-            prop_assert_eq!(dq.deferred_epochs, members[i].sampler().deferred_epochs());
+            prop_assert_eq!(dq.deferred_epochs, deferred[i]);
         }
         let engine_samples: Vec<usize> =
             engine.ledger.accounts().iter().map(|a| a.samples).collect();

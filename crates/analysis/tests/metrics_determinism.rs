@@ -3,7 +3,7 @@
 //! The engine's contract (see `fleetsim::metrics`) has two halves:
 //!
 //! 1. **Thread invariance** — everything a [`MetricsRecorder`] emits is
-//!    fleet-scope: per-worker `ShardMetrics` merge in shard order, the
+//!    fleet-scope: one serial fold tallies every member's report, the
 //!    journal and grant histogram are fed serially in device order, and
 //!    FFT counters are summed per member handle. The JSONL stream must
 //!    therefore be *byte-identical* for any `--threads N`.

@@ -28,9 +28,10 @@ use std::cell::Cell;
 
 use sweetspot_analysis::fleetsim::{
     member_config,
-    metrics::{action_kind, EpochSnapshot, MetricsRecorder, ShardMetrics},
+    metrics::{action_kind, EpochSnapshot, MetricsRecorder, MetricsSummary},
     scheduler::SchedulerPolicy,
 };
+use sweetspot_core::adaptive::Delivery;
 use sweetspot_dsp::fft::FftHandleStats;
 use sweetspot_monitor::poller::{EpochScratch, FleetMember};
 use sweetspot_monitor::EpochAccount;
@@ -139,17 +140,18 @@ impl Fleet {
                 }
             });
         }
-        let mut shard = ShardMetrics::default();
+        let mut summary = MetricsSummary::default();
         for (i, (m, &g)) in self
             .members
             .iter_mut()
             .zip(self.grants.iter())
             .enumerate()
         {
-            let report = m.step_epoch(&mut self.scratch, start, Hertz(g), self.window);
+            let report =
+                m.step_epoch(&mut self.scratch, start, Hertz(g), self.window, Delivery::OnTime);
             if rec.is_some() {
                 metrics_allocs += allocations_during(|| {
-                    shard.controller.record(report.action, report.verified);
+                    summary.controller.record(report.action, report.verified);
                 });
             }
             self.actions[i] = Some(report.action);
@@ -165,9 +167,9 @@ impl Fleet {
                         rec.journal(epoch as u32, i as u32, kind, m.requested_rate().value());
                     }
                 }
-                let mut fft = FftHandleStats::default();
+                summary.fft = FftHandleStats::default();
                 for m in self.members.iter() {
-                    fft.merge(&m.fft_handle_stats());
+                    summary.fft.merge(&m.fft_handle_stats());
                 }
                 let account = EpochAccount {
                     epoch,
@@ -183,10 +185,8 @@ impl Fleet {
                     budget: self.capacity,
                     devices: self.members.len(),
                     account: &account,
-                    shard,
-                    fft,
+                    metrics: &summary,
                     dealt: None,
-                    watchdog: None,
                 };
                 assert!(rec.should_emit(epoch, epochs));
                 rec.emit_epoch(&snap);

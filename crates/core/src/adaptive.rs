@@ -21,13 +21,16 @@
 //! ### Budget grants
 //!
 //! A fleet-level scheduler (see `analysis::fleetsim`) may not be able to
-//! afford the rate a controller asks for. [`AdaptiveSampler::step_granted`]
-//! runs one epoch at an externally *granted* rate over an externally fixed
-//! window (fleet epochs are lockstep — every device shares the scheduling
-//! quantum). When the grant is below the request the epoch is **throttled**:
+//! afford the rate a controller asks for. [`AdaptiveSampler::step`] runs one
+//! epoch at an externally *granted* rate over an externally fixed window
+//! (fleet epochs are lockstep — every device shares the scheduling quantum),
+//! and is told whether the epoch's report reaches the controller on time,
+//! late or not at all ([`Delivery`]). When the grant is below the request the
+//! epoch is **throttled**:
 //!
-//! * the controller records the deferral ([`AdaptiveSampler::deferred_epochs`],
-//!   [`AdaptiveSampler::deferred_samples`]);
+//! * the report says so, and counts as a deferral
+//!   ([`EpochReport::deferred`]) — the controller keeps no tally of its own;
+//!   a fleet counts deferrals by folding the reports it receives;
 //! * an **aliased** throttled epoch can only *raise* the next request
 //!   (re-ramping through the §4.2 memory), never lower it — the cut is the
 //!   evidence, not falling demand;
@@ -226,8 +229,35 @@ pub enum EpochAction {
     Defer,
 }
 
+/// How one epoch's report reaches the controller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivery {
+    /// The report arrives in time: an ordinary §4.2 epoch.
+    OnTime,
+    /// The report arrives after the next scheduling decision. The device
+    /// polls at the granted rate and the samples are real (they arrive, are
+    /// billed, and cover the signal), but the controller cannot adapt on
+    /// evidence it does not have yet: the request holds, no detection or
+    /// estimation runs, and the next detectable epoch is forced to verify.
+    /// The arrival (however late) resets the missed streak: the device is
+    /// alive.
+    Late,
+    /// The report never reaches the controller: the device vanished, the
+    /// poll failed, or the report was dropped in flight. The source is never
+    /// sampled and nothing arrives. Absent evidence is handled by
+    /// **hold-and-decay**, never a silent stale estimate: the request holds
+    /// for the first `decrease_patience − 1` consecutive losses, then decays
+    /// by `1/probe_multiplier` per further loss down to `min_rate`, so a
+    /// device that stops reporting progressively releases its budget share.
+    /// The remembered maximum is untouched, so the re-ramp when evidence
+    /// returns is one memory jump, not a fresh probe ladder; and the next
+    /// detectable epoch is forced to verify, so a folded post-outage
+    /// spectrum cannot pass unchecked.
+    Lost,
+}
+
 /// What happened in one adaptation epoch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochReport {
     /// Epoch number (0-based).
     pub index: usize,
@@ -262,17 +292,25 @@ pub struct EpochReport {
     pub action: EpochAction,
 }
 
+impl EpochReport {
+    /// Whether adaptation was pushed out this epoch: the grant was cut below
+    /// the request, or the report arrived late or never (every late or lost
+    /// epoch reports [`EpochAction::Defer`]). Each such epoch counts once.
+    pub fn deferred(&self) -> bool {
+        self.throttled || self.action == EpochAction::Defer
+    }
+}
+
 /// The controller's transient working set for one epoch: detector scratch,
 /// estimator scratch, and the recycled value buffers for the primary and
 /// companion streams.
 ///
-/// Callers lend one to [`AdaptiveSampler::step_granted`] and
-/// [`AdaptiveSampler::step_delayed`]; [`AdaptiveSampler::run`] keeps one for
-/// the whole run, and the fleet engine keeps one *per worker*, so 10⁵ member
-/// controllers share a handful of warmed-up working sets and hold only
-/// durable control state (rates, hysteresis, deferral counters, remembered
-/// max). Scratch contents never influence results — every buffer is cleared
-/// or overwritten before use.
+/// Callers lend one to [`AdaptiveSampler::step`]; [`AdaptiveSampler::run`]
+/// keeps one for the whole run, and the fleet engine keeps one *per worker*,
+/// so 10⁵ member controllers share a handful of warmed-up working sets and
+/// hold only durable control state (rates, hysteresis and cadence counters,
+/// remembered max). Scratch contents never influence results — every buffer
+/// is cleared or overwritten before use.
 #[derive(Debug, Default)]
 pub struct SamplerScratch {
     /// §4.1 detector working storage.
@@ -302,7 +340,8 @@ impl SamplerScratch {
     }
 }
 
-/// The dynamic sampler.
+/// The dynamic sampler. It keeps only the state its next decision reads;
+/// everything that happened is in the [`EpochReport`]s it returns.
 pub struct AdaptiveSampler {
     config: AdaptiveConfig,
     estimator: NyquistEstimator,
@@ -311,31 +350,21 @@ pub struct AdaptiveSampler {
     remembered_max: Option<Hertz>,
     low_streak: usize,
     epoch_index: usize,
-    deferred_epochs: usize,
-    deferred_samples: usize,
     /// Settled epochs since the §4.1 companion last ran (batched
     /// verification; stays 0 under the default continuous cadence).
     since_verify: usize,
     /// Consecutive epochs whose report never reached the controller at all
-    /// (see [`AdaptiveSampler::note_missed_epoch`]): drives hold-and-decay
-    /// on absent evidence. Any arriving report resets it.
+    /// ([`Delivery::Lost`]): drives hold-and-decay on absent evidence. Any
+    /// arriving report resets it.
     missed_streak: usize,
-    /// Lifetime count of wholly missed epochs (never reset — per-device
-    /// observability for the fleet's `--json-devices` records).
-    missed_epochs: usize,
     /// Consecutive settled epochs the §4.1 detector verified clean (reset by
-    /// aliasing, probing, a missed epoch, dormancy, or reboot). Feeds the
+    /// aliasing, probing, a lost report, or reboot). Feeds the
     /// [`HealthState::SuspectDeadlocked`] classification; never consulted by
     /// the adaptation decision tree.
     quiet_streak: usize,
     /// The last epoch was a scheduled sleep ([`Self::note_dormant_epoch`]);
-    /// cleared by any real step, miss, or reboot.
+    /// cleared by any stepped epoch or reboot.
     dormant: bool,
-    /// Lifetime count of dormant (scheduled-sleep) epochs, never reset.
-    dormant_epochs: usize,
-    /// Lifetime count of watchdog-forced re-probes ([`Self::begin_reprobe`]),
-    /// never reset.
-    reprobes: usize,
 }
 
 impl AdaptiveSampler {
@@ -383,21 +412,11 @@ impl AdaptiveSampler {
             remembered_max: None,
             low_streak: 0,
             epoch_index: 0,
-            deferred_epochs: 0,
-            deferred_samples: 0,
             since_verify: 0,
             missed_streak: 0,
-            missed_epochs: 0,
             quiet_streak: 0,
             dormant: false,
-            dormant_epochs: 0,
-            reprobes: 0,
         }
-    }
-
-    /// Current mode.
-    pub fn mode(&self) -> Mode {
-        self.mode
     }
 
     /// Rate the next epoch will use — equivalently, the rate the controller
@@ -409,46 +428,6 @@ impl AdaptiveSampler {
     /// Highest Nyquist estimate seen so far (the §4.2 "memory").
     pub fn remembered_max(&self) -> Option<Hertz> {
         self.remembered_max
-    }
-
-    /// Number of epochs whose grant was below the requested rate.
-    pub fn deferred_epochs(&self) -> usize {
-        self.deferred_epochs
-    }
-
-    /// Total primary samples the scheduler's cuts cost so far (requested
-    /// minus granted, summed over throttled epochs; a wholly missed epoch
-    /// contributes its entire requested stream).
-    pub fn deferred_samples(&self) -> usize {
-        self.deferred_samples
-    }
-
-    /// Consecutive epochs with no report at all (reset by any epoch whose
-    /// report arrives, even late).
-    pub fn missed_streak(&self) -> usize {
-        self.missed_streak
-    }
-
-    /// Lifetime count of wholly missed epochs (unlike
-    /// [`missed_streak`](Self::missed_streak), never reset).
-    pub fn missed_epochs(&self) -> usize {
-        self.missed_epochs
-    }
-
-    /// Consecutive settled epochs the §4.1 detector verified clean (see the
-    /// [`HealthState`] docs for what the streak feeds).
-    pub fn quiet_streak(&self) -> usize {
-        self.quiet_streak
-    }
-
-    /// Lifetime count of dormant (scheduled-sleep) epochs, never reset.
-    pub fn dormant_epochs(&self) -> usize {
-        self.dormant_epochs
-    }
-
-    /// Lifetime count of watchdog-forced re-probes, never reset.
-    pub fn reprobes(&self) -> usize {
-        self.reprobes
     }
 
     /// Classifies the controller's health from state it already keeps —
@@ -498,8 +477,8 @@ impl AdaptiveSampler {
     ///
     /// Returns the rate the re-probe will request, so a budget-admission
     /// layer can account for it. Deliberately does **not** touch the
-    /// remembered maximum, deferral counters, or the epoch index — the
-    /// re-probe is an ordinary epoch once granted.
+    /// remembered maximum or the epoch index — the re-probe is an ordinary
+    /// epoch once granted.
     pub fn begin_reprobe(&mut self) -> Hertz {
         let target = self.reprobe_rate();
         self.mode = Mode::Probe;
@@ -507,21 +486,18 @@ impl AdaptiveSampler {
         self.low_streak = 0;
         self.quiet_streak = 0;
         self.since_verify = 0;
-        self.reprobes += 1;
         target
     }
 
     /// Records a **scheduled** sleep epoch (duty cycle, battery
-    /// conservation): the device was never expected to report, so —
-    /// unlike [`Self::note_missed_epoch`] — nothing is deferred, the
-    /// request does **not** decay, and the missed streak is untouched.
+    /// conservation): the device was never expected to report, so no report
+    /// is produced and — unlike a [`Delivery::Lost`] epoch — the request
+    /// does **not** decay, and the missed streak is untouched.
     /// The controller merely notes that its state aged one epoch: the
-    /// quiet streak resets (no verification happened) and the next real
-    /// epoch is forced to verify, because a regime change during the nap
-    /// must not pass unchecked.
+    /// quiet streak holds and the next real epoch is forced to verify,
+    /// because a regime change during the nap must not pass unchecked.
     pub fn note_dormant_epoch(&mut self) {
         self.dormant = true;
-        self.dormant_epochs += 1;
         // The quiet streak *holds* through a scheduled nap: planned silence
         // is neither evidence of health nor an alarm, and the forced
         // verification on wake-up arbitrates — a clean wake extends the
@@ -542,127 +518,56 @@ impl AdaptiveSampler {
 
     /// Runs one epoch at an externally `granted` rate over a fixed lockstep
     /// `window` (see the module docs on budget grants), through caller-lent
-    /// working storage (see [`SamplerScratch`]).
+    /// working storage (see [`SamplerScratch`]). `delivery` says whether the
+    /// epoch's report reaches the controller on time, late or not at all.
     ///
     /// `granted` is clamped into `[min_rate, max_rate]`; the window is used
-    /// as-is (no auto-extension — fleet epochs must stay aligned). With
-    /// `granted == requested_rate()` and the window [`AdaptiveSampler::run`]
-    /// would pick, this is exactly one epoch of `run`.
-    pub fn step_granted<S: SignalSource>(
+    /// as-is (no auto-extension — fleet epochs must stay aligned). An
+    /// [`Delivery::OnTime`] epoch with `granted == requested_rate()` and the
+    /// window [`AdaptiveSampler::run`] would pick is exactly one epoch of
+    /// `run`. A late or lost epoch reports [`EpochAction::Defer`].
+    pub fn step<S: SignalSource>(
         &mut self,
         scratch: &mut SamplerScratch,
         source: &mut S,
         start: Seconds,
         granted: Hertz,
         window: Seconds,
+        delivery: Delivery,
     ) -> EpochReport {
         assert!(window.value() > 0.0, "window must be positive");
-        let clamped = Hertz(
-            granted
-                .value()
-                .clamp(self.config.min_rate.value(), self.config.max_rate.value()),
-        );
-        self.step_at(scratch, source, start, clamped, window)
-    }
-
-    /// Records an epoch whose report never reached the controller: the
-    /// device vanished, the poll failed, or the report was dropped in
-    /// flight. No samples arrive, nothing is billed — but the epoch still
-    /// happened, so it **counts**: `deferred_epochs` advances once per miss
-    /// (a device that misses `k` consecutive epochs reports `k`), and
-    /// `deferred_samples` grows by the full requested stream.
-    ///
-    /// Absent evidence is handled by **hold-and-decay**, never a silent
-    /// stale estimate: the request holds for the first
-    /// `decrease_patience − 1` consecutive misses, then decays by
-    /// `1/probe_multiplier` per further miss down to `min_rate` — a device
-    /// that stops reporting progressively releases its budget share. The
-    /// remembered maximum is untouched, so the re-ramp when evidence
-    /// returns is one memory jump, not a fresh probe ladder; and the next
-    /// detectable epoch is forced to verify (`since_verify` pinned to the
-    /// cadence), so a folded post-outage spectrum cannot pass unchecked.
-    pub fn note_missed_epoch(&mut self, start: Seconds, granted: Hertz, window: Seconds) -> EpochReport {
-        assert!(window.value() > 0.0, "window must be positive");
-        let requested = self.rate;
-        let clamped = Hertz(
-            granted
-                .value()
-                .clamp(self.config.min_rate.value(), self.config.max_rate.value()),
-        );
-        let throttled = clamped.value() < requested.value() * (1.0 - 1e-9);
-        self.deferred_epochs += 1;
-        self.deferred_samples += (requested.value() * window.value()).round() as usize;
-        self.missed_streak += 1;
-        self.missed_epochs += 1;
-        self.low_streak = 0;
-        self.quiet_streak = 0;
-        self.dormant = false;
-        let next = if self.missed_streak >= self.config.decrease_patience.max(1) {
-            Hertz(
-                (requested.value() / self.config.probe_multiplier)
-                    .max(self.config.min_rate.value()),
-            )
-        } else {
-            requested
-        };
-        // Whatever state the controller held is now stale by one more
-        // epoch: the first report that does arrive must be §4.1-verified.
-        self.since_verify = self.config.verify_every.max(1);
-        let report = EpochReport {
-            index: self.epoch_index,
-            start,
-            duration: window,
-            mode: self.mode,
-            requested_rate: requested,
-            throttled,
-            primary_rate: Hertz(0.0),
-            secondary_rate: Hertz(0.0),
-            aliased: false,
-            estimate: None,
-            samples_taken: 0,
-            next_rate: next,
-            verified: false,
-            action: EpochAction::Defer,
-        };
-        self.rate = next;
-        self.epoch_index += 1;
-        report
-    }
-
-    /// Runs one epoch whose report reaches the controller **late** — after
-    /// the next scheduling decision. The device polls at the (clamped)
-    /// granted rate and the samples are real (they arrive, are billed, and
-    /// cover the signal), but the controller cannot adapt on evidence it
-    /// does not have yet: the request holds, no detection or estimation
-    /// runs, and the next detectable epoch is forced to verify. The epoch
-    /// counts as deferred — adaptation was pushed out — but the arrival
-    /// (however late) resets the missed streak: the device is alive.
-    pub fn step_delayed<S: SignalSource>(
-        &mut self,
-        scratch: &mut SamplerScratch,
-        source: &mut S,
-        start: Seconds,
-        granted: Hertz,
-        window: Seconds,
-    ) -> EpochReport {
-        assert!(window.value() > 0.0, "window must be positive");
-        let requested = self.rate;
         let primary = Hertz(
             granted
                 .value()
                 .clamp(self.config.min_rate.value(), self.config.max_rate.value()),
         );
-        let throttled = primary.value() < requested.value() * (1.0 - 1e-9);
-        let fast = source.sample(start, primary, window, std::mem::take(&mut scratch.fast_spare));
-        let samples_taken = fast.len();
-        scratch.fast_spare = fast.into_values();
-        self.deferred_epochs += 1;
-        if throttled {
-            self.deferred_samples +=
-                ((requested.value() - primary.value()) * window.value()).round() as usize;
-        }
-        self.missed_streak = 0;
+        let requested = self.rate;
+        let (primary_rate, samples_taken) = match delivery {
+            Delivery::OnTime => return self.step_at(scratch, source, start, primary, window),
+            Delivery::Late => {
+                let spare = std::mem::take(&mut scratch.fast_spare);
+                let fast = source.sample(start, primary, window, spare);
+                let samples = fast.len();
+                scratch.fast_spare = fast.into_values();
+                self.missed_streak = 0;
+                (primary, samples)
+            }
+            Delivery::Lost => {
+                self.missed_streak += 1;
+                self.low_streak = 0;
+                self.quiet_streak = 0;
+                if self.missed_streak >= self.config.decrease_patience.max(1) {
+                    self.rate = Hertz(
+                        (requested.value() / self.config.probe_multiplier)
+                            .max(self.config.min_rate.value()),
+                    );
+                }
+                (Hertz(0.0), 0)
+            }
+        };
         self.dormant = false;
+        // Whatever state the controller held is now stale by one more
+        // epoch: the first detectable epoch after this one must verify.
         self.since_verify = self.config.verify_every.max(1);
         let report = EpochReport {
             index: self.epoch_index,
@@ -670,13 +575,13 @@ impl AdaptiveSampler {
             duration: window,
             mode: self.mode,
             requested_rate: requested,
-            throttled,
-            primary_rate: primary,
+            throttled: primary.value() < requested.value() * (1.0 - 1e-9),
+            primary_rate,
             secondary_rate: Hertz(0.0),
             aliased: false,
             estimate: None,
             samples_taken,
-            next_rate: requested,
+            next_rate: self.rate,
             verified: false,
             action: EpochAction::Defer,
         };
@@ -690,8 +595,7 @@ impl AdaptiveSampler {
     /// memory belongs to the monitoring service, not the device — so the
     /// post-reboot re-ramp is bounded: one aliased epoch jumps the request
     /// straight to `headroom × remembered max` instead of re-climbing the
-    /// multiplicative probe ladder. Cumulative accounting (`epoch_index`,
-    /// deferral counters) is preserved.
+    /// multiplicative probe ladder. The epoch index keeps counting.
     pub fn reboot(&mut self) {
         self.mode = Mode::Probe;
         self.rate = Hertz(
@@ -788,12 +692,6 @@ impl AdaptiveSampler {
         }
         let aliased = verdict_aliased || (estimator_trusted && estimate.is_aliased());
         scratch.fast_spare = fast.into_values();
-
-        if throttled {
-            self.deferred_epochs += 1;
-            self.deferred_samples +=
-                ((requested.value() - primary.value()) * duration.value()).round() as usize;
-        }
 
         let mode_now = self.mode;
         if let NyquistEstimate::Rate(r) = estimate {
@@ -989,6 +887,18 @@ mod tests {
         }
     }
 
+    /// One epoch granted exactly the controller's request, reported on time.
+    fn full_grant<S: SignalSource>(
+        ctl: &mut AdaptiveSampler,
+        scratch: &mut SamplerScratch,
+        source: &mut S,
+        t: Seconds,
+        window: Seconds,
+    ) -> EpochReport {
+        let grant = ctl.requested_rate();
+        ctl.step(scratch, source, t, grant, window, Delivery::OnTime)
+    }
+
     #[test]
     fn batched_verification_cuts_cost_without_losing_the_rate() {
         let edge = 0.5; // true Nyquist sampling rate = 1.0 Hz
@@ -1078,7 +988,7 @@ mod tests {
         }
         // Eventually steady, at ≥ the true Nyquist rate but far below max.
         let last = reports.last().unwrap();
-        assert_eq!(ctl.mode(), Mode::Steady);
+        assert_eq!(ctl.mode, Mode::Steady);
         assert!(!last.aliased);
         assert!(
             last.primary_rate.value() >= 1.0 && last.primary_rate.value() <= 6.0,
@@ -1279,14 +1189,17 @@ mod tests {
         let mut src_b = FunctionSource::new(band_signal(edge));
         let mut classic = AdaptiveSampler::new(config(0.3, 2000.0));
         let mut granted = AdaptiveSampler::new(config(0.3, 2000.0));
-        for a in classic.run(&mut src_a, Seconds(24_000.0)) {
+        let reports = classic.run(&mut src_a, Seconds(24_000.0));
+        let mut deferred = 0;
+        for a in &reports {
             let (t, window) = (a.start, a.duration);
             let request = granted.requested_rate();
-            let b = granted.step_granted(&mut scratch, &mut src_b, t, request, window);
-            assert_eq!(a, b);
+            let b = granted.step(&mut scratch, &mut src_b, t, request, window, Delivery::OnTime);
+            deferred += b.deferred() as usize;
+            assert_eq!(*a, b);
         }
-        assert_eq!(classic.deferred_epochs(), 0);
-        assert_eq!(granted.deferred_epochs(), 0);
+        assert_eq!(reports.iter().filter(|r| r.deferred()).count(), 0);
+        assert_eq!(deferred, 0);
     }
 
     #[test]
@@ -1303,17 +1216,18 @@ mod tests {
         for r in ctl.run(&mut source, Seconds(24_000.0)) {
             t = t + r.duration;
         }
-        assert_eq!(ctl.mode(), Mode::Steady);
+        assert_eq!(ctl.mode, Mode::Steady);
         let settled = ctl.requested_rate();
         let remembered = ctl.remembered_max().expect("steady implies an estimate");
         let window = Seconds(2000.0);
 
         // Forced cut: grant an eighth of the request.
         let cut = Hertz(settled.value() / 8.0);
-        let before = ctl.deferred_epochs();
+        let mut deferred = 0;
         for _ in 0..3 {
-            let r = ctl.step_granted(&mut scratch, &mut source, t, cut, window);
+            let r = ctl.step(&mut scratch, &mut source, t, cut, window, Delivery::OnTime);
             assert!(r.throttled, "grant below request must be recorded");
+            deferred += r.deferred() as usize;
             assert!(
                 r.next_rate.value() >= settled.value() * (1.0 - 1e-9),
                 "throttled epoch must not lower the request: {} < {}",
@@ -1322,12 +1236,11 @@ mod tests {
             );
             t = t + window;
         }
-        assert_eq!(ctl.deferred_epochs(), before + 3);
-        assert!(ctl.deferred_samples() > 0);
+        assert_eq!(deferred, 3);
 
         // Budget restored: the very next fully-granted epoch runs at (or
         // above) the remembered requirement — no probe ladder.
-        let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+        let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
         assert!(!r.throttled);
         assert!(
             r.primary_rate.value() >= remembered.value(),
@@ -1406,7 +1319,7 @@ mod tests {
         // Settle first so there is an estimate to undercut.
         let mut t = Seconds::ZERO;
         for _ in 0..4 {
-            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+            let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
             t = t + r.duration;
         }
         let estimate = ctl.remembered_max().expect("settled");
@@ -1415,47 +1328,49 @@ mod tests {
         // min_rate — must clamp up to min_rate, not run at the raw grant.
         let starve = Hertz((estimate.value() * MIN_VERIFY_HEADROOM) / 1e6);
         assert!(starve.value() < 0.02);
-        let r = ctl.step_granted(&mut scratch, &mut source, t, starve, window);
+        let r = ctl.step(&mut scratch, &mut source, t, starve, window, Delivery::OnTime);
         assert_eq!(r.primary_rate, Hertz(0.02), "grant must clamp to min_rate");
         assert!(r.throttled);
         t = t + window;
 
         // An absurdly high grant clamps to max_rate and is not throttling.
-        let r = ctl.step_granted(&mut scratch, &mut source, t, Hertz(1e9), window);
+        let r = ctl.step(&mut scratch, &mut source, t, Hertz(1e9), window, Delivery::OnTime);
         assert_eq!(r.primary_rate, Hertz(8.0), "grant must clamp to max_rate");
         assert!(!r.throttled, "a grant above the request is not a cut");
     }
 
     #[test]
     fn k_missed_epochs_report_k_deferred() {
-        // A device that misses k consecutive epochs must report exactly k in
-        // deferred_epochs — the counter cannot only advance on granted
-        // epochs (the report never arriving IS the deferral).
+        // A device that misses k consecutive epochs must report exactly k
+        // deferred epochs — deferral cannot only follow a cut grant (the
+        // report never arriving IS the deferral).
         let mut scratch = SamplerScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
+        let mut deferred = 0;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+            let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
+            deferred += r.deferred() as usize;
             t = t + r.duration;
         }
-        assert_eq!(ctl.mode(), Mode::Steady);
-        assert_eq!(ctl.deferred_epochs(), 0, "full grants defer nothing");
+        assert_eq!(ctl.mode, Mode::Steady);
+        assert_eq!(deferred, 0, "full grants defer nothing");
         let settled = ctl.requested_rate();
         let remembered = ctl.remembered_max().expect("settled");
 
         let k = 5;
         for miss in 1..=k {
-            let r = ctl.note_missed_epoch(t, settled, window);
+            let r = ctl.step(&mut scratch, &mut source, t, settled, window, Delivery::Lost);
             assert_eq!(r.samples_taken, 0, "nothing arrives on a missed epoch");
-            assert_eq!(ctl.deferred_epochs(), miss, "miss {miss} must count");
-            assert_eq!(ctl.missed_streak(), miss);
+            deferred += r.deferred() as usize;
+            assert_eq!(deferred, miss, "miss {miss} must count");
+            assert_eq!(ctl.missed_streak, miss);
             t = t + window;
         }
-        assert_eq!(ctl.deferred_epochs(), k);
-        assert!(ctl.deferred_samples() > 0);
+        assert_eq!(deferred, k);
 
         // Hold-and-decay: held through the patience window, decaying after.
         let patience = ctl.config.decrease_patience; // 3
@@ -1463,12 +1378,13 @@ mod tests {
         let mut src2 = FunctionSource::new(band_signal(edge));
         let mut t2 = Seconds::ZERO;
         for _ in 0..10 {
-            let r = probe.step_granted(&mut scratch, &mut src2, t2, probe.requested_rate(), window);
+            let r = full_grant(&mut probe, &mut scratch, &mut src2, t2, window);
             t2 = t2 + r.duration;
         }
         let before = probe.requested_rate();
         for miss in 1..=6 {
-            let r = probe.note_missed_epoch(t2, probe.requested_rate(), window);
+            let request = probe.requested_rate();
+            let r = probe.step(&mut scratch, &mut src2, t2, request, window, Delivery::Lost);
             if miss < patience {
                 assert_eq!(r.next_rate, before, "miss {miss} must hold the request");
             } else {
@@ -1497,15 +1413,15 @@ mod tests {
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+            let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
             t = t + r.duration;
         }
-        assert_eq!(ctl.mode(), Mode::Steady);
+        assert_eq!(ctl.mode, Mode::Steady);
         let remembered = ctl.remembered_max().expect("settled");
         let bound = remembered.value() * ctl.config.headroom * (1.0 + 1e-9);
 
         ctl.reboot();
-        assert_eq!(ctl.mode(), Mode::Probe);
+        assert_eq!(ctl.mode, Mode::Probe);
         assert_eq!(ctl.requested_rate(), Hertz(0.3), "reboot restarts at the initial rate");
         assert_eq!(ctl.remembered_max(), Some(remembered), "memory survives the reboot");
 
@@ -1513,7 +1429,7 @@ mod tests {
         // never past it (bounded, no ladder past the known requirement).
         let mut reached = false;
         for _ in 0..4 {
-            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+            let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
             assert!(
                 r.next_rate.value() <= bound,
                 "re-ramp overshot the remembered bound: {} > {}",
@@ -1521,7 +1437,7 @@ mod tests {
                 Hertz(bound)
             );
             t = t + window;
-            if ctl.mode() == Mode::Steady {
+            if ctl.mode == Mode::Steady {
                 reached = true;
                 break;
             }
@@ -1544,19 +1460,34 @@ mod tests {
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+            let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
             t = t + r.duration;
         }
         let settled = ctl.requested_rate();
-        let deferred = ctl.deferred_epochs();
-        let r = ctl.step_delayed(&mut scratch, &mut source, t, settled, window);
+        let r = ctl.step(&mut scratch, &mut source, t, settled, window, Delivery::Late);
         // The data is real (billed, covering the signal) ...
         assert!(r.samples_taken > 0, "a delayed report still acquires samples");
         assert_eq!(r.primary_rate, settled);
         // ... but the controller could not adapt on it in time.
         assert_eq!(r.next_rate, settled, "late evidence must hold the request");
-        assert_eq!(ctl.deferred_epochs(), deferred + 1);
-        assert_eq!(ctl.missed_streak(), 0, "an arriving report resets the missed streak");
+        assert!(r.deferred(), "a late report is a deferral");
+        assert_eq!(ctl.missed_streak, 0, "an arriving report resets the missed streak");
+    }
+
+    #[test]
+    fn lost_epoch_never_samples_the_source() {
+        // A lost report carries nothing: the device is not even polled.
+        let mut scratch = SamplerScratch::new();
+        let mut source = FunctionSource::new(|_: f64| -> f64 { panic!("a lost epoch polled") });
+        let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
+        let window = Seconds(2000.0);
+        let lost = Delivery::Lost;
+        let r = ctl.step(&mut scratch, &mut source, Seconds::ZERO, Hertz(0.3), window, lost);
+        assert_eq!(r.samples_taken, 0);
+        assert_eq!(r.primary_rate, Hertz(0.0));
+        assert_eq!(r.action, EpochAction::Defer);
+        assert!(r.deferred());
+        assert_eq!(ctl.missed_streak, 1);
     }
 
     #[test]
@@ -1568,30 +1499,30 @@ mod tests {
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
         // Probing epochs classify as Recovering (after the first step).
-        let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+        let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
         t = t + r.duration;
-        if ctl.mode() == Mode::Probe {
+        if ctl.mode == Mode::Probe {
             assert_eq!(ctl.health(), HealthState::Recovering);
         }
         // Settle and run a clean streak: with the request at or above the
         // remembered max (headroom > 1), the controller is Healthy.
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+            let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
             t = t + r.duration;
         }
-        assert_eq!(ctl.mode(), Mode::Steady);
-        assert!(ctl.quiet_streak() >= SUSPECT_QUIET_EPOCHS);
+        assert_eq!(ctl.mode, Mode::Steady);
+        assert!(ctl.quiet_streak >= SUSPECT_QUIET_EPOCHS);
         assert_eq!(ctl.health(), HealthState::Healthy);
         // A missed epoch flips to Recovering and breaks the quiet streak.
-        ctl.note_missed_epoch(t, ctl.requested_rate(), window);
+        let request = ctl.requested_rate();
+        ctl.step(&mut scratch, &mut source, t, request, window, Delivery::Lost);
         t = t + window;
         assert_eq!(ctl.health(), HealthState::Recovering);
-        assert_eq!(ctl.quiet_streak(), 0);
+        assert_eq!(ctl.quiet_streak, 0);
         // A dormant epoch reports Dormant until the next real step.
         ctl.note_dormant_epoch();
         assert_eq!(ctl.health(), HealthState::Dormant);
-        assert_eq!(ctl.dormant_epochs(), 1);
-        let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+        let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
         t = t + r.duration;
         assert_ne!(ctl.health(), HealthState::Dormant);
         let _ = t;
@@ -1622,7 +1553,7 @@ mod tests {
         // qualifies as suspect.
         let mut suspect_seen = false;
         for _ in 0..40 {
-            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+            let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
             t = t + r.duration;
             if ctl.health() == HealthState::SuspectDeadlocked {
                 suspect_seen = true;
@@ -1640,15 +1571,14 @@ mod tests {
             reprobe.value() >= remembered.value(),
             "re-probe must sample above the remembered max: {reprobe} < {remembered}"
         );
-        assert_eq!(ctl.mode(), Mode::Probe);
-        assert_eq!(ctl.reprobes(), 1);
+        assert_eq!(ctl.mode, Mode::Probe);
         assert_eq!(ctl.health(), HealthState::Recovering);
         // … and one clean epoch at the elevated rate re-settles near the
         // true (now lower) requirement: suspicion retired, no deadlock.
-        let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+        let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
         assert_eq!(r.primary_rate, reprobe);
         assert!(!r.aliased, "the calmed signal verifies clean above the old max");
-        assert_eq!(ctl.mode(), Mode::Steady);
+        assert_eq!(ctl.mode, Mode::Steady);
         assert!(
             ctl.requested_rate().value() <= before.value() * (1.0 + 1e-9),
             "a clean re-probe must hand the rate back: {} > {}",
@@ -1665,31 +1595,34 @@ mod tests {
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let mut t = Seconds::ZERO;
+        let mut deferred = 0;
         for _ in 0..10 {
-            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+            let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
+            deferred += r.deferred() as usize;
             t = t + r.duration;
         }
         let settled = ctl.requested_rate();
-        let deferred = ctl.deferred_epochs();
         let index_before = {
-            let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+            let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
+            deferred += r.deferred() as usize;
             t = t + r.duration;
             r.index
         };
+        let before = deferred;
         // A long scheduled nap: the request holds exactly (no hold-and-decay
         // — the silence was planned), nothing defers, epochs still count.
         for _ in 0..6 {
             ctl.note_dormant_epoch();
         }
         assert_eq!(ctl.requested_rate(), settled);
-        assert_eq!(ctl.deferred_epochs(), deferred, "dormancy is not a deferral");
-        assert_eq!(ctl.missed_streak(), 0, "dormancy is not a missed report");
-        assert_eq!(ctl.dormant_epochs(), 6);
+        assert_eq!(ctl.missed_streak, 0, "dormancy is not a missed report");
         assert_eq!(ctl.health(), HealthState::Dormant);
         // The first epoch after waking is forced to verify (a regime change
         // during the nap must not pass unchecked) and advances the index by
         // exactly the napped epochs plus one.
-        let r = ctl.step_granted(&mut scratch, &mut source, t, ctl.requested_rate(), window);
+        let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
+        deferred += r.deferred() as usize;
+        assert_eq!(deferred, before, "dormancy is not a deferral");
         assert!(r.verified, "the wake-up epoch must run the §4.1 detector");
         assert_eq!(r.index, index_before + 7);
     }
@@ -1702,12 +1635,13 @@ mod tests {
         let mut source = FunctionSource::new(band_signal(0.5));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         // 0.02 Hz over 600 s = 12 primary samples < 16.
-        let r = ctl.step_granted(
+        let r = ctl.step(
             &mut scratch,
             &mut source,
             Seconds::ZERO,
             Hertz(0.02),
             Seconds(600.0),
+            Delivery::OnTime,
         );
         assert_eq!(r.samples_taken, 12, "companion must not be acquired");
         assert!(r.throttled);

@@ -18,7 +18,9 @@
 //! rate per shared epoch (see `analysis::fleetsim`).
 
 use crate::device::{precleaning, DeviceSource, PollScratch, SimDevice};
-use sweetspot_core::adaptive::{AdaptiveConfig, AdaptiveSampler, EpochReport, SamplerScratch};
+use sweetspot_core::adaptive::{
+    AdaptiveConfig, AdaptiveSampler, Delivery, EpochReport, SamplerScratch,
+};
 use sweetspot_telemetry::{DeviceTrace, MetricKind};
 use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
 use sweetspot_core::reconstruct::{decimation_factor, downsample};
@@ -173,18 +175,19 @@ impl EpochScratch {
 }
 
 /// One device of a budget-scheduled fleet: the §4.2 controller paired with
-/// its simulated device plus per-device accounting, stepped one shared
-/// epoch at a time by an external scheduler.
+/// its simulated device, stepped one shared epoch at a time by an external
+/// scheduler.
 ///
 /// The member's controller *requests* a rate
 /// ([`FleetMember::requested_rate`]); the scheduler decides the grant and
 /// calls [`FleetMember::step_epoch`] with a per-worker [`EpochScratch`].
 /// Everything a member does is a pure function of its trace, its config and
-/// the grant sequence — the scratch never carries state between members —
-/// so a sharded fleet simulation stays byte-identical for any thread count.
+/// the grant and delivery sequence — the scratch never carries state between
+/// members — so a sharded fleet simulation stays byte-identical for any
+/// thread count.
 ///
-/// A member holds only *durable* control state (trace, controller mode and
-/// rate, accounting); all working buffers live in the scratch.
+/// A member holds only *durable* control state (trace, controller mode, rate
+/// and memory) and no tallies: each epoch's [`EpochReport`] is the record.
 pub struct FleetMember {
     device: SimDevice,
     sampler: AdaptiveSampler,
@@ -242,13 +245,12 @@ impl FleetMember {
         self.device.trace().true_nyquist_rate()
     }
 
-    /// The controller (deferral counters, mode, memory).
+    /// The controller (health, memory, re-probe rate).
     pub fn sampler(&self) -> &AdaptiveSampler {
         &self.sampler
     }
 
-    /// The controller, mutably: for the epochs that need no sampling
-    /// (missed reports, scheduled sleep) and for watchdog re-probes.
+    /// The controller, mutably: for scheduled sleep and watchdog re-probes.
     pub fn sampler_mut(&mut self) -> &mut AdaptiveSampler {
         &mut self.sampler
     }
@@ -274,38 +276,22 @@ impl FleetMember {
     }
 
     /// Runs one lockstep epoch at the scheduler's `granted` rate, through a
-    /// worker-owned scratch.
+    /// worker-owned scratch, with the report delivered as `delivery` says
+    /// (see [`AdaptiveSampler::step`]).
     pub fn step_epoch(
         &mut self,
         scratch: &mut EpochScratch,
         start: Seconds,
         granted: Hertz,
         window: Seconds,
+        delivery: Delivery,
     ) -> EpochReport {
         let mut source = DeviceSource {
             device: &mut self.device,
             scratch: &mut scratch.poll,
         };
         self.sampler
-            .step_granted(&mut scratch.sampler, &mut source, start, granted, window)
-    }
-
-    /// One lockstep epoch whose report reaches the controller too late to
-    /// adapt on: the primary stream is sampled (and billed), adaptation is
-    /// frozen for the epoch ([`AdaptiveSampler::step_delayed`]).
-    pub fn step_epoch_delayed(
-        &mut self,
-        scratch: &mut EpochScratch,
-        start: Seconds,
-        granted: Hertz,
-        window: Seconds,
-    ) -> EpochReport {
-        let mut source = DeviceSource {
-            device: &mut self.device,
-            scratch: &mut scratch.poll,
-        };
-        self.sampler
-            .step_delayed(&mut scratch.sampler, &mut source, start, granted, window)
+            .step(&mut scratch.sampler, &mut source, start, granted, window, delivery)
     }
 
     /// Reboots the member mid-study: the device rewinds its noise stream and
@@ -414,12 +400,13 @@ mod tests {
         let mut epochs = Vec::new();
         while t.value() < Seconds::from_days(4.0).value() {
             let ref_epoch = &reference.epochs.as_ref().unwrap()[epochs.len()];
-            let r = member.step_epoch(&mut scratch, t, member.requested_rate(), ref_epoch.duration);
+            let grant = member.requested_rate();
+            let r = member.step_epoch(&mut scratch, t, grant, ref_epoch.duration, Delivery::OnTime);
             t = t + r.duration;
             epochs.push(r);
         }
         assert_eq!(reference.epochs.as_ref().unwrap(), &epochs);
-        assert_eq!(member.sampler().deferred_epochs(), 0);
+        assert_eq!(epochs.iter().filter(|r| r.deferred()).count(), 0);
     }
 
     #[test]
@@ -440,9 +427,9 @@ mod tests {
         let window = Seconds::from_hours(12.0);
         let grant = Hertz(member.requested_rate().value() / 4.0);
         let mut scratch = EpochScratch::new();
-        let r = member.step_epoch(&mut scratch, Seconds::ZERO, grant, window);
+        let r = member.step_epoch(&mut scratch, Seconds::ZERO, grant, window, Delivery::OnTime);
         assert!(r.throttled);
-        assert_eq!(member.sampler().deferred_epochs(), 1);
+        assert!(r.deferred());
         assert!(
             member.requested_rate().value() >= r.requested_rate.value() * (1.0 - 1e-9),
             "request must survive the cut"

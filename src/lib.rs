@@ -54,7 +54,7 @@ pub use sweetspot_timeseries as timeseries;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use sweetspot_core::adaptive::{AdaptiveConfig, AdaptiveSampler, EpochReport};
+    pub use sweetspot_core::adaptive::{AdaptiveConfig, AdaptiveSampler, Delivery, EpochReport};
     pub use sweetspot_core::aliasing::{detect_aliasing, AliasingVerdict, DualRateConfig};
     pub use sweetspot_core::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
     pub use sweetspot_core::reconstruct::{roundtrip, ReconstructionConfig};

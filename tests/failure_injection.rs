@@ -267,7 +267,7 @@ fn reboot_reramp_is_bounded_by_the_remembered_max() {
     let step = |member: &mut FleetMember, scratch: &mut EpochScratch, epoch: usize| {
         let start = Seconds(epoch as f64 * window.value());
         let granted = member.requested_rate();
-        member.step_epoch(scratch, start, granted, window);
+        member.step_epoch(scratch, start, granted, window, Delivery::OnTime);
     };
     for epoch in 0..6 {
         step(&mut member, &mut scratch, epoch);
@@ -411,17 +411,13 @@ fn settled_fleet_under_one_percent_churn_stays_allocation_free() {
         }
         sched.allocate(&requests, f64::INFINITY, &mut grants);
         for (i, m) in members.iter_mut().enumerate() {
-            let report = match events[i] {
+            let delivery = match events[i] {
                 DeviceEvent::Absent => continue,
-                DeviceEvent::ReportDropped => {
-                    m.sampler_mut()
-                        .note_missed_epoch(start, Hertz(grants[i]), window)
-                }
-                DeviceEvent::ReportDelayed => {
-                    m.step_epoch_delayed(&mut scratch, start, Hertz(grants[i]), window)
-                }
-                _ => m.step_epoch(&mut scratch, start, Hertz(grants[i]), window),
+                DeviceEvent::ReportDropped => Delivery::Lost,
+                DeviceEvent::ReportDelayed => Delivery::Late,
+                _ => Delivery::OnTime,
             };
+            let report = m.step_epoch(&mut scratch, start, Hertz(grants[i]), window, delivery);
             std::hint::black_box(report.samples_taken);
         }
     };
