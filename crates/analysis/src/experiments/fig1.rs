@@ -48,14 +48,6 @@ impl Fig1 {
             40,
         )
     }
-
-    /// Fleet-wide mean of the per-metric fractions.
-    pub fn mean_fraction(&self) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        self.rows.iter().map(|(_, f)| f).sum::<f64>() / self.rows.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -77,7 +69,8 @@ mod tests {
         assert_eq!(fig.rows.len(), 14);
         // The paper's headline: the vast majority of collection points are
         // above the Nyquist rate for most metrics.
-        assert!(fig.mean_fraction() > 0.6, "mean {}", fig.mean_fraction());
+        let mean = fig.rows.iter().map(|(_, f)| f).sum::<f64>() / fig.rows.len() as f64;
+        assert!(mean > 0.6, "mean {mean}");
         let rendered = fig.render();
         assert!(rendered.contains("Figure 1"));
         assert!(rendered.contains("Temperature"));

@@ -7,7 +7,7 @@
 //! The paper shows 12 metric panels; this driver produces all 14 (the two
 //! extra are the drop metrics Figure 4 folds away for space).
 
-use crate::report::{cdf_ascii, cdf_log_samples};
+use crate::report::cdf_ascii;
 use crate::study::{FleetStudy, StudyConfig};
 use sweetspot_dsp::stats::Cdf;
 use sweetspot_telemetry::MetricKind;
@@ -68,15 +68,6 @@ impl Fig4 {
             ));
         }
         out
-    }
-
-    /// Log-sampled points for one panel (plot-ready).
-    pub fn panel_points(&self, kind: MetricKind) -> Vec<(f64, f64)> {
-        self.panels
-            .iter()
-            .find(|p| p.kind == kind)
-            .map(|p| cdf_log_samples(&p.cdf, 0..3, 8))
-            .unwrap_or_default()
     }
 }
 

@@ -43,16 +43,6 @@ impl Fig5 {
             &rows,
         )
     }
-
-    /// The summary for one metric.
-    pub fn for_metric(&self, kind: MetricKind) -> Option<&FiveNumber> {
-        self.rows.iter().find(|(k, _)| *k == kind).map(|(_, f)| f)
-    }
-
-    /// The largest maximum across metrics (the paper's y-limit ≈ 0.008 Hz).
-    pub fn global_max(&self) -> f64 {
-        self.rows.iter().map(|(_, f)| f.max).fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -74,11 +64,16 @@ mod tests {
         assert!(fig.rows.len() >= 12, "most metrics have non-aliased pairs");
         // All rates in the paper's plot range: below ~0.02 Hz (its axis
         // tops at 0.008; our FCS profile allows slightly higher edges).
-        assert!(fig.global_max() < 0.04, "global max {}", fig.global_max());
+        let global_max = fig.rows.iter().map(|(_, f)| f.max).fold(0.0, f64::max);
+        assert!(global_max < 0.04, "global max {global_max}");
         // Temperature spans about a decade or more across devices (paper:
         // 7.99e-7 .. 3e-3; a one-day trace floors the low end at one FFT
         // bin ≈ 2.3e-5 Hz, compressing the visible spread).
-        let t = fig.for_metric(MetricKind::Temperature).expect("temperature");
+        let (_, t) = fig
+            .rows
+            .iter()
+            .find(|(k, _)| *k == MetricKind::Temperature)
+            .expect("temperature");
         assert!(
             t.max / t.min.max(1e-9) > 8.0,
             "temperature spread {} .. {}",

@@ -11,7 +11,7 @@
 //!   the grant histogram is fed serially in device order. Snapshots
 //!   built from these are **byte-identical for any `--threads N`**.
 //! * **Topology scope** — honest numbers that depend on the worker split
-//!   (per-shard FFT cache evictions, scratch bytes, worker count). Reported
+//!   (per-shard FFT table bytes, scratch bytes, worker count). Reported
 //!   on stderr via `--timing` only, never in the JSON-lines stream.
 //! * **Wall scope** — phase timings and peak RSS. stderr only.
 //!
@@ -355,11 +355,6 @@ impl MetricsRecorder {
         self.events_total + self.journal.total()
     }
 
-    /// Journal events overwritten before they could be emitted this run.
-    pub fn journal_dropped(&self) -> u64 {
-        self.events_dropped + self.journal.dropped()
-    }
-
     /// Starts a policy run: stamps the per-line context and resets the
     /// journal, histogram, and drop accounting. Engine-facing.
     pub fn begin_run(&mut self, policy: &'static str, budget: f64) {
@@ -659,7 +654,7 @@ mod tests {
     }
 
     #[test]
-    fn controller_counters_tally_and_merge() {
+    fn controller_counters_tally_actions_and_verification() {
         // The engine's serial fold tallies every device's report into one
         // counter set.
         let mut b = ControllerCounters::default();
@@ -752,7 +747,6 @@ mod tests {
         assert!(!lines[1].contains("scenario"), "{}", lines[1]);
         assert!(!lines[1].contains("watchdog"), "{}", lines[1]);
         assert_eq!(rec.journal_events(), 1);
-        assert_eq!(rec.journal_dropped(), 0);
         // The grant window resets after emission.
         rec.emit_epoch(&snap);
         let last = rec.buffer().lines().last().unwrap().to_string();

@@ -100,12 +100,6 @@ pub struct FleetSimConfig {
     pub window: Seconds,
     /// Worker threads (0 ⇒ available parallelism). Never changes output.
     pub threads: usize,
-    /// Resource prices (shared by scheduler and ledger).
-    pub cost: CostModel,
-    /// Per-metric water-filling weights, indexed by
-    /// [`MetricKind::index`](sweetspot_telemetry::MetricKind). Neutral 1.0
-    /// by default.
-    pub metric_weights: [f64; 14],
     /// Settled members run §4.1 dual-rate verification every `k`-th epoch
     /// (probing epochs always verify; anomalies pull verification forward).
     /// 1 — the default — is continuous verification, today's behavior.
@@ -159,8 +153,6 @@ impl Default for FleetSimConfig {
             days: 10.0,
             window: Seconds::from_days(1.0),
             threads: 0,
-            cost: CostModel::default(),
-            metric_weights: [1.0; 14],
             verify_every: 1,
             fft_table_budget: Some(FFT_TABLE_BUDGET_DEFAULT),
             scenario: ScenarioSpec::none(),
@@ -179,11 +171,43 @@ impl Default for FleetSimConfig {
 pub const REPROBE_RETRY_CAP: u32 = 5;
 
 impl FleetSimConfig {
+    /// Checks the config before a run: `days` finite and positive, at most
+    /// `u32::MAX` epochs (the flight-recorder journal stamps epochs as
+    /// `u32`), `verify_every ≥ 1`, `recovery_budget_frac` in `[0, 1]`, and a
+    /// fleet size that is neither zero nor both `paper_scale` and `devices`.
+    /// The error names the `fleetsim` flag that sets the offending field
+    /// (`paper_scale` has none: the CLI derives it from `--devices`).
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.days.is_finite() && self.days > 0.0) {
+            return Err("--days must be positive and finite".into());
+        }
+        let epochs = (self.days * 86_400.0 / self.window.value()).ceil();
+        if !(..=u32::MAX as f64).contains(&epochs) {
+            return Err(format!(
+                "--days spans {epochs:e} epochs; at most {} fit",
+                u32::MAX
+            ));
+        }
+        if self.verify_every == 0 {
+            return Err(
+                "--verify-every wants a positive epoch count (1 = verify every epoch)".into(),
+            );
+        }
+        if !(0.0..=1.0).contains(&self.recovery_budget_frac) {
+            return Err("--recovery-budget-frac wants a fraction in [0, 1]".into());
+        }
+        if self.paper_scale && self.devices.is_some() {
+            return Err("paper_scale and devices conflict: the paper-scale fleet \
+                        is exactly 1613 pairs (115/metric + 3 extras)"
+                .into());
+        }
+        if self.devices == Some(0) {
+            return Err("--devices wants a positive fleet size".into());
+        }
+        Ok(())
+    }
+
     fn work(&self) -> Vec<(MetricProfile, usize)> {
-        assert!(
-            !(self.paper_scale && self.devices.is_some()),
-            "paper_scale and devices are mutually exclusive"
-        );
         if self.paper_scale {
             paper_scale_work()
         } else if let Some(pairs) = self.devices {
@@ -376,12 +400,18 @@ pub fn run_policy(
 /// always on — a recorder only adds the journal, the grant histogram, and
 /// the emission — so the simulation's own outputs (ledger, quality, stdout
 /// renderings) are byte-identical with and without one.
+///
+/// # Panics
+/// Panics if [`FleetSimConfig::validate`] rejects `cfg`.
 pub fn run_policy_recorded(
     cfg: &FleetSimConfig,
     policy: SchedulerPolicy,
     budget_per_epoch: f64,
     mut recorder: Option<&mut MetricsRecorder>,
 ) -> PolicyOutcome {
+    if let Err(e) = cfg.validate() {
+        panic!("invalid fleet config: {e}");
+    }
     let work = cfg.work();
     let n = work.len();
     let epochs = cfg.epochs();
@@ -399,7 +429,6 @@ pub fn run_policy_recorded(
     let t0 = Instant::now();
     let seed = cfg.fleet.seed;
     let window = cfg.window;
-    let verify_every = cfg.verify_every.max(1);
     // Split the plan-cache budget across shards. Eviction rebuilds tables
     // bit-identically, so neither the budget nor the split affects output.
     let shard_fft_budget = cfg.fft_table_budget.map(|total| total / threads.max(1));
@@ -409,7 +438,7 @@ pub fn run_policy_recorded(
         let mut members = Slab::with_capacity(span.len());
         for (j, &(profile, device)) in span.iter().enumerate() {
             let mut config = member_config(&profile, window);
-            config.verify_every = verify_every;
+            config.verify_every = cfg.verify_every;
             members.push(FleetMember::with_planner(
                 shard * chunk + j,
                 DeviceTrace::synthesize(profile, device, seed),
@@ -436,10 +465,6 @@ pub fn run_policy_recorded(
         .iter()
         .map(|(p, _)| p.production_rate().value())
         .collect();
-    let weights: Vec<f64> = work
-        .iter()
-        .map(|(p, _)| cfg.metric_weights[p.kind.index()])
-        .collect();
 
     // Failure injection. "No scenario" is the scenario that deals every
     // device `Healthy`: nobody leaves, sleeps or reboots, nothing is
@@ -453,13 +478,13 @@ pub fn run_policy_recorded(
     timing.build = t0.elapsed();
 
     // The scheduler works in rate space: convert the cost budget once.
-    let unit_cost = cfg.cost.cost_per_sample();
+    let unit_cost = CostModel::default().cost_per_sample();
     let epoch_unit = unit_cost * window.value() * VERIFY_OVERHEAD;
     let capacity_rate = budget_per_epoch / epoch_unit; // INF stays INF
 
-    // One scheduler per run: the fleet's weights and production rates plus
-    // the lent water-fill order buffer, so scheduling allocates nothing.
-    let mut sched = policy.scheduler(&weights, &production);
+    // One scheduler per run: the fleet's production rates plus the lent
+    // water-fill order buffer, so scheduling allocates nothing.
+    let mut sched = policy.scheduler(&production);
     let mut ledger = EpochLedger::with_capacity(epochs);
     // Per-device vectors allocated once, so churn never resizes the
     // request/grant geometry (absent devices keep their slot, request 0.0,
@@ -1121,30 +1146,20 @@ pub struct FleetFrontier {
 /// Budget ladder for the frontier sweep, as fractions of steady demand.
 pub const FRONTIER_FRACTIONS: [f64; 4] = [0.1, 0.25, 0.5, 1.0];
 
-/// Policies swept at every budget rung (the uncapped baseline runs once).
-/// The capped policies a default frontier sweep runs (the uncapped
-/// baseline is implicit — it anchors the budget ladder).
+/// The capped policies a default frontier sweep runs at every budget rung
+/// (the uncapped baseline runs once — it anchors the budget ladder).
 pub const CAPPED_POLICIES: [SchedulerPolicy; 3] = [
     SchedulerPolicy::Uniform,
     SchedulerPolicy::Fair,
     SchedulerPolicy::WaterFill,
 ];
 
-/// Runs the full frontier sweep: the uncapped baseline, then every capped
-/// policy at every [`FRONTIER_FRACTIONS`] rung of the steady demand.
-pub fn run_frontier(cfg: &FleetSimConfig) -> FleetFrontier {
-    run_frontier_for(cfg, &CAPPED_POLICIES)
-}
-
-/// [`run_frontier`] restricted to a chosen set of capped policies (the
-/// uncapped baseline always runs — it anchors the budget ladder).
-pub fn run_frontier_for(cfg: &FleetSimConfig, policies: &[SchedulerPolicy]) -> FleetFrontier {
-    run_frontier_for_recorded(cfg, policies, None)
-}
-
-/// [`run_frontier_for`] with an optional [`MetricsRecorder`]: each frontier
-/// point streams its epoch snapshots through the same recorder, in sweep
-/// order, so one JSONL file carries the whole frontier.
+/// Runs the frontier sweep: the uncapped baseline, then every capped policy
+/// in `policies` at every [`FRONTIER_FRACTIONS`] rung of the steady demand
+/// (the baseline always runs — it anchors the budget ladder). With a
+/// [`MetricsRecorder`] attached, each frontier point streams its epoch
+/// snapshots through it in sweep order, so one JSONL file carries the whole
+/// frontier.
 pub fn run_frontier_for_recorded(
     cfg: &FleetSimConfig,
     policies: &[SchedulerPolicy],
@@ -1418,13 +1433,8 @@ impl FleetFrontier {
         out
     }
 
-    /// Machine-readable rendering (see `report::json`).
-    pub fn to_json(&self) -> String {
-        self.to_json_with(false)
-    }
-
-    /// [`to_json`](Self::to_json) with an opt-in per-device breakdown:
-    /// `devices == true` adds a `"devices"` array to every frontier row
+    /// Machine-readable rendering (see `report::json`), with an opt-in
+    /// per-device breakdown: `devices == true` adds a `"devices"` array to every frontier row
     /// (index, metric kind, final requested rate, mean coverage, and the
     /// deferred/missed epoch tallies, in fleet order). Off by default —
     /// at 10⁵ devices the breakdown dwarfs the summary rows.
@@ -1703,14 +1713,14 @@ mod tests {
             threads: 2,
             ..FleetSimConfig::default()
         };
-        let frontier = run_frontier(&cfg);
+        let frontier = run_frontier_for_recorded(&cfg, &CAPPED_POLICIES, None);
         assert_eq!(frontier.points.len(), 1 + FRONTIER_FRACTIONS.len() * 3);
         let text = frontier.render();
         for name in ["uncapped", "uniform", "fair", "waterfill"] {
             assert!(text.contains(name), "{name} missing from:\n{text}");
         }
         assert!(text.contains("cov/kcost"));
-        let json = frontier.to_json();
+        let json = frontier.to_json_with(false);
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"frontier\":["));
         assert!(json.contains("\"policy\":\"waterfill\""));
@@ -1815,14 +1825,45 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn paper_scale_and_devices_conflict() {
-        let cfg = FleetSimConfig {
-            paper_scale: true,
-            devices: Some(10),
-            ..FleetSimConfig::default()
-        };
-        cfg.work();
+    fn validate_rejects_each_invalid_field() {
+        assert_eq!(FleetSimConfig::default().validate(), Ok(()));
+        let base = tiny_config(1);
+        assert_eq!(base.validate(), Ok(()));
+        type Break = fn(&mut FleetSimConfig);
+        let cases: [(&str, Break, &str); 11] = [
+            ("days 0", |c| c.days = 0.0, "--days"),
+            ("days -1", |c| c.days = -1.0, "--days"),
+            ("days NaN", |c| c.days = f64::NAN, "--days"),
+            ("days inf", |c| c.days = f64::INFINITY, "--days"),
+            ("days 1e300", |c| c.days = 1e300, "epochs"),
+            ("verify_every 0", |c| c.verify_every = 0, "--verify-every"),
+            (
+                "recovery NaN",
+                |c| c.recovery_budget_frac = f64::NAN,
+                "[0, 1]",
+            ),
+            ("recovery 1.5", |c| c.recovery_budget_frac = 1.5, "[0, 1]"),
+            ("recovery -0.1", |c| c.recovery_budget_frac = -0.1, "[0, 1]"),
+            (
+                "paper_scale + devices",
+                |c| {
+                    c.paper_scale = true;
+                    c.devices = Some(10);
+                },
+                "conflict",
+            ),
+            ("devices 0", |c| c.devices = Some(0), "positive fleet size"),
+        ];
+        for (name, break_field, needle) in cases {
+            let mut cfg = base;
+            break_field(&mut cfg);
+            let err = cfg.validate().expect_err(name);
+            assert!(err.contains(needle), "{name}: {err}");
+        }
+        // The largest epoch count the journal can stamp is still valid.
+        let mut edge = base;
+        edge.days = u32::MAX as f64;
+        assert_eq!(edge.validate(), Ok(()));
     }
 
     #[test]
@@ -1983,7 +2024,7 @@ mod tests {
         assert!(text.contains("scenario: churn+incident"), "{text}");
         assert!(text.contains("recover"), "{text}");
         assert!(text.contains("events:"), "{text}");
-        let json = f.to_json();
+        let json = f.to_json_with(false);
         assert!(json.contains("\"scenario\":{"), "{json}");
         assert!(json.contains("\"label\":\"churn+incident\""), "{json}");
         assert!(json.contains("ttr_p50_epochs"), "{json}");
@@ -1993,7 +2034,7 @@ mod tests {
         // Healthy sweeps stay scenario-free in both renderings.
         let healthy = run_point(&tiny_config(2), 40.0, Some(SchedulerPolicy::WaterFill));
         assert!(!healthy.render().contains("scenario"));
-        assert!(!healthy.to_json().contains("scenario"));
+        assert!(!healthy.to_json_with(false).contains("scenario"));
     }
 
     /// Regression: the post-revert aliasing deadlock. Under a binding budget

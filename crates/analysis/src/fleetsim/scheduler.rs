@@ -1,13 +1,13 @@
 //! Cross-device rate schedulers: how a shared collection budget is split
 //! across the fleet's controllers each epoch.
 //!
-//! Every policy is a pure function from (requests, weights, production
-//! rates, capacity) to grants — no RNG, no time, no result-bearing shared
-//! state — so the fleet simulation stays byte-identical for any thread
-//! count. A [`Scheduler`] holds the fleet's fixed weights and production
-//! rates plus one lent `order` buffer that water-filling sorts into, so a
-//! warm epoch allocates nothing. The buffer carries no result across
-//! epochs: water-filling re-sorts every binding epoch from scratch.
+//! Every policy is a pure function from (requests, production rates,
+//! capacity) to grants — no RNG, no time, no result-bearing shared state —
+//! so the fleet simulation stays byte-identical for any thread count. A
+//! [`Scheduler`] holds the fleet's fixed production rates plus one lent
+//! `order` buffer that water-filling sorts into, so a warm epoch allocates
+//! nothing. The buffer carries no result across epochs: water-filling
+//! re-sorts every binding epoch from scratch.
 //!
 //! Capacity and grants live in **rate space** (Hz summed over devices): the
 //! engine converts the operator's cost-unit budget with the
@@ -29,9 +29,8 @@ pub enum SchedulerPolicy {
     /// capacity, every request is scaled by the same factor, so each
     /// controller keeps its *relative* share.
     Fair,
-    /// Weighted max-min water-filling: cheap requests are fully satisfied,
-    /// the remaining budget is spread level across the expensive ones
-    /// (per-metric weights tilt the water level).
+    /// Max-min water-filling: cheap requests are fully satisfied, the
+    /// remaining budget is spread level across the expensive ones.
     WaterFill,
 }
 
@@ -62,25 +61,11 @@ impl SchedulerPolicy {
     }
 
     /// Builds the [`Scheduler`] for this policy over a fixed fleet:
-    /// `weights` and `production` are per-device, in fleet order, and must
-    /// not change between epochs (the fleet population is fixed for a run).
-    ///
-    /// # Panics
-    /// Panics if the slices disagree in length or any weight is not finite
-    /// and positive.
-    pub fn scheduler(self, weights: &[f64], production: &[f64]) -> Scheduler {
-        assert_eq!(
-            weights.len(),
-            production.len(),
-            "one weight and one production rate per device"
-        );
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w > 0.0),
-            "weights must be finite and positive"
-        );
+    /// `production` is per-device, in fleet order, and must not change
+    /// between epochs (the fleet population is fixed for a run).
+    pub fn scheduler(self, production: &[f64]) -> Scheduler {
         Scheduler {
             policy: self,
-            weights: weights.to_vec(),
             production: production.to_vec(),
             order: Vec::new(),
         }
@@ -102,24 +87,22 @@ impl std::fmt::Display for SchedulerPolicy {
 pub fn allocate(
     policy: SchedulerPolicy,
     requests: &[f64],
-    weights: &[f64],
     production: &[f64],
     capacity: f64,
     grants: &mut Vec<f64>,
 ) {
     policy
-        .scheduler(weights, production)
+        .scheduler(production)
         .allocate(requests, capacity, grants);
 }
 
-/// One run's scheduler: the policy, the fleet's fixed per-device weights
-/// and production rates, and the lent `order` buffer water-filling sorts
-/// into. Built once per simulation, called once per epoch.
+/// One run's scheduler: the policy, the fleet's fixed per-device
+/// production rates, and the lent `order` buffer water-filling sorts into.
+/// Built once per simulation, called once per epoch.
 #[derive(Debug)]
 pub struct Scheduler {
     /// The policy this scheduler runs.
     pub policy: SchedulerPolicy,
-    weights: Vec<f64>,
     production: Vec<f64>,
     order: Vec<usize>,
 }
@@ -136,9 +119,8 @@ impl Scheduler {
     /// max(capacity, Σ requests)` and, except [`Uniform`] (which ignores
     /// requests by design and never grants above `production[i]`),
     /// `grants[i] ≤ requests[i]` whenever the budget binds. Binding
-    /// [`WaterFill`] grants sit at one common level `grants[i]/weights[i]`
-    /// for every unsatisfied device, with every satisfied device's
-    /// `requests[i]/weights[i]` at or below it.
+    /// [`WaterFill`] grants sit at one common level for every unsatisfied
+    /// device, with every satisfied device's request at or below it.
     ///
     /// # Panics
     /// Panics if `requests` disagrees in length with the fleet the
@@ -150,7 +132,7 @@ impl Scheduler {
     pub fn allocate(&mut self, requests: &[f64], capacity: f64, grants: &mut Vec<f64>) {
         assert_eq!(
             requests.len(),
-            self.weights.len(),
+            self.production.len(),
             "request vector must match the fleet the scheduler was built for"
         );
         assert!(capacity >= 0.0, "capacity must be non-negative");
@@ -186,69 +168,60 @@ impl Scheduler {
                 if demand <= capacity {
                     grants.extend_from_slice(requests);
                 } else {
-                    water_fill(requests, &self.weights, capacity, &mut self.order, grants);
+                    water_fill(requests, capacity, &mut self.order, grants);
                 }
             }
         }
     }
 }
 
-/// Weighted max-min water-filling: find the level `L` such that
-/// `Σ min(requests[i], L·weights[i]) = capacity`; each device is granted
-/// `min(request, L·weight)`. Devices whose (weight-normalized) request sits
-/// below the water level are fully satisfied; the rest share the remainder
-/// level with the surplus of the satisfied redistributed — the max-min
-/// fair allocation.
+/// Max-min water-filling: find the level `L` such that
+/// `Σ min(requests[i], L) = capacity`; each device is granted
+/// `min(request, L)`. Devices whose request sits below the water level are
+/// fully satisfied; the rest share the remainder level with the surplus of
+/// the satisfied redistributed — the max-min fair allocation.
 ///
 /// `order` is lent working storage: it is refilled and re-sorted on every
 /// call, so nothing from an earlier epoch reaches the grants.
-fn water_fill(
-    requests: &[f64],
-    weights: &[f64],
-    capacity: f64,
-    order: &mut Vec<usize>,
-    grants: &mut Vec<f64>,
-) {
+fn water_fill(requests: &[f64], capacity: f64, order: &mut Vec<usize>, grants: &mut Vec<f64>) {
     let n = requests.len();
-    // Sort device indices by normalized request (the order the water level
-    // passes them). Ties break by index, so the comparator is a strict
-    // total order: the unstable sort yields one permutation, deterministic
-    // and allocation-free.
+    // Sort device indices by request (the order the water level passes
+    // them). Ties break by index, so the comparator is a strict total
+    // order: the unstable sort yields one permutation, deterministic and
+    // allocation-free.
     order.clear();
     order.extend(0..n);
     order.sort_unstable_by(|&a, &b| {
-        let ra = requests[a] / weights[a];
-        let rb = requests[b] / weights[b];
-        ra.partial_cmp(&rb)
-            .expect("requests and weights must be finite and positive")
+        requests[a]
+            .partial_cmp(&requests[b])
+            .expect("requests must be finite")
             .then(a.cmp(&b))
     });
 
-    let mut level = 0.0f64; // current water level (normalized rate)
+    let mut level = 0.0f64; // current water level (rate)
     let mut remaining = capacity;
-    let mut weight_left: f64 = weights.iter().sum();
     grants.resize(n, 0.0);
     let mut cursor = 0;
     while cursor < n {
         let i = order[cursor];
-        let target = requests[i] / weights[i];
-        let lift = (target - level) * weight_left;
+        // Lifting the level to this request raises every device not yet
+        // satisfied.
+        let lift = (requests[i] - level) * (n - cursor) as f64;
         if lift > remaining {
             break;
         }
         // The level reaches this device's request: fully satisfied.
         remaining -= lift;
-        level = target;
-        weight_left -= weights[i];
+        level = requests[i];
         grants[i] = requests[i];
         cursor += 1;
     }
-    if cursor < n && weight_left > 0.0 {
+    if cursor < n {
         // Budget exhausted mid-lift: everyone still unsatisfied shares the
         // final level.
-        level += remaining / weight_left;
+        level += remaining / (n - cursor) as f64;
         for &i in &order[cursor..] {
-            grants[i] = (level * weights[i]).min(requests[i]);
+            grants[i] = level.min(requests[i]);
         }
     }
 }
@@ -262,9 +235,9 @@ mod tests {
     }
 
     fn alloc(policy: SchedulerPolicy, requests: &[f64], capacity: f64) -> Vec<f64> {
-        let ones = vec![1.0; requests.len()];
+        let production = vec![1.0; requests.len()];
         let mut grants = Vec::new();
-        allocate(policy, requests, &ones, &ones, capacity, &mut grants);
+        allocate(policy, requests, &production, capacity, &mut grants);
         grants
     }
 
@@ -314,30 +287,16 @@ mod tests {
     }
 
     #[test]
-    fn waterfill_weights_tilt_the_level() {
-        let r = [10.0, 10.0];
-        let w = [2.0, 1.0];
-        let p = [1.0, 1.0];
-        let mut g = Vec::new();
-        allocate(SchedulerPolicy::WaterFill, &r, &w, &p, 6.0, &mut g);
-        assert!((total(&g) - 6.0).abs() < 1e-12);
-        // Weight 2 gets twice the grant of weight 1 while both are capped.
-        assert!((g[0] - 4.0).abs() < 1e-9, "{g:?}");
-        assert!((g[1] - 2.0).abs() < 1e-9, "{g:?}");
-    }
-
-    #[test]
     fn uniform_ignores_requests_and_scales_production() {
         let r = [0.001, 0.001, 0.001]; // tiny adaptive demand
-        let w = [1.0; 3];
         let p = [1.0, 2.0, 1.0]; // production defaults
         let mut g = Vec::new();
-        allocate(SchedulerPolicy::Uniform, &r, &w, &p, 2.0, &mut g);
+        allocate(SchedulerPolicy::Uniform, &r, &p, 2.0, &mut g);
         // Budget = half the production total: every device at half its
         // production rate, demand be damned.
         assert_eq!(g, vec![0.5, 1.0, 0.5]);
         // Never above production even with slack budget.
-        allocate(SchedulerPolicy::Uniform, &r, &w, &p, 100.0, &mut g);
+        allocate(SchedulerPolicy::Uniform, &r, &p, 100.0, &mut g);
         assert_eq!(g, vec![1.0, 2.0, 1.0]);
     }
 
@@ -381,20 +340,6 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "weights must be finite and positive")]
-    fn zero_weight_fails_fast() {
-        let mut g = Vec::new();
-        allocate(
-            SchedulerPolicy::WaterFill,
-            &[1.0, 2.0],
-            &[1.0, 0.0],
-            &[1.0, 1.0],
-            1.0,
-            &mut g,
-        );
-    }
-
     /// Deterministic xorshift for request-churn sequences (no rand dep).
     fn xorshift(state: &mut u64) -> u64 {
         *state ^= *state << 13;
@@ -407,9 +352,6 @@ mod tests {
     fn stateful_schedulers_match_reference_bitwise() {
         let n = 64;
         let mut state = 0x5EEDu64;
-        let weights: Vec<f64> = (0..n)
-            .map(|_| 0.5 + (xorshift(&mut state) % 1000) as f64 / 500.0)
-            .collect();
         let production: Vec<f64> = (0..n)
             .map(|_| 0.1 + (xorshift(&mut state) % 1000) as f64 / 100.0)
             .collect();
@@ -417,7 +359,7 @@ mod tests {
             .map(|_| (xorshift(&mut state) % 10_000) as f64 / 700.0)
             .collect();
         for policy in SchedulerPolicy::ALL {
-            let mut sched = policy.scheduler(&weights, &production);
+            let mut sched = policy.scheduler(&production);
             assert_eq!(sched.policy, policy);
             let mut grants = Vec::new();
             let mut reference = Vec::new();
@@ -432,14 +374,7 @@ mod tests {
                     _ => 0.0,
                 };
                 sched.allocate(&requests, capacity, &mut grants);
-                allocate(
-                    policy,
-                    &requests,
-                    &weights,
-                    &production,
-                    capacity,
-                    &mut reference,
-                );
+                allocate(policy, &requests, &production, capacity, &mut reference);
                 assert_eq!(
                     grants, reference,
                     "{policy} diverged at epoch {epoch} (capacity {capacity})"
@@ -462,9 +397,8 @@ mod tests {
         // Every request changes every epoch: the reused order buffer must
         // never carry one epoch's permutation into the next.
         let n = 33;
-        let weights = vec![1.0; n];
         let production = vec![1.0; n];
-        let mut sched = SchedulerPolicy::WaterFill.scheduler(&weights, &production);
+        let mut sched = SchedulerPolicy::WaterFill.scheduler(&production);
         let mut state = 0xC0FFEEu64;
         let mut grants = Vec::new();
         let mut reference = Vec::new();
@@ -476,7 +410,6 @@ mod tests {
             allocate(
                 SchedulerPolicy::WaterFill,
                 &requests,
-                &weights,
                 &production,
                 40.0,
                 &mut reference,
@@ -488,10 +421,9 @@ mod tests {
     #[test]
     fn stateful_buffers_are_recycled() {
         let n = 16;
-        let weights = vec![1.0; n];
         let production = vec![1.0; n];
         let requests: Vec<f64> = (0..n).map(|i| i as f64 + 0.5).collect();
-        let mut sched = SchedulerPolicy::WaterFill.scheduler(&weights, &production);
+        let mut sched = SchedulerPolicy::WaterFill.scheduler(&production);
         let mut grants = Vec::with_capacity(n);
         sched.allocate(&requests, 10.0, &mut grants);
         let ptr = grants.as_ptr();
@@ -502,7 +434,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match the fleet")]
     fn stateful_rejects_wrong_fleet_size() {
-        let mut sched = SchedulerPolicy::Fair.scheduler(&[1.0, 1.0], &[1.0, 1.0]);
+        let mut sched = SchedulerPolicy::Fair.scheduler(&[1.0, 1.0]);
         let mut grants = Vec::new();
         sched.allocate(&[1.0, 2.0, 3.0], 1.0, &mut grants);
     }
@@ -525,22 +457,15 @@ mod tests {
         // reorder equal keys without the index tie-break.
         let n = 200;
         let mut state = 0x71E5u64;
-        let weights: Vec<f64> = (0..n)
-            .map(|_| [1.0, 2.0][(xorshift(&mut state) % 2) as usize])
-            .collect();
-        let mut sched = SchedulerPolicy::WaterFill.scheduler(&weights, &weights);
+        let production = vec![1.0; n];
+        let mut sched = SchedulerPolicy::WaterFill.scheduler(&production);
         let mut grants = Vec::new();
         for epoch in 0..3 {
-            let requests: Vec<f64> = weights
-                .iter()
-                .map(|w| w * (xorshift(&mut state) % 4) as f64)
-                .collect();
+            let requests: Vec<f64> = (0..n).map(|_| (xorshift(&mut state) % 4) as f64).collect();
             sched.allocate(&requests, total(&requests) * 0.5, &mut grants);
             let mut expected: Vec<usize> = (0..n).collect();
             // Stable sort on the key alone: equal keys keep index order.
-            expected.sort_by(|&a, &b| {
-                (requests[a] / weights[a]).total_cmp(&(requests[b] / weights[b]))
-            });
+            expected.sort_by(|&a, &b| requests[a].total_cmp(&requests[b]));
             assert_eq!(sched.order, expected, "epoch {epoch}");
         }
     }
@@ -552,20 +477,17 @@ mod tests {
         let mut state = 0xED6Eu64;
         for case in 0..200 {
             let n = 2 + (xorshift(&mut state) % 30) as usize;
-            let weights: Vec<f64> = (0..n)
-                .map(|_| 0.1 + (xorshift(&mut state) % 1000) as f64 / 300.0)
-                .collect();
             let requests: Vec<f64> = (0..n)
                 .map(|_| (xorshift(&mut state) % 10_000) as f64 / 700.0)
                 .collect();
             let demand = total(&requests);
             let capacity = f64::from_bits(demand.to_bits() - 1);
             let mut grants = Vec::new();
+            let production = vec![1.0; n];
             allocate(
                 SchedulerPolicy::WaterFill,
                 &requests,
-                &weights,
-                &weights,
+                &production,
                 capacity,
                 &mut grants,
             );

@@ -179,12 +179,6 @@ pub mod json {
             self
         }
 
-        /// Adds a boolean field.
-        pub fn field_bool(&mut self, key: &str, value: bool) -> &mut Self {
-            self.key(key).push_str(if value { "true" } else { "false" });
-            self
-        }
-
         /// Adds an explicit `null` field.
         pub fn field_null(&mut self, key: &str) -> &mut Self {
             self.key(key).push_str("null");
@@ -260,13 +254,12 @@ mod tests {
         obj.field_str("name", "fleet \"a\"\n")
             .field_num("count", 3.0)
             .field_num("bad", f64::INFINITY)
-            .field_bool("ok", true)
             .field_null("none")
             .field_raw("items", &inner.finish());
         assert_eq!(
             obj.finish(),
             "{\"name\":\"fleet \\\"a\\\"\\n\",\"count\":3,\"bad\":null,\
-             \"ok\":true,\"none\":null,\"items\":[1,2.5,\"x\"]}"
+             \"none\":null,\"items\":[1,2.5,\"x\"]}"
         );
     }
 

@@ -98,12 +98,11 @@ fn fleetsim_steady_state_epoch_is_allocation_free() {
         })
         .collect();
     let production: Vec<f64> = work.iter().map(|(p, _)| p.production_rate().value()).collect();
-    let weights = vec![1.0; n];
     // Half the fleet's production rate: binding, but not starving everyone
     // to the min-rate floor.
     let capacity: f64 = production.iter().sum::<f64>() * 0.5;
 
-    let mut sched = SchedulerPolicy::WaterFill.scheduler(&weights, &production);
+    let mut sched = SchedulerPolicy::WaterFill.scheduler(&production);
     let mut requests = vec![0.0f64; n];
     let mut grants: Vec<f64> = Vec::with_capacity(n);
 
@@ -213,7 +212,6 @@ proptest! {
         let work = scaled_work(devices);
         let production: Vec<f64> =
             work.iter().map(|(p, _)| p.production_rate().value()).collect();
-        let weights = vec![1.0f64; devices];
 
         // Budget in cost units, scaled off the fleet's production demand so
         // the ladder spans slack through starvation.
@@ -256,7 +254,7 @@ proptest! {
             for (r, m) in requests.iter_mut().zip(members.iter()) {
                 *r = m.requested_rate().value();
             }
-            scheduler::allocate(policy, &requests, &weights, &production, capacity_rate, &mut grants);
+            scheduler::allocate(policy, &requests, &production, capacity_rate, &mut grants);
             let start = Seconds(epoch as f64 * window.value());
             let mut samples = 0usize;
             for (i, (m, scratch)) in members.iter_mut().zip(scratches.iter_mut()).enumerate() {

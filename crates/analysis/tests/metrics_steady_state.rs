@@ -105,13 +105,12 @@ impl Fleet {
             .collect();
         let production: Vec<f64> =
             work.iter().map(|(p, _)| p.production_rate().value()).collect();
-        let weights = vec![1.0; n];
         // Half the fleet's production rate: binding, so scheduling,
         // throttling, and deferred probes all stay active.
         let capacity: f64 = production.iter().sum::<f64>() * 0.5;
         Fleet {
             members,
-            sched: SchedulerPolicy::WaterFill.scheduler(&weights, &production),
+            sched: SchedulerPolicy::WaterFill.scheduler(&production),
             capacity,
             requests: vec![0.0; n],
             grants: Vec::with_capacity(n),

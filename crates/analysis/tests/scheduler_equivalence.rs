@@ -4,7 +4,7 @@
 //! contract documented on [`Scheduler::allocate`] — finite, non-negative
 //! grants; `Σ grants ≤ max(capacity, Σ requests)`; no grant above its
 //! request when the budget binds (Uniform: none above production); and
-//! binding water-fill grants level at one common `grants[i]/weights[i]`.
+//! binding water-fill grants level at one common rate.
 //!
 //! The sequences model what a real fleet feeds the scheduler: most
 //! controllers hold their rate between epochs (settled steady state,
@@ -57,7 +57,6 @@ const TOL: f64 = 1e-9;
 fn check_contract(
     policy: SchedulerPolicy,
     requests: &[f64],
-    weights: &[f64],
     production: &[f64],
     capacity: f64,
     grants: &[f64],
@@ -97,27 +96,27 @@ fn check_contract(
     }
     if policy == SchedulerPolicy::WaterFill && binding {
         // Every unsatisfied device sits at one water level; every satisfied
-        // device's normalized request is at or below it.
+        // device's request is at or below it.
         let unsatisfied: Vec<usize> = (0..grants.len())
             .filter(|&i| grants[i] < requests[i])
             .collect();
         let Some(&first) = unsatisfied.first() else {
             return;
         };
-        let level = grants[first] / weights[first];
+        let level = grants[first];
         let close = |a: f64, b: f64| (a - b).abs() <= TOL * a.abs().max(b.abs());
         for &i in &unsatisfied {
-            let li = grants[i] / weights[i];
+            let li = grants[i];
             assert!(
                 close(li, level),
                 "waterfill: device {i} at level {li}, not {level}"
             );
         }
         for i in (0..grants.len()).filter(|&i| grants[i] >= requests[i]) {
-            let ni = requests[i] / weights[i];
+            let ri = requests[i];
             assert!(
-                ni <= level || close(ni, level),
-                "waterfill: satisfied device {i} has normalized request {ni} above level {level}"
+                ri <= level || close(ri, level),
+                "waterfill: satisfied device {i} has request {ri} above level {level}"
             );
         }
     }
@@ -130,21 +129,19 @@ proptest! {
     fn stateful_matches_reference_over_request_sequences(
         n in 1usize..80,
         init in prop::collection::vec(0.0f64..20.0, 80..81),
-        weight_seed in prop::collection::vec(0.1f64..4.0, 80..81),
         production_seed in prop::collection::vec(0.01f64..10.0, 80..81),
         churn in churn_strategy(),
     ) {
-        let weights = &weight_seed[..n];
         let production = &production_seed[..n];
         let requests: Vec<f64> = init[..n].to_vec();
         for policy in SchedulerPolicy::ALL {
-            let mut sched = policy.scheduler(weights, production);
+            let mut sched = policy.scheduler(production);
             let mut requests = requests.clone();
             let mut grants = Vec::new();
             let mut reference = Vec::new();
             for (epoch, step) in churn.iter().enumerate() {
                 sched.allocate(&requests, step.capacity, &mut grants);
-                allocate(policy, &requests, weights, production, step.capacity, &mut reference);
+                allocate(policy, &requests, production, step.capacity, &mut reference);
                 prop_assert_eq!(
                     &grants,
                     &reference,
@@ -153,7 +150,7 @@ proptest! {
                     epoch,
                     step.capacity
                 );
-                check_contract(policy, &requests, weights, production, step.capacity, &grants);
+                check_contract(policy, &requests, production, step.capacity, &grants);
                 // Apply this epoch's churn; untouched requests stay
                 // bit-identical, exactly like holding controllers.
                 for &(i, value) in &step.moves {

@@ -3,9 +3,9 @@
 //! large-fleet rows this engine is scaled by.
 //!
 //! Two rows bracket the engine: the uncapped baseline (pure controller
-//! stepping, no arbitration) and weighted water-filling under a binding
-//! budget (scheduling + deferral bookkeeping on top). Both run single
-//! threaded so the numbers track engine work, not thread scaling. The
+//! stepping, no arbitration) and water-filling under a binding budget
+//! (scheduling + deferral bookkeeping on top). Both run single threaded so
+//! the numbers track engine work, not thread scaling. The
 //! `waterfill_20k_2ep` row exercises the scaled 2×10⁴-pair fleet end to
 //! end (its `_metrics` twin re-runs it with the full `--metrics-out`
 //! recorder attached, and its `_watchdog` twin with the recovery slice
@@ -129,7 +129,6 @@ fn bench(c: &mut Criterion) {
     // requests move per epoch) through one reused water-fill scheduler
     // under a binding budget, so every iteration re-sorts the full order.
     let n = 100_000usize;
-    let weights = vec![1.0f64; n];
     let production = vec![1.0f64; n];
     let mut state = 0x5EEDu64;
     let mut requests: Vec<f64> = (0..n)
@@ -137,7 +136,7 @@ fn bench(c: &mut Criterion) {
         .collect();
     let capacity = requests.iter().sum::<f64>() * 0.5;
     c.bench_function("fleet_adaptive/sched_100k", |b| {
-        let mut sched = SchedulerPolicy::WaterFill.scheduler(&weights, &production);
+        let mut sched = SchedulerPolicy::WaterFill.scheduler(&production);
         let mut grants = Vec::with_capacity(n);
         b.iter(|| {
             for _ in 0..n / 100 {

@@ -38,12 +38,6 @@ impl Complex64 {
         Complex64 { re, im: 0.0 }
     }
 
-    /// Creates a complex number from polar coordinates `r·e^{iθ}`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Complex64::new(r * theta.cos(), r * theta.sin())
-    }
-
     /// `e^{iθ}` — a unit phasor at angle `theta` (radians).
     #[inline]
     pub fn cis(theta: f64) -> Self {
@@ -68,12 +62,6 @@ impl Complex64 {
     #[inline]
     pub fn norm(self) -> f64 {
         self.re.hypot(self.im)
-    }
-
-    /// Argument (phase angle) in radians, in `(−π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
     }
 
     /// Multiplies by a real scalar.
@@ -260,13 +248,6 @@ mod tests {
         assert_eq!(a.conj(), Complex64::new(1.0, -2.0));
         assert!((a * a.conj()).im.abs() < EPS);
         assert!(((a * a.conj()).re - a.norm_sqr()).abs() < EPS);
-    }
-
-    #[test]
-    fn polar_roundtrip() {
-        let a = Complex64::from_polar(2.0, std::f64::consts::FRAC_PI_3);
-        assert!((a.norm() - 2.0).abs() < EPS);
-        assert!((a.arg() - std::f64::consts::FRAC_PI_3).abs() < EPS);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 
 use crate::complex::Complex64;
 use crate::window::{Window, WindowTable};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::f64::consts::PI;
 use std::sync::{Arc, Mutex};
 
@@ -430,10 +430,9 @@ pub struct FftPlanner {
 /// function of the signal it analyzes. Summing handle stats over members in
 /// device order therefore gives the same totals for any `--threads N`, which
 /// is what lets them ride in the deterministic metrics snapshot. A "miss"
-/// here means *first request of that length by this handle*; whether the
-/// shared cache happened to already hold the table (warmed by a sibling) or
-/// has since evicted it is a topology/budget question answered separately by
-/// [`FftCacheStats`].
+/// here means *first request of that length by this handle*, whether or not
+/// the shared cache already held the table (warmed by a sibling) or has
+/// since evicted it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FftHandleStats {
     /// Plan requests issued (one per transform of length ≥ 2).
@@ -454,30 +453,6 @@ impl FftHandleStats {
     }
 }
 
-/// Lifetime statistics of one shared plan cache (all handles together).
-///
-/// These depend on the shard split and byte budget — how many clones share
-/// the cache, in what order they warm it, when LRU eviction strikes — so
-/// they are *topology-scoped*: reported on `--timing` stderr, never in the
-/// thread-count-invariant metrics snapshot.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FftCacheStats {
-    /// Tables constructed (first builds and rebuilds).
-    pub builds: u64,
-    /// Total bytes of table constructed over the cache's lifetime.
-    pub built_bytes: u64,
-    /// Tables evicted by the LRU byte budget.
-    pub evictions: u64,
-    /// Total bytes evicted.
-    pub evicted_bytes: u64,
-    /// Bytes spent re-building tables that had been evicted earlier — the
-    /// direct churn cost of running under a too-small budget.
-    pub rebuilt_bytes: u64,
-    /// Bytes currently resident (same figure as
-    /// [`FftPlanner::table_bytes`]).
-    pub resident_bytes: u64,
-}
-
 /// One cached table plus the bookkeeping the byte-budgeted cache needs:
 /// its heap footprint (computed once at build) and a last-use stamp for
 /// least-recently-used eviction.
@@ -489,16 +464,6 @@ struct Cached<T> {
 
 /// Which cache map an eviction victim lives in.
 enum Victim {
-    Pow2(usize),
-    Bluestein(usize),
-    Real(usize),
-    Window(Window, usize),
-}
-
-/// Map-qualified table identity, for remembering what has been evicted so a
-/// later re-build of the same table can be billed as churn.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum TableKey {
     Pow2(usize),
     Bluestein(usize),
     Real(usize),
@@ -526,35 +491,12 @@ struct PlanTables {
     tick: u64,
     /// Sum of the `bytes` of every entry currently held.
     resident: usize,
-    /// Lifetime build/eviction accounting (see [`FftCacheStats`]).
-    stats: FftCacheStats,
-    /// Keys evicted at least once, so a re-build can be billed as
-    /// `rebuilt_bytes`. Grows only at eviction time — a settled fleet under
-    /// its budget never touches it.
-    evicted_keys: HashSet<TableKey>,
 }
 
 impl PlanTables {
     fn stamp(&mut self) -> u64 {
         self.tick += 1;
         self.tick
-    }
-
-    /// Bills a table construction: every build, plus churn accounting when
-    /// the same table had been evicted before.
-    fn note_build(&mut self, key: TableKey, bytes: usize) {
-        self.stats.builds += 1;
-        self.stats.built_bytes += bytes as u64;
-        if self.evicted_keys.contains(&key) {
-            self.stats.rebuilt_bytes += bytes as u64;
-        }
-    }
-
-    /// Bills an eviction and remembers the key for rebuild accounting.
-    fn note_evict(&mut self, key: TableKey, bytes: usize) {
-        self.stats.evictions += 1;
-        self.stats.evicted_bytes += bytes as u64;
-        self.evicted_keys.insert(key);
     }
 
     fn pow2_plan(&mut self, len: usize) -> Arc<Pow2Plan> {
@@ -566,7 +508,6 @@ impl PlanTables {
         let plan = Arc::new(Pow2Plan::new(len));
         let bytes = plan.table_bytes();
         self.resident += bytes;
-        self.note_build(TableKey::Pow2(len), bytes);
         self.pow2.insert(len, Cached { plan: plan.clone(), bytes, last_used: tick });
         self.enforce_budget();
         plan
@@ -586,7 +527,6 @@ impl PlanTables {
             let plan = Arc::new(BluesteinPlan::new(len, inner));
             let bytes = plan.table_bytes();
             self.resident += bytes;
-            self.note_build(TableKey::Bluestein(len), bytes);
             let tick = self.stamp();
             self.bluestein.insert(len, Cached { plan: plan.clone(), bytes, last_used: tick });
             self.enforce_budget();
@@ -605,7 +545,6 @@ impl PlanTables {
         let plan = Arc::new(RealPlan::new(n, inner));
         let bytes = plan.table_bytes();
         self.resident += bytes;
-        self.note_build(TableKey::Real(n), bytes);
         let tick = self.stamp();
         self.real.insert(n, Cached { plan: plan.clone(), bytes, last_used: tick });
         self.enforce_budget();
@@ -621,7 +560,6 @@ impl PlanTables {
         let plan = Arc::new(WindowTable::new(window, n));
         let bytes = plan.resident_bytes();
         self.resident += bytes;
-        self.note_build(TableKey::Window(window, n), bytes);
         self.windows.insert((window, n), Cached { plan: plan.clone(), bytes, last_used: tick });
         self.enforce_budget();
         plan
@@ -658,21 +596,13 @@ impl PlanTables {
                 consider(Victim::Window(w, n), e.last_used);
             }
             let Some((key, _)) = victim else { return };
-            let (table_key, bytes) = match key {
-                Victim::Pow2(k) => (TableKey::Pow2(k), self.pow2.remove(&k).map(|e| e.bytes)),
-                Victim::Bluestein(k) => (
-                    TableKey::Bluestein(k),
-                    self.bluestein.remove(&k).map(|e| e.bytes),
-                ),
-                Victim::Real(k) => (TableKey::Real(k), self.real.remove(&k).map(|e| e.bytes)),
-                Victim::Window(w, n) => (
-                    TableKey::Window(w, n),
-                    self.windows.remove(&(w, n)).map(|e| e.bytes),
-                ),
+            let bytes = match key {
+                Victim::Pow2(k) => self.pow2.remove(&k).map(|e| e.bytes),
+                Victim::Bluestein(k) => self.bluestein.remove(&k).map(|e| e.bytes),
+                Victim::Real(k) => self.real.remove(&k).map(|e| e.bytes),
+                Victim::Window(w, n) => self.windows.remove(&(w, n)).map(|e| e.bytes),
             };
-            let bytes = bytes.unwrap_or(0);
-            self.note_evict(table_key, bytes);
-            self.resident -= bytes;
+            self.resident -= bytes.unwrap_or(0);
         }
     }
 }
@@ -740,17 +670,6 @@ impl FftPlanner {
     /// [`FftHandleStats`] for why these are per-clone, not per-cache.
     pub fn handle_stats(&self) -> FftHandleStats {
         self.handle_stats
-    }
-
-    /// Lifetime build/eviction statistics of the *shared* table cache
-    /// (topology-scoped: depends on which clones share it and the byte
-    /// budget — keep it out of thread-count-invariant reports).
-    pub fn cache_stats(&self) -> FftCacheStats {
-        let tables = self.tables.lock().expect("fft plan cache poisoned");
-        FftCacheStats {
-            resident_bytes: tables.resident as u64,
-            ..tables.stats
-        }
     }
 
     /// The cached coefficient table for `window` at length `n`.
@@ -913,15 +832,6 @@ impl FftPlanner {
             self.fft_in_place(&mut buf, &mut scratch);
             buf
         }
-    }
-
-    /// Inverse DFT returning only real parts — the counterpart of
-    /// [`fft_real`](FftPlanner::fft_real) for **full** spectra with
-    /// (approximate) conjugate symmetry. Allocates throwaway scratch.
-    pub fn ifft_real(&mut self, spectrum: &[Complex64]) -> Vec<f64> {
-        let mut buf = spectrum.to_vec();
-        self.ifft_in_place(&mut buf, &mut FftScratch::new());
-        buf.into_iter().map(|c| c.re).collect()
     }
 }
 
@@ -1331,31 +1241,4 @@ mod tests {
         assert_eq!(merged.lookups.get(), 5);
         assert_eq!(merged.hits.get() + merged.misses.get(), 5);
     }
-
-    #[test]
-    fn cache_stats_bill_evictions_and_rebuilds() {
-        let mut scratch = FftScratch::new();
-        let mut p = FftPlanner::new();
-        let mut buf = vec![Complex64::ONE; 128];
-        p.fft_in_place(&mut buf, &mut scratch);
-        let warm = p.cache_stats();
-        assert!(warm.builds >= 1);
-        assert!(warm.built_bytes > 0);
-        assert_eq!(warm.evictions, 0);
-        assert_eq!(warm.rebuilt_bytes, 0);
-        assert_eq!(warm.resident_bytes as usize, p.table_bytes());
-
-        // Starve the cache so alternating lengths evict each other, then
-        // re-request an evicted one: its bytes must be billed as rebuilt.
-        p.set_table_budget(Some(1));
-        let mut other = vec![Complex64::ONE; 77];
-        p.fft_in_place(&mut other, &mut scratch);
-        p.fft_in_place(&mut buf, &mut scratch); // rebuilds the evicted length-128 plan
-        let churned = p.cache_stats();
-        assert!(churned.evictions > 0);
-        assert!(churned.evicted_bytes > 0);
-        assert!(churned.rebuilt_bytes > 0);
-        assert!(churned.built_bytes >= warm.built_bytes + churned.rebuilt_bytes);
-    }
 }
-

@@ -99,19 +99,6 @@ impl Interp {
         }
         times.iter().map(|&t| self.at(samples, sample_rate, t)).collect()
     }
-
-    /// Resamples onto a regular grid at `dst_rate` spanning the same duration
-    /// (`samples.len() / sample_rate` seconds, half-open).
-    ///
-    /// Grid times are monotone, so the truncated-sinc kernel takes the
-    /// incremental-window path of [`Interp::resample`].
-    pub fn resample_to_rate(&self, samples: &[f64], sample_rate: f64, dst_rate: f64) -> Vec<f64> {
-        assert!(dst_rate > 0.0, "dst_rate must be positive");
-        let duration = samples.len() as f64 / sample_rate;
-        let m = (duration * dst_rate).round().max(1.0) as usize;
-        let times: Vec<f64> = (0..m).map(|i| i as f64 / dst_rate).collect();
-        self.resample(samples, sample_rate, &times)
-    }
 }
 
 /// Fractional sample index of time `t`, snapped to the grid when `t·fs`
@@ -272,16 +259,6 @@ mod tests {
         // The sinc kernel decays like 1/x, so a 20-sample truncation leaves a
         // small but visible tail error.
         assert!((full.at(&samples, fs, t) - truncated.at(&samples, fs, t)).abs() < 0.1);
-    }
-
-    #[test]
-    fn resample_to_rate_lengths() {
-        let samples = vec![1.0; 100];
-        let out = Interp::Linear.resample_to_rate(&samples, 10.0, 5.0);
-        assert_eq!(out.len(), 50);
-        let out = Interp::Linear.resample_to_rate(&samples, 10.0, 20.0);
-        assert_eq!(out.len(), 200);
-        assert!(out.iter().all(|&x| (x - 1.0).abs() < 1e-12));
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //!   Cooley–Tukey plus Bluestein's chirp-z algorithm for arbitrary lengths),
 //! * window functions ([`window::Window`]),
 //! * power-spectral-density estimation ([`psd`]: periodogram and Welch),
-//! * filtering ([`filter`]: FFT brick-wall low-pass, moving average, IIR,
-//!   median),
 //! * resampling and interpolation ([`resample`], [`interp`]: decimation,
 //!   zero-stuff upsampling, nearest/linear/sinc reconstruction),
 //! * quantization ([`quantize`]), and
@@ -47,7 +45,6 @@
 
 pub mod complex;
 pub mod fft;
-pub mod filter;
 pub mod interp;
 pub mod psd;
 pub mod quantize;

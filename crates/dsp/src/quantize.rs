@@ -53,21 +53,6 @@ impl Quantizer {
     pub fn quantized(&self, xs: &[f64]) -> Vec<f64> {
         xs.iter().map(|&x| self.quantize(x)).collect()
     }
-
-    /// Theoretical quantization-noise power `step²/12` (uniform error model).
-    pub fn noise_power(&self) -> f64 {
-        self.step * self.step / 12.0
-    }
-
-    /// Signal-to-quantization-noise ratio in dB for a signal of the given
-    /// power.
-    ///
-    /// # Panics
-    /// Panics if `signal_power` is not positive.
-    pub fn sqnr_db(&self, signal_power: f64) -> f64 {
-        assert!(signal_power > 0.0, "signal power must be positive");
-        10.0 * (signal_power / self.noise_power()).log10()
-    }
 }
 
 #[cfg(test)]
@@ -119,10 +104,9 @@ mod tests {
 
     #[test]
     fn noise_power_model() {
+        // Quantization error power of a smooth ramp is close to the uniform
+        // error model's step²/12.
         let q = Quantizer::new(1.0);
-        assert!((q.noise_power() - 1.0 / 12.0).abs() < 1e-15);
-        // Empirical check: quantization error power of a smooth ramp is close
-        // to step²/12.
         let xs: Vec<f64> = (0..10_000).map(|i| i as f64 * 0.0137).collect();
         let err_power = xs
             .iter()
@@ -132,18 +116,7 @@ mod tests {
             })
             .sum::<f64>()
             / xs.len() as f64;
-        assert!((err_power - q.noise_power()).abs() < 0.01);
-    }
-
-    #[test]
-    fn sqnr_increases_with_finer_steps() {
-        let coarse = Quantizer::new(1.0);
-        let fine = Quantizer::new(0.01);
-        assert!(fine.sqnr_db(1.0) > coarse.sqnr_db(1.0));
-        // Halving the step buys ~6 dB.
-        let a = Quantizer::new(0.5).sqnr_db(1.0);
-        let b = Quantizer::new(0.25).sqnr_db(1.0);
-        assert!((b - a - 6.02).abs() < 0.1);
+        assert!((err_power - 1.0 / 12.0).abs() < 0.01);
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl Spectrum {
         k as f64 * self.resolution()
     }
 
-    /// Power in bin `k`.
-    pub fn power_of_bin(&self, k: usize) -> f64 {
-        self.power[k]
-    }
-
     /// The raw one-sided PSD values.
     pub fn power(&self) -> &[f64] {
         &self.power
@@ -136,23 +131,6 @@ impl Spectrum {
             }
         }
         EnergyCapture::AllBinsNeeded
-    }
-
-    /// Cumulative energy fraction per bin (monotone, ends at 1.0 unless the
-    /// spectrum is all-zero).
-    pub fn cumulative_fraction(&self) -> Vec<f64> {
-        let total = self.total_power();
-        if total <= 0.0 {
-            return vec![0.0; self.power.len()];
-        }
-        let mut acc = 0.0;
-        self.power
-            .iter()
-            .map(|&p| {
-                acc += p;
-                acc / total
-            })
-            .collect()
     }
 
     /// The `count` strongest bins as `(frequency_hz, power)`, descending by
@@ -309,16 +287,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn cumulative_fraction_monotone_and_normalized() {
-        let s = spectrum(vec![1.0, 2.0, 3.0, 4.0, 0.0], 10.0, 8);
-        let c = s.cumulative_fraction();
-        for w in c.windows(2) {
-            assert!(w[1] >= w[0]);
-        }
-        assert!((c.last().unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]

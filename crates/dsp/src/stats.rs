@@ -237,11 +237,6 @@ impl FiveNumber {
             max: percentile(xs, 100.0),
         }
     }
-
-    /// Interquartile range `Q3 − Q1`.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 #[cfg(test)]
@@ -362,6 +357,5 @@ mod tests {
         assert_eq!(f.max, 9.0);
         assert_eq!(f.q1, 3.0);
         assert_eq!(f.q3, 7.0);
-        assert_eq!(f.iqr(), 4.0);
     }
 }

@@ -62,14 +62,6 @@ impl Window {
         }
     }
 
-    /// Coherent gain: mean of the coefficients. Divides amplitude estimates.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        if n == 0 {
-            return 1.0;
-        }
-        self.coefficients(n).iter().sum::<f64>() / n as f64
-    }
-
     /// Energy (incoherent) gain: mean of squared coefficients. Divides power
     /// estimates so windowed PSDs remain comparable across window choices.
     pub fn energy_gain(self, n: usize) -> f64 {
@@ -89,7 +81,7 @@ impl Window {
     ];
 }
 
-/// A materialized window: coefficients plus their normalization gains.
+/// A materialized window: coefficients plus their energy gain.
 ///
 /// Evaluating a window coefficient costs up to four trig calls per sample;
 /// the spectral pipeline instead builds one table per `(window, n)` (cached
@@ -98,12 +90,11 @@ impl Window {
 pub struct WindowTable {
     window: Window,
     coeffs: Vec<f64>,
-    coherent_gain: f64,
     energy_gain: f64,
 }
 
 impl WindowTable {
-    /// Materializes `window` at length `n` and precomputes its gains.
+    /// Materializes `window` at length `n` and precomputes its energy gain.
     ///
     /// Coefficients are stored with power-of-two capacity (see
     /// `fft::quantized_table`) so evicted tables recycle exactly in the
@@ -111,18 +102,14 @@ impl WindowTable {
     pub fn new(window: Window, n: usize) -> Self {
         let mut coeffs = crate::fft::quantized_table::<f64>(n);
         coeffs.extend((0..n).map(|i| window.coefficient(i, n)));
-        let (coherent_gain, energy_gain) = if n == 0 {
-            (1.0, 1.0)
+        let energy_gain = if n == 0 {
+            1.0
         } else {
-            (
-                coeffs.iter().sum::<f64>() / n as f64,
-                coeffs.iter().map(|c| c * c).sum::<f64>() / n as f64,
-            )
+            coeffs.iter().map(|c| c * c).sum::<f64>() / n as f64
         };
         WindowTable {
             window,
             coeffs,
-            coherent_gain,
             energy_gain,
         }
     }
@@ -142,20 +129,10 @@ impl WindowTable {
         self.coeffs.is_empty()
     }
 
-    /// The precomputed coefficients.
-    pub fn coeffs(&self) -> &[f64] {
-        &self.coeffs
-    }
-
     /// Heap bytes the table holds (capacity, not length) — feeds the FFT
     /// planner's byte-budgeted cache accounting.
     pub fn resident_bytes(&self) -> usize {
         self.coeffs.capacity() * std::mem::size_of::<f64>()
-    }
-
-    /// Coherent gain (mean coefficient); equals [`Window::coherent_gain`].
-    pub fn coherent_gain(&self) -> f64 {
-        self.coherent_gain
     }
 
     /// Energy gain (mean squared coefficient); equals
@@ -192,7 +169,6 @@ mod tests {
     fn rectangular_is_all_ones() {
         let w = Window::Rectangular.coefficients(16);
         assert!(w.iter().all(|&c| c == 1.0));
-        assert_eq!(Window::Rectangular.coherent_gain(16), 1.0);
         assert_eq!(Window::Rectangular.energy_gain(16), 1.0);
     }
 
@@ -232,11 +208,12 @@ mod tests {
     fn gains_ordering_matches_taper_aggressiveness() {
         let n = 256;
         // More aggressive tapers throw away more energy.
-        let cg: Vec<f64> = Window::ALL.iter().map(|w| w.coherent_gain(n)).collect();
+        let coherent_gain = |w: Window| w.coefficients(n).iter().sum::<f64>() / n as f64;
+        let cg: Vec<f64> = Window::ALL.iter().map(|&w| coherent_gain(w)).collect();
         assert!(cg[0] > cg[1] && cg[1] > cg[3] && cg[3] > cg[4]);
         for win in Window::ALL {
             let eg = win.energy_gain(n);
-            let cg = win.coherent_gain(n);
+            let cg = coherent_gain(win);
             // Cauchy–Schwarz: mean(w²) ≥ mean(w)².
             assert!(eg + 1e-12 >= cg * cg, "{win:?}");
         }
@@ -267,9 +244,10 @@ mod tests {
             let table = WindowTable::new(win, n);
             assert_eq!(table.window(), win);
             assert_eq!(table.len(), n);
-            assert_eq!(table.coeffs(), win.coefficients(n).as_slice());
-            assert_eq!(table.coherent_gain(), win.coherent_gain(n));
             assert_eq!(table.energy_gain(), win.energy_gain(n));
+            let mut coeffs = vec![1.0; n];
+            table.apply(&mut coeffs);
+            assert_eq!(coeffs, win.coefficients(n));
 
             let mut via_table = vec![1.5; n];
             table.apply(&mut via_table);
@@ -283,7 +261,6 @@ mod tests {
     fn empty_window_table_has_unit_gains() {
         let t = WindowTable::new(Window::Hann, 0);
         assert!(t.is_empty());
-        assert_eq!(t.coherent_gain(), 1.0);
         assert_eq!(t.energy_gain(), 1.0);
     }
 }

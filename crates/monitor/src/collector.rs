@@ -1,52 +1,5 @@
-//! The central collector: runs pollers, ingests samples, accounts cost —
-//! per device ([`Collector`]) and per fleet epoch ([`EpochLedger`]).
-
-use crate::cost::{CostModel, CostReport};
-use crate::poller::PolicyRun;
-use crate::storage::SampleStore;
-use sweetspot_timeseries::ingest::TraceMeta;
-
-/// Collects policy runs into storage with cost accounting.
-#[derive(Debug)]
-pub struct Collector {
-    store: SampleStore,
-    cost_model: CostModel,
-    total_cost: CostReport,
-}
-
-impl Collector {
-    /// Creates a collector under the given cost model.
-    pub fn new(cost_model: CostModel) -> Self {
-        Collector {
-            store: SampleStore::new(cost_model.bytes_per_sample),
-            cost_model,
-            total_cost: CostReport::default(),
-        }
-    }
-
-    /// Ingests one device's policy run; returns the cost charged for it.
-    pub fn ingest(&mut self, meta: &TraceMeta, run: &PolicyRun) -> CostReport {
-        self.store.ingest(meta, run.stored.iter().copied());
-        let cost = CostReport::from_counts(&self.cost_model, run.collected, run.stored.len());
-        self.total_cost.accumulate(&cost);
-        cost
-    }
-
-    /// The sample store.
-    pub fn store(&self) -> &SampleStore {
-        &self.store
-    }
-
-    /// Aggregate cost over everything ingested so far.
-    pub fn total_cost(&self) -> &CostReport {
-        &self.total_cost
-    }
-
-    /// The cost model in force.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost_model
-    }
-}
+//! The collector's fleet ledger: one [`EpochAccount`] of shared-budget
+//! accounting per lockstep epoch, collected in an [`EpochLedger`].
 
 /// One fleet epoch's shared-budget accounting: what the controllers asked
 /// for, what the scheduler granted, and what was actually spent.
@@ -121,11 +74,6 @@ impl EpochLedger {
         self.accounts.iter().map(|a| a.spent).sum()
     }
 
-    /// Total cost units demanded (requested rates priced out).
-    pub fn total_demanded(&self) -> f64 {
-        self.accounts.iter().map(|a| a.demanded).sum()
-    }
-
     /// Total samples collected.
     pub fn total_samples(&self) -> usize {
         self.accounts.iter().map(|a| a.samples).sum()
@@ -157,42 +105,6 @@ impl EpochLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sweetspot_timeseries::Seconds;
-
-    fn meta(d: &str) -> TraceMeta {
-        TraceMeta {
-            metric: "m".into(),
-            device: d.into(),
-        }
-    }
-
-    fn run(collected: usize, stored: usize) -> PolicyRun {
-        PolicyRun {
-            stored: (0..stored).map(|i| (Seconds(i as f64), i as f64)).collect(),
-            collected,
-            epochs: None,
-        }
-    }
-
-    #[test]
-    fn ingest_accumulates_cost_and_samples() {
-        let mut c = Collector::new(CostModel::default());
-        let r1 = c.ingest(&meta("a"), &run(100, 100));
-        let r2 = c.ingest(&meta("b"), &run(100, 10));
-        assert_eq!(c.store().total_samples(), 110);
-        assert_eq!(c.total_cost().samples_collected, 200);
-        assert_eq!(c.total_cost().samples_stored, 110);
-        assert!((c.total_cost().total() - r1.total() - r2.total()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn per_trace_isolation() {
-        let mut c = Collector::new(CostModel::default());
-        c.ingest(&meta("a"), &run(10, 10));
-        c.ingest(&meta("b"), &run(20, 20));
-        assert_eq!(c.store().sample_count(&meta("a")), 10);
-        assert_eq!(c.store().sample_count(&meta("b")), 20);
-    }
 
     #[test]
     fn epoch_ledger_totals_sum_in_order() {
@@ -210,7 +122,6 @@ mod tests {
         }
         assert_eq!(ledger.epochs(), 3);
         assert!((ledger.total_spent() - 35.0).abs() < 1e-12);
-        assert!((ledger.total_demanded() - 90.0).abs() < 1e-12);
         assert_eq!(ledger.total_samples(), 600);
         assert!((ledger.mean_spent_per_epoch() - 35.0 / 3.0).abs() < 1e-12);
         // 0 + 1 + 2 throttled device-epochs over a 2-device fleet × 3 epochs.

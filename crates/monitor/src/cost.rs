@@ -7,7 +7,6 @@
 //! [`CostReport`] aggregates a run.
 
 use serde::{Deserialize, Serialize};
-use sweetspot_timeseries::{Hertz, Seconds};
 
 /// Per-unit prices of the four cost aspects. Units are abstract "cost units"
 /// — only ratios matter for the sweet-spot analysis.
@@ -37,14 +36,6 @@ impl CostModel {
             + self.bytes_per_sample * self.network_per_byte
             + self.bytes_per_sample * self.retention_days * self.storage_per_byte_day
             + self.analysis_per_sample
-    }
-
-    /// Cost units of polling one stream at `rate` over `window` (collect +
-    /// ship + store + analyze every sample). Fractional on purpose: the
-    /// scheduler prices *rates*; the ledger later records the integral
-    /// sample counts actually taken.
-    pub fn rate_cost(&self, rate: Hertz, window: Seconds) -> f64 {
-        rate.value() * window.value() * self.cost_per_sample()
     }
 }
 
@@ -166,15 +157,6 @@ mod tests {
         // Consistency with the report path: N samples collected and stored.
         let r = CostReport::from_counts(&m, 500, 500);
         assert!((r.total() - 500.0 * m.cost_per_sample()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rate_cost_scales_with_rate_and_window() {
-        let m = CostModel::default();
-        let base = m.rate_cost(Hertz(0.01), Seconds(3600.0));
-        assert!((base - 36.0 * m.cost_per_sample()).abs() < 1e-9);
-        assert!((m.rate_cost(Hertz(0.02), Seconds(3600.0)) - 2.0 * base).abs() < 1e-9);
-        assert!((m.rate_cost(Hertz(0.01), Seconds(7200.0)) - 2.0 * base).abs() < 1e-9);
     }
 
     #[test]

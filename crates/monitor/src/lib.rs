@@ -10,8 +10,7 @@
 //! * [`poller`] — sampling policies: today's fixed-rate operator defaults,
 //!   the paper's §4.2 adaptive controller, and the a-posteriori
 //!   "measure fast, store at Nyquist" variant from §4;
-//! * [`collector`] + [`storage`] — sample collection and retention with
-//!   byte-level accounting;
+//! * [`collector`] — the fleet's per-epoch budget ledger;
 //! * [`cost`] — the resource model (collection CPU, network bytes, storage,
 //!   analysis) the paper's §1 motivates;
 //! * [`quality`] — the fidelity model: reconstruction error against ground
@@ -29,7 +28,6 @@ pub mod cost;
 pub mod device;
 pub mod poller;
 pub mod quality;
-pub mod storage;
 pub mod sweep;
 pub mod system;
 

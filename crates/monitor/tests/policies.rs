@@ -2,11 +2,9 @@
 
 use sweetspot_core::adaptive::AdaptiveConfig;
 use sweetspot_monitor::device::SimDevice;
-use sweetspot_monitor::storage::SampleStore;
 use sweetspot_monitor::system::{MonitoringSystem, Policy};
 use sweetspot_telemetry::events::{Event, EventKind};
 use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile};
-use sweetspot_timeseries::ingest::TraceMeta;
 use sweetspot_timeseries::{Hertz, Seconds};
 
 #[test]
@@ -79,30 +77,6 @@ fn event_detection_latency_scales_with_polling_interval() {
         "fast polling must not detect later: {lf} vs {ls}"
     );
     assert!(lf.value() <= 300.0);
-}
-
-#[test]
-fn storage_retention_trims_and_accounts() {
-    let store = SampleStore::new(32.0);
-    let meta = TraceMeta {
-        metric: "m".into(),
-        device: "d".into(),
-    };
-    store.ingest(
-        &meta,
-        (0..1000).map(|i| (Seconds(i as f64 * 60.0), i as f64)),
-    );
-    assert_eq!(store.total_samples(), 1000);
-    let before_bytes = store.total_bytes();
-    // Retain only the last ~500 minutes.
-    let dropped = store.trim_before(Seconds(500.0 * 60.0));
-    assert_eq!(dropped, 500);
-    assert_eq!(store.total_samples(), 500);
-    assert!(store.total_bytes() < before_bytes);
-    // The retained series is intact and sorted.
-    let series = store.read(&meta).unwrap();
-    assert_eq!(series.len(), 500);
-    assert_eq!(series.values()[0], 500.0);
 }
 
 #[test]

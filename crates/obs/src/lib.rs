@@ -295,8 +295,8 @@ impl Histogram {
 
 /// One flight-recorder entry: something notable happened to `device` at
 /// `epoch`. `kind` is a static tag (no allocation, no lifetime bookkeeping);
-/// `value` carries the event's magnitude where one exists (a granted rate, a
-/// rebuilt byte count) and `0.0` otherwise.
+/// `value` carries the event's magnitude where one exists (a requested or
+/// re-probe rate) and `0.0` otherwise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JournalEvent {
     pub epoch: u32,

@@ -86,20 +86,6 @@ impl Event {
             EventKind::FailStop => -self.magnitude,
         }
     }
-
-    /// The highest significant frequency the event injects (Hz) — what the
-    /// local Nyquist rate rises to while the event is active.
-    ///
-    /// Spikes and steps are broadband in theory, but their energy
-    /// concentrates below `~1/duration`; flaps concentrate at the (softened)
-    /// third harmonic of the flap frequency.
-    pub fn peak_frequency(&self) -> f64 {
-        match self.kind {
-            EventKind::Spike => 1.0 / self.duration,
-            EventKind::LevelShift | EventKind::FailStop => 1.0 / self.duration,
-            EventKind::LinkFlap { flap_freq } => 3.0 * flap_freq,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -144,14 +130,6 @@ mod tests {
         assert!((e.value_at(0.25) - 0.5).abs() < 1e-12);
         // Antisymmetric half cycle later.
         assert!((e.value_at(0.75) + 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn peak_frequencies() {
-        let flap = Event::new(EventKind::LinkFlap { flap_freq: 0.2 }, 0.0, 10.0, 1.0);
-        assert!((flap.peak_frequency() - 0.6).abs() < 1e-12);
-        let spike = Event::new(EventKind::Spike, 0.0, 4.0, 1.0);
-        assert!((spike.peak_frequency() - 0.25).abs() < 1e-12);
     }
 
     #[test]

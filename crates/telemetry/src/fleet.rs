@@ -5,7 +5,6 @@
 //! [`FleetConfig`] lets tests build smaller fleets.
 
 use crate::generator::DeviceTrace;
-use crate::metric::MetricKind;
 use crate::profile::MetricProfile;
 use sweetspot_timeseries::Seconds;
 
@@ -130,13 +129,6 @@ impl Fleet {
         &self.traces
     }
 
-    /// Traces of one metric kind.
-    pub fn traces_for(&self, kind: MetricKind) -> impl Iterator<Item = &DeviceTrace> {
-        self.traces
-            .iter()
-            .filter(move |t| t.profile().kind == kind)
-    }
-
     /// Number of metric-device pairs.
     pub fn len(&self) -> usize {
         self.traces.len()
@@ -151,24 +143,12 @@ impl Fleet {
     pub fn config(&self) -> &FleetConfig {
         &self.config
     }
-
-    /// Fraction of pairs that are under-sampled at production rates (ground
-    /// truth, not estimated). The paper measures ~11%.
-    pub fn true_undersampled_fraction(&self) -> f64 {
-        if self.traces.is_empty() {
-            return 0.0;
-        }
-        self.traces
-            .iter()
-            .filter(|t| t.is_undersampled_at_production_rate())
-            .count() as f64
-            / self.traces.len() as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric::MetricKind;
 
     #[test]
     fn build_respects_config() {
@@ -179,7 +159,12 @@ mod tests {
         });
         assert_eq!(fleet.len(), 14 * 3);
         for kind in MetricKind::ALL {
-            assert_eq!(fleet.traces_for(kind).count(), 3);
+            let count = fleet
+                .traces()
+                .iter()
+                .filter(|t| t.profile().kind == kind)
+                .count();
+            assert_eq!(count, 3);
         }
     }
 
@@ -296,7 +281,12 @@ mod tests {
             devices_per_metric: 60,
             trace_duration: Seconds::from_days(1.0),
         });
-        let frac = fleet.true_undersampled_fraction();
+        let undersampled = fleet
+            .traces()
+            .iter()
+            .filter(|t| t.is_undersampled_at_production_rate())
+            .count();
+        let frac = undersampled as f64 / fleet.len() as f64;
         assert!((0.06..0.18).contains(&frac), "undersampled fraction {frac}");
     }
 }

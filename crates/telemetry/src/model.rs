@@ -288,13 +288,6 @@ impl SignalModel {
         SignalModel::new(mean, tones, None)
     }
 
-    /// Adds a clip range (applied after tones and events).
-    pub fn with_clip(mut self, lo: f64, hi: f64) -> Self {
-        assert!(lo < hi, "clip range must be ordered");
-        self.clip = Some((lo, hi));
-        self
-    }
-
     /// Adds transient events to the model.
     pub fn with_events(mut self, events: Vec<Event>) -> Self {
         self.events = events;

@@ -27,7 +27,7 @@ pub struct CleanConfig {
     /// they are treated as lost samples and re-filled by the re-gridding
     /// step. `None` disables outlier handling. (Discarding beats clamping:
     /// a clamped corrupt reading still leaves a large impulse that pollutes
-    /// the spectrum; see [`clip_outliers`] if clamping is what you want.)
+    /// the spectrum.)
     ///
     /// The default is `Some(8.0)` — wide enough that legitimate spikes and
     /// diurnal swings survive untouched, tight enough to discard the
@@ -85,37 +85,6 @@ pub fn drop_invalid(series: &IrregularSeries) -> IrregularSeries {
     let pairs: Vec<(Seconds, f64)> = series
         .iter()
         .filter(|(_, v)| v.is_finite())
-        .collect();
-    IrregularSeries::from_pairs(pairs)
-}
-
-/// Clips values further than `mads` scaled median-absolute-deviations from
-/// the median to that bound. Robust to the isolated corrupt readings the
-/// paper worries about in §3.2 ("data corruption that may have lead to an
-/// incorrect assessment").
-///
-/// Uses the 1.4826 normal-consistency scaling. If the MAD is zero (more than
-/// half the samples identical), the series is returned unchanged.
-///
-/// # Panics
-/// Panics if `mads` is not positive.
-pub fn clip_outliers(series: &IrregularSeries, mads: f64) -> IrregularSeries {
-    assert!(mads > 0.0, "mads must be positive");
-    let finite: Vec<f64> = series.values().iter().copied().filter(|v| v.is_finite()).collect();
-    if finite.is_empty() {
-        return series.clone();
-    }
-    let median = median_of(&finite);
-    let mut deviations: Vec<f64> = finite.iter().map(|v| (v - median).abs()).collect();
-    let mad = median_of_mut(&mut deviations) * 1.4826;
-    if mad <= 0.0 {
-        return series.clone();
-    }
-    let lo = median - mads * mad;
-    let hi = median + mads * mad;
-    let pairs = series
-        .iter()
-        .map(|(t, v)| (t, if v.is_finite() { v.clamp(lo, hi) } else { v }))
         .collect();
     IrregularSeries::from_pairs(pairs)
 }
@@ -480,30 +449,6 @@ mod tests {
             regularize(&ok, Seconds(f64::NAN)),
             Err(CleanError::BadInterval(s)) if s.is_nan()
         ));
-    }
-
-    #[test]
-    fn clip_outliers_caps_spikes() {
-        let ir = IrregularSeries::new(
-            (0..11).map(|i| Seconds(i as f64)).collect(),
-            vec![10.0, 10.1, 9.9, 10.0, 10.2, 1e9, 9.8, 10.0, 10.1, 9.9, 10.0],
-        );
-        let out = clip_outliers(&ir, 5.0);
-        let max = out.values().iter().cloned().fold(f64::MIN, f64::max);
-        assert!(max < 20.0, "spike survived: {max}");
-        // Normal values untouched.
-        assert_eq!(out.values()[0], 10.0);
-    }
-
-    #[test]
-    fn clip_outliers_zero_mad_is_noop() {
-        let ir = IrregularSeries::new(
-            (0..5).map(|i| Seconds(i as f64)).collect(),
-            vec![5.0, 5.0, 5.0, 5.0, 100.0],
-        );
-        // MAD = 0 (majority identical) → unchanged.
-        let out = clip_outliers(&ir, 3.0);
-        assert_eq!(out.values()[4], 100.0);
     }
 
     #[test]

@@ -43,14 +43,6 @@ impl RegularSeries {
         }
     }
 
-    /// A series starting at t=0 sampled at `rate`.
-    ///
-    /// # Panics
-    /// Panics if `rate` is not positive.
-    pub fn from_rate(rate: Hertz, values: Vec<f64>) -> Self {
-        RegularSeries::new(Seconds::ZERO, rate.period(), values)
-    }
-
     /// Timestamp of the first sample.
     pub fn start(&self) -> Seconds {
         self.start
@@ -81,11 +73,6 @@ impl RegularSeries {
         &self.values
     }
 
-    /// Mutable access to the sample values (e.g. for in-place quantization).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// Consumes the series, returning its values.
     pub fn into_values(self) -> Vec<f64> {
         self.values
@@ -114,19 +101,6 @@ impl RegularSeries {
     pub fn slice(&self, range: std::ops::Range<usize>) -> RegularSeries {
         let start = self.time_of(range.start);
         RegularSeries::new(start, self.interval, self.values[range].to_vec())
-    }
-
-    /// Index of the sample at-or-after time `t`, or `None` if past the end.
-    pub fn index_at_or_after(&self, t: Seconds) -> Option<usize> {
-        let pos = (t - self.start) / self.interval;
-        let idx = if pos <= 0.0 { 0 } else { pos.ceil() as usize };
-        // Snap near-integer positions down so `time_of(k)` itself maps to `k`.
-        let idx = if idx > 0 && ((idx - 1) as f64 - pos).abs() < 1e-9 {
-            idx - 1
-        } else {
-            idx
-        };
-        (idx < self.len()).then_some(idx)
     }
 
     /// Converts to an irregular series with explicit timestamps.
@@ -299,13 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn regular_from_rate() {
-        let s = RegularSeries::from_rate(Hertz(10.0), vec![0.0; 5]);
-        assert_eq!(s.interval(), Seconds(0.1));
-        assert_eq!(s.start(), Seconds::ZERO);
-    }
-
-    #[test]
     #[should_panic(expected = "positive")]
     fn regular_zero_interval_panics() {
         RegularSeries::new(Seconds::ZERO, Seconds::ZERO, vec![1.0]);
@@ -324,17 +291,6 @@ mod tests {
         assert_eq!(sub.values(), &[2.0, 3.0]);
         assert_eq!(sub.start(), Seconds(12.0));
         assert_eq!(sub.interval(), Seconds(2.0));
-    }
-
-    #[test]
-    fn index_at_or_after() {
-        let s = series();
-        assert_eq!(s.index_at_or_after(Seconds(0.0)), Some(0));
-        assert_eq!(s.index_at_or_after(Seconds(10.0)), Some(0));
-        assert_eq!(s.index_at_or_after(Seconds(11.0)), Some(1));
-        assert_eq!(s.index_at_or_after(Seconds(12.0)), Some(1));
-        assert_eq!(s.index_at_or_after(Seconds(16.0)), Some(3));
-        assert_eq!(s.index_at_or_after(Seconds(16.1)), None);
     }
 
     #[test]

@@ -62,31 +62,11 @@ impl Seconds {
         assert!(self.0 > 0.0, "cannot convert non-positive period {self} to a rate");
         Hertz(1.0 / self.0)
     }
-
-    /// True when finite and `>= 0`.
-    pub fn is_valid(self) -> bool {
-        self.0.is_finite() && self.0 >= 0.0
-    }
 }
 
 impl Hertz {
     /// Zero Hz (a "never sample" rate; cannot be converted to a period).
     pub const ZERO: Hertz = Hertz(0.0);
-
-    /// Constructs from a number of events per minute.
-    pub fn per_minute(n: f64) -> Self {
-        Hertz(n / 60.0)
-    }
-
-    /// Constructs from a number of events per hour.
-    pub fn per_hour(n: f64) -> Self {
-        Hertz(n / 3600.0)
-    }
-
-    /// Constructs from a number of events per day.
-    pub fn per_day(n: f64) -> Self {
-        Hertz(n / 86_400.0)
-    }
 
     /// The raw Hz value.
     pub fn value(self) -> f64 {
@@ -100,11 +80,6 @@ impl Hertz {
     pub fn period(self) -> Seconds {
         assert!(self.0 > 0.0, "cannot convert non-positive rate {self} to a period");
         Seconds(1.0 / self.0)
-    }
-
-    /// True when finite and `>= 0`.
-    pub fn is_valid(self) -> bool {
-        self.0.is_finite() && self.0 >= 0.0
     }
 
     /// The Nyquist *sampling* rate for a signal whose highest frequency is
@@ -214,8 +189,6 @@ mod tests {
         assert_eq!(Seconds::from_minutes(5.0).value(), 300.0);
         assert_eq!(Seconds::from_hours(2.0).value(), 7200.0);
         assert_eq!(Seconds::from_days(1.0).value(), 86_400.0);
-        assert_eq!(Hertz::per_minute(1.0).value(), 1.0 / 60.0);
-        assert_eq!(Hertz::per_day(1.0).value(), 1.0 / 86_400.0);
     }
 
     #[test]
@@ -265,14 +238,5 @@ mod tests {
         assert_eq!(format!("{}", Hertz(0.0)), "0Hz");
         assert!(format!("{}", Hertz(7.99e-7)).contains('e'));
         assert_eq!(format!("{}", Hertz(2.0)), "2.0000Hz");
-    }
-
-    #[test]
-    fn validity() {
-        assert!(Seconds(1.0).is_valid());
-        assert!(!Seconds(f64::NAN).is_valid());
-        assert!(!Seconds(-1.0).is_valid());
-        assert!(Hertz(0.0).is_valid());
-        assert!(!Hertz(f64::INFINITY).is_valid());
     }
 }

@@ -49,11 +49,6 @@ pub fn moving_windows(
         })
 }
 
-/// Number of full windows [`moving_windows`] will yield.
-pub fn window_count(series: &RegularSeries, window: Seconds, step: Seconds) -> usize {
-    moving_windows(series, window, step).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,7 +93,7 @@ mod tests {
     #[test]
     fn window_longer_than_series_yields_nothing() {
         let s = series(5);
-        assert_eq!(window_count(&s, Seconds(10.0), Seconds(1.0)), 0);
+        assert_eq!(moving_windows(&s, Seconds(10.0), Seconds(1.0)).count(), 0);
     }
 
     #[test]
@@ -120,7 +115,7 @@ mod tests {
         );
         let win = Seconds::from_hours(6.0);
         let step = Seconds::from_minutes(5.0);
-        let count = window_count(&s, win, step);
+        let count = moving_windows(&s, win, step).count();
         // 6h = 72 samples → n − 72 + 1 starts, stepping 1 sample.
         assert_eq!(count, n - 72 + 1);
     }

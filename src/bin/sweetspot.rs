@@ -22,16 +22,15 @@
 //!                    [--scenario NAME|SPEC] [--scenario-seed S]
 //!                    [--recovery-budget-frac F]
 //!                    [--metrics-out PATH] [--metrics-every K]
-//!                    [--paper-scale] [--timing] [--json] [--json-devices]
+//!                    [--timing] [--json] [--json-devices]
 //!     Fleet-level adaptive simulation: every device's §4.2 controller under
 //!     one shared collection budget, with a cross-device scheduler deciding
 //!     epoch-by-epoch poll rates. Defaults to the paper-scale 1613-pair
-//!     fleet (`--paper-scale` says so explicitly; `--devices N` simulates a
-//!     fleet of exactly N metric-device pairs instead, tiling the 14-metric
-//!     population round-robin — any N from a handful to 10⁵+; combining the
-//!     two is an error). Without `--budget` it sweeps a budget ladder and
-//!     prints the cost-vs-quality frontier per policy; with `--budget X`
-//!     (cost units/epoch) it runs one point. `--policy` picks one of
+//!     fleet (`--devices N` simulates a fleet of exactly N metric-device
+//!     pairs instead, tiling the 14-metric population round-robin — any N
+//!     from a handful to 10⁵+). Without `--budget` it sweeps a budget
+//!     ladder and prints the cost-vs-quality frontier per policy; with
+//!     `--budget X` (cost units/epoch) it runs one point. `--policy` picks one of
 //!     uncapped|uniform|fair|waterfill (default: all). `--verify-every K`
 //!     runs §4.1 dual-rate verification on settled devices every K-th epoch
 //!     instead of continuously (probes always verify; anomalies pull
@@ -157,7 +156,7 @@ USAGE:
                      [--fft-cache-mb M] [--scenario NAME|SPEC] [--scenario-seed S]
                      [--recovery-budget-frac F]
                      [--metrics-out PATH] [--metrics-every K]
-                     [--paper-scale] [--timing] [--json] [--json-devices]
+                     [--timing] [--json] [--json-devices]
   sweetspot demo     [--metric NAME] [--days D] [--seed S]
   sweetspot help";
 
@@ -435,8 +434,7 @@ fn study_json(study: &FleetStudy) -> String {
 }
 
 fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
-    let (paper_scale, rest) = take_switch(args, "--paper-scale");
-    let (timing, rest) = take_switch(&rest, "--timing");
+    let (timing, rest) = take_switch(args, "--timing");
     let (json, rest) = take_switch(&rest, "--json");
     let (json_devices, rest) = take_switch(&rest, "--json-devices");
     // --json-devices is a refinement of --json, not a separate mode.
@@ -462,15 +460,9 @@ fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
         "fleetsim",
     )?;
     let days = flag_f64(&flags, "days", 10.0)?;
-    if days <= 0.0 {
-        return Err("--days must be positive".into());
-    }
     let seed = flag_u64(&flags, "seed", 0x5EED_CAFE)?;
     let threads = flag_u64(&flags, "threads", 0)? as usize;
     let verify_every = flag_u64(&flags, "verify-every", 1)? as usize;
-    if verify_every == 0 {
-        return Err("--verify-every wants a positive epoch count (1 = verify every epoch)".into());
-    }
     // Total FFT plan-cache cap in MiB, split across shards; 0 = unbounded.
     // Eviction rebuilds tables bit-identically, so this never changes output.
     let fft_cache_mb = flag_u64(
@@ -489,9 +481,6 @@ fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
     // Watchdog recovery slice, as a fraction of the fleet's capacity rate.
     // 0 disables the watchdog entirely (bit-identical to the plain engine).
     let recovery_budget_frac = flag_f64(&flags, "recovery-budget-frac", 0.0)?;
-    if !(0.0..=1.0).contains(&recovery_budget_frac) {
-        return Err("--recovery-budget-frac wants a fraction in [0, 1]".into());
-    }
     let budget = flag_opt::<f64>(&flags, "budget", "a non-negative number")?;
     if budget.is_some_and(|b| b.is_nan() || b < 0.0) {
         return Err("--budget wants a non-negative number".into());
@@ -504,32 +493,6 @@ fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
                     SchedulerPolicy::ALL.map(|p| p.name()).join("|")
                 )
             })
-        })
-        .transpose()?;
-
-    if paper_scale && devices.is_some() {
-        return Err("--paper-scale and --devices conflict: the paper-scale fleet \
-                    is exactly 1613 pairs (115/metric + 3 extras)"
-            .into());
-    }
-    if devices == Some(0) {
-        return Err("--devices wants a positive fleet size".into());
-    }
-    let metrics_out = flag_opt::<String>(&flags, "metrics-out", "a file path")?;
-    let metrics_every = flag_u64(&flags, "metrics-every", 1)? as usize;
-    if metrics_every == 0 {
-        return Err("--metrics-every wants a positive epoch count (1 = every epoch)".into());
-    }
-    if metrics_out.is_none() && flags.iter().any(|(n, _)| n == "metrics-every") {
-        return Err("--metrics-every only makes sense with --metrics-out".into());
-    }
-    let mut recorder = metrics_out
-        .as_deref()
-        .map(|path| {
-            let mut rec = fleetsim::metrics::MetricsRecorder::to_path(std::path::Path::new(path))
-                .map_err(|e| format!("cannot open --metrics-out {path:?}: {e}"))?;
-            rec.set_every(metrics_every);
-            Ok::<_, String>(rec)
         })
         .transpose()?;
     let cfg = FleetSimConfig {
@@ -550,6 +513,24 @@ fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
         recovery_budget_frac,
         ..FleetSimConfig::default()
     };
+    cfg.validate()?;
+    let metrics_out = flag_opt::<String>(&flags, "metrics-out", "a file path")?;
+    let metrics_every = flag_u64(&flags, "metrics-every", 1)? as usize;
+    if metrics_every == 0 {
+        return Err("--metrics-every wants a positive epoch count (1 = every epoch)".into());
+    }
+    if metrics_out.is_none() && flags.iter().any(|(n, _)| n == "metrics-every") {
+        return Err("--metrics-every only makes sense with --metrics-out".into());
+    }
+    let mut recorder = metrics_out
+        .as_deref()
+        .map(|path| {
+            let mut rec = fleetsim::metrics::MetricsRecorder::to_path(std::path::Path::new(path))
+                .map_err(|e| format!("cannot open --metrics-out {path:?}: {e}"))?;
+            rec.set_every(metrics_every);
+            Ok::<_, String>(rec)
+        })
+        .transpose()?;
     let rec = recorder.as_mut();
     let frontier = match (budget, policy) {
         (Some(b), p) => fleetsim::run_point_recorded(&cfg, b, p, rec),

@@ -11,7 +11,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`dsp`] | FFT, PSD, windows, filters, resampling, quantization, stats |
+//! | [`dsp`] | FFT, PSD, windows, resampling, quantization, stats |
 //! | [`timeseries`] | regular/irregular series, time/rate newtypes, cleaning |
 //! | [`telemetry`] | synthetic datacenter fleet (the data substrate) |
 //! | [`core`] | Nyquist estimator, aliasing detector, adaptive sampler, reconstruction |

@@ -254,6 +254,8 @@ fn unknown_flags_are_rejected_with_diagnostics() {
     for args in [
         vec!["study", "--bogus", "1"],
         vec!["fleetsim", "--nope", "2"],
+        // Paper scale is fleetsim's default; the switch is study-only.
+        vec!["fleetsim", "--paper-scale", "1"],
         vec!["track", "/tmp/x.csv", "--cutoff", "0.9"],
         vec!["demo", "--threads", "4"],
     ] {
@@ -354,6 +356,22 @@ fn fleetsim_rejects_zero_devices() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("positive fleet size"), "{stderr}");
+}
+
+#[test]
+fn fleetsim_rejects_non_finite_days() {
+    // A non-finite horizon has no epoch count: it must fail with a
+    // message, neither running nor panicking.
+    for days in ["nan", "inf"] {
+        let out = bin()
+            .args(["fleetsim", "--devices", "14", "--days", days])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "--days {days} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--days must be positive"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }
 
 #[test]

@@ -383,9 +383,8 @@ fn settled_fleet_under_one_percent_churn_stays_allocation_free() {
         })
         .collect();
     let production: Vec<f64> = work.iter().map(|(p, _)| p.production_rate().value()).collect();
-    let weights = vec![1.0; n];
 
-    let mut sched = SchedulerPolicy::Uncapped.scheduler(&weights, &production);
+    let mut sched = SchedulerPolicy::Uncapped.scheduler(&production);
     let mut requests = vec![0.0f64; n];
     let mut grants: Vec<f64> = Vec::with_capacity(n);
     let mut active = vec![true; n];
