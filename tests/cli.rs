@@ -656,3 +656,58 @@ fn study_json_matches_golden_fixture() {
         );
     }
 }
+
+/// Writes `demo --metric <metric> --days 3` to a temp CSV and returns its
+/// path.
+fn demo_trace(metric: &str, tag: &str) -> std::path::PathBuf {
+    let out = bin()
+        .args(["demo", "--metric", metric, "--days", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "demo --metric {metric} failed");
+    write_temp(tag, &String::from_utf8_lossy(&out.stdout))
+}
+
+/// Runs `sweetspot <cmd> <path>` and returns its stdout.
+fn stdout_of(cmd: &str, path: &std::path::Path) -> Vec<u8> {
+    let out = bin().arg(cmd).arg(path).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{cmd} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+// Byte-for-byte pins of `analyze` and `track` on demo traces, written
+// before non-power-of-two 5-smooth lengths moved off Bluestein onto the
+// mixed-radix FFT. "Lossy paths" over 3 days regularizes to 4 320 minutely
+// samples (a 5-smooth length) and its 6-hour tracker windows hold 360;
+// "Temperature" regularizes to 865 = 5·173 samples, which stays on
+// Bluestein.
+
+#[test]
+fn analyze_and_track_on_smooth_demo_trace_match_golden_fixtures() {
+    let path = demo_trace("Lossy paths", "golden-lossy");
+    let analyze = stdout_of("analyze", &path);
+    let track = stdout_of("track", &path);
+    std::fs::remove_file(path).ok();
+    assert!(
+        analyze == golden("analyze_demo.txt"),
+        "analyze diverged:\n{}",
+        String::from_utf8_lossy(&analyze)
+    );
+    assert!(track == golden("track_demo.txt"), "track diverged");
+}
+
+#[test]
+fn analyze_on_bluestein_demo_trace_matches_golden_fixture() {
+    let path = demo_trace("Temperature", "golden-temperature");
+    let analyze = stdout_of("analyze", &path);
+    std::fs::remove_file(path).ok();
+    assert!(
+        analyze == golden("analyze_temperature_demo.txt"),
+        "analyze diverged:\n{}",
+        String::from_utf8_lossy(&analyze)
+    );
+}
