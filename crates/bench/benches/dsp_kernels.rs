@@ -1,12 +1,12 @@
 //! DSP kernel microbenchmarks: the primitives every experiment sits on.
 //!
-//! Covers both FFT paths (radix-2 and Bluestein), PSD estimation,
-//! Fourier resampling and the end-to-end Nyquist estimator.
+//! Covers all three FFT paths (radix-2, mixed-radix and Bluestein), PSD
+//! estimation, Fourier resampling and the end-to-end Nyquist estimator.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
-use sweetspot_dsp::fft::{FftPlanner, FftScratch};
+use sweetspot_dsp::fft::{plan_kind, FftPlanner, FftScratch};
 use sweetspot_dsp::psd::{periodogram, welch, PsdConfig, WelchConfig};
 use sweetspot_dsp::resample::resample_fft;
 use sweetspot_dsp::Complex64;
@@ -93,11 +93,11 @@ fn welch_promote_reference(
 }
 
 fn bench(c: &mut Criterion) {
-    // FFT: power-of-two (radix-2) vs arbitrary length (Bluestein).
-    for n in [1024usize, 1000, 4096, 2880] {
+    // Complex FFT on each plan kind: powers of two (radix-2), 5-smooth
+    // lengths (mixed-radix) and the rest (2878 = 2·1439, Bluestein).
+    for n in [1024usize, 1000, 4096, 2880, 2878] {
         let sig = signal(n);
-        let label = if n.is_power_of_two() { "radix2" } else { "bluestein" };
-        c.bench_function(&format!("fft/{label}_{n}"), |b| {
+        c.bench_function(&format!("fft/{}_{n}", plan_kind(n)), |b| {
             let mut planner = FftPlanner::new();
             let mut scratch = FftScratch::new();
             let buf: Vec<Complex64> = sig.iter().map(|&x| Complex64::from_real(x)).collect();
@@ -109,7 +109,22 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // PSD estimation. 2880 is one day at 30 s (Bluestein); 4096/8192 are the
+    // Real FFT over a mixed-radix half: a 6-hour tracker window and 90 days
+    // at one minute.
+    for n in [360usize, 129_600] {
+        let sig = signal(n);
+        c.bench_function(&format!("rfft/{}_{n}", plan_kind(n / 2)), |b| {
+            let mut planner = FftPlanner::new();
+            let mut scratch = FftScratch::new();
+            let mut out = Vec::new();
+            b.iter(|| {
+                planner.fft_real_into(black_box(&sig), &mut out, &mut scratch);
+                black_box(&out);
+            })
+        });
+    }
+
+    // PSD estimation. 2880 is one day at 30 s (mixed-radix); 4096/8192 are the
     // power-of-two lengths the real-input fast path is judged on. The
     // `periodogram_promote_*` rows time the pre-rework full-complex path in
     // the same run, so the rfft speedup factor is load-independent.

@@ -50,7 +50,7 @@ pub fn track(series: &RegularSeries, cfg: TrackerConfig) -> Vec<TrackedPoint> {
         .filter(|w| w.values.len() >= 4)
         .map(|w| TrackedPoint {
             window_start: w.start,
-            estimate: estimator.estimate_samples(&mut scratch, &w.values, rate),
+            estimate: estimator.estimate_samples(&mut scratch, w.values, rate),
         })
         .collect()
 }

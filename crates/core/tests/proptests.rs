@@ -38,8 +38,8 @@ fn sampled_at(tones: &[(f64, f64)], rate: f64, n: usize) -> RegularSeries {
 }
 
 /// Trace lengths that cover every FFT path: odd (full complex transform),
-/// even non-power-of-two (packed real over a Bluestein half) and power of
-/// two (packed real over a radix-2 half).
+/// even non-power-of-two (packed real over a Bluestein half, or at 288 a
+/// mixed-radix one) and power of two (packed real over a radix-2 half).
 fn trace_len(kind: usize, k: usize) -> usize {
     match kind {
         0 => 65 + 74 * k,

@@ -1,9 +1,15 @@
 //! Fast Fourier transforms.
 //!
-//! Three algorithms cover all input lengths:
+//! Three complex algorithms cover all input lengths, and a real-input path
+//! sits on top of them:
 //!
 //! * **Iterative radix-2 Cooley–Tukey** (decimation in time, bit-reversed
 //!   input ordering) for power-of-two lengths.
+//! * **Mixed-radix Cooley–Tukey** (radices 4, 2, 3 and 5; self-sorting
+//!   Stockham passes) for the other lengths with no prime factor above 5 —
+//!   `2^a·3^b·5^c`, which is what real collection grids produce: 360
+//!   one-minute samples in a 6-hour window, 2 880 half-minutes in a day,
+//!   129 600 minutes in 90 days.
 //! * **Bluestein's chirp-z algorithm** for everything else, which re-expresses
 //!   an arbitrary-length DFT as a linear convolution evaluated with
 //!   power-of-two FFTs of length `≥ 2N − 1`.
@@ -71,6 +77,20 @@ pub fn one_sided_len(n: usize) -> usize {
     }
 }
 
+/// Name of the algorithm a complex transform of length `n ≥ 2` runs:
+/// `"radix2"` for powers of two, `"mixed"` for other lengths with no prime
+/// factor above 5, `"bluestein"` for the rest. A real transform of even
+/// length `n` runs the complex plan of `n/2`.
+pub fn plan_kind(n: usize) -> &'static str {
+    if is_pow2(n) {
+        "radix2"
+    } else if smooth_radices(n).is_some() {
+        "mixed"
+    } else {
+        "bluestein"
+    }
+}
+
 /// Reusable scratch space for the planner's transforms.
 ///
 /// Callers lend one to every transform; a loop keeps one and passes it each
@@ -78,7 +98,9 @@ pub fn one_sided_len(n: usize) -> usize {
 /// steady state allocates nothing. Contents never influence results.
 #[derive(Debug, Default)]
 pub struct FftScratch {
-    /// Bluestein convolution buffer (length `m = next_pow2(2n − 1)`).
+    /// Work buffer of the complex plans: the Bluestein convolution (length
+    /// `next_pow2(2n − 1)`) or the mixed-radix ping-pong buffer (length
+    /// `n`).
     conv: Vec<Complex64>,
     /// Packed half-length buffer for the real-input fast path.
     half: Vec<Complex64>,
@@ -262,10 +284,211 @@ impl BluesteinPlan {
     }
 }
 
+/// Radix passes of a mixed-radix plan for `n`, in the order they run —
+/// 4s, then at most one 2, then 3s, then 5s — or `None` when `n` has a
+/// prime factor above 5.
+fn smooth_radices(mut n: usize) -> Option<Vec<usize>> {
+    let mut radices = Vec::new();
+    for p in [4, 2, 3, 5] {
+        while n.is_multiple_of(p) {
+            radices.push(p);
+            n /= p;
+        }
+    }
+    (n == 1).then_some(radices)
+}
+
+/// Precomputed tables for a mixed-radix (4, 2, 3, 5) Cooley–Tukey transform
+/// of a length with no prime factor above 5.
+///
+/// Self-sorting (Stockham) decimation in frequency: each pass reads one
+/// buffer and writes the other, so no digit-reversal permutation is stored
+/// or applied. The pass of radix `p` over sub-length `l = p·m` at stride
+/// `s = n/l` treats the data as `s` interleaved length-`l` sequences, takes
+/// the `p`-point DFT of elements `j, j+m, …, j+(p−1)m` of each, multiplies
+/// output `t` by `e^{−2πi jt/l}` and stores it as element `j` of sequence
+/// `q + s·t` at stride `s·p` — after the last pass every bin sits in
+/// natural order.
+struct MixedPlan {
+    n: usize,
+    /// Pass radices, in order (see [`smooth_radices`]).
+    radices: Vec<usize>,
+    /// Every pass's twiddles, concatenated: the pass of radix `p` over
+    /// sub-length `l = p·m` holds `e^{−2πi jt/l}` at `j·(p−1) + t − 1` for
+    /// `j < m`, `1 ≤ t < p` — `n − 1` entries over all passes.
+    twiddles: Vec<Complex64>,
+}
+
+impl MixedPlan {
+    fn new(n: usize, radices: Vec<usize>) -> Self {
+        let mut twiddles = Vec::with_capacity(n - 1);
+        let mut s = 1;
+        for &p in &radices {
+            let m = n / (s * p);
+            for j in 0..m {
+                // j·t·s < n, so every angle is an exact multiple of 2π/n.
+                twiddles.extend(
+                    (1..p).map(|t| Complex64::cis(-2.0 * PI * (j * t * s) as f64 / n as f64)),
+                );
+            }
+            s *= p;
+        }
+        MixedPlan {
+            n,
+            radices,
+            twiddles,
+        }
+    }
+
+    /// Heap bytes this plan's tables hold (capacities, not lengths).
+    fn table_bytes(&self) -> usize {
+        self.twiddles.capacity() * std::mem::size_of::<Complex64>()
+            + self.radices.capacity() * std::mem::size_of::<usize>()
+    }
+
+    /// In-place forward transform; `work` is the length-`n` ping-pong
+    /// buffer.
+    fn fft(&self, buf: &mut [Complex64], work: &mut Vec<Complex64>) {
+        let n = self.n;
+        debug_assert_eq!(buf.len(), n);
+        if work.len() < n {
+            work.resize(n, Complex64::ZERO);
+        }
+        let mut src: &mut [Complex64] = buf;
+        let mut dst: &mut [Complex64] = &mut work[..n];
+        let mut twiddles = &self.twiddles[..];
+        let mut s = 1;
+        for &p in &self.radices {
+            let (tw, rest) = twiddles.split_at((p - 1) * (n / (s * p)));
+            match p {
+                2 => pass2(src, dst, s, tw),
+                3 => pass3(src, dst, s, tw),
+                4 => pass4(src, dst, s, tw),
+                _ => pass5(src, dst, s, tw),
+            }
+            twiddles = rest;
+            s *= p;
+            std::mem::swap(&mut src, &mut dst);
+        }
+        // After an odd number of passes the result sits in `work`.
+        if self.radices.len() % 2 == 1 {
+            dst.copy_from_slice(src);
+        }
+    }
+}
+
+/// `−i·z`.
+#[inline]
+fn mul_neg_i(z: Complex64) -> Complex64 {
+    Complex64::new(z.im, -z.re)
+}
+
+/// Splits `src` into the `P` blocks of `s·m` elements a radix-`P` pass
+/// reads from: element `j` of block `r` is input `j + r·m` of every
+/// interleaved sequence.
+#[inline]
+fn blocks<const P: usize>(src: &[Complex64]) -> [&[Complex64]; P] {
+    let len = src.len() / P;
+    std::array::from_fn(|r| &src[r * len..(r + 1) * len])
+}
+
+fn pass2(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
+    let [x0, x1] = blocks::<2>(src);
+    for (j, (out, w)) in dst.chunks_exact_mut(2 * s).zip(tw).enumerate() {
+        let (x0, x1) = (&x0[s * j..][..s], &x1[s * j..][..s]);
+        let (y0, y1) = out.split_at_mut(s);
+        for q in 0..s {
+            let (a0, a1) = (x0[q], x1[q]);
+            y0[q] = a0 + a1;
+            y1[q] = (a0 - a1) * *w;
+        }
+    }
+}
+
+fn pass3(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
+    let half_sqrt3 = 0.5 * 3f64.sqrt();
+    let [x0, x1, x2] = blocks::<3>(src);
+    for (j, (out, w)) in dst
+        .chunks_exact_mut(3 * s)
+        .zip(tw.chunks_exact(2))
+        .enumerate()
+    {
+        let (x0, x1, x2) = (&x0[s * j..][..s], &x1[s * j..][..s], &x2[s * j..][..s]);
+        let (y0, rest) = out.split_at_mut(s);
+        let (y1, y2) = rest.split_at_mut(s);
+        for q in 0..s {
+            let (a0, a1, a2) = (x0[q], x1[q], x2[q]);
+            let sum = a1 + a2;
+            let mid = a0 - sum.scale(0.5);
+            let rot = mul_neg_i(a1 - a2).scale(half_sqrt3);
+            y0[q] = a0 + sum;
+            y1[q] = (mid + rot) * w[0];
+            y2[q] = (mid - rot) * w[1];
+        }
+    }
+}
+
+fn pass4(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
+    let [x0, x1, x2, x3] = blocks::<4>(src);
+    for (j, (out, w)) in dst
+        .chunks_exact_mut(4 * s)
+        .zip(tw.chunks_exact(3))
+        .enumerate()
+    {
+        let (x0, x1) = (&x0[s * j..][..s], &x1[s * j..][..s]);
+        let (x2, x3) = (&x2[s * j..][..s], &x3[s * j..][..s]);
+        let (y0, rest) = out.split_at_mut(s);
+        let (y1, rest) = rest.split_at_mut(s);
+        let (y2, y3) = rest.split_at_mut(s);
+        for q in 0..s {
+            let (a0, a1, a2, a3) = (x0[q], x1[q], x2[q], x3[q]);
+            let (e0, e1) = (a0 + a2, a0 - a2);
+            let (o0, o1) = (a1 + a3, mul_neg_i(a1 - a3));
+            y0[q] = e0 + o0;
+            y1[q] = (e1 + o1) * w[0];
+            y2[q] = (e0 - o0) * w[1];
+            y3[q] = (e1 - o1) * w[2];
+        }
+    }
+}
+
+fn pass5(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
+    let (s1, c1) = (2.0 * PI / 5.0).sin_cos();
+    let (s2, c2) = (4.0 * PI / 5.0).sin_cos();
+    let [x0, x1, x2, x3, x4] = blocks::<5>(src);
+    for (j, (out, w)) in dst
+        .chunks_exact_mut(5 * s)
+        .zip(tw.chunks_exact(4))
+        .enumerate()
+    {
+        let (x0, x1, x2) = (&x0[s * j..][..s], &x1[s * j..][..s], &x2[s * j..][..s]);
+        let (x3, x4) = (&x3[s * j..][..s], &x4[s * j..][..s]);
+        let (y0, rest) = out.split_at_mut(s);
+        let (y1, rest) = rest.split_at_mut(s);
+        let (y2, rest) = rest.split_at_mut(s);
+        let (y3, y4) = rest.split_at_mut(s);
+        for q in 0..s {
+            let a0 = x0[q];
+            let (t1, d1) = (x1[q] + x4[q], x1[q] - x4[q]);
+            let (t2, d2) = (x2[q] + x3[q], x2[q] - x3[q]);
+            let m1 = a0 + t1.scale(c1) + t2.scale(c2);
+            let m2 = a0 + t1.scale(c2) + t2.scale(c1);
+            let r1 = mul_neg_i(d1.scale(s1) + d2.scale(s2));
+            let r2 = mul_neg_i(d1.scale(s2) - d2.scale(s1));
+            y0[q] = a0 + t1 + t2;
+            y1[q] = (m1 + r1) * w[0];
+            y2[q] = (m2 + r2) * w[1];
+            y3[q] = (m2 - r2) * w[2];
+            y4[q] = (m1 - r1) * w[3];
+        }
+    }
+}
+
 /// A cached complex plan for one length.
 #[derive(Clone)]
 enum Plan {
     Pow2(Arc<Pow2Plan>),
+    Mixed(Arc<MixedPlan>),
     Bluestein(Arc<BluesteinPlan>),
 }
 
@@ -273,6 +496,7 @@ impl Plan {
     fn fft(&self, buf: &mut [Complex64], conv: &mut Vec<Complex64>) {
         match self {
             Plan::Pow2(p) => p.fft(buf),
+            Plan::Mixed(p) => p.fft(buf, conv),
             Plan::Bluestein(p) => p.fft(buf, conv),
         }
     }
@@ -282,6 +506,7 @@ impl Plan {
     fn table_bytes(&self) -> usize {
         match self {
             Plan::Pow2(p) => p.table_bytes(),
+            Plan::Mixed(p) => p.table_bytes(),
             Plan::Bluestein(p) => p.table_bytes(),
         }
     }
@@ -465,6 +690,7 @@ struct Cached<T> {
 /// Which cache map an eviction victim lives in.
 enum Victim {
     Pow2(usize),
+    Mixed(usize),
     Bluestein(usize),
     Real(usize),
     Window(Window, usize),
@@ -481,6 +707,7 @@ enum Victim {
 #[derive(Default)]
 struct PlanTables {
     pow2: HashMap<usize, Cached<Pow2Plan>>,
+    mixed: HashMap<usize, Cached<MixedPlan>>,
     bluestein: HashMap<usize, Cached<BluesteinPlan>>,
     real: HashMap<usize, Cached<RealPlan>>,
     windows: HashMap<(Window, usize), Cached<WindowTable>>,
@@ -513,25 +740,40 @@ impl PlanTables {
         plan
     }
 
+    /// The complex plan for `len`: radix-2 for powers of two, mixed-radix
+    /// for other lengths with no prime factor above 5, Bluestein for the
+    /// rest. Both caches are consulted before the length is factored, so a
+    /// hit never allocates.
     fn plan(&mut self, len: usize) -> Plan {
         if is_pow2(len) {
-            Plan::Pow2(self.pow2_plan(len))
-        } else {
-            let tick = self.stamp();
-            if let Some(e) = self.bluestein.get_mut(&len) {
-                e.last_used = tick;
-                return Plan::Bluestein(e.plan.clone());
-            }
-            let m = next_pow2(2 * len - 1);
-            let inner = self.pow2_plan(m);
-            let plan = Arc::new(BluesteinPlan::new(len, inner));
+            return Plan::Pow2(self.pow2_plan(len));
+        }
+        let tick = self.stamp();
+        if let Some(e) = self.mixed.get_mut(&len) {
+            e.last_used = tick;
+            return Plan::Mixed(e.plan.clone());
+        }
+        if let Some(e) = self.bluestein.get_mut(&len) {
+            e.last_used = tick;
+            return Plan::Bluestein(e.plan.clone());
+        }
+        if let Some(radices) = smooth_radices(len) {
+            let plan = Arc::new(MixedPlan::new(len, radices));
             let bytes = plan.table_bytes();
             self.resident += bytes;
-            let tick = self.stamp();
-            self.bluestein.insert(len, Cached { plan: plan.clone(), bytes, last_used: tick });
+            self.mixed.insert(len, Cached { plan: plan.clone(), bytes, last_used: tick });
             self.enforce_budget();
-            Plan::Bluestein(plan)
+            return Plan::Mixed(plan);
         }
+        let m = next_pow2(2 * len - 1);
+        let inner = self.pow2_plan(m);
+        let plan = Arc::new(BluesteinPlan::new(len, inner));
+        let bytes = plan.table_bytes();
+        self.resident += bytes;
+        let tick = self.stamp();
+        self.bluestein.insert(len, Cached { plan: plan.clone(), bytes, last_used: tick });
+        self.enforce_budget();
+        Plan::Bluestein(plan)
     }
 
     fn real_plan(&mut self, n: usize) -> Arc<RealPlan> {
@@ -586,6 +828,9 @@ impl PlanTables {
             for (&k, e) in &self.pow2 {
                 consider(Victim::Pow2(k), e.last_used);
             }
+            for (&k, e) in &self.mixed {
+                consider(Victim::Mixed(k), e.last_used);
+            }
             for (&k, e) in &self.bluestein {
                 consider(Victim::Bluestein(k), e.last_used);
             }
@@ -598,6 +843,7 @@ impl PlanTables {
             let Some((key, _)) = victim else { return };
             let bytes = match key {
                 Victim::Pow2(k) => self.pow2.remove(&k).map(|e| e.bytes),
+                Victim::Mixed(k) => self.mixed.remove(&k).map(|e| e.bytes),
                 Victim::Bluestein(k) => self.bluestein.remove(&k).map(|e| e.bytes),
                 Victim::Real(k) => self.real.remove(&k).map(|e| e.bytes),
                 Victim::Window(w, n) => self.windows.remove(&(w, n)).map(|e| e.bytes),
@@ -946,7 +1192,7 @@ mod tests {
     #[test]
     fn real_input_spectrum_is_conjugate_symmetric() {
         let mut p = FftPlanner::new();
-        let n = 90; // even but non-pow2: packed rfft over a Bluestein half
+        let n = 90; // even but non-pow2: packed rfft over a mixed-radix half
         let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).sin() + 0.3).collect();
         let spec = p.fft_real(&input);
         for k in 1..n {
@@ -960,8 +1206,9 @@ mod tests {
     fn rfft_one_sided_matches_full_complex_fft() {
         let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
-        // Even pow2, even Bluestein-half, odd, and tiny lengths.
-        for n in [2usize, 4, 8, 64, 256, 6, 10, 12, 90, 100, 1000, 3, 7, 101] {
+        // Even pow2, mixed-radix-half and Bluestein-half, odd, and tiny
+        // lengths.
+        for n in [2usize, 4, 8, 64, 256, 6, 10, 12, 90, 100, 1000, 14, 202, 3, 7, 45, 101] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin() + 0.2).collect();
             let mut one_sided = Vec::new();
             p.fft_real_into(&input, &mut one_sided, &mut scratch);
@@ -1143,28 +1390,49 @@ mod tests {
     fn table_budget_bounds_the_cache() {
         let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
-        // Sweep many distinct non-power-of-two lengths: unbounded, the
-        // cache grows with every one.
         let mut buf = Vec::new();
-        for n in (101..151).step_by(2) {
-            buf.clear();
-            buf.resize(n, Complex64::ONE);
-            p.fft_in_place(&mut buf, &mut scratch);
-        }
+        let mut sweep = |p: &mut FftPlanner, lengths: &[usize]| {
+            for &n in lengths {
+                buf.clear();
+                buf.resize(n, Complex64::ONE);
+                p.fft_in_place(&mut buf, &mut scratch);
+            }
+        };
+        // Sweep many distinct non-power-of-two lengths: unbounded, the
+        // cache grows with every one, mixed-radix plans included.
+        let smooth = [
+            150usize, 180, 240, 270, 300, 360, 375, 400, 450, 480, 500, 540,
+        ];
+        sweep(&mut p, &smooth);
+        let mixed_only = p.table_bytes();
+        assert!(
+            mixed_only >= 8 * smooth.iter().sum::<usize>(),
+            "{mixed_only} B"
+        );
+        let bluestein: Vec<usize> = (101..151).step_by(2).collect();
+        sweep(&mut p, &bluestein);
         let unbounded = p.table_bytes();
-        assert!(unbounded > 100_000, "expected a grown cache, got {unbounded} B");
+        assert!(
+            unbounded > 100_000,
+            "expected a grown cache, got {unbounded} B"
+        );
 
         // Capping evicts down to the budget immediately...
         let budget = unbounded / 8;
         p.set_table_budget(Some(budget));
         assert!(p.table_bytes() <= budget, "{} > {budget}", p.table_bytes());
-        // ...and the cap holds across further sweeps of fresh lengths.
-        for n in (201..251).step_by(2) {
-            buf.clear();
-            buf.resize(n, Complex64::ONE);
-            p.fft_in_place(&mut buf, &mut scratch);
-        }
+        // ...and the cap holds across further sweeps of fresh lengths of
+        // both kinds.
+        let fresh: Vec<usize> = (201..251)
+            .step_by(2)
+            .chain((600..3000).step_by(120))
+            .collect();
+        sweep(&mut p, &fresh);
         assert!(p.table_bytes() <= budget, "{} > {budget}", p.table_bytes());
+        assert!(
+            !p.tables.lock().unwrap().mixed.is_empty(),
+            "the sweep ends on mixed plans"
+        );
     }
 
     #[test]
@@ -1172,30 +1440,96 @@ mod tests {
         // Same input, three regimes: unbounded cache, a cache so small every
         // plan is rebuilt from scratch, and a rebuilt-after-eviction plan.
         // Tables are pure functions of length, so all spectra must match
-        // bit for bit.
+        // bit for bit — over a mixed-radix half (300 = 2·150) and a
+        // Bluestein half (202 = 2·101), churned by plans of both kinds.
         let mut scratch = FftScratch::new();
-        let input: Vec<f64> = (0..300).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut unbounded = FftPlanner::new();
-        let mut reference = Vec::new();
-        unbounded.fft_real_into(&input, &mut reference, &mut scratch);
-
         let mut tiny = FftPlanner::new();
         tiny.set_table_budget(Some(1));
-        let mut out = Vec::new();
-        for _ in 0..3 {
-            // Alternate lengths so each request misses and rebuilds.
-            let mut churn = vec![Complex64::ONE; 77];
-            tiny.fft_in_place(&mut churn, &mut scratch);
-            tiny.fft_real_into(&input, &mut out, &mut scratch);
-            assert_eq!(out.len(), reference.len());
-            for (a, b) in out.iter().zip(&reference) {
-                assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
+        for n in [300usize, 202] {
+            let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let mut reference = Vec::new();
+            FftPlanner::new().fft_real_into(&input, &mut reference, &mut scratch);
+            let mut out = Vec::new();
+            for _ in 0..3 {
+                // Alternate lengths so each request misses and rebuilds.
+                for churn_len in [77, 75] {
+                    let mut churn = vec![Complex64::ONE; churn_len];
+                    tiny.fft_in_place(&mut churn, &mut scratch);
+                }
+                tiny.fft_real_into(&input, &mut out, &mut scratch);
+                assert_eq!(out.len(), reference.len());
+                for (a, b) in out.iter().zip(&reference) {
+                    assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
+                }
             }
         }
         // A one-byte budget keeps at most the in-flight plan chain: the
-        // length-300 real plan pins its quantized twiddles plus the inner
-        // Bluestein(150) chirp/kernel and pow2(512) tables — ~22 kB deep.
+        // length-202 real plan pins its quantized twiddles plus the inner
+        // Bluestein(101) chirp/kernel and pow2(256) tables — ~11 kB deep.
         assert!(tiny.table_bytes() <= 32 * 1024, "{}", tiny.table_bytes());
+    }
+
+    #[test]
+    fn every_smooth_length_up_to_512_matches_naive_dft() {
+        let mut scratch = FftScratch::new();
+        let mut p = FftPlanner::new();
+        for n in (2..=512).filter(|&n| !is_pow2(n) && smooth_radices(n).is_some()) {
+            let input: Vec<Complex64> = (0..n)
+                .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos() - 0.4))
+                .collect();
+            let expected = dft_naive(&input);
+            let mut buf = input;
+            p.fft_in_place(&mut buf, &mut scratch);
+            let peak = expected.iter().map(|c| c.norm()).fold(0.0, f64::max);
+            for (k, (x, y)) in buf.iter().zip(&expected).enumerate() {
+                assert!(
+                    (*x - *y).norm() <= 1e-9 * peak,
+                    "n={n} bin {k}: {x:?} vs {y:?}"
+                );
+            }
+            assert!(p.tables.lock().unwrap().mixed.contains_key(&n), "n={n}");
+            assert_eq!(plan_kind(n), "mixed");
+        }
+        assert_eq!(plan_kind(512), "radix2");
+        assert_eq!(plan_kind(2878), "bluestein");
+        assert!(p.tables.lock().unwrap().bluestein.is_empty());
+    }
+
+    #[test]
+    fn smooth_real_lengths_build_no_bluestein_plan() {
+        // A tracker window (6 h at 1 min), a day at 30 s and 90 days at
+        // 1 min: real transforms over mixed-radix halves, with no Bluestein
+        // chain anywhere in the cache.
+        let mut scratch = FftScratch::new();
+        let mut p = FftPlanner::new();
+        let mut out = Vec::new();
+        for n in [360usize, 2880, 129_600] {
+            let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
+            p.fft_real_into(&input, &mut out, &mut scratch);
+            assert!(
+                p.tables.lock().unwrap().mixed.contains_key(&(n / 2)),
+                "n={n}"
+            );
+        }
+        let tables = p.tables.lock().unwrap();
+        assert!(
+            tables.bluestein.is_empty(),
+            "{:?}",
+            tables.bluestein.keys().collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn mixed_plan_tables_stay_within_sixteen_bytes_per_point() {
+        // n − 1 twiddles of 16 B, plus a radix list of at most log₂ n words.
+        for n in [6usize, 360, 2880, 129_600] {
+            let plan = MixedPlan::new(n, smooth_radices(n).unwrap());
+            assert!(
+                plan.table_bytes() <= 16 * n + 512,
+                "n={n}: {} B",
+                plan.table_bytes()
+            );
+        }
     }
 
     #[test]

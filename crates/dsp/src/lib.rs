@@ -6,7 +6,8 @@
 //!
 //! * complex arithmetic ([`Complex64`]),
 //! * fast Fourier transforms ([`fft::FftPlanner`]: iterative radix-2
-//!   Cooley–Tukey plus Bluestein's chirp-z algorithm for arbitrary lengths),
+//!   Cooley–Tukey, mixed-radix Cooley–Tukey for other `2^a·3^b·5^c`
+//!   lengths, and Bluestein's chirp-z algorithm for the rest),
 //! * window functions ([`window::Window`]),
 //! * power-spectral-density estimation ([`psd`]: periodogram and Welch),
 //! * resampling and interpolation ([`resample`], [`interp`]: decimation,

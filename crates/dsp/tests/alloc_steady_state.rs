@@ -72,9 +72,10 @@ fn spectral_pipeline_steady_state_is_allocation_free() {
     let mut scratch = PsdScratch::new();
     let mut power = Vec::new();
 
-    // Periodogram: pow-of-two and Bluestein (day-trace) lengths. First call
-    // warms plans and buffers; the second must be allocation-free.
-    for n in [4096usize, 2880] {
+    // Periodogram: power-of-two, mixed-radix (a day at 30 s) and Bluestein
+    // (2878 = 2·1439) lengths. First call warms plans and buffers; the
+    // second must be allocation-free.
+    for n in [4096usize, 2880, 2878] {
         let sig = signal(n);
         periodogram_into(&mut planner, &mut scratch, &sig, cfg, &mut power);
         let count = allocations_during(|| {

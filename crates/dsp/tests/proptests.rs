@@ -5,7 +5,7 @@
 //! stay within physical bounds.
 
 use proptest::prelude::*;
-use sweetspot_dsp::fft::{dft_naive, one_sided_len, FftPlanner, FftScratch};
+use sweetspot_dsp::fft::{dft_naive, one_sided_len, plan_kind, FftPlanner, FftScratch};
 use sweetspot_dsp::interp::Interp;
 use sweetspot_dsp::quantize::Quantizer;
 use sweetspot_dsp::resample::resample_fft;
@@ -65,8 +65,9 @@ proptest! {
 
     #[test]
     fn rfft_matches_complex_fft(sig in signal_strategy(300)) {
-        // Lengths 1..300 cover the packed fast path over both inner plans
-        // (power-of-two and Bluestein halves) plus the odd-length fallback.
+        // Lengths 1..300 cover the packed fast path over every inner plan
+        // (power-of-two, mixed-radix and Bluestein halves) plus the
+        // odd-length fallback.
         let mut planner = FftPlanner::new();
         let mut scratch = FftScratch::new();
         let n = sig.len();
@@ -94,6 +95,25 @@ proptest! {
         let scale = sig.iter().map(|x| x.abs()).fold(1.0, f64::max);
         for (a, b) in sig.iter().zip(&back) {
             prop_assert!((a - b).abs() < 1e-8 * scale, "{} vs {}", a, b);
+        }
+    }
+
+    #[test]
+    fn rfft_inverse_roundtrips_on_smooth_lengths(sig in signal_strategy(800)) {
+        // Truncate to the longest 2^a·3^b·5^c prefix: the lengths the
+        // mixed-radix plans serve (both directly and as real halves).
+        let n = (1..=sig.len()).rev().find(|&n| plan_kind(n) != "bluestein").expect("1 is smooth");
+        let sig = &sig[..n];
+        let mut planner = FftPlanner::new();
+        let mut scratch = FftScratch::new();
+        let mut spec = Vec::new();
+        planner.fft_real_into(sig, &mut spec, &mut scratch);
+        let mut back = Vec::new();
+        planner.ifft_real_into(&spec, n, &mut back, &mut scratch);
+        let scale = sig.iter().map(|x| x.abs()).fold(1.0, f64::max);
+        prop_assert_eq!(back.len(), n);
+        for (a, b) in sig.iter().zip(&back) {
+            prop_assert!((a - b).abs() < 1e-9 * scale, "n={}: {} vs {}", n, a, b);
         }
     }
 

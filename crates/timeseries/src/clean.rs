@@ -315,10 +315,8 @@ pub fn clean_slices_into(
             scratch
                 .work
                 .extend(scratch.times.windows(2).map(|w| (w[1] - w[0]).value()));
-            scratch
-                .work
-                .sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-            Seconds(scratch.work[scratch.work.len() / 2])
+            let mid = scratch.work.len() / 2;
+            Seconds(*scratch.work.select_nth_unstable_by(mid, cmp_f64).1)
         }
     };
     if !(interval.value() > 0.0 && interval.value().is_finite()) {
@@ -361,14 +359,21 @@ fn median_of(values: &[f64]) -> f64 {
     median_of_mut(&mut v)
 }
 
+fn cmp_f64(a: &f64, b: &f64) -> std::cmp::Ordering {
+    a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// Median by selection, not a full sort; reorders `values`. For even
+/// lengths the lower middle value is the largest of the lower partition.
 fn median_of_mut(values: &mut [f64]) -> f64 {
     assert!(!values.is_empty());
-    values.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let n = values.len();
+    let (lower, &mut upper, _) = values.select_nth_unstable_by(n / 2, cmp_f64);
     if n % 2 == 1 {
-        values[n / 2]
+        upper
     } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
+        let below = lower.iter().copied().max_by(cmp_f64).expect("n >= 2");
+        (below + upper) / 2.0
     }
 }
 
@@ -648,6 +653,37 @@ mod tests {
             clean_slices_into(ir.times(), ir.values(), CleanConfig::default(), &mut scratch)
                 .unwrap();
         assert_eq!(second.values().as_ptr(), ptr, "grid buffer must be recycled");
+    }
+
+    /// Reference median by full sort.
+    fn sorted_median(values: &[f64]) -> f64 {
+        let mut v = values.to_vec();
+        v.sort_by(cmp_f64);
+        let n = v.len();
+        if n % 2 == 1 {
+            v[n / 2]
+        } else {
+            (v[n / 2 - 1] + v[n / 2]) / 2.0
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn selection_median_matches_sorted_median_bit_for_bit(
+            // Few distinct values, so most inputs hold duplicates; both
+            // parities of length.
+            ints in proptest::collection::vec(-6i32..6, 1..60),
+            scale in 0.1f64..1e3,
+        ) {
+            let values: Vec<f64> = ints.iter().map(|&i| i as f64 * scale).collect();
+            let mut work = values.clone();
+            proptest::prop_assert_eq!(
+                median_of_mut(&mut work).to_bits(),
+                sorted_median(&values).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -7,16 +7,16 @@
 use crate::series::RegularSeries;
 use crate::time::Seconds;
 
-/// A single window extracted from a series.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowView {
+/// A single window of a series, borrowing its samples.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WindowView<'a> {
     /// Timestamp of the first sample of the window (the paper's Figure 7
     /// marks "the beginning of the moving window").
     pub start: Seconds,
     /// Index of the first sample within the parent series.
     pub start_index: usize,
     /// The samples inside the window.
-    pub values: Vec<f64>,
+    pub values: &'a [f64],
 }
 
 /// Iterates fixed-duration windows over `series`, advancing `step` at a time.
@@ -32,7 +32,7 @@ pub fn moving_windows(
     series: &RegularSeries,
     window: Seconds,
     step: Seconds,
-) -> impl Iterator<Item = WindowView> + '_ {
+) -> impl Iterator<Item = WindowView<'_>> {
     assert!(window.value() > 0.0, "window must be positive");
     assert!(step.value() > 0.0, "step must be positive");
     let interval = series.interval().value();
@@ -45,7 +45,7 @@ pub fn moving_windows(
         .map(move |i| WindowView {
             start: series.time_of(i),
             start_index: i,
-            values: series.values()[i..i + win_len].to_vec(),
+            values: &series.values()[i..i + win_len],
         })
 }
 
@@ -68,10 +68,10 @@ mod tests {
         // Windows start at 0,2,4,6 (start 8 would need samples 8..12 — only
         // a partial window remains, so it is dropped).
         assert_eq!(wins.len(), 4);
-        assert_eq!(wins[0].values, vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!(wins[0].values, [0.0, 1.0, 2.0, 3.0]);
         assert_eq!(wins[1].start, Seconds(2.0));
         assert_eq!(wins[1].start_index, 2);
-        assert_eq!(wins[3].values, vec![6.0, 7.0, 8.0, 9.0]);
+        assert_eq!(wins[3].values, [6.0, 7.0, 8.0, 9.0]);
     }
 
     #[test]
@@ -79,7 +79,7 @@ mod tests {
         let s = series(12);
         let wins: Vec<_> = moving_windows(&s, Seconds(2.0), Seconds(5.0)).collect();
         assert_eq!(wins.len(), 3); // starts 0, 5, 10
-        assert_eq!(wins[2].values, vec![10.0, 11.0]);
+        assert_eq!(wins[2].values, [10.0, 11.0]);
     }
 
     #[test]
@@ -87,7 +87,7 @@ mod tests {
         let s = series(6);
         let wins: Vec<_> = moving_windows(&s, Seconds(4.0), Seconds(1.0)).collect();
         assert_eq!(wins.len(), 3); // starts 0,1,2
-        assert_eq!(wins[1].values, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(wins[1].values, [1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

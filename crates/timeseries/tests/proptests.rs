@@ -97,7 +97,8 @@ proptest! {
         );
         for view in moving_windows(&series, Seconds(win as f64), Seconds(step as f64)) {
             prop_assert!(view.start_index + view.values.len() <= n);
-            // Window content matches the underlying series.
+            // The window borrows the series' own samples, not a copy.
+            prop_assert!(std::ptr::eq(view.values.as_ptr(), &series.values()[view.start_index]));
             for (k, &v) in view.values.iter().enumerate() {
                 prop_assert_eq!(v, (view.start_index + k) as f64);
             }
