@@ -1,4 +1,5 @@
-//! **Ablations** — the design choices DESIGN.md §6 calls out.
+//! **Ablations** — the design choices the `sweetspot_core::estimator`,
+//! `aliasing` and `adaptive` module docs call out.
 //!
 //! * [`cutoff`] — the 99% energy threshold (§3.2 discusses 99.99%: "would
 //!   increase our estimate of the Nyquist rate and reduce performance gains

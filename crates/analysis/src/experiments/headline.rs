@@ -91,8 +91,9 @@ mod tests {
         });
         let s = &h.summary;
         assert_eq!(s.pairs, 14 * 12);
-        // Shape targets (DESIGN.md §4): most pairs over-sampled, a visible
-        // minority under-sampled, a sizeable tail of ≥1000× reductions.
+        // Shape targets (the §3.2 text in the module docs): most pairs
+        // over-sampled, a visible minority under-sampled, a sizeable tail
+        // of ≥1000× reductions.
         assert!(
             (0.7..=0.97).contains(&s.oversampled_fraction),
             "oversampled {}",

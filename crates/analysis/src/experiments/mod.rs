@@ -1,8 +1,9 @@
 //! Per-figure experiment drivers.
 //!
-//! One module per paper artifact (see DESIGN.md §4 for the experiment
-//! index). Every driver exposes a `run(...)` returning structured results
-//! with a `render()` method producing the text figure.
+//! One module per paper artifact; `cargo bench -p sweetspot-bench` (the
+//! README's *Build, test, run* section) regenerates them all. Every driver
+//! exposes a `run(...)` returning structured results with a `render()`
+//! method producing the text figure.
 
 pub mod ablation;
 pub mod fig1;

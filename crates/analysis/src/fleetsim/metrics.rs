@@ -57,7 +57,7 @@
 //! | `devices` | fleet size | the run |
 //! | `ledger` | `demanded`, `granted`, `spent` (cost units), `samples`, `throttled_devices` | this epoch |
 //! | `controller` | `probe`, `reramp`, `settle`, `raise`, `cut`, `hold`, `defer` transitions and the `verified` / `unverified` split | cumulative over the run |
-//! | `fft` | planner `lookups`, `hits`, `misses` summed over member handles | cumulative over the run |
+//! | `fft` | planner `lookups`, `hits`, `misses` summed over member handles; one lookup per transform actually run (a verified epoch runs two: the fast stream's spectrum, shared by detector and estimator, and the companion's) | cumulative over the run |
 //! | `watchdog` | `reprobes`, `starved`, `recovery_granted` (cost units); health census `healthy`, `recovering`, `suspect`, `dormant` | cumulative; the census is this epoch's |
 //! | `scenario` | `dealt`: `leaves`, `joins`, `reboots`, `absent_epochs`, `dropped_reports`, `duplicated_reports`, `delayed_reports`, `dormant_epochs`; `applied`: `absent_epochs`, `reboot_steps`, `dropped_reports`, `delayed_reports`, `duplicated_reports`, `dormant_epochs` | cumulative over the run |
 //! | `grants` | `count`, `sum`, `min`, `max`, `p10`, `p50`, `p90`, `p99` of the granted rates (Hz) | epochs since the previous snapshot |

@@ -47,6 +47,25 @@ pub struct StudyConfig {
 
 
 impl StudyConfig {
+    /// Checks a `study` request before it runs, as
+    /// `FleetSimConfig::validate` does for fleetsim; the error names the
+    /// `study` flag at fault. `paper_scale` selects
+    /// [`FleetStudy::run_paper_scale`], whose fleet is the fixed 1613-pair
+    /// population, so it takes no per-metric `devices` count. Otherwise the
+    /// fleet ([`FleetStudy::run`]) needs at least one device per metric: an
+    /// empty one would report headline fractions summing to 0, not 1.
+    pub fn validate_request(paper_scale: bool, devices: Option<usize>) -> Result<(), String> {
+        match (paper_scale, devices) {
+            (true, Some(_)) => Err("--paper-scale and --devices conflict: the paper-scale \
+                                    fleet is exactly 1613 pairs (115/metric + 3 extras)"
+                .into()),
+            (false, Some(0)) => {
+                Err("--devices wants a positive number of devices per metric".into())
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Resolves `threads: 0` to the machine's available parallelism and caps
     /// the worker count at `work_items` (no point spawning idle workers).
     fn resolve_threads(&self, work_items: usize) -> usize {
@@ -446,6 +465,17 @@ mod tests {
             study.timing.total(),
             study.timing.synthesis + study.timing.clean + study.timing.estimate
         );
+    }
+
+    #[test]
+    fn validate_request_rejects_empty_and_conflicting_fleets() {
+        assert_eq!(StudyConfig::validate_request(false, None), Ok(()));
+        assert_eq!(StudyConfig::validate_request(false, Some(1)), Ok(()));
+        assert_eq!(StudyConfig::validate_request(true, None), Ok(()));
+        let empty = StudyConfig::validate_request(false, Some(0)).unwrap_err();
+        assert!(empty.contains("--devices"), "{empty}");
+        let conflict = StudyConfig::validate_request(true, Some(4)).unwrap_err();
+        assert!(conflict.contains("conflict"), "{conflict}");
     }
 
     #[test]

@@ -80,9 +80,9 @@ fn reduction_tail_grows_with_trace_length() {
 fn paper_literal_estimator_is_more_conservative() {
     // The raw-FFT (rectangular window) estimator leaks tone energy into
     // high bins, inflating estimates and shrinking the claimed savings —
-    // which is why the default is Hann (DESIGN.md §6). The headline
-    // classification must nevertheless stay in the same band under the
-    // paper's literal method.
+    // which is why the default is Hann (see `NyquistConfig::window`). The
+    // headline classification must nevertheless stay in the same band
+    // under the paper's literal method.
     let literal = FleetStudy::run(StudyConfig {
         fleet: FleetConfig {
             seed: 0x5E48,

@@ -1,21 +1,30 @@
 //! DSP kernel microbenchmarks: the primitives every experiment sits on.
 //!
 //! Covers all three FFT paths (radix-2, mixed-radix and Bluestein), PSD
-//! estimation, Fourier resampling and the end-to-end Nyquist estimator.
+//! estimation, Fourier resampling, the end-to-end Nyquist estimator and one
+//! verified epoch of the adaptive controller's spectral work.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
+use sweetspot_core::aliasing::{
+    compare_spectra, detector_spectrum, BandScratch, DualRateConfig, COMPANION_RATIO,
+};
 use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
 use sweetspot_dsp::fft::{plan_kind, FftPlanner, FftScratch};
-use sweetspot_dsp::psd::{periodogram, welch, PsdConfig, WelchConfig};
+use sweetspot_dsp::psd::{periodogram, welch, PsdConfig, PsdScratch, WelchConfig};
 use sweetspot_dsp::resample::resample_fft;
 use sweetspot_dsp::Complex64;
 use sweetspot_timeseries::{Hertz, RegularSeries, Seconds};
 
 fn signal(n: usize) -> Vec<f64> {
+    signal_every(n, 1.0)
+}
+
+/// [`signal`] sampled every `dt` time units.
+fn signal_every(n: usize, dt: f64) -> Vec<f64> {
     (0..n)
         .map(|i| {
-            let t = i as f64;
+            let t = i as f64 * dt;
             (0.002 * t).sin() + 0.5 * (0.04 * t).sin() + 0.1 * (0.3 * t).cos()
         })
         .collect()
@@ -178,6 +187,35 @@ fn bench(c: &mut Criterion) {
         let series = RegularSeries::new(Seconds::ZERO, Seconds(30.0), sig.clone());
         b.iter(|| {
             black_box(est.estimate_samples(&mut scratch, series.values(), series.sample_rate()))
+        })
+    });
+
+    // One verified adaptive-controller epoch's spectral work at lengths
+    // typical of fleet members, both Bluestein (346 = 2·173 fast samples,
+    // 214 = 2·107 companion samples over the same window): the two
+    // periodograms, the §4.1 band comparison and the §3.2 threshold on the
+    // shared fast spectrum.
+    let fast = RegularSeries::new(Seconds::ZERO, Seconds(1.0), signal(346));
+    let slow = RegularSeries::new(
+        Seconds::ZERO,
+        Seconds(COMPANION_RATIO),
+        signal_every(214, COMPANION_RATIO),
+    );
+    c.bench_function("detector/verified_epoch_346_214", |b| {
+        let mut planner = FftPlanner::new();
+        let mut psd = PsdScratch::new();
+        let mut bands = BandScratch::new();
+        let est = NyquistEstimator::new(NyquistConfig::default());
+        let (mut fast_power, mut slow_power) = (Vec::new(), Vec::new());
+        b.iter(|| {
+            let (fp, sp) = (std::mem::take(&mut fast_power), std::mem::take(&mut slow_power));
+            let f = detector_spectrum(&mut planner, &mut psd, &fast, fp);
+            let s = detector_spectrum(&mut planner, &mut psd, &slow, sp);
+            let verdict = compare_spectra(&f, &s, DualRateConfig::default(), &mut bands);
+            let estimate = est.estimate_spectrum(&f);
+            fast_power = f.into_power();
+            slow_power = s.into_power();
+            black_box((verdict, estimate))
         })
     });
     let _ = Hertz(1.0); // keep the import used in all cfgs

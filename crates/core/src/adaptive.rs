@@ -77,9 +77,12 @@
 //! arbiter of aliasing). Probe-mode epochs always verify. `k = 1` is
 //! bit-identical to the classic controller.
 
-use crate::aliasing::{companion_rate, detect_aliasing_scratch, DetectScratch, DualRateConfig};
-use crate::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimate, NyquistEstimator};
+use crate::aliasing::{
+    companion_rate, compare_spectra, detector_spectrum, BandScratch, DualRateConfig,
+};
+use crate::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
 use crate::source::SignalSource;
+use sweetspot_dsp::psd::PsdScratch;
 use sweetspot_timeseries::{grid_len, Hertz, Seconds};
 
 /// Minimum steady-state headroom compatible with continuous dual-rate
@@ -178,9 +181,9 @@ pub struct AdaptiveConfig {
     /// Nominal epoch window (auto-extended at very low rates so the window
     /// holds at least 64 samples).
     pub epoch: Seconds,
-    /// Estimator settings (§3.2).
-    pub estimator: NyquistConfig,
-    /// Detector settings (§4.1).
+    /// Detector settings (§4.1). The §3.2 estimator always runs with
+    /// [`NyquistConfig::default`], whose PSD is the detector's, so both read
+    /// one fast-stream spectrum per epoch.
     pub detector: DualRateConfig,
 }
 
@@ -197,7 +200,6 @@ impl Default for AdaptiveConfig {
             memory: true,
             verify_every: 1,
             epoch: Seconds(600.0),
-            estimator: NyquistConfig::default(),
             detector: DualRateConfig::default(),
         }
     }
@@ -301,9 +303,10 @@ impl EpochReport {
     }
 }
 
-/// The controller's transient working set for one epoch: detector scratch,
-/// estimator scratch, and the recycled value buffers for the primary and
-/// companion streams.
+/// The controller's transient working set for one epoch: the PSD scratch,
+/// the recycled power buffers of the two streams' spectra, the detector's
+/// band tables, and the recycled value buffers for the primary and companion
+/// streams.
 ///
 /// Callers lend one to [`AdaptiveSampler::step`]; [`AdaptiveSampler::run`]
 /// keeps one for the whole run, and the fleet engine keeps one *per worker*,
@@ -313,10 +316,13 @@ impl EpochReport {
 /// is cleared or overwritten before use.
 #[derive(Debug, Default)]
 pub struct SamplerScratch {
-    /// §4.1 detector working storage.
-    detect: DetectScratch,
-    /// §3.2 estimator working storage.
-    estimator: EstimatorScratch,
+    /// PSD working storage for both streams' periodograms.
+    psd: PsdScratch,
+    /// Power buffers of the primary and companion spectra.
+    fast_power: Vec<f64>,
+    slow_power: Vec<f64>,
+    /// §4.1 band-power tables.
+    bands: BandScratch,
     /// Value buffers for the primary/companion streams: each epoch lends them
     /// to [`SignalSource::sample`] and takes them back from the returned
     /// series, so a source with a zero-allocation path (e.g.
@@ -333,9 +339,12 @@ impl SamplerScratch {
 
     /// Heap bytes the scratch currently holds (capacities, not lengths).
     pub fn resident_bytes(&self) -> usize {
-        self.detect.resident_bytes()
-            + self.estimator.resident_bytes()
-            + (self.fast_spare.capacity() + self.slow_spare.capacity())
+        self.psd.resident_bytes()
+            + self.bands.resident_bytes()
+            + (self.fast_power.capacity()
+                + self.slow_power.capacity()
+                + self.fast_spare.capacity()
+                + self.slow_spare.capacity())
                 * std::mem::size_of::<f64>()
     }
 }
@@ -405,7 +414,7 @@ impl AdaptiveSampler {
                 .clamp(config.min_rate.value(), config.max_rate.value()),
         );
         AdaptiveSampler {
-            estimator: NyquistEstimator::with_planner(config.estimator, planner),
+            estimator: NyquistEstimator::with_planner(NyquistConfig::default(), planner),
             config,
             mode: Mode::Probe,
             rate,
@@ -644,42 +653,50 @@ impl AdaptiveSampler {
 
         let fast = source.sample(start, primary, duration, std::mem::take(&mut scratch.fast_spare));
         let mut samples_taken = fast.len();
-        // Share the estimator's planner so the detector reuses the same
-        // cached twiddle and window tables every epoch. The detector's
-        // preconditions are re-checked on the *actual* series lengths: a
-        // source that cleans/re-grids (e.g. a simulated device with sample
-        // loss) can return slightly fewer samples than the window promised.
-        let mut verified = false;
-        let mut verdict_aliased = false;
-        if worth_verifying {
-            let slow =
-                source.sample(start, secondary, duration, std::mem::take(&mut scratch.slow_spare));
-            samples_taken += slow.len();
-            if fast.len() >= MIN_DETECT_SAMPLES && slow.len() >= MIN_DETECT_SAMPLES {
-                verified = true;
-                verdict_aliased = detect_aliasing_scratch(
-                    self.estimator.planner_mut(),
-                    &mut scratch.detect,
-                    &fast,
-                    &slow,
-                    self.config.detector,
-                )
-                .aliased;
-            }
-            scratch.slow_spare = slow.into_values();
-        }
+        let slow = worth_verifying.then(|| {
+            source.sample(start, secondary, duration, std::mem::take(&mut scratch.slow_spare))
+        });
+        samples_taken += slow.as_ref().map_or(0, |slow| slow.len());
+        // The detector's preconditions are re-checked on the *actual* series
+        // lengths: a source that cleans/re-grids (e.g. a simulated device
+        // with sample loss) can return slightly fewer samples than the
+        // window promised.
+        let verified = slow.as_ref().is_some_and(|slow| {
+            fast.len() >= MIN_DETECT_SAMPLES && slow.len() >= MIN_DETECT_SAMPLES
+        });
         // The estimator is only meaningful with a full window's worth of
         // samples (see module docs); a short window contributes no evidence.
         let estimator_trusted = fast.len() >= MIN_EPOCH_SAMPLES;
-        let mut estimate = if estimator_trusted {
-            self.estimator.estimate_samples(
-                &mut scratch.estimator,
-                fast.values(),
-                fast.sample_rate(),
-            )
-        } else {
-            NyquistEstimate::Aliased
+        // One fast-stream spectrum per epoch, read by both the detector and
+        // the estimator; the estimator's planner serves both periodograms,
+        // so the same cached twiddle and window tables are reused every
+        // epoch.
+        let planner = self.estimator.planner_mut();
+        let fast_spec = (verified || estimator_trusted).then(|| {
+            let power = std::mem::take(&mut scratch.fast_power);
+            detector_spectrum(planner, &mut scratch.psd, &fast, power)
+        });
+        let verdict_aliased = match (&fast_spec, &slow) {
+            (Some(fast_spec), Some(slow)) if verified => {
+                let power = std::mem::take(&mut scratch.slow_power);
+                let slow_spec = detector_spectrum(planner, &mut scratch.psd, slow, power);
+                let cfg = self.config.detector;
+                let verdict = compare_spectra(fast_spec, &slow_spec, cfg, &mut scratch.bands);
+                scratch.slow_power = slow_spec.into_power();
+                verdict.aliased
+            }
+            _ => false,
         };
+        if let Some(slow) = slow {
+            scratch.slow_spare = slow.into_values();
+        }
+        let mut estimate = match &fast_spec {
+            Some(spec) if estimator_trusted => self.estimator.estimate_spectrum(spec),
+            _ => NyquistEstimate::Aliased,
+        };
+        if let Some(spec) = fast_spec {
+            scratch.fast_power = spec.into_power();
+        }
         if verified && !verdict_aliased && estimator_trusted && estimate.is_aliased() {
             // The flat-spectrum guard says "aliased" but an actual dual-rate
             // verification ran and found the two spectra consistent: the
@@ -1649,5 +1666,53 @@ mod tests {
             r.next_rate.value() >= 0.3 * (1.0 - 1e-9),
             "request must survive the unverifiable epoch"
         );
+    }
+
+    #[test]
+    fn verified_epoch_runs_two_transforms_and_unverified_one() {
+        // A 4 Hz start oversamples the 1 Hz-Nyquist signal: the probe epoch
+        // verifies and settles; under a cadence of 3 the next is unverified.
+        let mut scratch = SamplerScratch::new();
+        let mut source = FunctionSource::new(band_signal(0.5));
+        let mut ctl = AdaptiveSampler::new(AdaptiveConfig {
+            verify_every: 3,
+            ..config(4.0, 2000.0)
+        });
+        let window = Seconds(2000.0);
+        let mut lookups_of = |ctl: &mut AdaptiveSampler, t: f64| {
+            let before = ctl.fft_handle_stats().lookups.get();
+            let r = full_grant(ctl, &mut scratch, &mut source, Seconds(t), window);
+            (r, ctl.fft_handle_stats().lookups.get() - before)
+        };
+        let (settle, lookups) = lookups_of(&mut ctl, 0.0);
+        assert!(settle.verified && settle.estimate.is_some(), "{settle:?}");
+        assert_eq!(settle.action, EpochAction::Settle);
+        assert_eq!(lookups, 2, "fast and companion spectra, the fast one shared");
+        let (skipped, lookups) = lookups_of(&mut ctl, 2000.0);
+        assert!(!skipped.verified && skipped.estimate.is_some(), "{skipped:?}");
+        assert_eq!(lookups, 1, "the estimator's fast spectrum only");
+    }
+
+    #[test]
+    fn shared_spectrum_estimate_equals_estimate_samples() {
+        assert_eq!(NyquistConfig::default().window, crate::aliasing::DETECTOR_PSD.window);
+        assert_eq!(NyquistConfig::default().detrend, crate::aliasing::DETECTOR_PSD.detrend);
+        let mut scratch = SamplerScratch::new();
+        let mut source = FunctionSource::new(band_signal(0.5));
+        let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
+        let mut estimator = NyquistEstimator::new(NyquistConfig::default());
+        let mut est_scratch = crate::estimator::EstimatorScratch::new();
+        let mut t = Seconds::ZERO;
+        let window = Seconds(2000.0);
+        let mut probed = false;
+        for _ in 0..6 {
+            let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
+            let fast = source.sample(t, r.primary_rate, window, Vec::new());
+            let alone = estimator.estimate_samples(&mut est_scratch, fast.values(), fast.sample_rate());
+            assert_eq!(r.estimate, alone.rate(), "epoch {}", r.index);
+            probed |= r.aliased;
+            t = t + window;
+        }
+        assert!(probed, "the 0.3 Hz start must alias before it settles");
     }
 }

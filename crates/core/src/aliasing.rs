@@ -105,18 +105,44 @@ pub fn detect_aliasing(
     )
 }
 
+/// The periodogram both streams are compared through: Hann-windowed,
+/// detrended (see the module docs). The §3.2 estimator's default
+/// configuration computes the same PSD, which is what lets the §4.2
+/// controller hand one fast-stream spectrum to both analyses.
+pub const DETECTOR_PSD: PsdConfig = PsdConfig {
+    window: Window::Hann,
+    detrend: true,
+};
+
+/// Reusable band-power tables for [`compare_spectra`], one per stream.
+#[derive(Debug, Default)]
+pub struct BandScratch {
+    fast: Vec<f64>,
+    slow: Vec<f64>,
+}
+
+impl BandScratch {
+    /// Empty tables; they grow on first use and are then reused.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Heap bytes the tables currently hold (capacities, not lengths).
+    pub fn resident_bytes(&self) -> usize {
+        (self.fast.capacity() + self.slow.capacity()) * std::mem::size_of::<f64>()
+    }
+}
+
 /// Reusable working storage for [`detect_aliasing_scratch`]: the PSD
-/// scratch, the two one-sided power buffers and the two band-power tables.
-/// Keep one per loop or worker (the fleet engine lends one per worker to
-/// every controller) so steady-state verification performs no heap
+/// scratch, the two one-sided power buffers and the band-power tables.
+/// Keep one per loop or worker so steady-state detection performs no heap
 /// allocations.
 #[derive(Debug, Default)]
 pub struct DetectScratch {
     psd: PsdScratch,
     fast_power: Vec<f64>,
     slow_power: Vec<f64>,
-    fast_bands: Vec<f64>,
-    slow_bands: Vec<f64>,
+    bands: BandScratch,
 }
 
 impl DetectScratch {
@@ -124,28 +150,30 @@ impl DetectScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Heap bytes the scratch currently holds (capacities, not lengths) —
-    /// the per-worker memory-footprint accounting of the fleet engine.
-    pub fn resident_bytes(&self) -> usize {
-        self.psd.resident_bytes()
-            + (self.fast_power.capacity()
-                + self.slow_power.capacity()
-                + self.fast_bands.capacity()
-                + self.slow_bands.capacity())
-                * std::mem::size_of::<f64>()
-    }
 }
 
-/// The dual-rate comparison against a caller-owned [`FftPlanner`] and
-/// caller-lent [`DetectScratch`]: zero steady-state heap allocations.
+/// The [`DETECTOR_PSD`] periodogram of `series`, built in the recycled
+/// `power` buffer (reclaim it with [`Spectrum::into_power`]).
+pub fn detector_spectrum(
+    planner: &mut FftPlanner,
+    psd: &mut PsdScratch,
+    series: &RegularSeries,
+    mut power: Vec<f64>,
+) -> Spectrum {
+    periodogram_into(planner, psd, series.values(), DETECTOR_PSD, &mut power);
+    Spectrum::from_psd(power, series.sample_rate().value(), series.len())
+}
+
+/// The dual-rate comparison from two traces: both [`DETECTOR_PSD`]
+/// periodograms, then [`compare_spectra`], against a caller-owned
+/// [`FftPlanner`] and caller-lent [`DetectScratch`] — zero steady-state heap
+/// allocations.
 ///
 /// `fast` must be sampled at a higher rate than `slow`, with a non-integer
 /// rate ratio (checked). Both should cover the same time window.
 ///
 /// # Panics
-/// Panics if the ratio guard fails, either trace has fewer than 16 samples,
-/// or the configuration is out of range.
+/// Exactly as [`compare_spectra`].
 pub fn detect_aliasing_scratch(
     planner: &mut FftPlanner,
     scratch: &mut DetectScratch,
@@ -153,17 +181,41 @@ pub fn detect_aliasing_scratch(
     slow: &RegularSeries,
     cfg: DualRateConfig,
 ) -> AliasingVerdict {
-    let f1 = fast.sample_rate();
-    let f2 = slow.sample_rate();
+    let fast_power = std::mem::take(&mut scratch.fast_power);
+    let spec_fast = detector_spectrum(planner, &mut scratch.psd, fast, fast_power);
+    let slow_power = std::mem::take(&mut scratch.slow_power);
+    let spec_slow = detector_spectrum(planner, &mut scratch.psd, slow, slow_power);
+    let verdict = compare_spectra(&spec_fast, &spec_slow, cfg, &mut scratch.bands);
+    scratch.fast_power = spec_fast.into_power();
+    scratch.slow_power = spec_slow.into_power();
+    verdict
+}
+
+/// The §4.1 comparison kernel: decides from the two streams' spectra
+/// (normally [`detector_spectrum`]s) whether the *slower* stream is
+/// aliased, reading each spectrum once into the lent band tables.
+///
+/// # Panics
+/// Panics unless the fast spectrum's rate exceeds the slow one's by a
+/// non-integer ratio, both came from at least 16 samples, and the
+/// configuration is in range.
+pub fn compare_spectra(
+    fast: &Spectrum,
+    slow: &Spectrum,
+    cfg: DualRateConfig,
+    bands: &mut BandScratch,
+) -> AliasingVerdict {
+    let f1 = Hertz(fast.sample_rate());
+    let f2 = Hertz(slow.sample_rate());
     assert!(
         ratio_is_valid(f1, f2),
         "need f1 > f2 with non-integer ratio, got f1={f1}, f2={f2}"
     );
     assert!(
-        fast.len() >= 16 && slow.len() >= 16,
+        fast.segment_len() >= 16 && slow.segment_len() >= 16,
         "need at least 16 samples per trace (got {} and {})",
-        fast.len(),
-        slow.len()
+        fast.segment_len(),
+        slow.segment_len()
     );
     assert!(cfg.bands > 0, "need at least one band");
     assert!(cfg.tolerance > 0.0, "tolerance must be positive");
@@ -172,40 +224,17 @@ pub fn detect_aliasing_scratch(
         "relative_floor must be in [0,1)"
     );
 
-    let psd_cfg = PsdConfig {
-        window: Window::Hann,
-        detrend: true,
-    };
-    // Both periodograms run through the shared scratch; the power buffers
-    // cycle through `Spectrum` and back so nothing is reallocated per call.
-    let mut fast_power = std::mem::take(&mut scratch.fast_power);
-    periodogram_into(planner, &mut scratch.psd, fast.values(), psd_cfg, &mut fast_power);
-    let spec_fast = Spectrum::from_psd(fast_power, f1.value(), fast.len());
-    let mut slow_power = std::mem::take(&mut scratch.slow_power);
-    periodogram_into(planner, &mut scratch.psd, slow.values(), psd_cfg, &mut slow_power);
-    let spec_slow = Spectrum::from_psd(slow_power, f2.value(), slow.len());
-
-    let half = f2.value() / 2.0;
-    let band_width = half / cfg.bands as f64;
-    // Skip the lowest band boundary region near DC? No: detrend removed DC,
-    // and both windows smear residual low-frequency energy identically
-    // enough at the band granularity.
-    let fast_bands = &mut scratch.fast_bands;
-    let slow_bands = &mut scratch.slow_bands;
-    fast_bands.clear();
-    slow_bands.clear();
-    for k in 0..cfg.bands {
-        let lo = k as f64 * band_width;
-        let hi = (k + 1) as f64 * band_width;
-        fast_bands.push(spec_fast.power_in_band(lo, hi * (1.0 - 1e-12)));
-        slow_bands.push(spec_slow.power_in_band(lo, hi * (1.0 - 1e-12)));
-    }
-    scratch.fast_power = spec_fast.into_power();
-    scratch.slow_power = spec_slow.into_power();
-    let total: f64 = fast_bands
+    // The bands start at DC with no guard region: detrending removed DC,
+    // and both windows smear residual low-frequency energy alike at the
+    // band granularity.
+    let band_width = f2.value() / 2.0 / cfg.bands as f64;
+    fast.band_powers_into(band_width, cfg.bands, &mut bands.fast);
+    slow.band_powers_into(band_width, cfg.bands, &mut bands.slow);
+    let total: f64 = bands
+        .fast
         .iter()
         .sum::<f64>()
-        .max(slow_bands.iter().sum::<f64>());
+        .max(bands.slow.iter().sum::<f64>());
     if total <= 0.0 {
         // No in-band energy at all: nothing can mismatch.
         return AliasingVerdict {
@@ -219,9 +248,7 @@ pub fn detect_aliasing_scratch(
     let mut max_disc = 0.0f64;
     let mut worst = None;
     let mut compared = 0usize;
-    for k in 0..cfg.bands {
-        let pf = fast_bands[k];
-        let ps = slow_bands[k];
+    for (k, (&pf, &ps)) in bands.fast.iter().zip(&bands.slow).enumerate() {
         let peak = pf.max(ps);
         if peak < cfg.relative_floor * total {
             continue;

@@ -200,7 +200,8 @@ impl NyquistEstimator {
     }
 
     /// Estimates the Nyquist rate of raw samples taken at `sample_rate`,
-    /// through caller-lent working storage.
+    /// through caller-lent working storage: the configured PSD, then
+    /// [`NyquistEstimator::estimate_spectrum`].
     ///
     /// # Panics
     /// Panics if `samples` has fewer than 4 points (no spectral content to
@@ -246,7 +247,18 @@ impl NyquistEstimator {
             ),
         };
         let spectrum = Spectrum::from_psd(power, sample_rate.value(), n);
-        let estimate = match spectrum.frequency_capturing_energy(self.config.energy_cutoff) {
+        let estimate = self.estimate_spectrum(&spectrum);
+        scratch.power = spectrum.into_power();
+        estimate
+    }
+
+    /// The §3.2 threshold on an already computed spectrum: the energy
+    /// capture, the flat-spectrum guard and the resolution floor. The
+    /// configuration's PSD settings are not consulted — the caller chose the
+    /// spectrum (the §4.2 controller hands over the detector's periodogram,
+    /// which is the default configuration's PSD).
+    pub fn estimate_spectrum(&self, spectrum: &Spectrum) -> NyquistEstimate {
+        match spectrum.frequency_capturing_energy(self.config.energy_cutoff) {
             EnergyCapture::AllBinsNeeded => NyquistEstimate::Aliased,
             EnergyCapture::Captured { frequency } => {
                 // The paper's literal criterion ("all bins needed") only
@@ -271,9 +283,7 @@ impl NyquistEstimator {
                     NyquistEstimate::Rate(Hertz(2.0 * f))
                 }
             }
-        };
-        scratch.power = spectrum.into_power();
-        estimate
+        }
     }
 
     /// Estimates the Nyquist rate of a regular series — the one-shot

@@ -1,11 +1,11 @@
 //! Validation of the paper's algorithms against *known* ground truth.
 //!
 //! The synthetic telemetry generator constructs signals whose band edge is
-//! known exactly (DESIGN.md §2), which turns the paper's informal claims
-//! into checkable statements: the §3.2 estimator must land near (and never
-//! meaningfully above) the true Nyquist rate, reconstruction at the
-//! estimated rate must be faithful, and the §4.1 detector must separate
-//! well-sampled from under-sampled devices.
+//! known exactly (see the `sweetspot_telemetry` crate docs), which turns
+//! the paper's informal claims into checkable statements: the §3.2
+//! estimator must land near (and never meaningfully above) the true Nyquist
+//! rate, reconstruction at the estimated rate must be faithful, and the
+//! §4.1 detector must separate well-sampled from under-sampled devices.
 
 use sweetspot_core::aliasing::{companion_rate, detect_aliasing, DualRateConfig};
 use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};

@@ -6,7 +6,7 @@
 //!   uses ("compute the FFT ... the sum of the PSD across all FFT bins").
 //! * [`welch`] — averaged, overlapped, windowed segments; lower variance on
 //!   noisy traces at the cost of frequency resolution. Exposed because the
-//!   estimator ablation (DESIGN.md §6.2) compares the two.
+//!   §3.2 estimator can run on either (`PsdMethod` in `sweetspot-core`).
 //!
 //! Both return a one-sided [`Spectrum`] normalized as *power per bin* with
 //! window energy-gain compensation, so cumulative-energy fractions are
@@ -328,7 +328,9 @@ mod tests {
         let s = periodogram(&mut p, &tone(n, fs, 50.0, 2.0), fs, cfg);
         // The tone smears over the main lobe; its total power must still be
         // ≈ A²/2 after energy-gain compensation.
-        let band = s.power_in_band(45.0, 55.0);
+        let mut bands = Vec::new();
+        s.band_powers_into(5.0, 11, &mut bands);
+        let band = bands[9] + bands[10]; // 45 Hz up to (not including) 55 Hz
         assert!((band - 2.0).abs() < 0.05, "band power {band}");
     }
 

@@ -170,17 +170,32 @@ impl Spectrum {
         chosen
     }
 
-    /// Total power in the closed frequency band `[f_lo, f_hi]` (Hz).
-    pub fn power_in_band(&self, f_lo: f64, f_hi: f64) -> f64 {
-        self.power
-            .iter()
-            .enumerate()
-            .filter(|(k, _)| {
-                let f = self.frequency_of_bin(*k);
-                f >= f_lo && f <= f_hi
-            })
-            .map(|(_, &p)| p)
-            .sum()
+    /// Band powers of `bands` adjacent bands of `band_width` Hz from DC, into
+    /// `out` (cleared first): band `k` sums the bins whose frequency `f`
+    /// satisfies `k·bw ≤ f ≤ (k+1)·bw·(1 − 1e−12)`, so a bin on an inner edge
+    /// counts toward the upper band only. Bins beyond the last band, or past
+    /// the folding frequency, count toward none.
+    ///
+    /// One forward sweep over the bins: bin frequencies are ascending, so each
+    /// band is a contiguous slice, summed in ascending order.
+    pub fn band_powers_into(&self, band_width: f64, bands: usize, out: &mut Vec<f64>) {
+        out.clear();
+        let resolution = self.resolution();
+        let freq = |i: usize| i as f64 * resolution;
+        let n = self.power.len();
+        let mut i = 0;
+        for k in 0..bands {
+            let lo = k as f64 * band_width;
+            let hi = (k + 1) as f64 * band_width * (1.0 - 1e-12);
+            while i < n && freq(i) < lo {
+                i += 1;
+            }
+            let start = i;
+            while i < n && freq(i) <= hi {
+                i += 1;
+            }
+            out.push(self.power[start..i].iter().sum());
+        }
     }
 }
 
@@ -310,11 +325,19 @@ mod tests {
     }
 
     #[test]
-    fn power_in_band_inclusive() {
+    fn band_powers_split_at_inner_edges() {
+        // Bins at 0..=4 Hz; 1 Hz bands put each inner-edge bin in the band
+        // above it, and the band past the folding frequency is empty.
         let s = spectrum(vec![1.0, 2.0, 4.0, 8.0, 16.0], 8.0, 8);
-        assert_eq!(s.power_in_band(1.0, 3.0), 2.0 + 4.0 + 8.0);
-        assert_eq!(s.power_in_band(0.0, 4.0), s.total_power());
-        assert_eq!(s.power_in_band(5.0, 9.0), 0.0);
+        let mut out = vec![99.0];
+        s.band_powers_into(1.0, 6, &mut out);
+        assert_eq!(out, [1.0, 2.0, 4.0, 8.0, 16.0, 0.0]);
+        s.band_powers_into(2.0, 2, &mut out);
+        assert_eq!(out, [1.0 + 2.0, 4.0 + 8.0]);
+        s.band_powers_into(5.0, 1, &mut out);
+        assert_eq!(out, [s.total_power()]);
+        s.band_powers_into(1.0, 0, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -9,6 +9,7 @@ use sweetspot_dsp::fft::{dft_naive, one_sided_len, plan_kind, FftPlanner, FftScr
 use sweetspot_dsp::interp::Interp;
 use sweetspot_dsp::quantize::Quantizer;
 use sweetspot_dsp::resample::resample_fft;
+use sweetspot_dsp::spectrum::Spectrum;
 use sweetspot_dsp::stats::{percentile, Cdf, FiveNumber};
 use sweetspot_dsp::Complex64;
 
@@ -21,8 +22,66 @@ fn complex_signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<Complex6
         .prop_map(|v| v.into_iter().map(|(re, im)| Complex64::new(re, im)).collect())
 }
 
+/// Band powers the slow way: one full scan of the spectrum per band, with
+/// the closed-band predicate `band_powers_into` must reproduce.
+fn band_powers_by_scan(s: &Spectrum, band_width: f64, bands: usize) -> Vec<f64> {
+    (0..bands)
+        .map(|k| {
+            let lo = k as f64 * band_width;
+            let hi = (k + 1) as f64 * band_width * (1.0 - 1e-12);
+            s.power()
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| {
+                    let f = s.frequency_of_bin(i);
+                    f >= lo && f <= hi
+                })
+                .map(|(_, &p)| p)
+                .sum()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn band_sweep_is_bit_identical_to_per_band_scans(
+        power in prop::collection::vec(0f64..1e3, 2..200),
+        octave in -3i32..4,
+        step in 1usize..6,
+        bands in 2usize..80,
+        split in 0.05f64..1.0,
+    ) {
+        let bins = power.len();
+        // Even and odd segment lengths with the same bin count.
+        for n in [2 * (bins - 1), 2 * bins - 1] {
+            // A power-of-two resolution keeps every bin frequency exact, so
+            // with `step` bins per band every `step`-th bin sits exactly on
+            // a band edge.
+            let resolution = 2f64.powi(octave);
+            let s = Spectrum::from_psd(power.clone(), n as f64 * resolution, n);
+            let on_edges = step as f64 * resolution;
+            let detector = s.folding_frequency() / bands as f64;
+            // Up to 1.9× the folding frequency in total: the upper bands
+            // extend past the last bin.
+            let arbitrary = split * 1.9 * s.folding_frequency() / bands as f64;
+            let mut out = Vec::new();
+            for band_width in [on_edges, detector, arbitrary] {
+                for count in [bands, 1] {
+                    s.band_powers_into(band_width, count, &mut out);
+                    let want = band_powers_by_scan(&s, band_width, count);
+                    prop_assert_eq!(out.len(), count);
+                    for (k, (got, want)) in out.iter().zip(&want).enumerate() {
+                        prop_assert!(
+                            got.to_bits() == want.to_bits(),
+                            "n={} bw={} band {}: {} vs {}", n, band_width, k, got, want
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn fft_roundtrip_is_identity(sig in complex_signal_strategy(200)) {

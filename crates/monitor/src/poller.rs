@@ -158,7 +158,7 @@ pub struct EpochScratch {
     /// Polling-chain scratch (synthesis scratch, measured buffers, cleaning
     /// scratch).
     pub poll: PollScratch,
-    /// Controller scratch (detector, estimator, recycled series storage).
+    /// Controller scratch (spectra, band tables, recycled series storage).
     pub sampler: SamplerScratch,
 }
 

@@ -1,8 +1,7 @@
 //! # sweetspot-telemetry
 //!
 //! Synthetic datacenter telemetry — the substitute for the proprietary
-//! production traces the paper's §3.2 study runs on (see DESIGN.md §2 for the
-//! substitution argument).
+//! production traces the paper's §3.2 study runs on.
 //!
 //! The generator is built around one idea: every metric's *ground truth* is a
 //! deterministic, **band-limited** function of continuous time (a seeded sum

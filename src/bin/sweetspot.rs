@@ -354,7 +354,8 @@ fn cmd_study(args: &[String]) -> Result<(), String> {
     let (json, rest) = take_switch(&rest, "--json");
     let flags = flags(&rest, 0)?;
     reject_unknown_flags(&flags, &["devices", "seed", "threads"], "study")?;
-    let devices = flag_u64(&flags, "devices", 40)? as usize;
+    let devices = flag_opt::<usize>(&flags, "devices", "an integer")?;
+    StudyConfig::validate_request(paper_scale, devices)?;
     let seed = flag_u64(&flags, "seed", 0x5EED_CAFE)?;
     let threads = flag_u64(&flags, "threads", 0)? as usize;
     let study = if paper_scale {
@@ -363,7 +364,7 @@ fn cmd_study(args: &[String]) -> Result<(), String> {
         let cfg = StudyConfig {
             fleet: FleetConfig {
                 seed,
-                devices_per_metric: devices,
+                devices_per_metric: devices.unwrap_or(40),
                 trace_duration: Seconds::from_days(1.0),
             },
             threads,

@@ -220,6 +220,20 @@ fn study_paper_scale_flag_is_accepted_with_other_flags() {
 }
 
 #[test]
+fn study_rejects_an_empty_fleet_and_paper_scale_with_devices() {
+    for (args, diagnostic) in [
+        (vec!["study", "--devices", "0"], "positive number of devices"),
+        (vec!["study", "--paper-scale", "--devices", "3"], "conflict"),
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(out.stdout.is_empty(), "{args:?} must not print a study");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(diagnostic), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 #[ignore = "runs the full 1613-pair study twice; exercised by CI's release-binary smoke step"]
 fn study_paper_scale_output_is_byte_identical_across_thread_counts() {
     let run = |threads: &str| {
