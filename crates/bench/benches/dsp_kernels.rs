@@ -1,8 +1,9 @@
 //! DSP kernel microbenchmarks: the primitives every experiment sits on.
 //!
 //! Covers all three FFT paths (radix-2, mixed-radix and Bluestein), PSD
-//! estimation, Fourier resampling, the end-to-end Nyquist estimator and one
-//! verified epoch of the adaptive controller's spectral work.
+//! estimation, Fourier resampling, the end-to-end Nyquist estimator, one
+//! verified epoch of the adaptive controller's spectral work and the CSV
+//! ingest of one `sweetspot analyze`-sized trace.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -14,6 +15,7 @@ use sweetspot_dsp::fft::{plan_kind, FftPlanner, FftScratch};
 use sweetspot_dsp::psd::{periodogram, welch, PsdConfig, PsdScratch, WelchConfig};
 use sweetspot_dsp::resample::resample_fft;
 use sweetspot_dsp::Complex64;
+use sweetspot_timeseries::ingest::parse_csv;
 use sweetspot_timeseries::{Hertz, RegularSeries, Seconds};
 
 fn signal(n: usize) -> Vec<f64> {
@@ -28,6 +30,23 @@ fn signal_every(n: usize, dt: f64) -> Vec<f64> {
             (0.002 * t).sin() + 0.5 * (0.04 * t).sin() + 0.1 * (0.3 * t).cos()
         })
         .collect()
+}
+
+/// `rows` minutely samples as CSV text shaped like a production export: a
+/// header, integer times, five-decimal values, and every 500 rows one lost
+/// row and one `nan`.
+fn minutely_csv(rows: usize) -> String {
+    use std::fmt::Write;
+    let mut csv = String::from("time_seconds,value\n");
+    for (i, v) in signal_every(rows, 60.0).into_iter().enumerate() {
+        let t = i * 60;
+        match i % 500 {
+            137 => {}
+            311 => writeln!(csv, "{t},nan").unwrap(),
+            _ => writeln!(csv, "{t},{:.5}", 50.0 + v).unwrap(),
+        }
+    }
+    csv
 }
 
 /// The pre-rework periodogram, kept as an in-run reference so every bench
@@ -217,6 +236,13 @@ fn bench(c: &mut Criterion) {
             slow_power = s.into_power();
             black_box((verdict, estimate))
         })
+    });
+
+    // CSV ingest of a 90-day minutely trace, the size `sweetspot analyze`
+    // reads in the end-to-end benchmark.
+    let csv = minutely_csv(90 * 1440);
+    c.bench_function("ingest/parse_csv_129600", |b| {
+        b.iter(|| black_box(parse_csv(black_box(&csv)).expect("trace parses")))
     });
     let _ = Hertz(1.0); // keep the import used in all cfgs
 }

@@ -34,6 +34,26 @@ impl Default for RecommendConfig {
     }
 }
 
+impl RecommendConfig {
+    /// Checks the knobs the CLI sets, which [`recommend`] would otherwise
+    /// panic on or turn into nonsense: the energy cutoff must lie in
+    /// (0, 1] and the headroom must be finite and at least 1. The messages
+    /// name the flags.
+    pub fn validate(&self) -> Result<(), String> {
+        let cutoff = self.estimator.energy_cutoff;
+        if !(cutoff > 0.0 && cutoff <= 1.0) {
+            return Err(format!("--cutoff wants an energy fraction in (0, 1], got {cutoff}"));
+        }
+        if !(self.headroom.is_finite() && self.headroom >= 1.0) {
+            return Err(format!(
+                "--headroom wants a finite factor of at least 1, got {}",
+                self.headroom
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The decision for one trace.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Action {
@@ -224,5 +244,27 @@ mod tests {
                 ..RecommendConfig::default()
             },
         );
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_cutoff_and_headroom() {
+        assert_eq!(RecommendConfig::default().validate(), Ok(()));
+        let with = |cutoff: f64, headroom: f64| RecommendConfig {
+            estimator: NyquistConfig {
+                energy_cutoff: cutoff,
+                ..NyquistConfig::default()
+            },
+            headroom,
+            ..RecommendConfig::default()
+        };
+        assert_eq!(with(1.0, 1.0).validate(), Ok(()));
+        for cutoff in [0.0, -0.5, 1.5, f64::INFINITY, f64::NAN] {
+            let err = with(cutoff, 1.25).validate().unwrap_err();
+            assert!(err.contains("--cutoff"), "{cutoff}: {err}");
+        }
+        for headroom in [0.0, -1.0, 0.99, f64::INFINITY, f64::NAN] {
+            let err = with(0.99, headroom).validate().unwrap_err();
+            assert!(err.contains("--headroom"), "{headroom}: {err}");
+        }
     }
 }

@@ -28,6 +28,21 @@ impl TrackerConfig {
             estimator: NyquistConfig::default(),
         }
     }
+
+    /// Checks the window geometry [`track`] would otherwise panic on: the
+    /// window and the step must be positive (NaN is not). The messages name
+    /// the CLI flags that set them.
+    pub fn validate(&self) -> Result<(), String> {
+        for (flag, value) in [("window", self.window), ("step", self.step)] {
+            if value.value().is_nan() || value.value() <= 0.0 {
+                return Err(format!(
+                    "--{flag} wants a positive duration in seconds, got {}",
+                    value.value()
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One tracked point: the estimate for the window starting at `window_start`.
@@ -205,5 +220,22 @@ mod tests {
         let c = TrackerConfig::paper_fig7();
         assert_eq!(c.window.value(), 6.0 * 3600.0);
         assert_eq!(c.step.value(), 300.0);
+    }
+
+    #[test]
+    fn validate_rejects_non_positive_window_and_step() {
+        assert_eq!(TrackerConfig::paper_fig7().validate(), Ok(()));
+        for bad in [0.0, -100.0, f64::NAN] {
+            let cfg = TrackerConfig {
+                window: Seconds(bad),
+                ..TrackerConfig::paper_fig7()
+            };
+            assert!(cfg.validate().unwrap_err().contains("--window"), "{bad}");
+            let cfg = TrackerConfig {
+                step: Seconds(bad),
+                ..TrackerConfig::paper_fig7()
+            };
+            assert!(cfg.validate().unwrap_err().contains("--step"), "{bad}");
+        }
     }
 }

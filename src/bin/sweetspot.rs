@@ -228,8 +228,11 @@ fn flag_opt<T: std::str::FromStr>(
 }
 
 fn load_trace(path: &str, interval: Option<f64>) -> Result<RegularSeries, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let raw = ingest::parse_csv(&text).map_err(|e| format!("{path}: {e}"))?;
+    // Drop the text once parsed so it does not add to peak memory while cleaning.
+    let raw = {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        ingest::parse_csv(&text).map_err(|e| format!("{path}: {e}"))?
+    };
     if raw.len() < 8 {
         return Err(format!("{path}: only {} usable samples", raw.len()));
     }
@@ -254,6 +257,15 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         .find(|(n, _)| n == "interval")
         .map(|(_, v)| v.parse::<f64>().map_err(|_| "--interval wants seconds".to_string()))
         .transpose()?;
+    let cfg = RecommendConfig {
+        estimator: NyquistConfig {
+            energy_cutoff: cutoff,
+            ..NyquistConfig::default()
+        },
+        headroom,
+        min_change_factor: 2.0,
+    };
+    cfg.validate()?;
 
     let series = load_trace(path, interval)?;
     println!(
@@ -262,17 +274,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         series.sample_rate(),
         series.duration()
     );
-    let rec = recommend(
-        &series,
-        RecommendConfig {
-            estimator: NyquistConfig {
-                energy_cutoff: cutoff,
-                ..NyquistConfig::default()
-            },
-            headroom,
-            min_change_factor: 2.0,
-        },
-    );
+    let rec = recommend(&series, cfg);
     match rec.estimated_nyquist {
         Some(rate) => println!("estimated Nyquist rate: {rate}"),
         None => println!("estimated Nyquist rate: none (trace looks aliased)"),
@@ -302,15 +304,14 @@ fn cmd_track(args: &[String]) -> Result<(), String> {
     reject_unknown_flags(&flags, &["window", "step"], "track")?;
     let window = flag_f64(&flags, "window", 6.0 * 3600.0)?;
     let step = flag_f64(&flags, "step", 300.0)?;
+    let cfg = TrackerConfig {
+        window: Seconds(window),
+        step: Seconds(step),
+        estimator: NyquistConfig::default(),
+    };
+    cfg.validate()?;
     let series = load_trace(path, None)?;
-    let points = track(
-        &series,
-        TrackerConfig {
-            window: Seconds(window),
-            step: Seconds(step),
-            estimator: NyquistConfig::default(),
-        },
-    );
+    let points = track(&series, cfg);
     if points.is_empty() {
         return Err("trace is shorter than one window".into());
     }

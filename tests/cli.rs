@@ -78,6 +78,35 @@ fn analyze_rejects_malformed_flags() {
 }
 
 #[test]
+fn analyze_and_track_reject_out_of_range_flags_cleanly() {
+    let path = write_temp("range-flags", &oversampled_csv());
+    let cases = [
+        ("analyze", "--cutoff", "0"),
+        ("analyze", "--cutoff", "1.5"),
+        ("analyze", "--cutoff", "inf"),
+        ("analyze", "--cutoff", "nan"),
+        ("analyze", "--headroom", "0"),
+        ("analyze", "--headroom", "-1"),
+        ("analyze", "--headroom", "nan"),
+        ("analyze", "--headroom", "inf"),
+        ("track", "--window", "0"),
+        ("track", "--window", "-100"),
+        ("track", "--window", "nan"),
+        ("track", "--step", "0"),
+        ("track", "--step", "-5"),
+    ];
+    for (cmd, flag, value) in cases {
+        let out = bin().arg(cmd).arg(&path).args([flag, value]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd} {flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{cmd} {flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd} {flag} {value}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cmd} {flag} {value} printed output");
+    }
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn demo_pipes_into_analyze() {
     let out = bin()
         .args(["demo", "--metric", "Temperature", "--days", "2"])
@@ -721,6 +750,25 @@ fn analyze_on_bluestein_demo_trace_matches_golden_fixture() {
     std::fs::remove_file(path).ok();
     assert!(
         analyze == golden("analyze_temperature_demo.txt"),
+        "analyze diverged:\n{}",
+        String::from_utf8_lossy(&analyze)
+    );
+}
+
+// `tests/golden/messy_trace.csv` is a two-day minutely trace in every shape
+// the CSV dialect tolerates: CRLF line endings, a header after comments,
+// comments and blank lines mid-file, tab, space, `\x0B` and U+00A0
+// padding, swapped (out-of-order) rows, duplicate timestamps whose later
+// row must lose, `NaN`/`nan` values, exponent-form times and values, and
+// 17-digit values. The expected output was written by the line-based
+// parser that preceded the byte-level one.
+
+#[test]
+fn analyze_on_messy_csv_matches_golden_fixture() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/messy_trace.csv");
+    let analyze = stdout_of("analyze", &path);
+    assert!(
+        analyze == golden("analyze_messy.txt"),
         "analyze diverged:\n{}",
         String::from_utf8_lossy(&analyze)
     );
