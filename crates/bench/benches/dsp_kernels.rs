@@ -1,6 +1,7 @@
 //! DSP kernel microbenchmarks: the primitives every experiment sits on.
 //!
-//! Covers all three FFT paths (radix-2, mixed-radix and Bluestein), PSD
+//! Covers both FFT plans (mixed-radix and Bluestein) and the real-input
+//! paths over them (packed even, one-sided odd), PSD
 //! estimation, Fourier resampling, the end-to-end Nyquist estimator, one
 //! verified epoch of the adaptive controller's spectral work and the CSV
 //! ingest of one `sweetspot analyze`-sized trace.
@@ -121,7 +122,7 @@ fn welch_promote_reference(
 }
 
 fn bench(c: &mut Criterion) {
-    // Complex FFT on each plan kind: powers of two (radix-2), 5-smooth
+    // Complex FFT on each plan kind: powers of two and other 5-smooth
     // lengths (mixed-radix) and the rest (2878 = 2·1439, Bluestein).
     for n in [1024usize, 1000, 4096, 2880, 2878] {
         let sig = signal(n);
@@ -137,11 +138,12 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // Real FFT over a mixed-radix half: a 6-hour tracker window and 90 days
-    // at one minute.
-    for n in [360usize, 129_600] {
+    // Real FFT over a mixed-radix half (a 6-hour tracker window and 90 days
+    // at one minute) and of an odd prime length (2879, one-sided Bluestein).
+    for n in [360usize, 129_600, 2879] {
         let sig = signal(n);
-        c.bench_function(&format!("rfft/{}_{n}", plan_kind(n / 2)), |b| {
+        let kind = plan_kind(if n % 2 == 0 { n / 2 } else { n });
+        c.bench_function(&format!("rfft/{kind}_{n}"), |b| {
             let mut planner = FftPlanner::new();
             let mut scratch = FftScratch::new();
             let mut out = Vec::new();
@@ -210,33 +212,36 @@ fn bench(c: &mut Criterion) {
     });
 
     // One verified adaptive-controller epoch's spectral work at lengths
-    // typical of fleet members, both Bluestein (346 = 2·173 fast samples,
-    // 214 = 2·107 companion samples over the same window): the two
+    // typical of fleet members, all Bluestein: even (346 = 2·173 fast
+    // samples, 214 = 2·107 companion samples over the same window) and the
+    // odd, one-sided twin (347, 215 = 5·43). Each row runs the two
     // periodograms, the §4.1 band comparison and the §3.2 threshold on the
     // shared fast spectrum.
-    let fast = RegularSeries::new(Seconds::ZERO, Seconds(1.0), signal(346));
-    let slow = RegularSeries::new(
-        Seconds::ZERO,
-        Seconds(COMPANION_RATIO),
-        signal_every(214, COMPANION_RATIO),
-    );
-    c.bench_function("detector/verified_epoch_346_214", |b| {
-        let mut planner = FftPlanner::new();
-        let mut psd = PsdScratch::new();
-        let mut bands = BandScratch::new();
-        let est = NyquistEstimator::new(NyquistConfig::default());
-        let (mut fast_power, mut slow_power) = (Vec::new(), Vec::new());
-        b.iter(|| {
-            let (fp, sp) = (std::mem::take(&mut fast_power), std::mem::take(&mut slow_power));
-            let f = detector_spectrum(&mut planner, &mut psd, &fast, fp);
-            let s = detector_spectrum(&mut planner, &mut psd, &slow, sp);
-            let verdict = compare_spectra(&f, &s, DualRateConfig::default(), &mut bands);
-            let estimate = est.estimate_spectrum(&f);
-            fast_power = f.into_power();
-            slow_power = s.into_power();
-            black_box((verdict, estimate))
-        })
-    });
+    for (n_fast, n_slow) in [(346usize, 214usize), (347, 215)] {
+        let fast = RegularSeries::new(Seconds::ZERO, Seconds(1.0), signal(n_fast));
+        let slow = RegularSeries::new(
+            Seconds::ZERO,
+            Seconds(COMPANION_RATIO),
+            signal_every(n_slow, COMPANION_RATIO),
+        );
+        c.bench_function(&format!("detector/verified_epoch_{n_fast}_{n_slow}"), |b| {
+            let mut planner = FftPlanner::new();
+            let mut psd = PsdScratch::new();
+            let mut bands = BandScratch::new();
+            let est = NyquistEstimator::new(NyquistConfig::default());
+            let (mut fast_power, mut slow_power) = (Vec::new(), Vec::new());
+            b.iter(|| {
+                let (fp, sp) = (std::mem::take(&mut fast_power), std::mem::take(&mut slow_power));
+                let f = detector_spectrum(&mut planner, &mut psd, &fast, fp);
+                let s = detector_spectrum(&mut planner, &mut psd, &slow, sp);
+                let verdict = compare_spectra(&f, &s, DualRateConfig::default(), &mut bands);
+                let estimate = est.estimate_spectrum(&f);
+                fast_power = f.into_power();
+                slow_power = s.into_power();
+                black_box((verdict, estimate))
+            })
+        });
+    }
 
     // CSV ingest of a 90-day minutely trace, the size `sweetspot analyze`
     // reads in the end-to-end benchmark.

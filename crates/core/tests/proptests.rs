@@ -37,9 +37,10 @@ fn sampled_at(tones: &[(f64, f64)], rate: f64, n: usize) -> RegularSeries {
     RegularSeries::new(Seconds::ZERO, Seconds(1.0 / rate), values)
 }
 
-/// Trace lengths that cover every FFT path: odd (full complex transform),
-/// even non-power-of-two (packed real over a Bluestein half, or at 288 a
-/// mixed-radix one) and power of two (packed real over a radix-2 half).
+/// Trace lengths that cover every FFT path: odd (one-sided Bluestein, as
+/// each has a prime factor above 5), even non-power-of-two (packed real
+/// over a Bluestein half, or at 288 a mixed-radix one) and power of two
+/// (packed real over a mixed-radix half).
 fn trace_len(kind: usize, k: usize) -> usize {
     match kind {
         0 => 65 + 74 * k,

@@ -1,25 +1,22 @@
 //! Fast Fourier transforms.
 //!
-//! Three complex algorithms cover all input lengths, and a real-input path
-//! sits on top of them:
+//! One Cooley–Tukey kernel runs every transform:
 //!
-//! * **Iterative radix-2 Cooley–Tukey** (decimation in time, bit-reversed
-//!   input ordering) for power-of-two lengths.
 //! * **Mixed-radix Cooley–Tukey** (radices 4, 2, 3 and 5; self-sorting
-//!   Stockham passes) for the other lengths with no prime factor above 5 —
-//!   `2^a·3^b·5^c`, which is what real collection grids produce: 360
-//!   one-minute samples in a 6-hour window, 2 880 half-minutes in a day,
-//!   129 600 minutes in 90 days.
-//! * **Bluestein's chirp-z algorithm** for everything else, which re-expresses
-//!   an arbitrary-length DFT as a linear convolution evaluated with
-//!   power-of-two FFTs of length `≥ 2N − 1`.
-//! * A **packed real-input fast path** for even lengths: a length-`N` real
-//!   transform is evaluated as one length-`N/2` complex FFT plus a
-//!   conjugate-symmetric untangle pass — half the complex FFT work of the
-//!   naive "promote to complex" route.
+//!   Stockham passes) for lengths with no prime factor above 5: powers of
+//!   two and the `2^a·3^b·5^c` lengths collection grids produce (360
+//!   one-minute samples in 6 hours, 2 880 half-minutes in a day).
+//! * **Bluestein's chirp-z algorithm** for every other length: a linear
+//!   convolution evaluated with two mixed-radix transforms at the smallest
+//!   length `2^a·f ≥ 2N − 1` with `f` in {1, 3, 5, 9, 15}.
+//! * A **real-input path**: an even length-`N` transform is one length-`N/2`
+//!   complex FFT plus an untangle pass. An odd length with a prime factor
+//!   above 5 runs a **one-sided Bluestein** on the real samples that yields
+//!   bins `0..=(N−1)/2` only, from a `(3N − 1)/2`-point convolution instead
+//!   of `2N − 1`. Odd 5-smooth lengths promote the input to complex.
 //!
 //! [`FftPlanner`] caches twiddle tables, Bluestein chirps, real-transform
-//! untangle twiddles and window-coefficient tables per length, so repeated
+//! plans and window-coefficient tables per length, so repeated
 //! transforms of the same size (the common case when scanning a fleet of
 //! equally-long traces) pay the setup cost once. The whole table cache lives
 //! behind `Arc<Mutex<…>>`: a planner is `Send`, and [`FftPlanner::clone`]
@@ -50,21 +47,10 @@ use crate::complex::Complex64;
 use crate::window::{Window, WindowTable};
 use std::collections::HashMap;
 use std::f64::consts::PI;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 use sweetspot_obs::Counter;
-
-/// Returns `true` if `n` is a power of two (and nonzero).
-#[inline]
-pub fn is_pow2(n: usize) -> bool {
-    n != 0 && n & (n - 1) == 0
-}
-
-/// Smallest power of two `≥ n`. `next_pow2(0) == 1`.
-#[inline]
-pub fn next_pow2(n: usize) -> usize {
-    n.next_power_of_two()
-}
 
 /// Number of one-sided spectrum bins of a length-`n` real signal:
 /// `n/2 + 1` for even `n`, `(n+1)/2` for odd `n`, `0` for `n == 0`.
@@ -77,17 +63,18 @@ pub fn one_sided_len(n: usize) -> usize {
     }
 }
 
-/// Name of the algorithm a complex transform of length `n ≥ 2` runs:
-/// `"radix2"` for powers of two, `"mixed"` for other lengths with no prime
-/// factor above 5, `"bluestein"` for the rest. A real transform of even
-/// length `n` runs the complex plan of `n/2`.
+/// Name of the algorithm a complex transform of length `n` runs: `"mixed"`
+/// for lengths with no prime factor above 5 (powers of two included),
+/// `"bluestein"` for the rest, and `"none"` for `n < 2`, which every
+/// transform returns unchanged without building a plan. A real transform of
+/// even length `n` runs the complex plan of `n/2`; one of odd length `n`
+/// runs `"mixed"` at `n`, or a one-sided Bluestein when this says
+/// `"bluestein"`.
 pub fn plan_kind(n: usize) -> &'static str {
-    if is_pow2(n) {
-        "radix2"
-    } else if smooth_radices(n).is_some() {
-        "mixed"
-    } else {
-        "bluestein"
+    match n {
+        0 | 1 => "none",
+        _ if is_smooth(n) => "mixed",
+        _ => "bluestein",
     }
 }
 
@@ -98,13 +85,16 @@ pub fn plan_kind(n: usize) -> &'static str {
 /// steady state allocates nothing. Contents never influence results.
 #[derive(Debug, Default)]
 pub struct FftScratch {
-    /// Work buffer of the complex plans: the Bluestein convolution (length
-    /// `next_pow2(2n − 1)`) or the mixed-radix ping-pong buffer (length
-    /// `n`).
+    /// The Bluestein convolution: the chirp-weighted input, zero-padded to
+    /// the convolution length.
     conv: Vec<Complex64>,
-    /// Packed half-length buffer for the real-input fast path.
+    /// The mixed-radix ping-pong buffer, as long as the transform it serves
+    /// (the convolution length under Bluestein).
+    work: Vec<Complex64>,
+    /// Packed half-length buffer for even-length real transforms.
     half: Vec<Complex64>,
-    /// Full-length complex buffer for odd-length real transforms.
+    /// Full-length complex buffer for odd 5-smooth real transforms and
+    /// odd-length real inverses.
     full: Vec<Complex64>,
 }
 
@@ -117,7 +107,7 @@ impl FftScratch {
     /// Heap bytes the scratch currently holds (capacities, not lengths) —
     /// the per-worker memory-footprint accounting of the fleet engine.
     pub fn resident_bytes(&self) -> usize {
-        (self.conv.capacity() + self.half.capacity() + self.full.capacity())
+        (self.conv.capacity() + self.work.capacity() + self.half.capacity() + self.full.capacity())
             * std::mem::size_of::<Complex64>()
     }
 }
@@ -137,118 +127,83 @@ pub(crate) fn quantized_table<T>(len: usize) -> Vec<T> {
     Vec::with_capacity(len.next_power_of_two())
 }
 
-/// Precomputed tables for a power-of-two radix-2 transform.
-struct Pow2Plan {
-    len: usize,
-    /// Forward twiddles: `twiddles[k] = e^{−2πi k / len}` for `k < len/2`.
-    twiddles: Vec<Complex64>,
-    /// Bit-reversal permutation for `len` points.
-    rev: Vec<u32>,
+/// Odd factors of the Bluestein convolution lengths: a convolution of at
+/// least `min` points runs at the smallest `2^a·f ≥ min` over these `f`.
+///
+/// Chosen by timing the inner transforms of every Bluestein size 101…3000
+/// (2-vCPU VM): 157–160 ms in sum, against 212–215 for powers of two and
+/// 171–175 for the smallest 5-smooth length. `{1, 3, 5}` tied but holds
+/// 2.6% more table bytes; denser ladders gained nothing measurable.
+const CONV_LADDER: [usize; 5] = [1, 3, 5, 9, 15];
+
+/// The Bluestein convolution length for a linear convolution of `min`
+/// points (see [`CONV_LADDER`]).
+fn conv_len(min: usize) -> usize {
+    CONV_LADDER
+        .iter()
+        .map(|&f| f * min.div_ceil(f).next_power_of_two())
+        .min()
+        .expect("the ladder is non-empty")
 }
 
-impl Pow2Plan {
-    fn new(len: usize) -> Self {
-        debug_assert!(is_pow2(len));
-        let half = len / 2;
-        let twiddles = (0..half)
-            .map(|k| Complex64::cis(-2.0 * PI * k as f64 / len as f64))
-            .collect();
-        let bits = len.trailing_zeros();
-        let rev = (0..len as u32)
-            .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
-            .collect::<Vec<_>>();
-        // `bits == 0` (len == 1) never indexes `rev`, so the `max(1)` guard is
-        // only there to avoid an invalid shift.
-        Pow2Plan { len, twiddles, rev }
-    }
-
-    /// Heap bytes this plan's tables hold (capacities, not lengths).
-    fn table_bytes(&self) -> usize {
-        self.twiddles.capacity() * std::mem::size_of::<Complex64>()
-            + self.rev.capacity() * std::mem::size_of::<u32>()
-    }
-
-    /// In-place forward (inverse = conjugate trick handled by caller).
-    fn fft(&self, buf: &mut [Complex64]) {
-        let n = self.len;
-        debug_assert_eq!(buf.len(), n);
-        if n <= 1 {
-            return;
-        }
-        // Bit-reversal permutation.
-        for i in 0..n {
-            let j = self.rev[i] as usize;
-            if i < j {
-                buf.swap(i, j);
-            }
-        }
-        // Butterflies.
-        let mut size = 2;
-        while size <= n {
-            let half = size / 2;
-            let step = n / size;
-            let mut base = 0;
-            while base < n {
-                for j in 0..half {
-                    let w = self.twiddles[j * step];
-                    let lo = buf[base + j];
-                    let hi = buf[base + j + half] * w;
-                    buf[base + j] = lo + hi;
-                    buf[base + j + half] = lo - hi;
-                }
-                base += size;
-            }
-            size <<= 1;
-        }
-    }
-}
-
-/// Precomputed state for a Bluestein transform of arbitrary length `n`.
+/// Precomputed state for a Bluestein transform of arbitrary length `n` that
+/// yields its first `bins` outputs: all `n` for the complex transform,
+/// `(n+1)/2` for the one-sided transform of an odd real input.
 struct BluesteinPlan {
     n: usize,
-    /// Convolution length (power of two `≥ 2n − 1`).
-    m: usize,
+    bins: usize,
     /// `chirp[k] = e^{−iπ k² / n}`, the pre/post-multiplier.
     chirp: Vec<Complex64>,
-    /// FFT of the symmetric chirp kernel `b`, reused every call.
+    /// FFT of the chirp kernel `b`, scaled by `1/m` so the inverse
+    /// transform of the product needs no separate normalization pass.
     kernel_fft: Vec<Complex64>,
-    /// Power-of-two plan of length `m`.
-    inner: Arc<Pow2Plan>,
+    /// Mixed-radix plan of the convolution length `m ≥ n + bins − 1`.
+    inner: Arc<MixedPlan>,
 }
 
 impl BluesteinPlan {
-    fn new(n: usize, inner: Arc<Pow2Plan>) -> Self {
-        let m = inner.len;
-        debug_assert!(m >= 2 * n - 1);
-        // k² mod 2n keeps the chirp angle small and exact: e^{−iπ k²/n} has
-        // period 2n in k².
-        let two_n = 2 * n as u128;
+    fn new(n: usize, bins: usize, inner: Arc<MixedPlan>) -> Self {
+        let m = inner.n;
+        debug_assert!(bins <= n && m >= n + bins - 1);
+        // e^{−iπ k²/n} has period 2n in k², so k² mod 2n (kept by (k+1)² =
+        // k² + 2k + 1) is a small, exact angle. The upper half mirrors the
+        // lower: (n − k)² ≡ k² + n² (mod 2n), a half turn for odd n only.
         let mut chirp = quantized_table::<Complex64>(n);
-        chirp.extend((0..n).map(|k| {
-            let k2 = (k as u128 * k as u128) % two_n;
-            Complex64::cis(-PI * k2 as f64 / n as f64)
-        }));
-        let mut kernel = vec![Complex64::ZERO; m];
-        kernel[0] = chirp[0].conj();
-        for k in 1..n {
-            let b = chirp[k].conj();
-            kernel[k] = b;
-            kernel[m - k] = b;
+        let mut k2 = 0;
+        for k in 0..=n / 2 {
+            chirp.push(Complex64::cis(-PI * k2 as f64 / n as f64));
+            k2 += 2 * k + 1;
+            if k2 >= 2 * n {
+                k2 -= 2 * n;
+            }
         }
-        inner.fft(&mut kernel);
-        BluesteinPlan {
-            n,
-            m,
-            chirp,
-            kernel_fft: kernel,
-            inner,
+        let sign = if n % 2 == 1 { -1.0 } else { 1.0 };
+        for k in n / 2 + 1..n {
+            let c = chirp[n - k].scale(sign);
+            chirp.push(c);
         }
+        // Output k < bins reads the kernel at lags k − j ∈ (−n, bins): the
+        // non-negative lags sit at the front, the negative ones wrap to the
+        // back, and `m ≥ n + bins − 1` keeps the two apart.
+        let mut kernel_fft = vec![Complex64::ZERO; m];
+        for (slot, c) in kernel_fft.iter_mut().zip(&chirp[..bins]) {
+            *slot = c.conj();
+        }
+        for (k, c) in chirp.iter().enumerate().skip(1) {
+            kernel_fft[m - k] = c.conj();
+        }
+        inner.fft(&mut kernel_fft, &mut Vec::new());
+        let scale = 1.0 / m as f64;
+        for z in &mut kernel_fft {
+            *z = z.scale(scale);
+        }
+        BluesteinPlan { n, bins, chirp, kernel_fft, inner }
     }
 
     /// Heap bytes this plan *pins*: its own chirp/kernel tables plus the
-    /// inner power-of-two plan its `Arc` keeps alive.
+    /// inner mixed-radix plan its `Arc` keeps alive.
     ///
-    /// The inner plan usually also sits in the cache's pow2 map, so summing
+    /// The inner plan usually also sits in the cache's mixed map, so summing
     /// entries double-counts it — deliberately. Charging every entry its
     /// full pinned chain makes the budget counter an upper bound on actual
     /// heap: evicting an inner entry while an outer plan still references
@@ -260,34 +215,73 @@ impl BluesteinPlan {
             + self.inner.table_bytes()
     }
 
-    /// Forward transform; `conv` is the reusable convolution buffer.
-    fn fft(&self, buf: &mut [Complex64], conv: &mut Vec<Complex64>) {
-        debug_assert_eq!(buf.len(), self.n);
+    /// Convolves the chirp-weighted input with the kernel: loads `weighted`
+    /// into `conv`, zero-pads it to the convolution length and leaves the
+    /// *conjugated* convolution there (the inverse runs as a conjugated
+    /// forward transform, and the caller folds the last conjugation into
+    /// its chirp post-multiply).
+    fn convolve(
+        &self,
+        weighted: impl Iterator<Item = Complex64>,
+        conv: &mut Vec<Complex64>,
+        work: &mut Vec<Complex64>,
+    ) {
         conv.clear();
-        conv.resize(self.m, Complex64::ZERO);
-        for (k, slot) in conv.iter_mut().take(self.n).enumerate() {
-            *slot = buf[k] * self.chirp[k];
-        }
-        self.inner.fft(conv);
+        conv.extend(weighted);
+        conv.resize(self.kernel_fft.len(), Complex64::ZERO);
+        self.inner.fft(conv, work);
         for (x, k) in conv.iter_mut().zip(&self.kernel_fft) {
-            *x *= *k;
+            *x = (*x * *k).conj();
         }
-        // Inverse FFT of length m via conjugation.
-        for x in conv.iter_mut() {
-            *x = x.conj();
+        self.inner.fft(conv, work);
+    }
+
+    /// Forward complex transform of `buf` (`bins == n`), in place.
+    fn fft(&self, buf: &mut [Complex64], conv: &mut Vec<Complex64>, work: &mut Vec<Complex64>) {
+        debug_assert_eq!(buf.len(), self.n);
+        self.convolve(buf.iter().zip(&self.chirp).map(|(x, c)| *x * *c), conv, work);
+        for ((out, y), c) in buf.iter_mut().zip(conv.iter()).zip(&self.chirp) {
+            *out = y.conj() * *c;
         }
-        self.inner.fft(conv);
-        let scale = 1.0 / self.m as f64;
-        for (k, out) in buf.iter_mut().enumerate() {
-            *out = conv[k].conj().scale(scale) * self.chirp[k];
-        }
+    }
+
+    /// One-sided transform of the real `input`: its first `bins` bins into
+    /// `out`.
+    fn fft_real(
+        &self,
+        input: &[f64],
+        out: &mut Vec<Complex64>,
+        conv: &mut Vec<Complex64>,
+        work: &mut Vec<Complex64>,
+    ) {
+        debug_assert_eq!(input.len(), self.n);
+        self.convolve(input.iter().zip(&self.chirp).map(|(&x, c)| c.scale(x)), conv, work);
+        out.clear();
+        out.extend(conv[..self.bins].iter().zip(&self.chirp).map(|(y, c)| y.conj() * *c));
     }
 }
 
+/// `true` when `n` is nonzero and has no prime factor above 5. Unlike
+/// [`smooth_radices`] it never allocates, so transforms may call it.
+fn is_smooth(mut n: usize) -> bool {
+    if n == 0 {
+        return false;
+    }
+    for p in [2, 3, 5] {
+        while n.is_multiple_of(p) {
+            n /= p;
+        }
+    }
+    n == 1
+}
+
 /// Radix passes of a mixed-radix plan for `n`, in the order they run —
-/// 4s, then at most one 2, then 3s, then 5s — or `None` when `n` has a
-/// prime factor above 5.
+/// 4s, then at most one 2, then 3s, then 5s — or `None` when `n` is 0 or
+/// has a prime factor above 5.
 fn smooth_radices(mut n: usize) -> Option<Vec<usize>> {
+    if !is_smooth(n) {
+        return None;
+    }
     let mut radices = Vec::new();
     for p in [4, 2, 3, 5] {
         while n.is_multiple_of(p) {
@@ -295,7 +289,7 @@ fn smooth_radices(mut n: usize) -> Option<Vec<usize>> {
             n /= p;
         }
     }
-    (n == 1).then_some(radices)
+    Some(radices)
 }
 
 /// Precomputed tables for a mixed-radix (4, 2, 3, 5) Cooley–Tukey transform
@@ -487,17 +481,15 @@ fn pass5(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
 /// A cached complex plan for one length.
 #[derive(Clone)]
 enum Plan {
-    Pow2(Arc<Pow2Plan>),
     Mixed(Arc<MixedPlan>),
     Bluestein(Arc<BluesteinPlan>),
 }
 
 impl Plan {
-    fn fft(&self, buf: &mut [Complex64], conv: &mut Vec<Complex64>) {
+    fn fft(&self, buf: &mut [Complex64], conv: &mut Vec<Complex64>, work: &mut Vec<Complex64>) {
         match self {
-            Plan::Pow2(p) => p.fft(buf),
-            Plan::Mixed(p) => p.fft(buf, conv),
-            Plan::Bluestein(p) => p.fft(buf, conv),
+            Plan::Mixed(p) => p.fft(buf, work),
+            Plan::Bluestein(p) => p.fft(buf, conv, work),
         }
     }
 
@@ -505,7 +497,6 @@ impl Plan {
     /// [`BluesteinPlan::table_bytes`] for why pinned, not owned).
     fn table_bytes(&self) -> usize {
         match self {
-            Plan::Pow2(p) => p.table_bytes(),
             Plan::Mixed(p) => p.table_bytes(),
             Plan::Bluestein(p) => p.table_bytes(),
         }
@@ -514,7 +505,7 @@ impl Plan {
 
 /// Precomputed state for the packed real-input transform of even length `n`:
 /// one length-`n/2` complex FFT plus a conjugate-symmetric untangle pass.
-struct RealPlan {
+struct PackedReal {
     n: usize,
     /// Untangle twiddles `e^{−2πi k / n}` for `k ≤ n/2`.
     twiddles: Vec<Complex64>,
@@ -522,21 +513,18 @@ struct RealPlan {
     inner: Plan,
 }
 
-impl RealPlan {
+impl PackedReal {
     fn new(n: usize, inner: Plan) -> Self {
         debug_assert!(n >= 2 && n.is_multiple_of(2));
         let m = n / 2;
         let mut twiddles = quantized_table::<Complex64>(m + 1);
         twiddles.extend((0..=m).map(|k| Complex64::cis(-2.0 * PI * k as f64 / n as f64)));
-        RealPlan { n, twiddles, inner }
+        PackedReal { n, twiddles, inner }
     }
 
     /// Heap bytes this plan pins: its untangle twiddles plus the inner
-    /// half-length complex plan its handle keeps alive (see
-    /// [`BluesteinPlan::table_bytes`] for why pinned, not owned — for a
-    /// Bluestein inner the chain is ~7× the twiddles' own bytes, and
-    /// charging own bytes only let the cache pin several budgets' worth of
-    /// evicted-but-referenced inners).
+    /// half-length plan (see [`BluesteinPlan::table_bytes`] for why pinned,
+    /// not owned).
     fn table_bytes(&self) -> usize {
         self.twiddles.capacity() * std::mem::size_of::<Complex64>()
             + self.inner.table_bytes()
@@ -552,11 +540,10 @@ impl RealPlan {
         let n = self.n;
         let m = n / 2;
         debug_assert_eq!(input.len(), n);
-        let half = &mut scratch.half;
+        let FftScratch { conv, work, half, .. } = scratch;
         half.clear();
         half.extend(input.chunks_exact(2).map(|p| Complex64::new(p[0], p[1])));
-        self.inner.fft(half, &mut scratch.conv);
-        let half = &scratch.half;
+        self.inner.fft(half, conv, work);
         out.clear();
         out.resize(m + 1, Complex64::ZERO);
         // k = 0 and k = m both untangle from Z[0] alone (Fe₀ = Re Z₀,
@@ -579,12 +566,12 @@ impl RealPlan {
     }
 
     /// Inverse: the length-`n` real signal whose one-sided spectrum is
-    /// `spectrum`, scaled by `1/n` so it exactly undoes [`RealPlan::fft`].
+    /// `spectrum`, scaled by `1/n` so it exactly undoes [`PackedReal::fft`].
     fn ifft(&self, spectrum: &[Complex64], out: &mut Vec<f64>, scratch: &mut FftScratch) {
         let n = self.n;
         let m = n / 2;
         debug_assert_eq!(spectrum.len(), m + 1);
-        let half = &mut scratch.half;
+        let FftScratch { conv, work, half, .. } = scratch;
         half.clear();
         half.reserve(m);
         for (k, w) in self.twiddles.iter().enumerate().take(m) {
@@ -600,14 +587,53 @@ impl RealPlan {
         for z in half.iter_mut() {
             *z = z.conj();
         }
-        self.inner.fft(half, &mut scratch.conv);
+        self.inner.fft(half, conv, work);
         let scale = 1.0 / m as f64;
         out.clear();
         out.reserve(n);
-        for z in scratch.half.iter() {
+        for z in half.iter() {
             let z = z.conj().scale(scale);
             out.push(z.re);
             out.push(z.im);
+        }
+    }
+}
+
+/// A cached real-input plan for one length `n ≥ 2`.
+enum RealPlan {
+    /// Even `n`: the packed transform over the complex plan of `n/2`.
+    Packed(PackedReal),
+    /// Odd `n` with a prime factor above 5: Bluestein for the one-sided
+    /// bins only.
+    OneSided(BluesteinPlan),
+    /// Odd 5-smooth `n`: the mixed-radix transform of the input promoted
+    /// to complex, first half kept.
+    Promoted(Arc<MixedPlan>),
+}
+
+impl RealPlan {
+    /// Forward: the one-sided spectrum of `input` into `out`.
+    fn fft(&self, input: &[f64], out: &mut Vec<Complex64>, scratch: &mut FftScratch) {
+        match self {
+            RealPlan::Packed(p) => p.fft(input, out, scratch),
+            RealPlan::OneSided(p) => p.fft_real(input, out, &mut scratch.conv, &mut scratch.work),
+            RealPlan::Promoted(p) => {
+                let full = &mut scratch.full;
+                full.clear();
+                full.extend(input.iter().map(|&x| Complex64::from_real(x)));
+                p.fft(full, &mut scratch.work);
+                out.clear();
+                out.extend_from_slice(&full[..one_sided_len(input.len())]);
+            }
+        }
+    }
+
+    /// Heap bytes the plan pins (see [`BluesteinPlan::table_bytes`]).
+    fn table_bytes(&self) -> usize {
+        match self {
+            RealPlan::Packed(p) => p.table_bytes(),
+            RealPlan::OneSided(p) => p.table_bytes(),
+            RealPlan::Promoted(p) => p.table_bytes(),
         }
     }
 }
@@ -687,9 +713,15 @@ struct Cached<T> {
     last_used: u64,
 }
 
+/// The cached table under `key`, stamped as used at `tick`.
+fn touch<K: Hash + Eq, T>(map: &mut HashMap<K, Cached<T>>, key: &K, tick: u64) -> Option<Arc<T>> {
+    let e = map.get_mut(key)?;
+    e.last_used = tick;
+    Some(e.plan.clone())
+}
+
 /// Which cache map an eviction victim lives in.
 enum Victim {
-    Pow2(usize),
     Mixed(usize),
     Bluestein(usize),
     Real(usize),
@@ -700,13 +732,12 @@ enum Victim {
 ///
 /// With `budget: Some(bytes)` the cache evicts least-recently-used tables
 /// whenever `resident` exceeds the budget; nested tables (a Bluestein plan's
-/// inner power-of-two plan, a real plan's half-length complex plan) are
-/// accounted at their own cache entry, and an evicted entry that is still
-/// referenced through such a nesting simply stays alive behind its `Arc`
-/// until the referencing plan is evicted too.
+/// inner mixed-radix plan, a real plan's inner complex plan) are accounted
+/// at their own cache entry, and an evicted entry that is still referenced
+/// through such a nesting simply stays alive behind its `Arc` until the
+/// referencing plan is evicted too.
 #[derive(Default)]
 struct PlanTables {
-    pow2: HashMap<usize, Cached<Pow2Plan>>,
     mixed: HashMap<usize, Cached<MixedPlan>>,
     bluestein: HashMap<usize, Cached<BluesteinPlan>>,
     real: HashMap<usize, Cached<RealPlan>>,
@@ -726,85 +757,88 @@ impl PlanTables {
         self.tick
     }
 
-    fn pow2_plan(&mut self, len: usize) -> Arc<Pow2Plan> {
-        let tick = self.stamp();
-        if let Some(e) = self.pow2.get_mut(&len) {
-            e.last_used = tick;
-            return e.plan.clone();
-        }
-        let plan = Arc::new(Pow2Plan::new(len));
-        let bytes = plan.table_bytes();
+    /// Caches a freshly built `plan` of `bytes` heap bytes under `key` in
+    /// the map `map` selects, as the newest entry, then enforces the budget.
+    fn admit<K: Hash + Eq, T>(
+        &mut self,
+        map: fn(&mut PlanTables) -> &mut HashMap<K, Cached<T>>,
+        key: K,
+        plan: T,
+        bytes: usize,
+    ) -> Arc<T> {
+        let plan = Arc::new(plan);
+        let last_used = self.stamp();
         self.resident += bytes;
-        self.pow2.insert(len, Cached { plan: plan.clone(), bytes, last_used: tick });
+        map(self).insert(key, Cached { plan: plan.clone(), bytes, last_used });
         self.enforce_budget();
         plan
     }
 
-    /// The complex plan for `len`: radix-2 for powers of two, mixed-radix
-    /// for other lengths with no prime factor above 5, Bluestein for the
-    /// rest. Both caches are consulted before the length is factored, so a
-    /// hit never allocates.
-    fn plan(&mut self, len: usize) -> Plan {
-        if is_pow2(len) {
-            return Plan::Pow2(self.pow2_plan(len));
-        }
+    /// The mixed-radix plan for a length with no prime factor above 5.
+    fn mixed_plan(&mut self, len: usize) -> Arc<MixedPlan> {
         let tick = self.stamp();
-        if let Some(e) = self.mixed.get_mut(&len) {
-            e.last_used = tick;
-            return Plan::Mixed(e.plan.clone());
+        if let Some(plan) = touch(&mut self.mixed, &len, tick) {
+            return plan;
         }
-        if let Some(e) = self.bluestein.get_mut(&len) {
-            e.last_used = tick;
-            return Plan::Bluestein(e.plan.clone());
-        }
-        if let Some(radices) = smooth_radices(len) {
-            let plan = Arc::new(MixedPlan::new(len, radices));
-            let bytes = plan.table_bytes();
-            self.resident += bytes;
-            self.mixed.insert(len, Cached { plan: plan.clone(), bytes, last_used: tick });
-            self.enforce_budget();
+        let radices = smooth_radices(len).expect("mixed-radix lengths are 5-smooth");
+        let plan = MixedPlan::new(len, radices);
+        let bytes = plan.table_bytes();
+        self.admit(|t| &mut t.mixed, len, plan, bytes)
+    }
+
+    /// A Bluestein plan yielding `bins` outputs of length `n`, its inner
+    /// plan at the ladder length that holds the `n + bins − 1`-point
+    /// convolution.
+    fn bluestein_plan(&mut self, n: usize, bins: usize) -> BluesteinPlan {
+        let inner = self.mixed_plan(conv_len(n + bins - 1));
+        BluesteinPlan::new(n, bins, inner)
+    }
+
+    /// The complex plan for `len`: mixed-radix for lengths with no prime
+    /// factor above 5, Bluestein for the rest. Both caches are consulted
+    /// before the length is factored, so a hit never allocates.
+    fn plan(&mut self, len: usize) -> Plan {
+        let tick = self.stamp();
+        if let Some(plan) = touch(&mut self.mixed, &len, tick) {
             return Plan::Mixed(plan);
         }
-        let m = next_pow2(2 * len - 1);
-        let inner = self.pow2_plan(m);
-        let plan = Arc::new(BluesteinPlan::new(len, inner));
+        if let Some(plan) = touch(&mut self.bluestein, &len, tick) {
+            return Plan::Bluestein(plan);
+        }
+        if is_smooth(len) {
+            return Plan::Mixed(self.mixed_plan(len));
+        }
+        let plan = self.bluestein_plan(len, len);
         let bytes = plan.table_bytes();
-        self.resident += bytes;
-        let tick = self.stamp();
-        self.bluestein.insert(len, Cached { plan: plan.clone(), bytes, last_used: tick });
-        self.enforce_budget();
-        Plan::Bluestein(plan)
+        Plan::Bluestein(self.admit(|t| &mut t.bluestein, len, plan, bytes))
     }
 
+    /// The real-input plan for `n ≥ 2` (see [`RealPlan`]).
     fn real_plan(&mut self, n: usize) -> Arc<RealPlan> {
-        debug_assert!(n >= 2 && n.is_multiple_of(2));
+        debug_assert!(n >= 2);
         let tick = self.stamp();
-        if let Some(e) = self.real.get_mut(&n) {
-            e.last_used = tick;
-            return e.plan.clone();
+        if let Some(plan) = touch(&mut self.real, &n, tick) {
+            return plan;
         }
-        let inner = self.plan(n / 2);
-        let plan = Arc::new(RealPlan::new(n, inner));
+        let plan = if n.is_multiple_of(2) {
+            RealPlan::Packed(PackedReal::new(n, self.plan(n / 2)))
+        } else if is_smooth(n) {
+            RealPlan::Promoted(self.mixed_plan(n))
+        } else {
+            RealPlan::OneSided(self.bluestein_plan(n, one_sided_len(n)))
+        };
         let bytes = plan.table_bytes();
-        self.resident += bytes;
-        let tick = self.stamp();
-        self.real.insert(n, Cached { plan: plan.clone(), bytes, last_used: tick });
-        self.enforce_budget();
-        plan
+        self.admit(|t| &mut t.real, n, plan, bytes)
     }
 
     fn window_table(&mut self, window: Window, n: usize) -> Arc<WindowTable> {
         let tick = self.stamp();
-        if let Some(e) = self.windows.get_mut(&(window, n)) {
-            e.last_used = tick;
-            return e.plan.clone();
+        if let Some(table) = touch(&mut self.windows, &(window, n), tick) {
+            return table;
         }
-        let plan = Arc::new(WindowTable::new(window, n));
-        let bytes = plan.resident_bytes();
-        self.resident += bytes;
-        self.windows.insert((window, n), Cached { plan: plan.clone(), bytes, last_used: tick });
-        self.enforce_budget();
-        plan
+        let table = WindowTable::new(window, n);
+        let bytes = table.resident_bytes();
+        self.admit(|t| &mut t.windows, (window, n), table, bytes)
     }
 
     /// Evicts least-recently-used entries until `resident` fits the budget.
@@ -817,32 +851,15 @@ impl PlanTables {
         let Some(budget) = self.budget else { return };
         while self.resident > budget {
             let newest = self.tick;
-            let mut victim: Option<(Victim, u64)> = None;
-            let mut consider = |cand: Victim, last_used: u64| {
-                if last_used != newest
-                    && victim.as_ref().is_none_or(|(_, lu)| last_used < *lu)
-                {
-                    victim = Some((cand, last_used));
-                }
-            };
-            for (&k, e) in &self.pow2 {
-                consider(Victim::Pow2(k), e.last_used);
-            }
-            for (&k, e) in &self.mixed {
-                consider(Victim::Mixed(k), e.last_used);
-            }
-            for (&k, e) in &self.bluestein {
-                consider(Victim::Bluestein(k), e.last_used);
-            }
-            for (&k, e) in &self.real {
-                consider(Victim::Real(k), e.last_used);
-            }
-            for (&(w, n), e) in &self.windows {
-                consider(Victim::Window(w, n), e.last_used);
-            }
+            let victim = (self.mixed.iter())
+                .map(|(&k, e)| (Victim::Mixed(k), e.last_used))
+                .chain(self.bluestein.iter().map(|(&k, e)| (Victim::Bluestein(k), e.last_used)))
+                .chain(self.real.iter().map(|(&k, e)| (Victim::Real(k), e.last_used)))
+                .chain(self.windows.iter().map(|(&(w, n), e)| (Victim::Window(w, n), e.last_used)))
+                .filter(|&(_, last_used)| last_used != newest)
+                .min_by_key(|&(_, last_used)| last_used);
             let Some((key, _)) = victim else { return };
             let bytes = match key {
-                Victim::Pow2(k) => self.pow2.remove(&k).map(|e| e.bytes),
                 Victim::Mixed(k) => self.mixed.remove(&k).map(|e| e.bytes),
                 Victim::Bluestein(k) => self.bluestein.remove(&k).map(|e| e.bytes),
                 Victim::Real(k) => self.real.remove(&k).map(|e| e.bytes),
@@ -865,12 +882,7 @@ impl Clone for FftPlanner {
     /// its own). A fleet of per-device analyzers built from clones of one
     /// planner therefore holds every distinct plan exactly once.
     fn clone(&self) -> Self {
-        FftPlanner {
-            tables: Arc::clone(&self.tables),
-            handle_stats: FftHandleStats::default(),
-            seen_complex: Vec::new(),
-            seen_real: Vec::new(),
-        }
+        FftPlanner::sharing(Arc::clone(&self.tables))
     }
 }
 
@@ -878,8 +890,13 @@ impl FftPlanner {
     /// Creates an empty planner (with its own fresh table cache — use
     /// [`Clone`] to share a cache).
     pub fn new() -> Self {
+        FftPlanner::sharing(Arc::new(Mutex::new(PlanTables::default())))
+    }
+
+    /// A handle on `tables` with an empty request history.
+    fn sharing(tables: Arc<Mutex<PlanTables>>) -> Self {
         FftPlanner {
-            tables: Arc::new(Mutex::new(PlanTables::default())),
+            tables,
             handle_stats: FftHandleStats::default(),
             seen_complex: Vec::new(),
             seen_real: Vec::new(),
@@ -954,7 +971,7 @@ impl FftPlanner {
             return;
         }
         let plan = self.plan(n);
-        plan.fft(buf, &mut scratch.conv);
+        plan.fft(buf, &mut scratch.conv, &mut scratch.work);
     }
 
     /// Inverse DFT, in place, scaled by `1/N` so it exactly undoes
@@ -980,32 +997,19 @@ impl FftPlanner {
     /// `scratch` have capacity.
     ///
     /// Even lengths take the packed fast path (one `n/2` complex FFT); odd
-    /// lengths fall back to a full complex transform internally.
+    /// lengths run a one-sided Bluestein, or the full mixed-radix transform
+    /// when `n` has no prime factor above 5.
     pub fn fft_real_into(
         &mut self,
         input: &[f64],
         out: &mut Vec<Complex64>,
         scratch: &mut FftScratch,
     ) {
-        let n = input.len();
         out.clear();
-        match n {
-            0 => {}
-            1 => out.push(Complex64::from_real(input[0])),
-            _ if n.is_multiple_of(2) => {
-                let plan = self.real_plan(n);
-                plan.fft(input, out, scratch);
-            }
-            _ => {
-                // Odd length: full complex transform, keep the first half.
-                let plan = self.plan(n);
-                scratch.full.clear();
-                scratch
-                    .full
-                    .extend(input.iter().map(|&x| Complex64::from_real(x)));
-                plan.fft(&mut scratch.full, &mut scratch.conv);
-                out.extend_from_slice(&scratch.full[..one_sided_len(n)]);
-            }
+        match input {
+            [] => {}
+            [x] => out.push(Complex64::from_real(*x)),
+            _ => self.real_plan(input.len()).fft(input, out, scratch),
         }
     }
 
@@ -1033,51 +1037,46 @@ impl FftPlanner {
             0 => {}
             1 => out.push(spectrum[0].re),
             _ if n.is_multiple_of(2) => {
-                let plan = self.real_plan(n);
+                let RealPlan::Packed(plan) = &*self.real_plan(n) else {
+                    unreachable!("even lengths get packed real plans")
+                };
                 plan.ifft(spectrum, out, scratch);
             }
             _ => {
                 // Odd length: expand to the full spectrum by conjugate
                 // symmetry, then a complex inverse transform.
                 let plan = self.plan(n);
-                scratch.full.clear();
-                scratch.full.reserve(n);
-                scratch.full.extend_from_slice(spectrum);
+                let full = &mut scratch.full;
+                full.clear();
+                full.reserve(n);
+                full.extend_from_slice(spectrum);
                 for k in (1..=(n - 1) / 2).rev() {
-                    let c = spectrum[k].conj();
-                    scratch.full.push(c);
+                    full.push(spectrum[k].conj());
                 }
-                for z in scratch.full.iter_mut() {
+                for z in full.iter_mut() {
                     *z = z.conj();
                 }
-                plan.fft(&mut scratch.full, &mut scratch.conv);
+                plan.fft(full, &mut scratch.conv, &mut scratch.work);
                 let scale = 1.0 / n as f64;
-                out.extend(scratch.full.iter().map(|z| z.re * scale));
+                out.extend(full.iter().map(|z| z.re * scale));
             }
         }
     }
 
     /// Forward DFT of a real signal; returns all `N` complex bins.
     ///
-    /// Allocating convenience wrapper with throwaway scratch: even lengths
-    /// run the packed fast path and mirror the one-sided half; prefer
-    /// [`fft_real_into`](FftPlanner::fft_real_into) in steady-state loops.
+    /// Allocating convenience wrapper with throwaway scratch: runs
+    /// [`fft_real_into`](FftPlanner::fft_real_into) and mirrors the
+    /// one-sided half; prefer that in steady-state loops.
     pub fn fft_real(&mut self, input: &[f64]) -> Vec<Complex64> {
         let n = input.len();
-        let mut scratch = FftScratch::new();
-        if n >= 2 && n.is_multiple_of(2) {
-            let mut out = Vec::with_capacity(n);
-            self.fft_real_into(input, &mut out, &mut scratch);
-            for j in n / 2 + 1..n {
-                let c = out[n - j].conj();
-                out.push(c);
-            }
-            out
-        } else {
-            let mut buf: Vec<Complex64> = input.iter().map(|&x| Complex64::from_real(x)).collect();
-            self.fft_in_place(&mut buf, &mut scratch);
-            buf
+        let mut out = Vec::with_capacity(n);
+        self.fft_real_into(input, &mut out, &mut FftScratch::new());
+        for j in out.len()..n {
+            let c = out[n - j].conj();
+            out.push(c);
         }
+        out
     }
 }
 
@@ -1365,14 +1364,18 @@ mod tests {
     }
 
     #[test]
-    fn pow2_helpers() {
-        assert!(is_pow2(1) && is_pow2(2) && is_pow2(1024));
-        assert!(!is_pow2(0) && !is_pow2(3) && !is_pow2(12));
-        assert_eq!(next_pow2(0), 1);
-        assert_eq!(next_pow2(5), 8);
-        assert_eq!(next_pow2(16), 16);
+    fn tiny_length_helpers() {
+        // Lengths below 2 run no plan; `smooth_radices(0)` must not spin.
+        assert_eq!(plan_kind(0), "none");
+        assert_eq!(plan_kind(1), "none");
+        assert_eq!(plan_kind(2), "mixed");
+        assert_eq!(smooth_radices(0), None);
+        assert_eq!(smooth_radices(1), Some(vec![]));
+        assert_eq!(smooth_radices(2), Some(vec![2]));
+        assert!(!is_smooth(0) && is_smooth(1) && is_smooth(2));
         assert_eq!(one_sided_len(0), 0);
         assert_eq!(one_sided_len(1), 1);
+        assert_eq!(one_sided_len(2), 2);
         assert_eq!(one_sided_len(8), 5);
         assert_eq!(one_sided_len(9), 5);
     }
@@ -1390,9 +1393,14 @@ mod tests {
     fn table_budget_bounds_the_cache() {
         let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
-        let mut buf = Vec::new();
-        let mut sweep = |p: &mut FftPlanner, lengths: &[usize]| {
-            for &n in lengths {
+        let (mut buf, mut out) = (Vec::new(), Vec::new());
+        // Real transforms of the `real` lengths, then complex ones of the
+        // `complex` lengths.
+        let mut sweep = |p: &mut FftPlanner, real: &[usize], complex: &[usize]| {
+            for &n in real {
+                p.fft_real_into(&vec![1.0; n], &mut out, &mut scratch);
+            }
+            for &n in complex {
                 buf.clear();
                 buf.resize(n, Complex64::ONE);
                 p.fft_in_place(&mut buf, &mut scratch);
@@ -1403,35 +1411,59 @@ mod tests {
         let smooth = [
             150usize, 180, 240, 270, 300, 360, 375, 400, 450, 480, 500, 540,
         ];
-        sweep(&mut p, &smooth);
+        sweep(&mut p, &[], &smooth);
         let mixed_only = p.table_bytes();
         assert!(
             mixed_only >= 8 * smooth.iter().sum::<usize>(),
             "{mixed_only} B"
         );
+        // Complex Bluestein plans and odd real lengths (one-sided
+        // Bluestein, or promoted mixed-radix for the 5-smooth few).
         let bluestein: Vec<usize> = (101..151).step_by(2).collect();
-        sweep(&mut p, &bluestein);
+        let odd: Vec<usize> = (301..351).step_by(2).collect();
+        sweep(&mut p, &odd, &bluestein);
         let unbounded = p.table_bytes();
         assert!(
             unbounded > 100_000,
             "expected a grown cache, got {unbounded} B"
         );
 
-        // Capping evicts down to the budget immediately...
-        let budget = unbounded / 8;
-        p.set_table_budget(Some(budget));
-        assert!(p.table_bytes() <= budget, "{} > {budget}", p.table_bytes());
-        // ...and the cap holds across further sweeps of fresh lengths of
-        // both kinds.
+        // Fresh lengths of every kind for the capped sweep below.
+        let fresh_odd: Vec<usize> = (401..451).step_by(2).collect();
         let fresh: Vec<usize> = (201..251)
             .step_by(2)
             .chain((600..3000).step_by(120))
             .collect();
-        sweep(&mut p, &fresh);
+        // The newest plan is always served, however large, so the budget
+        // must exceed the largest single plan chain of the sweep for the
+        // cap to be checkable at all.
+        let largest_chain = fresh_odd
+            .iter()
+            .map(|&n| (vec![n], vec![]))
+            .chain(fresh.iter().map(|&n| (vec![], vec![n])))
+            .map(|(real, complex)| {
+                let mut q = FftPlanner::new();
+                sweep(&mut q, &real, &complex);
+                q.table_bytes()
+            })
+            .max()
+            .unwrap();
+        let budget = (unbounded / 8).max(largest_chain);
+        assert!(budget < unbounded / 2, "{budget} vs {unbounded}");
+
+        // Capping evicts down to the budget immediately...
+        p.set_table_budget(Some(budget));
         assert!(p.table_bytes() <= budget, "{} > {budget}", p.table_bytes());
+        // ...and the cap holds across further sweeps of fresh lengths of
+        // every kind, evicting one-sided real plans along the way.
+        sweep(&mut p, &fresh_odd, &fresh);
+        assert!(p.table_bytes() <= budget, "{} > {budget}", p.table_bytes());
+        let tables = p.tables.lock().unwrap();
+        assert!(!tables.mixed.is_empty(), "the sweep ends on mixed plans");
         assert!(
-            !p.tables.lock().unwrap().mixed.is_empty(),
-            "the sweep ends on mixed plans"
+            tables.real.len() < fresh_odd.len(),
+            "{} real plans survived",
+            tables.real.len()
         );
     }
 
@@ -1440,12 +1472,13 @@ mod tests {
         // Same input, three regimes: unbounded cache, a cache so small every
         // plan is rebuilt from scratch, and a rebuilt-after-eviction plan.
         // Tables are pure functions of length, so all spectra must match
-        // bit for bit — over a mixed-radix half (300 = 2·150) and a
-        // Bluestein half (202 = 2·101), churned by plans of both kinds.
+        // bit for bit — over a mixed-radix half (300 = 2·150), a Bluestein
+        // half (202 = 2·101), a power of two (256) and an odd one-sided
+        // Bluestein length (203 = 7·29), churned by plans of both kinds.
         let mut scratch = FftScratch::new();
         let mut tiny = FftPlanner::new();
         tiny.set_table_budget(Some(1));
-        for n in [300usize, 202] {
+        for n in [300usize, 202, 256, 203] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
             let mut reference = Vec::new();
             FftPlanner::new().fft_real_into(&input, &mut reference, &mut scratch);
@@ -1464,8 +1497,8 @@ mod tests {
             }
         }
         // A one-byte budget keeps at most the in-flight plan chain: the
-        // length-202 real plan pins its quantized twiddles plus the inner
-        // Bluestein(101) chirp/kernel and pow2(256) tables — ~11 kB deep.
+        // length-203 one-sided plan pins its quantized chirp plus the
+        // kernel and twiddles of its 320-point convolution — ~14 kB deep.
         assert!(tiny.table_bytes() <= 32 * 1024, "{}", tiny.table_bytes());
     }
 
@@ -1473,25 +1506,76 @@ mod tests {
     fn every_smooth_length_up_to_512_matches_naive_dft() {
         let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
-        for n in (2..=512).filter(|&n| !is_pow2(n) && smooth_radices(n).is_some()) {
+        for n in (2..=512).filter(|&n| smooth_radices(n).is_some()) {
             let input: Vec<Complex64> = (0..n)
                 .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos() - 0.4))
                 .collect();
             let expected = dft_naive(&input);
             let mut buf = input;
             p.fft_in_place(&mut buf, &mut scratch);
-            let peak = expected.iter().map(|c| c.norm()).fold(0.0, f64::max);
-            for (k, (x, y)) in buf.iter().zip(&expected).enumerate() {
-                assert!(
-                    (*x - *y).norm() <= 1e-9 * peak,
-                    "n={n} bin {k}: {x:?} vs {y:?}"
-                );
-            }
+            assert_relative(&buf, &expected, n);
             assert!(p.tables.lock().unwrap().mixed.contains_key(&n), "n={n}");
             assert_eq!(plan_kind(n), "mixed");
         }
-        assert_eq!(plan_kind(512), "radix2");
         assert_eq!(plan_kind(2878), "bluestein");
+        assert!(p.tables.lock().unwrap().bluestein.is_empty());
+    }
+
+    /// [`dft_naive`]'s first `bins` bins with its twiddles tabulated once:
+    /// the same `cis` arguments and summation order, so the same bits, at a
+    /// cost that lets a debug build sweep every length up to 10³.
+    fn dft_reference(input: &[Complex64], bins: usize) -> Vec<Complex64> {
+        let n = input.len();
+        let w: Vec<Complex64> = (0..n)
+            .map(|j| Complex64::cis(-2.0 * PI * j as f64 / n as f64))
+            .collect();
+        (0..bins)
+            .map(|k| input.iter().enumerate().map(|(t, x)| *x * w[t * k % n]).sum())
+            .collect()
+    }
+
+    /// Every bin of `got` within `1e-9` of `expected`'s peak magnitude.
+    fn assert_relative(got: &[Complex64], expected: &[Complex64], n: usize) {
+        assert_eq!(got.len(), expected.len(), "n={n}");
+        let peak = expected.iter().map(|c| c.norm()).fold(0.0, f64::max);
+        for (k, (x, y)) in got.iter().zip(expected).enumerate() {
+            assert!((*x - *y).norm() <= 1e-9 * peak, "n={n} bin {k}: {x:?} vs {y:?}");
+        }
+    }
+
+    #[test]
+    fn every_length_up_to_1024_matches_naive_dft() {
+        // Powers of two and the other 5-smooth lengths run the mixed-radix
+        // kernel; the rest run Bluestein at a ladder convolution length.
+        let mut scratch = FftScratch::new();
+        let mut p = FftPlanner::new();
+        for n in 2..=1024usize {
+            let input: Vec<Complex64> = (0..n)
+                .map(|i| Complex64::new((i as f64 * 0.37).sin(), (i as f64 * 0.11).cos() - 0.4))
+                .collect();
+            let expected = dft_reference(&input, n);
+            let mut buf = input;
+            p.fft_in_place(&mut buf, &mut scratch);
+            assert_relative(&buf, &expected, n);
+        }
+    }
+
+    #[test]
+    fn every_odd_real_length_up_to_1025_matches_naive_dft() {
+        // One-sided Bluestein for odd lengths with a prime factor above 5,
+        // the promoted mixed-radix transform for odd 5-smooth lengths.
+        let mut scratch = FftScratch::new();
+        let mut p = FftPlanner::new();
+        let mut out = Vec::new();
+        for n in (3..=1025usize).step_by(2) {
+            let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin() + 0.2).collect();
+            let complex: Vec<Complex64> = input.iter().map(|&x| Complex64::from_real(x)).collect();
+            p.fft_real_into(&input, &mut out, &mut scratch);
+            assert_relative(&out, &dft_reference(&complex, one_sided_len(n)), n);
+            let tables = p.tables.lock().unwrap();
+            let one_sided = matches!(*tables.real[&n].plan, RealPlan::OneSided(_));
+            assert_eq!(one_sided, plan_kind(n) == "bluestein", "n={n}");
+        }
         assert!(p.tables.lock().unwrap().bluestein.is_empty());
     }
 

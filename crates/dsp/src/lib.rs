@@ -5,9 +5,9 @@
 //! Quality Sweet Spot for Monitoring Networks"* relies on:
 //!
 //! * complex arithmetic ([`Complex64`]),
-//! * fast Fourier transforms ([`fft::FftPlanner`]: iterative radix-2
-//!   Cooley–Tukey, mixed-radix Cooley–Tukey for other `2^a·3^b·5^c`
-//!   lengths, and Bluestein's chirp-z algorithm for the rest),
+//! * fast Fourier transforms ([`fft::FftPlanner`]: mixed-radix Cooley–Tukey
+//!   for `2^a·3^b·5^c` lengths, powers of two included, and Bluestein's
+//!   chirp-z algorithm on top of it for the rest),
 //! * window functions ([`window::Window`]),
 //! * power-spectral-density estimation ([`psd`]: periodogram and Welch),
 //! * resampling and interpolation ([`resample`], [`interp`]: decimation,

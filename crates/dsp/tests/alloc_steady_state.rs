@@ -1,8 +1,8 @@
 //! Allocation accounting for the spectral pipeline.
 //!
 //! Pins the PR's zero-allocation guarantee with a counting global allocator:
-//! once the planner, scratch and output buffers are warm, `periodogram_into`
-//! and `welch_into` must not touch the heap at all.
+//! once the planner, scratch and output buffers are warm, `periodogram_into`,
+//! `fft_real_into` and `welch_into` must not touch the heap at all.
 //!
 //! The counter is **per-thread**: libtest's harness threads (timeout
 //! watchdog, capture machinery) allocate at unpredictable times, so a
@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sweetspot_dsp::fft::FftPlanner;
+use sweetspot_dsp::fft::{FftPlanner, FftScratch};
 use sweetspot_dsp::psd::{periodogram_into, welch_into, PsdConfig, PsdScratch, WelchConfig};
 use sweetspot_dsp::window::Window;
 
@@ -82,6 +82,20 @@ fn spectral_pipeline_steady_state_is_allocation_free() {
             periodogram_into(&mut planner, &mut scratch, &sig, cfg, &mut power);
         });
         assert_eq!(count, 0, "steady-state periodogram (n={n}) must not allocate");
+    }
+
+    // Bare real transforms: an odd length with a prime factor above 5
+    // (2879, the one-sided Bluestein path) and a power of two (4096, the
+    // packed path over the mixed-radix kernel).
+    let mut fft_scratch = FftScratch::new();
+    let mut spectrum = Vec::new();
+    for n in [2879usize, 4096] {
+        let sig = signal(n);
+        planner.fft_real_into(&sig, &mut spectrum, &mut fft_scratch);
+        let count = allocations_during(|| {
+            planner.fft_real_into(&sig, &mut spectrum, &mut fft_scratch);
+        });
+        assert_eq!(count, 0, "steady-state real FFT (n={n}) must not allocate");
     }
 
     // Welch: the per-segment inner loop must be allocation-free — not just
