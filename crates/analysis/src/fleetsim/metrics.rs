@@ -22,9 +22,11 @@
 //! [`MetricsRecorder`] — present only when the caller asked for output —
 //! adds the journal, the grant histogram, and the JSON-lines emission on
 //! top; simulation stdout stays byte-identical whether a recorder is
-//! attached or not, and the whole metrics path of a warm epoch — tallies,
-//! histogram, journal, emission — performs zero heap allocations
-//! (`crates/analysis/tests/metrics_steady_state.rs`).
+//! attached or not, and recording adds zero heap allocations to any epoch:
+//! twin one-worker engine runs, with and without a recorder, allocate
+//! identically epoch for epoch (`crates/analysis/tests/metrics_steady_state.rs`),
+//! and a settled one-worker epoch allocates nothing at all
+//! (`alloc_steady_state.rs`; with several workers, scoped spawns allocate).
 //!
 //! # JSON-lines schema, version 2
 //!

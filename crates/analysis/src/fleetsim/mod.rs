@@ -1,46 +1,29 @@
 //! Fleet-level adaptive simulation: every device's §4.2 controller running
-//! concurrently under **one shared collection budget**, with a pluggable
-//! cross-device scheduler arbitrating epoch-by-epoch poll rates.
+//! concurrently under **one shared collection budget**, with one
+//! cross-device [`Scheduler`](scheduler::Scheduler) arbitrating
+//! epoch-by-epoch poll rates.
 //!
 //! The paper's controller adapts each device in isolation, but its cost
 //! argument (§1) is fleet-wide: collection, transmission and storage budgets
-//! are shared. This module measures that trade-off on the synthetic fleet:
-//!
-//! 1. Every `(metric, device)` pair gets a [`FleetMember`] — its simulated
-//!    device plus an [`AdaptiveSampler`](sweetspot_core::adaptive) — stepped
-//!    in **lockstep epochs** (the scheduling quantum).
-//! 2. Each epoch, controllers *request* rates; a [`scheduler`] policy
-//!    converts the cost-unit budget into grantable rate and splits it.
-//! 3. Members run their epoch at the granted rate through
-//!    [`FleetMember::step_epoch`], which drives
-//!    [`AdaptiveSampler::step`](sweetspot_core::adaptive::AdaptiveSampler::step)
-//!    on the worker's scratch and returns the epoch's
-//!    [`EpochReport`]; throttled controllers re-ramp through their Nyquist
-//!    memory when budget returns. Every tally — coverage, the ledger's
-//!    samples, controller actions, per-device deferrals — is a serial fold
-//!    over those reports.
-//! 4. A ground-truth [`quality`] model scores every device's achieved rate
-//!    against its true Nyquist rate; an [`EpochLedger`] accounts every cost
-//!    unit. The output is a **cost-vs-quality frontier per policy** — the
-//!    paper's sweet spot, measured at fleet level.
-//!
-//! # Sharded execution
-//!
-//! Epochs are inherently sequential (epoch `k`'s grants depend on epoch
-//! `k−1`'s outcomes), but *within* an epoch every device is independent
-//! given its grant. The engine reuses the `analysis::study` pattern: the
-//! device index space is split into contiguous per-worker shards
-//! (persistent per-device state) that one fan-out steps — inline for a
-//! single shard, on scoped threads otherwise. Every other epoch pass (deal,
-//! request, allocate + watchdog, the fold into coverage and the ledger, the
-//! recovery clock, emission) runs serially in device index order — so
-//! output is **byte-identical for any `--threads N`** (pinned by golden
-//! fixtures, tests and the CI smoke).
+//! are shared. This module measures that trade-off on the synthetic fleet.
+//! Every `(metric, device)` pair is a
+//! [`FleetMember`](sweetspot_monitor::poller::FleetMember) — its simulated
+//! device plus an adaptive controller — and a [`FleetRun`] steps them all in
+//! **lockstep epochs** (the scheduling quantum): controllers request rates,
+//! the scheduler converts the cost-unit budget into grantable rate and
+//! splits it, members run their epoch at the granted rate, and every tally
+//! is a serial fold over the reports they return. Throttled controllers
+//! re-ramp through their Nyquist memory when budget returns. A ground-truth
+//! [`quality`] model scores every device's achieved rate against its true
+//! Nyquist rate, and an [`EpochLedger`] accounts every cost unit. The output
+//! is a **cost-vs-quality frontier per policy** — the paper's sweet spot,
+//! measured at fleet level.
 //!
 //! # The memory wall
 //!
-//! Members hold only durable control state; each shard keeps its member
-//! records in one contiguous [`Slab`] and owns a single [`EpochScratch`]
+//! Members hold only durable control state; each worker shard keeps its
+//! member records in one contiguous [`Slab`](sweetspot_arena::Slab) and owns
+//! a single [`EpochScratch`](sweetspot_monitor::poller::EpochScratch)
 //! (oscillator bank, impairment buffers, detector/estimator scratch,
 //! recycled series storage) lent to members one step at a time. Every
 //! scratch buffer is overwritten before use, so sharing it is
@@ -51,28 +34,22 @@
 
 pub mod metrics;
 pub mod quality;
+mod run;
 pub mod scenario;
 pub mod scheduler;
 
-use std::time::{Duration, Instant};
-use sweetspot_arena::Slab;
-use sweetspot_core::adaptive::{AdaptiveConfig, Delivery, EpochReport, HealthState};
-use sweetspot_dsp::fft::{FftHandleStats, FftPlanner};
-use sweetspot_monitor::poller::{EpochScratch, FleetMember};
-use sweetspot_monitor::{CostModel, EpochAccount, EpochLedger};
-use sweetspot_telemetry::{
-    paper_scale_work, scaled_work, DeviceTrace, FleetConfig, MetricProfile, SignalModel,
-};
+pub use run::FleetRun;
+
+use std::time::Duration;
+use sweetspot_core::adaptive::AdaptiveConfig;
+use sweetspot_monitor::EpochLedger;
+use sweetspot_telemetry::{paper_scale_work, scaled_work, FleetConfig, MetricProfile};
 use sweetspot_timeseries::{Hertz, Seconds};
 
-use metrics::{EpochSnapshot, MetricsRecorder, MetricsSummary, WatchdogCounters};
+use metrics::{MetricsRecorder, MetricsSummary};
 use quality::{DeviceQuality, FleetQuality};
-use scenario::{DeviceEvent, ScenarioCounters, ScenarioEngine, ScenarioSpec, ScenarioStats};
+use scenario::{ScenarioSpec, ScenarioStats};
 use scheduler::SchedulerPolicy;
-
-/// Primary-stream cost is amplified by the §4.1 companion stream at
-/// `rate/φ`: one unit of granted rate costs `1 + 1/φ` in samples.
-const VERIFY_OVERHEAD: f64 = 1.0 + 1.0 / sweetspot_core::aliasing::COMPANION_RATIO;
 
 /// Fleet simulation parameters.
 #[derive(Debug, Clone, Copy)]
@@ -226,6 +203,16 @@ impl FleetSimConfig {
     }
 }
 
+/// Checks a per-epoch budget in cost units: non-negative and not NaN
+/// (`f64::INFINITY` is the uncapped baseline). The error names the
+/// `fleetsim --budget` flag.
+pub fn validate_budget(budget_per_epoch: f64) -> Result<(), String> {
+    if budget_per_epoch.is_nan() || budget_per_epoch < 0.0 {
+        return Err("--budget wants a non-negative number".into());
+    }
+    Ok(())
+}
+
 /// The controller configuration a fleet member runs under: start at the
 /// production default, floor three decades below it, ceiling 8× above
 /// (enough headroom for the worst 3×-folding under-sampled devices).
@@ -269,40 +256,6 @@ pub struct FleetTimings {
     pub step: Duration,
     /// Scheduling + ledger/quality aggregation (serial, main thread).
     pub schedule: Duration,
-}
-
-impl FleetTimings {
-    /// Sum of all phases.
-    pub fn total(&self) -> Duration {
-        self.build + self.step + self.schedule
-    }
-
-    fn merge(&mut self, other: FleetTimings) {
-        self.build += other.build;
-        self.step += other.step;
-        self.schedule += other.schedule;
-    }
-}
-
-/// One worker's shard: member records in one contiguous slab plus the
-/// single working set every member on the shard steps through. Durable
-/// state scales with devices; working state scales with workers.
-struct ShardState {
-    /// Member records, contiguous, in fleet order within the shard.
-    members: Slab<FleetMember>,
-    /// The shard's working set, lent to each member in turn.
-    scratch: EpochScratch,
-    /// A handle on the shard's shared FFT plan cache (every member holds a
-    /// clone) — kept for the post-run `fft_table_bytes` accounting.
-    planner: FftPlanner,
-}
-
-impl ShardState {
-    /// Durable bytes: the slab block plus each member's owned heap.
-    fn member_bytes(&self) -> usize {
-        self.members.resident_bytes()
-            + self.members.iter().map(FleetMember::heap_bytes).sum::<usize>()
-    }
 }
 
 /// Resident-heap accounting of a finished run (high-water: scratch buffers
@@ -384,7 +337,8 @@ impl PolicyOutcome {
 
 /// Runs one policy at one budget over the configured fleet.
 ///
-/// `budget_per_epoch` is in cost units (see [`CostModel::cost_per_sample`]);
+/// `budget_per_epoch` is in cost units (see
+/// [`CostModel::cost_per_sample`](sweetspot_monitor::CostModel::cost_per_sample));
 /// pass `f64::INFINITY` for the uncapped baseline.
 pub fn run_policy(
     cfg: &FleetSimConfig,
@@ -394,720 +348,21 @@ pub fn run_policy(
     run_policy_recorded(cfg, policy, budget_per_epoch, None)
 }
 
-/// [`run_policy`] with an optional [`MetricsRecorder`] attached: every
-/// fleet-scope counter streams to the recorder as JSON-lines epoch
-/// snapshots plus flight-recorder event lines. The counters themselves are
-/// always on — a recorder only adds the journal, the grant histogram, and
-/// the emission — so the simulation's own outputs (ledger, quality, stdout
-/// renderings) are byte-identical with and without one.
+/// [`run_policy`] with an optional [`MetricsRecorder`] attached (see
+/// [`FleetRun::new`]): a [`FleetRun`] stepped through every epoch.
 ///
 /// # Panics
-/// Panics if [`FleetSimConfig::validate`] rejects `cfg`.
+/// Panics if [`FleetSimConfig::validate`] rejects `cfg` or
+/// [`validate_budget`] rejects `budget_per_epoch`.
 pub fn run_policy_recorded(
     cfg: &FleetSimConfig,
     policy: SchedulerPolicy,
     budget_per_epoch: f64,
-    mut recorder: Option<&mut MetricsRecorder>,
+    recorder: Option<&mut MetricsRecorder>,
 ) -> PolicyOutcome {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid fleet config: {e}");
-    }
-    let work = cfg.work();
-    let n = work.len();
-    let epochs = cfg.epochs();
-    let threads = cfg.resolve_threads(n);
-    let chunk = crate::shard::chunk_size(n, threads);
-    let mut timing = FleetTimings::default();
-
-    // Build members (deterministic per (profile, idx, seed); build order is
-    // the fleet order regardless of sharding). Every member on a shard gets
-    // a clone of one per-shard FFT planner, so the shard holds each
-    // twiddle/chirp/window table once — at 10⁵ devices, per-member caches
-    // would otherwise dominate memory by orders of magnitude. Members land
-    // directly in per-shard slabs; each shard also gets the one EpochScratch
-    // its members will step through for the whole run.
-    let t0 = Instant::now();
-    let seed = cfg.fleet.seed;
-    let window = cfg.window;
-    // Split the plan-cache budget across shards. Eviction rebuilds tables
-    // bit-identically, so neither the budget nor the split affects output.
-    let shard_fft_budget = cfg.fft_table_budget.map(|total| total / threads.max(1));
-    let mut shards = crate::shard::fan_out(work.chunks(chunk).enumerate(), |(shard, span)| {
-        let planner = FftPlanner::new();
-        planner.set_table_budget(shard_fft_budget);
-        let mut members = Slab::with_capacity(span.len());
-        for (j, &(profile, device)) in span.iter().enumerate() {
-            let mut config = member_config(&profile, window);
-            config.verify_every = cfg.verify_every;
-            members.push(FleetMember::with_planner(
-                shard * chunk + j,
-                DeviceTrace::synthesize(profile, device, seed),
-                config,
-                planner.clone(),
-            ));
-        }
-        ShardState {
-            members,
-            scratch: EpochScratch::new(),
-            planner,
-        }
-    });
-    if let Some(rec) = recorder.as_deref_mut() {
-        rec.begin_run(policy.name(), budget_per_epoch);
-    }
-    // Quality requirement per device. A quiescent device's signal never
-    // moves a full quantum, so *any* rate fully captures what is observable:
-    // its requirement is zero (coverage 1.0 by definition in `quality`).
-    let mut nyquist: Vec<f64> = members(&shards)
-        .map(|m| requirement(m, m.true_nyquist_rate()))
-        .collect();
-    let production: Vec<f64> = work
-        .iter()
-        .map(|(p, _)| p.production_rate().value())
-        .collect();
-
-    // Failure injection. "No scenario" is the scenario that deals every
-    // device `Healthy`: nobody leaves, sleeps or reboots, nothing is
-    // counted, so the one step path below reproduces the healthy engine
-    // bit for bit. Only the scenario *reporting* is gated on the spec.
-    let engine = ScenarioEngine::new(cfg.scenario, epochs);
-    let mut incident = engine
-        .incident()
-        .map(|_| IncidentClock::new(members(&shards), cfg.scenario.incident_factor));
-    let cost_factors = engine.cost_factors(n);
-    timing.build = t0.elapsed();
-
-    // The scheduler works in rate space: convert the cost budget once.
-    let unit_cost = CostModel::default().cost_per_sample();
-    let epoch_unit = unit_cost * window.value() * VERIFY_OVERHEAD;
-    let capacity_rate = budget_per_epoch / epoch_unit; // INF stays INF
-
-    // One scheduler per run: the fleet's production rates plus the lent
-    // water-fill order buffer, so scheduling allocates nothing.
-    let mut sched = policy.scheduler(&production);
-    let mut ledger = EpochLedger::with_capacity(epochs);
-    // Per-device vectors allocated once, so churn never resizes the
-    // request/grant geometry (absent devices keep their slot, request 0.0,
-    // and skip their step) and steady-state epochs stay allocation-free
-    // even while devices leave, rejoin, and reboot.
-    let mut requests = vec![0.0f64; n];
-    let mut grants: Vec<f64> = Vec::with_capacity(n);
-    let mut reports: Vec<Option<EpochReport>> = vec![None; n];
-    let mut coverage_sum = vec![0.0f64; n];
-    let mut active_epochs = vec![0usize; n];
-    let mut deferred_epochs = vec![0usize; n];
-    let mut missed_epochs = vec![0usize; n];
-    let mut epoch_means: Vec<f64> = Vec::with_capacity(epochs);
-    let mut lifecycle = Lifecycle::new(n);
-    let mut metrics = MetricsSummary::default();
-    let mut watchdog = Watchdog::new(cfg.recovery_budget_frac, capacity_rate, epoch_unit, n);
-
-    for epoch in 0..epochs {
-        // Deal → request → allocate + watchdog, serial in device order.
-        let t_sched = Instant::now();
-        if let Some(clock) = &mut incident {
-            clock.switch(epoch, &engine, members_mut(&mut shards), &mut nyquist);
-        }
-        lifecycle.deal(
-            &engine,
-            epoch,
-            members_mut(&mut shards),
-            recorder.as_deref_mut(),
-        );
-        for (i, (r, m)) in requests.iter_mut().zip(members(&shards)).enumerate() {
-            *r = if lifecycle.polls(i) {
-                m.requested_rate().value()
-            } else {
-                0.0
-            };
-        }
-        sched.allocate(&requests, capacity_rate, &mut grants);
-        let recovery_rate = match &mut watchdog {
-            Some(wd) => wd.pass(
-                epoch,
-                members_mut(&mut shards),
-                &lifecycle,
-                &mut grants,
-                recorder.as_deref_mut(),
-            ),
-            None => 0.0,
-        };
-        if let Some(rec) = recorder.as_deref_mut() {
-            // Grant distribution histogram: fed serially in device order
-            // (recovery top-ups included — they are real granted rate).
-            for &g in &grants {
-                rec.record_grant(g);
-            }
-        }
-        timing.schedule += t_sched.elapsed();
-
-        // Step: every shard's members, each writing its own report.
-        let start = Seconds(epoch as f64 * window.value());
-        let inputs = grants.chunks(chunk).zip(lifecycle.events.chunks(chunk));
-        let worker_times = crate::shard::fan_out(
-            shards.iter_mut().zip(reports.chunks_mut(chunk)).zip(inputs),
-            |((shard, reports), (grants, events))| {
-                let t = Instant::now();
-                for (i, member) in shard.members.iter_mut().enumerate() {
-                    reports[i] = step_member(
-                        member,
-                        events[i],
-                        &mut shard.scratch,
-                        start,
-                        Hertz(grants[i]),
-                        window,
-                    );
-                }
-                t.elapsed()
-            },
-        );
-        timing.step += worker_times.into_iter().sum::<Duration>();
-
-        // Fold, serial in device order, over the reports and the dealt
-        // events: tallies, the controller-transition journal (so its
-        // contents and ring drops never depend on the worker split; holds
-        // are not events), coverage, deferrals and the billed samples. A
-        // device without a report (absent or asleep) earns nothing and is
-        // billed nothing; a lost report carries no samples; a duplicated
-        // one is billed twice.
-        let t_ledger = Instant::now();
-        let (mut samples, mut skewed, mut covered) = (0usize, 0.0f64, 0.0f64);
-        let mut throttled_devices = 0usize;
-        for (i, (report, &event)) in reports.iter().zip(&lifecycle.events).enumerate() {
-            metrics.applied.record(event);
-            let Some(r) = report else { continue };
-            metrics.controller.record(r.action, r.verified);
-            if let (Some(rec), Some(kind)) =
-                (recorder.as_deref_mut(), metrics::action_kind(r.action))
-            {
-                rec.journal(epoch as u32, i as u32, kind, r.next_rate.value());
-            }
-            let coverage = quality::coverage(r.primary_rate, Hertz(nyquist[i]));
-            coverage_sum[i] += coverage;
-            covered += coverage;
-            active_epochs[i] += 1;
-            deferred_epochs[i] += r.deferred() as usize;
-            missed_epochs[i] += (event == DeviceEvent::ReportDropped) as usize;
-            throttled_devices += r.throttled as usize;
-            let billed = match event {
-                DeviceEvent::ReportDuplicated => r.samples_taken * 2,
-                _ => r.samples_taken,
-            };
-            samples += billed;
-            if let Some(f) = &cost_factors {
-                skewed += billed as f64 * unit_cost * f[i];
-            }
-        }
-        // Ledger: every sum in device index order (deterministic).
-        let demanded: f64 = requests.iter().map(|r| r * epoch_unit).sum();
-        // The recovery slice is spend *on top of* the budget: `granted`
-        // excludes it so the scheduler's budget invariant (granted ≤ budget)
-        // survives the watchdog, while `spent` bills every sample actually
-        // taken — the slice's true cost shows up as spent − granted, and in
-        // the watchdog counters. (Subtracting 0.0 is exact, so zero-frac
-        // runs stay bit-identical.)
-        let granted: f64 =
-            grants.iter().map(|g| g * epoch_unit).sum::<f64>() - recovery_rate * epoch_unit;
-        // Cost asymmetry bills through the ledger only — the schedulers
-        // stay cost-naive, and what that naivety costs is the measurement.
-        let spent = match &cost_factors {
-            Some(_) => skewed,
-            None => samples as f64 * unit_cost,
-        };
-        ledger.record(EpochAccount {
-            epoch,
-            budget: budget_per_epoch,
-            demanded,
-            granted,
-            samples,
-            spent,
-            throttled_devices,
-        });
-        // Fleet mean coverage this epoch (absent devices count as 0): the
-        // recovery trajectory the incident analysis reads.
-        epoch_means.push(covered / n.max(1) as f64);
-        if let Some(clock) = &mut incident {
-            clock.observe(epoch, &reports, &nyquist);
-        }
-        timing.schedule += t_ledger.elapsed();
-
-        if let Some(rec) = recorder.as_deref_mut() {
-            if rec.should_emit(epoch, epochs) {
-                metrics.fft = fft_handle_totals(&shards);
-                metrics.watchdog = watchdog.as_ref().map(|wd| wd.counters);
-                rec.emit_epoch(&EpochSnapshot {
-                    policy: policy.name(),
-                    budget: budget_per_epoch,
-                    devices: n,
-                    account: ledger.accounts().last().expect("epoch just recorded"),
-                    metrics: &metrics,
-                    dealt: cfg.scenario.is_active().then_some(&lifecycle.counters),
-                });
-            }
-        }
-    }
-
-    let t_quality = Instant::now();
-    // Coverage averages over the epochs a device was actually present for:
-    // an absent device is not "uncovered", it is out of the study — but a
-    // present device whose report was dropped scores the 0 it earned. A
-    // healthy device is present every epoch, so it divides by the horizon.
-    let device_quality: Vec<DeviceQuality> = members(&shards)
-        .enumerate()
-        .map(|(i, m)| DeviceQuality {
-            index: i,
-            kind: m.kind(),
-            mean_coverage: coverage_sum[i] / active_epochs[i].max(1) as f64,
-            final_rate: m.requested_rate().value(),
-            deferred_epochs: deferred_epochs[i],
-            missed_epochs: missed_epochs[i],
-        })
-        .collect();
-    let quality = FleetQuality::from_devices(&device_quality);
-    let scenario = cfg.scenario.is_active().then(|| {
-        let (baseline_coverage, time_to_recover) = engine.recovery(&epoch_means);
-        let (ttr_p50, ttr_p95, recovered_devices, unrecovered_devices) = incident
-            .as_ref()
-            .map_or((None, None, 0, 0), |c| c.summary(epochs));
-        // Aliasing-deadlock census: present devices that end the run both
-        // *classified* suspect-deadlocked (settled below their remembered
-        // max with no aliasing alarm — see [`HealthState`]) and *actually*
-        // under-covering their ground-truth requirement. The intersection
-        // excludes the two benign neighbours: a legitimately-calmed signal
-        // below its old ceiling (suspect but covered), and a budget-starved
-        // device whose detector still flaps (under-covered but alarming —
-        // the scheduler's problem, not a deadlock).
-        let deadlocked = members(&shards)
-            .enumerate()
-            .filter(|&(i, m)| {
-                lifecycle.active[i]
-                    && nyquist[i] > 0.0
-                    && m.sampler().health() == HealthState::SuspectDeadlocked
-                    && quality::coverage(m.requested_rate(), Hertz(nyquist[i])) < 0.95
-            })
-            .count();
-        ScenarioStats {
-            label: cfg.scenario.label(),
-            seed: cfg.scenario.seed,
-            counters: lifecycle.counters,
-            incident: engine.incident(),
-            baseline_coverage,
-            time_to_recover,
-            ttr_p50,
-            ttr_p95,
-            recovered_devices,
-            unrecovered_devices,
-            deadlocked,
-            epoch_mean_coverage: epoch_means,
-        }
-    });
-    timing.schedule += t_quality.elapsed();
-
-    // Scratch buffers only grow, so post-run capacities are the high-water.
-    let memory = MemoryStats {
-        member_bytes: shards.iter().map(ShardState::member_bytes).sum(),
-        scratch_bytes: shards.iter().map(|s| s.scratch.resident_bytes()).sum(),
-        fft_table_bytes: shards.iter().map(|s| s.planner.table_bytes()).sum(),
-        workers: shards.len(),
-    };
-    metrics.fft = fft_handle_totals(&shards);
-    metrics.watchdog = watchdog.map(|wd| wd.counters);
-
-    PolicyOutcome {
-        policy,
-        budget_per_epoch,
-        devices: n,
-        epochs,
-        window,
-        ledger,
-        device_quality,
-        quality,
-        timing,
-        memory,
-        scenario,
-        metrics,
-    }
-}
-
-/// Every member in fleet order, across shards.
-fn members(shards: &[ShardState]) -> impl Iterator<Item = &FleetMember> {
-    shards.iter().flat_map(|s| s.members.iter())
-}
-
-/// [`members`], mutably.
-fn members_mut(shards: &mut [ShardState]) -> impl Iterator<Item = &mut FleetMember> {
-    shards.iter_mut().flat_map(|s| s.members.iter_mut())
-}
-
-/// A member's ground-truth requirement given its signal's Nyquist rate:
-/// zero for a quiescent device, whose signal never moves a full quantum.
-fn requirement(member: &FleetMember, nyquist: Hertz) -> f64 {
-    if member.device().trace().is_quiet() {
-        0.0
-    } else {
-        nyquist.value()
-    }
-}
-
-/// The fleet's lifecycle as the scenario deals it: who is present, what
-/// each device drew this epoch, and the run's event totals. A healthy
-/// scenario deals `Healthy` to everyone, so every device stays present and
-/// every counter stays zero.
-struct Lifecycle {
-    /// Whether each device is online (absent devices keep their slot).
-    active: Vec<bool>,
-    /// Each device's event for the current epoch.
-    events: Vec<DeviceEvent>,
-    /// What was dealt over the run.
-    counters: ScenarioCounters,
-}
-
-impl Lifecycle {
-    fn new(devices: usize) -> Lifecycle {
-        Lifecycle {
-            active: vec![true; devices],
-            events: vec![DeviceEvent::Healthy; devices],
-            counters: ScenarioCounters::default(),
-        }
-    }
-
-    /// Whether device `i` polls this epoch. Absent and sleeping devices
-    /// request 0.0 and release their share — a sleeper without the request
-    /// decay, so its wake epoch re-requests the full rate.
-    fn polls(&self, i: usize) -> bool {
-        self.active[i] && self.events[i] != DeviceEvent::Dormant
-    }
-
-    /// Deals this epoch's events — serial, pure hashing, so the fault
-    /// schedule is identical for every policy and thread count. Reboots
-    /// apply here (cheap state resets) so a rebooted member's *request*
-    /// already reflects its re-ramp. Lifecycle transitions feed the flight
-    /// recorder in device order; continued absences and scheduled sleep are
-    /// counted but not journaled — they are high-volume steady state and
-    /// would drown the ring.
-    fn deal<'a>(
-        &mut self,
-        engine: &ScenarioEngine,
-        epoch: usize,
-        members: impl Iterator<Item = &'a mut FleetMember>,
-        mut recorder: Option<&mut MetricsRecorder>,
-    ) {
-        let c = &mut self.counters;
-        for (i, member) in members.enumerate() {
-            let event = engine.deal(epoch, i, self.active[i]);
-            let journal_kind = match event {
-                DeviceEvent::Absent => {
-                    let left = self.active[i];
-                    c.leaves += left as usize;
-                    c.absent_epochs += 1;
-                    self.active[i] = false;
-                    left.then_some("leave")
-                }
-                DeviceEvent::Reboot => {
-                    let joined = !self.active[i];
-                    c.joins += joined as usize;
-                    c.reboots += 1;
-                    self.active[i] = true;
-                    member.reboot();
-                    Some(if joined { "join" } else { "reboot" })
-                }
-                DeviceEvent::ReportDropped => {
-                    c.dropped_reports += 1;
-                    Some("report_drop")
-                }
-                DeviceEvent::ReportDelayed => {
-                    c.delayed_reports += 1;
-                    Some("report_delay")
-                }
-                DeviceEvent::ReportDuplicated => {
-                    c.duplicated_reports += 1;
-                    Some("report_dup")
-                }
-                DeviceEvent::Dormant => {
-                    c.dormant_epochs += 1;
-                    None
-                }
-                DeviceEvent::Healthy => None,
-            };
-            if let (Some(rec), Some(kind)) = (recorder.as_deref_mut(), journal_kind) {
-                rec.journal(epoch as u32, i as u32, kind, 0.0);
-            }
-            self.events[i] = event;
-        }
-    }
-}
-
-/// The watchdog's recovery plane: the epoch's recovery pool, each member's
-/// re-probe backoff, and the run's tallies. Built only when
-/// [`FleetSimConfig::recovery_budget_frac`] is positive; without one the
-/// pass never runs and every output bit matches an engine that has none.
-struct Watchdog {
-    /// Extra rate the watchdog may grant per epoch: `frac × capacity`.
-    pool: f64,
-    /// Cost units per unit of granted rate over one epoch.
-    epoch_unit: f64,
-    /// Re-probes forced so far, per member.
-    retries: Vec<u32>,
-    /// First epoch each member may be re-probed again.
-    due: Vec<usize>,
-    counters: WatchdogCounters,
-}
-
-impl Watchdog {
-    fn new(frac: f64, capacity_rate: f64, epoch_unit: f64, devices: usize) -> Option<Watchdog> {
-        (frac > 0.0).then(|| Watchdog {
-            pool: frac * capacity_rate, // INF stays INF
-            epoch_unit,
-            retries: vec![0; devices],
-            due: vec![0; devices],
-            counters: WatchdogCounters::default(),
-        })
-    }
-
-    /// One pass, serial in device order, after the ordinary grants are
-    /// placed: force suspect-deadlocked members into a re-probe above their
-    /// remembered max, spending at most the pool of *extra* rate — a bounded
-    /// recovery slice on top of the budget that can never displace a
-    /// healthy device's grant. Each member backs off exponentially between
-    /// attempts and gives up after [`REPROBE_RETRY_CAP`]; sleeping and
-    /// absent members are never probed. Affordability is peeked before the
-    /// controller is committed, so a dry pool perturbs nothing. Returns the
-    /// extra rate granted.
-    fn pass<'a>(
-        &mut self,
-        epoch: usize,
-        members: impl Iterator<Item = &'a mut FleetMember>,
-        lifecycle: &Lifecycle,
-        grants: &mut [f64],
-        mut recorder: Option<&mut MetricsRecorder>,
-    ) -> f64 {
-        let wd = &mut self.counters;
-        let mut pool = self.pool;
-        let mut recovery_rate = 0.0f64;
-        wd.healthy = 0;
-        wd.recovering = 0;
-        wd.suspect = 0;
-        wd.dormant = 0;
-        for (i, member) in members.enumerate() {
-            if !lifecycle.active[i] {
-                continue; // offline: out of the census, never probed
-            }
-            let health = if lifecycle.events[i] == DeviceEvent::Dormant {
-                // The nap is dealt but not yet stepped; the controller's
-                // own flag still reflects the previous epoch.
-                HealthState::Dormant
-            } else {
-                member.sampler().health()
-            };
-            match health {
-                HealthState::Healthy => wd.healthy += 1,
-                HealthState::Recovering => wd.recovering += 1,
-                HealthState::SuspectDeadlocked => wd.suspect += 1,
-                HealthState::Dormant => wd.dormant += 1,
-            }
-            if health != HealthState::SuspectDeadlocked
-                || self.retries[i] >= REPROBE_RETRY_CAP
-                || epoch < self.due[i]
-            {
-                continue;
-            }
-            let extra = (member.sampler().reprobe_rate().value() - grants[i]).max(0.0);
-            if extra > pool {
-                wd.starved += 1;
-                continue;
-            }
-            pool -= extra;
-            let target = member.sampler_mut().begin_reprobe().value();
-            grants[i] = grants[i].max(target);
-            recovery_rate += extra;
-            wd.reprobes += 1;
-            wd.recovery_granted += extra * self.epoch_unit;
-            self.retries[i] += 1;
-            self.due[i] = epoch + (1usize << self.retries[i].min(20));
-            if let Some(rec) = recorder.as_deref_mut() {
-                rec.journal(epoch as u32, i as u32, "reprobe", target);
-            }
-        }
-        recovery_rate
-    }
-}
-
-/// One device's incident phase and recovery clock.
-#[derive(Debug, Clone, Copy)]
-struct DeviceClock {
-    /// Requirement of the model currently swapped *out*.
-    alt_nyquist: f64,
-    /// Whether the device currently runs its incident-phase model.
-    in_incident: bool,
-    /// Whether the device has entered the incident at least once.
-    seen_onset: bool,
-    /// Coverage summed over pre-onset epochs it was awake and present for.
-    base_sum: f64,
-    base_epochs: usize,
-    /// Epoch of the latest incident exit (`None` while inside or before).
-    exit: Option<usize>,
-    /// Epochs from the exit back to ≥95% of baseline, once measured.
-    ttr: Option<usize>,
-}
-
-/// Per-member incident phase plus the per-device recovery clock, built only
-/// when the scenario has a regime incident. Every member's incident-phase
-/// signal model is pre-built (tone frequencies scaled, identity and noise
-/// seed untouched), so phase boundaries only `mem::swap` models and
-/// requirements — no allocation, no re-synthesis.
-struct IncidentClock {
-    /// Each member's swapped-out signal model.
-    alt_models: Vec<SignalModel>,
-    devices: Vec<DeviceClock>,
-}
-
-impl IncidentClock {
-    fn new<'a>(members: impl Iterator<Item = &'a FleetMember>, factor: f64) -> IncidentClock {
-        let (alt_models, devices) = members
-            .map(|m| {
-                let alt = m.device().trace().regime_model(factor);
-                let clock = DeviceClock {
-                    alt_nyquist: requirement(m, alt.nyquist_rate()),
-                    in_incident: false,
-                    seen_onset: false,
-                    base_sum: 0.0,
-                    base_epochs: 0,
-                    exit: None,
-                    ttr: None,
-                };
-                (alt, clock)
-            })
-            .unzip();
-        IncidentClock {
-            alt_models,
-            devices,
-        }
-    }
-
-    /// Regime phase boundaries, per member: each device swaps to its other
-    /// model when *its own* incident activity flips (staggered and diurnal
-    /// regimes switch members individually; the one-shot incident flips the
-    /// whole fleet at the same two epochs). The ground-truth requirement
-    /// swaps with the model, and the transitions clock the recovery tracker.
-    fn switch<'a>(
-        &mut self,
-        epoch: usize,
-        engine: &ScenarioEngine,
-        members: impl Iterator<Item = &'a mut FleetMember>,
-        nyquist: &mut [f64],
-    ) {
-        for (i, (member, alt)) in members.zip(self.alt_models.iter_mut()).enumerate() {
-            let d = &mut self.devices[i];
-            let now = engine.incident_active(epoch, i);
-            if now == d.in_incident {
-                continue;
-            }
-            member.swap_model(alt);
-            std::mem::swap(&mut nyquist[i], &mut d.alt_nyquist);
-            d.in_incident = now;
-            if now {
-                // (Re-)entering the incident: the clock restarts from the
-                // next exit.
-                d.seen_onset = true;
-                d.exit = None;
-                d.ttr = None;
-            } else {
-                d.exit = Some(epoch);
-            }
-        }
-    }
-
-    /// The recovery clock, serial in device order. A device's baseline is
-    /// its mean coverage over pre-onset epochs it was actually awake and
-    /// present for (the epochs it produced a report); after its incident
-    /// exits, the first such epoch back at ≥95% of that baseline stamps its
-    /// time-to-recover.
-    fn observe(&mut self, epoch: usize, reports: &[Option<EpochReport>], nyquist: &[f64]) {
-        for ((d, report), &need) in self.devices.iter_mut().zip(reports).zip(nyquist) {
-            let Some(r) = report else { continue };
-            let coverage = quality::coverage(r.primary_rate, Hertz(need));
-            if !d.seen_onset {
-                d.base_sum += coverage;
-                d.base_epochs += 1;
-            } else if let (None, Some(exit)) = (d.ttr, d.exit) {
-                if d.base_epochs > 0 && coverage >= 0.95 * d.base_sum / d.base_epochs as f64 {
-                    d.ttr = Some(epoch - exit);
-                }
-            }
-        }
-    }
-
-    /// `(p50, p95, recovered, unrecovered)` over devices that saw an
-    /// incident. The quantiles come from an obs log-bucket histogram fed in
-    /// device order — the fleet-mean time-to-recover hides the slow tail
-    /// the p95 exposes.
-    fn summary(&self, epochs: usize) -> (Option<f64>, Option<f64>, usize, usize) {
-        let mut hist = sweetspot_obs::Histogram::log_scale(1.0, (epochs as f64).max(2.0), 32);
-        let (mut recovered, mut unrecovered) = (0usize, 0usize);
-        for d in self.devices.iter().filter(|d| d.seen_onset) {
-            match d.ttr {
-                Some(e) => {
-                    recovered += 1;
-                    hist.record(e as f64);
-                }
-                None => unrecovered += 1,
-            }
-        }
-        if hist.count() == 0 {
-            return (None, None, recovered, unrecovered);
-        }
-        (
-            Some(hist.quantile(0.50)),
-            Some(hist.quantile(0.95)),
-            recovered,
-            unrecovered,
-        )
-    }
-}
-
-/// Steps one member through one epoch under its dealt event — the engine's
-/// only per-member step. Returns the epoch's report, or `None` when the
-/// device is absent or asleep and so produced none.
-///
-/// Reboots were already applied serially when the event was dealt, so here
-/// `Reboot` steps like `Healthy` (the first post-reboot epoch *is* a normal
-/// epoch, just from re-ramp state). A sleeping device takes no samples and
-/// — unlike a lost report — does not decay its request; the controller
-/// merely notes its state aged and owes a verification on wake. A dropped
-/// report is [`Delivery::Lost`] and a delayed one [`Delivery::Late`]; a
-/// duplicated report steps on time, and the fold bills it twice.
-fn step_member(
-    member: &mut FleetMember,
-    event: DeviceEvent,
-    scratch: &mut EpochScratch,
-    start: Seconds,
-    grant: Hertz,
-    window: Seconds,
-) -> Option<EpochReport> {
-    let delivery = match event {
-        DeviceEvent::Absent => return None,
-        DeviceEvent::Dormant => {
-            member.sampler_mut().note_dormant_epoch();
-            return None;
-        }
-        DeviceEvent::ReportDropped => Delivery::Lost,
-        DeviceEvent::ReportDelayed => Delivery::Late,
-        DeviceEvent::ReportDuplicated | DeviceEvent::Healthy | DeviceEvent::Reboot => {
-            Delivery::OnTime
-        }
-    };
-    Some(member.step_epoch(scratch, start, grant, window, delivery))
-}
-
-/// Sums per-member FFT planner-handle counters in fleet (device) order.
-/// Handle counters are owned by each member's planner clone, so the totals
-/// are independent of how the fleet was sharded across workers.
-fn fft_handle_totals(shards: &[ShardState]) -> FftHandleStats {
-    let mut totals = FftHandleStats::default();
-    for member in members(shards) {
-        totals.merge(&member.fft_handle_stats());
-    }
-    totals
+    let mut run = FleetRun::new(cfg, policy, budget_per_epoch, recorder);
+    while run.next_epoch() {}
+    run.finish()
 }
 
 /// One row of the cost-vs-quality frontier.
@@ -1171,11 +426,7 @@ pub fn run_frontier_for_recorded(
         f64::INFINITY,
         recorder.as_deref_mut(),
     );
-    let steady_demand = uncapped
-        .ledger
-        .accounts()
-        .last()
-        .map_or(0.0, |a| a.spent);
+    let steady_demand = steady_spend(&uncapped);
     let mut points = vec![FrontierPoint {
         fraction: None,
         outcome: uncapped,
@@ -1236,9 +487,13 @@ pub fn run_point_recorded(
     let steady_demand = points
         .iter()
         .find(|pt| pt.outcome.policy == SchedulerPolicy::Uncapped)
-        .and_then(|pt| pt.outcome.ledger.accounts().last())
-        .map_or(0.0, |a| a.spent);
+        .map_or(0.0, |pt| steady_spend(&pt.outcome));
     frontier(cfg, points, steady_demand)
+}
+
+/// A run's last-epoch spend: for the uncapped baseline, the steady demand.
+fn steady_spend(outcome: &PolicyOutcome) -> f64 {
+    outcome.ledger.accounts().last().map_or(0.0, |a| a.spent)
 }
 
 fn frontier(cfg: &FleetSimConfig, points: Vec<FrontierPoint>, steady_demand: f64) -> FleetFrontier {
@@ -1267,7 +522,9 @@ impl FleetFrontier {
     pub fn timing(&self) -> FleetTimings {
         let mut t = FleetTimings::default();
         for p in &self.points {
-            t.merge(p.outcome.timing);
+            t.build += p.outcome.timing.build;
+            t.step += p.outcome.timing.step;
+            t.schedule += p.outcome.timing.schedule;
         }
         t
     }
@@ -1544,6 +801,8 @@ impl FleetFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sweetspot_core::adaptive::Delivery;
+    use sweetspot_monitor::poller::{EpochScratch, FleetMember};
 
     fn tiny_config(threads: usize) -> FleetSimConfig {
         FleetSimConfig {
@@ -1864,6 +1123,25 @@ mod tests {
         let mut edge = base;
         edge.days = u32::MAX as f64;
         assert_eq!(edge.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_budget_rejects_negative_and_nan() {
+        for ok in [0.0, 40.0, f64::INFINITY] {
+            assert_eq!(validate_budget(ok), Ok(()), "{ok}");
+        }
+        for bad in [-5.0, f64::NAN, f64::NEG_INFINITY] {
+            let err = validate_budget(bad).expect_err("bad budget");
+            assert!(err.contains("--budget"), "{bad}: {err}");
+        }
+    }
+
+    /// A bad budget is rejected before the fleet is synthesized, not deep
+    /// inside the scheduler.
+    #[test]
+    #[should_panic(expected = "--budget wants a non-negative number")]
+    fn run_policy_rejects_a_negative_budget() {
+        run_policy(&tiny_config(1), SchedulerPolicy::Fair, -5.0);
     }
 
     #[test]

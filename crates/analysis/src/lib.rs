@@ -9,9 +9,9 @@
 //!   tables (every figure is reproduced as text so the harness has no
 //!   plotting dependencies).
 //! * [`fleetsim`] — the fleet-level adaptive simulation: every device's
-//!   §4.2 controller under one shared budget, with pluggable cross-device
-//!   schedulers and a ground-truth quality model, producing the
-//!   cost-vs-quality frontier per policy.
+//!   §4.2 controller under one shared budget, with one cross-device
+//!   scheduler (four policies) and a ground-truth quality model, producing
+//!   the cost-vs-quality frontier per policy.
 //! * [`experiments`] — one driver per paper artifact:
 //!   [`experiments::fig1`] … [`experiments::fig7`],
 //!   [`experiments::headline`], [`experiments::sweetspot`] (the title

@@ -38,8 +38,9 @@ pub(crate) fn shard_spans(total: usize, workers: usize) -> Vec<std::ops::Range<u
 
 /// Runs `work` once per shard and returns the results in shard order —
 /// never completion order. A single shard runs inline on the calling thread
-/// (a one-worker run spawns nothing); several run on one scoped thread
-/// each. A worker's panic resumes on the calling thread.
+/// and collects nothing: a one-worker run spawns nothing and, when `R` is
+/// `()`, allocates nothing. Several shards run on one scoped thread each.
+/// A worker's panic resumes on the calling thread.
 pub(crate) fn fan_out<I, R, F>(shards: I, work: F) -> Vec<R>
 where
     I: IntoIterator,
@@ -47,14 +48,18 @@ where
     R: Send,
     F: Fn(I::Item) -> R + Sync,
 {
-    let shards: Vec<I::Item> = shards.into_iter().collect();
-    if shards.len() <= 1 {
-        return shards.into_iter().map(work).collect();
-    }
+    let mut shards = shards.into_iter();
+    let Some(first) = shards.next() else {
+        return Vec::new();
+    };
+    let Some(second) = shards.next() else {
+        return vec![work(first)];
+    };
     thread::scope(|s| {
         let work = &work;
-        let handles: Vec<_> = shards
+        let handles: Vec<_> = [first, second]
             .into_iter()
+            .chain(shards)
             .map(|shard| s.spawn(move || work(shard)))
             .collect();
         handles

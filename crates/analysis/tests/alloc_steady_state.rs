@@ -1,13 +1,14 @@
 //! Allocation accounting for the fleet-simulation epoch loop.
 //!
 //! Extends the `crates/telemetry/tests/alloc_steady_state.rs` pattern to the
-//! whole lockstep epoch: request gathering, scheduling (water-fill,
-//! re-sorting its reused order buffer), and every member's controller
-//! epoch — polling through the oscillator bank and impairment chain,
-//! pre-cleaning, §4.1 dual-rate verification and §3.2 estimation. Once
-//! the worker's [`EpochScratch`] buffers, the scheduler's order and the
-//! planner's cached tables are warm, a steady-state epoch must not touch
-//! the heap at all.
+//! whole lockstep epoch of the real engine, stepped one epoch at a time
+//! through [`FleetRun`]: dealing, request gathering, scheduling (water-fill,
+//! re-sorting its reused order buffer), the watchdog, every member's
+//! controller epoch — polling through the oscillator bank and impairment
+//! chain, pre-cleaning, §4.1 dual-rate verification and §3.2 estimation —
+//! the fold and the ledger. Once the worker's [`EpochScratch`] buffers, the
+//! scheduler's order and the planner's cached tables are warm, a
+//! steady-state epoch must not touch the heap at all.
 //!
 //! Also pins the memory-wall invariants themselves: durable per-member
 //! bytes stay flat as the fleet scales (the working set lives in the
@@ -15,9 +16,9 @@
 //! bit-identical to members each stepping through a private scratch.
 //!
 //! The counter is **per-thread** (see the telemetry test for why), so the
-//! fleet is stepped serially — which is exactly the per-worker view of the
-//! sharded engine: each worker owns its members and steps them in a plain
-//! loop.
+//! engine runs at `threads: 1`: its one shard steps inline on the calling
+//! thread. That is the contract's scope — with several workers, the scoped
+//! spawns allocate every epoch.
 //!
 //! [`EpochScratch`]: sweetspot_monitor::poller::EpochScratch
 
@@ -26,7 +27,8 @@ use std::cell::Cell;
 
 use proptest::prelude::*;
 use sweetspot_analysis::fleetsim::{
-    member_config, quality, run_policy, scheduler, scheduler::SchedulerPolicy, FleetSimConfig,
+    member_config, quality, run_policy, scenario::ScenarioSpec, scheduler,
+    scheduler::SchedulerPolicy, FleetRun, FleetSimConfig,
 };
 use sweetspot_core::adaptive::Delivery;
 use sweetspot_monitor::poller::{EpochScratch, FleetMember};
@@ -71,71 +73,67 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+/// Cost units per epoch that buy `frac` of the fleet's summed production
+/// rate, continuous verification included.
+fn production_budget(devices: usize, window: Seconds, frac: f64) -> f64 {
+    let verify_overhead = 1.0 + 1.0 / sweetspot_core::aliasing::COMPANION_RATIO;
+    let epoch_unit = CostModel::default().cost_per_sample() * window.value() * verify_overhead;
+    let production: f64 = scaled_work(devices)
+        .iter()
+        .map(|(p, _)| p.production_rate().value())
+        .sum();
+    frac * production * epoch_unit
+}
+
 #[test]
 fn fleetsim_steady_state_epoch_is_allocation_free() {
     // A 28-pair round-robin fleet (two devices of every metric) under a
-    // binding water-fill budget: scheduling and throttling both active.
-    // Seed chosen so the fleet settles early: by epoch 10 every controller
-    // holds its rate (steady, evidence-free or at a clamp) and every
-    // realized trace length has passed through the planner once. Devices
-    // still *probing* legitimately allocate (new rate ⇒ new FFT plan), so a
-    // fleet that never settles would never go quiet — that is a property of
-    // the workload, not the engine.
-    let seed: u64 = 2;
+    // binding water-fill budget of half its production rate: scheduling and
+    // throttling both active. Seed chosen so the fleet settles early: by
+    // epoch 10 every controller holds its rate (steady, evidence-free or at
+    // a clamp) and every realized trace length has passed through the
+    // planner once. Devices still *probing* legitimately allocate (new rate
+    // ⇒ new FFT plan), so a fleet that never settles would never go quiet —
+    // that is a property of the workload, not the engine. The second case
+    // runs the chaos mix (churn, a staggered regime incident, duty-cycled
+    // sleep) with the watchdog armed; its incident keeps controllers moving
+    // longer, so it settles later.
     let window = Seconds::from_days(1.0);
-    let work = scaled_work(28);
-    let n = work.len();
-
-    let mut members: Vec<FleetMember> = work
-        .iter()
-        .enumerate()
-        .map(|(i, &(profile, device))| {
-            FleetMember::new(
-                i,
-                DeviceTrace::synthesize(profile, device, seed),
-                member_config(&profile, window),
-            )
-        })
-        .collect();
-    let production: Vec<f64> = work.iter().map(|(p, _)| p.production_rate().value()).collect();
-    // Half the fleet's production rate: binding, but not starving everyone
-    // to the min-rate floor.
-    let capacity: f64 = production.iter().sum::<f64>() * 0.5;
-
-    let mut sched = SchedulerPolicy::WaterFill.scheduler(&production);
-    let mut requests = vec![0.0f64; n];
-    let mut grants: Vec<f64> = Vec::with_capacity(n);
-
-    // The worker's single scratch, lent to every member in turn — the
-    // hoisted working set whose reuse this test pins as allocation-free.
-    let mut scratch = EpochScratch::new();
-    let mut epoch_body = |epoch: usize| {
-        let start = Seconds(epoch as f64 * window.value());
-        for (r, m) in requests.iter_mut().zip(members.iter()) {
-            *r = m.requested_rate().value();
+    let budget = production_budget(28, window, 0.5);
+    let chaos = ScenarioSpec::parse("churn+incident+duty").expect("preset mix");
+    for (scenario, recovery_budget_frac, settled) in
+        [(ScenarioSpec::none(), 0.0, 10), (chaos, 0.25, 13)]
+    {
+        let mut cfg = FleetSimConfig {
+            devices: Some(28),
+            days: 16.0,
+            threads: 1,
+            scenario,
+            recovery_budget_frac,
+            ..FleetSimConfig::default()
+        };
+        cfg.fleet.seed = 2;
+        let mut run = FleetRun::new(&cfg, SchedulerPolicy::WaterFill, budget, None);
+        // Warm-up epochs grow the shard's scratch buffers and the planner's
+        // per-length FFT/window tables; after them, entire epochs — dealing,
+        // requests, water-fill scheduling, the watchdog, every member's
+        // controller epoch, the fold and the ledger — must not allocate.
+        for epoch in 0..16 {
+            let count = allocations_during(|| assert!(run.next_epoch()));
+            if epoch >= settled {
+                assert_eq!(
+                    count,
+                    0,
+                    "{}: steady-state fleet epoch {epoch} must not allocate",
+                    scenario.label()
+                );
+            }
         }
-        sched.allocate(&requests, capacity, &mut grants);
-        for (m, &g) in members.iter_mut().zip(grants.iter()) {
-            let report = m.step_epoch(&mut scratch, start, Hertz(g), window, Delivery::OnTime);
-            std::hint::black_box(report.samples_taken);
-        }
-    };
-
-    // Warm-up: controllers probe/settle, scratch buffers and the planner's
-    // per-length FFT/window tables grow. Sample counts jitter by ±1 with the
-    // 0.2% drop impairment, so several epochs are needed before every
-    // realized trace length has been planned once.
-    for epoch in 0..10 {
-        epoch_body(epoch);
-    }
-
-    // Steady state: entire lockstep epochs — request gathering, water-fill
-    // scheduling, every member's controller epoch — must not allocate.
-    for epoch in 10..16 {
-        let count = allocations_during(|| epoch_body(epoch));
-        assert_eq!(
-            count, 0,
-            "steady-state fleet epoch {epoch} must not allocate"
+        assert!(!run.next_epoch(), "the horizon is 16 epochs");
+        let out = run.finish();
+        assert!(
+            out.ledger.throttled_fraction(out.devices) > 0.0,
+            "the budget must bind"
         );
     }
 }

@@ -484,8 +484,8 @@ fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
     // 0 disables the watchdog entirely (bit-identical to the plain engine).
     let recovery_budget_frac = flag_f64(&flags, "recovery-budget-frac", 0.0)?;
     let budget = flag_opt::<f64>(&flags, "budget", "a non-negative number")?;
-    if budget.is_some_and(|b| b.is_nan() || b < 0.0) {
-        return Err("--budget wants a non-negative number".into());
+    if let Some(b) = budget {
+        fleetsim::validate_budget(b)?;
     }
     let policy = flag_opt::<String>(&flags, "policy", "a policy name")?
         .map(|v| {

@@ -15,9 +15,7 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sweetspot::analysis::fleetsim::{
-    self, member_config,
-    scenario::{DeviceEvent, ScenarioEngine, ScenarioSpec},
-    scheduler::SchedulerPolicy,
+    self, member_config, scenario::ScenarioSpec, scheduler::SchedulerPolicy, FleetRun,
     FleetSimConfig,
 };
 use sweetspot::monitor::poller::{EpochScratch, FleetMember};
@@ -348,90 +346,42 @@ fn settled_fleet_under_one_percent_churn_stays_allocation_free() {
     // The zero-allocation steady state must survive lifecycle churn:
     // devices leaving (slots held, request 0), rejoining (reboot + re-ramp
     // through already-planned rates), and reports dropping or arriving
-    // late. Mirrors crates/analysis/tests/alloc_steady_state.rs, with the
-    // scenario engine dealt in. Serial, because the counter is per-thread —
-    // exactly one worker's view of the sharded engine. Grants are uncapped:
-    // under a *binding* water-fill budget every churn event moves the water
-    // level and hands bystander devices never-before-granted rates, whose
-    // first FFT plan legitimately allocates once — that is plan-cache
-    // warming, not a churn leak, and it would mask the regression this
-    // test guards against.
-    let seed: u64 = 2;
-    let window = Seconds::from_days(1.0);
-    let work = scaled_work(28);
-    let n = work.len();
-    let spec = ScenarioSpec {
-        leave_prob: 0.01,
-        join_prob: 0.25,
-        reboot_prob: 0.005,
-        drop_prob: 0.01,
-        delay_prob: 0.01,
-        seed: 0xFA11,
-        ..ScenarioSpec::none()
+    // late. The engine runs at one worker, because the counter is
+    // per-thread — its one shard steps inline on this thread. Grants are
+    // uncapped: under a *binding* water-fill budget every churn event moves
+    // the water level and hands bystander devices never-before-granted
+    // rates, whose first FFT plan legitimately allocates once — that is
+    // plan-cache warming, not a churn leak, and it would mask the
+    // regression this test guards against.
+    let mut cfg = FleetSimConfig {
+        devices: Some(28),
+        days: 40.0,
+        threads: 1,
+        scenario: ScenarioSpec {
+            leave_prob: 0.01,
+            join_prob: 0.25,
+            reboot_prob: 0.005,
+            drop_prob: 0.01,
+            delay_prob: 0.01,
+            seed: 0xFA11,
+            ..ScenarioSpec::none()
+        },
+        ..FleetSimConfig::default()
     };
-    let engine = ScenarioEngine::new(spec, 40);
-
-    let mut members: Vec<FleetMember> = work
-        .iter()
-        .enumerate()
-        .map(|(i, &(profile, device))| {
-            FleetMember::new(
-                i,
-                DeviceTrace::synthesize(profile, device, seed),
-                member_config(&profile, window),
-            )
-        })
-        .collect();
-    let production: Vec<f64> = work.iter().map(|(p, _)| p.production_rate().value()).collect();
-
-    let mut sched = SchedulerPolicy::Uncapped.scheduler(&production);
-    let mut requests = vec![0.0f64; n];
-    let mut grants: Vec<f64> = Vec::with_capacity(n);
-    let mut active = vec![true; n];
-    let mut events = vec![DeviceEvent::Healthy; n];
-    let mut scratch = EpochScratch::new();
-
-    let mut epoch_body = |epoch: usize| {
-        let start = Seconds(epoch as f64 * window.value());
-        for (i, member) in members.iter_mut().enumerate() {
-            let ev = engine.deal(epoch, i, active[i]);
-            match ev {
-                DeviceEvent::Absent => active[i] = false,
-                DeviceEvent::Reboot => {
-                    active[i] = true;
-                    member.reboot();
-                }
-                _ => {}
-            }
-            events[i] = ev;
-        }
-        for (i, (r, m)) in requests.iter_mut().zip(members.iter()).enumerate() {
-            *r = if active[i] { m.requested_rate().value() } else { 0.0 };
-        }
-        sched.allocate(&requests, f64::INFINITY, &mut grants);
-        for (i, m) in members.iter_mut().enumerate() {
-            let delivery = match events[i] {
-                DeviceEvent::Absent => continue,
-                DeviceEvent::ReportDropped => Delivery::Lost,
-                DeviceEvent::ReportDelayed => Delivery::Late,
-                _ => Delivery::OnTime,
-            };
-            let report = m.step_epoch(&mut scratch, start, Hertz(grants[i]), window, delivery);
-            std::hint::black_box(report.samples_taken);
-        }
-    };
+    cfg.fleet.seed = 2;
+    let mut run = FleetRun::new(&cfg, SchedulerPolicy::Uncapped, f64::INFINITY, None);
 
     // Warm-up: controllers settle (delayed-report epochs push the slowest
     // descent past epoch 14), every realized trace length passes the
     // planner once, and the churn schedule exercises reboots and faults.
-    for epoch in 0..20 {
-        epoch_body(epoch);
+    for _ in 0..20 {
+        assert!(run.next_epoch());
     }
     // Steady state under churn: whole epochs — event dealing, request
-    // gathering, scheduling, and every member's (possibly faulted) epoch —
-    // must not touch the heap.
+    // gathering, scheduling, every member's (possibly faulted) epoch, the
+    // fold and the ledger — must not touch the heap.
     for epoch in 20..40 {
-        let count = allocations_during(|| epoch_body(epoch));
+        let count = allocations_during(|| assert!(run.next_epoch()));
         assert_eq!(
             count, 0,
             "churned steady-state epoch {epoch} must not allocate"
