@@ -1,11 +1,10 @@
-//! **Headline statistics** (§3.2 text) — "In total, we studied 1613 metric
-//! and device pairs (14 distinct metrics). Of these, 89% were sampling at
-//! higher than their Nyquist rate. … in 20% of the examples the sampling
-//! rate can be reduced by a factor of 1000×. … the existing sampling rate is
-//! below the Nyquist rate … in about 11% of the metric-device pairs. …
-//! for the temperature signal, the Nyquist rate ranges from 7.99×10⁻⁷ Hz to
-//! 0.003 Hz across the monitored devices."
+//! **Headline statistics** (§3.2 text): the study's fleet-wide numbers
+//! beside the paper's, which [`super::claims`] holds with their quotes.
 
+use super::claims::{
+    PAPER_OVERSAMPLED_PCT, PAPER_PAIRS, PAPER_REDUCIBLE_1000X_PCT, PAPER_TEMPERATURE_RANGE,
+    PAPER_UNDERSAMPLED_PCT,
+};
 use crate::study::{FleetStudy, StudyConfig};
 use sweetspot_core::reduction::ReductionSummary;
 use sweetspot_telemetry::MetricKind;
@@ -41,15 +40,15 @@ impl Headline {
         let s = &self.summary;
         let mut out = String::from("Headline statistics (paper §3.2 vs measured)\n");
         out.push_str(&format!(
-            "  metric-device pairs      : {:>6}        (paper: 1613)\n",
+            "  metric-device pairs      : {:>6}        (paper: {PAPER_PAIRS})\n",
             s.pairs
         ));
         out.push_str(&format!(
-            "  over-sampled today       : {:>5.1}%        (paper: 89%)\n",
+            "  over-sampled today       : {:>5.1}%        (paper: {PAPER_OVERSAMPLED_PCT}%)\n",
             s.oversampled_fraction * 100.0
         ));
         out.push_str(&format!(
-            "  under-sampled today      : {:>5.1}%        (paper: 11%)\n",
+            "  under-sampled today      : {:>5.1}%        (paper: {PAPER_UNDERSAMPLED_PCT}%)\n",
             s.undersampled_fraction * 100.0
         ));
         out.push_str(&format!(
@@ -61,12 +60,14 @@ impl Headline {
             s.reducible_100x * 100.0
         ));
         out.push_str(&format!(
-            "  reducible ≥1000×         : {:>5.1}%        (paper: ~20%)\n",
+            "  reducible ≥1000×         : {:>5.1}%        (paper: ~{PAPER_REDUCIBLE_1000X_PCT}%)\n",
             s.reducible_1000x * 100.0
         ));
         if let Some((lo, hi)) = self.temperature_range {
+            let (paper_lo, paper_hi) = PAPER_TEMPERATURE_RANGE;
             out.push_str(&format!(
-                "  temperature Nyquist range: {lo:.2e} .. {hi:.2e} Hz (paper: 7.99e-7 .. 3e-3)\n"
+                "  temperature Nyquist range: {lo:.2e} .. {hi:.2e} Hz \
+                 (paper: {paper_lo:e} .. {paper_hi:e})\n"
             ));
         }
         out

@@ -3,9 +3,10 @@
 //! One module per paper artifact; `cargo bench -p sweetspot-bench` (the
 //! README's *Build, test, run* section) regenerates them all. Every driver
 //! exposes a `run(...)` returning structured results with a `render()`
-//! method producing the text figure.
+//! method producing the text figure. [`claims`] collects the quantitative
+//! claims into one ledger, which a golden fixture pins in the test suite.
 
-pub mod ablation;
+pub mod claims;
 pub mod fig1;
 pub mod fig2;
 pub mod fig3;

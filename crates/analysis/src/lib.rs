@@ -15,7 +15,9 @@
 //! * [`experiments`] — one driver per paper artifact:
 //!   [`experiments::fig1`] … [`experiments::fig7`],
 //!   [`experiments::headline`], [`experiments::sweetspot`] (the title
-//!   experiment) and [`experiments::ablation`].
+//!   experiment) and [`experiments::claims`], the paper-claims ledger that
+//!   sets every quantitative claim beside its reproduction
+//!   (`tests/golden/claims.txt`).
 //!
 //! Every driver returns structured data (so benches and tests can assert on
 //! shapes) plus a `render()` string for human consumption.

@@ -1,21 +1,17 @@
 //! **E8 / headline statistics** — the §3.2 text numbers at paper scale:
-//! 1613 metric-device pairs, one day of data each.
+//! 1613 metric-device pairs, one day of data each. The printed figure is the
+//! whole paper-claims ledger (`experiments::claims`): the §3.2 numbers with
+//! their ground truth plus the §3.2–§4.3 design-choice experiments.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
-use sweetspot_analysis::experiments::headline;
+use sweetspot_analysis::experiments::claims;
 use sweetspot_analysis::study::{FleetStudy, StudyConfig};
 use sweetspot_telemetry::{Fleet, FleetConfig};
 use sweetspot_timeseries::Seconds;
 
 fn print_figure() {
-    let fleet = Fleet::paper_scale(0x5EED_CAFE);
-    let cfg = StudyConfig {
-        fleet: *fleet.config(),
-        ..StudyConfig::default()
-    };
-    let study = FleetStudy::run_on(&fleet, cfg);
-    println!("{}", headline::from_study(&study).render());
+    println!("{}", claims::run().render());
 }
 
 fn bench(c: &mut Criterion) {

@@ -86,8 +86,8 @@ pub fn ratio_is_valid(f1: Hertz, f2: Hertz) -> bool {
 ///
 /// One-shot convenience around [`detect_aliasing_scratch`] with a throwaway
 /// planner and scratch; repeated callers (the §4.2 adaptive controller, the
-/// detector ablation) should hold their own so twiddle and window tables are
-/// computed once and steady state allocates nothing.
+/// paper-claims ledger's detector entry) should hold their own so twiddle
+/// and window tables are computed once and steady state allocates nothing.
 ///
 /// # Panics
 /// Exactly as [`detect_aliasing_scratch`].

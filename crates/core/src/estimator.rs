@@ -49,7 +49,8 @@ pub enum PsdMethod {
 #[derive(Debug, Clone, Copy)]
 pub struct NyquistConfig {
     /// Fraction of total (detrended) energy that must be captured (paper:
-    /// 0.99; the ablation also runs 0.999 and 0.9999).
+    /// 0.99; the paper-claims ledger's cutoff entry also runs 0.999 and
+    /// 0.9999).
     pub energy_cutoff: f64,
     /// Window applied before the FFT. Default **Hann**: on short windows the
     /// rectangular window's leakage skirts can carry more than `1 − cutoff`

@@ -32,18 +32,6 @@ pub fn decimate(samples: &[f64], factor: usize) -> Vec<f64> {
 /// frequency. The even-length Nyquist bin is split/merged so the output stays
 /// real. Energy is scaled so amplitudes are preserved.
 ///
-/// # Panics
-/// Panics if `samples` is empty or `new_len == 0`.
-pub fn resample_fft(planner: &mut FftPlanner, samples: &[f64], new_len: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(new_len);
-    resample_fft_into(planner, &mut FftScratch::new(), samples, new_len, &mut out);
-    out
-}
-
-/// [`resample_fft`] into a caller-owned output buffer (cleared first)
-/// through caller-lent FFT scratch, for pipelines that resample repeatedly
-/// (e.g. the §6 correlation roundtrip).
-///
 /// Both the analysis and the synthesis run one-sided through the real-input
 /// FFT fast path: the source's one-sided spectrum is mapped onto the
 /// target's one-sided grid (the mirror half is implied by conjugate
@@ -51,23 +39,16 @@ pub fn resample_fft(planner: &mut FftPlanner, samples: &[f64], new_len: usize) -
 ///
 /// # Panics
 /// Panics if `samples` is empty or `new_len == 0`.
-pub fn resample_fft_into(
-    planner: &mut FftPlanner,
-    scratch: &mut FftScratch,
-    samples: &[f64],
-    new_len: usize,
-    out: &mut Vec<f64>,
-) {
+pub fn resample_fft(planner: &mut FftPlanner, samples: &[f64], new_len: usize) -> Vec<f64> {
     assert!(!samples.is_empty(), "cannot resample an empty signal");
     assert!(new_len > 0, "new_len must be positive");
     let n = samples.len();
     if new_len == n {
-        out.clear();
-        out.extend_from_slice(samples);
-        return;
+        return samples.to_vec();
     }
+    let mut scratch = FftScratch::new();
     let mut spec = Vec::with_capacity(one_sided_len(n));
-    planner.fft_real_into(samples, &mut spec, scratch);
+    planner.fft_real_into(samples, &mut spec, &mut scratch);
     let m = new_len;
     let mut out_spec = vec![Complex64::ZERO; one_sided_len(m)];
 
@@ -96,7 +77,9 @@ pub fn resample_fft_into(
     for c in &mut out_spec {
         *c = c.scale(scale);
     }
-    planner.ifft_real_into(&out_spec, m, out, scratch);
+    let mut out = Vec::with_capacity(m);
+    planner.ifft_real_into(&out_spec, m, &mut out, &mut scratch);
+    out
 }
 
 #[cfg(test)]

@@ -4,29 +4,6 @@
 //! L2 distances (Figure 6); this module supplies those plus the usual error
 //! metrics the quality model in `sweetspot-monitor` is built on.
 
-/// Arithmetic mean. Returns 0.0 for an empty slice.
-pub fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        0.0
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
-}
-
-/// Population variance. Returns 0.0 for slices shorter than 2.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation.
-pub fn stddev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Euclidean (L2) distance between two equal-length signals — the metric of
 /// Figure 6 ("The L2 distance between these signals is 0").
 ///
@@ -101,30 +78,6 @@ pub fn min_max(xs: &[f64]) -> (f64, f64) {
         hi = hi.max(x);
     }
     (lo, hi)
-}
-
-/// Pearson correlation coefficient. Returns 0.0 if either side is constant.
-///
-/// # Panics
-/// Panics if lengths differ or inputs are empty.
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
-    assert!(!a.is_empty(), "correlation of empty signals is undefined");
-    assert_eq!(a.len(), b.len(), "correlation needs equal lengths");
-    let ma = mean(a);
-    let mb = mean(b);
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va <= 0.0 || vb <= 0.0 {
-        0.0
-    } else {
-        cov / (va.sqrt() * vb.sqrt())
-    }
 }
 
 /// Percentile of `xs` (0..=100) with linear interpolation between order
@@ -244,17 +197,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_variance_stddev() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_eq!(mean(&xs), 5.0);
-        assert_eq!(variance(&xs), 4.0);
-        assert_eq!(stddev(&xs), 2.0);
-    }
-
-    #[test]
     fn empty_slices_are_graceful() {
-        assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
         assert_eq!(min_max(&[]), (0.0, 0.0));
     }
 
@@ -288,20 +231,6 @@ mod tests {
     fn nrmse_constant_reference() {
         assert_eq!(nrmse(&[5.0, 5.0], &[5.0, 5.0]), 0.0);
         assert_eq!(nrmse(&[5.0, 5.0], &[5.0, 6.0]), f64::INFINITY);
-    }
-
-    #[test]
-    fn pearson_perfect_and_anti() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&a, &b) - 1.0).abs() < 1e-12);
-        let c = [8.0, 6.0, 4.0, 2.0];
-        assert!((pearson(&a, &c) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_constant_input_is_zero() {
-        assert_eq!(pearson(&[1.0, 1.0], &[2.0, 3.0]), 0.0);
     }
 
     #[test]

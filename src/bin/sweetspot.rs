@@ -572,6 +572,9 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
     let flags = flags(args, 0)?;
     reject_unknown_flags(&flags, &["metric", "days", "seed"], "demo")?;
     let days = flag_f64(&flags, "days", 2.0)?;
+    if !(days.is_finite() && days > 0.0) {
+        return Err(format!("--days wants a positive, finite number of days, got {days}"));
+    }
     let seed = flag_u64(&flags, "seed", 7)?;
     let metric_name = flags
         .iter()

@@ -129,6 +129,18 @@ fn demo_pipes_into_analyze() {
 }
 
 #[test]
+fn demo_rejects_non_positive_or_non_finite_days() {
+    for days in ["0", "-1", "nan", "inf"] {
+        let out = bin().args(["demo", "--days", days]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--days {days}: {stderr}");
+        assert!(stderr.contains("--days"), "--days {days}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--days {days}: {stderr}");
+        assert!(out.stdout.is_empty(), "--days {days} printed output");
+    }
+}
+
+#[test]
 fn demo_rejects_unknown_metric() {
     let out = bin().args(["demo", "--metric", "nonsense"]).output().unwrap();
     assert!(!out.status.success());
