@@ -30,10 +30,12 @@
 //!
 //! # JSON-lines schema, version 2
 //!
-//! Every line is one JSON object whose first two keys are `"type"` (`"event"`
-//! or `"epoch"`) and `"schema"` (the integer `2`). Version 1 — the
-//! unversioned stream — had no `schema` key and carried a `"sched"` object
-//! (water-fill order-maintenance counters) between `fft` and `watchdog`.
+//! The workspace's one JSON writer, [`sweetspot_obs::json`], emits every
+//! line into a reused line buffer; the schema is still version 2. Every
+//! line is one JSON object whose first two keys are `"type"` (`"event"` or
+//! `"epoch"`) and `"schema"` (the integer `2`). Version 1 — the unversioned
+//! stream — had no `schema` key and carried a `"sched"` object (water-fill
+//! order-maintenance counters) between `fft` and `watchdog`.
 //! Every value is fleet scope; numbers that are not finite (an uncapped
 //! budget) are written as `null`.
 //!
@@ -224,14 +226,11 @@ pub struct MetricsSummary {
     pub watchdog: Option<WatchdogCounters>,
 }
 
-/// Everything one epoch snapshot needs, bundled by the engine at emission
-/// time. All fields are fleet scope.
+/// Everything one epoch snapshot needs beyond the run's policy and budget
+/// (which [`MetricsRecorder::begin_run`] stamps), bundled by the engine at
+/// emission time. All fields are fleet scope.
 #[derive(Debug)]
 pub struct EpochSnapshot<'a> {
-    /// Stable policy name (`uncapped` | `uniform` | `fair` | `waterfill`).
-    pub policy: &'static str,
-    /// Budget per epoch in cost units (`f64::INFINITY` emits as `null`).
-    pub budget: f64,
     /// Fleet size.
     pub devices: usize,
     /// This epoch's ledger account.
@@ -270,6 +269,9 @@ pub const JOURNAL_CAPACITY: usize = 512;
 const GRANT_HIST_LO: f64 = 1e-6;
 const GRANT_HIST_HI: f64 = 1e2;
 const GRANT_HIST_BUCKETS: usize = 96;
+
+/// The JSON-lines schema version every line carries.
+const SCHEMA: u64 = 2;
 
 /// The `--metrics-out` writer: owns the flight-recorder ring, the per-window
 /// grant histogram, and the reused line buffer every snapshot is formatted
@@ -397,20 +399,16 @@ impl MetricsRecorder {
         for i in 0..self.journal.len() {
             let ev = self.journal.get(i).expect("index < len");
             self.line.clear();
-            self.line
-                .push_str("{\"type\":\"event\",\"schema\":2,\"policy\":");
-            json::string_into(&mut self.line, snap.policy);
-            self.line.push_str(",\"budget\":");
-            json::number_into(&mut self.line, self.budget);
-            self.line.push_str(",\"epoch\":");
-            json::uint_into(&mut self.line, ev.epoch as u64);
-            self.line.push_str(",\"device\":");
-            json::uint_into(&mut self.line, ev.device as u64);
-            self.line.push_str(",\"kind\":");
-            json::string_into(&mut self.line, ev.kind);
-            self.line.push_str(",\"value\":");
-            json::number_into(&mut self.line, ev.value);
-            self.line.push('}');
+            json::object(&mut self.line, |o| {
+                o.str("type", "event")
+                    .uint("schema", SCHEMA)
+                    .str("policy", self.policy)
+                    .num("budget", self.budget)
+                    .uint("epoch", ev.epoch.into())
+                    .uint("device", ev.device.into())
+                    .str("kind", ev.kind)
+                    .num("value", ev.value);
+            });
             self.write_line();
         }
         self.events_total += self.journal.total();
@@ -424,125 +422,93 @@ impl MetricsRecorder {
     }
 
     fn format_epoch_line(&mut self, snap: &EpochSnapshot<'_>) {
-        let out = &mut self.line;
-        out.push_str("{\"type\":\"epoch\",\"schema\":2,\"policy\":");
-        json::string_into(out, snap.policy);
-        out.push_str(",\"budget\":");
-        json::number_into(out, self.budget);
-        out.push_str(",\"epoch\":");
-        json::uint_into(out, snap.account.epoch as u64);
-        out.push_str(",\"devices\":");
-        json::uint_into(out, snap.devices as u64);
-        out.push_str(",\"ledger\":{\"demanded\":");
-        json::number_into(out, snap.account.demanded);
-        out.push_str(",\"granted\":");
-        json::number_into(out, snap.account.granted);
-        out.push_str(",\"spent\":");
-        json::number_into(out, snap.account.spent);
-        out.push_str(",\"samples\":");
-        json::uint_into(out, snap.account.samples as u64);
-        out.push_str(",\"throttled_devices\":");
-        json::uint_into(out, snap.account.throttled_devices as u64);
-        out.push_str("},\"controller\":{");
-        let c = &snap.metrics.controller;
-        for (i, (name, counter)) in [
-            ("probe", c.probe),
-            ("reramp", c.reramp),
-            ("settle", c.settle),
-            ("raise", c.raise),
-            ("cut", c.cut),
-            ("hold", c.hold),
-            ("defer", c.defer),
-            ("verified", c.verified),
-            ("unverified", c.unverified),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
+        let account = snap.account;
+        let m = snap.metrics;
+        json::object(&mut self.line, |o| {
+            o.str("type", "epoch")
+                .uint("schema", SCHEMA)
+                .str("policy", self.policy)
+                .num("budget", self.budget)
+                .uint("epoch", account.epoch as u64)
+                .uint("devices", snap.devices as u64)
+                .object("ledger", |l| {
+                    l.num("demanded", account.demanded)
+                        .num("granted", account.granted)
+                        .num("spent", account.spent)
+                        .uint("samples", account.samples as u64)
+                        .uint("throttled_devices", account.throttled_devices as u64);
+                })
+                .object("controller", |c| {
+                    let n = &m.controller;
+                    for (name, counter) in [
+                        ("probe", n.probe),
+                        ("reramp", n.reramp),
+                        ("settle", n.settle),
+                        ("raise", n.raise),
+                        ("cut", n.cut),
+                        ("hold", n.hold),
+                        ("defer", n.defer),
+                        ("verified", n.verified),
+                        ("unverified", n.unverified),
+                    ] {
+                        c.uint(name, counter.get());
+                    }
+                })
+                .object("fft", |f| {
+                    f.uint("lookups", m.fft.lookups.get())
+                        .uint("hits", m.fft.hits.get())
+                        .uint("misses", m.fft.misses.get());
+                });
+            if let Some(wd) = &m.watchdog {
+                o.object("watchdog", |w| {
+                    w.uint("reprobes", wd.reprobes)
+                        .uint("starved", wd.starved)
+                        .num("recovery_granted", wd.recovery_granted)
+                        .uint("healthy", wd.healthy)
+                        .uint("recovering", wd.recovering)
+                        .uint("suspect", wd.suspect)
+                        .uint("dormant", wd.dormant);
+                });
             }
-            json::string_into(out, name);
-            out.push(':');
-            json::uint_into(out, counter.get());
-        }
-        out.push_str("},\"fft\":{\"lookups\":");
-        json::uint_into(out, snap.metrics.fft.lookups.get());
-        out.push_str(",\"hits\":");
-        json::uint_into(out, snap.metrics.fft.hits.get());
-        out.push_str(",\"misses\":");
-        json::uint_into(out, snap.metrics.fft.misses.get());
-        out.push('}');
-        if let Some(wd) = &snap.metrics.watchdog {
-            out.push_str(",\"watchdog\":{\"reprobes\":");
-            json::uint_into(out, wd.reprobes);
-            out.push_str(",\"starved\":");
-            json::uint_into(out, wd.starved);
-            out.push_str(",\"recovery_granted\":");
-            json::number_into(out, wd.recovery_granted);
-            out.push_str(",\"healthy\":");
-            json::uint_into(out, wd.healthy);
-            out.push_str(",\"recovering\":");
-            json::uint_into(out, wd.recovering);
-            out.push_str(",\"suspect\":");
-            json::uint_into(out, wd.suspect);
-            out.push_str(",\"dormant\":");
-            json::uint_into(out, wd.dormant);
-            out.push('}');
-        }
-        if let Some(dealt) = snap.dealt {
-            let a = &snap.metrics.applied;
-            out.push_str(",\"scenario\":{\"dealt\":{\"leaves\":");
-            json::uint_into(out, dealt.leaves as u64);
-            out.push_str(",\"joins\":");
-            json::uint_into(out, dealt.joins as u64);
-            out.push_str(",\"reboots\":");
-            json::uint_into(out, dealt.reboots as u64);
-            out.push_str(",\"absent_epochs\":");
-            json::uint_into(out, dealt.absent_epochs as u64);
-            out.push_str(",\"dropped_reports\":");
-            json::uint_into(out, dealt.dropped_reports as u64);
-            out.push_str(",\"duplicated_reports\":");
-            json::uint_into(out, dealt.duplicated_reports as u64);
-            out.push_str(",\"delayed_reports\":");
-            json::uint_into(out, dealt.delayed_reports as u64);
-            out.push_str(",\"dormant_epochs\":");
-            json::uint_into(out, dealt.dormant_epochs as u64);
-            out.push_str("},\"applied\":{\"absent_epochs\":");
-            json::uint_into(out, a.absent_epochs.get());
-            out.push_str(",\"reboot_steps\":");
-            json::uint_into(out, a.reboot_steps.get());
-            out.push_str(",\"dropped_reports\":");
-            json::uint_into(out, a.dropped_reports.get());
-            out.push_str(",\"delayed_reports\":");
-            json::uint_into(out, a.delayed_reports.get());
-            out.push_str(",\"duplicated_reports\":");
-            json::uint_into(out, a.duplicated_reports.get());
-            out.push_str(",\"dormant_epochs\":");
-            json::uint_into(out, a.dormant_epochs.get());
-            out.push_str("}}");
-        }
-        out.push_str(",\"grants\":{\"count\":");
-        json::uint_into(out, self.grants.count());
-        out.push_str(",\"sum\":");
-        json::number_into(out, self.grants.sum());
-        out.push_str(",\"min\":");
-        json::number_into(out, self.grants.min());
-        out.push_str(",\"max\":");
-        json::number_into(out, self.grants.max());
-        out.push_str(",\"p10\":");
-        json::number_into(out, self.grants.quantile(0.10));
-        out.push_str(",\"p50\":");
-        json::number_into(out, self.grants.quantile(0.50));
-        out.push_str(",\"p90\":");
-        json::number_into(out, self.grants.quantile(0.90));
-        out.push_str(",\"p99\":");
-        json::number_into(out, self.grants.quantile(0.99));
-        out.push_str("},\"journal\":{\"events\":");
-        json::uint_into(out, self.events_total);
-        out.push_str(",\"dropped\":");
-        json::uint_into(out, self.events_dropped);
-        out.push_str("}}");
+            if let Some(dealt) = snap.dealt {
+                let a = &m.applied;
+                o.object("scenario", |s| {
+                    s.object("dealt", |d| {
+                        d.uint("leaves", dealt.leaves as u64)
+                            .uint("joins", dealt.joins as u64)
+                            .uint("reboots", dealt.reboots as u64)
+                            .uint("absent_epochs", dealt.absent_epochs as u64)
+                            .uint("dropped_reports", dealt.dropped_reports as u64)
+                            .uint("duplicated_reports", dealt.duplicated_reports as u64)
+                            .uint("delayed_reports", dealt.delayed_reports as u64)
+                            .uint("dormant_epochs", dealt.dormant_epochs as u64);
+                    })
+                    .object("applied", |p| {
+                        p.uint("absent_epochs", a.absent_epochs.get())
+                            .uint("reboot_steps", a.reboot_steps.get())
+                            .uint("dropped_reports", a.dropped_reports.get())
+                            .uint("delayed_reports", a.delayed_reports.get())
+                            .uint("duplicated_reports", a.duplicated_reports.get())
+                            .uint("dormant_epochs", a.dormant_epochs.get());
+                    });
+                });
+            }
+            let g = &self.grants;
+            o.object("grants", |h| {
+                h.uint("count", g.count())
+                    .num("sum", g.sum())
+                    .num("min", g.min())
+                    .num("max", g.max())
+                    .num("p10", g.quantile(0.10))
+                    .num("p50", g.quantile(0.50))
+                    .num("p90", g.quantile(0.90))
+                    .num("p99", g.quantile(0.99));
+            })
+            .object("journal", |j| {
+                j.uint("events", self.events_total)
+                    .uint("dropped", self.events_dropped);
+            });
+        });
     }
 
     fn write_line(&mut self) {
@@ -719,8 +685,6 @@ mod tests {
             rec.record_grant(g);
         }
         let snap = EpochSnapshot {
-            policy: "waterfill",
-            budget: 40.0,
             devices: 28,
             account: &account(),
             metrics: &MetricsSummary::default(),
@@ -779,8 +743,6 @@ mod tests {
             dormant: 1,
         };
         let snap = EpochSnapshot {
-            policy: "uncapped",
-            budget: f64::INFINITY,
             devices: 28,
             account: &account(),
             metrics: &MetricsSummary {

@@ -43,6 +43,7 @@ pub use run::FleetRun;
 use std::time::Duration;
 use sweetspot_core::adaptive::AdaptiveConfig;
 use sweetspot_monitor::EpochLedger;
+use sweetspot_obs::json;
 use sweetspot_telemetry::{paper_scale_work, scaled_work, FleetConfig, MetricProfile};
 use sweetspot_timeseries::{Hertz, Seconds};
 
@@ -690,111 +691,99 @@ impl FleetFrontier {
         out
     }
 
-    /// Machine-readable rendering (see `report::json`), with an opt-in
-    /// per-device breakdown: `devices == true` adds a `"devices"` array to every frontier row
-    /// (index, metric kind, final requested rate, mean coverage, and the
-    /// deferred/missed epoch tallies, in fleet order). Off by default —
-    /// at 10⁵ devices the breakdown dwarfs the summary rows.
+    /// Machine-readable rendering, written by [`sweetspot_obs::json`], with
+    /// an opt-in per-device breakdown: `devices == true` adds a `"devices"`
+    /// array to every frontier row (index, metric kind, final requested
+    /// rate, mean coverage, and the deferred/missed epoch tallies, in fleet
+    /// order). Off by default — at 10⁵ devices the breakdown dwarfs the
+    /// summary rows.
     pub fn to_json_with(&self, devices: bool) -> String {
-        use crate::report::json::{JsonArray, JsonObject};
-        let mut rows = JsonArray::new();
-        for p in &self.points {
-            let o = &p.outcome;
-            let mut row = JsonObject::new();
-            row.field_str("policy", o.policy.name());
-            match p.fraction {
-                Some(f) => row.field_num("budget_fraction", f),
-                None => row.field_null("budget_fraction"),
-            };
-            row.field_num("budget_per_epoch", o.budget_per_epoch);
-            row.field_num("spent_per_epoch", o.ledger.mean_spent_per_epoch());
-            row.field_num("total_spent", o.total_spent());
-            row.field_num("total_samples", o.ledger.total_samples() as f64);
-            row.field_num("mean_coverage", o.quality.mean_coverage);
-            row.field_num("p10_coverage", o.quality.p10_coverage);
-            row.field_num("covered_fraction", o.quality.covered_fraction);
-            row.field_num("starved_fraction", o.quality.starved_fraction);
-            row.field_num(
-                "throttled_fraction",
-                o.ledger.throttled_fraction(o.devices),
-            );
-            row.field_num("coverage_per_kilocost", o.coverage_per_kilocost());
-            if let Some(sc) = &o.scenario {
-                match sc.baseline_coverage {
-                    Some(b) => row.field_num("baseline_coverage", b),
-                    None => row.field_null("baseline_coverage"),
-                };
-                match sc.ttr_p50 {
-                    Some(v) => row.field_num("ttr_p50_epochs", v),
-                    None => row.field_null("ttr_p50_epochs"),
-                };
-                match sc.ttr_p95 {
-                    Some(v) => row.field_num("ttr_p95_epochs", v),
-                    None => row.field_null("ttr_p95_epochs"),
-                };
-                row.field_num("recovered_devices", sc.recovered_devices as f64);
-                row.field_num("unrecovered_devices", sc.unrecovered_devices as f64);
-                row.field_num("deadlocked_devices", sc.deadlocked as f64);
+        let mut out = String::new();
+        json::object(&mut out, |root| {
+            root.uint("devices", self.devices as u64)
+                .uint("epochs", self.epochs as u64)
+                .num("window_seconds", self.window.value())
+                .uint("seed", self.seed)
+                // 0 means "no uncapped baseline ran": unknown, not literally zero.
+                .opt_num(
+                    "steady_demand_per_epoch",
+                    (self.steady_demand > 0.0).then_some(self.steady_demand),
+                );
+            if let Some(stats) = self.points.iter().find_map(|p| p.outcome.scenario.as_ref()) {
+                root.object("scenario", |sc| scenario_json(sc, stats));
             }
-            if let Some(wd) = &o.metrics.watchdog {
-                row.field_num("reprobes", wd.reprobes as f64);
-                row.field_num("reprobes_starved", wd.starved as f64);
-                row.field_num("recovery_granted", wd.recovery_granted);
-            }
-            if devices {
-                let mut per_device = JsonArray::new();
-                for d in &o.device_quality {
-                    let mut rec = JsonObject::new();
-                    rec.field_num("index", d.index as f64);
-                    rec.field_str("metric", d.kind.name());
-                    rec.field_num("final_rate_hz", d.final_rate);
-                    rec.field_num("mean_coverage", d.mean_coverage);
-                    rec.field_num("deferred_epochs", d.deferred_epochs as f64);
-                    rec.field_num("missed_epochs", d.missed_epochs as f64);
-                    per_device.push_raw(&rec.finish());
+            root.array("frontier", |rows| {
+                for p in &self.points {
+                    rows.object(|row| frontier_row_json(row, p, devices));
                 }
-                row.field_raw("devices", &per_device.finish());
+            });
+        });
+        out
+    }
+}
+
+/// The `scenario` object of [`FleetFrontier::to_json_with`].
+fn scenario_json(sc: &mut json::Object<'_>, stats: &ScenarioStats) {
+    let c = stats.counters;
+    sc.str("label", &stats.label)
+        .uint("seed", stats.seed)
+        .uint("leaves", c.leaves as u64)
+        .uint("joins", c.joins as u64)
+        .uint("reboots", c.reboots as u64)
+        .uint("absent_device_epochs", c.absent_epochs as u64)
+        .uint("dormant_device_epochs", c.dormant_epochs as u64)
+        .uint("dropped_reports", c.dropped_reports as u64)
+        .uint("duplicated_reports", c.duplicated_reports as u64)
+        .uint("delayed_reports", c.delayed_reports as u64);
+    match &stats.incident {
+        Some(inc) => sc
+            .uint("incident_start_epoch", inc.start as u64)
+            .uint("incident_end_epoch", inc.end as u64),
+        None => sc.null("incident_start_epoch").null("incident_end_epoch"),
+    };
+}
+
+/// One row of the `frontier` array of [`FleetFrontier::to_json_with`].
+fn frontier_row_json(row: &mut json::Object<'_>, p: &FrontierPoint, devices: bool) {
+    let o = &p.outcome;
+    row.str("policy", o.policy.name())
+        .opt_num("budget_fraction", p.fraction)
+        .num("budget_per_epoch", o.budget_per_epoch)
+        .num("spent_per_epoch", o.ledger.mean_spent_per_epoch())
+        .num("total_spent", o.total_spent())
+        .uint("total_samples", o.ledger.total_samples() as u64)
+        .num("mean_coverage", o.quality.mean_coverage)
+        .num("p10_coverage", o.quality.p10_coverage)
+        .num("covered_fraction", o.quality.covered_fraction)
+        .num("starved_fraction", o.quality.starved_fraction)
+        .num("throttled_fraction", o.ledger.throttled_fraction(o.devices))
+        .num("coverage_per_kilocost", o.coverage_per_kilocost());
+    if let Some(sc) = &o.scenario {
+        row.opt_num("baseline_coverage", sc.baseline_coverage)
+            .opt_num("ttr_p50_epochs", sc.ttr_p50)
+            .opt_num("ttr_p95_epochs", sc.ttr_p95)
+            .uint("recovered_devices", sc.recovered_devices as u64)
+            .uint("unrecovered_devices", sc.unrecovered_devices as u64)
+            .uint("deadlocked_devices", sc.deadlocked as u64);
+    }
+    if let Some(wd) = &o.metrics.watchdog {
+        row.uint("reprobes", wd.reprobes)
+            .uint("reprobes_starved", wd.starved)
+            .num("recovery_granted", wd.recovery_granted);
+    }
+    if devices {
+        row.array("devices", |per_device| {
+            for d in &o.device_quality {
+                per_device.object(|rec| {
+                    rec.uint("index", d.index as u64)
+                        .str("metric", d.kind.name())
+                        .num("final_rate_hz", d.final_rate)
+                        .num("mean_coverage", d.mean_coverage)
+                        .uint("deferred_epochs", d.deferred_epochs as u64)
+                        .uint("missed_epochs", d.missed_epochs as u64);
+                });
             }
-            rows.push_raw(&row.finish());
-        }
-        let mut root = JsonObject::new();
-        root.field_num("devices", self.devices as f64);
-        root.field_num("epochs", self.epochs as f64);
-        root.field_num("window_seconds", self.window.value());
-        root.field_num("seed", self.seed as f64);
-        // 0 means "no uncapped baseline ran": unknown, not literally zero.
-        if self.steady_demand > 0.0 {
-            root.field_num("steady_demand_per_epoch", self.steady_demand);
-        } else {
-            root.field_null("steady_demand_per_epoch");
-        }
-        if let Some(stats) = self.points.iter().find_map(|p| p.outcome.scenario.as_ref()) {
-            let c = stats.counters;
-            let mut sc = JsonObject::new();
-            sc.field_str("label", &stats.label);
-            sc.field_num("seed", stats.seed as f64);
-            sc.field_num("leaves", c.leaves as f64);
-            sc.field_num("joins", c.joins as f64);
-            sc.field_num("reboots", c.reboots as f64);
-            sc.field_num("absent_device_epochs", c.absent_epochs as f64);
-            sc.field_num("dormant_device_epochs", c.dormant_epochs as f64);
-            sc.field_num("dropped_reports", c.dropped_reports as f64);
-            sc.field_num("duplicated_reports", c.duplicated_reports as f64);
-            sc.field_num("delayed_reports", c.delayed_reports as f64);
-            match &stats.incident {
-                Some(inc) => {
-                    sc.field_num("incident_start_epoch", inc.start as f64);
-                    sc.field_num("incident_end_epoch", inc.end as f64);
-                }
-                None => {
-                    sc.field_null("incident_start_epoch");
-                    sc.field_null("incident_end_epoch");
-                }
-            }
-            root.field_raw("scenario", &sc.finish());
-        }
-        root.field_raw("frontier", &rows.finish());
-        root.finish()
+        });
     }
 }
 

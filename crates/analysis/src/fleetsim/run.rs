@@ -459,8 +459,6 @@ impl<'r> FleetRun<'r> {
         self.metrics.fft = fft_handle_totals(&self.shards);
         self.metrics.watchdog = self.watchdog.as_ref().map(|wd| wd.counters);
         rec.emit_epoch(&EpochSnapshot {
-            policy: self.sched.policy.name(),
-            budget: self.budget,
             devices: self.tallies.len(),
             account: self.ledger.accounts().last().expect("epoch just recorded"),
             metrics: &self.metrics,

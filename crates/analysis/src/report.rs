@@ -3,6 +3,8 @@
 //! The harness reproduces every figure as text: horizontal bar charts
 //! (Figure 1), CDF tables (Figure 4), box-plot tables (Figure 5) and generic
 //! aligned tables. No plotting dependencies; output is stable and diffable.
+//! Machine-readable output is not rendered here: every `--json` and
+//! `--metrics-out` byte is written by [`sweetspot_obs::json`].
 
 use sweetspot_dsp::stats::{Cdf, FiveNumber};
 
@@ -132,136 +134,9 @@ pub fn boxplot_table(title: &str, rows: &[(String, FiveNumber)]) -> String {
     out
 }
 
-/// A small push-style JSON writer.
-///
-/// The vendored `serde` is a no-op stub (its derives generate nothing), so
-/// machine-readable output is built with these two builders instead. Scope
-/// is deliberately tiny: objects, arrays, strings, finite numbers, booleans
-/// and null — exactly what `--json` output needs. Strings and numbers are
-/// written by the [`sweetspot_obs::json`] primitives, the same ones the
-/// metrics stream uses: numbers in Rust's shortest-roundtrip `{}` form,
-/// non-finite numbers as `null` (JSON has no `inf`/`nan`).
-pub mod json {
-    use sweetspot_obs::json::{number_into, string_into};
-
-    /// Builds one JSON object, field by field.
-    #[derive(Debug, Default)]
-    pub struct JsonObject {
-        body: String,
-    }
-
-    impl JsonObject {
-        /// Empty object.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Starts a field (separator, quoted key, colon) and returns the
-        /// buffer its value is appended to.
-        fn key(&mut self, key: &str) -> &mut String {
-            if !self.body.is_empty() {
-                self.body.push(',');
-            }
-            string_into(&mut self.body, key);
-            self.body.push(':');
-            &mut self.body
-        }
-
-        /// Adds a string field.
-        pub fn field_str(&mut self, key: &str, value: &str) -> &mut Self {
-            string_into(self.key(key), value);
-            self
-        }
-
-        /// Adds a numeric field (`null` when not finite).
-        pub fn field_num(&mut self, key: &str, value: f64) -> &mut Self {
-            number_into(self.key(key), value);
-            self
-        }
-
-        /// Adds an explicit `null` field.
-        pub fn field_null(&mut self, key: &str) -> &mut Self {
-            self.key(key).push_str("null");
-            self
-        }
-
-        /// Adds a pre-serialized JSON value (nested object or array).
-        pub fn field_raw(&mut self, key: &str, raw: &str) -> &mut Self {
-            self.key(key).push_str(raw);
-            self
-        }
-
-        /// Serializes the object.
-        pub fn finish(&self) -> String {
-            format!("{{{}}}", self.body)
-        }
-    }
-
-    /// Builds one JSON array, element by element.
-    #[derive(Debug, Default)]
-    pub struct JsonArray {
-        body: String,
-    }
-
-    impl JsonArray {
-        /// Empty array.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Starts an element and returns the buffer it is appended to.
-        fn next(&mut self) -> &mut String {
-            if !self.body.is_empty() {
-                self.body.push(',');
-            }
-            &mut self.body
-        }
-
-        /// Appends a string element.
-        pub fn push_str(&mut self, value: &str) -> &mut Self {
-            string_into(self.next(), value);
-            self
-        }
-
-        /// Appends a numeric element (`null` when not finite).
-        pub fn push_num(&mut self, value: f64) -> &mut Self {
-            number_into(self.next(), value);
-            self
-        }
-
-        /// Appends a pre-serialized JSON value.
-        pub fn push_raw(&mut self, raw: &str) -> &mut Self {
-            self.next().push_str(raw);
-            self
-        }
-
-        /// Serializes the array.
-        pub fn finish(&self) -> String {
-            format!("[{}]", self.body)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_object_builds_all_field_kinds() {
-        let mut inner = json::JsonArray::new();
-        inner.push_num(1.0).push_num(2.5).push_str("x");
-        let mut obj = json::JsonObject::new();
-        obj.field_str("name", "fleet \"a\"\n")
-            .field_num("count", 3.0)
-            .field_num("bad", f64::INFINITY)
-            .field_null("none")
-            .field_raw("items", &inner.finish());
-        assert_eq!(
-            obj.finish(),
-            "{\"name\":\"fleet \\\"a\\\"\\n\",\"count\":3,\"bad\":null,\
-             \"none\":null,\"items\":[1,2.5,\"x\"]}"
-        );
-    }
 
     #[test]
     fn bar_chart_renders_all_rows() {

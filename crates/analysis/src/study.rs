@@ -150,19 +150,17 @@ impl WorkerScratch {
     }
 }
 
-/// The results of one worker's contiguous slice of the index space, tagged
-/// with where the slice starts so merging can restore global order.
+/// The results of one worker's contiguous slice of the index space.
 #[derive(Debug)]
 struct Shard {
-    start_index: usize,
     pairs: Vec<PairResult>,
     timings: PhaseTimings,
 }
 
-/// Merges per-worker shards back into a single in-order result list plus
-/// the summed phase timings.
-fn merge_shards(mut shards: Vec<Shard>, expected: usize) -> (Vec<PairResult>, PhaseTimings) {
-    shards.sort_by_key(|s| s.start_index);
+/// Merges per-worker shards, which [`crate::shard::fan_out`] returns in
+/// shard order, into a single in-order result list plus the summed phase
+/// timings.
+fn merge_shards(shards: Vec<Shard>, expected: usize) -> (Vec<PairResult>, PhaseTimings) {
     let mut timings = PhaseTimings::default();
     for s in &shards {
         timings.merge(s.timings);
@@ -252,12 +250,8 @@ impl FleetStudy {
         let threads = cfg.resolve_threads(total);
         let shards = crate::shard::fan_out(shard_spans(total, threads), |span| {
             let mut scratch = WorkerScratch::new(cfg.estimator);
-            let pairs = process(span.clone(), &mut scratch);
-            Shard {
-                start_index: span.start,
-                pairs,
-                timings: scratch.timings,
-            }
+            let pairs = process(span, &mut scratch);
+            Shard { pairs, timings: scratch.timings }
         });
         let (pairs, timing) = merge_shards(shards, total);
         FleetStudy { pairs, timing }

@@ -184,8 +184,6 @@ impl Fleet {
                     throttled_devices: 0,
                 };
                 let snap = EpochSnapshot {
-                    policy: "waterfill",
-                    budget: self.capacity,
                     devices: self.members.len(),
                     account: &account,
                     metrics: &summary,

@@ -31,8 +31,9 @@
 //!   when full the oldest event is overwritten and a drop counter keeps the
 //!   loss visible.
 //!
-//! [`json`] holds the escape/format helpers snapshot writers use to emit
-//! JSON into a *reused* `String` (no per-line allocation).
+//! [`json`] is the workspace's one JSON writer: every machine-readable
+//! output is appended through it into a *reused* `String` (no per-line
+//! allocation).
 
 pub mod json;
 

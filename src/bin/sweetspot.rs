@@ -78,10 +78,10 @@ use sweetspot::analysis::experiments::{fig1, headline};
 use sweetspot::analysis::fleetsim::{
     self, scenario::ScenarioSpec, scheduler::SchedulerPolicy, FleetSimConfig,
 };
-use sweetspot::analysis::report::json::{JsonArray, JsonObject};
 use sweetspot::analysis::study::{FleetStudy, StudyConfig};
 use sweetspot::core::recommend::{recommend, Action, RecommendConfig};
 use sweetspot::core::tracker::{summarize, track, TrackerConfig};
+use sweetspot::obs::json;
 use sweetspot::prelude::*;
 use sweetspot::timeseries::clean::{clean, CleanConfig};
 use sweetspot::timeseries::ingest;
@@ -407,32 +407,30 @@ fn study_json(study: &FleetStudy) -> String {
     let f1 = fig1::from_study(study);
     let h = headline::from_study(study);
     let s = &h.summary;
-    let mut per_metric = JsonArray::new();
-    for (kind, fraction) in &f1.rows {
-        let mut row = JsonObject::new();
-        row.field_str("metric", kind.name());
-        row.field_num("oversampled_fraction", *fraction);
-        per_metric.push_raw(&row.finish());
-    }
-    let mut root = JsonObject::new();
-    root.field_num("pairs", s.pairs as f64);
-    root.field_num("oversampled_fraction", s.oversampled_fraction);
-    root.field_num("undersampled_fraction", s.undersampled_fraction);
-    root.field_num("reducible_10x", s.reducible_10x);
-    root.field_num("reducible_100x", s.reducible_100x);
-    root.field_num("reducible_1000x", s.reducible_1000x);
-    match h.temperature_range {
-        Some((lo, hi)) => {
-            let mut range = JsonArray::new();
-            range.push_num(lo).push_num(hi);
-            root.field_raw("temperature_nyquist_range_hz", &range.finish());
-        }
-        None => {
-            root.field_null("temperature_nyquist_range_hz");
-        }
-    }
-    root.field_raw("per_metric", &per_metric.finish());
-    root.finish()
+    let mut out = String::new();
+    json::object(&mut out, |root| {
+        root.uint("pairs", s.pairs as u64)
+            .num("oversampled_fraction", s.oversampled_fraction)
+            .num("undersampled_fraction", s.undersampled_fraction)
+            .num("reducible_10x", s.reducible_10x)
+            .num("reducible_100x", s.reducible_100x)
+            .num("reducible_1000x", s.reducible_1000x);
+        match h.temperature_range {
+            Some((lo, hi)) => root.array("temperature_nyquist_range_hz", |range| {
+                range.num(lo).num(hi);
+            }),
+            None => root.null("temperature_nyquist_range_hz"),
+        };
+        root.array("per_metric", |rows| {
+            for (kind, fraction) in &f1.rows {
+                rows.object(|row| {
+                    row.str("metric", kind.name())
+                        .num("oversampled_fraction", *fraction);
+                });
+            }
+        });
+    });
+    out
 }
 
 fn cmd_fleetsim(args: &[String]) -> Result<(), String> {

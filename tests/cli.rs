@@ -403,6 +403,23 @@ fn fleetsim_single_point_policy_and_json() {
 }
 
 #[test]
+fn fleetsim_json_writes_seeds_exactly() {
+    // Both seeds lie beyond f64's 2^53 integer range, where a seed written
+    // through a float would come back as a different (or no) u64.
+    let stdout = stdout_at(
+        "fleetsim --devices 14 --days 2 --budget 30000 --policy fair \
+         --seed 18446744073709551615 --scenario churn --scenario-seed 9007199254740993 --json",
+        "1",
+    );
+    let stdout = String::from_utf8(stdout).unwrap();
+    assert!(stdout.contains("\"seed\":18446744073709551615,"), "{stdout}");
+    assert!(
+        stdout.contains("\"scenario\":{\"label\":\"churn\",\"seed\":9007199254740993,"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn fleetsim_rejects_zero_devices() {
     let out = bin()
         .args(["fleetsim", "--devices", "0", "--days", "1"])
