@@ -33,6 +33,18 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    // A fleet poll is a few hundred samples, so the bank's per-chunk
+    // re-seed and per-group set-up show here and not at 2880.
+    let poll = Seconds::from_hours(3.0);
+    c.bench_function("synth/ground_truth_tonebank_360", |b| {
+        let mut bank = ToneBank::new();
+        let mut out = Vec::new();
+        b.iter(|| {
+            trace.model().sample_into(&mut bank, Seconds::ZERO, rate, poll, &mut out);
+            black_box(out.last().copied())
+        })
+    });
+
     // Full measured chain: direct-sampled truth + per-trace buffer churn…
     c.bench_function("synth/measured_direct_2880", |b| {
         let imp = *trace.impairments();

@@ -153,6 +153,9 @@ pub struct NyquistEstimator {
 }
 
 impl NyquistEstimator {
+    /// Fewest samples with spectral content to threshold.
+    pub const MIN_SAMPLES: usize = 4;
+
     /// Creates an estimator with the given configuration.
     ///
     /// # Panics
@@ -205,8 +208,8 @@ impl NyquistEstimator {
     /// [`NyquistEstimator::estimate_spectrum`].
     ///
     /// # Panics
-    /// Panics if `samples` has fewer than 4 points (no spectral content to
-    /// threshold) or `sample_rate` is not positive.
+    /// Panics if `samples` has fewer than [`NyquistEstimator::MIN_SAMPLES`]
+    /// points or `sample_rate` is not positive.
     pub fn estimate_samples(
         &mut self,
         scratch: &mut EstimatorScratch,
@@ -214,8 +217,9 @@ impl NyquistEstimator {
         sample_rate: Hertz,
     ) -> NyquistEstimate {
         assert!(
-            samples.len() >= 4,
-            "need at least 4 samples to estimate a spectrum, got {}",
+            samples.len() >= Self::MIN_SAMPLES,
+            "need at least {} samples to estimate a spectrum, got {}",
+            Self::MIN_SAMPLES,
             samples.len()
         );
         assert!(sample_rate.value() > 0.0, "sample_rate must be positive");

@@ -56,13 +56,13 @@ pub struct TrackedPoint {
 
 /// Runs the §3.2 estimator over every moving window of `series`.
 ///
-/// Windows too short for the estimator (< 4 samples) are skipped.
+/// Windows shorter than [`NyquistEstimator::MIN_SAMPLES`] are skipped.
 pub fn track(series: &RegularSeries, cfg: TrackerConfig) -> Vec<TrackedPoint> {
     let mut estimator = NyquistEstimator::new(cfg.estimator);
     let mut scratch = EstimatorScratch::new();
     let rate = series.sample_rate();
     moving_windows(series, cfg.window, cfg.step)
-        .filter(|w| w.values.len() >= 4)
+        .filter(|w| w.values.len() >= NyquistEstimator::MIN_SAMPLES)
         .map(|w| TrackedPoint {
             window_start: w.start,
             estimate: estimator.estimate_samples(&mut scratch, w.values, rate),

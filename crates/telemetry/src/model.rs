@@ -43,7 +43,8 @@ impl Tone {
 /// phasor's magnitude and its phase) to `O(RENORM_INTERVAL · ε)` — around
 /// 1e-13 of the tone amplitude — instead of letting it accumulate over a
 /// whole trace. `proptests.rs` pins the agreement with [`Tone::value_at`]
-/// to 1e-9 over day-length traces.
+/// to 1e-9 over day-length traces, and [`ToneBank::accumulate`] bit for bit
+/// to the plain sample-major sum it replaced.
 ///
 /// The bank's parameter buffers are reused across [`ToneBank::load`] calls,
 /// so synthesizing trace after trace with one bank performs no steady-state
@@ -56,10 +57,8 @@ pub struct ToneBank {
     /// Per-tone step rotation `(cos Δθ, sin Δθ)`.
     rot_cos: Vec<f64>,
     rot_sin: Vec<f64>,
-    /// Per-tone phasor state, advanced sample by sample. Keeping the state
-    /// in arrays and iterating sample-major gives every tone an independent
-    /// dependency chain, so the recurrence pipelines/vectorizes instead of
-    /// serializing on one phasor's multiply latency.
+    /// Per-tone phasor `(sin, cos)` at the current chunk's first sample,
+    /// written by each exact re-seed.
     cur_cos: Vec<f64>,
     cur_sin: Vec<f64>,
 }
@@ -112,35 +111,58 @@ impl ToneBank {
     }
 
     /// Adds every loaded tone's contribution at grid point `k` to `out[k]`.
+    ///
+    /// Each re-seed chunk keeps one stack accumulator per sample. The tones
+    /// are stepped eight at a time across the whole chunk, and each step
+    /// adds the group's `amp·sin` terms to that sample's accumulator in tone
+    /// order, so the eight recurrences and the chunk's sums all overlap
+    /// instead of every product waiting on one running sum. The result is
+    /// bit-identical to summing all tones sample by sample: each phasor runs
+    /// the same recurrence from the same re-seed, each sample's sum starts
+    /// at `0.0` and adds the same products in the same order, and Rust
+    /// never fuses `a * b + c` into one rounding.
     pub fn accumulate(&mut self, out: &mut [f64]) {
+        // Enough independent recurrences to fill the pipeline, few enough
+        // that their state stays in registers.
+        const GROUP: usize = 8;
         let tones = self.amp.len();
-        // Equal-length slice bindings so the inner loop's bounds checks
-        // hoist and the recurrence auto-vectorizes across tones.
-        let amp = &self.amp[..tones];
-        let rot_cos = &self.rot_cos[..tones];
-        let rot_sin = &self.rot_sin[..tones];
-        let cur_sin = &mut self.cur_sin[..tones];
-        let cur_cos = &mut self.cur_cos[..tones];
-        let mut k = 0;
-        while k < out.len() {
-            let chunk_end = (k + Self::RENORM_INTERVAL).min(out.len());
+        let mut acc = [0.0; Self::RENORM_INTERVAL];
+        for (idx, chunk) in out.chunks_mut(Self::RENORM_INTERVAL).enumerate() {
+            let k = (idx * Self::RENORM_INTERVAL) as f64;
             // Exact re-seed of every phasor: drift cannot outlive one chunk.
             for i in 0..tones {
-                let (s, c) = (self.theta0[i] + k as f64 * self.dtheta[i]).sin_cos();
-                cur_sin[i] = s;
-                cur_cos[i] = c;
+                let (s, c) = (self.theta0[i] + k * self.dtheta[i]).sin_cos();
+                self.cur_sin[i] = s;
+                self.cur_cos[i] = c;
             }
-            for v in &mut out[k..chunk_end] {
-                let mut acc = 0.0;
-                for i in 0..tones {
-                    let (s, c) = (cur_sin[i], cur_cos[i]);
-                    acc += amp[i] * s;
-                    cur_sin[i] = s * rot_cos[i] + c * rot_sin[i];
-                    cur_cos[i] = c * rot_cos[i] - s * rot_sin[i];
+            let acc = &mut acc[..chunk.len()];
+            acc.fill(0.0);
+            for g in (0..tones).step_by(GROUP) {
+                // A short last group pads with silent, unrotated phasors.
+                // Their `+0.0` terms change no sum: a sum that starts at
+                // `+0.0` is never `-0.0` under round-to-nearest.
+                let (mut amp, mut rot_cos, mut rot_sin) =
+                    ([0.0; GROUP], [1.0; GROUP], [0.0; GROUP]);
+                let (mut sin, mut cos) = ([0.0; GROUP], [1.0; GROUP]);
+                for (j, i) in (g..tones.min(g + GROUP)).enumerate() {
+                    (amp[j], rot_cos[j], rot_sin[j]) =
+                        (self.amp[i], self.rot_cos[i], self.rot_sin[i]);
+                    (sin[j], cos[j]) = (self.cur_sin[i], self.cur_cos[i]);
                 }
-                *v += acc;
+                for v in acc.iter_mut() {
+                    let mut sum = *v;
+                    for j in 0..GROUP {
+                        let (s, c) = (sin[j], cos[j]);
+                        sum += amp[j] * s;
+                        sin[j] = s * rot_cos[j] + c * rot_sin[j];
+                        cos[j] = c * rot_cos[j] - s * rot_sin[j];
+                    }
+                    *v = sum;
+                }
             }
-            k = chunk_end;
+            for (v, a) in chunk.iter_mut().zip(acc.iter()) {
+                *v += a;
+            }
         }
     }
 }

@@ -3,10 +3,57 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sweetspot_telemetry::model::{SignalModel, ToneBank};
+use std::f64::consts::PI;
+use sweetspot_telemetry::model::{SignalModel, Tone, ToneBank};
 use sweetspot_telemetry::noise::Impairments;
 use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile};
 use sweetspot_timeseries::{Hertz, Seconds};
+
+/// The sample-major oscillator-bank kernel that `ToneBank::accumulate`
+/// replaced, kept verbatim as the bit-exact reference: one running sum per
+/// sample, over the tones in order, with the bank's exact re-seed cadence
+/// and phasor recurrence. The parameters are set up the way
+/// `ToneBank::load` sets them up.
+fn sample_major_reference(tones: &[Tone], start: Seconds, interval: Seconds, out: &mut [f64]) {
+    let n = tones.len();
+    let mut amp = Vec::with_capacity(n);
+    let mut theta0 = Vec::with_capacity(n);
+    let mut dtheta = Vec::with_capacity(n);
+    let mut rot_cos = Vec::with_capacity(n);
+    let mut rot_sin = Vec::with_capacity(n);
+    for tone in tones {
+        let w = 2.0 * PI * tone.freq;
+        amp.push(tone.amp);
+        theta0.push(w * start.value() + tone.phase);
+        let d = w * interval.value();
+        dtheta.push(d);
+        let (s, c) = d.sin_cos();
+        rot_cos.push(c);
+        rot_sin.push(s);
+    }
+    let mut cur_sin = vec![0.0; n];
+    let mut cur_cos = vec![0.0; n];
+    let mut k = 0;
+    while k < out.len() {
+        let chunk_end = (k + ToneBank::RENORM_INTERVAL).min(out.len());
+        for i in 0..n {
+            let (s, c) = (theta0[i] + k as f64 * dtheta[i]).sin_cos();
+            cur_sin[i] = s;
+            cur_cos[i] = c;
+        }
+        for v in &mut out[k..chunk_end] {
+            let mut acc = 0.0;
+            for i in 0..n {
+                let (s, c) = (cur_sin[i], cur_cos[i]);
+                acc += amp[i] * s;
+                cur_sin[i] = s * rot_cos[i] + c * rot_sin[i];
+                cur_cos[i] = c * rot_cos[i] - s * rot_sin[i];
+            }
+            *v += acc;
+        }
+        k = chunk_end;
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -156,6 +203,44 @@ proptest! {
             prop_assert!(
                 trace.values().iter().all(|&v| v == first),
                 "quiet device must be constant after quantization"
+            );
+        }
+    }
+}
+
+proptest! {
+    // Cheap cases (at most 40 tones × 1100 samples): run many, so every
+    // group-width remainder and chunk boundary shows up.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `ToneBank::accumulate` must reproduce the sample-major reference
+    /// bit for bit: tone counts that are not a multiple of the group width,
+    /// grids that end mid-chunk and cross several re-seeds, and a non-zero
+    /// `out` to add onto.
+    #[test]
+    fn oscillator_bank_is_bit_identical_to_the_sample_major_kernel(
+        tones in prop::collection::vec((1e-6f64..5e-2, 0f64..50.0, 0f64..2.0 * PI), 1..41),
+        len in 0usize..1101,
+        (start, interval) in (0f64..1e6, 1f64..600.0),
+        (base, slope) in (-100f64..100.0, -1f64..1.0),
+    ) {
+        let tones: Vec<Tone> = tones
+            .into_iter()
+            .map(|(freq, amp, phase)| Tone { freq, amp, phase })
+            .collect();
+        let (start, interval) = (Seconds(start), Seconds(interval));
+        let initial: Vec<f64> = (0..len).map(|k| base + slope * k as f64).collect();
+        let mut expected = initial.clone();
+        sample_major_reference(&tones, start, interval, &mut expected);
+        let mut bank = ToneBank::new();
+        bank.load(&tones, start, interval);
+        let mut got = initial;
+        bank.accumulate(&mut got);
+        for (k, (g, e)) in got.iter().zip(&expected).enumerate() {
+            prop_assert!(
+                g.to_bits() == e.to_bits(),
+                "{} tones, {len} samples: slot {k} is {g:e}, reference {e:e}",
+                tones.len()
             );
         }
     }

@@ -236,14 +236,25 @@ fn load_trace(path: &str, interval: Option<f64>) -> Result<RegularSeries, String
     if raw.len() < 8 {
         return Err(format!("{path}: only {} usable samples", raw.len()));
     }
-    clean(
+    let series = clean(
         &raw,
         CleanConfig {
             interval: interval.map(Seconds),
             outlier_mads: Some(8.0),
         },
     )
-    .map_err(|e| format!("{path}: {e}"))
+    .map_err(|e| format!("{path}: {e}"))?;
+    // The estimator needs `MIN_SAMPLES`: a coarse `--interval` or a trace
+    // of mostly NaN rows can re-grid to fewer.
+    let n = series.len();
+    match interval {
+        _ if n >= NyquistEstimator::MIN_SAMPLES => Ok(series),
+        Some(s) => Err(format!(
+            "{path}: --interval {s} leaves {n} samples, the estimator needs at least {}",
+            NyquistEstimator::MIN_SAMPLES
+        )),
+        None => Err(format!("{path}: too few valid samples to analyze ({n} after cleaning)")),
+    }
 }
 
 fn cmd_analyze(args: &[String]) -> Result<(), String> {

@@ -94,6 +94,9 @@ fn analyze_and_track_reject_out_of_range_flags_cleanly() {
         ("track", "--window", "nan"),
         ("track", "--step", "0"),
         ("track", "--step", "-5"),
+        // Re-grids the day-long trace to 3 and 2 samples: too few to estimate.
+        ("analyze", "--interval", "43200"),
+        ("analyze", "--interval", "86400"),
     ];
     for (cmd, flag, value) in cases {
         let out = bin().arg(cmd).arg(&path).args([flag, value]).output().unwrap();
@@ -602,6 +605,24 @@ fn analyze_reports_diagnostic_for_all_nan_trace() {
         "want a cleaning diagnostic, got: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn analyze_reports_diagnostic_for_mostly_nan_trace() {
+    // Two valid rows among NaNs clean to fewer samples than the estimator
+    // needs: a diagnostic, not a panic.
+    let mut csv = String::from("time_seconds,value\n0,1\n30,2\n");
+    for i in 2..8 {
+        csv.push_str(&format!("{},nan\n", i * 30));
+    }
+    let path = write_temp("mostly-nan", &csv);
+    let out = bin().arg("analyze").arg(&path).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("too few valid samples"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty());
     std::fs::remove_file(path).ok();
 }
 
