@@ -823,3 +823,59 @@ fn analyze_on_messy_csv_matches_golden_fixture() {
         String::from_utf8_lossy(&analyze)
     );
 }
+
+/// A 90-day minutely trace the size of the benchmark's `analyze` input
+/// (129 600 rows before faults): three tones, the highest at 2 mHz, plus
+/// small pseudo-random noise, dropped rows, `nan` rows and one spike the
+/// outlier filter removes. Every value comes from integer arithmetic and
+/// `sin`, so the file is the same on every run.
+fn ninety_day_csv() -> String {
+    let tones = [(0.002, 1.0, 0.3), (0.0011, 1.5, 1.1), (0.0004, 0.7, 2.0)];
+    let samples = 90 * 1440;
+    let mut csv = String::with_capacity(samples * 20);
+    csv.push_str("time_seconds,value\n");
+    let mut state: u64 = 0x9E37_79B9_7F4A_7C15;
+    for i in 0..samples {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let interior = i > 0 && i < samples - 1;
+        let t = 60 * i;
+        if interior && i % 397 == 5 {
+            continue; // lost row
+        }
+        if interior && i % 541 == 17 {
+            csv.push_str(&format!("{t},nan\n"));
+            continue;
+        }
+        let tf = t as f64;
+        let mut v: f64 = 50.0
+            + tones
+                .iter()
+                .map(|&(f, a, p)| a * (2.0 * std::f64::consts::PI * f * tf + p).sin())
+                .sum::<f64>();
+        v += 0.02 * ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5);
+        if i == 64_000 {
+            v += 100.0;
+        }
+        csv.push_str(&format!("{t},{v:.5}\n"));
+    }
+    csv
+}
+
+// Pins `analyze` at the benchmark's trace shape: 129 600 samples, a
+// mixed-radix real transform over 64 800 points and a Hann table of the
+// full length, all built afresh by the process. Written before the FFT and
+// window tables were built from two-level root tables.
+
+#[test]
+fn analyze_on_ninety_day_trace_matches_golden_fixture() {
+    let path = write_temp("golden-90d", &ninety_day_csv());
+    let analyze = stdout_of("analyze", &path);
+    std::fs::remove_file(path).ok();
+    assert!(
+        analyze == golden("analyze_90d.txt"),
+        "analyze diverged:\n{}",
+        String::from_utf8_lossy(&analyze)
+    );
+}
