@@ -588,12 +588,13 @@ pub fn timing_report(
         fft_bytes.set(m.fft_table_bytes as f64);
         out.push_str(&format!(
             "memory: members {:.1} MB ({:.0} B/device) | worker scratch {:.1} MB \
-             | fft tables {:.1} MB over {} shard(s)\n",
+             | fft tables {:.1} MB over {} shard(s), built in {:.3}s\n",
             member_bytes.get() / 1e6,
             m.bytes_per_member(point.outcome.devices),
             scratch_bytes.get() / 1e6,
             fft_bytes.get() / 1e6,
             m.workers,
+            point.outcome.timing.fft_tables.as_secs_f64(),
         ));
     }
     // Whole-process peak (Linux VmHWM; omitted where unavailable). Wall

@@ -257,6 +257,9 @@ pub struct FleetTimings {
     pub step: Duration,
     /// Scheduling + ledger/quality aggregation (serial, main thread).
     pub schedule: Duration,
+    /// FFT and window table construction, summed over the shards' plan
+    /// caches — a part of `step`, not an addition to it.
+    pub fft_tables: Duration,
 }
 
 /// Resident-heap accounting of a finished run (high-water: scratch buffers
@@ -526,6 +529,7 @@ impl FleetFrontier {
             t.build += p.outcome.timing.build;
             t.step += p.outcome.timing.step;
             t.schedule += p.outcome.timing.schedule;
+            t.fft_tables += p.outcome.timing.fft_tables;
         }
         t
     }

@@ -529,6 +529,7 @@ impl<'r> FleetRun<'r> {
         });
         self.timing.schedule += t_quality.elapsed();
         self.timing.step = shards.iter().map(|s| s.busy).sum();
+        self.timing.fft_tables = shards.iter().map(|s| s.planner.table_build_time()).sum();
         // Durable bytes are the slabs plus each member's owned heap; scratch
         // buffers only grow, so post-run capacities are the high-water.
         let memory = MemoryStats {
@@ -576,7 +577,8 @@ struct ShardState {
     /// The shard's working set, lent to each member in turn.
     scratch: EpochScratch,
     /// A handle on the shard's shared FFT plan cache (every member holds a
-    /// clone) — kept for the post-run `fft_table_bytes` accounting.
+    /// clone) — kept for the post-run `fft_table_bytes` and table-build
+    /// time accounting.
     planner: FftPlanner,
     /// Wall time this shard's worker spent stepping members.
     busy: Duration,

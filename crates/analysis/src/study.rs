@@ -104,10 +104,13 @@ pub struct PhaseTimings {
     pub clean: Duration,
     /// Nyquist estimation (PSD + energy threshold).
     pub estimate: Duration,
+    /// FFT and window table construction, summed over the workers' plan
+    /// caches — a part of `estimate`, not an addition to it.
+    pub fft_tables: Duration,
 }
 
 impl PhaseTimings {
-    /// Sum of all three phases.
+    /// Sum of the three phases (`fft_tables` is inside `estimate`).
     pub fn total(&self) -> Duration {
         self.synthesis + self.clean + self.estimate
     }
@@ -116,6 +119,7 @@ impl PhaseTimings {
         self.synthesis += other.synthesis;
         self.clean += other.clean;
         self.estimate += other.estimate;
+        self.fft_tables += other.fft_tables;
     }
 }
 
@@ -251,7 +255,9 @@ impl FleetStudy {
         let shards = crate::shard::fan_out(shard_spans(total, threads), |span| {
             let mut scratch = WorkerScratch::new(cfg.estimator);
             let pairs = process(span, &mut scratch);
-            Shard { pairs, timings: scratch.timings }
+            let mut timings = scratch.timings;
+            timings.fft_tables = scratch.estimator.planner().table_build_time();
+            Shard { pairs, timings }
         });
         let (pairs, timing) = merge_shards(shards, total);
         FleetStudy { pairs, timing }

@@ -3,8 +3,8 @@
 //! Covers both FFT plans (mixed-radix and Bluestein) and the real-input
 //! paths over them (packed even, one-sided odd), PSD
 //! estimation, Fourier resampling, the end-to-end Nyquist estimator, one
-//! verified epoch of the adaptive controller's spectral work and the CSV
-//! ingest of one `sweetspot analyze`-sized trace.
+//! verified epoch of the adaptive controller's spectral work, the table
+//! builds and the CSV ingest of one `sweetspot analyze`-sized trace.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -15,6 +15,7 @@ use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimato
 use sweetspot_dsp::fft::{plan_kind, FftPlanner, FftScratch};
 use sweetspot_dsp::psd::{periodogram, welch, PsdConfig, PsdScratch, WelchConfig};
 use sweetspot_dsp::resample::resample_fft;
+use sweetspot_dsp::window::Window;
 use sweetspot_dsp::Complex64;
 use sweetspot_timeseries::ingest::parse_csv;
 use sweetspot_timeseries::{Hertz, RegularSeries, Seconds};
@@ -58,7 +59,6 @@ fn periodogram_promote_reference(
     scratch: &mut FftScratch,
     samples: &[f64],
 ) -> Vec<f64> {
-    use sweetspot_dsp::window::Window;
     let n = samples.len();
     let seg: Vec<f64> = samples.to_vec();
     let mut buf: Vec<Complex64> = seg.iter().map(|&x| Complex64::from_real(x)).collect();
@@ -89,7 +89,6 @@ fn welch_promote_reference(
     samples: &[f64],
     seg_len: usize,
 ) -> Vec<f64> {
-    use sweetspot_dsp::window::Window;
     let hop = seg_len / 2;
     let bins = seg_len / 2 + 1;
     let mut acc = vec![0.0; bins];
@@ -101,10 +100,15 @@ fn welch_promote_reference(
         for s in &mut seg {
             *s -= mean;
         }
-        Window::Hann.apply(&mut seg);
+        // Direct per-sample evaluation, as before window tables existed.
+        let coefficient = |i: usize| Window::Hann.coefficient(i, seg_len);
+        for (i, s) in seg.iter_mut().enumerate() {
+            *s *= coefficient(i);
+        }
         let mut buf: Vec<Complex64> = seg.iter().map(|&x| Complex64::from_real(x)).collect();
         planner.fft_in_place(&mut buf, scratch);
-        let norm = (seg_len as f64) * (seg_len as f64) * Window::Hann.energy_gain(seg_len);
+        let gain = (0..seg_len).map(|i| coefficient(i).powi(2)).sum::<f64>() / seg_len as f64;
+        let norm = (seg_len as f64) * (seg_len as f64) * gain;
         for (k, c) in buf.iter().take(bins).enumerate() {
             let mut p = c.norm_sqr();
             if k != 0 && k != seg_len / 2 {
@@ -153,6 +157,23 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+
+    // What a one-shot `sweetspot analyze` of a 90-day minutely trace builds
+    // before it can transform: a fresh planner's real plan (64 800-point
+    // mixed-radix twiddles plus the untangle table) and its Hann table.
+    // The row includes the first transform; the warm `rfft/mixed_129600`
+    // row above times that alone.
+    let trace = signal(129_600);
+    c.bench_function("plan/real_hann_129600", |b| {
+        let mut scratch = FftScratch::new();
+        let mut out = Vec::new();
+        b.iter(|| {
+            let mut planner = FftPlanner::new();
+            black_box(planner.window_table(Window::Hann, trace.len()));
+            planner.fft_real_into(black_box(&trace), &mut out, &mut scratch);
+            black_box(&out);
+        })
+    });
 
     // PSD estimation. 2880 is one day at 30 s (mixed-radix); 4096/8192 are the
     // power-of-two lengths the real-input fast path is judged on. The

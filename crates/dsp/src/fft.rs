@@ -33,6 +33,15 @@
 //! pure functions of their length, eviction is invisible to results — a
 //! re-requested length rebuilds the identical table and pays only setup time.
 //!
+//! Every trig table — mixed-radix twiddles, packed-real untangle twiddles,
+//! Bluestein chirps and window cosines — is filled from a two-level root
+//! table: `e^{−2πi e/N} = hi[e >> k] · lo[e mod 2^k]` with `2^k ≈ √N`, so a
+//! table costs about `2√N` direct `cis` calls plus one complex multiply per
+//! entry, and each entry stays within a few ulps of direct evaluation. The
+//! root table is dropped once its table is filled.
+//! [`FftPlanner::table_build_time`] reports the wall time the cache has
+//! spent building.
+//!
 //! A planner holds tables, never working buffers: every transform borrows
 //! a caller-lent [`FftScratch`], and the `*_into` methods write into
 //! caller-owned outputs. Once those buffers have warmed up, steady-state
@@ -49,6 +58,7 @@ use std::collections::HashMap;
 use std::f64::consts::PI;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use sweetspot_obs::Counter;
 
@@ -127,6 +137,42 @@ pub(crate) fn quantized_table<T>(len: usize) -> Vec<T> {
     Vec::with_capacity(len.next_power_of_two())
 }
 
+/// The `n`-th roots of unity `e^{−2πi e/n}`, `e < n`, from two short tables
+/// of direct [`Complex64::cis`] values: with `2^shift ≈ √n`,
+/// `root(e) = hi[e >> shift] · lo[e mod 2^shift]`.
+///
+/// Filling a table of all `n` roots this way costs about `2√n` trig calls
+/// plus one complex multiply per entry, instead of one `cis` per entry;
+/// each root stays within a few ulps of the direct value. Every trig table
+/// (mixed-radix and untangle twiddles, Bluestein chirps, window cosines)
+/// builds one, fills itself and drops it, so nothing extra stays resident.
+pub(crate) struct Roots {
+    n: usize,
+    shift: u32,
+    lo: Vec<Complex64>,
+    hi: Vec<Complex64>,
+}
+
+impl Roots {
+    /// The two factor tables for `n ≥ 1`.
+    pub(crate) fn new(n: usize) -> Self {
+        assert!(n > 0, "roots of unity need n ≥ 1");
+        // Half the bit length of n puts 2^shift within a factor √2 of √n.
+        let shift = (usize::BITS - n.leading_zeros()) / 2;
+        let direct = |e: usize| Complex64::cis(-2.0 * PI * e as f64 / n as f64);
+        let lo = (0..(1usize << shift).min(n)).map(direct).collect();
+        let hi = (0..=(n - 1) >> shift).map(|h| direct(h << shift)).collect();
+        Roots { n, shift, lo, hi }
+    }
+
+    /// `e^{−2πi e/n}` for `e < n`.
+    #[inline]
+    pub(crate) fn root(&self, e: usize) -> Complex64 {
+        debug_assert!(e < self.n);
+        self.hi[e >> self.shift] * self.lo[e & ((1 << self.shift) - 1)]
+    }
+}
+
 /// Odd factors of the Bluestein convolution lengths: a convolution of at
 /// least `min` points runs at the smallest `2^a·f ≥ min` over these `f`.
 ///
@@ -165,22 +211,17 @@ impl BluesteinPlan {
     fn new(n: usize, bins: usize, inner: Arc<MixedPlan>) -> Self {
         let m = inner.n;
         debug_assert!(bins <= n && m >= n + bins - 1);
-        // e^{−iπ k²/n} has period 2n in k², so k² mod 2n (kept by (k+1)² =
-        // k² + 2k + 1) is a small, exact angle. The upper half mirrors the
-        // lower: (n − k)² ≡ k² + n² (mod 2n), a half turn for odd n only.
+        // e^{−iπ k²/n} = e^{−2πi (k² mod 2n)/2n}: k² mod 2n, kept exactly by
+        // (k+1)² = k² + 2k + 1, indexes the 2n-th roots of unity.
+        let roots = Roots::new(2 * n);
         let mut chirp = quantized_table::<Complex64>(n);
         let mut k2 = 0;
-        for k in 0..=n / 2 {
-            chirp.push(Complex64::cis(-PI * k2 as f64 / n as f64));
+        for k in 0..n {
+            chirp.push(roots.root(k2));
             k2 += 2 * k + 1;
             if k2 >= 2 * n {
                 k2 -= 2 * n;
             }
-        }
-        let sign = if n % 2 == 1 { -1.0 } else { 1.0 };
-        for k in n / 2 + 1..n {
-            let c = chirp[n - k].scale(sign);
-            chirp.push(c);
         }
         // Output k < bins reads the kernel at lags k − j ∈ (−n, bins): the
         // non-negative lags sit at the front, the negative ones wrap to the
@@ -315,15 +356,14 @@ struct MixedPlan {
 
 impl MixedPlan {
     fn new(n: usize, radices: Vec<usize>) -> Self {
+        let roots = Roots::new(n);
         let mut twiddles = Vec::with_capacity(n - 1);
         let mut s = 1;
         for &p in &radices {
             let m = n / (s * p);
             for j in 0..m {
-                // j·t·s < n, so every angle is an exact multiple of 2π/n.
-                twiddles.extend(
-                    (1..p).map(|t| Complex64::cis(-2.0 * PI * (j * t * s) as f64 / n as f64)),
-                );
+                // j·t·s < n: every twiddle is an n-th root of unity.
+                twiddles.extend((1..p).map(|t| roots.root(j * t * s)));
             }
             s *= p;
         }
@@ -517,8 +557,9 @@ impl PackedReal {
     fn new(n: usize, inner: Plan) -> Self {
         debug_assert!(n >= 2 && n.is_multiple_of(2));
         let m = n / 2;
+        let roots = Roots::new(n);
         let mut twiddles = quantized_table::<Complex64>(m + 1);
-        twiddles.extend((0..=m).map(|k| Complex64::cis(-2.0 * PI * k as f64 / n as f64)));
+        twiddles.extend((0..=m).map(|k| roots.root(k)));
         PackedReal { n, twiddles, inner }
     }
 
@@ -749,12 +790,32 @@ struct PlanTables {
     tick: u64,
     /// Sum of the `bytes` of every entry currently held.
     resident: usize,
+    /// Wall time spent building tables (see [`PlanTables::timed`]).
+    build_time: Duration,
+    /// Set while a build is being timed, so nested builds count once.
+    building: bool,
 }
 
 impl PlanTables {
     fn stamp(&mut self) -> u64 {
         self.tick += 1;
         self.tick
+    }
+
+    /// Runs the table build `build`, adding its wall time to `build_time`.
+    /// A build nested in a timed one (a real plan's inner complex plan, a
+    /// Bluestein plan's convolution plan) is already inside that clock, so
+    /// it is not counted again.
+    fn timed<T>(&mut self, build: impl FnOnce(&mut PlanTables) -> T) -> T {
+        if self.building {
+            return build(self);
+        }
+        self.building = true;
+        let start = Instant::now();
+        let out = build(self);
+        self.build_time += start.elapsed();
+        self.building = false;
+        out
     }
 
     /// Caches a freshly built `plan` of `bytes` heap bytes under `key` in
@@ -781,7 +842,7 @@ impl PlanTables {
             return plan;
         }
         let radices = smooth_radices(len).expect("mixed-radix lengths are 5-smooth");
-        let plan = MixedPlan::new(len, radices);
+        let plan = self.timed(|_| MixedPlan::new(len, radices));
         let bytes = plan.table_bytes();
         self.admit(|t| &mut t.mixed, len, plan, bytes)
     }
@@ -808,7 +869,7 @@ impl PlanTables {
         if is_smooth(len) {
             return Plan::Mixed(self.mixed_plan(len));
         }
-        let plan = self.bluestein_plan(len, len);
+        let plan = self.timed(|t| t.bluestein_plan(len, len));
         let bytes = plan.table_bytes();
         Plan::Bluestein(self.admit(|t| &mut t.bluestein, len, plan, bytes))
     }
@@ -820,13 +881,15 @@ impl PlanTables {
         if let Some(plan) = touch(&mut self.real, &n, tick) {
             return plan;
         }
-        let plan = if n.is_multiple_of(2) {
-            RealPlan::Packed(PackedReal::new(n, self.plan(n / 2)))
-        } else if is_smooth(n) {
-            RealPlan::Promoted(self.mixed_plan(n))
-        } else {
-            RealPlan::OneSided(self.bluestein_plan(n, one_sided_len(n)))
-        };
+        let plan = self.timed(|t| {
+            if n.is_multiple_of(2) {
+                RealPlan::Packed(PackedReal::new(n, t.plan(n / 2)))
+            } else if is_smooth(n) {
+                RealPlan::Promoted(t.mixed_plan(n))
+            } else {
+                RealPlan::OneSided(t.bluestein_plan(n, one_sided_len(n)))
+            }
+        });
         let bytes = plan.table_bytes();
         self.admit(|t| &mut t.real, n, plan, bytes)
     }
@@ -836,7 +899,7 @@ impl PlanTables {
         if let Some(table) = touch(&mut self.windows, &(window, n), tick) {
             return table;
         }
-        let table = WindowTable::new(window, n);
+        let table = self.timed(|_| WindowTable::new(window, n));
         let bytes = table.resident_bytes();
         self.admit(|t| &mut t.windows, (window, n), table, bytes)
     }
@@ -961,6 +1024,15 @@ impl FftPlanner {
     /// Heap bytes the shared table cache currently holds.
     pub fn table_bytes(&self) -> usize {
         self.tables.lock().expect("fft plan cache poisoned").resident
+    }
+
+    /// Wall time the shared table cache has spent building tables —
+    /// twiddles, chirps, convolution kernels and window coefficients — over
+    /// every clone sharing it, each nested build counted once. Wall scope,
+    /// for `--timing` reports only: it varies run to run and never feeds a
+    /// result.
+    pub fn table_build_time(&self) -> Duration {
+        self.tables.lock().expect("fft plan cache poisoned").build_time
     }
 
     /// Forward DFT, in place, unnormalized. Any length (including 0 and 1,
@@ -1614,6 +1686,48 @@ mod tests {
                 plan.table_bytes()
             );
         }
+    }
+
+    #[test]
+    fn roots_match_direct_cis() {
+        for n in [1usize, 2, 3, 4, 6, 8, 997, 1994, 2880, 64_800, 129_599] {
+            let roots = Roots::new(n);
+            // About 2√n direct evaluations, never one per root.
+            assert!(roots.lo.len() + roots.hi.len() <= 3 * (n as f64).sqrt().ceil() as usize + 1, "n={n}");
+            for e in 0..n {
+                let direct = Complex64::cis(-2.0 * PI * e as f64 / n as f64);
+                let r = roots.root(e);
+                assert!(
+                    (r.re - direct.re).abs() <= 1e-14 && (r.im - direct.im).abs() <= 1e-14,
+                    "n={n} e={e}: {r:?} vs {direct:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn table_build_time_counts_builds_once() {
+        let mut p = FftPlanner::new();
+        assert_eq!(p.table_build_time(), Duration::ZERO);
+        let input = vec![1.0; 2880];
+        let (mut out, mut scratch) = (Vec::new(), FftScratch::new());
+        p.fft_real_into(&input, &mut out, &mut scratch);
+        let built = p.table_build_time();
+        assert!(built > Duration::ZERO);
+        // A cache hit builds nothing; a clone reports the shared cache.
+        p.fft_real_into(&input, &mut out, &mut scratch);
+        assert_eq!(p.table_build_time(), built);
+        let _window = p.window_table(Window::Hann, 2880);
+        assert!(p.clone().table_build_time() > built);
+
+        // A build nested in a timed build is inside the outer clock: the
+        // total never exceeds the outer call's wall time.
+        let mut tables = PlanTables::default();
+        let start = Instant::now();
+        tables.timed(|t| t.timed(|_| std::thread::sleep(Duration::from_millis(5))));
+        let wall = start.elapsed();
+        assert!(tables.build_time >= Duration::from_millis(5));
+        assert!(tables.build_time <= wall, "{:?} > {wall:?}", tables.build_time);
     }
 
     #[test]

@@ -4,7 +4,17 @@
 //! observation interval — which production telemetry never is. The Nyquist
 //! estimator uses [`Window::Hann`] by default; the plain rectangular window
 //! reproduces the paper's raw-FFT methodology exactly.
+//!
+//! Every window is a sum of at most four cosine harmonics of
+//! `2πi/(n − 1)`. [`WindowTable`] is the one evaluator behind every
+//! coefficient vector: it reads the harmonics at `i`, `2i` and `3i`
+//! (mod `n − 1`) as real parts of the `(n − 1)`-th roots of unity, which a
+//! two-level root table yields for about `2√n` trig calls, and fills only the
+//! first `⌈n/2⌉` coefficients — the rest are an exact mirror.
+//! [`Window::coefficient`] evaluates one sample directly and is the
+//! reference the table is tested against.
 
+use crate::fft::{quantized_table, Roots};
 use std::f64::consts::PI;
 
 /// Supported window shapes.
@@ -32,43 +42,39 @@ impl Window {
             return 1.0;
         }
         let x = i as f64 / (n - 1) as f64;
+        self.evaluate(|k| (2.0 * k as f64 * PI * x).cos())
+    }
+
+    /// The window's value given `cos_harmonic(k) = cos(2πk·x)` for the
+    /// harmonics `k ∈ {1, 2, 3}` it uses.
+    #[inline]
+    fn evaluate(self, cos_harmonic: impl Fn(usize) -> f64) -> f64 {
         match self {
             Window::Rectangular => 1.0,
-            Window::Hann => 0.5 - 0.5 * (2.0 * PI * x).cos(),
-            Window::Hamming => 0.54 - 0.46 * (2.0 * PI * x).cos(),
-            Window::Blackman => {
-                0.42 - 0.5 * (2.0 * PI * x).cos() + 0.08 * (4.0 * PI * x).cos()
-            }
+            Window::Hann => 0.5 - 0.5 * cos_harmonic(1),
+            Window::Hamming => 0.54 - 0.46 * cos_harmonic(1),
+            Window::Blackman => 0.42 - 0.5 * cos_harmonic(1) + 0.08 * cos_harmonic(2),
             Window::BlackmanHarris => {
-                0.35875 - 0.48829 * (2.0 * PI * x).cos() + 0.14128 * (4.0 * PI * x).cos()
-                    - 0.01168 * (6.0 * PI * x).cos()
+                0.35875 - 0.48829 * cos_harmonic(1) + 0.14128 * cos_harmonic(2)
+                    - 0.01168 * cos_harmonic(3)
             }
         }
     }
 
     /// Materializes the window as a coefficient vector of length `n`.
     pub fn coefficients(self, n: usize) -> Vec<f64> {
-        (0..n).map(|i| self.coefficient(i, n)).collect()
+        WindowTable::new(self, n).coeffs
     }
 
     /// Applies the window to `samples` in place.
     pub fn apply(self, samples: &mut [f64]) {
-        let n = samples.len();
-        if matches!(self, Window::Rectangular) {
-            return;
-        }
-        for (i, s) in samples.iter_mut().enumerate() {
-            *s *= self.coefficient(i, n);
-        }
+        WindowTable::new(self, samples.len()).apply(samples);
     }
 
     /// Energy (incoherent) gain: mean of squared coefficients. Divides power
     /// estimates so windowed PSDs remain comparable across window choices.
     pub fn energy_gain(self, n: usize) -> f64 {
-        if n == 0 {
-            return 1.0;
-        }
-        self.coefficients(n).iter().map(|c| c * c).sum::<f64>() / n as f64
+        WindowTable::new(self, n).energy_gain
     }
 
     /// All window variants, for sweeps and tests.
@@ -83,9 +89,10 @@ impl Window {
 
 /// A materialized window: coefficients plus their energy gain.
 ///
-/// Evaluating a window coefficient costs up to four trig calls per sample;
-/// the spectral pipeline instead builds one table per `(window, n)` (cached
-/// by `FftPlanner::window_table`) and multiplies segments by it.
+/// Evaluating a window coefficient directly costs up to three trig calls
+/// per sample; a table costs about `2√n` for all of them (see the module
+/// docs). The spectral pipeline builds one per `(window, n)` (cached by
+/// `FftPlanner::window_table`) and multiplies segments by it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowTable {
     window: Window,
@@ -98,10 +105,22 @@ impl WindowTable {
     ///
     /// Coefficients are stored with power-of-two capacity (see
     /// `fft::quantized_table`) so evicted tables recycle exactly in the
-    /// planner's byte-budgeted cache.
+    /// planner's byte-budgeted cache. The table is exactly symmetric:
+    /// coefficient `n − 1 − i` is a copy of coefficient `i`.
     pub fn new(window: Window, n: usize) -> Self {
-        let mut coeffs = crate::fft::quantized_table::<f64>(n);
-        coeffs.extend((0..n).map(|i| window.coefficient(i, n)));
+        let mut coeffs = quantized_table::<f64>(n);
+        if n < 2 || window == Window::Rectangular {
+            coeffs.resize(n, 1.0);
+        } else {
+            // cos(2πk·i/(n − 1)) is the real part of the (n − 1)-th root of
+            // unity at k·i mod (n − 1); k·i < 3n never overflows.
+            let m = n - 1;
+            let roots = Roots::new(m);
+            let half = n.div_ceil(2);
+            coeffs.extend((0..half).map(|i| window.evaluate(|k| roots.root(k * i % m).re)));
+            coeffs.extend_from_within(..n - half);
+            coeffs[half..].reverse();
+        }
         let energy_gain = if n == 0 {
             1.0
         } else {
@@ -238,12 +257,29 @@ mod tests {
     }
 
     #[test]
-    fn window_table_matches_direct_evaluation() {
+    fn window_table_is_symmetric_and_matches_direct_evaluation() {
+        for win in Window::ALL {
+            for n in [2usize, 3, 97, 129_600] {
+                let table = WindowTable::new(win, n);
+                assert_eq!(table.window(), win);
+                assert_eq!(table.len(), n);
+                let c = &table.coeffs;
+                for i in 0..n {
+                    assert_eq!(c[i].to_bits(), c[n - 1 - i].to_bits(), "{win:?} n={n} i={i}");
+                    let direct = win.coefficient(i, n);
+                    assert!((c[i] - direct).abs() <= 1e-15, "{win:?} n={n} i={i}: {} vs {direct}", c[i]);
+                }
+                let direct_gain = (0..n).map(|i| win.coefficient(i, n).powi(2)).sum::<f64>() / n as f64;
+                assert!((table.energy_gain() - direct_gain).abs() <= 1e-14, "{win:?} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_methods_wrap_the_table() {
         for win in Window::ALL {
             let n = 97;
             let table = WindowTable::new(win, n);
-            assert_eq!(table.window(), win);
-            assert_eq!(table.len(), n);
             assert_eq!(table.energy_gain(), win.energy_gain(n));
             let mut coeffs = vec![1.0; n];
             table.apply(&mut coeffs);

@@ -10,7 +10,8 @@
 //! it: dropping NaN readings (lost measurements), discarding corrupt outliers
 //! with a robust MAD rule (on by default, see [`CleanConfig`]), and a
 //! one-call [`clean`] pipeline. Malformed inputs — empty traces, traces that
-//! are all-NaN, non-positive grid intervals — come back as [`CleanError`]s,
+//! are all-NaN, non-positive grid intervals, intervals so fine the grid
+//! would outgrow [`MAX_GRID_POINTS_PER_SAMPLE`] — come back as [`CleanError`]s,
 //! never panics, so a corrupt CSV fed to the CLI dies with a diagnostic
 //! instead of a backtrace.
 
@@ -44,6 +45,18 @@ impl Default for CleanConfig {
     }
 }
 
+/// Most re-grid points [`regularize`] and [`clean`] produce per valid
+/// sample.
+///
+/// Nearest-neighbour re-gridding invents no information, so a grid much
+/// denser than the samples behind it only costs memory and FFT time: a
+/// one-day minutely trace re-gridded at 1 ms would be 86.4 M points. The
+/// §3.2 pre-cleaning grid is about one point per sample. The limit leaves
+/// room for traces with long gaps (a gap of 100 intervals between each pair
+/// of samples is still under it) while capping the grid at a few hundred
+/// times the input.
+pub const MAX_GRID_POINTS_PER_SAMPLE: usize = 256;
+
 /// Why a trace could not be cleaned/re-gridded.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CleanError {
@@ -57,6 +70,15 @@ pub enum CleanError {
     BadInterval(f64),
     /// The configured MAD multiple is not positive.
     BadOutlierMads(f64),
+    /// The re-grid would need `points` grid points (possibly infinite) for
+    /// `samples` valid samples, more than [`MAX_GRID_POINTS_PER_SAMPLE`]
+    /// per sample.
+    GridTooDense {
+        /// Grid points the span and interval call for.
+        points: f64,
+        /// Valid samples behind the grid.
+        samples: usize,
+    },
 }
 
 impl fmt::Display for CleanError {
@@ -74,6 +96,11 @@ impl fmt::Display for CleanError {
             CleanError::BadOutlierMads(m) => {
                 write!(f, "outlier MAD multiple must be positive, got {m}")
             }
+            CleanError::GridTooDense { points, samples } => write!(
+                f,
+                "re-grid interval asks for {points:.3e} grid points from {samples} samples, \
+                 more than {MAX_GRID_POINTS_PER_SAMPLE} per sample"
+            ),
         }
     }
 }
@@ -134,6 +161,8 @@ pub fn drop_outliers(series: &IrregularSeries, mads: f64) -> IrregularSeries {
 /// * [`CleanError::NonFinite`] — the series contains NaN/infinite values
 ///   (call [`drop_invalid`] first).
 /// * [`CleanError::BadInterval`] — `interval` is not positive and finite.
+/// * [`CleanError::GridTooDense`] — the grid would exceed
+///   [`MAX_GRID_POINTS_PER_SAMPLE`] points per sample.
 pub fn regularize(
     series: &IrregularSeries,
     interval: Seconds,
@@ -149,8 +178,7 @@ pub fn regularize(
     }
     let start = series.start().expect("non-empty");
     let end = series.end().expect("non-empty");
-    let span = (end - start).value();
-    let steps = (span / interval.value()).round() as usize + 1;
+    let steps = grid_points((end - start).value(), interval.value(), series.len())?;
     let values = (0..steps)
         .map(|k| series.nearest_value(start + interval * k as f64))
         .collect();
@@ -169,6 +197,8 @@ pub fn regularize(
 ///   and finite.
 /// * [`CleanError::BadOutlierMads`] — the configured MAD multiple is not
 ///   positive.
+/// * [`CleanError::GridTooDense`] — the grid would exceed
+///   [`MAX_GRID_POINTS_PER_SAMPLE`] points per valid sample.
 pub fn clean(series: &IrregularSeries, cfg: CleanConfig) -> Result<RegularSeries, CleanError> {
     clean_slices_into(series.times(), series.values(), cfg, &mut CleanScratch::new())
 }
@@ -329,8 +359,7 @@ pub fn clean_slices_into(
     // one, as in `IrregularSeries::nearest_value`).
     let start = scratch.times[0];
     let end = *scratch.times.last().expect("len >= 2");
-    let span = (end - start).value();
-    let steps = (span / interval.value()).round() as usize + 1;
+    let steps = grid_points((end - start).value(), interval.value(), scratch.times.len())?;
     let mut grid = std::mem::take(&mut scratch.grid);
     grid.clear();
     grid.reserve(steps);
@@ -352,6 +381,18 @@ pub fn clean_slices_into(
         grid.push(v);
     }
     Ok(RegularSeries::new(start, interval, grid))
+}
+
+/// Points of a grid that starts at the first sample and steps by
+/// `interval` (positive, finite) until `span` is covered, checked in `f64`
+/// before any integer cast so that no interval can wrap the count.
+fn grid_points(span: f64, interval: f64, samples: usize) -> Result<usize, CleanError> {
+    let points = (span / interval).round() + 1.0;
+    if points.is_finite() && points <= (MAX_GRID_POINTS_PER_SAMPLE * samples) as f64 {
+        Ok(points as usize)
+    } else {
+        Err(CleanError::GridTooDense { points, samples })
+    }
 }
 
 fn median_of(values: &[f64]) -> f64 {
@@ -454,6 +495,39 @@ mod tests {
             regularize(&ok, Seconds(f64::NAN)),
             Err(CleanError::BadInterval(s)) if s.is_nan()
         ));
+    }
+
+    #[test]
+    fn regrid_rejects_grids_denser_than_the_limit() {
+        // A one-day minutely trace: 1 440 samples over 86 340 s.
+        let day = IrregularSeries::new(
+            (0..1440).map(|i| Seconds(60.0 * i as f64)).collect(),
+            vec![1.0; 1440],
+        );
+        let cfg = |s: f64| CleanConfig { interval: Some(Seconds(s)), outlier_mads: None };
+        // 1 ms asks for 86.3 M points; 1e-300 s for a count no integer
+        // holds, which used to wrap the grid to zero points.
+        for s in [1e-3, 1e-300] {
+            for result in [regularize(&day, Seconds(s)), clean(&day, cfg(s))] {
+                match result {
+                    Err(CleanError::GridTooDense { points, samples: 1440 }) => {
+                        assert!(points > 8e7, "{s}: {points}")
+                    }
+                    other => panic!("{s}: {other:?}"),
+                }
+            }
+        }
+        // Exactly at the limit is fine; one point past it is not.
+        let limit = (MAX_GRID_POINTS_PER_SAMPLE * 1440) as f64;
+        let at_limit = 86_340.0 / (limit - 1.0);
+        assert_eq!(clean(&day, cfg(at_limit)).unwrap().len(), limit as usize);
+        assert_eq!(regularize(&day, Seconds(at_limit)).unwrap().len(), limit as usize);
+        let past = 86_340.0 / limit;
+        assert!(matches!(clean(&day, cfg(past)), Err(CleanError::GridTooDense { .. })));
+        assert!(matches!(regularize(&day, Seconds(past)), Err(CleanError::GridTooDense { .. })));
+        // The inferred (median) interval keeps the grid at one point per
+        // sample.
+        assert_eq!(clean(&day, CleanConfig::default()).unwrap().len(), 1440);
     }
 
     #[test]
@@ -569,6 +643,8 @@ mod tests {
         assert!(CleanError::NonFinite.to_string().contains("NaN"));
         assert!(CleanError::BadInterval(-2.0).to_string().contains("-2"));
         assert!(CleanError::BadOutlierMads(0.0).to_string().contains("positive"));
+        let dense = CleanError::GridTooDense { points: f64::INFINITY, samples: 9 };
+        assert!(dense.to_string().contains("inf grid points from 9 samples"), "{dense}");
     }
 
     /// The scratch pipeline must reproduce the composed reference pipeline

@@ -83,7 +83,7 @@ use sweetspot::core::recommend::{recommend, Action, RecommendConfig};
 use sweetspot::core::tracker::{summarize, track, TrackerConfig};
 use sweetspot::obs::json;
 use sweetspot::prelude::*;
-use sweetspot::timeseries::clean::{clean, CleanConfig};
+use sweetspot::timeseries::clean::{clean, CleanConfig, CleanError};
 use sweetspot::timeseries::ingest;
 
 /// Pins glibc's mmap threshold so evicted FFT plan tables return to the OS.
@@ -243,7 +243,12 @@ fn load_trace(path: &str, interval: Option<f64>) -> Result<RegularSeries, String
             outlier_mads: Some(8.0),
         },
     )
-    .map_err(|e| format!("{path}: {e}"))?;
+    .map_err(|e| match (e, interval) {
+        (CleanError::BadInterval(_) | CleanError::GridTooDense { .. }, Some(s)) => {
+            format!("{path}: --interval {s:?}: {e}")
+        }
+        _ => format!("{path}: {e}"),
+    })?;
     // The estimator needs `MIN_SAMPLES`: a coarse `--interval` or a trace
     // of mostly NaN rows can re-grid to fewer.
     let n = series.len();
@@ -397,14 +402,15 @@ fn cmd_study(args: &[String]) -> Result<(), String> {
         let total = t.total().as_secs_f64().max(f64::MIN_POSITIVE);
         let pct = |d: std::time::Duration| 100.0 * d.as_secs_f64() / total;
         eprintln!(
-            "timing: synthesis {:.3}s ({:.0}%) | clean {:.3}s ({:.0}%) | estimate {:.3}s ({:.0}%) \
-             | total {:.3}s across workers over {} pairs",
+            "timing: synthesis {:.3}s ({:.0}%) | clean {:.3}s ({:.0}%) | estimate {:.3}s ({:.0}%; \
+             fft tables built in {:.3}s) | total {:.3}s across workers over {} pairs",
             t.synthesis.as_secs_f64(),
             pct(t.synthesis),
             t.clean.as_secs_f64(),
             pct(t.clean),
             t.estimate.as_secs_f64(),
             pct(t.estimate),
+            t.fft_tables.as_secs_f64(),
             t.total().as_secs_f64(),
             study.pairs.len()
         );

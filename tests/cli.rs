@@ -97,6 +97,10 @@ fn analyze_and_track_reject_out_of_range_flags_cleanly() {
         // Re-grids the day-long trace to 3 and 2 samples: too few to estimate.
         ("analyze", "--interval", "43200"),
         ("analyze", "--interval", "86400"),
+        // Grids far denser than the 2 880 samples: 86.4 M points, and a
+        // count too large for any integer.
+        ("analyze", "--interval", "0.001"),
+        ("analyze", "--interval", "1e-300"),
     ];
     for (cmd, flag, value) in cases {
         let out = bin().arg(cmd).arg(&path).args([flag, value]).output().unwrap();
@@ -229,7 +233,7 @@ fn study_timing_prints_phase_split_on_stderr() {
         .lines()
         .find(|l| l.starts_with("timing:"))
         .unwrap_or_else(|| panic!("no timing line in: {stderr}"));
-    for phase in ["synthesis", "clean", "estimate", "total"] {
+    for phase in ["synthesis", "clean", "estimate", "fft tables built in", "total"] {
         assert!(timing_line.contains(phase), "missing {phase}: {timing_line}");
     }
     assert!(timing_line.contains("pairs"), "{timing_line}");
@@ -582,11 +586,26 @@ fn fleetsim_timing_is_stderr_only() {
     for phase in ["build", "step", "schedule", "total"] {
         assert!(timing_line.contains(phase), "missing {phase}: {timing_line}");
     }
+    let memory_line = stderr
+        .lines()
+        .find(|l| l.contains("fft tables"))
+        .unwrap_or_else(|| panic!("no fft tables line in: {stderr}"));
+    assert!(memory_line.contains("shard(s), built in "), "{memory_line}");
     let plain = bin()
         .args(["fleetsim", "--devices", "28", "--days", "2", "--seed", "3"])
         .output()
         .unwrap();
     assert_eq!(timed.stdout, plain.stdout, "--timing must not alter stdout");
+    // Nor the JSON report: table-build time is wall scope, stderr only.
+    let json = |timing: bool| {
+        let mut cmd = bin();
+        cmd.args(["fleetsim", "--devices", "28", "--days", "2", "--seed", "3", "--json"]);
+        if timing {
+            cmd.arg("--timing");
+        }
+        cmd.output().unwrap().stdout
+    };
+    assert_eq!(json(true), json(false), "--timing must not alter --json");
 }
 
 #[test]
