@@ -1693,7 +1693,8 @@ mod tests {
         for n in [1usize, 2, 3, 4, 6, 8, 997, 1994, 2880, 64_800, 129_599] {
             let roots = Roots::new(n);
             // About 2√n direct evaluations, never one per root.
-            assert!(roots.lo.len() + roots.hi.len() <= 3 * (n as f64).sqrt().ceil() as usize + 1, "n={n}");
+            let direct_calls = roots.lo.len() + roots.hi.len();
+            assert!(direct_calls <= 3 * (n as f64).sqrt().ceil() as usize + 1, "n={n}");
             for e in 0..n {
                 let direct = Complex64::cis(-2.0 * PI * e as f64 / n as f64);
                 let r = roots.root(e);
