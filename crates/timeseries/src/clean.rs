@@ -388,7 +388,7 @@ pub fn clean_slices_into(
 /// before any integer cast so that no interval can wrap the count.
 fn grid_points(span: f64, interval: f64, samples: usize) -> Result<usize, CleanError> {
     let points = (span / interval).round() + 1.0;
-    if points.is_finite() && points <= (MAX_GRID_POINTS_PER_SAMPLE * samples) as f64 {
+    if points.is_finite() && points <= MAX_GRID_POINTS_PER_SAMPLE as f64 * samples as f64 {
         Ok(points as usize)
     } else {
         Err(CleanError::GridTooDense { points, samples })
