@@ -15,9 +15,10 @@
 //!   on stderr via `--timing` only, never in the JSON-lines stream.
 //! * **Wall scope** — phase timings and peak RSS. stderr only.
 //!
-//! Collection is **always on and non-perturbing**: the controller and
-//! applied tallies of [`MetricsSummary`] are O(1) integer bumps, made by the
-//! engine's serial fold over each epoch's member reports in device order,
+//! Collection is **always on and non-perturbing**: the controller tallies
+//! and the `applied` re-count of the dealt events ([`AppliedCounters`]) in
+//! [`MetricsSummary`] are O(1) integer bumps, made by the engine's serial
+//! fold over each epoch's member reports and dealt events in device order,
 //! against a per-member step that does milliseconds of spectral work. A
 //! [`MetricsRecorder`] — present only when the caller asked for output —
 //! adds the journal, the grant histogram, and the JSON-lines emission on
@@ -63,7 +64,7 @@
 //! | `controller` | `probe`, `reramp`, `settle`, `raise`, `cut`, `hold`, `defer` transitions and the `verified` / `unverified` split | cumulative over the run |
 //! | `fft` | planner `lookups`, `hits`, `misses` summed over member handles; one lookup per transform actually run (a verified epoch runs two: the fast stream's spectrum, shared by detector and estimator, and the companion's) | cumulative over the run |
 //! | `watchdog` | `reprobes`, `starved`, `recovery_granted` (cost units); health census `healthy`, `recovering`, `suspect`, `dormant` | cumulative; the census is this epoch's |
-//! | `scenario` | `dealt`: `leaves`, `joins`, `reboots`, `absent_epochs`, `dropped_reports`, `duplicated_reports`, `delayed_reports`, `dormant_epochs`; `applied`: `absent_epochs`, `reboot_steps`, `dropped_reports`, `delayed_reports`, `duplicated_reports`, `dormant_epochs` | cumulative over the run |
+//! | `scenario` | `dealt`: `leaves`, `joins`, `reboots`, `absent_epochs`, `dropped_reports`, `duplicated_reports`, `delayed_reports`, `dormant_epochs`; `applied`: `absent_epochs`, `reboot_steps`, `dropped_reports`, `delayed_reports`, `duplicated_reports`, `dormant_epochs` — the same events as `dealt`, re-counted (see [`AppliedCounters`]) | cumulative over the run |
 //! | `grants` | `count`, `sum`, `min`, `max`, `p10`, `p50`, `p90`, `p99` of the granted rates (Hz) | epochs since the previous snapshot |
 //! | `journal` | flight-recorder `events` and `dropped` | cumulative over the run |
 //!
@@ -141,10 +142,14 @@ impl ControllerCounters {
     }
 }
 
-/// Scenario events as the *workers* experienced them — the applied side of
-/// the dealt-vs-applied cross-check (the CI smoke asserts these equal the
-/// serial [`ScenarioCounters`] kind for kind). Fleet scope: which worker a
-/// device lands on never changes what was dealt to it.
+/// The dealt scenario events, re-counted by the engine's serial fold. The
+/// fold reads the same per-device event vector that the deal pass tallies
+/// into [`ScenarioCounters`], so the two agree kind for kind by
+/// construction: the equality that the CI smoke and
+/// `tests/metrics_determinism.rs` assert checks no worker-side behaviour.
+/// The counters exist for the JSON-lines `applied` block (schema 2).
+/// Fleet scope: which worker a device lands on never changes what was dealt
+/// to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppliedCounters {
     /// Device-epochs stepped as offline (no samples, no report).
@@ -216,7 +221,8 @@ pub struct WatchdogCounters {
 pub struct MetricsSummary {
     /// Controller transitions over the run.
     pub controller: ControllerCounters,
-    /// Scenario events applied over the run.
+    /// The run's dealt scenario events, re-counted by the fold (see
+    /// [`AppliedCounters`]).
     pub applied: AppliedCounters,
     /// FFT planner handle statistics summed over members in device order
     /// (`lookups == hits + misses` by construction).

@@ -151,8 +151,9 @@ pub const REPROBE_RETRY_CAP: u32 = 5;
 impl FleetSimConfig {
     /// Checks the config before a run: `days` finite and positive, at most
     /// `u32::MAX` epochs (the flight-recorder journal stamps epochs as
-    /// `u32`), `verify_every ≥ 1`, `recovery_budget_frac` in `[0, 1]`, and a
-    /// fleet size that is neither zero nor both `paper_scale` and `devices`.
+    /// `u32`), `verify_every ≥ 1`, `recovery_budget_frac` in `[0, 1]`, at
+    /// most 1024 `threads`, and a fleet size that is neither zero nor both
+    /// `paper_scale` and `devices`.
     /// The error names the `fleetsim` flag that sets the offending field
     /// (`paper_scale` has none: the CLI derives it from `--devices`).
     pub fn validate(&self) -> Result<(), String> {
@@ -182,7 +183,7 @@ impl FleetSimConfig {
         if self.devices == Some(0) {
             return Err("--devices wants a positive fleet size".into());
         }
-        Ok(())
+        crate::shard::validate_threads(self.threads)
     }
 
     fn work(&self) -> Vec<(MetricProfile, usize)> {
@@ -233,7 +234,6 @@ pub fn member_config(profile: &MetricProfile, window: Seconds) -> AdaptiveConfig
     // keeps every structured band and drops the pure-noise ones.
     let detector = sweetspot_core::aliasing::DualRateConfig {
         relative_floor: 0.08,
-        ..Default::default()
     };
     AdaptiveConfig {
         initial_rate: Hertz(prod),
@@ -314,7 +314,7 @@ pub struct PolicyOutcome {
     /// Resident-heap accounting (observability only).
     pub memory: MemoryStats,
     /// Fleet-scope metric totals (controller actions, FFT handle stats,
-    /// scenario events applied, watchdog tallies) — thread-invariant.
+    /// re-counted scenario events, watchdog tallies) — thread-invariant.
     pub metrics: MetricsSummary,
     /// What the scenario dealt and how the fleet weathered it — `None` for
     /// healthy (`--scenario none`) runs.
@@ -1082,7 +1082,7 @@ mod tests {
         let base = tiny_config(1);
         assert_eq!(base.validate(), Ok(()));
         type Break = fn(&mut FleetSimConfig);
-        let cases: [(&str, Break, &str); 11] = [
+        let cases: [(&str, Break, &str); 12] = [
             ("days 0", |c| c.days = 0.0, "--days"),
             ("days -1", |c| c.days = -1.0, "--days"),
             ("days NaN", |c| c.days = f64::NAN, "--days"),
@@ -1105,6 +1105,7 @@ mod tests {
                 "conflict",
             ),
             ("devices 0", |c| c.devices = Some(0), "positive fleet size"),
+            ("threads 1025", |c| c.threads = 1025, "--threads"),
         ];
         for (name, break_field, needle) in cases {
             let mut cfg = base;
@@ -1112,9 +1113,11 @@ mod tests {
             let err = cfg.validate().expect_err(name);
             assert!(err.contains(needle), "{name}: {err}");
         }
-        // The largest epoch count the journal can stamp is still valid.
+        // The largest epoch count the journal can stamp is still valid, and
+        // so is the thread ceiling.
         let mut edge = base;
         edge.days = u32::MAX as f64;
+        edge.threads = crate::shard::MAX_THREADS;
         assert_eq!(edge.validate(), Ok(()));
     }
 

@@ -23,9 +23,9 @@
 //! * A **missed** epoch ([`DeviceEvent::Absent`] /
 //!   [`DeviceEvent::ReportDropped`]) is a *failure*: the controller expected
 //!   evidence and got none. It counts as deferred, and the controller
-//!   applies hold-and-decay — after `decrease_patience − 1` consecutive
-//!   misses the request decays toward `min_rate`, progressively releasing
-//!   the silent device's budget share.
+//!   applies hold-and-decay — after two consecutive misses the request
+//!   decays toward `min_rate`, progressively releasing the silent device's
+//!   budget share.
 //! * A **dormant** epoch ([`DeviceEvent::Dormant`]) is a *scheduled* sleep
 //!   (duty cycle, battery conservation): the device was never expected to
 //!   report. Nothing is deferred and the request does **not** decay — the

@@ -8,6 +8,22 @@
 
 use std::thread;
 
+/// Most worker threads a request may name. `--threads` is outside input,
+/// and the engines spawn their workers afresh on every epoch, so an
+/// unbounded count is an unbounded spawn.
+pub(crate) const MAX_THREADS: usize = 1024;
+
+/// Rejects a requested thread count above [`MAX_THREADS`]; the error names
+/// the `--threads` flag.
+pub(crate) fn validate_threads(requested: usize) -> Result<(), String> {
+    if requested > MAX_THREADS {
+        return Err(format!(
+            "--threads wants at most {MAX_THREADS} workers (0 = all cores), got {requested}"
+        ));
+    }
+    Ok(())
+}
+
 /// Resolves a requested thread count: `0` means the machine's available
 /// parallelism; the result is clamped to `[1, work_items]` (no point
 /// spawning idle workers).

@@ -53,8 +53,14 @@ impl StudyConfig {
     /// [`FleetStudy::run_paper_scale`], whose fleet is the fixed 1613-pair
     /// population, so it takes no per-metric `devices` count. Otherwise the
     /// fleet ([`FleetStudy::run`]) needs at least one device per metric: an
-    /// empty one would report headline fractions summing to 0, not 1.
-    pub fn validate_request(paper_scale: bool, devices: Option<usize>) -> Result<(), String> {
+    /// empty one would report headline fractions summing to 0, not 1. Either
+    /// fleet takes at most 1024 `threads`.
+    pub fn validate_request(
+        paper_scale: bool,
+        devices: Option<usize>,
+        threads: usize,
+    ) -> Result<(), String> {
+        crate::shard::validate_threads(threads)?;
         match (paper_scale, devices) {
             (true, Some(_)) => Err("--paper-scale and --devices conflict: the paper-scale \
                                     fleet is exactly 1613 pairs (115/metric + 3 extras)"
@@ -469,13 +475,17 @@ mod tests {
 
     #[test]
     fn validate_request_rejects_empty_and_conflicting_fleets() {
-        assert_eq!(StudyConfig::validate_request(false, None), Ok(()));
-        assert_eq!(StudyConfig::validate_request(false, Some(1)), Ok(()));
-        assert_eq!(StudyConfig::validate_request(true, None), Ok(()));
-        let empty = StudyConfig::validate_request(false, Some(0)).unwrap_err();
+        assert_eq!(StudyConfig::validate_request(false, None, 0), Ok(()));
+        assert_eq!(StudyConfig::validate_request(false, Some(1), 1), Ok(()));
+        assert_eq!(StudyConfig::validate_request(true, None, 1024), Ok(()));
+        let empty = StudyConfig::validate_request(false, Some(0), 0).unwrap_err();
         assert!(empty.contains("--devices"), "{empty}");
-        let conflict = StudyConfig::validate_request(true, Some(4)).unwrap_err();
+        let conflict = StudyConfig::validate_request(true, Some(4), 0).unwrap_err();
         assert!(conflict.contains("conflict"), "{conflict}");
+        for (paper_scale, devices) in [(false, Some(1)), (true, None)] {
+            let threads = StudyConfig::validate_request(paper_scale, devices, 1025).unwrap_err();
+            assert!(threads.contains("--threads"), "{threads}");
+        }
     }
 
     #[test]

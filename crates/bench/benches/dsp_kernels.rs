@@ -13,7 +13,7 @@ use sweetspot_core::aliasing::{
 };
 use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
 use sweetspot_dsp::fft::{plan_kind, FftPlanner, FftScratch};
-use sweetspot_dsp::psd::{periodogram, welch, PsdConfig, PsdScratch, WelchConfig};
+use sweetspot_dsp::psd::{periodogram, PsdConfig, PsdScratch};
 use sweetspot_dsp::resample::resample_fft;
 use sweetspot_dsp::window::Window;
 use sweetspot_dsp::Complex64;
@@ -72,57 +72,12 @@ fn periodogram_promote_reference(
         }
         power.push(p);
     }
-    let norm = (n as f64) * (n as f64) * Window::Rectangular.energy_gain(n);
+    // The rectangular window's energy gain is 1.
+    let norm = (n as f64) * (n as f64);
     for p in &mut power {
         *p /= norm;
     }
     power
-}
-
-/// The pre-rework Welch loop: a fresh promote-to-complex periodogram per
-/// segment, window coefficients re-evaluated (trig per sample) and the
-/// energy gain recomputed for every segment — the per-segment costs the
-/// cached-table pipeline eliminates.
-fn welch_promote_reference(
-    planner: &mut FftPlanner,
-    scratch: &mut FftScratch,
-    samples: &[f64],
-    seg_len: usize,
-) -> Vec<f64> {
-    let hop = seg_len / 2;
-    let bins = seg_len / 2 + 1;
-    let mut acc = vec![0.0; bins];
-    let mut segments = 0usize;
-    let mut start = 0usize;
-    while start + seg_len <= samples.len() {
-        let mut seg: Vec<f64> = samples[start..start + seg_len].to_vec();
-        let mean = seg.iter().sum::<f64>() / seg_len as f64;
-        for s in &mut seg {
-            *s -= mean;
-        }
-        // Direct per-sample evaluation, as before window tables existed.
-        let coefficient = |i: usize| Window::Hann.coefficient(i, seg_len);
-        for (i, s) in seg.iter_mut().enumerate() {
-            *s *= coefficient(i);
-        }
-        let mut buf: Vec<Complex64> = seg.iter().map(|&x| Complex64::from_real(x)).collect();
-        planner.fft_in_place(&mut buf, scratch);
-        let gain = (0..seg_len).map(|i| coefficient(i).powi(2)).sum::<f64>() / seg_len as f64;
-        let norm = (seg_len as f64) * (seg_len as f64) * gain;
-        for (k, c) in buf.iter().take(bins).enumerate() {
-            let mut p = c.norm_sqr();
-            if k != 0 && k != seg_len / 2 {
-                p *= 2.0;
-            }
-            acc[k] += p / norm;
-        }
-        segments += 1;
-        start += hop;
-    }
-    for a in &mut acc {
-        *a /= segments.max(1) as f64;
-    }
-    acc
 }
 
 fn bench(c: &mut Criterion) {
@@ -196,15 +151,6 @@ fn bench(c: &mut Criterion) {
         c.bench_function(&format!("psd/periodogram_{n}"), |b| {
             let mut planner = FftPlanner::new();
             b.iter(|| black_box(periodogram(&mut planner, &s, 1.0, PsdConfig::default())))
-        });
-        c.bench_function(&format!("psd/welch_promote_{n}_seg256"), |b| {
-            let mut planner = FftPlanner::new();
-            let mut scratch = FftScratch::new();
-            b.iter(|| black_box(welch_promote_reference(&mut planner, &mut scratch, &s, 256)))
-        });
-        c.bench_function(&format!("psd/welch_{n}_seg256"), |b| {
-            let mut planner = FftPlanner::new();
-            b.iter(|| black_box(welch(&mut planner, &s, 1.0, WelchConfig::default())))
         });
     }
     // Hann-windowed periodogram: stresses the window-coefficient path too.

@@ -12,8 +12,8 @@
 //!   verifying with the dual-rate check.
 //! * **Adaptive decrease** — "we can optimize the system by also adaptively
 //!   decreasing the sampling rate if we observe the Nyquist rate returning
-//!   to a lower value" — applied after `decrease_patience` consecutive
-//!   epochs of substantially lower estimates (hysteresis).
+//!   to a lower value" — applied after 3 consecutive epochs whose target is
+//!   below 0.7× the current rate (hysteresis).
 //! * **Memory** — "We can even 'remember' previous maximum Nyquist rates to
 //!   ramp up more quickly in the future": on re-entering probe mode the
 //!   controller jumps straight to the remembered maximum.
@@ -89,6 +89,16 @@ use sweetspot_timeseries::{grid_len, Hertz, Seconds};
 /// verification (see module docs).
 pub const MIN_VERIFY_HEADROOM: f64 = 1.65;
 
+/// Rate multiplier while probing (paper: multiplicative increase).
+const PROBE_STEP: f64 = 2.0;
+
+/// Consecutive low-estimate epochs required before decreasing.
+const CUT_PATIENCE: usize = 3;
+
+/// A new target must be below `CUT_THRESHOLD × current` to count
+/// toward the patience counter (hysteresis).
+const CUT_THRESHOLD: f64 = 0.7;
+
 /// Minimum samples per epoch window for the detector/estimator to be
 /// meaningful; shorter windows are auto-extended.
 const MIN_EPOCH_SAMPLES: usize = 64;
@@ -161,13 +171,6 @@ pub struct AdaptiveConfig {
     /// Steady-state rate = `headroom × estimated Nyquist rate`. Clamped up
     /// to [`MIN_VERIFY_HEADROOM`].
     pub headroom: f64,
-    /// Rate multiplier while probing (paper: multiplicative increase).
-    pub probe_multiplier: f64,
-    /// Consecutive low-estimate epochs required before decreasing.
-    pub decrease_patience: usize,
-    /// A new target must be below `decrease_threshold × current` to count
-    /// toward the patience counter (hysteresis).
-    pub decrease_threshold: f64,
     /// Remember past maxima and re-ramp to them directly.
     pub memory: bool,
     /// Batched verification cadence: once settled (Steady mode), run the
@@ -194,9 +197,6 @@ impl Default for AdaptiveConfig {
             min_rate: Hertz(1e-6),
             max_rate: Hertz(100.0),
             headroom: MIN_VERIFY_HEADROOM,
-            probe_multiplier: 2.0,
-            decrease_patience: 3,
-            decrease_threshold: 0.7,
             memory: true,
             verify_every: 1,
             epoch: Seconds(600.0),
@@ -248,9 +248,9 @@ pub enum Delivery {
     /// poll failed, or the report was dropped in flight. The source is never
     /// sampled and nothing arrives. Absent evidence is handled by
     /// **hold-and-decay**, never a silent stale estimate: the request holds
-    /// for the first `decrease_patience − 1` consecutive losses, then decays
-    /// by `1/probe_multiplier` per further loss down to `min_rate`, so a
-    /// device that stops reporting progressively releases its budget share.
+    /// for the first two consecutive losses, then halves per further loss
+    /// down to `min_rate`, so a device that stops reporting progressively
+    /// releases its budget share.
     /// The remembered maximum is untouched, so the re-ramp when evidence
     /// returns is one memory jump, not a fresh probe ladder; and the next
     /// detectable epoch is forced to verify, so a folded post-outage
@@ -381,7 +381,7 @@ impl AdaptiveSampler {
     ///
     /// # Panics
     /// Panics on inconsistent configuration (non-positive rates,
-    /// `min > max`, `probe_multiplier <= 1`, non-positive epoch).
+    /// `min > max`, non-positive epoch).
     pub fn new(config: AdaptiveConfig) -> Self {
         Self::with_planner(config, sweetspot_dsp::fft::FftPlanner::new())
     }
@@ -400,12 +400,7 @@ impl AdaptiveSampler {
             config.min_rate.value() <= config.max_rate.value(),
             "min_rate must not exceed max_rate"
         );
-        assert!(config.probe_multiplier > 1.0, "probe_multiplier must exceed 1");
         assert!(config.epoch.value() > 0.0, "epoch must be positive");
-        assert!(
-            (0.0..1.0).contains(&config.decrease_threshold),
-            "decrease_threshold must be in (0,1)"
-        );
         config.headroom = config.headroom.max(MIN_VERIFY_HEADROOM);
         let rate = Hertz(
             config
@@ -565,10 +560,9 @@ impl AdaptiveSampler {
                 self.missed_streak += 1;
                 self.low_streak = 0;
                 self.quiet_streak = 0;
-                if self.missed_streak >= self.config.decrease_patience.max(1) {
+                if self.missed_streak >= CUT_PATIENCE {
                     self.rate = Hertz(
-                        (requested.value() / self.config.probe_multiplier)
-                            .max(self.config.min_rate.value()),
+                        (requested.value() / PROBE_STEP).max(self.config.min_rate.value()),
                     );
                 }
                 (Hertz(0.0), 0)
@@ -732,7 +726,7 @@ impl AdaptiveSampler {
         } else if aliased {
             self.mode = Mode::Probe;
             self.low_streak = 0;
-            let escalated = primary.value() * self.config.probe_multiplier;
+            let escalated = primary.value() * PROBE_STEP;
             action = EpochAction::Probe;
             let target = if self.config.memory {
                 // Fast re-ramp: jump straight to the remembered requirement.
@@ -780,9 +774,9 @@ impl AdaptiveSampler {
                         // so hold the request and freeze the decrease
                         // hysteresis until the detector can run again.
                         requested
-                    } else if target < primary.value() * self.config.decrease_threshold {
+                    } else if target < primary.value() * CUT_THRESHOLD {
                         self.low_streak += 1;
-                        if self.low_streak >= self.config.decrease_patience {
+                        if self.low_streak >= CUT_PATIENCE {
                             self.low_streak = 0;
                             action = EpochAction::Cut;
                             Hertz(target)
@@ -1070,7 +1064,6 @@ mod tests {
             min_rate: Hertz(1e-4),
             max_rate: Hertz(64.0),
             epoch: Seconds(4000.0),
-            decrease_patience: 3,
             ..AdaptiveConfig::default()
         });
         let reports = ctl.run(&mut source, Seconds(120_000.0));
@@ -1187,15 +1180,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "probe_multiplier")]
-    fn bad_multiplier_panics() {
-        AdaptiveSampler::new(AdaptiveConfig {
-            probe_multiplier: 1.0,
-            ..AdaptiveConfig::default()
-        });
-    }
-
-    #[test]
     fn step_granted_full_grant_matches_step_exactly() {
         // With grant == request and the lockstep window equal to what run()
         // would pick, the budget-aware path must be bit-identical to the
@@ -1270,9 +1254,9 @@ mod tests {
     #[test]
     fn oscillating_estimates_never_defeat_decrease_patience() {
         // Estimates that alternate low/high must keep resetting the patience
-        // counter: the rate only drops after `decrease_patience` *consecutive*
+        // counter: the rate only drops after `CUT_PATIENCE` *consecutive*
         // low epochs, so an oscillating signal holds the settled rate.
-        let patience = 3;
+        let patience = CUT_PATIENCE;
         // Alternate the high tone on/off every 4000 s epoch: epochs see
         // demand flip between ~0.1 Hz and ~1.65 Hz targets.
         let mut source = FunctionSource::new(|t: f64| {
@@ -1289,7 +1273,6 @@ mod tests {
             min_rate: Hertz(1e-4),
             max_rate: Hertz(64.0),
             epoch: Seconds(4000.0),
-            decrease_patience: patience,
             ..AdaptiveConfig::default()
         });
         let reports = ctl.run(&mut source, Seconds(120_000.0));
@@ -1390,7 +1373,7 @@ mod tests {
         assert_eq!(deferred, k);
 
         // Hold-and-decay: held through the patience window, decaying after.
-        let patience = ctl.config.decrease_patience; // 3
+        let patience = CUT_PATIENCE;
         let mut probe = AdaptiveSampler::new(config(0.3, 2000.0));
         let mut src2 = FunctionSource::new(band_signal(edge));
         let mut t2 = Seconds::ZERO;
@@ -1696,7 +1679,6 @@ mod tests {
     #[test]
     fn shared_spectrum_estimate_equals_estimate_samples() {
         assert_eq!(NyquistConfig::default().window, crate::aliasing::DETECTOR_PSD.window);
-        assert_eq!(NyquistConfig::default().detrend, crate::aliasing::DETECTOR_PSD.detrend);
         let mut scratch = SamplerScratch::new();
         let mut source = FunctionSource::new(band_signal(0.5));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));

@@ -11,8 +11,8 @@
 //!
 //! * The two traces have different lengths and bin grids, so bin-by-bin FFT
 //!   comparison is not possible. Instead the band `(0, f2/2)` is split into
-//!   `bands` equal sub-bands and the *power* of each trace in each sub-band
-//!   is compared. Folded content lands in some sub-band regardless of where,
+//!   24 equal sub-bands and the *power* of each trace in each sub-band is
+//!   compared; a relative mismatch above one half is a discrepancy. Folded content lands in some sub-band regardless of where,
 //!   so nothing slips between check points.
 //! * Both periodograms use a Hann window: the rectangular window's leakage
 //!   skirts differ between the two trace lengths and would masquerade as
@@ -30,14 +30,16 @@ use sweetspot_dsp::spectrum::Spectrum;
 use sweetspot_dsp::window::Window;
 use sweetspot_timeseries::{Hertz, RegularSeries};
 
+/// Number of comparison sub-bands over `(0, f2/2)`.
+const BANDS: usize = 24;
+
+/// Relative band-power mismatch (w.r.t. the larger of the two readings)
+/// that counts as a discrepancy.
+const TOLERANCE: f64 = 0.5;
+
 /// Detector configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DualRateConfig {
-    /// Number of comparison sub-bands over `(0, f2/2)`.
-    pub bands: usize,
-    /// Relative band-power mismatch (w.r.t. the larger of the two readings)
-    /// that counts as a discrepancy.
-    pub tolerance: f64,
     /// Sub-bands holding less than this fraction of the total in-band power
     /// (in both traces) are skipped as noise.
     pub relative_floor: f64,
@@ -46,8 +48,6 @@ pub struct DualRateConfig {
 impl Default for DualRateConfig {
     fn default() -> Self {
         DualRateConfig {
-            bands: 24,
-            tolerance: 0.5,
             relative_floor: 0.02,
         }
     }
@@ -197,8 +197,8 @@ pub fn detect_aliasing_scratch(
 ///
 /// # Panics
 /// Panics unless the fast spectrum's rate exceeds the slow one's by a
-/// non-integer ratio, both came from at least 16 samples, and the
-/// configuration is in range.
+/// non-integer ratio, both came from at least 16 samples, and
+/// `relative_floor` is in `[0, 1)`.
 pub fn compare_spectra(
     fast: &Spectrum,
     slow: &Spectrum,
@@ -217,8 +217,6 @@ pub fn compare_spectra(
         fast.segment_len(),
         slow.segment_len()
     );
-    assert!(cfg.bands > 0, "need at least one band");
-    assert!(cfg.tolerance > 0.0, "tolerance must be positive");
     assert!(
         (0.0..1.0).contains(&cfg.relative_floor),
         "relative_floor must be in [0,1)"
@@ -227,9 +225,9 @@ pub fn compare_spectra(
     // The bands start at DC with no guard region: detrending removed DC,
     // and both windows smear residual low-frequency energy alike at the
     // band granularity.
-    let band_width = f2.value() / 2.0 / cfg.bands as f64;
-    fast.band_powers_into(band_width, cfg.bands, &mut bands.fast);
-    slow.band_powers_into(band_width, cfg.bands, &mut bands.slow);
+    let band_width = f2.value() / 2.0 / BANDS as f64;
+    fast.band_powers_into(band_width, BANDS, &mut bands.fast);
+    slow.band_powers_into(band_width, BANDS, &mut bands.slow);
     let total: f64 = bands
         .fast
         .iter()
@@ -261,7 +259,7 @@ pub fn compare_spectra(
         }
     }
     AliasingVerdict {
-        aliased: max_disc > cfg.tolerance,
+        aliased: max_disc > TOLERANCE,
         max_discrepancy: max_disc,
         worst_frequency: worst,
         compared,

@@ -8,42 +8,25 @@
 //! the Nyquist rate; (c) otherwise, we report twice the frequency at which we
 //! capture 99% of the total energy of the signal as the Nyquist rate."*
 //!
-//! Two practical choices are configurable and documented:
+//! Two practical choices are fixed and documented:
 //!
-//! * **Detrending** (default on): the DC bin of a gauge-type metric (e.g. a
-//!   temperature around 50 °C) dwarfs the dynamics; with DC included, the
-//!   99% threshold is met at bin 0 and every signal looks static. Removing
-//!   the mean makes the threshold a statement about the signal's *dynamics*,
-//!   which is what sampling-rate selection cares about. (The DC level itself
-//!   is recovered by any single sample.)
-//! * **Resolution floor** (default on): a trace whose AC energy is captured
-//!   at bin 0 would otherwise yield a Nyquist rate of 0 Hz; the floor clamps
-//!   the capture frequency to one FFT bin width, bounding reduction ratios
-//!   at `N/2` — you cannot learn more from a length-`N` trace.
+//! * **Detrending**: the DC bin of a gauge-type metric (e.g. a temperature
+//!   around 50 °C) dwarfs the dynamics; with DC included, the 99% threshold
+//!   is met at bin 0 and every signal looks static. Removing the mean makes
+//!   the threshold a statement about the signal's *dynamics*, which is what
+//!   sampling-rate selection cares about. (The DC level itself is recovered
+//!   by any single sample.)
+//! * **Resolution floor**: a trace whose AC energy is captured at bin 0
+//!   would otherwise yield a Nyquist rate of 0 Hz; the floor clamps the
+//!   capture frequency to one FFT bin width, bounding reduction ratios at
+//!   `N/2` — you cannot learn more from a length-`N` trace.
 
 use serde::{Deserialize, Serialize};
 use sweetspot_dsp::fft::FftPlanner;
-use sweetspot_dsp::psd::{periodogram_into, welch_into, PsdConfig, PsdScratch, WelchConfig};
+use sweetspot_dsp::psd::{periodogram_into, PsdConfig, PsdScratch};
 use sweetspot_dsp::spectrum::{EnergyCapture, Spectrum};
 use sweetspot_dsp::window::Window;
 use sweetspot_timeseries::{Hertz, RegularSeries};
-
-/// Which PSD estimator feeds the energy threshold.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PsdMethod {
-    /// One FFT over the whole trace (the paper's method): full frequency
-    /// resolution, high per-bin variance.
-    Periodogram,
-    /// Welch's averaged overlapped segments: per-bin variance drops by the
-    /// segment count, at the price of resolution `fs / segment_len`. Useful
-    /// when the noise floor, not resolution, limits the estimate — but note
-    /// the coarser resolution also *raises* the floor-limited minimum
-    /// estimate, so prefer the periodogram for very slow signals.
-    Welch {
-        /// Samples per segment (clamped to the trace length).
-        segment_len: usize,
-    },
-}
 
 /// Estimator configuration.
 #[derive(Debug, Clone, Copy)]
@@ -59,13 +42,6 @@ pub struct NyquistConfig {
     /// `Window::Rectangular` reproduces the paper's raw-FFT methodology
     /// exactly.
     pub window: Window,
-    /// Subtract the trace mean before analysis (see module docs).
-    pub detrend: bool,
-    /// Clamp the capture frequency to at least one FFT bin width (see
-    /// module docs).
-    pub floor_to_resolution: bool,
-    /// PSD estimator behind the threshold (see [`PsdMethod`]).
-    pub psd: PsdMethod,
 }
 
 impl Default for NyquistConfig {
@@ -73,9 +49,6 @@ impl Default for NyquistConfig {
         NyquistConfig {
             energy_cutoff: 0.99,
             window: Window::Hann,
-            detrend: true,
-            floor_to_resolution: true,
-            psd: PsdMethod::Periodogram,
         }
     }
 }
@@ -180,7 +153,9 @@ impl NyquistEstimator {
         NyquistEstimator { config, planner }
     }
 
-    /// Estimator with the paper's defaults (99% cutoff, raw FFT).
+    /// Estimator with [`NyquistConfig::default`]: the paper's 99% cutoff on
+    /// a Hann-windowed, detrended periodogram. The paper's literal raw FFT
+    /// is [`NyquistConfig::paper_literal`].
     pub fn paper_defaults() -> Self {
         Self::new(NyquistConfig::default())
     }
@@ -204,8 +179,8 @@ impl NyquistEstimator {
     }
 
     /// Estimates the Nyquist rate of raw samples taken at `sample_rate`,
-    /// through caller-lent working storage: the configured PSD, then
-    /// [`NyquistEstimator::estimate_spectrum`].
+    /// through caller-lent working storage: the detrended periodogram under
+    /// the configured window, then [`NyquistEstimator::estimate_spectrum`].
     ///
     /// # Panics
     /// Panics if `samples` has fewer than [`NyquistEstimator::MIN_SAMPLES`]
@@ -224,34 +199,17 @@ impl NyquistEstimator {
         );
         assert!(sample_rate.value() > 0.0, "sample_rate must be positive");
         let mut power = std::mem::take(&mut scratch.power);
-        let n = match self.config.psd {
-            PsdMethod::Periodogram => {
-                periodogram_into(
-                    &mut self.planner,
-                    &mut scratch.psd,
-                    samples,
-                    PsdConfig {
-                        window: self.config.window,
-                        detrend: self.config.detrend,
-                    },
-                    &mut power,
-                );
-                samples.len()
-            }
-            PsdMethod::Welch { segment_len } => welch_into(
-                &mut self.planner,
-                &mut scratch.psd,
-                samples,
-                WelchConfig {
-                    segment_len,
-                    overlap: 0.5,
-                    window: self.config.window,
-                    detrend: self.config.detrend,
-                },
-                &mut power,
-            ),
-        };
-        let spectrum = Spectrum::from_psd(power, sample_rate.value(), n);
+        periodogram_into(
+            &mut self.planner,
+            &mut scratch.psd,
+            samples,
+            PsdConfig {
+                window: self.config.window,
+                detrend: true,
+            },
+            &mut power,
+        );
+        let spectrum = Spectrum::from_psd(power, sample_rate.value(), samples.len());
         let estimate = self.estimate_spectrum(&spectrum);
         scratch.power = spectrum.into_power();
         estimate
@@ -259,9 +217,9 @@ impl NyquistEstimator {
 
     /// The §3.2 threshold on an already computed spectrum: the energy
     /// capture, the flat-spectrum guard and the resolution floor. The
-    /// configuration's PSD settings are not consulted — the caller chose the
-    /// spectrum (the §4.2 controller hands over the detector's periodogram,
-    /// which is the default configuration's PSD).
+    /// configured window is not consulted — the caller chose the spectrum
+    /// (the §4.2 controller hands over the detector's periodogram, which is
+    /// the default configuration's PSD).
     pub fn estimate_spectrum(&self, spectrum: &Spectrum) -> NyquistEstimate {
         match spectrum.frequency_capturing_energy(self.config.energy_cutoff) {
             EnergyCapture::AllBinsNeeded => NyquistEstimate::Aliased,
@@ -280,12 +238,7 @@ impl NyquistEstimator {
                 if frequency >= guard {
                     NyquistEstimate::Aliased
                 } else {
-                    let f = if self.config.floor_to_resolution {
-                        frequency.max(spectrum.resolution())
-                    } else {
-                        frequency
-                    };
-                    NyquistEstimate::Rate(Hertz(2.0 * f))
+                    NyquistEstimate::Rate(Hertz(2.0 * frequency.max(spectrum.resolution())))
                 }
             }
         }
@@ -387,34 +340,11 @@ mod tests {
     }
 
     #[test]
-    fn without_detrend_dc_swallows_the_threshold() {
-        let mut est = NyquistEstimator::new(NyquistConfig {
-            detrend: false,
-            ..NyquistConfig::default()
-        });
-        let s = tone_series(1000, 1.0, &[(0.05, 1.0)], 50.0);
-        // DC power 2500 ≫ AC power 0.5 ⇒ capture at bin 0 ⇒ floored to one
-        // bin width (resolution 0.001 Hz → rate 0.002 Hz).
-        let rate = est.estimate_series(&s).rate().unwrap().value();
-        assert!(rate < 0.005, "rate {rate}");
-    }
-
-    #[test]
     fn constant_signal_floors_to_resolution() {
         let mut est = NyquistEstimator::paper_defaults();
         let s = RegularSeries::new(Seconds::ZERO, Seconds(1.0), vec![5.0; 1000]);
         let rate = est.estimate_series(&s).rate().unwrap().value();
         assert!((rate - 0.002).abs() < 1e-12, "rate {rate}"); // 2 × (1/1000)
-    }
-
-    #[test]
-    fn no_floor_reports_zero_for_constant() {
-        let mut est = NyquistEstimator::new(NyquistConfig {
-            floor_to_resolution: false,
-            ..NyquistConfig::default()
-        });
-        let s = RegularSeries::new(Seconds::ZERO, Seconds(1.0), vec![5.0; 1000]);
-        assert_eq!(est.estimate_series(&s).rate().unwrap().value(), 0.0);
     }
 
     #[test]
@@ -457,62 +387,6 @@ mod tests {
                 assert!(r.value() <= 2.0 + 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn welch_psd_method_stabilizes_noisy_estimates() {
-        // A 0.02 Hz tone plus noise at 10% amplitude: the single-shot
-        // periodogram's noisy bins scatter the 99% crossing across repeated
-        // noise draws; Welch's averaged floor keeps it near the tone.
-        let mut lcg = 0xFEED_F00Du64;
-        let mut noise = move || {
-            lcg = lcg
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (((lcg >> 33) as f64 / (1u64 << 31) as f64) - 1.0) * 0.1
-        };
-        let values: Vec<f64> = (0..8192)
-            .map(|i| (2.0 * PI * 0.02 * i as f64).sin() + noise())
-            .collect();
-        let s = RegularSeries::new(Seconds::ZERO, Seconds(1.0), values);
-
-        let mut welch_est = NyquistEstimator::new(NyquistConfig {
-            psd: PsdMethod::Welch { segment_len: 512 },
-            ..NyquistConfig::default()
-        });
-        match welch_est.estimate_series(&s) {
-            NyquistEstimate::Rate(r) => {
-                // Resolution is 1/512 ≈ 0.002; the tone at 0.02 must be
-                // captured within a few Welch bins.
-                assert!(
-                    (r.value() - 0.04).abs() < 0.02,
-                    "welch rate {r} should track the tone"
-                );
-            }
-            NyquistEstimate::Aliased => panic!("welch should suppress the noise floor"),
-        }
-    }
-
-    #[test]
-    fn welch_resolution_floor_is_coarser() {
-        // A constant trace floors at one *segment* bin under Welch — coarser
-        // than the periodogram's full-trace bin.
-        let s = RegularSeries::new(Seconds::ZERO, Seconds(1.0), vec![3.0; 4096]);
-        let fine = NyquistEstimator::new(NyquistConfig::default())
-            .estimate_series(&s)
-            .rate()
-            .unwrap();
-        let coarse = NyquistEstimator::new(NyquistConfig {
-            psd: PsdMethod::Welch { segment_len: 256 },
-            ..NyquistConfig::default()
-        })
-        .estimate_series(&s)
-        .rate()
-        .unwrap();
-        assert!(
-            coarse.value() > fine.value() * 10.0,
-            "welch floor {coarse} vs periodogram floor {fine}"
-        );
     }
 
     #[test]

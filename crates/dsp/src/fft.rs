@@ -46,7 +46,7 @@
 //! a caller-lent [`FftScratch`], and the `*_into` methods write into
 //! caller-owned outputs. Once those buffers have warmed up, steady-state
 //! transforms of previously seen lengths perform **no heap allocations** —
-//! the property the PSD/Welch pipeline in [`crate::psd`] relies on.
+//! the property the periodogram pipeline in [`crate::psd`] relies on.
 //!
 //! Conventions: the forward transform is **unnormalized**
 //! (`X_k = Σ x_n e^{−2πi nk/N}`); the inverse scales by `1/N`, so

@@ -9,7 +9,7 @@
 //!   for `2^a·3^b·5^c` lengths, powers of two included, and Bluestein's
 //!   chirp-z algorithm on top of it for the rest),
 //! * window functions ([`window::Window`]),
-//! * power-spectral-density estimation ([`psd`]: periodogram and Welch),
+//! * power-spectral-density estimation ([`psd`]: the periodogram),
 //! * resampling and interpolation ([`resample`], [`interp`]: decimation,
 //!   zero-stuff upsampling, nearest/linear/sinc reconstruction),
 //! * quantization ([`quantize`]), and

@@ -86,7 +86,7 @@ impl Spectrum {
 
     /// Consumes the spectrum and returns its power buffer, capacity intact —
     /// steady-state pipelines hand the buffer back to the next
-    /// `periodogram_into`/`welch_into` call instead of reallocating.
+    /// `periodogram_into` call instead of reallocating.
     pub fn into_power(self) -> Vec<f64> {
         self.power
     }

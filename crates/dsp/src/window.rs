@@ -5,10 +5,9 @@
 //! estimator uses [`Window::Hann`] by default; the plain rectangular window
 //! reproduces the paper's raw-FFT methodology exactly.
 //!
-//! Every window is a sum of at most four cosine harmonics of
-//! `2πi/(n − 1)`. [`WindowTable`] is the one evaluator behind every
-//! coefficient vector: it reads the harmonics at `i`, `2i` and `3i`
-//! (mod `n − 1`) as real parts of the `(n − 1)`-th roots of unity, which a
+//! The Hann window is one cosine harmonic of `2πi/(n − 1)`. [`WindowTable`]
+//! is the one evaluator behind every coefficient vector: it reads that
+//! harmonic as the real part of the `(n − 1)`-th roots of unity, which a
 //! two-level root table yields for about `2√n` trig calls, and fills only the
 //! first `⌈n/2⌉` coefficients — the rest are an exact mirror.
 //! [`Window::coefficient`] evaluates one sample directly and is the
@@ -24,12 +23,6 @@ pub enum Window {
     Rectangular,
     /// Hann (raised cosine): good general-purpose leakage suppression.
     Hann,
-    /// Hamming: slightly narrower main lobe than Hann, higher side lobes.
-    Hamming,
-    /// Blackman: strong side-lobe suppression (−58 dB), wider main lobe.
-    Blackman,
-    /// 4-term Blackman–Harris: very strong suppression (−92 dB).
-    BlackmanHarris,
 }
 
 impl Window {
@@ -42,49 +35,17 @@ impl Window {
             return 1.0;
         }
         let x = i as f64 / (n - 1) as f64;
-        self.evaluate(|k| (2.0 * k as f64 * PI * x).cos())
+        self.evaluate((2.0 * PI * x).cos())
     }
 
-    /// The window's value given `cos_harmonic(k) = cos(2πk·x)` for the
-    /// harmonics `k ∈ {1, 2, 3}` it uses.
+    /// The window's value given `cos1 = cos(2π·x)`, its one harmonic.
     #[inline]
-    fn evaluate(self, cos_harmonic: impl Fn(usize) -> f64) -> f64 {
+    fn evaluate(self, cos1: f64) -> f64 {
         match self {
             Window::Rectangular => 1.0,
-            Window::Hann => 0.5 - 0.5 * cos_harmonic(1),
-            Window::Hamming => 0.54 - 0.46 * cos_harmonic(1),
-            Window::Blackman => 0.42 - 0.5 * cos_harmonic(1) + 0.08 * cos_harmonic(2),
-            Window::BlackmanHarris => {
-                0.35875 - 0.48829 * cos_harmonic(1) + 0.14128 * cos_harmonic(2)
-                    - 0.01168 * cos_harmonic(3)
-            }
+            Window::Hann => 0.5 - 0.5 * cos1,
         }
     }
-
-    /// Materializes the window as a coefficient vector of length `n`.
-    pub fn coefficients(self, n: usize) -> Vec<f64> {
-        WindowTable::new(self, n).coeffs
-    }
-
-    /// Applies the window to `samples` in place.
-    pub fn apply(self, samples: &mut [f64]) {
-        WindowTable::new(self, samples.len()).apply(samples);
-    }
-
-    /// Energy (incoherent) gain: mean of squared coefficients. Divides power
-    /// estimates so windowed PSDs remain comparable across window choices.
-    pub fn energy_gain(self, n: usize) -> f64 {
-        WindowTable::new(self, n).energy_gain
-    }
-
-    /// All window variants, for sweeps and tests.
-    pub const ALL: [Window; 5] = [
-        Window::Rectangular,
-        Window::Hann,
-        Window::Hamming,
-        Window::Blackman,
-        Window::BlackmanHarris,
-    ];
 }
 
 /// A materialized window: coefficients plus their energy gain.
@@ -112,12 +73,11 @@ impl WindowTable {
         if n < 2 || window == Window::Rectangular {
             coeffs.resize(n, 1.0);
         } else {
-            // cos(2πk·i/(n − 1)) is the real part of the (n − 1)-th root of
-            // unity at k·i mod (n − 1); k·i < 3n never overflows.
-            let m = n - 1;
-            let roots = Roots::new(m);
+            // cos(2πi/(n − 1)) is the real part of the (n − 1)-th root of
+            // unity at i; i < ⌈n/2⌉ ≤ n − 1 for n ≥ 2.
+            let roots = Roots::new(n - 1);
             let half = n.div_ceil(2);
-            coeffs.extend((0..half).map(|i| window.evaluate(|k| roots.root(k * i % m).re)));
+            coeffs.extend((0..half).map(|i| window.evaluate(roots.root(i).re)));
             coeffs.extend_from_within(..n - half);
             coeffs[half..].reverse();
         }
@@ -154,8 +114,8 @@ impl WindowTable {
         self.coeffs.capacity() * std::mem::size_of::<f64>()
     }
 
-    /// Energy gain (mean squared coefficient); equals
-    /// [`Window::energy_gain`].
+    /// Energy (incoherent) gain: mean of squared coefficients. Divides power
+    /// estimates so windowed PSDs remain comparable across window choices.
     pub fn energy_gain(&self) -> f64 {
         self.energy_gain
     }
@@ -184,17 +144,23 @@ impl WindowTable {
 mod tests {
     use super::*;
 
+    const WINDOWS: [Window; 2] = [Window::Rectangular, Window::Hann];
+
+    fn coefficients(window: Window, n: usize) -> Vec<f64> {
+        WindowTable::new(window, n).coeffs
+    }
+
     #[test]
     fn rectangular_is_all_ones() {
-        let w = Window::Rectangular.coefficients(16);
-        assert!(w.iter().all(|&c| c == 1.0));
-        assert_eq!(Window::Rectangular.energy_gain(16), 1.0);
+        let table = WindowTable::new(Window::Rectangular, 16);
+        assert!(table.coeffs.iter().all(|&c| c == 1.0));
+        assert_eq!(table.energy_gain(), 1.0);
     }
 
     #[test]
     fn hann_endpoints_are_zero_and_center_is_one() {
         let n = 65;
-        let w = Window::Hann.coefficients(n);
+        let w = coefficients(Window::Hann, n);
         assert!(w[0].abs() < 1e-12);
         assert!(w[n - 1].abs() < 1e-12);
         assert!((w[n / 2] - 1.0).abs() < 1e-12);
@@ -203,8 +169,8 @@ mod tests {
     #[test]
     fn all_windows_are_symmetric() {
         let n = 33;
-        for win in Window::ALL {
-            let w = win.coefficients(n);
+        for win in WINDOWS {
+            let w = coefficients(win, n);
             for i in 0..n {
                 assert!(
                     (w[i] - w[n - 1 - i]).abs() < 1e-12,
@@ -216,8 +182,8 @@ mod tests {
 
     #[test]
     fn all_windows_bounded_by_unity() {
-        for win in Window::ALL {
-            for &c in &win.coefficients(64) {
+        for win in WINDOWS {
+            for &c in &coefficients(win, 64) {
                 assert!((-1e-12..=1.0 + 1e-12).contains(&c), "{win:?}: {c}");
             }
         }
@@ -226,12 +192,11 @@ mod tests {
     #[test]
     fn gains_ordering_matches_taper_aggressiveness() {
         let n = 256;
-        // More aggressive tapers throw away more energy.
-        let coherent_gain = |w: Window| w.coefficients(n).iter().sum::<f64>() / n as f64;
-        let cg: Vec<f64> = Window::ALL.iter().map(|&w| coherent_gain(w)).collect();
-        assert!(cg[0] > cg[1] && cg[1] > cg[3] && cg[3] > cg[4]);
-        for win in Window::ALL {
-            let eg = win.energy_gain(n);
+        // Tapering throws away energy.
+        let coherent_gain = |w: Window| coefficients(w, n).iter().sum::<f64>() / n as f64;
+        assert!(coherent_gain(Window::Rectangular) > coherent_gain(Window::Hann));
+        for win in WINDOWS {
+            let eg = WindowTable::new(win, n).energy_gain();
             let cg = coherent_gain(win);
             // Cauchy–Schwarz: mean(w²) ≥ mean(w)².
             assert!(eg + 1e-12 >= cg * cg, "{win:?}");
@@ -240,17 +205,17 @@ mod tests {
 
     #[test]
     fn apply_matches_coefficients() {
+        let table = WindowTable::new(Window::Hann, 10);
         let mut v = vec![2.0; 10];
-        Window::Hamming.apply(&mut v);
-        let w = Window::Hamming.coefficients(10);
-        for (a, b) in v.iter().zip(&w) {
+        table.apply(&mut v);
+        for (a, b) in v.iter().zip(&table.coeffs) {
             assert!((a - 2.0 * b).abs() < 1e-12);
         }
     }
 
     #[test]
     fn degenerate_lengths_are_untapered() {
-        for win in Window::ALL {
+        for win in WINDOWS {
             assert_eq!(win.coefficient(0, 0), 1.0);
             assert_eq!(win.coefficient(0, 1), 1.0);
         }
@@ -258,7 +223,7 @@ mod tests {
 
     #[test]
     fn window_table_matches_direct_evaluation() {
-        for win in Window::ALL {
+        for win in WINDOWS {
             // The table is exactly symmetric and within 1e-15 of the
             // per-sample reference.
             for n in [2usize, 3, 97, 129_600] {
@@ -276,16 +241,6 @@ mod tests {
                     (0..n).map(|i| win.coefficient(i, n).powi(2)).sum::<f64>() / n as f64;
                 assert!((table.energy_gain() - direct_gain).abs() <= 1e-14, "{win:?} n={n}");
             }
-            // The `Window` conveniences are the table.
-            let n = 97;
-            let table = WindowTable::new(win, n);
-            assert_eq!(table.energy_gain(), win.energy_gain(n));
-            let mut via_table = vec![1.5; n];
-            table.apply(&mut via_table);
-            let mut direct = vec![1.5; n];
-            win.apply(&mut direct);
-            assert_eq!(via_table, direct);
-            assert_eq!(table.coeffs, win.coefficients(n));
         }
     }
 

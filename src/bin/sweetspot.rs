@@ -372,9 +372,9 @@ fn cmd_study(args: &[String]) -> Result<(), String> {
     let flags = flags(&rest, 0)?;
     reject_unknown_flags(&flags, &["devices", "seed", "threads"], "study")?;
     let devices = flag_opt::<usize>(&flags, "devices", "an integer")?;
-    StudyConfig::validate_request(paper_scale, devices)?;
-    let seed = flag_u64(&flags, "seed", 0x5EED_CAFE)?;
     let threads = flag_u64(&flags, "threads", 0)? as usize;
+    StudyConfig::validate_request(paper_scale, devices, threads)?;
+    let seed = flag_u64(&flags, "seed", 0x5EED_CAFE)?;
     let study = if paper_scale {
         FleetStudy::run_paper_scale(seed, NyquistConfig::default(), threads)
     } else {

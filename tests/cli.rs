@@ -438,6 +438,30 @@ fn fleetsim_rejects_zero_devices() {
 }
 
 #[test]
+fn fleetsim_and_study_reject_thread_counts_past_the_ceiling() {
+    // The engines spawn their workers afresh every epoch, so `--threads` is
+    // capped before a run. Both fleets have 14 work items, so a broken
+    // check would still spawn at most 14 threads here.
+    for args in [
+        vec!["fleetsim", "--devices", "14", "--days", "1", "--threads", "5000"],
+        vec!["study", "--devices", "1", "--threads", "5000"],
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--threads"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    // The ceiling itself is accepted.
+    let out = bin()
+        .args(["study", "--devices", "1", "--threads", "1024"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
 fn fleetsim_rejects_non_finite_days() {
     // A non-finite horizon has no epoch count: it must fail with a
     // message, neither running nor panicking.
