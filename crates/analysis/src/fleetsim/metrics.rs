@@ -16,10 +16,9 @@
 //! * **Wall scope** — phase timings and peak RSS. stderr only.
 //!
 //! Collection is **always on and non-perturbing**: the controller tallies
-//! and the `applied` re-count of the dealt events ([`AppliedCounters`]) in
-//! [`MetricsSummary`] are O(1) integer bumps, made by the engine's serial
-//! fold over each epoch's member reports and dealt events in device order,
-//! against a per-member step that does milliseconds of spectral work. A
+//! in [`MetricsSummary`] are O(1) integer bumps, made by the engine's serial
+//! fold over each epoch's member reports in device order, against a
+//! per-member step that does milliseconds of spectral work. A
 //! [`MetricsRecorder`] — present only when the caller asked for output —
 //! adds the journal, the grant histogram, and the JSON-lines emission on
 //! top; simulation stdout stays byte-identical whether a recorder is
@@ -29,16 +28,15 @@
 //! and a settled one-worker epoch allocates nothing at all
 //! (`alloc_steady_state.rs`; with several workers, scoped spawns allocate).
 //!
-//! # JSON-lines schema, version 2
+//! # JSON-lines schema, version 3
 //!
+//! This section is the one full statement of the `--metrics-out` stream.
 //! The workspace's one JSON writer, [`sweetspot_obs::json`], emits every
-//! line into a reused line buffer; the schema is still version 2. Every
-//! line is one JSON object whose first two keys are `"type"` (`"event"` or
-//! `"epoch"`) and `"schema"` (the integer `2`). Version 1 — the unversioned
-//! stream — had no `schema` key and carried a `"sched"` object (water-fill
-//! order-maintenance counters) between `fft` and `watchdog`.
-//! Every value is fleet scope; numbers that are not finite (an uncapped
-//! budget) are written as `null`.
+//! line into a reused line buffer. Every line is one JSON object whose
+//! first two keys are `"type"` (`"event"` or `"epoch"`) and `"schema"` (the
+//! integer `3`). Every value is fleet scope; numbers that are not finite
+//! (an uncapped budget) are written as `null`. Keys appear in the order
+//! the tables list them.
 //!
 //! An **event** line is one flight-recorder entry, drained oldest first
 //! just before the epoch line that follows it:
@@ -61,10 +59,10 @@
 //! | `epoch` | 0-based epoch of the snapshot | — |
 //! | `devices` | fleet size | the run |
 //! | `ledger` | `demanded`, `granted`, `spent` (cost units), `samples`, `throttled_devices` | this epoch |
-//! | `controller` | `probe`, `reramp`, `settle`, `raise`, `cut`, `hold`, `defer` transitions and the `verified` / `unverified` split | cumulative over the run |
-//! | `fft` | planner `lookups`, `hits`, `misses` summed over member handles; one lookup per transform actually run (a verified epoch runs two: the fast stream's spectrum, shared by detector and estimator, and the companion's) | cumulative over the run |
+//! | `controller` | `probe`, `reramp`, `settle`, `raise`, `cut`, `hold`, `defer` transitions and the `verified` / `unverified` split; `unverified` is derived as the seven transitions' sum minus `verified` | cumulative over the run |
+//! | `fft` | planner `lookups`, `hits`, `misses` summed over member handles; `lookups` is derived as `hits + misses`, one per transform actually run (a verified epoch runs two: the fast stream's spectrum, shared by detector and estimator, and the companion's) | cumulative over the run |
 //! | `watchdog` | `reprobes`, `starved`, `recovery_granted` (cost units); health census `healthy`, `recovering`, `suspect`, `dormant` | cumulative; the census is this epoch's |
-//! | `scenario` | `dealt`: `leaves`, `joins`, `reboots`, `absent_epochs`, `dropped_reports`, `duplicated_reports`, `delayed_reports`, `dormant_epochs`; `applied`: `absent_epochs`, `reboot_steps`, `dropped_reports`, `delayed_reports`, `duplicated_reports`, `dormant_epochs` — the same events as `dealt`, re-counted (see [`AppliedCounters`]) | cumulative over the run |
+//! | `scenario` | `dealt`: `leaves`, `joins`, `reboots`, `absent_epochs`, `dropped_reports`, `duplicated_reports`, `delayed_reports`, `dormant_epochs` | cumulative over the run |
 //! | `grants` | `count`, `sum`, `min`, `max`, `p10`, `p50`, `p90`, `p99` of the granted rates (Hz) | epochs since the previous snapshot |
 //! | `journal` | flight-recorder `events` and `dropped` | cumulative over the run |
 //!
@@ -72,6 +70,12 @@
 //! (`--recovery-budget-frac` > 0) and `scenario` only when a scenario is
 //! active; a healthy, unwatched run omits both. When present they sit
 //! between `fft` and `grants`, `watchdog` first.
+//!
+//! Schema 2 also carried `scenario.applied`, the `dealt` events re-counted
+//! by the engine's fold, equal to `dealt` kind for kind by construction.
+//! Schema 1, the unversioned stream, had no `schema` key and carried a
+//! `sched` object (water-fill order-maintenance counters) between `fft`
+//! and `watchdog`.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
@@ -82,7 +86,7 @@ use sweetspot_dsp::fft::FftHandleStats;
 use sweetspot_monitor::EpochAccount;
 use sweetspot_obs::{json, Counter, Histogram, Journal, JournalEvent};
 
-use super::scenario::{DeviceEvent, ScenarioCounters};
+use super::scenario::ScenarioCounters;
 
 /// Controller state-machine transitions, one counter per
 /// [`EpochAction`] variant, plus the verification split. Fleet scope: each
@@ -105,8 +109,6 @@ pub struct ControllerCounters {
     pub defer: Counter,
     /// Epochs whose §4.1 dual-rate detector actually ran.
     pub verified: Counter,
-    /// Epochs stepped without a detector verdict.
-    pub unverified: Counter,
 }
 
 impl ControllerCounters {
@@ -124,13 +126,10 @@ impl ControllerCounters {
         }
         if verified {
             self.verified.inc();
-        } else {
-            self.unverified.inc();
         }
     }
 
-    /// Total member-epochs stepped (every action is exactly one step, so
-    /// this also equals `verified + unverified`).
+    /// Total member-epochs stepped (every action is exactly one step).
     pub fn stepped(&self) -> u64 {
         self.probe.get()
             + self.reramp.get()
@@ -140,45 +139,10 @@ impl ControllerCounters {
             + self.hold.get()
             + self.defer.get()
     }
-}
 
-/// The dealt scenario events, re-counted by the engine's serial fold. The
-/// fold reads the same per-device event vector that the deal pass tallies
-/// into [`ScenarioCounters`], so the two agree kind for kind by
-/// construction: the equality that the CI smoke and
-/// `tests/metrics_determinism.rs` assert checks no worker-side behaviour.
-/// The counters exist for the JSON-lines `applied` block (schema 2).
-/// Fleet scope: which worker a device lands on never changes what was dealt
-/// to it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AppliedCounters {
-    /// Device-epochs stepped as offline (no samples, no report).
-    pub absent_epochs: Counter,
-    /// Epochs stepped from freshly rebooted state.
-    pub reboot_steps: Counter,
-    /// Reports lost in flight (missing-epoch semantics applied).
-    pub dropped_reports: Counter,
-    /// Reports that arrived too late to adapt on.
-    pub delayed_reports: Counter,
-    /// Reports billed twice.
-    pub duplicated_reports: Counter,
-    /// Device-epochs stepped as scheduled sleep (duty cycle / battery).
-    pub dormant_epochs: Counter,
-}
-
-impl AppliedCounters {
-    /// Tallies what one member-epoch actually applied.
-    #[inline]
-    pub fn record(&mut self, event: DeviceEvent) {
-        match event {
-            DeviceEvent::Absent => self.absent_epochs.inc(),
-            DeviceEvent::Reboot => self.reboot_steps.inc(),
-            DeviceEvent::ReportDropped => self.dropped_reports.inc(),
-            DeviceEvent::ReportDelayed => self.delayed_reports.inc(),
-            DeviceEvent::ReportDuplicated => self.duplicated_reports.inc(),
-            DeviceEvent::Dormant => self.dormant_epochs.inc(),
-            DeviceEvent::Healthy => {}
-        }
+    /// Epochs stepped without a detector verdict.
+    pub fn unverified(&self) -> u64 {
+        self.stepped() - self.verified.get()
     }
 }
 
@@ -213,19 +177,15 @@ pub struct WatchdogCounters {
 /// Fleet-scope metric totals of a policy run — always computed (the
 /// counters are on whether or not a recorder is attached) and carried on
 /// [`PolicyOutcome`](super::PolicyOutcome). The engine's serial fold bumps
-/// the controller and applied tallies in device order — no locks, no
-/// atomics, no allocation — and refreshes `fft` and `watchdog` before each
+/// the controller tallies in device order — no locks, no atomics, no
+/// allocation — and refreshes `fft` and `watchdog` before each
 /// snapshot and at the end of the run. Every field is thread-invariant;
 /// tests pin summaries equal across `--threads N`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MetricsSummary {
     /// Controller transitions over the run.
     pub controller: ControllerCounters,
-    /// The run's dealt scenario events, re-counted by the fold (see
-    /// [`AppliedCounters`]).
-    pub applied: AppliedCounters,
-    /// FFT planner handle statistics summed over members in device order
-    /// (`lookups == hits + misses` by construction).
+    /// FFT planner handle statistics summed over members in device order.
     pub fft: FftHandleStats,
     /// Watchdog tallies (`None` when `--recovery-budget-frac` is 0 and no
     /// watchdog ran).
@@ -277,7 +237,7 @@ const GRANT_HIST_HI: f64 = 1e2;
 const GRANT_HIST_BUCKETS: usize = 96;
 
 /// The JSON-lines schema version every line carries.
-const SCHEMA: u64 = 2;
+const SCHEMA: u64 = 3;
 
 /// The `--metrics-out` writer: owns the flight-recorder ring, the per-window
 /// grant histogram, and the reused line buffer every snapshot is formatted
@@ -455,13 +415,13 @@ impl MetricsRecorder {
                         ("hold", n.hold),
                         ("defer", n.defer),
                         ("verified", n.verified),
-                        ("unverified", n.unverified),
                     ] {
                         c.uint(name, counter.get());
                     }
+                    c.uint("unverified", n.unverified());
                 })
                 .object("fft", |f| {
-                    f.uint("lookups", m.fft.lookups.get())
+                    f.uint("lookups", m.fft.lookups())
                         .uint("hits", m.fft.hits.get())
                         .uint("misses", m.fft.misses.get());
                 });
@@ -477,7 +437,6 @@ impl MetricsRecorder {
                 });
             }
             if let Some(dealt) = snap.dealt {
-                let a = &m.applied;
                 o.object("scenario", |s| {
                     s.object("dealt", |d| {
                         d.uint("leaves", dealt.leaves as u64)
@@ -488,14 +447,6 @@ impl MetricsRecorder {
                             .uint("duplicated_reports", dealt.duplicated_reports as u64)
                             .uint("delayed_reports", dealt.delayed_reports as u64)
                             .uint("dormant_epochs", dealt.dormant_epochs as u64);
-                    })
-                    .object("applied", |p| {
-                        p.uint("absent_epochs", a.absent_epochs.get())
-                            .uint("reboot_steps", a.reboot_steps.get())
-                            .uint("dropped_reports", a.dropped_reports.get())
-                            .uint("delayed_reports", a.delayed_reports.get())
-                            .uint("duplicated_reports", a.duplicated_reports.get())
-                            .uint("dormant_epochs", a.dormant_epochs.get());
                     });
                 });
             }
@@ -548,35 +499,28 @@ impl MetricsRecorder {
     }
 }
 
-/// The `--timing` stderr report, rendered from an [`sweetspot_obs`] gauge
-/// registry so the numbers the operator reads are the same values a
-/// machine-readable consumer would get — text and snapshots can never
-/// disagree. Wall and topology scope only: nothing here is, or needs to be,
-/// thread-invariant.
+/// The `--timing` stderr report, rendered from the frontier's
+/// [`FleetTimings`](super::FleetTimings) and the last point's
+/// [`MemoryStats`](super::MemoryStats). Wall and topology scope only:
+/// nothing here is, or needs to be, thread-invariant.
 pub fn timing_report(
     frontier: &super::FleetFrontier,
     peak_rss_kb: Option<u64>,
 ) -> String {
-    use sweetspot_obs::Gauge;
-
     let t = frontier.timing();
-    let mut build = Gauge::new();
-    let mut step = Gauge::new();
-    let mut schedule = Gauge::new();
-    build.set(t.build.as_secs_f64());
-    step.set(t.step.as_secs_f64());
-    schedule.set(t.schedule.as_secs_f64());
-    let total = (build.get() + step.get() + schedule.get()).max(f64::MIN_POSITIVE);
-    let pct = |g: Gauge| 100.0 * g.get() / total;
+    let (build, step, schedule) =
+        (t.build.as_secs_f64(), t.step.as_secs_f64(), t.schedule.as_secs_f64());
+    let total = (build + step + schedule).max(f64::MIN_POSITIVE);
+    let pct = |secs: f64| 100.0 * secs / total;
 
     let mut out = format!(
         "timing: build {:.3}s ({:.0}%) | step {:.3}s ({:.0}%) | schedule {:.3}s ({:.0}%) \
          | total {:.3}s across workers over {} policy points\n",
-        build.get(),
+        build,
         pct(build),
-        step.get(),
+        step,
         pct(step),
-        schedule.get(),
+        schedule,
         pct(schedule),
         total,
         frontier.points.len()
@@ -586,19 +530,13 @@ pub fn timing_report(
     // per-shard caches and scratch depend on the worker split.
     if let Some(point) = frontier.points.last() {
         let m = point.outcome.memory;
-        let mut member_bytes = Gauge::new();
-        let mut scratch_bytes = Gauge::new();
-        let mut fft_bytes = Gauge::new();
-        member_bytes.set(m.member_bytes as f64);
-        scratch_bytes.set(m.scratch_bytes as f64);
-        fft_bytes.set(m.fft_table_bytes as f64);
         out.push_str(&format!(
             "memory: members {:.1} MB ({:.0} B/device) | worker scratch {:.1} MB \
              | fft tables {:.1} MB over {} shard(s), built in {:.3}s\n",
-            member_bytes.get() / 1e6,
+            m.member_bytes as f64 / 1e6,
             m.bytes_per_member(point.outcome.devices),
-            scratch_bytes.get() / 1e6,
-            fft_bytes.get() / 1e6,
+            m.scratch_bytes as f64 / 1e6,
+            m.fft_table_bytes as f64 / 1e6,
             m.workers,
             point.outcome.timing.fft_tables.as_secs_f64(),
         ));
@@ -641,31 +579,8 @@ mod tests {
         assert_eq!(b.hold.get(), 2);
         assert_eq!(b.cut.get(), 1);
         assert_eq!(b.verified.get(), 3);
-        assert_eq!(b.unverified.get(), 1);
+        assert_eq!(b.unverified(), 1);
         assert_eq!(b.stepped(), 4);
-        assert_eq!(b.stepped(), b.verified.get() + b.unverified.get());
-    }
-
-    #[test]
-    fn applied_counters_ignore_healthy_steps() {
-        let mut a = AppliedCounters::default();
-        for ev in [
-            DeviceEvent::Healthy,
-            DeviceEvent::Absent,
-            DeviceEvent::Reboot,
-            DeviceEvent::ReportDropped,
-            DeviceEvent::ReportDelayed,
-            DeviceEvent::ReportDuplicated,
-            DeviceEvent::Dormant,
-        ] {
-            a.record(ev);
-        }
-        assert_eq!(a.absent_epochs.get(), 1);
-        assert_eq!(a.reboot_steps.get(), 1);
-        assert_eq!(a.dropped_reports.get(), 1);
-        assert_eq!(a.delayed_reports.get(), 1);
-        assert_eq!(a.duplicated_reports.get(), 1);
-        assert_eq!(a.dormant_epochs.get(), 1);
     }
 
     #[test]
@@ -702,14 +617,14 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2, "{out}");
         assert!(
-            lines[0].starts_with("{\"type\":\"event\",\"schema\":2,"),
+            lines[0].starts_with("{\"type\":\"event\",\"schema\":3,"),
             "{}",
             lines[0]
         );
         assert!(lines[0].contains("\"device\":17"), "{}", lines[0]);
         assert!(lines[0].contains("\"kind\":\"probe\""), "{}", lines[0]);
         assert!(
-            lines[1].starts_with("{\"type\":\"epoch\",\"schema\":2,"),
+            lines[1].starts_with("{\"type\":\"epoch\",\"schema\":3,"),
             "{}",
             lines[1]
         );
@@ -763,7 +678,7 @@ mod tests {
         assert!(out.contains("\"budget\":null"), "{out}");
         assert!(out.contains("\"dealt\":{\"leaves\":2"), "{out}");
         assert!(out.contains("\"dormant_epochs\":6"), "{out}");
-        assert!(out.contains("\"applied\":{\"absent_epochs\":0"), "{out}");
+        assert!(!out.contains("applied"), "{out}");
         assert!(
             out.contains("\"watchdog\":{\"reprobes\":2,\"starved\":1,\"recovery_granted\":3.5"),
             "{out}"

@@ -149,18 +149,28 @@ impl Default for FleetSimConfig {
 pub const REPROBE_RETRY_CAP: u32 = 5;
 
 impl FleetSimConfig {
-    /// Checks the config before a run: `days` finite and positive, at most
-    /// `u32::MAX` epochs (the flight-recorder journal stamps epochs as
-    /// `u32`), `verify_every ≥ 1`, `recovery_budget_frac` in `[0, 1]`, at
-    /// most 1024 `threads`, and a fleet size that is neither zero nor both
-    /// `paper_scale` and `devices`.
-    /// The error names the `fleetsim` flag that sets the offending field
-    /// (`paper_scale` has none: the CLI derives it from `--devices`).
+    /// Checks the config before a run: `window` and `days` finite and
+    /// positive, at most `u32::MAX` epochs (the flight-recorder journal
+    /// stamps epochs as `u32`), `verify_every ≥ 1`, `recovery_budget_frac`
+    /// in `[0, 1]`, at most 1024 `threads`, a fleet size that is neither
+    /// zero nor both `paper_scale` and `devices`, and a `scenario` whose
+    /// probabilities, incident window, duty fraction and cost spread are in
+    /// range (the checks [`ScenarioSpec::parse`] runs).
+    /// The error names the `fleetsim` flag that sets the offending field;
+    /// `window` and `paper_scale` have none (the CLI fixes the window at one
+    /// day and derives `paper_scale` from `--devices`), so their errors name
+    /// the field.
     pub fn validate(&self) -> Result<(), String> {
+        let window = self.window.value();
+        if !(window.is_finite() && window > 0.0) {
+            return Err(format!(
+                "window must be a positive, finite number of seconds, got {window}"
+            ));
+        }
         if !(self.days.is_finite() && self.days > 0.0) {
             return Err("--days must be positive and finite".into());
         }
-        let epochs = (self.days * 86_400.0 / self.window.value()).ceil();
+        let epochs = (self.days * 86_400.0 / window).ceil();
         if !(..=u32::MAX as f64).contains(&epochs) {
             return Err(format!(
                 "--days spans {epochs:e} epochs; at most {} fit",
@@ -183,6 +193,7 @@ impl FleetSimConfig {
         if self.devices == Some(0) {
             return Err("--devices wants a positive fleet size".into());
         }
+        self.scenario.validate()?;
         crate::shard::validate_threads(self.threads)
     }
 
@@ -1082,7 +1093,11 @@ mod tests {
         let base = tiny_config(1);
         assert_eq!(base.validate(), Ok(()));
         type Break = fn(&mut FleetSimConfig);
-        let cases: [(&str, Break, &str); 12] = [
+        let cases: [(&str, Break, &str); 17] = [
+            ("window -3600", |c| c.window = Seconds(-3600.0), "window"),
+            ("window 0", |c| c.window = Seconds(0.0), "window"),
+            ("window NaN", |c| c.window = Seconds(f64::NAN), "window"),
+            ("window inf", |c| c.window = Seconds(f64::INFINITY), "window"),
             ("days 0", |c| c.days = 0.0, "--days"),
             ("days -1", |c| c.days = -1.0, "--days"),
             ("days NaN", |c| c.days = f64::NAN, "--days"),
@@ -1106,6 +1121,11 @@ mod tests {
             ),
             ("devices 0", |c| c.devices = Some(0), "positive fleet size"),
             ("threads 1025", |c| c.threads = 1025, "--threads"),
+            (
+                "scenario drop 2",
+                |c| c.scenario.drop_prob = 2.0,
+                "drop probability",
+            ),
         ];
         for (name, break_field, needle) in cases {
             let mut cfg = base;

@@ -395,7 +395,6 @@ impl<'r> FleetRun<'r> {
         let (mut samples, mut skewed, mut covered) = (0usize, 0.0f64, 0.0f64);
         let mut throttled_devices = 0usize;
         for (i, (report, &event)) in self.reports.iter().zip(&self.events).enumerate() {
-            self.metrics.applied.record(event);
             let Some(r) = report else { continue };
             self.metrics.controller.record(r.action, r.verified);
             if let (Some(rec), Some(kind)) =

@@ -411,7 +411,9 @@ impl ScenarioSpec {
         take!(cost_spread);
     }
 
-    fn validate(&self) -> Result<(), String> {
+    /// Checks every probability, the incident factor and window, the cost
+    /// spread and the duty fraction are in range.
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("leave", self.leave_prob),
             ("join", self.join_prob),

@@ -1663,9 +1663,9 @@ mod tests {
         });
         let window = Seconds(2000.0);
         let mut lookups_of = |ctl: &mut AdaptiveSampler, t: f64| {
-            let before = ctl.fft_handle_stats().lookups.get();
+            let before = ctl.fft_handle_stats().lookups();
             let r = full_grant(ctl, &mut scratch, &mut source, Seconds(t), window);
-            (r, ctl.fft_handle_stats().lookups.get() - before)
+            (r, ctl.fft_handle_stats().lookups() - before)
         };
         let (settle, lookups) = lookups_of(&mut ctl, 0.0);
         assert!(settle.verified && settle.estimate.is_some(), "{settle:?}");

@@ -19,10 +19,9 @@
 //! * **Zero dependencies.** The crate sits below `dsp` in the workspace
 //!   graph, so anything — the FFT planner included — can count into it.
 //!
-//! Four primitives:
+//! Three primitives:
 //!
 //! * [`Counter`] — a monotonic `u64` count.
-//! * [`Gauge`] — a last-write-wins `f64` level.
 //! * [`Histogram`] — fixed log-spaced buckets plus count/sum/min/max;
 //!   quantiles are interpolated from the bucket the rank lands in, the
 //!   constant-space streaming idiom of Chambers et al., *Monitoring
@@ -42,21 +41,10 @@ pub mod json;
 pub struct Counter(u64);
 
 impl Counter {
-    /// A zeroed counter.
-    pub const fn new() -> Self {
-        Counter(0)
-    }
-
     /// Count one event.
     #[inline]
     pub fn inc(&mut self) {
         self.0 += 1;
-    }
-
-    /// Count `n` events at once.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
     }
 
     /// The current count.
@@ -69,35 +57,6 @@ impl Counter {
     #[inline]
     pub fn merge(&mut self, other: Counter) {
         self.0 += other.0;
-    }
-}
-
-/// A last-write-wins level (bytes resident, seconds elapsed, budget spent).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Gauge(f64);
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub const fn new() -> Self {
-        Gauge(0.0)
-    }
-
-    /// Replace the level.
-    #[inline]
-    pub fn set(&mut self, value: f64) {
-        self.0 = value;
-    }
-
-    /// Accumulate into the level (per-shard bytes summed across shards).
-    #[inline]
-    pub fn add(&mut self, value: f64) {
-        self.0 += value;
-    }
-
-    /// The current level.
-    #[inline]
-    pub fn get(self) -> f64 {
-        self.0
     }
 }
 
@@ -402,23 +361,15 @@ mod tests {
 
     #[test]
     fn counter_counts_and_merges() {
-        let mut a = Counter::new();
-        a.inc();
-        a.add(4);
-        let mut b = Counter::new();
-        b.add(10);
+        let mut a = Counter::default();
+        for _ in 0..5 {
+            a.inc();
+        }
+        let mut b = Counter::default();
+        b.inc();
         b.merge(a);
         assert_eq!(a.get(), 5);
-        assert_eq!(b.get(), 15);
-    }
-
-    #[test]
-    fn gauge_is_last_write_wins() {
-        let mut g = Gauge::new();
-        g.set(3.5);
-        g.set(2.0);
-        g.add(0.5);
-        assert_eq!(g.get(), 2.5);
+        assert_eq!(b.get(), 6);
     }
 
     #[test]

@@ -38,9 +38,10 @@
 //!     caps the FFT plan-table caches at M MiB total (0 = unbounded;
 //!     default 6144) — eviction rebuilds tables bit-identically, so the cap
 //!     trades setup time for memory, never output. `--scenario` injects
-//!     fleet lifecycle failures: preset names `churn`, `incident`,
-//!     `lossy-reports`, `cost-skew` compose with `+` (e.g.
-//!     `churn+lossy-reports`) and `key=value` terms override fields
+//!     fleet lifecycle failures: the preset names `churn`, `incident`,
+//!     `lossy-reports`, `cost-skew`, `duty`, `battery`, `diurnal` and
+//!     `staggered` compose with `+` (e.g. `churn+lossy-reports`) and
+//!     `key=value` terms override fields
 //!     (`drop=0.1+reboot=0.01`); `--scenario-seed S` re-deals the fault
 //!     schedule. Scenario runs report degraded frontiers (plus incident
 //!     time-to-recover p50/p95); `--scenario none` (the default) is inert.
@@ -53,11 +54,10 @@
 //!     watchdog and is bit-identical to the pre-watchdog engine. Output
 //!     is byte-identical for any `--threads T`. `--metrics-out PATH`
 //!     streams fleet-scope metrics as JSON lines: one epoch snapshot per
-//!     simulated epoch (controller actions, scheduler maintenance, FFT
-//!     plan-cache hits, grant-distribution quantiles, the shared-budget
-//!     ledger) plus flight-recorder event lines (probes, raises, cuts,
-//!     scenario faults). The file is byte-identical for any `--threads T`,
-//!     and recording never changes stdout. `--metrics-every K` thins
+//!     simulated epoch plus flight-recorder event lines, in the schema
+//!     that [`sweetspot::analysis::fleetsim::metrics`] states. The file is
+//!     byte-identical for any `--threads T`, and recording never changes
+//!     stdout. `--metrics-every K` thins
 //!     snapshots to every K-th epoch (events and the final epoch always
 //!     land). `--json-devices` implies `--json` and adds per-device records
 //!     (final rate, mean coverage, deferred/missed epochs) to each frontier
@@ -268,11 +268,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     reject_unknown_flags(&flags, &["cutoff", "headroom", "interval"], "analyze")?;
     let cutoff = flag_f64(&flags, "cutoff", 0.99)?;
     let headroom = flag_f64(&flags, "headroom", 1.25)?;
-    let interval = flags
-        .iter()
-        .find(|(n, _)| n == "interval")
-        .map(|(_, v)| v.parse::<f64>().map_err(|_| "--interval wants seconds".to_string()))
-        .transpose()?;
+    let interval = flag_opt::<f64>(&flags, "interval", "seconds")?;
     let cfg = RecommendConfig {
         estimator: NyquistConfig {
             energy_cutoff: cutoff,
@@ -490,8 +486,9 @@ fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
     let fft_table_budget = (fft_cache_mb > 0).then_some(fft_cache_mb << 20);
     let devices = flag_opt::<usize>(&flags, "devices", "an integer")?;
     // Failure injection: preset names compose with `+` (churn, incident,
-    // lossy-reports, cost-skew) and key=value terms override fields. The
-    // default "none" is inert — the healthy path stays byte-identical.
+    // lossy-reports, cost-skew, duty, battery, diurnal, staggered) and
+    // key=value terms override fields. The default "none" is inert — the
+    // healthy path stays byte-identical.
     let mut scenario = flag_opt::<String>(&flags, "scenario", "a scenario spec")?
         .map_or(Ok(ScenarioSpec::none()), |s| ScenarioSpec::parse(&s))?;
     scenario.seed = flag_u64(&flags, "scenario-seed", scenario.seed)?;
@@ -591,10 +588,7 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
         return Err(format!("--days wants a positive, finite number of days, got {days}"));
     }
     let seed = flag_u64(&flags, "seed", 7)?;
-    let metric_name = flags
-        .iter()
-        .find(|(n, _)| n == "metric")
-        .map(|(_, v)| v.clone())
+    let metric_name = flag_opt::<String>(&flags, "metric", "a metric name")?
         .unwrap_or_else(|| "Temperature".into());
     let kind = MetricKind::ALL
         .iter()

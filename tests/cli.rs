@@ -74,6 +74,11 @@ fn analyze_rejects_malformed_flags() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    // A value that is not a number is echoed back with its flag.
+    let out = bin().arg("analyze").arg(&path).args(["--interval", "abc"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--interval wants seconds, got \"abc\""), "{stderr}");
     std::fs::remove_file(path).ok();
 }
 
