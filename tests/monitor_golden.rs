@@ -31,6 +31,41 @@ fn sweet_spot_render_matches_golden_fixture() {
 }
 
 #[test]
+fn sweet_spot_points_match_golden_fixture() {
+    // `{:?}` prints the shortest text that round-trips, so every bit of
+    // every point is pinned (the rendering rounds).
+    let result = experiments::sweetspot::run(11, 2, 2.0, &[0.05, 0.25, 1.0]);
+    let mut got = String::new();
+    for p in &result.frontier {
+        writeln!(
+            got,
+            "fixed {:?}: cost {:?} nrmse {:?} recall {:?}",
+            p.rate_multiplier, p.cost, p.nrmse, p.event_recall
+        )
+        .unwrap();
+    }
+    for p in &result.policies {
+        writeln!(
+            got,
+            "{}: cost {:?} nrmse {:?} recall {:?}",
+            p.label, p.cost, p.nrmse, p.event_recall
+        )
+        .unwrap();
+    }
+    let knee = result.knee.expect("the frontier has a knee");
+    writeln!(
+        got,
+        "knee {:?}: cost {:?} nrmse {:?} recall {:?}",
+        knee.rate_multiplier, knee.cost, knee.nrmse, knee.event_recall
+    )
+    .unwrap();
+    assert!(
+        got == golden("sweetspot_points.txt"),
+        "sweet-spot points diverged:\n{got}"
+    );
+}
+
+#[test]
 fn adaptive_plan_epochs_match_golden_fixture() {
     let config = AdaptiveConfig {
         initial_rate: Hertz(1.0 / 300.0),
