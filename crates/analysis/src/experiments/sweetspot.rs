@@ -9,34 +9,106 @@
 
 use sweetspot_core::adaptive::AdaptiveConfig;
 use sweetspot_monitor::device::SimDevice;
-use sweetspot_monitor::sweep::{knee_point, rate_sweep, SweepPoint};
-use sweetspot_monitor::system::{MonitoringSystem, Policy};
+use sweetspot_monitor::Policy;
 use sweetspot_telemetry::events::{Event, EventKind};
 use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile};
 use sweetspot_timeseries::{Hertz, Seconds};
 
-/// A labelled point on the cost-vs-quality plane.
-#[derive(Debug, Clone)]
+/// A point on the cost-vs-quality plane: one policy run over the fleet.
+#[derive(Debug, Clone, Copy)]
 pub struct PolicyPoint {
-    /// Display label.
-    pub label: String,
+    /// The policy; every frontier point is a [`Policy::ProductionScaled`].
+    pub policy: Policy,
     /// Total cost units.
     pub cost: f64,
-    /// Mean reconstruction NRMSE.
+    /// Mean reconstruction NRMSE over the fleet.
     pub nrmse: f64,
-    /// Mean event recall.
+    /// Mean event recall over the fleet.
     pub event_recall: f64,
+}
+
+impl PolicyPoint {
+    /// Runs `policy` over `devices` and places it on the plane.
+    fn measure(policy: Policy, devices: &mut [SimDevice], duration: Seconds) -> Self {
+        let (cost, nrmse, event_recall) = policy.run_fleet(devices, duration);
+        PolicyPoint {
+            policy,
+            cost: cost.total(),
+            nrmse,
+            event_recall,
+        }
+    }
+
+    /// Display label.
+    pub fn label(&self) -> String {
+        match self.policy {
+            Policy::ProductionScaled(m) => format!("fixed {m:.2}x"),
+            Policy::PosterioriNyquist { .. } => "posteriori-nyquist".into(),
+            Policy::Adaptive(_) => "adaptive-§4.2".into(),
+        }
+    }
 }
 
 /// Sweet-spot experiment results.
 #[derive(Debug, Clone)]
 pub struct SweetSpot {
     /// The fixed-rate frontier.
-    pub frontier: Vec<SweepPoint>,
+    pub frontier: Vec<PolicyPoint>,
     /// The knee of the frontier.
-    pub knee: Option<SweepPoint>,
+    pub knee: Option<PolicyPoint>,
     /// The §4 policies placed on the same axes.
     pub policies: Vec<PolicyPoint>,
+}
+
+/// Sweeps fixed-rate policies at each multiplier of the production rate: the
+/// cost-vs-quality frontier.
+///
+/// # Panics
+/// Panics if `multipliers` is empty or non-positive values are present.
+pub fn rate_sweep(
+    devices: &mut [SimDevice],
+    multipliers: &[f64],
+    duration: Seconds,
+) -> Vec<PolicyPoint> {
+    assert!(!multipliers.is_empty(), "need at least one multiplier");
+    assert!(
+        multipliers.iter().all(|&m| m > 0.0),
+        "multipliers must be positive"
+    );
+    multipliers
+        .iter()
+        .map(|&m| PolicyPoint::measure(Policy::ProductionScaled(m), devices, duration))
+        .collect()
+}
+
+/// Finds the knee of a sweep (the title's "sweet spot"): the point
+/// minimizing the normalized distance to the utopia corner
+/// `(min log-cost, min error)`.
+///
+/// Returns `None` for empty input or when no point has finite error.
+pub fn knee_point(points: &[PolicyPoint]) -> Option<&PolicyPoint> {
+    let finite: Vec<&PolicyPoint> = points.iter().filter(|p| p.nrmse.is_finite()).collect();
+    if finite.is_empty() {
+        return None;
+    }
+    let (min_c, max_c) = finite.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), p| {
+        (lo.min(p.cost.ln()), hi.max(p.cost.ln()))
+    });
+    let (min_e, max_e) = finite.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), p| {
+        (lo.min(p.nrmse), hi.max(p.nrmse))
+    });
+    let c_span = (max_c - min_c).max(1e-12);
+    let e_span = (max_e - min_e).max(1e-12);
+    let dist = |p: &PolicyPoint| {
+        let c = (p.cost.ln() - min_c) / c_span;
+        let e = (p.nrmse - min_e) / e_span;
+        (c * c + e * e).sqrt()
+    };
+    finite.into_iter().min_by(|a, b| {
+        dist(a)
+            .partial_cmp(&dist(b))
+            .unwrap_or(std::cmp::Ordering::Equal)
+    })
 }
 
 /// Builds the experiment fleet: temperature + link-utilization devices with
@@ -67,38 +139,25 @@ pub fn build_devices(seed: u64, per_metric: usize) -> Vec<SimDevice> {
 
 /// Runs the sweet-spot experiment.
 pub fn run(seed: u64, per_metric: usize, days: f64, multipliers: &[f64]) -> SweetSpot {
-    let system = MonitoringSystem::default();
     let duration = Seconds::from_days(days);
 
     let mut devices = build_devices(seed, per_metric);
-    let frontier = rate_sweep(&system, &mut devices, multipliers, duration);
+    let frontier = rate_sweep(&mut devices, multipliers, duration);
     let knee = knee_point(&frontier).copied();
 
-    let mut policies = Vec::new();
-    for (label, policy) in [
-        (
-            "posteriori-nyquist",
-            Policy::PosterioriNyquist { headroom: 1.25 },
-        ),
-        (
-            "adaptive-§4.2",
-            Policy::Adaptive(AdaptiveConfig {
-                initial_rate: Hertz(1.0 / 300.0),
-                min_rate: Hertz(1e-6),
-                max_rate: Hertz(1.0),
-                epoch: Seconds::from_hours(12.0),
-                ..AdaptiveConfig::default()
-            }),
-        ),
-    ] {
-        let outcome = system.run_fleet(&mut devices, &policy, duration);
-        policies.push(PolicyPoint {
-            label: label.to_string(),
-            cost: outcome.cost.total(),
-            nrmse: outcome.mean_nrmse,
-            event_recall: outcome.mean_event_recall,
-        });
-    }
+    let policies = [
+        Policy::PosterioriNyquist { headroom: 1.25 },
+        Policy::Adaptive(AdaptiveConfig {
+            initial_rate: Hertz(1.0 / 300.0),
+            min_rate: Hertz(1e-6),
+            max_rate: Hertz(1.0),
+            epoch: Seconds::from_hours(12.0),
+            ..AdaptiveConfig::default()
+        }),
+    ]
+    .into_iter()
+    .map(|policy| PolicyPoint::measure(policy, &mut devices, duration))
+    .collect();
 
     SweetSpot {
         frontier,
@@ -113,34 +172,32 @@ impl SweetSpot {
         let mut out = String::from(
             "Sweet spot: cost vs quality (fixed-rate frontier + §4 policies)\n",
         );
-        let mut rows: Vec<Vec<String>> = self
+        let rows: Vec<Vec<String>> = self
             .frontier
             .iter()
+            .chain(&self.policies)
             .map(|p| {
                 vec![
-                    format!("fixed {:.2}x", p.rate_multiplier),
+                    p.label(),
                     format!("{:.0}", p.cost),
                     format!("{:.4}", p.nrmse),
                     format!("{:.2}", p.event_recall),
                 ]
             })
             .collect();
-        for p in &self.policies {
-            rows.push(vec![
-                p.label.clone(),
-                format!("{:.0}", p.cost),
-                format!("{:.4}", p.nrmse),
-                format!("{:.2}", p.event_recall),
-            ]);
-        }
         out.push_str(&crate::report::table(
             &["policy", "cost", "NRMSE", "event recall"],
             &rows,
         ));
-        if let Some(k) = &self.knee {
+        if let Some(PolicyPoint {
+            policy: Policy::ProductionScaled(m),
+            cost,
+            nrmse,
+            ..
+        }) = self.knee
+        {
             out.push_str(&format!(
-                "knee of the frontier: {:.2}x production rate (cost {:.0}, NRMSE {:.4})\n",
-                k.rate_multiplier, k.cost, k.nrmse
+                "knee of the frontier: {m:.2}x production rate (cost {cost:.0}, NRMSE {nrmse:.4})\n"
             ));
         }
         out
@@ -150,6 +207,64 @@ impl SweetSpot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn devices(n: usize) -> Vec<SimDevice> {
+        (0..n)
+            .map(|i| {
+                SimDevice::new(DeviceTrace::synthesize(
+                    MetricProfile::for_kind(MetricKind::Temperature),
+                    i,
+                    21,
+                ))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sweep_cost_increases_with_rate() {
+        let points = rate_sweep(&mut devices(2), &[0.1, 1.0, 4.0], Seconds::from_days(2.0));
+        assert_eq!(points.len(), 3);
+        assert!(points[0].cost < points[1].cost && points[1].cost < points[2].cost);
+    }
+
+    #[test]
+    fn sweep_quality_improves_with_rate() {
+        let points = rate_sweep(&mut devices(2), &[0.02, 1.0], Seconds::from_days(4.0));
+        assert!(
+            points[1].nrmse < points[0].nrmse,
+            "faster polling must reconstruct better: {points:?}"
+        );
+    }
+
+    fn point(m: f64, cost: f64, nrmse: f64) -> PolicyPoint {
+        PolicyPoint {
+            policy: Policy::ProductionScaled(m),
+            cost,
+            nrmse,
+            event_recall: 1.0,
+        }
+    }
+
+    #[test]
+    fn knee_prefers_low_cost_low_error() {
+        let points = vec![
+            point(0.01, 10.0, 0.9),   // cheap but terrible
+            point(0.1, 100.0, 0.05),  // the knee
+            point(1.0, 1000.0, 0.04), // 10× cost for 1% better
+            point(10.0, 10_000.0, 0.039),
+        ];
+        let knee = knee_point(&points).unwrap();
+        assert!(
+            matches!(knee.policy, Policy::ProductionScaled(m) if m == 0.1),
+            "knee at {knee:?}"
+        );
+    }
+
+    #[test]
+    fn knee_of_empty_is_none() {
+        assert!(knee_point(&[]).is_none());
+        assert!(knee_point(&[point(1.0, 1.0, f64::INFINITY)]).is_none());
+    }
 
     #[test]
     fn frontier_is_monotone_and_policies_beat_production() {

@@ -278,7 +278,8 @@ pub struct FleetTimings {
 /// `workers` while `member_bytes / devices` stays flat.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoryStats {
-    /// Durable per-member state: slab blocks, trace identity, signal model.
+    /// Durable per-member state: slab blocks, trace identity, signal model
+    /// and each FFT planner handle's lists of requested lengths.
     pub member_bytes: usize,
     /// Worker scratch high-water, summed over all shards.
     pub scratch_bytes: usize,

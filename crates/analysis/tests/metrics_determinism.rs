@@ -17,10 +17,10 @@
 
 use proptest::prelude::*;
 use sweetspot_analysis::fleetsim::{
-    metrics::MetricsRecorder, run_policy, run_policy_recorded, scenario::ScenarioSpec,
-    scheduler::SchedulerPolicy, FleetSimConfig, PolicyOutcome,
+    member_config, metrics::MetricsRecorder, run_policy, run_policy_recorded,
+    scenario::ScenarioSpec, scheduler::SchedulerPolicy, FleetSimConfig, PolicyOutcome,
 };
-use sweetspot_telemetry::FleetConfig;
+use sweetspot_telemetry::{FleetConfig, MetricProfile};
 use sweetspot_timeseries::Seconds;
 
 fn churn_config(devices: usize, seed: u64, threads: usize) -> FleetSimConfig {
@@ -108,6 +108,13 @@ fn summary_invariants_hold_under_churn() {
     assert!(last_epoch.contains(&format!("\"unverified\":{}", m.controller.unverified())));
 }
 
+/// The unsigned integer after `"key":` in one JSON line, if the key is there.
+fn key(line: &str, key: &str) -> Option<u64> {
+    let at = line.find(&format!("\"{key}\":"))? + key.len() + 3;
+    let digits = line[at..].bytes().take_while(u8::is_ascii_digit).count();
+    line[at..at + digits].parse().ok()
+}
+
 /// Scenario presets the invariant sweep draws from: healthy, lifecycle
 /// churn, lost and late reports, scheduled sleep, and a staggered regime
 /// switch.
@@ -117,10 +124,11 @@ const SWEEP_SCENARIOS: [&str; 5] =
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Thread invariance and the ledger and quality bounds over random
-    /// fleets: the policy (capped policies at budget 0 or a drawn finite
-    /// budget, `uncapped` only at ∞, the way `run_point` pairs them), the
-    /// scenario preset and the watchdog's recovery slice.
+    /// Thread invariance, the ledger and quality bounds, the rate bounds and
+    /// the watchdog's health census over random fleets: the policy (capped
+    /// policies at budget 0 or a drawn finite budget, `uncapped` only at ∞,
+    /// the way `run_point` pairs them), the scenario preset and the
+    /// watchdog's recovery slice.
     #[test]
     fn metrics_thread_invariance_holds_for_arbitrary_fleets(
         (devices, seed) in (8usize..48, 0u64..1_000),
@@ -139,10 +147,11 @@ proptest! {
         cfg.scenario = ScenarioSpec::parse(SWEEP_SCENARIOS[scenario]).expect("preset parses");
         cfg.scenario.seed = seed ^ 0xC0FFEE;
         cfg.recovery_budget_frac = [0.0, 0.25][recovery];
+        let window = cfg.window;
         let (serial, serial_jsonl) = recorded(&cfg, policy, budget);
         let (parallel, parallel_jsonl) =
             recorded(&FleetSimConfig { threads: 4, ..cfg }, policy, budget);
-        prop_assert_eq!(serial_jsonl, parallel_jsonl);
+        prop_assert_eq!(&serial_jsonl, &parallel_jsonl);
         prop_assert_eq!(serial.metrics, parallel.metrics);
         prop_assert_eq!(serial.ledger.accounts(), parallel.ledger.accounts());
         for a in serial.ledger.accounts() {
@@ -161,6 +170,34 @@ proptest! {
                 d.index,
                 d.mean_coverage
             );
+            let c = member_config(&MetricProfile::for_kind(d.kind), window);
+            prop_assert!(
+                (c.min_rate.value()..=c.max_rate.value()).contains(&d.final_rate),
+                "device {} final rate {} outside [{}, {}]",
+                d.index,
+                d.final_rate,
+                c.min_rate,
+                c.max_rate
+            );
+        }
+        // With the watchdog armed every epoch's census counts each device
+        // present that epoch once: the fleet minus the epoch's absences (the
+        // increase of the cumulative `absent_epochs`; none without a
+        // scenario object).
+        if recovery == 1 {
+            let mut absent_before = 0;
+            let epochs = serial_jsonl.lines().filter(|l| l.starts_with("{\"type\":\"epoch\""));
+            for line in epochs {
+                let census: u64 = ["healthy", "recovering", "suspect", "dormant"]
+                    .iter()
+                    .map(|k| key(line, k).expect("an armed watchdog reports its census"))
+                    .sum();
+                let absent = key(line, "absent_epochs").unwrap_or(absent_before);
+                let present = key(line, "devices").expect("epoch lines count devices")
+                    - (absent - absent_before);
+                prop_assert_eq!(census, present, "{}", line);
+                absent_before = absent;
+            }
         }
     }
 }

@@ -520,6 +520,12 @@ impl AdaptiveSampler {
         self.estimator.planner().handle_stats()
     }
 
+    /// Heap bytes of this controller's FFT planner handle: its lists of
+    /// requested lengths (see [`sweetspot_dsp::fft::FftPlanner::handle_bytes`]).
+    pub fn fft_handle_bytes(&self) -> usize {
+        self.estimator.planner().handle_bytes()
+    }
+
     /// Runs one epoch at an externally `granted` rate over a fixed lockstep
     /// `window` (see the module docs on budget grants), through caller-lent
     /// working storage (see [`SamplerScratch`]). `delivery` says whether the

@@ -1000,6 +1000,13 @@ impl FftPlanner {
         self.handle_stats
     }
 
+    /// Heap bytes this handle holds of its own: the capacity of its lists
+    /// of requested lengths, one `usize` per first-seen length. The shared
+    /// tables are [`FftPlanner::table_bytes`].
+    pub fn handle_bytes(&self) -> usize {
+        (self.seen_complex.capacity() + self.seen_real.capacity()) * std::mem::size_of::<usize>()
+    }
+
     /// The cached coefficient table for `window` at length `n`.
     ///
     /// Built once per `(window, n)`; spectral estimators multiply by the
@@ -1774,5 +1781,23 @@ mod tests {
         merged.merge(&clone.handle_stats());
         assert_eq!(merged.lookups(), 5);
         assert_eq!(merged.misses.get(), 3);
+    }
+
+    #[test]
+    fn handle_bytes_count_each_requested_length() {
+        let mut scratch = FftScratch::new();
+        let mut p = FftPlanner::new();
+        assert_eq!(p.handle_bytes(), 0);
+        let lengths = [8, 12, 30, 64, 100];
+        for &n in &lengths {
+            let mut buf = vec![Complex64::ONE; n];
+            p.fft_in_place(&mut buf, &mut scratch);
+            p.fft_in_place(&mut buf, &mut scratch); // a repeat adds nothing
+        }
+        let mut out = Vec::new();
+        p.fft_real_into(&[1.0; 64], &mut out, &mut scratch);
+        let k = lengths.len() + 1;
+        assert!(p.handle_bytes() >= 8 * k, "{} bytes for {k} lengths", p.handle_bytes());
+        assert_eq!(p.clone().handle_bytes(), 0, "a clone starts its own history");
     }
 }

@@ -60,10 +60,6 @@ pub struct CostReport {
     /// Samples retained in storage (may be fewer: a-posteriori policies
     /// collect fast but store at the Nyquist rate).
     pub samples_stored: usize,
-    /// Bytes shipped over the network.
-    pub network_bytes: f64,
-    /// Byte·days accrued in storage.
-    pub storage_byte_days: f64,
     /// Collection cost units.
     pub collection_cost: f64,
     /// Network cost units.
@@ -77,17 +73,15 @@ pub struct CostReport {
 impl CostReport {
     /// Builds a report from sample counts under a cost model.
     pub fn from_counts(model: &CostModel, collected: usize, stored: usize) -> CostReport {
-        let network_bytes = collected as f64 * model.bytes_per_sample;
-        let storage_byte_days =
-            stored as f64 * model.bytes_per_sample * model.retention_days;
         CostReport {
             samples_collected: collected,
             samples_stored: stored,
-            network_bytes,
-            storage_byte_days,
             collection_cost: collected as f64 * model.collection_per_sample,
-            network_cost: network_bytes * model.network_per_byte,
-            storage_cost: storage_byte_days * model.storage_per_byte_day,
+            network_cost: collected as f64 * model.bytes_per_sample * model.network_per_byte,
+            storage_cost: stored as f64
+                * model.bytes_per_sample
+                * model.retention_days
+                * model.storage_per_byte_day,
             analysis_cost: stored as f64 * model.analysis_per_sample,
         }
     }
@@ -101,8 +95,6 @@ impl CostReport {
     pub fn accumulate(&mut self, other: &CostReport) {
         self.samples_collected += other.samples_collected;
         self.samples_stored += other.samples_stored;
-        self.network_bytes += other.network_bytes;
-        self.storage_byte_days += other.storage_byte_days;
         self.collection_cost += other.collection_cost;
         self.network_cost += other.network_cost;
         self.storage_cost += other.storage_cost;
@@ -120,7 +112,6 @@ mod tests {
         let r = CostReport::from_counts(&m, 1000, 100);
         assert_eq!(r.samples_collected, 1000);
         assert_eq!(r.samples_stored, 100);
-        assert_eq!(r.network_bytes, 32_000.0);
         assert_eq!(r.collection_cost, 1000.0);
         assert!((r.network_cost - 320.0).abs() < 1e-9);
         assert!((r.storage_cost - 100.0 * 32.0 * 90.0 * 0.001).abs() < 1e-9);

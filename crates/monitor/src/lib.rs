@@ -9,16 +9,18 @@
 //!   the measurement chain (noise, quantization, jitter, loss);
 //! * [`poller`] — sampling policies: today's fixed-rate operator defaults,
 //!   the paper's §4.2 adaptive controller, and the a-posteriori
-//!   "measure fast, store at Nyquist" variant from §4;
+//!   "measure fast, store at Nyquist" variant from §4. [`Policy::run_fleet`]
+//!   runs one over a fleet and returns its [`cost::CostReport`] with the
+//!   mean reconstruction error and event recall;
 //! * [`collector`] — the fleet's per-epoch budget ledger;
 //! * [`cost`] — the resource model (collection CPU, network bytes, storage,
 //!   analysis) the paper's §1 motivates;
 //! * [`quality`] — the fidelity model: reconstruction error against ground
-//!   truth, event coverage/recall and detection latency;
-//! * [`system`] — one call to run a policy over a fleet and get
-//!   [`cost::CostReport`] + [`quality::QualityReport`] back;
-//! * [`sweep`] — rate sweeps producing the cost-vs-quality frontier and its
-//!   knee (the "sweet spot" of the title).
+//!   truth, event coverage/recall and detection latency.
+//!
+//! The title experiment — the fixed-rate frontier, its knee and the §4
+//! policies on one cost-vs-quality plane — is
+//! `sweetspot_analysis::experiments::sweetspot`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -28,14 +30,11 @@ pub mod cost;
 pub mod device;
 pub mod poller;
 pub mod quality;
-pub mod sweep;
-pub mod system;
 
 pub use collector::{EpochAccount, EpochLedger};
 pub use cost::{CostModel, CostReport};
-pub use poller::FleetMember;
+pub use poller::{FleetMember, Policy};
 pub use quality::QualityReport;
-pub use system::{MonitoringSystem, Policy, RunOutcome};
 
 /// Shared helpers for this crate's unit tests.
 #[cfg(test)]

@@ -1,23 +1,28 @@
 //! Sampling policies.
 //!
-//! Three families, mirroring §3–§4 of the paper:
+//! Three families, mirroring §3–§4 of the paper, one [`Policy`] variant each:
 //!
-//! * [`FixedRatePlan`] — today's systems: poll at an operator-chosen rate,
-//!   store everything. The §3.1 baseline ("the degree of sampling … is
-//!   entirely arbitrary").
-//! * [`PosterioriPlan`] — §4's first variant: *"measure at a high rate,
-//!   compute the nyquist rate over the measurements and store or present for
-//!   later analysis only the measurements that are re-sampled at the lower
-//!   nyquist rate"*. Collection cost stays high; storage and analysis costs
-//!   drop.
-//! * [`AdaptivePlan`] — §4.2's dynamic sampler: acquisition itself runs at
-//!   the adapted rate (plus the §4.1 verification stream).
+//! * [`Policy::ProductionScaled`] — today's systems: poll at an
+//!   operator-chosen rate, store everything. The §3.1 baseline ("the degree
+//!   of sampling … is entirely arbitrary").
+//! * [`Policy::PosterioriNyquist`] — §4's first variant: *"measure at a high
+//!   rate, compute the nyquist rate over the measurements and store or
+//!   present for later analysis only the measurements that are re-sampled at
+//!   the lower nyquist rate"*. Collection cost stays high; storage and
+//!   analysis costs drop.
+//! * [`Policy::Adaptive`] — §4.2's dynamic sampler: acquisition itself runs
+//!   at the adapted rate (plus the §4.1 verification stream).
+//!
+//! [`Policy::run`] runs a policy on one device; [`Policy::run_fleet`] runs it
+//! over a fleet and prices and scores what was stored.
 //!
 //! [`FleetMember`] packages the adaptive controller with its device for
 //! *lockstep* fleet simulation: an external scheduler grants each member a
 //! rate per shared epoch (see `analysis::fleetsim`).
 
+use crate::cost::{CostModel, CostReport};
 use crate::device::{precleaning, DeviceSource, PollScratch, SimDevice};
+use crate::quality::evaluate;
 use sweetspot_core::adaptive::{
     AdaptiveConfig, AdaptiveSampler, Delivery, EpochReport, SamplerScratch,
 };
@@ -25,7 +30,7 @@ use sweetspot_telemetry::{DeviceTrace, MetricKind};
 use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
 use sweetspot_core::reconstruct::{decimation_factor, downsample};
 use sweetspot_timeseries::clean::clean;
-use sweetspot_timeseries::{Hertz, Seconds};
+use sweetspot_timeseries::{Hertz, IrregularSeries, Seconds};
 
 /// What one policy run produced for one device.
 #[derive(Debug, Clone)]
@@ -49,99 +54,107 @@ impl PolicyRun {
     }
 }
 
-/// Fixed-rate polling (the production baseline).
+/// A sampling policy.
 #[derive(Debug, Clone, Copy)]
-pub struct FixedRatePlan {
-    /// The polling rate.
-    pub rate: Hertz,
+pub enum Policy {
+    /// Poll at a multiple of each device's production rate and store every
+    /// sample: 1.0 is today's baseline, other multipliers trace the sweep.
+    ProductionScaled(f64),
+    /// §4's a-posteriori thinning: collect at the production rate, store at
+    /// the estimated Nyquist rate.
+    PosterioriNyquist {
+        /// Store at `headroom × estimate`.
+        headroom: f64,
+    },
+    /// §4.2's dynamic sampler; the primary stream is stored.
+    Adaptive(AdaptiveConfig),
 }
 
-impl FixedRatePlan {
-    /// Polls `device` for `duration`, storing every sample.
-    pub fn run(&self, device: &mut SimDevice, duration: Seconds) -> PolicyRun {
-        let raw = device.poll(Seconds::ZERO, self.rate, duration);
-        PolicyRun::storing_all(raw.iter().collect())
-    }
-}
-
-/// Measure fast, estimate the Nyquist rate a posteriori, store downsampled.
-#[derive(Debug, Clone, Copy)]
-pub struct PosterioriPlan {
-    /// Acquisition rate (typically the production default).
-    pub acquisition_rate: Hertz,
-    /// Estimator settings.
-    pub estimator: NyquistConfig,
-    /// Store at `headroom × estimated Nyquist rate`.
-    pub headroom: f64,
-}
-
-impl PosterioriPlan {
-    /// Polls fast, stores at the estimated Nyquist rate.
+impl Policy {
+    /// Runs the policy on `device` over `[0, duration)`.
     ///
-    /// When the estimator reports "aliased", or the window is too short to
+    /// [`Policy::PosterioriNyquist`] stores everything collected when the
+    /// estimator reports "aliased", or when the window is too short to
     /// assess (the poll cannot be re-gridded, or fewer than 4 re-gridded
-    /// samples remain), everything collected is stored: there is no safe
-    /// rate to thin to.
+    /// samples remain): there is no safe rate to thin to.
     pub fn run(&self, device: &mut SimDevice, duration: Seconds) -> PolicyRun {
-        let raw = device.poll(Seconds::ZERO, self.acquisition_rate, duration);
-        let cleaned = match clean(&raw, precleaning(self.acquisition_rate)) {
-            Ok(cleaned) if cleaned.len() >= 4 => cleaned,
-            Ok(too_short) => return PolicyRun::storing_all(too_short.iter().collect()),
-            Err(_) => return PolicyRun::storing_all(raw.iter().collect()),
-        };
-        let collected = cleaned.len();
-        let mut estimator = NyquistEstimator::new(self.estimator);
-        let stored_series = match estimator.estimate_series(&cleaned).rate() {
-            Some(nyq) => {
-                let target = Hertz(nyq.value() * self.headroom.max(1.0));
-                let factor = decimation_factor(cleaned.sample_rate(), target);
-                downsample(&cleaned, factor)
+        let production = device.trace().profile().production_rate();
+        match *self {
+            Policy::ProductionScaled(mult) => {
+                let rate = Hertz(production.value() * mult);
+                PolicyRun::storing_all(device.poll(Seconds::ZERO, rate, duration).iter().collect())
             }
-            // Aliased: there is no safe rate to thin to, so everything
-            // collected moves straight into storage.
-            None => cleaned,
-        };
-        PolicyRun {
-            collected,
-            stored: stored_series.iter().collect(),
-            epochs: None,
+            Policy::PosterioriNyquist { headroom } => {
+                let raw = device.poll(Seconds::ZERO, production, duration);
+                let cleaned = match clean(&raw, precleaning(production)) {
+                    Ok(cleaned) if cleaned.len() >= 4 => cleaned,
+                    Ok(too_short) => return PolicyRun::storing_all(too_short.iter().collect()),
+                    Err(_) => return PolicyRun::storing_all(raw.iter().collect()),
+                };
+                let collected = cleaned.len();
+                let mut estimator = NyquistEstimator::new(NyquistConfig::default());
+                let stored_series = match estimator.estimate_series(&cleaned).rate() {
+                    Some(nyq) => {
+                        let target = Hertz(nyq.value() * headroom.max(1.0));
+                        let factor = decimation_factor(cleaned.sample_rate(), target);
+                        downsample(&cleaned, factor)
+                    }
+                    None => cleaned,
+                };
+                PolicyRun {
+                    collected,
+                    stored: stored_series.iter().collect(),
+                    epochs: None,
+                }
+            }
+            Policy::Adaptive(config) => {
+                let reports = AdaptiveSampler::new(config).run(
+                    &mut DeviceSource {
+                        device,
+                        scratch: &mut PollScratch::new(),
+                    },
+                    duration,
+                );
+                let collected = sweetspot_core::adaptive::total_samples(&reports);
+                // Replay each epoch's primary stream into storage. (The
+                // controller already acquired these samples; the replay
+                // regenerates the values without double-counting cost.)
+                let mut stored = Vec::new();
+                for r in &reports {
+                    if let Some(series) = device.poll_clean(r.start, r.primary_rate, r.duration) {
+                        stored.extend(series.iter());
+                    }
+                }
+                PolicyRun {
+                    collected,
+                    stored,
+                    epochs: Some(reports),
+                }
+            }
         }
     }
-}
 
-/// The §4.2 adaptive sampler as a policy.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptivePlan {
-    /// Controller configuration.
-    pub config: AdaptiveConfig,
-}
-
-impl AdaptivePlan {
-    /// Runs the controller against the device; the primary stream is stored.
-    pub fn run(&self, device: &mut SimDevice, duration: Seconds) -> PolicyRun {
-        let mut sampler = AdaptiveSampler::new(self.config);
-        let reports = sampler.run(
-            &mut DeviceSource {
-                device,
-                scratch: &mut PollScratch::new(),
-            },
-            duration,
-        );
-        let collected = sweetspot_core::adaptive::total_samples(&reports);
-        // Replay each epoch's primary stream into storage. (The controller
-        // already acquired these samples; the replay regenerates the values
-        // without double-counting cost.)
-        let mut stored = Vec::new();
-        for r in &reports {
-            if let Some(series) = device.poll_clean(r.start, r.primary_rate, r.duration) {
-                stored.extend(series.iter());
+    /// Runs the policy on every device in order and returns the fleet's
+    /// total cost under the default [`CostModel`], with the mean NRMSE and
+    /// mean event recall over the devices whose stored record can be
+    /// evaluated (infinity and 0 when none can).
+    pub fn run_fleet(&self, devices: &mut [SimDevice], duration: Seconds) -> (CostReport, f64, f64) {
+        let model = CostModel::default();
+        let mut cost = CostReport::default();
+        let (mut nrmse_sum, mut recall_sum, mut evaluable) = (0.0, 0.0, 0usize);
+        for device in devices.iter_mut() {
+            let run = self.run(device, duration);
+            cost.accumulate(&CostReport::from_counts(&model, run.collected, run.stored.len()));
+            if let Some(q) = evaluate(device, &IrregularSeries::from_pairs(run.stored), duration) {
+                nrmse_sum += q.nrmse;
+                recall_sum += q.event_recall();
+                evaluable += 1;
             }
         }
-        PolicyRun {
-            collected,
-            stored,
-            epochs: Some(reports),
+        if evaluable == 0 {
+            return (cost, f64::INFINITY, 0.0);
         }
+        (cost, nrmse_sum / evaluable as f64, recall_sum / evaluable as f64)
     }
 }
 
@@ -269,10 +282,11 @@ impl FleetMember {
     }
 
     /// Durable heap bytes this member retains between epochs: the trace
-    /// identity and signal model. The controller holds no working buffers —
-    /// every epoch borrows a worker's [`EpochScratch`].
+    /// identity and signal model, plus its FFT planner handle's lists of
+    /// requested lengths. The controller holds no working buffers — every
+    /// epoch borrows a worker's [`EpochScratch`].
     pub fn heap_bytes(&self) -> usize {
-        self.device.heap_bytes()
+        self.device.heap_bytes() + self.sampler.fft_handle_bytes()
     }
 
     /// Runs one lockstep epoch at the scheduler's `granted` rate, through a
@@ -325,28 +339,42 @@ mod tests {
         ))
     }
 
+    fn devices(n: usize) -> Vec<SimDevice> {
+        (0..n)
+            .map(|i| {
+                SimDevice::new(DeviceTrace::synthesize(
+                    MetricProfile::for_kind(MetricKind::Temperature),
+                    i,
+                    5,
+                ))
+            })
+            .collect()
+    }
 
     #[test]
     fn fixed_rate_stores_everything_it_collects() {
         let mut d = device();
-        let run = FixedRatePlan {
-            rate: Hertz(1.0 / 300.0),
-        }
-        .run(&mut d, Seconds::from_days(1.0));
+        let run = Policy::ProductionScaled(1.0).run(&mut d, Seconds::from_days(1.0));
         assert_eq!(run.collected, run.stored.len());
         assert!(run.collected >= 280, "{}", run.collected);
         assert!(run.epochs.is_none());
     }
 
     #[test]
+    fn production_default_runs_and_evaluates() {
+        let mut devs = devices(1);
+        let duration = Seconds::from_days(2.0);
+        let run = Policy::ProductionScaled(1.0).run(&mut devs[0], duration);
+        assert!(run.collected >= 560);
+        let q = evaluate(&devs[0], &IrregularSeries::from_pairs(run.stored), duration)
+            .expect("dense record evaluates");
+        assert!(q.nrmse < 0.2, "NRMSE {}", q.nrmse);
+    }
+
+    #[test]
     fn posteriori_stores_fewer_than_it_collects() {
         let mut d = crate::testutil::thinnable_device(7);
-        let run = PosterioriPlan {
-            acquisition_rate: Hertz(1.0 / 300.0),
-            estimator: NyquistConfig::default(),
-            headroom: 1.25,
-        }
-        .run(&mut d, Seconds::from_days(2.0));
+        let run = Policy::PosterioriNyquist { headroom: 1.25 }.run(&mut d, Seconds::from_days(2.0));
         assert!(
             run.stored.len() * 2 <= run.collected,
             "expected ≥2× thinning, stored {} of {}",
@@ -356,17 +384,65 @@ mod tests {
     }
 
     #[test]
+    fn posteriori_cuts_storage_not_collection() {
+        let duration = Seconds::from_days(2.0);
+        let base = Policy::ProductionScaled(1.0)
+            .run_fleet(&mut [crate::testutil::thinnable_device(5)], duration)
+            .0;
+        let post = Policy::PosterioriNyquist { headroom: 1.25 }
+            .run_fleet(&mut [crate::testutil::thinnable_device(5)], duration)
+            .0;
+        // Same acquisition rate; the posteriori path re-grids lost samples,
+        // so counts differ by at most the ~0.2% drop rate plus a fence-post.
+        let diff = base.samples_collected.abs_diff(post.samples_collected);
+        assert!(
+            diff <= base.samples_collected / 50 + 1,
+            "acquisition counts should nearly match: {} vs {}",
+            base.samples_collected,
+            post.samples_collected
+        );
+        assert!(
+            post.samples_stored * 2 <= base.samples_stored,
+            "posteriori should store ≥2× less: {} vs {}",
+            post.samples_stored,
+            base.samples_stored
+        );
+        assert!(post.total() < base.total());
+    }
+
+    #[test]
+    fn scaled_policy_scales_cost() {
+        let duration = Seconds::from_days(1.0);
+        let mut devs = devices(2);
+        let full = Policy::ProductionScaled(1.0).run(&mut devs[0], duration);
+        let tenth = Policy::ProductionScaled(0.1).run(&mut devs[1], duration);
+        let ratio = full.collected as f64 / tenth.collected as f64;
+        assert!((8.0..12.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn fleet_aggregation() {
+        let duration = Seconds::from_days(1.0);
+        let sum: usize = devices(3)
+            .iter_mut()
+            .map(|d| Policy::ProductionScaled(1.0).run(d, duration).collected)
+            .sum();
+        let (cost, nrmse, recall) = Policy::ProductionScaled(1.0).run_fleet(&mut devices(3), duration);
+        assert_eq!(cost.samples_collected, sum);
+        assert!(nrmse.is_finite());
+        assert!((0.0..=1.0).contains(&recall));
+    }
+
+    #[test]
     fn adaptive_produces_epoch_reports() {
         let mut d = device();
-        let run = AdaptivePlan {
-            config: AdaptiveConfig {
-                initial_rate: Hertz(1.0 / 300.0),
-                min_rate: Hertz(1e-6),
-                max_rate: Hertz(1.0),
-                epoch: Seconds::from_hours(12.0),
-                ..AdaptiveConfig::default()
-            },
-        }
+        let run = Policy::Adaptive(AdaptiveConfig {
+            initial_rate: Hertz(1.0 / 300.0),
+            min_rate: Hertz(1e-6),
+            max_rate: Hertz(1.0),
+            epoch: Seconds::from_hours(12.0),
+            ..AdaptiveConfig::default()
+        })
         .run(&mut d, Seconds::from_days(4.0));
         let epochs = run.epochs.expect("adaptive yields epochs");
         assert!(!epochs.is_empty());
@@ -381,7 +457,7 @@ mod tests {
     fn fleet_member_full_grants_reproduce_adaptive_plan() {
         // A member granted exactly what it requests, over windows at least
         // as long as the classic controller would pick, must walk the same
-        // rate trajectory as AdaptivePlan's standalone sampler.
+        // rate trajectory as the adaptive policy's standalone sampler.
         let config = AdaptiveConfig {
             initial_rate: Hertz(1.0 / 300.0),
             min_rate: Hertz(1e-6),
@@ -392,8 +468,8 @@ mod tests {
         let trace = || {
             DeviceTrace::synthesize(MetricProfile::for_kind(MetricKind::Temperature), 1, 7)
         };
-        let reference = AdaptivePlan { config }
-            .run(&mut SimDevice::new(trace()), Seconds::from_days(4.0));
+        let reference =
+            Policy::Adaptive(config).run(&mut SimDevice::new(trace()), Seconds::from_days(4.0));
         let mut member = FleetMember::new(0, trace(), config);
         let mut scratch = EpochScratch::new();
         let mut t = Seconds::ZERO;

@@ -50,27 +50,13 @@ impl QualityReport {
     }
 }
 
-/// Quality-evaluation settings.
-#[derive(Debug, Clone, Copy)]
-pub struct QualityConfig {
-    /// Reference grid rate as a multiple of the device's production rate.
-    pub reference_multiplier: f64,
-    /// Sinc-kernel half-width for reconstruction (samples).
-    pub sinc_half_width: usize,
-    /// Fractional margin at each end of the window excluded from error
-    /// metrics (reconstruction near the boundary has one-sided support).
-    pub edge_margin: f64,
-}
-
-impl Default for QualityConfig {
-    fn default() -> Self {
-        QualityConfig {
-            reference_multiplier: 4.0,
-            sinc_half_width: 64,
-            edge_margin: 0.05,
-        }
-    }
-}
+/// Reference grid rate as a multiple of the device's production rate.
+const REFERENCE_MULTIPLIER: f64 = 4.0;
+/// Sinc-kernel half-width for reconstruction (samples).
+const SINC_HALF_WIDTH: usize = 64;
+/// Fractional margin at each end of the window excluded from error metrics
+/// (reconstruction near the boundary has one-sided support).
+const EDGE_MARGIN: f64 = 0.05;
 
 /// Evaluates the stored record of `device` over `[0, duration)`.
 ///
@@ -80,7 +66,6 @@ pub fn evaluate(
     device: &SimDevice,
     stored: &IrregularSeries,
     duration: Seconds,
-    cfg: QualityConfig,
 ) -> Option<QualityReport> {
     if stored.len() < 4 {
         return None;
@@ -99,14 +84,14 @@ pub fn evaluate(
 
     // Fine reference grid from ground truth.
     let prod_rate = device.trace().profile().production_rate();
-    let ref_rate = Hertz(prod_rate.value() * cfg.reference_multiplier);
+    let ref_rate = Hertz(prod_rate.value() * REFERENCE_MULTIPLIER);
     let truth = device.ground_truth(Seconds::ZERO, ref_rate, duration);
 
     // Interior evaluation range.
     let n = truth.len();
-    let margin = ((n as f64) * cfg.edge_margin) as usize;
+    let margin = ((n as f64) * EDGE_MARGIN) as usize;
     let interp = Interp::Sinc {
-        half_width: Some(cfg.sinc_half_width),
+        half_width: Some(SINC_HALF_WIDTH),
     };
     let mut truth_vals = Vec::with_capacity(n - 2 * margin);
     let mut recon_vals = Vec::with_capacity(n - 2 * margin);
@@ -184,7 +169,7 @@ mod tests {
         let mut d = device();
         let duration = Seconds::from_days(2.0);
         let stored = stored_at(&mut d, Hertz(1.0 / 300.0), duration);
-        let q = evaluate(&d, &stored, duration, QualityConfig::default()).unwrap();
+        let q = evaluate(&d, &stored, duration).unwrap();
         assert!(q.nrmse < 0.1, "dense NRMSE {}", q.nrmse);
         assert_eq!(q.event_recall(), 1.0); // no events injected
     }
@@ -195,8 +180,8 @@ mod tests {
         let duration = Seconds::from_days(4.0);
         let dense = stored_at(&mut d, Hertz(1.0 / 300.0), duration);
         let sparse = stored_at(&mut d, Hertz(1.0 / 43_200.0), duration); // 12 h polls
-        let qd = evaluate(&d, &dense, duration, QualityConfig::default()).unwrap();
-        let qs = evaluate(&d, &sparse, duration, QualityConfig::default()).unwrap();
+        let qd = evaluate(&d, &dense, duration).unwrap();
+        let qs = evaluate(&d, &sparse, duration).unwrap();
         assert!(
             qs.nrmse > qd.nrmse,
             "sparse ({}) must be worse than dense ({})",
@@ -210,7 +195,7 @@ mod tests {
         let mut d = device();
         let duration = Seconds::from_hours(2.0);
         let stored = stored_at(&mut d, Hertz(1.0 / 7200.0), duration); // 1 sample
-        assert!(evaluate(&d, &stored, duration, QualityConfig::default()).is_none());
+        assert!(evaluate(&d, &stored, duration).is_none());
     }
 
     #[test]
@@ -227,14 +212,14 @@ mod tests {
         let mut d = SimDevice::new(trace);
 
         let dense = d.poll(Seconds::ZERO, Hertz(1.0 / 300.0), duration);
-        let qd = evaluate(&d, &dense, duration, QualityConfig::default()).unwrap();
+        let qd = evaluate(&d, &dense, duration).unwrap();
         assert_eq!(qd.events_total, 1);
         assert_eq!(qd.events_covered, 1, "5-min polls cover a 10-min event");
         let latency = qd.mean_detection_latency.unwrap();
         assert!(latency.value() <= 300.0, "latency {latency}");
 
         let sparse = d.poll(Seconds::ZERO, Hertz(1.0 / 7200.0), duration);
-        let qs = evaluate(&d, &sparse, duration, QualityConfig::default()).unwrap();
+        let qs = evaluate(&d, &sparse, duration).unwrap();
         assert_eq!(qs.events_total, 1);
         assert_eq!(qs.events_covered, 0, "2-hour polls miss a 10-min event");
         assert_eq!(qs.event_recall(), 0.0);

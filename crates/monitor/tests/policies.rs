@@ -2,17 +2,27 @@
 
 use sweetspot_core::adaptive::AdaptiveConfig;
 use sweetspot_monitor::device::SimDevice;
-use sweetspot_monitor::system::{MonitoringSystem, Policy};
+use sweetspot_monitor::quality::{evaluate, QualityReport};
+use sweetspot_monitor::Policy;
 use sweetspot_telemetry::events::{Event, EventKind};
 use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile};
-use sweetspot_timeseries::{Hertz, Seconds};
+use sweetspot_timeseries::{Hertz, IrregularSeries, Seconds};
+
+/// Runs `policy` on `device` and evaluates what it stored.
+fn run_and_evaluate(
+    policy: Policy,
+    device: &mut SimDevice,
+    duration: Seconds,
+) -> Option<QualityReport> {
+    let run = policy.run(device, duration);
+    evaluate(device, &IrregularSeries::from_pairs(run.stored), duration)
+}
 
 #[test]
 fn all_policies_run_on_a_mixed_fleet() {
-    let system = MonitoringSystem::default();
     let duration = Seconds::from_days(2.0);
     let policies = [
-        Policy::ProductionDefault,
+        Policy::ProductionScaled(1.0),
         Policy::ProductionScaled(0.5),
         Policy::PosterioriNyquist { headroom: 1.25 },
         Policy::Adaptive(AdaptiveConfig {
@@ -36,13 +46,14 @@ fn all_policies_run_on_a_mixed_fleet() {
                 })
             })
             .collect();
-        let outcome = system.run_fleet(&mut devices, policy, duration);
-        assert_eq!(outcome.devices.len(), 4);
-        assert!(outcome.cost.total() > 0.0, "{policy:?}");
-        assert!(
-            outcome.devices.iter().filter(|d| d.quality.is_some()).count() >= 3,
-            "{policy:?}: most devices must be evaluable"
-        );
+        let evaluable = devices
+            .iter_mut()
+            .filter_map(|d| run_and_evaluate(*policy, d, duration))
+            .count();
+        assert!(evaluable >= 3, "{policy:?}: most devices must be evaluable");
+        let (cost, nrmse, recall) = policy.run_fleet(&mut devices, duration);
+        assert!(cost.total() > 0.0, "{policy:?}");
+        assert!(nrmse.is_finite() && (0.0..=1.0).contains(&recall), "{policy:?}");
     }
 }
 
@@ -61,13 +72,11 @@ fn event_detection_latency_scales_with_polling_interval() {
             )]);
         SimDevice::new(trace)
     };
-    let system = MonitoringSystem::default();
     let duration = Seconds::from_days(1.0);
 
-    let fast = system.run_device(&mut mk(0), &Policy::FixedRate(Hertz(1.0 / 300.0)), duration);
-    let slow = system.run_device(&mut mk(0), &Policy::FixedRate(Hertz(1.0 / 3000.0)), duration);
-    let qf = fast.quality.unwrap();
-    let qs = slow.quality.unwrap();
+    // Temperature polls every 300 s in production.
+    let qf = run_and_evaluate(Policy::ProductionScaled(1.0), &mut mk(0), duration).unwrap();
+    let qs = run_and_evaluate(Policy::ProductionScaled(0.1), &mut mk(0), duration).unwrap();
     assert_eq!(qf.events_covered, 1);
     assert_eq!(qs.events_covered, 1, "an hour-long event is still visible");
     let lf = qf.mean_detection_latency.unwrap();
@@ -124,13 +133,8 @@ fn quiet_devices_cost_almost_nothing_under_posteriori() {
         .find(|d| d.is_quiet())
         .expect("quiet device");
     let mut device = SimDevice::new(trace);
-    let system = MonitoringSystem::default();
-    let outcome = system.run_device(
-        &mut device,
-        &Policy::PosterioriNyquist { headroom: 1.25 },
-        Seconds::from_days(1.0),
-    );
-    let kept = outcome.cost.samples_stored as f64 / outcome.cost.samples_collected as f64;
+    let run = Policy::PosterioriNyquist { headroom: 1.25 }.run(&mut device, Seconds::from_days(1.0));
+    let kept = run.stored.len() as f64 / run.collected as f64;
     assert!(
         kept < 0.01,
         "a flat counter should keep <1% of samples, kept {:.3}",
@@ -143,18 +147,10 @@ fn posteriori_short_windows_store_everything_collected() {
     // A 300 s window holds one production-rate poll (too few to re-grid);
     // a 900 s window re-grids to fewer than the estimator's 4 samples.
     // Neither can be assessed, so the policy must keep what it collected.
-    let system = MonitoringSystem::default();
     let profile = MetricProfile::for_kind(MetricKind::Temperature);
     for window in [Seconds(300.0), Seconds(900.0)] {
         let mut device = SimDevice::new(DeviceTrace::synthesize(profile, 0, 42));
-        let out = system.run_device(
-            &mut device,
-            &Policy::PosterioriNyquist { headroom: 1.25 },
-            window,
-        );
-        assert_eq!(
-            out.cost.samples_stored, out.cost.samples_collected,
-            "{window} window"
-        );
+        let run = Policy::PosterioriNyquist { headroom: 1.25 }.run(&mut device, window);
+        assert_eq!(run.stored.len(), run.collected, "{window} window");
     }
 }

@@ -482,8 +482,17 @@ fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
         &flags,
         "fft-cache-mb",
         (fleetsim::FFT_TABLE_BUDGET_DEFAULT >> 20) as u64,
-    )? as usize;
-    let fft_table_budget = (fft_cache_mb > 0).then_some(fft_cache_mb << 20);
+    )?;
+    let fft_table_budget = (fft_cache_mb > 0)
+        .then(|| {
+            fft_cache_mb
+                .checked_mul(1 << 20)
+                .and_then(|bytes| usize::try_from(bytes).ok())
+                .ok_or_else(|| {
+                    format!("--fft-cache-mb wants a cap that fits in a byte count, got {fft_cache_mb} MiB")
+                })
+        })
+        .transpose()?;
     let devices = flag_opt::<usize>(&flags, "devices", "an integer")?;
     // Failure injection: preset names compose with `+` (churn, incident,
     // lossy-reports, cost-skew, duty, battery, diurnal, staggered) and

@@ -15,8 +15,8 @@
 //! | [`timeseries`] | regular/irregular series, time/rate newtypes, cleaning |
 //! | [`telemetry`] | synthetic datacenter fleet (the data substrate) |
 //! | [`core`] | Nyquist estimator, aliasing detector, adaptive sampler, reconstruction |
-//! | [`monitor`] | monitoring-system simulator with cost & quality models |
-//! | [`analysis`] | fleet-study harness and per-figure experiment drivers |
+//! | [`monitor`] | monitoring-system simulator: sampling policies, cost & quality models |
+//! | [`analysis`] | fleet-study harness and per-figure experiment drivers, the sweet-spot sweep included |
 //!
 //! ## Quickstart
 //!
@@ -60,7 +60,7 @@ pub mod prelude {
     pub use sweetspot_core::reconstruct::{roundtrip, ReconstructionConfig};
     pub use sweetspot_core::source::{FunctionSource, SignalSource};
     pub use sweetspot_core::tracker::{track, TrackerConfig};
-    pub use sweetspot_monitor::system::{MonitoringSystem, Policy};
+    pub use sweetspot_monitor::Policy;
     pub use sweetspot_telemetry::{DeviceTrace, Fleet, FleetConfig, MetricKind, MetricProfile};
     pub use sweetspot_timeseries::{Hertz, IrregularSeries, RegularSeries, Seconds};
 }

@@ -579,6 +579,19 @@ fn fleetsim_rejects_out_of_range_recovery_budget_frac() {
 }
 
 #[test]
+fn fleetsim_rejects_an_fft_cache_cap_that_overflows_bytes() {
+    // 2^44 MiB is 2^64 bytes: the cap must be rejected, not wrapped to 0.
+    let out = bin()
+        .args(["fleetsim", "--devices", "14", "--fft-cache-mb", "17592186044416"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--fft-cache-mb"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn fleetsim_output_is_byte_identical_across_thread_counts() {
     let run = |threads: &str| {
         let out = bin()

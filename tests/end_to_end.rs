@@ -3,9 +3,10 @@
 //! Each test exercises a chain that no single crate covers alone —
 //! telemetry → cleaning → estimation → decision → simulation → accounting.
 
+use sweetspot::analysis::experiments::sweetspot::{knee_point, rate_sweep};
 use sweetspot::analysis::study::{FleetStudy, StudyConfig};
 use sweetspot::monitor::device::{DeviceSource, PollScratch, SimDevice};
-use sweetspot::monitor::sweep::{knee_point, rate_sweep};
+use sweetspot::monitor::quality::evaluate;
 use sweetspot::prelude::*;
 
 #[test]
@@ -88,7 +89,6 @@ fn adaptive_controller_beats_fixed_polling_on_cost() {
 
 #[test]
 fn sweet_spot_sweep_orders_cost_and_quality() {
-    let system = MonitoringSystem::default();
     let mut devices: Vec<SimDevice> = (0..2)
         .map(|i| {
             SimDevice::new(DeviceTrace::synthesize(
@@ -98,12 +98,7 @@ fn sweet_spot_sweep_orders_cost_and_quality() {
             ))
         })
         .collect();
-    let points = rate_sweep(
-        &system,
-        &mut devices,
-        &[0.02, 0.2, 1.0],
-        Seconds::from_days(2.0),
-    );
+    let points = rate_sweep(&mut devices, &[0.02, 0.2, 1.0], Seconds::from_days(2.0));
     // Cost ordering is strict; quality ordering holds end-to-end.
     assert!(points[0].cost < points[1].cost && points[1].cost < points[2].cost);
     assert!(
@@ -115,7 +110,6 @@ fn sweet_spot_sweep_orders_cost_and_quality() {
 
 #[test]
 fn posteriori_policy_preserves_reconstruction_quality() {
-    let system = MonitoringSystem::default();
     let duration = Seconds::from_days(2.0);
     let mk = |idx| {
         SimDevice::new(DeviceTrace::synthesize(
@@ -125,16 +119,17 @@ fn posteriori_policy_preserves_reconstruction_quality() {
         ))
     };
     // Same device identity for both policies (fresh noise streams).
-    let base = system.run_device(&mut mk(2), &Policy::ProductionDefault, duration);
-    let post = system.run_device(
-        &mut mk(2),
-        &Policy::PosterioriNyquist { headroom: 1.25 },
-        duration,
-    );
-    let qb = base.quality.expect("base evaluable");
-    let qp = post.quality.expect("posteriori evaluable");
+    let run = |policy: Policy| {
+        let mut device = mk(2);
+        let stored = policy.run(&mut device, duration).stored;
+        (stored.len(), evaluate(&device, &IrregularSeries::from_pairs(stored), duration))
+    };
+    let (base_stored, qb) = run(Policy::ProductionScaled(1.0));
+    let (post_stored, qp) = run(Policy::PosterioriNyquist { headroom: 1.25 });
+    let qb = qb.expect("base evaluable");
+    let qp = qp.expect("posteriori evaluable");
     // Storage shrinks…
-    assert!(post.cost.samples_stored < base.cost.samples_stored);
+    assert!(post_stored < base_stored);
     // …while reconstruction quality stays in the same class (the 99% energy
     // cutoff bounds what can be lost).
     assert!(

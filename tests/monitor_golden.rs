@@ -1,16 +1,17 @@
 //! Byte-for-byte pins of the monitoring-system path: the sweet-spot
 //! experiment (fixed-rate sweep, a-posteriori thinning, §4.2 adaptive
-//! policy through `MonitoringSystem`) and the per-epoch reports of
-//! `AdaptivePlan` on the Figure 6 device. Both are pure functions of their
-//! seeds, so any difference from the fixtures is a behaviour change.
+//! policy, each through `Policy::run_fleet`), rendered and bit for bit, and
+//! the per-epoch reports of `Policy::Adaptive` on the Figure 6 device. All
+//! are pure functions of their seeds, so any difference from the fixtures
+//! is a behaviour change.
 //!
 //! To regenerate after an intended output change, write the `got` string of
 //! the failing test into the named file under `tests/golden/`.
 
 use std::fmt::Write;
+use sweetspot::analysis::experiments::sweetspot::PolicyPoint;
 use sweetspot::analysis::experiments::{self, fig6};
 use sweetspot::monitor::device::SimDevice;
-use sweetspot::monitor::poller::AdaptivePlan;
 use sweetspot::prelude::*;
 
 /// Reads a fixture from `tests/golden/`.
@@ -36,29 +37,26 @@ fn sweet_spot_points_match_golden_fixture() {
     // every point is pinned (the rendering rounds).
     let result = experiments::sweetspot::run(11, 2, 2.0, &[0.05, 0.25, 1.0]);
     let mut got = String::new();
-    for p in &result.frontier {
+    let mut line = |name: String, p: &PolicyPoint| {
         writeln!(
             got,
-            "fixed {:?}: cost {:?} nrmse {:?} recall {:?}",
-            p.rate_multiplier, p.cost, p.nrmse, p.event_recall
+            "{name}: cost {:?} nrmse {:?} recall {:?}",
+            p.cost, p.nrmse, p.event_recall
         )
-        .unwrap();
+        .unwrap()
+    };
+    let multiplier = |p: &PolicyPoint| match p.policy {
+        Policy::ProductionScaled(m) => m,
+        _ => panic!("the frontier is fixed-rate: {p:?}"),
+    };
+    for p in &result.frontier {
+        line(format!("fixed {:?}", multiplier(p)), p);
     }
     for p in &result.policies {
-        writeln!(
-            got,
-            "{}: cost {:?} nrmse {:?} recall {:?}",
-            p.label, p.cost, p.nrmse, p.event_recall
-        )
-        .unwrap();
+        line(p.label(), p);
     }
     let knee = result.knee.expect("the frontier has a knee");
-    writeln!(
-        got,
-        "knee {:?}: cost {:?} nrmse {:?} recall {:?}",
-        knee.rate_multiplier, knee.cost, knee.nrmse, knee.event_recall
-    )
-    .unwrap();
+    line(format!("knee {:?}", multiplier(&knee)), &knee);
     assert!(
         got == golden("sweetspot_points.txt"),
         "sweet-spot points diverged:\n{got}"
@@ -75,7 +73,7 @@ fn adaptive_plan_epochs_match_golden_fixture() {
         ..AdaptiveConfig::default()
     };
     let mut device = SimDevice::new(fig6::evented_device(0xF16));
-    let run = AdaptivePlan { config }.run(&mut device, Seconds::from_days(7.0));
+    let run = Policy::Adaptive(config).run(&mut device, Seconds::from_days(7.0));
     let mut got = String::new();
     for report in run.epochs.as_ref().expect("adaptive runs report epochs") {
         writeln!(got, "{report:?}").unwrap();
@@ -94,6 +92,6 @@ fn adaptive_plan_epochs_match_golden_fixture() {
     .unwrap();
     assert!(
         got == golden("adaptive_plan_epochs.txt"),
-        "AdaptivePlan epochs diverged:\n{got}"
+        "adaptive policy epochs diverged:\n{got}"
     );
 }
