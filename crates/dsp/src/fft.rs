@@ -1684,6 +1684,41 @@ mod tests {
         );
     }
 
+    /// Exactly representable test samples from integer arithmetic alone, so
+    /// the inputs of the digest below never depend on a libm.
+    fn digest_sample(i: usize, n: usize) -> f64 {
+        ((i * 7919 + n * 31) % 1009) as f64 / 1009.0 - 0.5
+    }
+
+    #[test]
+    fn transform_output_bits_match_committed_digest() {
+        // FNV-1a over the bits of every output of `fft_in_place` and
+        // `fft_real_into` at every length 2..=2099 and at 129 600 (the
+        // `analyze` benchmark's length): a kernel rewrite that moves any
+        // output by one ulp changes the digest. Each length gets a fresh
+        // planner, so the cache never holds more than one chain.
+        let mut scratch = FftScratch::new();
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |z: &Complex64| {
+            for bits in [z.re.to_bits(), z.im.to_bits()] {
+                hash = (hash ^ bits).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let (mut buf, mut real, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        for n in (2..=2099usize).chain([129_600]) {
+            let mut p = FftPlanner::new();
+            buf.clear();
+            buf.extend((0..n).map(|i| Complex64::new(digest_sample(i, n), digest_sample(i + n, n))));
+            p.fft_in_place(&mut buf, &mut scratch);
+            buf.iter().for_each(&mut eat);
+            real.clear();
+            real.extend((0..n).map(|i| digest_sample(i, n)));
+            p.fft_real_into(&real, &mut out, &mut scratch);
+            out.iter().for_each(&mut eat);
+        }
+        assert_eq!(hash, 0x3aaa_971c_6f26_936a, "transform output digest moved: {hash:#018x}");
+    }
+
     #[test]
     fn mixed_plan_tables_stay_within_sixteen_bytes_per_point() {
         // n − 1 twiddles of 16 B, plus a radix list of at most log₂ n words.
