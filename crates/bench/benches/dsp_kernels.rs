@@ -13,7 +13,7 @@ use sweetspot_core::aliasing::{
 };
 use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
 use sweetspot_dsp::fft::{plan_kind, FftPlanner, FftScratch};
-use sweetspot_dsp::psd::{periodogram, PsdConfig, PsdScratch};
+use sweetspot_dsp::psd::{periodogram, PsdConfig};
 use sweetspot_dsp::resample::resample_fft;
 use sweetspot_dsp::window::Window;
 use sweetspot_dsp::Complex64;
@@ -193,14 +193,14 @@ fn bench(c: &mut Criterion) {
         );
         c.bench_function(&format!("detector/verified_epoch_{n_fast}_{n_slow}"), |b| {
             let mut planner = FftPlanner::new();
-            let mut psd = PsdScratch::new();
+            let mut fft = FftScratch::new();
             let mut bands = BandScratch::new();
             let est = NyquistEstimator::new(NyquistConfig::default());
             let (mut fast_power, mut slow_power) = (Vec::new(), Vec::new());
             b.iter(|| {
                 let (fp, sp) = (std::mem::take(&mut fast_power), std::mem::take(&mut slow_power));
-                let f = detector_spectrum(&mut planner, &mut psd, &fast, fp);
-                let s = detector_spectrum(&mut planner, &mut psd, &slow, sp);
+                let f = detector_spectrum(&mut planner, &mut fft, &fast, fp);
+                let s = detector_spectrum(&mut planner, &mut fft, &slow, sp);
                 let verdict = compare_spectra(&f, &s, DualRateConfig::default(), &mut bands);
                 let estimate = est.estimate_spectrum(&f);
                 fast_power = f.into_power();

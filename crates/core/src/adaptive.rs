@@ -82,7 +82,7 @@ use crate::aliasing::{
 };
 use crate::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
 use crate::source::SignalSource;
-use sweetspot_dsp::psd::PsdScratch;
+use sweetspot_dsp::fft::FftScratch;
 use sweetspot_timeseries::{grid_len, Hertz, Seconds};
 
 /// Minimum steady-state headroom compatible with continuous dual-rate
@@ -303,7 +303,7 @@ impl EpochReport {
     }
 }
 
-/// The controller's transient working set for one epoch: the PSD scratch,
+/// The controller's transient working set for one epoch: the FFT scratch,
 /// the recycled power buffers of the two streams' spectra, the detector's
 /// band tables, and the recycled value buffers for the primary and companion
 /// streams.
@@ -316,8 +316,8 @@ impl EpochReport {
 /// is cleared or overwritten before use.
 #[derive(Debug, Default)]
 pub struct SamplerScratch {
-    /// PSD working storage for both streams' periodograms.
-    psd: PsdScratch,
+    /// FFT working storage for both streams' periodograms.
+    fft: FftScratch,
     /// Power buffers of the primary and companion spectra.
     fast_power: Vec<f64>,
     slow_power: Vec<f64>,
@@ -339,7 +339,7 @@ impl SamplerScratch {
 
     /// Heap bytes the scratch currently holds (capacities, not lengths).
     pub fn resident_bytes(&self) -> usize {
-        self.psd.resident_bytes()
+        self.fft.resident_bytes()
             + self.bands.resident_bytes()
             + (self.fast_power.capacity()
                 + self.slow_power.capacity()
@@ -674,12 +674,12 @@ impl AdaptiveSampler {
         let planner = self.estimator.planner_mut();
         let fast_spec = (verified || estimator_trusted).then(|| {
             let power = std::mem::take(&mut scratch.fast_power);
-            detector_spectrum(planner, &mut scratch.psd, &fast, power)
+            detector_spectrum(planner, &mut scratch.fft, &fast, power)
         });
         let verdict_aliased = match (&fast_spec, &slow) {
             (Some(fast_spec), Some(slow)) if verified => {
                 let power = std::mem::take(&mut scratch.slow_power);
-                let slow_spec = detector_spectrum(planner, &mut scratch.psd, slow, power);
+                let slow_spec = detector_spectrum(planner, &mut scratch.fft, slow, power);
                 let cfg = self.config.detector;
                 let verdict = compare_spectra(fast_spec, &slow_spec, cfg, &mut scratch.bands);
                 scratch.slow_power = slow_spec.into_power();

@@ -24,8 +24,8 @@
 //!   frequencies in each spectrum thanks to the non-integer ratio (footnote
 //!   1 of the paper), so it still shows up as a band-power mismatch.
 
-use sweetspot_dsp::fft::FftPlanner;
-use sweetspot_dsp::psd::{periodogram_into, PsdConfig, PsdScratch};
+use sweetspot_dsp::fft::{FftPlanner, FftScratch};
+use sweetspot_dsp::psd::{periodogram_into, PsdConfig};
 use sweetspot_dsp::spectrum::Spectrum;
 use sweetspot_dsp::window::Window;
 use sweetspot_timeseries::{Hertz, RegularSeries};
@@ -133,13 +133,13 @@ impl BandScratch {
     }
 }
 
-/// Reusable working storage for [`detect_aliasing_scratch`]: the PSD
+/// Reusable working storage for [`detect_aliasing_scratch`]: the FFT
 /// scratch, the two one-sided power buffers and the band-power tables.
 /// Keep one per loop or worker so steady-state detection performs no heap
 /// allocations.
 #[derive(Debug, Default)]
 pub struct DetectScratch {
-    psd: PsdScratch,
+    fft: FftScratch,
     fast_power: Vec<f64>,
     slow_power: Vec<f64>,
     bands: BandScratch,
@@ -156,11 +156,11 @@ impl DetectScratch {
 /// `power` buffer (reclaim it with [`Spectrum::into_power`]).
 pub fn detector_spectrum(
     planner: &mut FftPlanner,
-    psd: &mut PsdScratch,
+    fft: &mut FftScratch,
     series: &RegularSeries,
     mut power: Vec<f64>,
 ) -> Spectrum {
-    periodogram_into(planner, psd, series.values(), DETECTOR_PSD, &mut power);
+    periodogram_into(planner, fft, series.values(), DETECTOR_PSD, &mut power);
     Spectrum::from_psd(power, series.sample_rate().value(), series.len())
 }
 
@@ -182,9 +182,9 @@ pub fn detect_aliasing_scratch(
     cfg: DualRateConfig,
 ) -> AliasingVerdict {
     let fast_power = std::mem::take(&mut scratch.fast_power);
-    let spec_fast = detector_spectrum(planner, &mut scratch.psd, fast, fast_power);
+    let spec_fast = detector_spectrum(planner, &mut scratch.fft, fast, fast_power);
     let slow_power = std::mem::take(&mut scratch.slow_power);
-    let spec_slow = detector_spectrum(planner, &mut scratch.psd, slow, slow_power);
+    let spec_slow = detector_spectrum(planner, &mut scratch.fft, slow, slow_power);
     let verdict = compare_spectra(&spec_fast, &spec_slow, cfg, &mut scratch.bands);
     scratch.fast_power = spec_fast.into_power();
     scratch.slow_power = spec_slow.into_power();

@@ -22,8 +22,8 @@
 //!   `N/2` — you cannot learn more from a length-`N` trace.
 
 use serde::{Deserialize, Serialize};
-use sweetspot_dsp::fft::FftPlanner;
-use sweetspot_dsp::psd::{periodogram_into, PsdConfig, PsdScratch};
+use sweetspot_dsp::fft::{FftPlanner, FftScratch};
+use sweetspot_dsp::psd::{periodogram_into, PsdConfig};
 use sweetspot_dsp::spectrum::{EnergyCapture, Spectrum};
 use sweetspot_dsp::window::Window;
 use sweetspot_timeseries::{Hertz, RegularSeries};
@@ -91,16 +91,19 @@ impl NyquistEstimate {
     }
 }
 
-/// Reusable working storage for [`NyquistEstimator`]: the PSD scratch plus
-/// the recycled one-sided power buffer (handed to `Spectrum` per estimate
-/// and reclaimed with `Spectrum::into_power` afterwards).
+/// Reusable working storage for [`NyquistEstimator`]: the FFT scratch the
+/// periodogram transforms in, plus the recycled one-sided power buffer it
+/// writes (handed to `Spectrum` per estimate and reclaimed with
+/// `Spectrum::into_power` afterwards). The periodogram keeps no copy of the
+/// trace or of its complex spectrum, so these are all the buffers an
+/// estimate needs.
 ///
 /// Callers lend one to [`NyquistEstimator::estimate_samples`]; a loop keeps
 /// one for all its estimates, and the fleet engine keeps one per worker for
 /// 10⁵ member estimators. Contents never influence results.
 #[derive(Debug, Default)]
 pub struct EstimatorScratch {
-    psd: PsdScratch,
+    fft: FftScratch,
     power: Vec<f64>,
 }
 
@@ -112,7 +115,7 @@ impl EstimatorScratch {
 
     /// Heap bytes the scratch currently holds (capacities, not lengths).
     pub fn resident_bytes(&self) -> usize {
-        self.psd.resident_bytes() + self.power.capacity() * std::mem::size_of::<f64>()
+        self.fft.resident_bytes() + self.power.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -201,7 +204,7 @@ impl NyquistEstimator {
         let mut power = std::mem::take(&mut scratch.power);
         periodogram_into(
             &mut self.planner,
-            &mut scratch.psd,
+            &mut scratch.fft,
             samples,
             PsdConfig {
                 window: self.config.window,

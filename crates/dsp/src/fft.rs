@@ -286,19 +286,22 @@ impl BluesteinPlan {
         }
     }
 
-    /// One-sided transform of the real `input`: its first `bins` bins into
-    /// `out`.
+    /// One-sided transform of the real samples `map(i, input[i])`: each of
+    /// its first `bins` bins to `sink`.
     fn fft_real(
         &self,
         input: &[f64],
-        out: &mut Vec<Complex64>,
+        map: impl Fn(usize, f64) -> f64,
+        mut sink: impl FnMut(usize, Complex64),
         conv: &mut Vec<Complex64>,
         work: &mut Vec<Complex64>,
     ) {
         debug_assert_eq!(input.len(), self.n);
-        self.convolve(input.iter().zip(&self.chirp).map(|(&x, c)| c.scale(x)), conv, work);
-        out.clear();
-        out.extend(conv[..self.bins].iter().zip(&self.chirp).map(|(y, c)| y.conj() * *c));
+        let weighted = input.iter().enumerate().zip(&self.chirp);
+        self.convolve(weighted.map(|((i, &x), c)| c.scale(map(i, x))), conv, work);
+        for (k, (y, c)) in conv[..self.bins].iter().zip(&self.chirp).enumerate() {
+            sink(k, y.conj() * *c);
+        }
     }
 }
 
@@ -626,38 +629,51 @@ impl PackedReal {
             + self.inner.table_bytes()
     }
 
-    /// Forward: one-sided spectrum (bins `0..=n/2`) of `input` into `out`.
+    /// Forward: each bin `0..=n/2` of the one-sided spectrum of the real
+    /// samples `map(i, input[i])` to `sink`.
     ///
-    /// Packs adjacent real samples into `n/2` complex points, transforms
+    /// Packs adjacent mapped samples into `n/2` complex points, transforms
     /// them with the half-length plan, then untangles the interleaved even/
     /// odd sub-spectra: with `Fe`/`Fo` the DFTs of the even- and odd-indexed
     /// samples, `X[k] = Fe[k] + e^{−2πik/n}·Fo[k]`.
-    fn fft(&self, input: &[f64], out: &mut Vec<Complex64>, scratch: &mut FftScratch) {
+    fn fft(
+        &self,
+        input: &[f64],
+        map: impl Fn(usize, f64) -> f64,
+        mut sink: impl FnMut(usize, Complex64),
+        scratch: &mut FftScratch,
+    ) {
         let n = self.n;
         let m = n / 2;
         debug_assert_eq!(input.len(), n);
         let FftScratch { conv, work, half, .. } = scratch;
         half.clear();
-        half.extend(input.chunks_exact(2).map(|p| Complex64::new(p[0], p[1])));
+        let pairs = input.chunks_exact(2).enumerate();
+        half.extend(pairs.map(|(j, p)| Complex64::new(map(2 * j, p[0]), map(2 * j + 1, p[1]))));
         self.inner.fft(half, conv, work);
-        out.clear();
-        out.resize(m + 1, Complex64::ZERO);
         // k = 0 and k = m both untangle from Z[0] alone (Fe₀ = Re Z₀,
         // Fo₀ = Im Z₀; w[0] = 1, w[m] = −1).
-        out[0] = Complex64::from_real(half[0].re + half[0].im);
-        out[m] = Complex64::from_real(half[0].re - half[0].im);
+        sink(0, Complex64::from_real(half[0].re + half[0].im));
+        sink(m, Complex64::from_real(half[0].re - half[0].im));
         // Interior bins pair up: with t = w[k]·Fo[k],
         // X[k] = Fe[k] + t and X[m−k] = conj(Fe[k] − t), so one pass over
-        // k ≤ m/2 settles both ends with a single twiddle multiply. At the
-        // midpoint (even m) Fe is real and t imaginary, so both writes agree.
-        for k in 1..=m / 2 {
+        // k < m/2 settles both ends with a single twiddle multiply. The
+        // midpoint of an even m takes the second form.
+        let untangle = |k: usize| {
             let zk = half[k];
             let zmk = half[m - k].conj();
             let fe = (zk + zmk).scale(0.5);
             let fo = (zk - zmk) * Complex64::new(0.0, -0.5);
             let t = self.twiddles[k] * fo;
-            out[k] = fe + t;
-            out[m - k] = (fe - t).conj();
+            (fe + t, (fe - t).conj())
+        };
+        for k in 1..m.div_ceil(2) {
+            let (low, high) = untangle(k);
+            sink(k, low);
+            sink(m - k, high);
+        }
+        if m.is_multiple_of(2) {
+            sink(m / 2, untangle(m / 2).1);
         }
     }
 
@@ -708,18 +724,29 @@ enum RealPlan {
 }
 
 impl RealPlan {
-    /// Forward: the one-sided spectrum of `input` into `out`.
-    fn fft(&self, input: &[f64], out: &mut Vec<Complex64>, scratch: &mut FftScratch) {
+    /// Forward: each bin of the one-sided spectrum of the real samples
+    /// `map(i, input[i])` to `sink` (see [`FftPlanner::fft_real_with`]).
+    fn fft(
+        &self,
+        input: &[f64],
+        map: impl Fn(usize, f64) -> f64,
+        mut sink: impl FnMut(usize, Complex64),
+        scratch: &mut FftScratch,
+    ) {
         match self {
-            RealPlan::Packed(p) => p.fft(input, out, scratch),
-            RealPlan::OneSided(p) => p.fft_real(input, out, &mut scratch.conv, &mut scratch.work),
+            RealPlan::Packed(p) => p.fft(input, map, sink, scratch),
+            RealPlan::OneSided(p) => {
+                p.fft_real(input, map, sink, &mut scratch.conv, &mut scratch.work)
+            }
             RealPlan::Promoted(p) => {
                 let full = &mut scratch.full;
                 full.clear();
-                full.extend(input.iter().map(|&x| Complex64::from_real(x)));
+                let samples = input.iter().enumerate();
+                full.extend(samples.map(|(i, &x)| Complex64::from_real(map(i, x))));
                 p.fft(full, &mut scratch.work);
-                out.clear();
-                out.extend_from_slice(&full[..one_sided_len(input.len())]);
+                for (k, &c) in full[..one_sided_len(input.len())].iter().enumerate() {
+                    sink(k, c);
+                }
             }
         }
     }
@@ -1142,10 +1169,30 @@ impl FftPlanner {
         scratch: &mut FftScratch,
     ) {
         out.clear();
+        out.resize(one_sided_len(input.len()), Complex64::ZERO);
+        self.fft_real_with(input, |_, x| x, |k, c| out[k] = c, scratch);
+    }
+
+    /// The kernel behind every forward real transform: the one-sided
+    /// spectrum of the real signal `x[i] = map(i, input[i])`, with each bin
+    /// `k` handed to `sink(k, X_k)` exactly once, in no particular order.
+    ///
+    /// The map runs as each plan loads its input and the sink as it emits
+    /// its output, so a caller that tapers the signal or only wants the
+    /// power spectrum (the periodogram) needs no copy of either. A map or
+    /// sink that performs the same floating-point operations as a separate
+    /// pass yields the same bits.
+    pub(crate) fn fft_real_with(
+        &mut self,
+        input: &[f64],
+        map: impl Fn(usize, f64) -> f64,
+        mut sink: impl FnMut(usize, Complex64),
+        scratch: &mut FftScratch,
+    ) {
         match input {
             [] => {}
-            [x] => out.push(Complex64::from_real(*x)),
-            _ => self.real_plan(input.len()).fft(input, out, scratch),
+            [x] => sink(0, Complex64::from_real(map(0, *x))),
+            _ => self.real_plan(input.len()).fft(input, map, sink, scratch),
         }
     }
 

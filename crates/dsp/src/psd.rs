@@ -6,17 +6,18 @@
 //! normalized as *power per bin* with window energy-gain compensation, so
 //! cumulative-energy fractions are comparable across window choices.
 //!
-//! [`periodogram_into`] writes into a caller-owned buffer through a reusable
-//! [`PsdScratch`]: one windowed-signal buffer, one spectrum buffer and one
-//! [`FftScratch`], with window coefficients from the planner's cached
-//! per-`(window, n)` tables — so the steady-state pipeline performs **zero
-//! heap allocations** (pinned by `tests/alloc_steady_state.rs`). Planners
+//! [`periodogram_into`] writes into a caller-owned power buffer and holds
+//! no copy of the signal or of its spectrum: the detrend and the window
+//! (coefficients from the planner's cached per-`(window, n)` tables) are
+//! applied as the real FFT loads each sample, and each bin's power is
+//! written as the transform emits it. Its only working storage is a lent
+//! [`FftScratch`], so the steady-state pipeline performs **zero heap
+//! allocations** (pinned by `tests/alloc_steady_state.rs`). Planners
 //! hold tables only, so the scratch is the one place working buffers live:
 //! at fleet scale every member's estimator holds a lightweight planner
 //! clone that stays empty by construction.
 
-use crate::complex::Complex64;
-use crate::fft::{FftPlanner, FftScratch};
+use crate::fft::{one_sided_len, FftPlanner, FftScratch};
 use crate::spectrum::Spectrum;
 use crate::window::Window;
 
@@ -40,40 +41,9 @@ impl Default for PsdConfig {
     }
 }
 
-/// Reusable scratch buffers for the PSD estimator.
-///
-/// Holds the windowed-signal buffer and the one-sided spectrum buffer; both
-/// grow on demand and are reused across calls. Keep one per loop (or per
-/// worker) and lend it to every call so the steady-state pipeline allocates
-/// nothing.
-#[derive(Debug, Default)]
-pub struct PsdScratch {
-    /// Windowed (and detrended) copy of the signal.
-    seg: Vec<f64>,
-    /// One-sided spectrum of the signal.
-    spec: Vec<Complex64>,
-    /// FFT working buffers, lent to the planner's transforms.
-    fft: FftScratch,
-}
-
-impl PsdScratch {
-    /// Creates empty scratch space; buffers grow on first use.
-    pub fn new() -> Self {
-        PsdScratch::default()
-    }
-
-    /// Heap bytes the scratch currently holds (capacities, not lengths) —
-    /// the per-worker memory-footprint accounting of the fleet engine.
-    pub fn resident_bytes(&self) -> usize {
-        self.seg.capacity() * std::mem::size_of::<f64>()
-            + self.spec.capacity() * std::mem::size_of::<Complex64>()
-            + self.fft.resident_bytes()
-    }
-}
-
 /// [`periodogram`] into a caller-owned power buffer (cleared first) —
 /// the allocation-free core for steady-state pipelines. The buffer holds
-/// [`one_sided_len`](crate::fft::one_sided_len)`(samples.len())` bins; wrap
+/// [`one_sided_len`]`(samples.len())` bins; wrap
 /// it with [`Spectrum::from_psd`] (and reclaim it via
 /// `Spectrum::into_power`).
 ///
@@ -85,37 +55,36 @@ impl PsdScratch {
 /// Panics if `samples` is empty.
 pub fn periodogram_into(
     planner: &mut FftPlanner,
-    scratch: &mut PsdScratch,
+    scratch: &mut FftScratch,
     samples: &[f64],
     cfg: PsdConfig,
     out: &mut Vec<f64>,
 ) {
     assert!(!samples.is_empty(), "cannot estimate the PSD of an empty signal");
-    let PsdScratch { seg, spec, fft } = scratch;
     let n = samples.len();
-    seg.clear();
-    seg.extend_from_slice(samples);
-    if cfg.detrend {
-        let mean = seg.iter().sum::<f64>() / n as f64;
-        for s in seg.iter_mut() {
-            *s -= mean;
-        }
-    }
+    // Without detrending the mean is 0.0 and, for the rectangular window,
+    // every coefficient is 1.0: both exact identities, so one branch-free
+    // map `(x − mean)·w` serves every configuration.
+    let mean = if cfg.detrend {
+        samples.iter().sum::<f64>() / n as f64
+    } else {
+        0.0
+    };
     let table = planner.window_table(cfg.window, n);
-    table.apply(seg);
-    planner.fft_real_into(seg, spec, fft);
+    let coeffs = table.coefficients();
     let norm = (n as f64) * (n as f64) * table.energy_gain();
     out.clear();
-    out.reserve(spec.len());
-    for (k, c) in spec.iter().enumerate() {
-        let is_dc = k == 0;
-        let is_nyquist = n.is_multiple_of(2) && k == n / 2;
-        let mut p = c.norm_sqr();
-        if !is_dc && !is_nyquist {
-            p *= 2.0;
-        }
-        out.push(p / norm);
-    }
+    out.resize(one_sided_len(n), 0.0);
+    planner.fft_real_with(
+        samples,
+        |i, x| (x - mean) * coeffs[i],
+        |k, c| {
+            // DC and — for even `n` — the Nyquist bin are not doubled.
+            let gain = if k == 0 || 2 * k == n { 1.0 } else { 2.0 };
+            out[k] = c.norm_sqr() * gain / norm;
+        },
+        scratch,
+    );
 }
 
 /// One-shot PSD estimate (§3.2's raw method when
@@ -133,7 +102,7 @@ pub fn periodogram(
     cfg: PsdConfig,
 ) -> Spectrum {
     assert!(sample_rate > 0.0, "sample_rate must be positive");
-    let mut scratch = PsdScratch::new();
+    let mut scratch = FftScratch::new();
     let mut power = Vec::new();
     periodogram_into(planner, &mut scratch, samples, cfg, &mut power);
     Spectrum::from_psd(power, sample_rate, samples.len())
@@ -148,6 +117,60 @@ mod tests {
         (0..n)
             .map(|i| amp * (2.0 * PI * f * i as f64 / fs).sin())
             .collect()
+    }
+
+    /// The composition [`periodogram_into`] fuses: copy the signal,
+    /// detrend the copy, multiply the window table in, take the one-sided
+    /// real FFT, then square and scale each bin.
+    fn periodogram_unfused(planner: &mut FftPlanner, samples: &[f64], cfg: PsdConfig) -> Vec<f64> {
+        let n = samples.len();
+        let mut seg = samples.to_vec();
+        if cfg.detrend {
+            let mean = seg.iter().sum::<f64>() / n as f64;
+            for s in &mut seg {
+                *s -= mean;
+            }
+        }
+        let table = planner.window_table(cfg.window, n);
+        table.apply(&mut seg);
+        let mut spec = Vec::new();
+        planner.fft_real_into(&seg, &mut spec, &mut FftScratch::new());
+        let norm = (n as f64) * (n as f64) * table.energy_gain();
+        let nyquist = n.is_multiple_of(2).then_some(n / 2);
+        (spec.iter().enumerate())
+            .map(|(k, c)| {
+                let mut p = c.norm_sqr();
+                if k != 0 && Some(k) != nyquist {
+                    p *= 2.0;
+                }
+                p / norm
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fused_periodogram_is_bit_identical_to_the_unfused_composition() {
+        // Every length 1..=1100 covers the packed, promoted (odd 5-smooth)
+        // and one-sided Bluestein plans; 129 600 is the `analyze` length.
+        let configs = [Window::Rectangular, Window::Hann]
+            .into_iter()
+            .flat_map(|window| [false, true].map(|detrend| PsdConfig { window, detrend }));
+        let configs: Vec<PsdConfig> = configs.collect();
+        let (mut scratch, mut power) = (FftScratch::new(), Vec::new());
+        for n in (1..=1100).chain([129_600]) {
+            let sig: Vec<f64> = (0..n)
+                .map(|i| 10.0 + 3.0 * (i as f64 * 0.37).sin() - (i % 7) as f64 * 0.1)
+                .collect();
+            let mut planner = FftPlanner::new();
+            for &cfg in &configs {
+                periodogram_into(&mut planner, &mut scratch, &sig, cfg, &mut power);
+                let expected = periodogram_unfused(&mut planner, &sig, cfg);
+                assert_eq!(power.len(), expected.len(), "n={n} {cfg:?}");
+                for (k, (a, b)) in power.iter().zip(&expected).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} {cfg:?} bin {k}: {a} vs {b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -114,6 +114,12 @@ impl WindowTable {
         self.coeffs.capacity() * std::mem::size_of::<f64>()
     }
 
+    /// The coefficients, one per sample; all `1.0` for the rectangular
+    /// window.
+    pub(crate) fn coefficients(&self) -> &[f64] {
+        &self.coeffs
+    }
+
     /// Energy (incoherent) gain: mean of squared coefficients. Divides power
     /// estimates so windowed PSDs remain comparable across window choices.
     pub fn energy_gain(&self) -> f64 {

@@ -2,7 +2,8 @@
 //!
 //! Pins the pipeline's zero-allocation guarantee with a counting global allocator:
 //! once the planner, scratch and output buffers are warm, `periodogram_into`
-//! and `fft_real_into` must not touch the heap at all.
+//! and `fft_real_into` must not touch the heap at all. The same allocator
+//! also counts net bytes, which pins the periodogram's working footprint.
 //!
 //! The counter is **per-thread**: libtest's harness threads (timeout
 //! watchdog, capture machinery) allocate at unpredictable times, so a
@@ -13,13 +14,19 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sweetspot_dsp::fft::{FftPlanner, FftScratch};
-use sweetspot_dsp::psd::{periodogram_into, PsdConfig, PsdScratch};
+use sweetspot_dsp::psd::{periodogram_into, PsdConfig};
 use sweetspot_dsp::window::Window;
 
 std::thread_local! {
     // const-init + no Drop ⇒ accessing this inside the allocator hooks
     // never itself allocates or registers a TLS destructor.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    // Bytes allocated minus bytes freed.
+    static NET_BYTES: Cell<isize> = const { Cell::new(0) };
+}
+
+fn add_net_bytes(delta: isize) {
+    let _ = NET_BYTES.try_with(|c| c.set(c.get() + delta));
 }
 
 struct CountingAllocator;
@@ -30,15 +37,18 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        add_net_bytes(layout.size() as isize);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_net_bytes(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        add_net_bytes(new_size as isize - layout.size() as isize);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -51,6 +61,13 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Net heap bytes *this thread* still holds from what `f` allocated.
+fn net_bytes_during(f: impl FnOnce()) -> isize {
+    let before = NET_BYTES.with(Cell::get);
+    f();
+    NET_BYTES.with(Cell::get) - before
 }
 
 fn signal(n: usize) -> Vec<f64> {
@@ -69,7 +86,7 @@ fn spectral_pipeline_steady_state_is_allocation_free() {
         detrend: true,
     };
     let mut planner = FftPlanner::new();
-    let mut scratch = PsdScratch::new();
+    let mut scratch = FftScratch::new();
     let mut power = Vec::new();
 
     // Periodogram: power-of-two, mixed-radix (a day at 30 s) and Bluestein
@@ -97,4 +114,34 @@ fn spectral_pipeline_steady_state_is_allocation_free() {
         });
         assert_eq!(count, 0, "steady-state real FFT (n={n}) must not allocate");
     }
+}
+
+#[test]
+fn periodogram_scratch_holds_no_copy_of_the_signal_or_its_spectrum() {
+    // The `analyze` benchmark's length: 90 days at one minute.
+    let n = 129_600;
+    let sig = signal(n);
+    let cfg = PsdConfig {
+        window: Window::Hann,
+        detrend: true,
+    };
+    let mut planner = FftPlanner::new();
+    // Build the plan and window tables (and this handle's request history)
+    // first, so the measured call allocates its own buffers and nothing else.
+    periodogram_into(&mut planner, &mut FftScratch::new(), &sig, cfg, &mut Vec::new());
+
+    let mut scratch = FftScratch::new();
+    let mut power = Vec::new();
+    let net = net_bytes_during(|| {
+        periodogram_into(&mut planner, &mut scratch, &sig, cfg, &mut power);
+    });
+    let bins = n / 2 + 1;
+    assert_eq!(power.capacity(), bins);
+    let held = scratch.resident_bytes() + bins * std::mem::size_of::<f64>();
+    assert_eq!(net, held as isize, "resident_bytes() disagrees with the allocator");
+    // The packed half-length input and the transform's ping-pong buffer,
+    // n/2 complex points each. A windowed copy of the signal (n·8 bytes) or
+    // a one-sided complex spectrum (bins·16 bytes) would show on top.
+    let half_len_buffers = 2 * (n / 2) * 16;
+    assert_eq!(scratch.resident_bytes(), half_len_buffers);
 }
