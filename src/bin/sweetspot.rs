@@ -72,7 +72,12 @@
 //! Argument parsing is deliberately dependency-free: flags are
 //! `--name value` pairs after the positional arguments. Unknown flags are
 //! rejected with a diagnostic and a nonzero exit.
+//!
+//! Every command writes stdout through one locked, buffered writer. A
+//! reader that closes the pipe early (`sweetspot track trace.csv | head`)
+//! ends the run with exit status 0, as if the output had been written.
 
+use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 use sweetspot::analysis::experiments::{fig1, headline};
 use sweetspot::analysis::fleetsim::{
@@ -123,24 +128,56 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    let mut out = BufWriter::new(std::io::stdout().lock());
     let result = match command.as_str() {
-        "analyze" => cmd_analyze(&args[1..]),
-        "track" => cmd_track(&args[1..]),
-        "study" => cmd_study(&args[1..]),
-        "fleetsim" => cmd_fleetsim(&args[1..]),
-        "demo" => cmd_demo(&args[1..]),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        "analyze" => cmd_analyze(&args[1..], &mut out),
+        "track" => cmd_track(&args[1..], &mut out),
+        "study" => cmd_study(&args[1..], &mut out),
+        "fleetsim" => cmd_fleetsim(&args[1..], &mut out),
+        "demo" => cmd_demo(&args[1..], &mut out),
+        "help" | "--help" | "-h" => writeln!(out, "{USAGE}").map_err(Failure::from),
+        other => Err(format!("unknown command {other:?}\n{USAGE}").into()),
     };
-    match result {
+    // Flush before any diagnostic, so stdout keeps its place ahead of it.
+    let flushed = out.flush().map_err(Failure::from);
+    match result.and(flushed) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
+        // The reader has all it wants (`… | head`): not an error.
+        Err(Failure::Stdout(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("error: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Message(message)) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Why a command stopped early.
+enum Failure {
+    /// A diagnostic for the user: a bad flag, an unreadable trace.
+    Message(String),
+    /// Writing the report to stdout failed.
+    Stdout(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::Message(message.to_string())
+    }
+}
+
+impl From<std::io::Error> for Failure {
+    fn from(e: std::io::Error) -> Self {
+        Failure::Stdout(e)
     }
 }
 
@@ -262,7 +299,7 @@ fn load_trace(path: &str, interval: Option<f64>) -> Result<RegularSeries, String
     }
 }
 
-fn cmd_analyze(args: &[String]) -> Result<(), String> {
+fn cmd_analyze(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let path = args.first().ok_or("analyze needs a trace path")?;
     let flags = flags(args, 1)?;
     reject_unknown_flags(&flags, &["cutoff", "headroom", "interval"], "analyze")?;
@@ -280,37 +317,41 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     cfg.validate()?;
 
     let series = load_trace(path, interval)?;
-    println!(
+    writeln!(
+        out,
         "trace: {} samples at {} ({} total)",
         series.len(),
         series.sample_rate(),
         series.duration()
-    );
+    )?;
     let rec = recommend(&series, cfg);
     match rec.estimated_nyquist {
-        Some(rate) => println!("estimated Nyquist rate: {rate}"),
-        None => println!("estimated Nyquist rate: none (trace looks aliased)"),
+        Some(rate) => writeln!(out, "estimated Nyquist rate: {rate}")?,
+        None => writeln!(out, "estimated Nyquist rate: none (trace looks aliased)")?,
     }
     match rec.action {
-        Action::Keep => println!("recommendation: KEEP the current rate"),
-        Action::Reduce { to, saving_factor } => println!(
+        Action::Keep => writeln!(out, "recommendation: KEEP the current rate")?,
+        Action::Reduce { to, saving_factor } => writeln!(
+            out,
             "recommendation: REDUCE to {to} ({saving_factor:.0}x fewer samples, \
              ≈{:.0} samples/day saved)",
             rec.samples_saved_per_day()
-        ),
-        Action::Increase { to } => println!(
+        )?,
+        Action::Increase { to } => writeln!(
+            out,
             "recommendation: INCREASE to at least {to} — the trace is under-sampled \
              (re-run after the change; the folded estimate is a lower bound)"
-        ),
-        Action::Inspect => println!(
+        )?,
+        Action::Inspect => writeln!(
+            out,
             "recommendation: INSPECT — run a dual-rate probe (§4.1); a single \
              trace cannot assess this signal"
-        ),
+        )?,
     }
     Ok(())
 }
 
-fn cmd_track(args: &[String]) -> Result<(), String> {
+fn cmd_track(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let path = args.first().ok_or("track needs a trace path")?;
     let flags = flags(args, 1)?;
     reject_unknown_flags(&flags, &["window", "step"], "track")?;
@@ -327,13 +368,14 @@ fn cmd_track(args: &[String]) -> Result<(), String> {
     if points.is_empty() {
         return Err("trace is shorter than one window".into());
     }
-    println!("window_start_seconds,nyquist_rate_hz");
+    writeln!(out, "window_start_seconds,nyquist_rate_hz")?;
     for p in &points {
         match p.estimate.rate() {
-            Some(r) => println!("{},{}", p.window_start.value(), r.value()),
-            None => println!("{},aliased", p.window_start.value()),
+            Some(r) => writeln!(out, "{},{}", p.window_start.value(), r.value())?,
+            None => writeln!(out, "{},aliased", p.window_start.value())?,
         }
     }
+    out.flush()?;
     let s = summarize(&points);
     eprintln!(
         "windows={} aliased={} min={:?} max={:?}",
@@ -361,7 +403,7 @@ fn take_switch(args: &[String], name: &str) -> (bool, Vec<String>) {
     (found, rest)
 }
 
-fn cmd_study(args: &[String]) -> Result<(), String> {
+fn cmd_study(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let (paper_scale, rest) = take_switch(args, "--paper-scale");
     let (timing, rest) = take_switch(&rest, "--timing");
     let (json, rest) = take_switch(&rest, "--json");
@@ -386,12 +428,13 @@ fn cmd_study(args: &[String]) -> Result<(), String> {
         FleetStudy::run(cfg)
     };
     if json {
-        println!("{}", study_json(&study));
+        writeln!(out, "{}", study_json(&study))?;
     } else {
-        println!("{}", fig1::from_study(&study).render());
-        println!("{}", headline::from_study(&study).render());
+        writeln!(out, "{}", fig1::from_study(&study).render())?;
+        writeln!(out, "{}", headline::from_study(&study).render())?;
     }
     if timing {
+        out.flush()?;
         // stderr, not stdout: timing varies run to run, and stdout must stay
         // byte-identical across thread counts (CI compares it verbatim).
         let t = study.timing;
@@ -446,7 +489,7 @@ fn study_json(study: &FleetStudy) -> String {
     out
 }
 
-fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
+fn cmd_fleetsim(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let (timing, rest) = take_switch(args, "--timing");
     let (json, rest) = take_switch(&rest, "--json");
     let (json_devices, rest) = take_switch(&rest, "--json-devices");
@@ -571,11 +614,12 @@ fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
         })?;
     }
     if json {
-        println!("{}", frontier.to_json_with(json_devices));
+        writeln!(out, "{}", frontier.to_json_with(json_devices))?;
     } else {
-        print!("{}", frontier.render());
+        out.write_all(frontier.render().as_bytes())?;
     }
     if timing {
+        out.flush()?;
         // stderr, not stdout: timing varies run to run, and stdout must stay
         // byte-identical across thread counts (CI compares it verbatim).
         eprint!(
@@ -589,12 +633,12 @@ fn cmd_fleetsim(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_demo(args: &[String]) -> Result<(), String> {
+fn cmd_demo(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     let flags = flags(args, 0)?;
     reject_unknown_flags(&flags, &["metric", "days", "seed"], "demo")?;
     let days = flag_f64(&flags, "days", 2.0)?;
     if !(days.is_finite() && days > 0.0) {
-        return Err(format!("--days wants a positive, finite number of days, got {days}"));
+        return Err(format!("--days wants a positive, finite number of days, got {days}").into());
     }
     let seed = flag_u64(&flags, "seed", 7)?;
     let metric_name = flag_opt::<String>(&flags, "metric", "a metric name")?
@@ -610,6 +654,6 @@ fn cmd_demo(args: &[String]) -> Result<(), String> {
         })?;
     let device = DeviceTrace::synthesize(MetricProfile::for_kind(*kind), 0, seed);
     let trace = device.production_trace(Seconds::from_days(days));
-    print!("{}", ingest::to_csv(&trace));
+    out.write_all(ingest::to_csv(&trace).as_bytes())?;
     Ok(())
 }

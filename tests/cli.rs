@@ -189,6 +189,39 @@ fn track_emits_csv_series() {
 }
 
 #[test]
+fn track_exits_cleanly_when_the_reader_closes_the_pipe() {
+    // 30 days at one minute: ~8 600 six-hour windows at the default
+    // 300 s step, a few hundred kB of CSV rows, far more than a pipe buffers.
+    let path = write_temp("track-pipe", &{
+        let mut csv = String::from("time_seconds,value\n");
+        for i in 0..30 * 1440 {
+            let t = i as f64 * 60.0;
+            let v = (2.0 * std::f64::consts::PI * 1e-4 * t).sin();
+            csv.push_str(&format!("{t},{v}\n"));
+        }
+        csv
+    });
+    let mut child = bin()
+        .arg("track")
+        .arg(&path)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut reader = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut header = String::new();
+    std::io::BufRead::read_line(&mut reader, &mut header).unwrap();
+    assert_eq!(header, "window_start_seconds,nyquist_rate_hz\n");
+    drop(reader);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_ne!(out.status.code(), Some(101), "stderr: {stderr}");
+    assert!(out.status.success(), "a closed pipe is a clean exit: {:?}", out.status);
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn study_prints_figure_and_headline() {
     let out = bin()
         .args(["study", "--devices", "3", "--seed", "9"])
