@@ -26,11 +26,14 @@ fn main() {
 
     let start = std::time::Instant::now();
     let study = FleetStudy::run_on(&fleet, cfg);
-    println!(
-        "analyzed {} day-long traces in {:.1?}\n",
+    // Wall time varies run to run, so it goes to stderr and stdout stays
+    // byte-identical.
+    eprintln!(
+        "analyzed {} day-long traces in {:.1?}",
         study.pairs.len(),
         start.elapsed()
     );
+    println!();
 
     // Figure 1: fraction of devices above the Nyquist rate, per metric.
     println!("{}", fig1::from_study(&study).render());
