@@ -46,7 +46,10 @@
 //! a caller-lent [`FftScratch`], and the `*_into` methods write into
 //! caller-owned outputs. Once those buffers have warmed up, steady-state
 //! transforms of previously seen lengths perform **no heap allocations** —
-//! the property the periodogram pipeline in [`crate::psd`] relies on.
+//! the property the periodogram pipeline in [`crate::psd`] relies on. Every
+//! forward real transform runs one kernel that maps each sample as it
+//! loads it and hands each bin to a sink as it emits it, which is how the
+//! periodogram detrends, windows and squares without a copy.
 //!
 //! Conventions: the forward transform is **unnormalized**
 //! (`X_k = Σ x_n e^{−2πi nk/N}`); the inverse scales by `1/N`, so
@@ -93,6 +96,12 @@ pub fn plan_kind(n: usize) -> &'static str {
 /// Callers lend one to every transform; a loop keeps one and passes it each
 /// iteration. All buffers grow on demand and are reused across calls —
 /// steady state allocates nothing. Contents never influence results.
+///
+/// It is all the working storage a periodogram
+/// ([`crate::psd::periodogram_into`]) needs: the real transform loads the
+/// detrended, windowed samples straight into its input buffer and emits
+/// each bin's power straight to the caller, so an even length `n` holds two
+/// `n/2`-point complex buffers (`half` and `work`) and nothing else.
 #[derive(Debug, Default)]
 pub struct FftScratch {
     /// The Bluestein convolution: the chirp-weighted input, zero-padded to
@@ -101,7 +110,8 @@ pub struct FftScratch {
     /// The mixed-radix ping-pong buffer, as long as the transform it serves
     /// (the convolution length under Bluestein).
     work: Vec<Complex64>,
-    /// Packed half-length buffer for even-length real transforms.
+    /// Packed half-length input of even-length real transforms: mapped
+    /// samples `2j` and `2j + 1` as one complex point.
     half: Vec<Complex64>,
     /// Full-length complex buffer for odd 5-smooth real transforms and
     /// odd-length real inverses.
@@ -146,6 +156,10 @@ pub(crate) fn quantized_table<T>(len: usize) -> Vec<T> {
 /// each root stays within a few ulps of the direct value. Every trig table
 /// (mixed-radix and untangle twiddles, Bluestein chirps, window cosines)
 /// builds one, fills itself and drops it, so nothing extra stays resident.
+/// Transforms read only the filled tables, never a `Roots`: each root costs
+/// a complex multiply, which a transform would pay on every read instead of
+/// once per table — a trade against the tables' memory that favours speed
+/// for the transforms a planner repeats thousands of times.
 pub(crate) struct Roots {
     n: usize,
     shift: u32,
@@ -428,6 +442,10 @@ fn blocks<const P: usize>(src: &[Complex64]) -> [&[Complex64]; P] {
     let len = src.len() / P;
     std::array::from_fn(|r| &src[r * len..(r + 1) * len])
 }
+
+// The first pass of every plan runs at `s == 1`, one element per block: its
+// loop zips the blocks instead of slicing them once per output chunk, with
+// the same butterfly expressions as the general loop.
 
 fn pass2(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
     let [x0, x1] = blocks::<2>(src);
