@@ -43,9 +43,8 @@ impl Default for PsdConfig {
 
 /// [`periodogram`] into a caller-owned power buffer (cleared first) —
 /// the allocation-free core for steady-state pipelines. The buffer holds
-/// [`one_sided_len`]`(samples.len())` bins; wrap
-/// it with [`Spectrum::from_psd`] (and reclaim it via
-/// `Spectrum::into_power`).
+/// [`one_sided_len`]`(samples.len())` bins; wrap it with
+/// [`Spectrum::from_psd`] (and reclaim it via `Spectrum::into_power`).
 ///
 /// Interior bins are doubled (they carry the energy of both the positive and
 /// negative frequency); DC and — for even `n` — the Nyquist bin are not.
