@@ -159,7 +159,7 @@ fn main() -> ExitCode {
 ///
 /// Opened lazily so that its buffers enter the heap only once the report
 /// starts: allocated before `track` loads its trace, they raised its peak
-/// RSS by about 70 kB (the heap's layout around the trace buffers changed).
+/// RSS by about 80 kB (the heap's layout around the trace buffers changed).
 #[derive(Default)]
 struct Stdout(Option<BufWriter<StdoutLock<'static>>>);
 
