@@ -443,20 +443,8 @@ fn blocks<const P: usize>(src: &[Complex64]) -> [&[Complex64]; P] {
     std::array::from_fn(|r| &src[r * len..(r + 1) * len])
 }
 
-// The first pass of every plan runs at `s == 1`, one element per block: its
-// loop zips the blocks instead of slicing them once per output chunk, with
-// the same butterfly expressions as the general loop.
-
 fn pass2(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
     let [x0, x1] = blocks::<2>(src);
-    if s == 1 {
-        let (out, _) = dst.as_chunks_mut::<2>();
-        for ((y, w), (&a0, &a1)) in out.iter_mut().zip(tw).zip(x0.iter().zip(x1)) {
-            y[0] = a0 + a1;
-            y[1] = (a0 - a1) * *w;
-        }
-        return;
-    }
     for (j, (out, w)) in dst.chunks_exact_mut(2 * s).zip(tw).enumerate() {
         let (x0, x1) = (&x0[s * j..][..s], &x1[s * j..][..s]);
         let (y0, y1) = out.split_at_mut(s);
@@ -471,20 +459,6 @@ fn pass2(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
 fn pass3(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
     let half_sqrt3 = 0.5 * 3f64.sqrt();
     let [x0, x1, x2] = blocks::<3>(src);
-    if s == 1 {
-        let (out, _) = dst.as_chunks_mut::<3>();
-        let (tw, _) = tw.as_chunks::<2>();
-        let x = x0.iter().zip(x1).zip(x2);
-        for ((y, w), ((&a0, &a1), &a2)) in out.iter_mut().zip(tw).zip(x) {
-            let sum = a1 + a2;
-            let mid = a0 - sum.scale(0.5);
-            let rot = mul_neg_i(a1 - a2).scale(half_sqrt3);
-            y[0] = a0 + sum;
-            y[1] = (mid + rot) * w[0];
-            y[2] = (mid - rot) * w[1];
-        }
-        return;
-    }
     for (j, (out, w)) in dst
         .chunks_exact_mut(3 * s)
         .zip(tw.chunks_exact(2))
@@ -507,20 +481,6 @@ fn pass3(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
 
 fn pass4(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
     let [x0, x1, x2, x3] = blocks::<4>(src);
-    if s == 1 {
-        let (out, _) = dst.as_chunks_mut::<4>();
-        let (tw, _) = tw.as_chunks::<3>();
-        let x = x0.iter().zip(x1).zip(x2).zip(x3);
-        for ((y, w), (((&a0, &a1), &a2), &a3)) in out.iter_mut().zip(tw).zip(x) {
-            let (e0, e1) = (a0 + a2, a0 - a2);
-            let (o0, o1) = (a1 + a3, mul_neg_i(a1 - a3));
-            y[0] = e0 + o0;
-            y[1] = (e1 + o1) * w[0];
-            y[2] = (e0 - o0) * w[1];
-            y[3] = (e1 - o1) * w[2];
-        }
-        return;
-    }
     for (j, (out, w)) in dst
         .chunks_exact_mut(4 * s)
         .zip(tw.chunks_exact(3))
@@ -547,25 +507,6 @@ fn pass5(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
     let (s1, c1) = (2.0 * PI / 5.0).sin_cos();
     let (s2, c2) = (4.0 * PI / 5.0).sin_cos();
     let [x0, x1, x2, x3, x4] = blocks::<5>(src);
-    if s == 1 {
-        let (out, _) = dst.as_chunks_mut::<5>();
-        let (tw, _) = tw.as_chunks::<4>();
-        let x = x0.iter().zip(x1).zip(x2).zip(x3).zip(x4);
-        for ((y, w), ((((&a0, &x1), &x2), &x3), &x4)) in out.iter_mut().zip(tw).zip(x) {
-            let (t1, d1) = (x1 + x4, x1 - x4);
-            let (t2, d2) = (x2 + x3, x2 - x3);
-            let m1 = a0 + t1.scale(c1) + t2.scale(c2);
-            let m2 = a0 + t1.scale(c2) + t2.scale(c1);
-            let r1 = mul_neg_i(d1.scale(s1) + d2.scale(s2));
-            let r2 = mul_neg_i(d1.scale(s2) - d2.scale(s1));
-            y[0] = a0 + t1 + t2;
-            y[1] = (m1 + r1) * w[0];
-            y[2] = (m2 + r2) * w[1];
-            y[3] = (m2 - r2) * w[2];
-            y[4] = (m1 - r1) * w[3];
-        }
-        return;
-    }
     for (j, (out, w)) in dst
         .chunks_exact_mut(5 * s)
         .zip(tw.chunks_exact(4))
