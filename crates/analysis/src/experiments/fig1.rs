@@ -3,7 +3,7 @@
 //! Nyquist rate; each bar coalesces information from O(10³) devices."
 
 use crate::report::bar_chart;
-use crate::study::{FleetStudy, StudyConfig};
+use crate::study::FleetStudy;
 use sweetspot_telemetry::MetricKind;
 
 /// Figure 1 data: per-metric fraction of devices sampling above Nyquist.
@@ -17,12 +17,7 @@ pub struct Fig1 {
     pub pairs_total: usize,
 }
 
-/// Runs the Figure 1 experiment.
-pub fn run(cfg: StudyConfig) -> Fig1 {
-    from_study(&FleetStudy::run(cfg))
-}
-
-/// Runs Figure 1 on an existing study (to share work with fig4/fig5).
+/// Builds Figure 1 from a study (shared with Figures 4 and 5).
 pub fn from_study(study: &FleetStudy) -> Fig1 {
     Fig1 {
         rows: study.oversampled_fraction_per_metric(),
@@ -53,19 +48,20 @@ impl Fig1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::StudyConfig;
     use sweetspot_telemetry::FleetConfig;
     use sweetspot_timeseries::Seconds;
 
     #[test]
     fn fig1_shape_matches_paper() {
-        let fig = run(StudyConfig {
+        let fig = from_study(&FleetStudy::run(StudyConfig {
             fleet: FleetConfig {
                 seed: 1,
                 devices_per_metric: 5,
                 trace_duration: Seconds::from_days(1.0),
             },
             ..StudyConfig::default()
-        });
+        }));
         assert_eq!(fig.rows.len(), 14);
         // The paper's headline: the vast majority of collection points are
         // above the Nyquist rate for most metrics.

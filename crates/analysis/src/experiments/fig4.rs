@@ -8,7 +8,7 @@
 //! extra are the drop metrics Figure 4 folds away for space).
 
 use crate::report::cdf_ascii;
-use crate::study::{FleetStudy, StudyConfig};
+use crate::study::FleetStudy;
 use sweetspot_dsp::stats::Cdf;
 use sweetspot_telemetry::MetricKind;
 
@@ -26,11 +26,6 @@ pub struct Fig4Panel {
 pub struct Fig4 {
     /// All panels, in [`MetricKind::ALL`] order.
     pub panels: Vec<Fig4Panel>,
-}
-
-/// Runs the Figure 4 experiment.
-pub fn run(cfg: StudyConfig) -> Fig4 {
-    from_study(&FleetStudy::run(cfg))
 }
 
 /// Builds Figure 4 panels from an existing study.
@@ -74,19 +69,20 @@ impl Fig4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::StudyConfig;
     use sweetspot_telemetry::FleetConfig;
     use sweetspot_timeseries::Seconds;
 
     #[test]
     fn cdfs_show_multi_decade_oversampling() {
-        let fig = run(StudyConfig {
+        let fig = from_study(&FleetStudy::run(StudyConfig {
             fleet: FleetConfig {
                 seed: 2,
                 devices_per_metric: 8,
                 trace_duration: Seconds::from_days(1.0),
             },
             ..StudyConfig::default()
-        });
+        }));
         assert_eq!(fig.panels.len(), 14);
         // Pool all panels: ratios must span more than two decades overall
         // (the paper's panels run 10^0..10^3).

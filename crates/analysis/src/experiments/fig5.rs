@@ -4,7 +4,7 @@
 //! spans 7.99×10⁻⁷ … 0.003 Hz.
 
 use crate::report::boxplot_table;
-use crate::study::{FleetStudy, StudyConfig};
+use crate::study::FleetStudy;
 use sweetspot_dsp::stats::FiveNumber;
 use sweetspot_telemetry::MetricKind;
 
@@ -13,11 +13,6 @@ use sweetspot_telemetry::MetricKind;
 pub struct Fig5 {
     /// `(metric, summary)`; metrics with no non-aliased pairs are omitted.
     pub rows: Vec<(MetricKind, FiveNumber)>,
-}
-
-/// Runs the Figure 5 experiment.
-pub fn run(cfg: StudyConfig) -> Fig5 {
-    from_study(&FleetStudy::run(cfg))
 }
 
 /// Builds Figure 5 from an existing study.
@@ -48,19 +43,20 @@ impl Fig5 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::study::StudyConfig;
     use sweetspot_telemetry::FleetConfig;
     use sweetspot_timeseries::Seconds;
 
     #[test]
     fn boxplot_shape_matches_paper() {
-        let fig = run(StudyConfig {
+        let fig = from_study(&FleetStudy::run(StudyConfig {
             fleet: FleetConfig {
                 seed: 3,
                 devices_per_metric: 24,
                 trace_duration: Seconds::from_days(1.0),
             },
             ..StudyConfig::default()
-        });
+        }));
         assert!(fig.rows.len() >= 12, "most metrics have non-aliased pairs");
         // All rates in the paper's plot range: below ~0.02 Hz (its axis
         // tops at 0.008; our FCS profile allows slightly higher edges).

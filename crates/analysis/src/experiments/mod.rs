@@ -1,10 +1,12 @@
 //! Per-figure experiment drivers.
 //!
-//! One module per paper artifact; `cargo bench -p sweetspot-bench` (the
-//! README's *Build, test, run* section) regenerates them all. Every driver
-//! exposes a `run(...)` returning structured results with a `render()`
-//! method producing the text figure. [`claims`] collects the quantitative
-//! claims into one ledger, which a golden fixture pins in the test suite.
+//! One module per paper artifact. The examples print every figure, and
+//! `tests/golden/example_*.txt` pins their stdout. The study-backed figures
+//! ([`fig1`], [`fig4`], [`fig5`]) build from one [`crate::study::FleetStudy`]
+//! with `from_study`, as does [`headline`]; the other drivers expose a
+//! `run(...)`. Each returns structured results with a `render()` method
+//! producing the text figure. [`claims`] collects the quantitative claims
+//! into one ledger, which a golden fixture pins in the test suite.
 
 pub mod claims;
 pub mod fig1;

@@ -150,12 +150,13 @@ pub const REPROBE_RETRY_CAP: u32 = 5;
 
 impl FleetSimConfig {
     /// Checks the config before a run: `window` and `days` finite and
-    /// positive, at most `u32::MAX` epochs (the flight-recorder journal
-    /// stamps epochs as `u32`), `verify_every ≥ 1`, `recovery_budget_frac`
-    /// in `[0, 1]`, at most 1024 `threads`, a fleet size that is neither
-    /// zero nor both `paper_scale` and `devices`, and a `scenario` whose
-    /// probabilities, incident window, duty fraction and cost spread are in
-    /// range (the checks [`ScenarioSpec::parse`] runs).
+    /// positive, a horizon of at least one epoch and at most `u32::MAX`
+    /// epochs (the flight-recorder journal stamps epochs as `u32`),
+    /// `verify_every ≥ 1`, `recovery_budget_frac` in `[0, 1]`, at most 1024
+    /// `threads`, a fleet size that is neither zero nor both `paper_scale`
+    /// and `devices`, and a `scenario` whose probabilities, incident window,
+    /// duty fraction and cost spread are in range (the checks
+    /// [`ScenarioSpec::parse`] runs).
     /// The error names the `fleetsim` flag that sets the offending field;
     /// `window` and `paper_scale` have none (the CLI fixes the window at one
     /// day and derives `paper_scale` from `--devices`), so their errors name
@@ -170,7 +171,13 @@ impl FleetSimConfig {
         if !(self.days.is_finite() && self.days > 0.0) {
             return Err("--days must be positive and finite".into());
         }
-        let epochs = (self.days * 86_400.0 / window).ceil();
+        let span = self.days * 86_400.0 / window;
+        if span < 1.0 {
+            return Err(format!(
+                "--days spans {span:e} epochs; a run needs at least one {window} s epoch"
+            ));
+        }
+        let epochs = span.ceil();
         if !(..=u32::MAX as f64).contains(&epochs) {
             return Err(format!(
                 "--days spans {epochs:e} epochs; at most {} fit",
@@ -207,8 +214,10 @@ impl FleetSimConfig {
         }
     }
 
+    /// The horizon in whole epochs, rounded up; at least 1 once
+    /// [`FleetSimConfig::validate`] has passed.
     fn epochs(&self) -> usize {
-        ((self.days * 86_400.0) / self.window.value()).ceil().max(1.0) as usize
+        ((self.days * 86_400.0) / self.window.value()).ceil() as usize
     }
 
     fn resolve_threads(&self, work_items: usize) -> usize {
@@ -1094,7 +1103,7 @@ mod tests {
         let base = tiny_config(1);
         assert_eq!(base.validate(), Ok(()));
         type Break = fn(&mut FleetSimConfig);
-        let cases: [(&str, Break, &str); 17] = [
+        let cases: [(&str, Break, &str); 18] = [
             ("window -3600", |c| c.window = Seconds(-3600.0), "window"),
             ("window 0", |c| c.window = Seconds(0.0), "window"),
             ("window NaN", |c| c.window = Seconds(f64::NAN), "window"),
@@ -1104,6 +1113,7 @@ mod tests {
             ("days NaN", |c| c.days = f64::NAN, "--days"),
             ("days inf", |c| c.days = f64::INFINITY, "--days"),
             ("days 1e300", |c| c.days = 1e300, "epochs"),
+            ("days 1e-9", |c| c.days = 1e-9, "--days"),
             ("verify_every 0", |c| c.verify_every = 0, "--verify-every"),
             (
                 "recovery NaN",
@@ -1134,6 +1144,10 @@ mod tests {
             let err = cfg.validate().expect_err(name);
             assert!(err.contains(needle), "{name}: {err}");
         }
+        // Exactly one epoch is a valid horizon.
+        let mut one = base;
+        one.days = 1.0;
+        assert_eq!(one.validate(), Ok(()));
         // The largest epoch count the journal can stamp is still valid, and
         // so is the thread ceiling.
         let mut edge = base;

@@ -19,8 +19,8 @@
 //!   sets every quantitative claim beside its reproduction
 //!   (`tests/golden/claims.txt`).
 //!
-//! Every driver returns structured data (so benches and tests can assert on
-//! shapes) plus a `render()` string for human consumption.
+//! Every driver returns structured data (so tests can assert on shapes) plus
+//! a `render()` string for human consumption.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

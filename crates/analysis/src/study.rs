@@ -28,7 +28,7 @@ use sweetspot_core::estimator::{
 };
 use sweetspot_core::reduction::{reduction_outcome, summarize, ReductionOutcome, ReductionSummary};
 use sweetspot_dsp::stats::{Cdf, FiveNumber};
-use sweetspot_telemetry::{DeviceTrace, Fleet, FleetConfig, MetricKind, MetricProfile, TraceSynth};
+use sweetspot_telemetry::{DeviceTrace, FleetConfig, MetricKind, MetricProfile, TraceSynth};
 use sweetspot_timeseries::clean::{clean_slices_into, CleanConfig, CleanScratch};
 use sweetspot_timeseries::ingest::TraceMeta;
 use sweetspot_timeseries::{Hertz, Seconds};
@@ -196,8 +196,8 @@ pub struct FleetStudy {
 impl FleetStudy {
     /// Runs the study, synthesizing devices inside the workers.
     ///
-    /// Device synthesis is the expensive half of a fleet study; this
-    /// entry point never materializes the whole [`Fleet`], so generation and
+    /// Device synthesis is the expensive half of a fleet study; synthesizing
+    /// each device in the worker that analyzes it lets generation and
     /// analysis both scale across cores while peak memory stays one trace
     /// per worker.
     pub fn run(cfg: StudyConfig) -> FleetStudy {
@@ -205,9 +205,9 @@ impl FleetStudy {
     }
 
     /// Runs the study at the paper's scale — the full 1613 metric-device
-    /// population of §3.2 (`Fleet::paper_scale`), synthesized inside the
-    /// workers like [`FleetStudy::run`]. Output is byte-identical for any
-    /// `threads` value and matches `run_on(&Fleet::paper_scale(seed), ..)`.
+    /// population of §3.2 ([`sweetspot_telemetry::paper_scale_work`]),
+    /// synthesized inside the workers like [`FleetStudy::run`]. Output is
+    /// byte-identical for any `threads` value.
     pub fn run_paper_scale(seed: u64, estimator: NyquistConfig, threads: usize) -> FleetStudy {
         let cfg = StudyConfig {
             fleet: FleetConfig {
@@ -221,51 +221,28 @@ impl FleetStudy {
         Self::run_work(&sweetspot_telemetry::paper_scale_work(), cfg)
     }
 
-    /// Shared synthesize-in-worker driver over an explicit work list.
+    /// Splits `work` into per-worker spans and runs each through
+    /// [`crate::shard::fan_out`] with a fresh worker-local
+    /// [`WorkerScratch`]: every worker synthesizes and analyzes its own
+    /// devices. The shards are merged in index order.
     fn run_work(work: &[(MetricProfile, usize)], cfg: StudyConfig) -> FleetStudy {
         let duration = cfg.fleet.trace_duration;
         let seed = cfg.fleet.seed;
-        Self::run_sharded(work.len(), &cfg, |span, scratch| {
-            work[span]
+        let threads = cfg.resolve_threads(work.len());
+        let shards = crate::shard::fan_out(shard_spans(work.len(), threads), |span| {
+            let mut scratch = WorkerScratch::new(cfg.estimator);
+            let pairs = work[span]
                 .iter()
                 .map(|&(profile, device_idx)| {
                     let trace = DeviceTrace::synthesize(profile, device_idx, seed);
-                    analyze_pair(&trace, duration, scratch)
+                    analyze_pair(&trace, duration, &mut scratch)
                 })
-                .collect()
-        })
-    }
-
-    /// Runs the study over an existing fleet (same sharding, but traces are
-    /// taken from `fleet` instead of synthesized in the workers).
-    pub fn run_on(fleet: &Fleet, cfg: StudyConfig) -> FleetStudy {
-        let traces = fleet.traces();
-        let duration = cfg.fleet.trace_duration;
-        Self::run_sharded(traces.len(), &cfg, |span, scratch| {
-            traces[span]
-                .iter()
-                .map(|trace| analyze_pair(trace, duration, scratch))
-                .collect()
-        })
-    }
-
-    /// Shared fan-out/merge skeleton: splits `total` items into per-worker
-    /// spans, runs `process` for each span through [`crate::shard::fan_out`]
-    /// with a fresh worker-local [`WorkerScratch`], and merges the shards in
-    /// index order.
-    fn run_sharded<F>(total: usize, cfg: &StudyConfig, process: F) -> FleetStudy
-    where
-        F: Fn(std::ops::Range<usize>, &mut WorkerScratch) -> Vec<PairResult> + Sync,
-    {
-        let threads = cfg.resolve_threads(total);
-        let shards = crate::shard::fan_out(shard_spans(total, threads), |span| {
-            let mut scratch = WorkerScratch::new(cfg.estimator);
-            let pairs = process(span, &mut scratch);
+                .collect();
             let mut timings = scratch.timings;
             timings.fft_tables = scratch.estimator.planner().table_build_time();
             Shard { pairs, timings }
         });
-        let (pairs, timing) = merge_shards(shards, total);
+        let (pairs, timing) = merge_shards(shards, work.len());
         FleetStudy { pairs, timing }
     }
 
@@ -508,46 +485,6 @@ mod tests {
                 assert_eq!(a.estimate, b.estimate);
                 assert_eq!(a.outcome.ratio, b.outcome.ratio);
             }
-        }
-    }
-
-    #[test]
-    fn run_matches_run_on_prebuilt_fleet() {
-        let cfg = StudyConfig {
-            fleet: FleetConfig {
-                seed: 21,
-                devices_per_metric: 2,
-                trace_duration: Seconds::from_hours(6.0),
-            },
-            estimator: NyquistConfig::default(),
-            threads: 3,
-        };
-        let synthesized = FleetStudy::run(cfg);
-        let fleet = Fleet::build(cfg.fleet);
-        let prebuilt = FleetStudy::run_on(&fleet, cfg);
-        assert_eq!(synthesized.pairs.len(), prebuilt.pairs.len());
-        for (a, b) in synthesized.pairs.iter().zip(&prebuilt.pairs) {
-            assert_eq!(a.meta, b.meta);
-            assert_eq!(a.estimate, b.estimate);
-        }
-    }
-
-    #[test]
-    fn paper_scale_work_list_mirrors_fleet_paper_scale() {
-        // Pin the pair count and the exact (profile, device, seed) ordering
-        // against Fleet::paper_scale without paying for 1613 estimations:
-        // synthesizing the traces is cheap, analyzing them is not.
-        let seed = 0xFEED_BEEF;
-        let fleet = Fleet::paper_scale(seed);
-        let work = sweetspot_telemetry::paper_scale_work();
-        assert_eq!(work.len(), fleet.len());
-        assert_eq!(work.len(), 1613);
-        for (&(profile, device_idx), trace) in work.iter().zip(fleet.traces()) {
-            assert_eq!(
-                &DeviceTrace::synthesize(profile, device_idx, seed),
-                trace,
-                "work list diverges from Fleet::paper_scale at {profile:?}/{device_idx}"
-            );
         }
     }
 

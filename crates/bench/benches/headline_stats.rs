@@ -7,7 +7,7 @@ use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use sweetspot_analysis::experiments::claims;
 use sweetspot_analysis::study::{FleetStudy, StudyConfig};
-use sweetspot_telemetry::{Fleet, FleetConfig};
+use sweetspot_telemetry::FleetConfig;
 use sweetspot_timeseries::Seconds;
 
 fn print_figure() {
@@ -15,18 +15,8 @@ fn print_figure() {
 }
 
 fn bench(c: &mut Criterion) {
-    c.bench_function("headline/study_1613_pairs", |b| {
-        b.iter(|| {
-            let fleet = Fleet::paper_scale(0x5EED_CAFE);
-            let cfg = StudyConfig {
-                fleet: *fleet.config(),
-                ..StudyConfig::default()
-            };
-            black_box(FleetStudy::run_on(&fleet, cfg).summary())
-        })
-    });
     // The CLI's `--paper-scale` path: devices synthesized inside the study
-    // workers (no materialized fleet), all cores.
+    // workers, all cores.
     c.bench_function("headline/study_paper_scale_workers", |b| {
         b.iter(|| {
             black_box(

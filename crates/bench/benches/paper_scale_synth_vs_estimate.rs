@@ -11,14 +11,17 @@ use std::hint::black_box;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
-use sweetspot_telemetry::{Fleet, TraceSynth};
+use sweetspot_telemetry::{paper_scale_work, DeviceTrace, TraceSynth};
 use sweetspot_timeseries::clean::{clean_slices_into, CleanConfig, CleanScratch};
 use sweetspot_timeseries::Seconds;
 
 const SEED: u64 = 0x5EED_CAFE;
 
 fn bench(c: &mut Criterion) {
-    let fleet = Fleet::paper_scale(SEED);
+    let traces: Vec<DeviceTrace> = paper_scale_work()
+        .into_iter()
+        .map(|(profile, device_idx)| DeviceTrace::synthesize(profile, device_idx, SEED))
+        .collect();
     let day = Seconds::from_days(1.0);
 
     // Synthesis phase, streaming generator: all 1613 measured day-traces
@@ -28,7 +31,7 @@ fn bench(c: &mut Criterion) {
         let mut times = Vec::new();
         let mut values = Vec::new();
         b.iter(|| {
-            for trace in fleet.traces() {
+            for trace in &traces {
                 trace.production_trace_into(&mut synth, day, &mut times, &mut values);
             }
             black_box(values.last().copied())
@@ -40,7 +43,7 @@ fn bench(c: &mut Criterion) {
     c.bench_function("paper_scale/synthesize_1613_direct", |b| {
         b.iter(|| {
             let mut last = None;
-            for trace in fleet.traces() {
+            for trace in &traces {
                 let rate = trace.profile().production_rate();
                 let truth = trace.model().sample(Seconds::ZERO, rate, day);
                 let mut rng = StdRng::seed_from_u64(0xDA7A);
@@ -55,8 +58,7 @@ fn bench(c: &mut Criterion) {
     c.bench_function("paper_scale/estimate_1613", |b| {
         let mut synth = TraceSynth::new();
         let mut scratch = CleanScratch::new();
-        let cleaned: Vec<_> = fleet
-            .traces()
+        let cleaned: Vec<_> = traces
             .iter()
             .filter_map(|trace| {
                 let rate = trace.profile().production_rate();

@@ -1,14 +1,15 @@
-//! Shared helpers for the figure-regeneration benches.
+//! Shared criterion configurations for the benches in `benches/`.
 //!
-//! Every bench in `benches/` follows the same pattern: print the figure's
-//! rows/series once (so `cargo bench` doubles as the reproduction harness),
-//! then time the computation that generates them with criterion.
+//! The benches time the code. Only `headline_stats` prints anything first:
+//! the paper-claims ledger, pinned by `tests/golden/claims.txt`. The paper's
+//! figures are printed by the examples (`aliasing_demo`: Figures 2–3;
+//! `datacenter_study`: Figures 1, 4 and 5; `adaptive_temperature`: Figures
+//! 6–7; `sweet_spot`), whose stdout is pinned in `tests/golden/`.
 
 use std::time::Duration;
 
-/// Criterion configuration tuned for experiment-scale benchmarks: few
-/// samples, short measurement windows — these benches exist to regenerate
-/// figures reproducibly, not to microbenchmark.
+/// Criterion configuration for experiment-scale benchmarks (a study or a
+/// fleet run per iteration): few samples, short measurement windows.
 pub fn experiment_criterion() -> criterion::Criterion {
     criterion::Criterion::default()
         .sample_size(10)

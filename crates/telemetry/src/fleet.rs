@@ -1,10 +1,14 @@
 //! Fleet assembly: the paper's 1613 metric-device pairs.
 //!
 //! §3.2: *"In total, we studied 1613 metric and device pairs (14 distinct
-//! metrics)."* [`Fleet::paper_scale`] reproduces that population exactly;
-//! [`FleetConfig`] lets tests build smaller fleets.
+//! metrics)."* A fleet is a work list of `(profile, device_idx)` pairs, and
+//! engines synthesize each pair inside their workers with
+//! [`DeviceTrace::synthesize`], so a fleet need not be held in memory whole.
+//! [`paper_scale_work`] is that population exactly; [`FleetConfig`] and
+//! [`scaled_work`] give smaller or larger fleets.
+//!
+//! [`DeviceTrace::synthesize`]: crate::DeviceTrace::synthesize
 
-use crate::generator::DeviceTrace;
 use crate::profile::MetricProfile;
 use sweetspot_timeseries::Seconds;
 
@@ -34,17 +38,15 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// The fleet's work list — `(profile, device_idx)` pairs in
-    /// [`Fleet::build`] order (all devices of metric 0, then metric 1, …).
-    /// Engines that synthesize devices inside their workers iterate this
-    /// instead of materializing the whole [`Fleet`].
+    /// The fleet's work list: `(profile, device_idx)` pairs, all devices of
+    /// metric 0, then metric 1, and so on.
     pub fn work_list(&self) -> Vec<(MetricProfile, usize)> {
         standard_work(self.devices_per_metric)
     }
 }
 
 /// `(profile, device_idx)` pairs for `devices_per_metric` devices of each of
-/// the 14 metrics, in [`Fleet::build`] order.
+/// the 14 metrics, metric by metric.
 fn standard_work(devices_per_metric: usize) -> Vec<(MetricProfile, usize)> {
     MetricProfile::all()
         .into_iter()
@@ -52,9 +54,9 @@ fn standard_work(devices_per_metric: usize) -> Vec<(MetricProfile, usize)> {
         .collect()
 }
 
-/// The paper's §3.2 population in [`Fleet::paper_scale`] order: 115 devices
-/// for each of the 14 metrics, plus one extra device for the first three
-/// metrics appended at the end (`14 × 115 + 3 = 1613`).
+/// The paper's §3.2 population: 115 devices for each of the 14 metrics,
+/// metric by metric, plus one extra device for the first three metrics
+/// appended at the end (`14 × 115 + 3 = 1613`).
 pub fn paper_scale_work() -> Vec<(MetricProfile, usize)> {
     let mut work = standard_work(115);
     for (i, profile) in MetricProfile::all().into_iter().enumerate().take(3) {
@@ -72,8 +74,9 @@ pub fn paper_scale_work() -> Vec<(MetricProfile, usize)> {
 ///   `scaled_work(m)` for `n ≤ m`, and growing a fleet never re-labels
 ///   existing devices;
 /// * every pair draws a distinct per-device seed downstream
-///   ([`DeviceTrace::synthesize`] mixes the device index into its RNG), so a
-///   10⁵-pair fleet holds 10⁵ *different* devices, not copies.
+///   ([`DeviceTrace::synthesize`](crate::DeviceTrace::synthesize) mixes the
+///   device index into its RNG), so a 10⁵-pair fleet holds 10⁵ *different*
+///   devices, not copies.
 ///
 /// At `pairs == 1613` this is the same population as [`paper_scale_work`]
 /// up to ordering and the three extras' device indices.
@@ -85,156 +88,83 @@ pub fn scaled_work(pairs: usize) -> Vec<(MetricProfile, usize)> {
         .collect()
 }
 
-/// A population of synthetic `(metric, device)` traces.
-#[derive(Debug, Clone)]
-pub struct Fleet {
-    traces: Vec<DeviceTrace>,
-    config: FleetConfig,
-}
-
-impl Fleet {
-    /// Builds a fleet with `config.devices_per_metric` devices for each of
-    /// the 14 metrics.
-    pub fn build(config: FleetConfig) -> Fleet {
-        let mut traces = Vec::with_capacity(14 * config.devices_per_metric);
-        for profile in MetricProfile::all() {
-            for device_idx in 0..config.devices_per_metric {
-                traces.push(DeviceTrace::synthesize(profile, device_idx, config.seed));
-            }
-        }
-        Fleet { traces, config }
-    }
-
-    /// Builds the paper-scale fleet: exactly [`PAPER_PAIR_COUNT`] pairs
-    /// (115 devices per metric, plus one extra device for the first three
-    /// metrics: `14 × 115 + 3 = 1613`).
-    pub fn paper_scale(seed: u64) -> Fleet {
-        let config = FleetConfig {
-            seed,
-            devices_per_metric: 115,
-            trace_duration: Seconds::from_days(1.0),
-        };
-        let mut fleet = Fleet::build(config);
-        for (i, profile) in MetricProfile::all().iter().enumerate().take(3) {
-            fleet
-                .traces
-                .push(DeviceTrace::synthesize(*profile, 115 + i, seed));
-        }
-        debug_assert_eq!(fleet.traces.len(), PAPER_PAIR_COUNT);
-        fleet
-    }
-
-    /// All traces.
-    pub fn traces(&self) -> &[DeviceTrace] {
-        &self.traces
-    }
-
-    /// Number of metric-device pairs.
-    pub fn len(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// `true` if the fleet holds no traces.
-    pub fn is_empty(&self) -> bool {
-        self.traces.is_empty()
-    }
-
-    /// The construction parameters.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::DeviceTrace;
     use crate::metric::MetricKind;
+
+    /// Synthesizes every pair of `work`, as the study workers do.
+    fn synthesize(work: &[(MetricProfile, usize)], seed: u64) -> Vec<DeviceTrace> {
+        work.iter()
+            .map(|&(profile, device_idx)| DeviceTrace::synthesize(profile, device_idx, seed))
+            .collect()
+    }
+
+    fn config(seed: u64, devices_per_metric: usize) -> FleetConfig {
+        FleetConfig {
+            seed,
+            devices_per_metric,
+            trace_duration: Seconds::from_days(1.0),
+        }
+    }
 
     #[test]
     fn build_respects_config() {
-        let fleet = Fleet::build(FleetConfig {
-            seed: 1,
-            devices_per_metric: 3,
-            trace_duration: Seconds::from_hours(6.0),
-        });
-        assert_eq!(fleet.len(), 14 * 3);
+        let work = config(1, 3).work_list();
+        assert_eq!(work.len(), 14 * 3);
         for kind in MetricKind::ALL {
-            let count = fleet
-                .traces()
+            let devices: Vec<usize> = work
                 .iter()
-                .filter(|t| t.profile().kind == kind)
-                .count();
-            assert_eq!(count, 3);
+                .filter(|(p, _)| p.kind == kind)
+                .map(|&(_, d)| d)
+                .collect();
+            assert_eq!(devices, [0, 1, 2], "{kind:?}");
         }
     }
 
     #[test]
     fn paper_scale_is_1613_pairs() {
-        let fleet = Fleet::paper_scale(0xFEED);
-        assert_eq!(fleet.len(), PAPER_PAIR_COUNT);
+        let work = paper_scale_work();
+        assert_eq!(work.len(), PAPER_PAIR_COUNT);
+        // The 115-per-metric block is the standard work list, in order.
+        assert_eq!(&work[..14 * 115], &config(0, 115).work_list()[..]);
+        // The first three metrics each get one extra device at the end.
+        let extras: Vec<(MetricKind, usize)> =
+            work[14 * 115..].iter().map(|(p, d)| (p.kind, *d)).collect();
+        assert_eq!(
+            extras,
+            [
+                (MetricKind::ALL[0], 115),
+                (MetricKind::ALL[1], 116),
+                (MetricKind::ALL[2], 117)
+            ]
+        );
     }
 
     #[test]
     fn fleet_is_deterministic() {
-        let a = Fleet::build(FleetConfig::default());
-        let b = Fleet::build(FleetConfig::default());
-        for (x, y) in a.traces().iter().zip(b.traces()) {
-            assert_eq!(x, y);
-        }
+        let cfg = FleetConfig::default();
+        let work = cfg.work_list();
+        assert_eq!(synthesize(&work, cfg.seed), synthesize(&work, cfg.seed));
     }
 
     #[test]
     fn distinct_seeds_give_distinct_fleets() {
-        let a = Fleet::build(FleetConfig {
-            seed: 1,
-            ..FleetConfig::default()
-        });
-        let b = Fleet::build(FleetConfig {
-            seed: 2,
-            ..FleetConfig::default()
-        });
-        assert!(a
-            .traces()
-            .iter()
-            .zip(b.traces())
-            .any(|(x, y)| x.model() != y.model()));
+        let work = FleetConfig::default().work_list();
+        let a = synthesize(&work, 1);
+        let b = synthesize(&work, 2);
+        assert!(a.iter().zip(&b).any(|(x, y)| x.model() != y.model()));
     }
 
     #[test]
     fn device_names_unique_across_fleet() {
-        let fleet = Fleet::build(FleetConfig {
-            seed: 3,
-            devices_per_metric: 5,
-            trace_duration: Seconds::from_days(1.0),
-        });
-        let mut names: Vec<String> = fleet
-            .traces()
-            .iter()
-            .map(|t| t.meta().to_string())
-            .collect();
+        let cfg = config(3, 5);
+        let traces = synthesize(&cfg.work_list(), cfg.seed);
+        let mut names: Vec<String> = traces.iter().map(|t| t.meta().to_string()).collect();
         names.sort();
         names.dedup();
-        assert_eq!(names.len(), fleet.len());
-    }
-
-    #[test]
-    fn work_lists_mirror_fleet_construction() {
-        let config = FleetConfig {
-            seed: 17,
-            devices_per_metric: 4,
-            trace_duration: Seconds::from_days(1.0),
-        };
-        let fleet = Fleet::build(config);
-        let work = config.work_list();
-        assert_eq!(work.len(), fleet.len());
-        for (&(profile, idx), trace) in work.iter().zip(fleet.traces()) {
-            assert_eq!(
-                &DeviceTrace::synthesize(profile, idx, config.seed),
-                trace,
-                "work list diverges from Fleet::build at {profile:?}/{idx}"
-            );
-        }
-        assert_eq!(paper_scale_work().len(), PAPER_PAIR_COUNT);
+        assert_eq!(names.len(), traces.len());
     }
 
     #[test]
@@ -276,17 +206,13 @@ mod tests {
     #[test]
     fn undersampled_fraction_near_profile_average() {
         // Large enough fleet for the binomial to concentrate.
-        let fleet = Fleet::build(FleetConfig {
-            seed: 11,
-            devices_per_metric: 60,
-            trace_duration: Seconds::from_days(1.0),
-        });
-        let undersampled = fleet
-            .traces()
+        let cfg = config(11, 60);
+        let traces = synthesize(&cfg.work_list(), cfg.seed);
+        let undersampled = traces
             .iter()
             .filter(|t| t.is_undersampled_at_production_rate())
             .count();
-        let frac = undersampled as f64 / fleet.len() as f64;
+        let frac = undersampled as f64 / traces.len() as f64;
         assert!((0.06..0.18).contains(&frac), "undersampled fraction {frac}");
     }
 }

@@ -18,10 +18,11 @@
 //! ([`noise::Impairments`]), and transient events — spikes, level shifts,
 //! link flaps, fail-stops ([`events`]).
 //!
-//! [`fleet::Fleet`] assembles the paper's study population: 14 metric kinds
-//! ([`metric::MetricKind`]) × enough devices to total 1613 metric-device
-//! pairs, with per-metric spectral profiles ([`profile::MetricProfile`])
-//! chosen so the *shape* of Figures 1, 4 and 5 is reproduced.
+//! [`fleet::paper_scale_work`] lists the paper's study population: 14 metric
+//! kinds ([`metric::MetricKind`]) × enough devices to total 1613
+//! metric-device pairs, with per-metric spectral profiles
+//! ([`profile::MetricProfile`]) chosen so the *shape* of Figures 1, 4 and 5
+//! is reproduced.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -34,7 +35,7 @@ pub mod model;
 pub mod noise;
 pub mod profile;
 
-pub use fleet::{paper_scale_work, scaled_work, Fleet, FleetConfig};
+pub use fleet::{paper_scale_work, scaled_work, FleetConfig};
 pub use generator::{DeviceTrace, TraceSynth};
 pub use metric::MetricKind;
 pub use model::{SignalModel, ToneBank};

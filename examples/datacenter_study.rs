@@ -7,7 +7,7 @@
 //! ```
 
 use sweetspot::analysis::experiments::{fig1, fig4, fig5, headline};
-use sweetspot::analysis::study::{FleetStudy, StudyConfig};
+use sweetspot::analysis::study::FleetStudy;
 use sweetspot::prelude::*;
 use sweetspot::telemetry::fleet::PAPER_PAIR_COUNT;
 
@@ -18,18 +18,12 @@ fn main() {
         .unwrap_or(0x5EED_CAFE);
 
     println!("building the paper-scale fleet ({PAPER_PAIR_COUNT} metric-device pairs)...");
-    let fleet = Fleet::paper_scale(seed);
-    let cfg = StudyConfig {
-        fleet: *fleet.config(),
-        ..StudyConfig::default()
-    };
-
     let start = std::time::Instant::now();
-    let study = FleetStudy::run_on(&fleet, cfg);
+    let study = FleetStudy::run_paper_scale(seed, NyquistConfig::default(), 0);
     // Wall time varies run to run, so it goes to stderr and stdout stays
     // byte-identical.
     eprintln!(
-        "analyzed {} day-long traces in {:.1?}",
+        "synthesized and analyzed {} day-long traces in {:.1?}",
         study.pairs.len(),
         start.elapsed()
     );

@@ -61,7 +61,7 @@ pub mod prelude {
     pub use sweetspot_core::source::{FunctionSource, SignalSource};
     pub use sweetspot_core::tracker::{track, TrackerConfig};
     pub use sweetspot_monitor::Policy;
-    pub use sweetspot_telemetry::{DeviceTrace, Fleet, FleetConfig, MetricKind, MetricProfile};
+    pub use sweetspot_telemetry::{DeviceTrace, FleetConfig, MetricKind, MetricProfile};
     pub use sweetspot_timeseries::{Hertz, IrregularSeries, RegularSeries, Seconds};
 }
 

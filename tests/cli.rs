@@ -188,6 +188,31 @@ fn track_emits_csv_series() {
     std::fs::remove_file(path).ok();
 }
 
+/// Runs the binary on `args` with its stdout piped into a reader that checks
+/// the first `lines` lines, then closes the pipe before the binary has
+/// written the rest. A closed pipe must end the run cleanly: exit 0, no
+/// panic.
+fn exits_cleanly_when_the_reader_closes_the_pipe(args: &[&str], lines: &[&str]) {
+    let mut child = bin()
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut reader = std::io::BufReader::new(child.stdout.take().unwrap());
+    for &expected in lines {
+        let mut line = String::new();
+        std::io::BufRead::read_line(&mut reader, &mut line).unwrap();
+        assert_eq!(line, expected);
+    }
+    drop(reader);
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
+    assert!(out.status.success(), "{args:?}: a closed pipe is a clean exit: {:?}", out.status);
+}
+
 #[test]
 fn track_exits_cleanly_when_the_reader_closes_the_pipe() {
     // 30 days at one minute: ~8 600 six-hour windows at the default
@@ -201,24 +226,21 @@ fn track_exits_cleanly_when_the_reader_closes_the_pipe() {
         }
         csv
     });
-    let mut child = bin()
-        .arg("track")
-        .arg(&path)
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut reader = std::io::BufReader::new(child.stdout.take().unwrap());
-    let mut header = String::new();
-    std::io::BufRead::read_line(&mut reader, &mut header).unwrap();
-    assert_eq!(header, "window_start_seconds,nyquist_rate_hz\n");
-    drop(reader);
-    let out = child.wait_with_output().unwrap();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-    assert_ne!(out.status.code(), Some(101), "stderr: {stderr}");
-    assert!(out.status.success(), "a closed pipe is a clean exit: {:?}", out.status);
+    exits_cleanly_when_the_reader_closes_the_pipe(
+        &["track", path.to_str().unwrap()],
+        &["window_start_seconds,nyquist_rate_hz\n"],
+    );
     std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn fleetsim_json_exits_cleanly_when_the_reader_closes_the_pipe() {
+    // The reader is gone before fleetsim has simulated an epoch, so its
+    // first write meets a closed pipe.
+    exits_cleanly_when_the_reader_closes_the_pipe(
+        &["fleetsim", "--devices", "14", "--days", "2", "--json"],
+        &[],
+    );
 }
 
 #[test]
@@ -501,16 +523,17 @@ fn fleetsim_and_study_reject_thread_counts_past_the_ceiling() {
 
 #[test]
 fn fleetsim_rejects_non_finite_days() {
-    // A non-finite horizon has no epoch count: it must fail with a
-    // message, neither running nor panicking.
-    for days in ["nan", "inf"] {
+    // A non-finite horizon has no epoch count, and one shorter than an
+    // epoch has none either: each must fail with a message, neither running
+    // nor panicking.
+    for days in ["nan", "inf", "1e-9"] {
         let out = bin()
             .args(["fleetsim", "--devices", "14", "--days", days])
             .output()
             .unwrap();
         assert!(!out.status.success(), "--days {days} must fail");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains("--days must be positive"), "{stderr}");
+        assert!(stderr.contains("--days"), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
     }
 }
