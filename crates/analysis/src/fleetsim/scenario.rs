@@ -86,9 +86,9 @@ pub enum DeviceEvent {
 /// per-device cost asymmetry. `Copy` so it rides inside
 /// [`FleetSimConfig`](super::FleetSimConfig).
 ///
-/// Build one from a CLI string with [`ScenarioSpec::parse`] — preset names
-/// (`churn`, `incident`, `lossy-reports`, `cost-skew`) compose with `+`,
-/// and `key=value` terms override individual fields.
+/// Build one from a CLI string with [`ScenarioSpec::parse`]: the preset
+/// names in [`ScenarioSpec::PRESETS`] compose with `+`, and `key=value`
+/// terms override individual fields.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioSpec {
     /// Per-epoch probability an active device goes offline.
@@ -244,9 +244,12 @@ impl ScenarioSpec {
         }
     }
 
-    /// `true` when the scenario can perturb the run at all. The engine is
-    /// only constructed for active scenarios, so `--scenario none` keeps
-    /// the healthy path bit-identical to a scenario-free build.
+    /// `true` when the scenario can perturb the run at all. Every run builds
+    /// a [`ScenarioEngine`]; an inactive one deals every device `Healthy`,
+    /// so `--scenario none` keeps the healthy path bit-identical to a
+    /// scenario-free build. Only what a run reports about its scenario is
+    /// gated on this: the scenario report, the frontier's scenario label
+    /// and the metrics stream's `dealt` counts.
     pub fn is_active(&self) -> bool {
         self.leave_prob > 0.0
             || self.join_prob > 0.0

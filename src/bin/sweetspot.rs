@@ -1,28 +1,25 @@
 //! `sweetspot` — the command-line interface.
 //!
+//! `sweetspot help` lists each command's flags.
+//!
 //! ```text
-//! sweetspot analyze <trace.csv> [--cutoff F] [--headroom F] [--interval SECONDS]
+//! sweetspot analyze <trace.csv>
 //!     Estimate a trace's Nyquist rate and print a sampling recommendation.
 //!     The CSV is `time_seconds,value` (header optional, `nan` = lost sample).
 //!
-//! sweetspot track <trace.csv> [--window SECONDS] [--step SECONDS]
+//! sweetspot track <trace.csv>
 //!     Moving-window Nyquist tracking (the paper's Figure 7) over a trace.
 //!
-//! sweetspot study [--devices N] [--seed S] [--threads T] [--paper-scale] [--timing] [--json]
+//! sweetspot study
 //!     Run the §3.2 fleet study on the synthetic fleet and print Figure 1
 //!     plus the headline statistics. `--threads 0` (the default) uses all
 //!     available cores; any thread count produces byte-identical output.
 //!     `--paper-scale` analyzes the paper's full 1613 metric-device pairs
-//!     (115 devices/metric + 3 extras; overrides `--devices`). `--timing`
+//!     (115 devices/metric + 3 extras; not with `--devices`). `--timing`
 //!     prints the synthesis/clean/estimate wall-clock split to stderr.
 //!     `--json` emits the results as JSON on stdout instead of tables.
 //!
-//! sweetspot fleetsim [--budget X] [--policy P] [--days D] [--devices N] [--seed S]
-//!                    [--threads T] [--verify-every K] [--fft-cache-mb M]
-//!                    [--scenario NAME|SPEC] [--scenario-seed S]
-//!                    [--recovery-budget-frac F]
-//!                    [--metrics-out PATH] [--metrics-every K]
-//!                    [--timing] [--json] [--json-devices]
+//! sweetspot fleetsim
 //!     Fleet-level adaptive simulation: every device's §4.2 controller under
 //!     one shared collection budget, with a cross-device scheduler deciding
 //!     epoch-by-epoch poll rates. Defaults to the paper-scale 1613-pair
@@ -64,14 +61,17 @@
 //!     row. `--timing` also reports the member/scratch/fft-table memory
 //!     split and (on Linux) the process peak RSS.
 //!
-//! sweetspot demo [--metric NAME] [--days D] [--seed S]
+//! sweetspot demo
 //!     Emit a synthetic production trace as CSV on stdout (pipe it back
-//!     into `analyze` to try the tool without real data).
+//!     into `analyze` to try the tool without real data). `--days` is at
+//!     most 366: a year of the fastest (30 s) profile.
 //! ```
 //!
-//! Argument parsing is deliberately dependency-free: flags are
-//! `--name value` pairs after the positional arguments. Unknown flags are
-//! rejected with a diagnostic and a nonzero exit.
+//! Argument parsing is deliberately dependency-free. Flags follow the
+//! positional argument, each at most once: a value flag as a `--name value`
+//! pair, a switch as a bare `--name`. An unknown flag, a repeated flag or a
+//! value flag with no value is rejected with a diagnostic that names the
+//! flag and a nonzero exit.
 //!
 //! Every command writes stdout through one locked, buffered writer. A
 //! reader that closes the pipe early (`sweetspot track trace.csv | head`)
@@ -124,19 +124,19 @@ fn pin_malloc_mmap_threshold() {}
 fn main() -> ExitCode {
     pin_malloc_mmap_threshold();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
-        eprintln!("{USAGE}");
+    let Some(name) = args.first() else {
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let mut out = Stdout::default();
-    let result = match command.as_str() {
-        "analyze" => cmd_analyze(&args[1..], &mut out),
-        "track" => cmd_track(&args[1..], &mut out),
-        "study" => cmd_study(&args[1..], &mut out),
-        "fleetsim" => cmd_fleetsim(&args[1..], &mut out),
-        "demo" => cmd_demo(&args[1..], &mut out),
-        "help" | "--help" | "-h" => writeln!(out, "{USAGE}").map_err(Failure::from),
-        other => Err(format!("unknown command {other:?}\n{USAGE}").into()),
+    let result = match COMMANDS.iter().find(|c| c.name == name) {
+        Some(command) => Args::parse(command, &args[1..])
+            .map_err(|e| Failure::Message(format!("{e}\n{FLAG_RULES}")))
+            .and_then(|args| (command.run)(&args, &mut out)),
+        None if matches!(name.as_str(), "help" | "--help" | "-h") => {
+            writeln!(out, "{}", usage()).map_err(Failure::from)
+        }
+        None => Err(format!("unknown command {name:?}\n{}", usage()).into()),
     };
     // Flush before any diagnostic, so stdout keeps its place ahead of it.
     let flushed = out.flush().map_err(Failure::from);
@@ -200,87 +200,131 @@ impl From<std::io::Error> for Failure {
     }
 }
 
-const USAGE: &str = "\
-sweetspot — Nyquist-guided monitoring-rate analysis (HotNets'21 reproduction)
+/// The grammar [`Args::parse`] accepts, printed under each of its diagnostics.
+const FLAG_RULES: &str = "flags are `--name value` pairs or bare switches, each given at most once";
 
-USAGE:
-  sweetspot analyze  <trace.csv> [--cutoff F] [--headroom F] [--interval SECONDS]
-  sweetspot track    <trace.csv> [--window SECONDS] [--step SECONDS]
-  sweetspot study    [--devices N] [--seed S] [--threads T] [--paper-scale] [--timing] [--json]
-  sweetspot fleetsim [--budget X] [--policy uncapped|uniform|fair|waterfill] [--days D]
-                     [--devices N] [--seed S] [--threads T] [--verify-every K]
-                     [--fft-cache-mb M] [--scenario NAME|SPEC] [--scenario-seed S]
-                     [--recovery-budget-frac F]
-                     [--metrics-out PATH] [--metrics-every K]
-                     [--timing] [--json] [--json-devices]
-  sweetspot demo     [--metric NAME] [--days D] [--seed S]
-  sweetspot help";
+/// One flag of a subcommand: its name without the leading `--` and the
+/// placeholder its value shows in the usage text, which a switch lacks.
+type Flag = (&'static str, Option<&'static str>);
 
-/// Rejects flags no command knows about: a typo must fail loudly, not
-/// silently fall back to a default.
-fn reject_unknown_flags(
-    flags: &[(String, String)],
-    known: &[&str],
-    command: &str,
-) -> Result<(), String> {
-    for (name, _) in flags {
-        if !known.contains(&name.as_str()) {
-            let mut valid: Vec<String> = known.iter().map(|k| format!("--{k}")).collect();
-            valid.sort();
-            return Err(format!(
-                "unknown flag --{name} for `sweetspot {command}` (valid: {})",
-                valid.join(", ")
-            ));
+/// A subcommand. Its flag table is the one place its flags are named, read
+/// by the parser, the unknown-flag diagnostic and the usage text.
+struct Command {
+    name: &'static str,
+    /// The positional argument that precedes the flags, if any.
+    positional: Option<&'static str>,
+    flags: &'static [Flag],
+    run: fn(&Args, &mut Stdout) -> Result<(), Failure>,
+}
+
+#[rustfmt::skip]
+static COMMANDS: [Command; 5] = [
+    Command { name: "analyze", positional: Some("<trace.csv>"), run: cmd_analyze, flags: &[
+        ("cutoff", Some("F")), ("headroom", Some("F")), ("interval", Some("SECONDS")),
+    ] },
+    Command { name: "track", positional: Some("<trace.csv>"), run: cmd_track, flags: &[
+        ("window", Some("SECONDS")), ("step", Some("SECONDS")),
+    ] },
+    Command { name: "study", positional: None, run: cmd_study, flags: &[
+        ("devices", Some("N")), ("seed", Some("S")), ("threads", Some("T")),
+        ("paper-scale", None), ("timing", None), ("json", None),
+    ] },
+    Command { name: "fleetsim", positional: None, run: cmd_fleetsim, flags: &[
+        ("budget", Some("X")), ("policy", Some("uncapped|uniform|fair|waterfill")),
+        ("days", Some("D")), ("devices", Some("N")), ("seed", Some("S")), ("threads", Some("T")),
+        ("verify-every", Some("K")), ("fft-cache-mb", Some("M")),
+        ("scenario", Some("NAME|SPEC")), ("scenario-seed", Some("S")),
+        ("recovery-budget-frac", Some("F")),
+        ("metrics-out", Some("PATH")), ("metrics-every", Some("K")),
+        ("timing", None), ("json", None), ("json-devices", None),
+    ] },
+    Command { name: "demo", positional: None, run: cmd_demo, flags: &[
+        ("metric", Some("NAME")), ("days", Some("D")), ("seed", Some("S")),
+    ] },
+];
+
+/// The column the usage text wraps each command's flag list at.
+const USAGE_COLUMNS: usize = 88;
+
+/// The usage text, one entry per [`COMMANDS`] row.
+fn usage() -> String {
+    let mut text = String::from(
+        "sweetspot — Nyquist-guided monitoring-rate analysis (HotNets'21 reproduction)\n\nUSAGE:",
+    );
+    for command in &COMMANDS {
+        let flags = command.flags.iter().map(|&(name, value)| match value {
+            Some(value) => format!("[--{name} {value}]"),
+            None => format!("[--{name}]"),
+        });
+        let mut line = format!("  sweetspot {:<8}", command.name);
+        for word in command.positional.map(String::from).into_iter().chain(flags) {
+            if line.len() + 1 + word.len() > USAGE_COLUMNS {
+                text += &format!("\n{line}");
+                line = " ".repeat(20);
+            }
+            line += &format!(" {word}");
         }
+        text += &format!("\n{line}");
     }
-    Ok(())
+    text + "\n  sweetspot help"
 }
 
-/// Parses `--name value` flag pairs after `positional` leading arguments.
-fn flags(args: &[String], positional: usize) -> Result<Vec<(String, String)>, String> {
-    let rest = &args[positional..];
-    if !rest.len().is_multiple_of(2) {
-        return Err("flags must come in `--name value` pairs".into());
-    }
-    rest.chunks(2)
-        .map(|pair| {
-            let name = pair[0]
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected a --flag, got {:?}", pair[0]))?;
-            Ok((name.to_string(), pair[1].clone()))
-        })
-        .collect()
+/// A command line parsed against its command's flag table; borrows argv.
+struct Args<'a> {
+    command: &'static Command,
+    /// The positional argument; empty for a command that takes none.
+    path: &'a str,
+    /// The value given for each flag of the table, in table order; a
+    /// switch's value is the switch itself.
+    values: Vec<Option<&'a str>>,
 }
 
-fn flag_f64(flags: &[(String, String)], name: &str, default: f64) -> Result<f64, String> {
-    match flags.iter().find(|(n, _)| n == name) {
-        Some((_, v)) => v.parse().map_err(|_| format!("--{name} wants a number, got {v:?}")),
-        None => Ok(default),
+impl<'a> Args<'a> {
+    /// Parses `args`, the argv after the command name, in one pass by the
+    /// rules in the module docs.
+    fn parse(command: &'static Command, args: &'a [String]) -> Result<Self, String> {
+        let (path, mut rest) = match (command.positional, args.split_first()) {
+            (None, _) => ("", args),
+            (Some(_), Some((path, rest))) if !path.starts_with("--") => (path.as_str(), rest),
+            (Some(what), _) => return Err(format!("{} needs {what}", command.name)),
+        };
+        let mut values = vec![None; command.flags.len()];
+        while let Some((arg, tail)) = rest.split_first() {
+            let name =
+                arg.strip_prefix("--").ok_or_else(|| format!("expected a --flag, got {arg:?}"))?;
+            let Some(i) = command.flags.iter().position(|&(n, _)| n == name) else {
+                let valid: Vec<_> = command.flags.iter().map(|(n, _)| format!("--{n}")).collect();
+                return Err(format!(
+                    "unknown flag --{name} for `sweetspot {}` (valid: {})",
+                    command.name,
+                    valid.join(", ")
+                ));
+            };
+            if values[i].is_some() {
+                return Err(format!("--{name} is given more than once"));
+            }
+            (values[i], rest) = match (command.flags[i].1, tail.split_first()) {
+                (None, _) => (Some(arg.as_str()), tail),
+                (Some(_), Some((v, tail))) if !v.starts_with("--") => (Some(v.as_str()), tail),
+                (Some(what), _) => return Err(format!("--{name} needs a value ({what})")),
+            };
+        }
+        Ok(Args { command, path, values })
     }
-}
 
-fn flag_u64(flags: &[(String, String)], name: &str, default: u64) -> Result<u64, String> {
-    match flags.iter().find(|(n, _)| n == name) {
-        Some((_, v)) => v.parse().map_err(|_| format!("--{name} wants an integer, got {v:?}")),
-        None => Ok(default),
+    /// The value given for `--name`, if any.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        let i = self.command.flags.iter().position(|&(n, _)| n == name);
+        self.values[i.expect("a command reads only the flags of its own table")]
     }
-}
 
-/// Parses an *optional* `--name value` flag (no default): `Ok(None)` when
-/// absent, a parse diagnostic mentioning `what` when malformed.
-fn flag_opt<T: std::str::FromStr>(
-    flags: &[(String, String)],
-    name: &str,
-    what: &str,
-) -> Result<Option<T>, String> {
-    flags
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| {
-            v.parse::<T>()
-                .map_err(|_| format!("--{name} wants {what}, got {v:?}"))
-        })
-        .transpose()
+    /// Parses the value of `--name`: `Ok(None)` when the flag is absent, a
+    /// diagnostic naming the flag and `what` it wants when malformed.
+    fn get<T: std::str::FromStr>(&self, name: &str, what: &str) -> Result<Option<T>, String> {
+        self.value(name)
+            .map(|v| v.parse().map_err(|_| format!("--{name} wants {what}, got {v:?}")))
+            .transpose()
+    }
 }
 
 fn load_trace(path: &str, interval: Option<f64>) -> Result<RegularSeries, String> {
@@ -318,13 +362,10 @@ fn load_trace(path: &str, interval: Option<f64>) -> Result<RegularSeries, String
     }
 }
 
-fn cmd_analyze(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
-    let path = args.first().ok_or("analyze needs a trace path")?;
-    let flags = flags(args, 1)?;
-    reject_unknown_flags(&flags, &["cutoff", "headroom", "interval"], "analyze")?;
-    let cutoff = flag_f64(&flags, "cutoff", 0.99)?;
-    let headroom = flag_f64(&flags, "headroom", 1.25)?;
-    let interval = flag_opt::<f64>(&flags, "interval", "seconds")?;
+fn cmd_analyze(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
+    let cutoff = args.get("cutoff", "a number")?.unwrap_or(0.99);
+    let headroom = args.get("headroom", "a number")?.unwrap_or(1.25);
+    let interval = args.get("interval", "seconds")?;
     let cfg = RecommendConfig {
         estimator: NyquistConfig {
             energy_cutoff: cutoff,
@@ -335,7 +376,7 @@ fn cmd_analyze(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     };
     cfg.validate()?;
 
-    let series = load_trace(path, interval)?;
+    let series = load_trace(args.path, interval)?;
     writeln!(
         out,
         "trace: {} samples at {} ({} total)",
@@ -370,19 +411,16 @@ fn cmd_analyze(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     Ok(())
 }
 
-fn cmd_track(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
-    let path = args.first().ok_or("track needs a trace path")?;
-    let flags = flags(args, 1)?;
-    reject_unknown_flags(&flags, &["window", "step"], "track")?;
-    let window = flag_f64(&flags, "window", 6.0 * 3600.0)?;
-    let step = flag_f64(&flags, "step", 300.0)?;
+fn cmd_track(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
+    let window = args.get("window", "a number")?.unwrap_or(6.0 * 3600.0);
+    let step = args.get("step", "a number")?.unwrap_or(300.0);
     let cfg = TrackerConfig {
         window: Seconds(window),
         step: Seconds(step),
         estimator: NyquistConfig::default(),
     };
     cfg.validate()?;
-    let series = load_trace(path, None)?;
+    let series = load_trace(args.path, None)?;
     let points = track(&series, cfg);
     if points.is_empty() {
         return Err("trace is shorter than one window".into());
@@ -406,32 +444,12 @@ fn cmd_track(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Removes a bare boolean `--name` switch from `args`, returning whether it
-/// was present (so the `--name value` pair parser never sees it).
-fn take_switch(args: &[String], name: &str) -> (bool, Vec<String>) {
-    let mut found = false;
-    let rest = args
-        .iter()
-        .filter(|a| {
-            let hit = a.as_str() == name;
-            found |= hit;
-            !hit
-        })
-        .cloned()
-        .collect();
-    (found, rest)
-}
-
-fn cmd_study(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
-    let (paper_scale, rest) = take_switch(args, "--paper-scale");
-    let (timing, rest) = take_switch(&rest, "--timing");
-    let (json, rest) = take_switch(&rest, "--json");
-    let flags = flags(&rest, 0)?;
-    reject_unknown_flags(&flags, &["devices", "seed", "threads"], "study")?;
-    let devices = flag_opt::<usize>(&flags, "devices", "an integer")?;
-    let threads = flag_u64(&flags, "threads", 0)? as usize;
+fn cmd_study(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
+    let paper_scale = args.value("paper-scale").is_some();
+    let devices = args.get("devices", "an integer")?;
+    let threads = args.get("threads", "an integer")?.unwrap_or(0);
     StudyConfig::validate_request(paper_scale, devices, threads)?;
-    let seed = flag_u64(&flags, "seed", 0x5EED_CAFE)?;
+    let seed = args.get("seed", "an integer")?.unwrap_or(0x5EED_CAFE);
     let study = if paper_scale {
         FleetStudy::run_paper_scale(seed, NyquistConfig::default(), threads)
     } else {
@@ -446,13 +464,13 @@ fn cmd_study(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
         };
         FleetStudy::run(cfg)
     };
-    if json {
+    if args.value("json").is_some() {
         writeln!(out, "{}", study_json(&study))?;
     } else {
         writeln!(out, "{}", fig1::from_study(&study).render())?;
         writeln!(out, "{}", headline::from_study(&study).render())?;
     }
-    if timing {
+    if args.value("timing").is_some() {
         out.flush()?;
         // stderr, not stdout: timing varies run to run, and stdout must stay
         // byte-identical across thread counts (CI compares it verbatim).
@@ -508,43 +526,19 @@ fn study_json(study: &FleetStudy) -> String {
     out
 }
 
-fn cmd_fleetsim(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
-    let (timing, rest) = take_switch(args, "--timing");
-    let (json, rest) = take_switch(&rest, "--json");
-    let (json_devices, rest) = take_switch(&rest, "--json-devices");
+fn cmd_fleetsim(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
+    let json_devices = args.value("json-devices").is_some();
     // --json-devices is a refinement of --json, not a separate mode.
-    let json = json || json_devices;
-    let flags = flags(&rest, 0)?;
-    reject_unknown_flags(
-        &flags,
-        &[
-            "budget",
-            "policy",
-            "days",
-            "devices",
-            "fft-cache-mb",
-            "metrics-every",
-            "metrics-out",
-            "recovery-budget-frac",
-            "scenario",
-            "scenario-seed",
-            "seed",
-            "threads",
-            "verify-every",
-        ],
-        "fleetsim",
-    )?;
-    let days = flag_f64(&flags, "days", 10.0)?;
-    let seed = flag_u64(&flags, "seed", 0x5EED_CAFE)?;
-    let threads = flag_u64(&flags, "threads", 0)? as usize;
-    let verify_every = flag_u64(&flags, "verify-every", 1)? as usize;
+    let json = args.value("json").is_some() || json_devices;
+    let days = args.get("days", "a number")?.unwrap_or(10.0);
+    let seed = args.get("seed", "an integer")?.unwrap_or(0x5EED_CAFE);
+    let threads = args.get("threads", "an integer")?.unwrap_or(0);
+    let verify_every = args.get("verify-every", "an integer")?.unwrap_or(1);
     // Total FFT plan-cache cap in MiB, split across shards; 0 = unbounded.
     // Eviction rebuilds tables bit-identically, so this never changes output.
-    let fft_cache_mb = flag_u64(
-        &flags,
-        "fft-cache-mb",
-        (fleetsim::FFT_TABLE_BUDGET_DEFAULT >> 20) as u64,
-    )?;
+    let fft_cache_mb: u64 = args
+        .get("fft-cache-mb", "an integer")?
+        .unwrap_or((fleetsim::FFT_TABLE_BUDGET_DEFAULT >> 20) as u64);
     let fft_table_budget = (fft_cache_mb > 0)
         .then(|| {
             fft_cache_mb
@@ -555,24 +549,24 @@ fn cmd_fleetsim(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
                 })
         })
         .transpose()?;
-    let devices = flag_opt::<usize>(&flags, "devices", "an integer")?;
-    // Failure injection: preset names compose with `+` (churn, incident,
-    // lossy-reports, cost-skew, duty, battery, diurnal, staggered) and
-    // key=value terms override fields. The default "none" is inert — the
-    // healthy path stays byte-identical.
-    let mut scenario = flag_opt::<String>(&flags, "scenario", "a scenario spec")?
-        .map_or(Ok(ScenarioSpec::none()), |s| ScenarioSpec::parse(&s))?;
-    scenario.seed = flag_u64(&flags, "scenario-seed", scenario.seed)?;
+    let devices = args.get("devices", "an integer")?;
+    // Failure injection (`ScenarioSpec::parse`). The default "none" is
+    // inert: the healthy path stays byte-identical.
+    let mut scenario = args
+        .value("scenario")
+        .map_or(Ok(ScenarioSpec::none()), ScenarioSpec::parse)?;
+    scenario.seed = args.get("scenario-seed", "an integer")?.unwrap_or(scenario.seed);
     // Watchdog recovery slice, as a fraction of the fleet's capacity rate.
     // 0 disables the watchdog entirely (bit-identical to the plain engine).
-    let recovery_budget_frac = flag_f64(&flags, "recovery-budget-frac", 0.0)?;
-    let budget = flag_opt::<f64>(&flags, "budget", "a non-negative number")?;
+    let recovery_budget_frac = args.get("recovery-budget-frac", "a number")?.unwrap_or(0.0);
+    let budget = args.get("budget", "a non-negative number")?;
     if let Some(b) = budget {
         fleetsim::validate_budget(b)?;
     }
-    let policy = flag_opt::<String>(&flags, "policy", "a policy name")?
+    let policy = args
+        .value("policy")
         .map(|v| {
-            SchedulerPolicy::parse(&v).ok_or_else(|| {
+            SchedulerPolicy::parse(v).ok_or_else(|| {
                 format!(
                     "unknown policy {v:?}; valid: {}",
                     SchedulerPolicy::ALL.map(|p| p.name()).join("|")
@@ -599,16 +593,15 @@ fn cmd_fleetsim(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
         ..FleetSimConfig::default()
     };
     cfg.validate()?;
-    let metrics_out = flag_opt::<String>(&flags, "metrics-out", "a file path")?;
-    let metrics_every = flag_u64(&flags, "metrics-every", 1)? as usize;
+    let metrics_out = args.value("metrics-out");
+    let metrics_every = args.get("metrics-every", "an integer")?.unwrap_or(1);
     if metrics_every == 0 {
         return Err("--metrics-every wants a positive epoch count (1 = every epoch)".into());
     }
-    if metrics_out.is_none() && flags.iter().any(|(n, _)| n == "metrics-every") {
+    if metrics_out.is_none() && args.value("metrics-every").is_some() {
         return Err("--metrics-every only makes sense with --metrics-out".into());
     }
     let mut recorder = metrics_out
-        .as_deref()
         .map(|path| {
             let mut rec = fleetsim::metrics::MetricsRecorder::to_path(std::path::Path::new(path))
                 .map_err(|e| format!("cannot open --metrics-out {path:?}: {e}"))?;
@@ -628,7 +621,7 @@ fn cmd_fleetsim(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
         rec.finish().map_err(|e| {
             format!(
                 "writing --metrics-out {:?} failed: {e}",
-                metrics_out.as_deref().unwrap_or("")
+                metrics_out.unwrap_or("")
             )
         })?;
     }
@@ -637,7 +630,7 @@ fn cmd_fleetsim(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     } else {
         out.write_all(frontier.render().as_bytes())?;
     }
-    if timing {
+    if args.value("timing").is_some() {
         out.flush()?;
         // stderr, not stdout: timing varies run to run, and stdout must stay
         // byte-identical across thread counts (CI compares it verbatim).
@@ -652,19 +645,21 @@ fn cmd_fleetsim(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
     Ok(())
 }
 
-fn cmd_demo(args: &[String], out: &mut impl Write) -> Result<(), Failure> {
-    let flags = flags(args, 0)?;
-    reject_unknown_flags(&flags, &["metric", "days", "seed"], "demo")?;
-    let days = flag_f64(&flags, "days", 2.0)?;
-    if !(days.is_finite() && days > 0.0) {
-        return Err(format!("--days wants a positive, finite number of days, got {days}").into());
+/// The longest trace `demo` synthesizes: a year of the fastest (30 s)
+/// profile is about 1.05 M samples.
+const DEMO_MAX_DAYS: f64 = 366.0;
+
+fn cmd_demo(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
+    let days = args.get("days", "a number")?.unwrap_or(2.0);
+    // Also false for NaN.
+    if !(days > 0.0 && days <= DEMO_MAX_DAYS) {
+        return Err(format!("--days wants days in (0, {DEMO_MAX_DAYS}], got {days:?}").into());
     }
-    let seed = flag_u64(&flags, "seed", 7)?;
-    let metric_name = flag_opt::<String>(&flags, "metric", "a metric name")?
-        .unwrap_or_else(|| "Temperature".into());
+    let seed = args.get("seed", "an integer")?.unwrap_or(7);
+    let metric_name = args.value("metric").unwrap_or("Temperature");
     let kind = MetricKind::ALL
         .iter()
-        .find(|k| k.name().eq_ignore_ascii_case(&metric_name))
+        .find(|k| k.name().eq_ignore_ascii_case(metric_name))
         .ok_or_else(|| {
             format!(
                 "unknown metric {metric_name:?}; valid: {}",

@@ -141,8 +141,9 @@ fn demo_pipes_into_analyze() {
 }
 
 #[test]
-fn demo_rejects_non_positive_or_non_finite_days() {
-    for days in ["0", "-1", "nan", "inf"] {
+fn demo_rejects_days_outside_zero_to_a_year() {
+    // 367 is one day past the cap; at 1e300 the parent panicked allocating.
+    for days in ["0", "-1", "nan", "inf", "367", "1e300"] {
         let out = bin().args(["demo", "--days", days]).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "--days {days}: {stderr}");
@@ -321,10 +322,33 @@ fn study_paper_scale_flag_is_accepted_with_other_flags() {
         .args(["study", "--paper-scale", "--bogus"])
         .output()
         .unwrap();
-    // Removing --paper-scale leaves a dangling `--bogus` pair: clean error,
-    // which proves the switch was extracted before pair parsing.
+    // The switch parses, so the diagnostic is about `--bogus`, and it
+    // restates the flag grammar.
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("pairs"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --bogus"), "{stderr}");
+    assert!(stderr.contains("pairs"), "{stderr}");
+}
+
+#[test]
+fn repeated_flags_and_value_flags_without_a_value_are_named() {
+    let path = write_temp("flag-grammar", &oversampled_csv());
+    let file = path.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["demo", "--days", "1", "--days", "2"], "--days"),
+        (vec!["fleetsim", "--devices", "14", "--days", "1", "--seed", "1", "--seed", "2"], "--seed"),
+        (vec!["study", "--devices", "1", "--json", "--json"], "--json"),
+        (vec!["track", file, "--window"], "--window"),
+        (vec!["track", file, "--window", "--step", "300"], "--window"),
+        (vec!["analyze", file, "--cutoff"], "--cutoff"),
+    ] {
+        let out = bin().args(&args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(&format!("error: {flag} ")), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed output");
+    }
+    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -373,13 +397,14 @@ fn study_paper_scale_output_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn unknown_flags_are_rejected_with_diagnostics() {
-    for args in [
-        vec!["study", "--bogus", "1"],
-        vec!["fleetsim", "--nope", "2"],
+    // Each `valid:` list names a flag of the command, switches included.
+    for (args, valid) in [
+        (vec!["study", "--bogus", "1"], "--paper-scale"),
+        (vec!["fleetsim", "--nope", "2"], "--json-devices"),
         // Paper scale is fleetsim's default; the switch is study-only.
-        vec!["fleetsim", "--paper-scale", "1"],
-        vec!["track", "/tmp/x.csv", "--cutoff", "0.9"],
-        vec!["demo", "--threads", "4"],
+        (vec!["fleetsim", "--paper-scale", "1"], "--json-devices"),
+        (vec!["track", "/tmp/x.csv", "--cutoff", "0.9"], "--step"),
+        (vec!["demo", "--threads", "4"], "--metric"),
     ] {
         let out = bin().args(&args).output().unwrap();
         assert!(!out.status.success(), "{args:?} must fail");
@@ -388,6 +413,8 @@ fn unknown_flags_are_rejected_with_diagnostics() {
             stderr.contains("unknown flag") && stderr.contains("valid:"),
             "{args:?}: {stderr}"
         );
+        let listed = stderr.split("valid:").nth(1).unwrap_or_default();
+        assert!(listed.contains(valid), "{args:?} lists no {valid}: {stderr}");
     }
     // analyze with an unknown flag fails before touching the file system.
     let path = write_temp("unknown-flag", &oversampled_csv());
