@@ -243,7 +243,7 @@ fn cutoff(seed: u64) -> [RateError; CUTOFFS.len()] {
     let mut planner = FftPlanner::new();
     let mut scratch = EstimatorScratch::new();
     CUTOFFS.map(|c| {
-        let mut est = NyquistEstimator::new(NyquistConfig {
+        let est = NyquistEstimator::new(NyquistConfig {
             energy_cutoff: c,
             ..NyquistConfig::default()
         });
@@ -303,7 +303,6 @@ fn detector_accuracy() -> Confusion {
     let f2 = companion_rate(Hertz(f1)).value();
     let fold = f2 / 2.0; // ≈ 0.309
     let duration = 3000.0;
-    let mut planner = FftPlanner::new();
     let mut scratch = DetectScratch::new();
     let mut acc = Confusion::default();
     let mut lcg = 0x0123_4567_89AB_CDEFu64;
@@ -329,7 +328,7 @@ fn detector_accuracy() -> Confusion {
             };
             let (fast, slow) = (make(f1), make(f2));
             let cfg = DualRateConfig::default();
-            let verdict = detect_aliasing_scratch(&mut planner, &mut scratch, &fast, &slow, cfg);
+            let verdict = detect_aliasing_scratch(&mut scratch, &fast, &slow, cfg);
             acc.count(is_aliased, verdict.aliased);
         }
     }
@@ -375,7 +374,7 @@ fn quantization(seed: u64) -> [RateError; QUANT_STEPS.len()] {
     let dev = super::fig6::pick_device(seed);
     let fs = Hertz(dev.true_nyquist_rate().value() * 8.0);
     let series = dev.ground_truth(fs, Seconds(4096.0 / fs.value()));
-    let mut est = NyquistEstimator::new(NyquistConfig::default());
+    let est = NyquistEstimator::new(NyquistConfig::default());
     let mut scratch = EstimatorScratch::new();
     let mut planner = FftPlanner::new();
     QUANT_STEPS.map(|step| {

@@ -39,7 +39,7 @@ pub struct Fig2 {
 /// Runs the spectral-copies experiment for `tone_hz` under each rate.
 pub fn run(tone_hz: f64, sample_rates: &[f64], duration: f64) -> Fig2 {
     let mut planner = FftPlanner::new();
-    let mut estimator = NyquistEstimator::new(NyquistConfig::default());
+    let estimator = NyquistEstimator::new(NyquistConfig::default());
     let mut scratch = EstimatorScratch::new();
     let cases = sample_rates
         .iter()

@@ -5,8 +5,9 @@
 //! scopes**, and only the first is ever written to `--metrics-out`:
 //!
 //! * **Fleet scope** — thread-invariant by construction: controller action
-//!   counts and FFT handle statistics are owned per member (each member's
-//!   request sequence is simulation-determined), scenario counts are dealt
+//!   counts and FFT request statistics are owned per member controller
+//!   (each member's sequence of periodogram lengths is
+//!   simulation-determined), scenario counts are dealt
 //!   serially, watchdog tallies come from the serial watchdog pass, and
 //!   the grant histogram is fed serially in device order. Snapshots
 //!   built from these are **byte-identical for any `--threads N`**.
@@ -60,7 +61,7 @@
 //! | `devices` | fleet size | the run |
 //! | `ledger` | `demanded`, `granted`, `spent` (cost units), `samples`, `throttled_devices` | this epoch |
 //! | `controller` | `probe`, `reramp`, `settle`, `raise`, `cut`, `hold`, `defer` transitions and the `verified` / `unverified` split; `unverified` is derived as the seven transitions' sum minus `verified` | cumulative over the run |
-//! | `fft` | planner `lookups`, `hits`, `misses` summed over member handles; `lookups` is derived as `hits + misses`, one per transform actually run (a verified epoch runs two: the fast stream's spectrum, shared by detector and estimator, and the companion's) | cumulative over the run |
+//! | `fft` | periodogram `lookups`, `hits`, `misses` kept by each member's controller (a miss is the first transform of a length by that controller, reboots included) and summed in device order; `lookups` is derived as `hits + misses`, one per transform actually run (a verified epoch runs two: the fast stream's spectrum, shared by detector and estimator, and the companion's) | cumulative over the run |
 //! | `watchdog` | `reprobes`, `starved`, `recovery_granted` (cost units); health census `healthy`, `recovering`, `suspect`, `dormant` | cumulative; the census is this epoch's |
 //! | `scenario` | `dealt`: `leaves`, `joins`, `reboots`, `absent_epochs`, `dropped_reports`, `duplicated_reports`, `delayed_reports`, `dormant_epochs` | cumulative over the run |
 //! | `grants` | `count`, `sum`, `min`, `max`, `p10`, `p50`, `p90`, `p99` of the granted rates (Hz) | epochs since the previous snapshot |
@@ -185,7 +186,8 @@ pub struct WatchdogCounters {
 pub struct MetricsSummary {
     /// Controller transitions over the run.
     pub controller: ControllerCounters,
-    /// FFT planner handle statistics summed over members in device order.
+    /// Periodogram request statistics summed over member controllers in
+    /// device order.
     pub fft: FftHandleStats,
     /// Watchdog tallies (`None` when `--recovery-budget-frac` is 0 and no
     /// watchdog ran).
@@ -301,12 +303,13 @@ impl MetricsRecorder {
     }
 
     /// Emit a snapshot every `k`-th epoch (the last epoch always emits).
-    ///
-    /// # Panics
-    /// Panics when `k` is zero.
-    pub fn set_every(&mut self, k: usize) {
-        assert!(k > 0, "--metrics-every wants a positive epoch count");
+    /// A `k` of zero is refused with a message naming `--metrics-every`.
+    pub fn set_every(&mut self, k: usize) -> Result<(), String> {
+        if k == 0 {
+            return Err("--metrics-every wants a positive epoch count (1 = every epoch)".into());
+        }
         self.every = k;
+        Ok(())
     }
 
     /// Pre-grows the in-memory buffer and line scratch.
@@ -689,12 +692,22 @@ mod tests {
     #[test]
     fn emission_cadence_honors_every_and_final_epoch() {
         let mut rec = MetricsRecorder::in_memory();
-        rec.set_every(4);
+        rec.set_every(4).unwrap();
         let emitted: Vec<usize> = (0..10).filter(|&e| rec.should_emit(e, 10)).collect();
         assert_eq!(emitted, vec![3, 7, 9]);
-        rec.set_every(1);
+        rec.set_every(1).unwrap();
         let all: Vec<usize> = (0..4).filter(|&e| rec.should_emit(e, 4)).collect();
         assert_eq!(all, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn zero_cadence_is_refused_and_keeps_the_old_one() {
+        let mut rec = MetricsRecorder::in_memory();
+        rec.set_every(2).unwrap();
+        let err = rec.set_every(0).unwrap_err();
+        assert!(err.contains("--metrics-every"), "{err}");
+        let emitted: Vec<usize> = (0..4).filter(|&e| rec.should_emit(e, 4)).collect();
+        assert_eq!(emitted, vec![1, 3]);
     }
 
     #[test]

@@ -288,9 +288,10 @@ pub struct FleetTimings {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemoryStats {
     /// Durable per-member state: slab blocks, trace identity, signal model
-    /// and each FFT planner handle's lists of requested lengths.
+    /// and each controller's list of transformed lengths.
     pub member_bytes: usize,
-    /// Worker scratch high-water, summed over all shards.
+    /// Worker scratch high-water (working buffers, not plan tables),
+    /// summed over all shards.
     pub scratch_bytes: usize,
     /// Post-run residency of the per-shard FFT plan-table caches, summed —
     /// capped by [`FleetSimConfig::fft_table_budget`] when one is set.
@@ -334,7 +335,7 @@ pub struct PolicyOutcome {
     pub timing: FleetTimings,
     /// Resident-heap accounting (observability only).
     pub memory: MemoryStats,
-    /// Fleet-scope metric totals (controller actions, FFT handle stats,
+    /// Fleet-scope metric totals (controller actions, FFT request stats,
     /// re-counted scenario events, watchdog tallies) — thread-invariant.
     pub metrics: MetricsSummary,
     /// What the scenario dealt and how the fleet weathered it — `None` for

@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 use sweetspot_arena::Slab;
-use sweetspot_core::adaptive::{Delivery, EpochReport, HealthState};
+use sweetspot_core::adaptive::{Delivery, EpochReport, HealthState, SamplerScratch};
 use sweetspot_dsp::fft::{FftHandleStats, FftPlanner};
 use sweetspot_monitor::poller::{EpochScratch, FleetMember};
 use sweetspot_monitor::{CostModel, EpochAccount, EpochLedger};
@@ -101,12 +101,10 @@ impl<'r> FleetRun<'r> {
         let mut timing = FleetTimings::default();
 
         // Build members (deterministic per (profile, idx, seed); build order
-        // is the fleet order regardless of sharding). Every member on a
-        // shard gets a clone of one per-shard FFT planner, so the shard
-        // holds each twiddle/chirp/window table once — at 10⁵ devices,
-        // per-member caches would otherwise dominate memory by orders of
-        // magnitude. Members land directly in per-shard slabs; each shard
-        // also gets the one EpochScratch its members step through.
+        // is the fleet order regardless of sharding). Members land directly
+        // in per-shard slabs; each shard also gets the one EpochScratch its
+        // members step through, whose FFT planner holds each
+        // twiddle/chirp/window table once for the whole shard.
         let t0 = Instant::now();
         let (seed, window) = (cfg.fleet.seed, cfg.window);
         // Split the plan-cache budget across shards. Eviction rebuilds
@@ -114,21 +112,19 @@ impl<'r> FleetRun<'r> {
         // affects output.
         let shard_fft_budget = cfg.fft_table_budget.map(|total| total / threads.max(1));
         let shards = crate::shard::fan_out(work.chunks(chunk).enumerate(), |(shard, span)| {
-            let planner = FftPlanner::new();
-            planner.set_table_budget(shard_fft_budget);
             let mut members = Slab::with_capacity(span.len());
             for (j, &(profile, device)) in span.iter().enumerate() {
                 let mut config = member_config(&profile, window);
                 config.verify_every = cfg.verify_every;
-                members.push(FleetMember::with_planner(
+                members.push(FleetMember::new(
                     shard * chunk + j,
                     DeviceTrace::synthesize(profile, device, seed),
                     config,
-                    planner.clone(),
                 ));
             }
-            let scratch = EpochScratch::new();
-            ShardState { members, scratch, planner, busy: Duration::ZERO }
+            let sampler = SamplerScratch::with_table_budget(shard_fft_budget);
+            let scratch = EpochScratch { sampler, ..EpochScratch::new() };
+            ShardState { members, scratch, busy: Duration::ZERO }
         });
         if let Some(rec) = recorder.as_deref_mut() {
             rec.begin_run(policy.name(), budget_per_epoch);
@@ -528,14 +524,14 @@ impl<'r> FleetRun<'r> {
         });
         self.timing.schedule += t_quality.elapsed();
         self.timing.step = shards.iter().map(|s| s.busy).sum();
-        self.timing.fft_tables = shards.iter().map(|s| s.planner.table_build_time()).sum();
+        self.timing.fft_tables = planners(shards).map(FftPlanner::table_build_time).sum();
         // Durable bytes are the slabs plus each member's owned heap; scratch
         // buffers only grow, so post-run capacities are the high-water.
         let memory = MemoryStats {
             member_bytes: shards.iter().map(|s| s.members.resident_bytes()).sum::<usize>()
                 + members(shards).map(FleetMember::heap_bytes).sum::<usize>(),
             scratch_bytes: shards.iter().map(|s| s.scratch.resident_bytes()).sum(),
-            fft_table_bytes: shards.iter().map(|s| s.planner.table_bytes()).sum(),
+            fft_table_bytes: planners(shards).map(FftPlanner::table_bytes).sum(),
             workers: shards.len(),
         };
         self.metrics.fft = fft_handle_totals(shards);
@@ -573,12 +569,9 @@ struct DeviceTally {
 struct ShardState {
     /// Member records, contiguous, in fleet order within the shard.
     members: Slab<FleetMember>,
-    /// The shard's working set, lent to each member in turn.
+    /// The shard's working set and plan-table cache, lent to each member
+    /// in turn.
     scratch: EpochScratch,
-    /// A handle on the shard's shared FFT plan cache (every member holds a
-    /// clone) — kept for the post-run `fft_table_bytes` and table-build
-    /// time accounting.
-    planner: FftPlanner,
     /// Wall time this shard's worker spent stepping members.
     busy: Duration,
 }
@@ -586,6 +579,11 @@ struct ShardState {
 /// Every member in fleet order, across shards.
 fn members(shards: &[ShardState]) -> impl Iterator<Item = &FleetMember> {
     shards.iter().flat_map(|s| s.members.iter())
+}
+
+/// Every shard's FFT planner, for the post-run table accounting.
+fn planners(shards: &[ShardState]) -> impl Iterator<Item = &FftPlanner> {
+    shards.iter().map(|s| s.scratch.sampler.planner())
 }
 
 /// [`members`], mutably.
@@ -726,9 +724,9 @@ fn step_member(
     Some(member.step_epoch(scratch, start, grant, window, delivery))
 }
 
-/// Sums per-member FFT planner-handle counters in fleet (device) order.
-/// Handle counters are owned by each member's planner clone, so the totals
-/// are independent of how the fleet was sharded across workers.
+/// Sums per-member periodogram request counters in fleet (device) order.
+/// Each member's controller owns its counters, so the totals are
+/// independent of how the fleet was sharded across workers.
 fn fft_handle_totals(shards: &[ShardState]) -> FftHandleStats {
     let mut totals = FftHandleStats::default();
     for member in members(shards) {

@@ -130,11 +130,11 @@ impl PhaseTimings {
 }
 
 /// Persistent per-worker state for the study loop: synthesis scratch
-/// (oscillator bank + trace buffers), cleaning scratch, the estimator (FFT
-/// plans) and the estimator scratch it is lent. With one `WorkerScratch` per worker the
-/// steady-state per-pair loop recycles every sample buffer it touches —
-/// the only remaining allocations are the O(tones) model and identity
-/// strings a fresh [`DeviceTrace`] itself owns.
+/// (oscillator bank + trace buffers), cleaning scratch, the estimator and
+/// the estimator scratch it is lent (FFT plans and buffers). With one
+/// `WorkerScratch` per worker the steady-state per-pair loop recycles every
+/// sample buffer it touches — the only remaining allocations are the
+/// O(tones) model and identity strings a fresh [`DeviceTrace`] itself owns.
 pub struct WorkerScratch {
     synth: TraceSynth,
     times: Vec<Seconds>,
@@ -239,7 +239,7 @@ impl FleetStudy {
                 })
                 .collect();
             let mut timings = scratch.timings;
-            timings.fft_tables = scratch.estimator.planner().table_build_time();
+            timings.fft_tables = scratch.estimate.planner().table_build_time();
             Shard { pairs, timings }
         });
         let (pairs, timing) = merge_shards(shards, work.len());

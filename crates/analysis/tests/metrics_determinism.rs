@@ -5,8 +5,9 @@
 //! 1. **Thread invariance** — everything a [`MetricsRecorder`] emits is
 //!    fleet-scope: one serial fold tallies every member's report, the
 //!    journal and grant histogram are fed serially in device order, and
-//!    FFT counters are summed per member handle. The JSONL stream must
-//!    therefore be *byte-identical* for any `--threads N`.
+//!    FFT counters are kept per member controller and summed in device
+//!    order. The JSONL stream must therefore be *byte-identical* for any
+//!    `--threads N`.
 //! 2. **Non-perturbation** — attaching a recorder must not change the
 //!    simulation: ledger, per-device quality, and the always-on counter
 //!    summary are identical with and without one.
@@ -116,24 +117,35 @@ fn key(line: &str, key: &str) -> Option<u64> {
 }
 
 /// Scenario presets the invariant sweep draws from: healthy, lifecycle
-/// churn, lost and late reports, scheduled sleep, and a staggered regime
-/// switch.
-const SWEEP_SCENARIOS: [&str; 5] =
-    ["none", "churn", "lossy-reports", "duty", "incident+staggered"];
+/// churn, lost and late reports, scheduled sleep (plain and battery), a
+/// staggered and a recurring regime switch, skewed polling costs, and
+/// churn, an incident and lossy reports at once.
+const SWEEP_SCENARIOS: [&str; 9] = [
+    "none",
+    "churn",
+    "lossy-reports",
+    "duty",
+    "incident+staggered",
+    "battery",
+    "diurnal",
+    "cost-skew",
+    "churn+incident+lossy-reports",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Thread invariance, the ledger and quality bounds, the rate bounds and
-    /// the watchdog's health census over random fleets: the policy (capped
-    /// policies at budget 0 or a drawn finite budget, `uncapped` only at ∞,
-    /// the way `run_point` pairs them), the scenario preset and the
-    /// watchdog's recovery slice.
+    /// Thread invariance at 2, 3 and 4 workers, the ledger and quality
+    /// bounds, the rate bounds and the watchdog's health census over random
+    /// fleets: the policy (capped policies at budget 0 or a drawn finite
+    /// budget, `uncapped` only at ∞, the way `run_point` pairs them), the
+    /// scenario preset, the verification cadence and the watchdog's
+    /// recovery slice.
     #[test]
     fn metrics_thread_invariance_holds_for_arbitrary_fleets(
         (devices, seed) in (8usize..48, 0u64..1_000),
         (policy, zero_budget, budget_frac) in (0usize..4, 0usize..4, 0.3f64..1.2),
-        (scenario, recovery) in (0usize..SWEEP_SCENARIOS.len(), 0usize..2),
+        (scenario, recovery, verify_every) in (0usize..SWEEP_SCENARIOS.len(), 0usize..2, 1usize..4),
     ) {
         let policy = SchedulerPolicy::ALL[policy];
         let budget = if policy == SchedulerPolicy::Uncapped {
@@ -147,13 +159,16 @@ proptest! {
         cfg.scenario = ScenarioSpec::parse(SWEEP_SCENARIOS[scenario]).expect("preset parses");
         cfg.scenario.seed = seed ^ 0xC0FFEE;
         cfg.recovery_budget_frac = [0.0, 0.25][recovery];
+        cfg.verify_every = verify_every;
         let window = cfg.window;
         let (serial, serial_jsonl) = recorded(&cfg, policy, budget);
-        let (parallel, parallel_jsonl) =
-            recorded(&FleetSimConfig { threads: 4, ..cfg }, policy, budget);
-        prop_assert_eq!(&serial_jsonl, &parallel_jsonl);
-        prop_assert_eq!(serial.metrics, parallel.metrics);
-        prop_assert_eq!(serial.ledger.accounts(), parallel.ledger.accounts());
+        for threads in [2, 3, 4] {
+            let (parallel, parallel_jsonl) =
+                recorded(&FleetSimConfig { threads, ..cfg }, policy, budget);
+            prop_assert_eq!(&serial_jsonl, &parallel_jsonl, "{} threads", threads);
+            prop_assert_eq!(serial.metrics, parallel.metrics);
+            prop_assert_eq!(serial.ledger.accounts(), parallel.ledger.accounts());
+        }
         for a in serial.ledger.accounts() {
             prop_assert!(
                 a.granted <= budget * (1.0 + 1e-9),

@@ -12,7 +12,7 @@ use sweetspot_core::aliasing::{
     compare_spectra, detector_spectrum, BandScratch, DualRateConfig, COMPANION_RATIO,
 };
 use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
-use sweetspot_dsp::fft::{plan_kind, FftPlanner, FftScratch};
+use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_dsp::psd::{periodogram, PsdConfig};
 use sweetspot_dsp::resample::resample_fft;
 use sweetspot_dsp::window::Window;
@@ -54,15 +54,11 @@ fn minutely_csv(rows: usize) -> String {
 /// The pre-rework periodogram, kept as an in-run reference so every bench
 /// run reports the real-input fast path's speedup under identical load:
 /// promote the signal to complex, run the full-length FFT, fold one-sided.
-fn periodogram_promote_reference(
-    planner: &mut FftPlanner,
-    scratch: &mut FftScratch,
-    samples: &[f64],
-) -> Vec<f64> {
+fn periodogram_promote_reference(planner: &mut FftPlanner, samples: &[f64]) -> Vec<f64> {
     let n = samples.len();
     let seg: Vec<f64> = samples.to_vec();
     let mut buf: Vec<Complex64> = seg.iter().map(|&x| Complex64::from_real(x)).collect();
-    planner.fft_in_place(&mut buf, scratch);
+    planner.fft_in_place(&mut buf);
     let bins = n / 2 + 1;
     let mut power = Vec::with_capacity(bins);
     for (k, c) in buf.iter().take(bins).enumerate() {
@@ -83,15 +79,21 @@ fn periodogram_promote_reference(
 fn bench(c: &mut Criterion) {
     // Complex FFT on each plan kind: powers of two and other 5-smooth
     // lengths (mixed-radix) and the rest (2878 = 2·1439, Bluestein).
-    for n in [1024usize, 1000, 4096, 2880, 2878] {
+    let lengths = [
+        (1024usize, "mixed"),
+        (1000, "mixed"),
+        (4096, "mixed"),
+        (2880, "mixed"),
+        (2878, "bluestein"),
+    ];
+    for (n, kind) in lengths {
         let sig = signal(n);
-        c.bench_function(&format!("fft/{}_{n}", plan_kind(n)), |b| {
+        c.bench_function(&format!("fft/{kind}_{n}"), |b| {
             let mut planner = FftPlanner::new();
-            let mut scratch = FftScratch::new();
             let buf: Vec<Complex64> = sig.iter().map(|&x| Complex64::from_real(x)).collect();
             b.iter(|| {
                 let mut work = buf.clone();
-                planner.fft_in_place(&mut work, &mut scratch);
+                planner.fft_in_place(&mut work);
                 black_box(work)
             })
         });
@@ -99,15 +101,13 @@ fn bench(c: &mut Criterion) {
 
     // Real FFT over a mixed-radix half (a 6-hour tracker window and 90 days
     // at one minute) and of an odd prime length (2879, one-sided Bluestein).
-    for n in [360usize, 129_600, 2879] {
+    for (n, kind) in [(360usize, "mixed"), (129_600, "mixed"), (2879, "bluestein")] {
         let sig = signal(n);
-        let kind = plan_kind(if n % 2 == 0 { n / 2 } else { n });
         c.bench_function(&format!("rfft/{kind}_{n}"), |b| {
             let mut planner = FftPlanner::new();
-            let mut scratch = FftScratch::new();
             let mut out = Vec::new();
             b.iter(|| {
-                planner.fft_real_into(black_box(&sig), &mut out, &mut scratch);
+                planner.fft_real_into(black_box(&sig), &mut out);
                 black_box(&out);
             })
         });
@@ -115,17 +115,16 @@ fn bench(c: &mut Criterion) {
 
     // What a one-shot `sweetspot analyze` of a 90-day minutely trace builds
     // before it can transform: a fresh planner's real plan (64 800-point
-    // mixed-radix twiddles plus the untangle table) and its Hann table.
-    // The row includes the first transform; the warm `rfft/mixed_129600`
-    // row above times that alone.
+    // mixed-radix twiddles plus the untangle table), its Hann table and its
+    // working buffers. The row includes the first transform; the warm
+    // `rfft/mixed_129600` row above times that alone.
     let trace = signal(129_600);
     c.bench_function("plan/real_hann_129600", |b| {
-        let mut scratch = FftScratch::new();
         let mut out = Vec::new();
         b.iter(|| {
             let mut planner = FftPlanner::new();
             black_box(planner.window_table(Window::Hann, trace.len()));
-            planner.fft_real_into(black_box(&trace), &mut out, &mut scratch);
+            planner.fft_real_into(black_box(&trace), &mut out);
             black_box(&out);
         })
     });
@@ -139,14 +138,7 @@ fn bench(c: &mut Criterion) {
         let s = signal(n);
         c.bench_function(&format!("psd/periodogram_promote_{n}"), |b| {
             let mut planner = FftPlanner::new();
-            let mut scratch = FftScratch::new();
-            b.iter(|| {
-                black_box(periodogram_promote_reference(
-                    &mut planner,
-                    &mut scratch,
-                    &s,
-                ))
-            })
+            b.iter(|| black_box(periodogram_promote_reference(&mut planner, &s)))
         });
         c.bench_function(&format!("psd/periodogram_{n}"), |b| {
             let mut planner = FftPlanner::new();
@@ -170,7 +162,7 @@ fn bench(c: &mut Criterion) {
 
     // End-to-end §3.2 estimation of a day-long trace.
     c.bench_function("estimator/day_trace_2880", |b| {
-        let mut est = NyquistEstimator::new(NyquistConfig::default());
+        let est = NyquistEstimator::new(NyquistConfig::default());
         let mut scratch = EstimatorScratch::new();
         let series = RegularSeries::new(Seconds::ZERO, Seconds(30.0), sig.clone());
         b.iter(|| {
@@ -193,14 +185,13 @@ fn bench(c: &mut Criterion) {
         );
         c.bench_function(&format!("detector/verified_epoch_{n_fast}_{n_slow}"), |b| {
             let mut planner = FftPlanner::new();
-            let mut fft = FftScratch::new();
             let mut bands = BandScratch::new();
             let est = NyquistEstimator::new(NyquistConfig::default());
             let (mut fast_power, mut slow_power) = (Vec::new(), Vec::new());
             b.iter(|| {
                 let (fp, sp) = (std::mem::take(&mut fast_power), std::mem::take(&mut slow_power));
-                let f = detector_spectrum(&mut planner, &mut fft, &fast, fp);
-                let s = detector_spectrum(&mut planner, &mut fft, &slow, sp);
+                let f = detector_spectrum(&mut planner, &fast, fp);
+                let s = detector_spectrum(&mut planner, &slow, sp);
                 let verdict = compare_spectra(&f, &s, DualRateConfig::default(), &mut bands);
                 let estimate = est.estimate_spectrum(&f);
                 fast_power = f.into_power();

@@ -75,7 +75,7 @@ fn bench(c: &mut Criterion) {
                 .filter(|s| s.len() >= 4)
             })
             .collect();
-        let mut estimator = NyquistEstimator::new(NyquistConfig::default());
+        let estimator = NyquistEstimator::new(NyquistConfig::default());
         let mut est_scratch = EstimatorScratch::new();
         b.iter(|| {
             let mut aliased = 0usize;

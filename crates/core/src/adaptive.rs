@@ -82,7 +82,7 @@ use crate::aliasing::{
 };
 use crate::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
 use crate::source::SignalSource;
-use sweetspot_dsp::fft::FftScratch;
+use sweetspot_dsp::fft::{FftHandleStats, FftPlanner};
 use sweetspot_timeseries::{grid_len, Hertz, Seconds};
 
 /// Minimum steady-state headroom compatible with continuous dual-rate
@@ -303,21 +303,22 @@ impl EpochReport {
     }
 }
 
-/// The controller's transient working set for one epoch: the FFT scratch,
-/// the recycled power buffers of the two streams' spectra, the detector's
-/// band tables, and the recycled value buffers for the primary and companion
-/// streams.
+/// The controller's transient working set for one epoch: the FFT planner
+/// (cached tables and working buffers), the recycled power buffers of the
+/// two streams' spectra, the detector's band tables, and the recycled value
+/// buffers for the primary and companion streams.
 ///
 /// Callers lend one to [`AdaptiveSampler::step`]; [`AdaptiveSampler::run`]
 /// keeps one for the whole run, and the fleet engine keeps one *per worker*,
 /// so 10⁵ member controllers share a handful of warmed-up working sets and
-/// hold only durable control state (rates, hysteresis and cadence counters,
-/// remembered max). Scratch contents never influence results — every buffer
-/// is cleared or overwritten before use.
-#[derive(Debug, Default)]
+/// plan tables, and hold only durable control state (rates, hysteresis and
+/// cadence counters, remembered max). Scratch contents never influence
+/// results — every buffer is cleared or overwritten before use, and every
+/// table is a pure function of its length.
+#[derive(Default)]
 pub struct SamplerScratch {
-    /// FFT working storage for both streams' periodograms.
-    fft: FftScratch,
+    /// The FFT planner both streams' periodograms run through.
+    planner: FftPlanner,
     /// Power buffers of the primary and companion spectra.
     fast_power: Vec<f64>,
     slow_power: Vec<f64>,
@@ -337,9 +338,25 @@ impl SamplerScratch {
         Self::default()
     }
 
-    /// Heap bytes the scratch currently holds (capacities, not lengths).
+    /// Empty scratch whose plan-table cache is capped at `budget` bytes
+    /// (see [`FftPlanner::set_table_budget`]); eviction never changes a
+    /// result.
+    pub fn with_table_budget(budget: Option<usize>) -> Self {
+        let mut scratch = Self::default();
+        scratch.planner.set_table_budget(budget);
+        scratch
+    }
+
+    /// The planner the periodograms run through, for its table accounting
+    /// ([`FftPlanner::table_bytes`], [`FftPlanner::table_build_time`]).
+    pub fn planner(&self) -> &FftPlanner {
+        &self.planner
+    }
+
+    /// Heap bytes the working buffers currently hold (capacities, not
+    /// lengths). The planner's tables are [`FftPlanner::table_bytes`].
     pub fn resident_bytes(&self) -> usize {
-        self.fft.resident_bytes()
+        self.planner.buffer_bytes()
             + self.bands.resident_bytes()
             + (self.fast_power.capacity()
                 + self.slow_power.capacity()
@@ -354,6 +371,13 @@ impl SamplerScratch {
 pub struct AdaptiveSampler {
     config: AdaptiveConfig,
     estimator: NyquistEstimator,
+    /// Sorted periodogram lengths this controller has transformed — a
+    /// handful in practice, since settled controllers revisit the same
+    /// lengths, so the steady state never inserts (and never allocates).
+    fft_lengths: Vec<usize>,
+    /// Its periodogram requests: a miss per first-seen length, a hit per
+    /// repeat (see [`FftHandleStats`]).
+    fft_stats: FftHandleStats,
     mode: Mode,
     rate: Hertz,
     remembered_max: Option<Hertz>,
@@ -382,18 +406,7 @@ impl AdaptiveSampler {
     /// # Panics
     /// Panics on inconsistent configuration (non-positive rates,
     /// `min > max`, non-positive epoch).
-    pub fn new(config: AdaptiveConfig) -> Self {
-        Self::with_planner(config, sweetspot_dsp::fft::FftPlanner::new())
-    }
-
-    /// [`AdaptiveSampler::new`] with a caller-supplied FFT planner — pass a
-    /// clone of a shared planner so a fleet of controllers holds every plan
-    /// table once (see [`NyquistEstimator::with_planner`]). Tables never
-    /// influence results.
-    ///
-    /// # Panics
-    /// Exactly as [`AdaptiveSampler::new`].
-    pub fn with_planner(mut config: AdaptiveConfig, planner: sweetspot_dsp::fft::FftPlanner) -> Self {
+    pub fn new(mut config: AdaptiveConfig) -> Self {
         assert!(config.initial_rate.value() > 0.0, "initial_rate must be positive");
         assert!(config.min_rate.value() > 0.0, "min_rate must be positive");
         assert!(
@@ -409,7 +422,9 @@ impl AdaptiveSampler {
                 .clamp(config.min_rate.value(), config.max_rate.value()),
         );
         AdaptiveSampler {
-            estimator: NyquistEstimator::with_planner(NyquistConfig::default(), planner),
+            estimator: NyquistEstimator::new(NyquistConfig::default()),
+            fft_lengths: Vec::new(),
+            fft_stats: FftHandleStats::default(),
             config,
             mode: Mode::Probe,
             rate,
@@ -512,18 +527,29 @@ impl AdaptiveSampler {
         self.epoch_index += 1;
     }
 
-    /// Plan-request counts of this controller's FFT planner handle (its
-    /// estimator and §4.1 detector share one handle). Summing these over a
-    /// fleet in device order is thread-count-invariant — see
-    /// [`sweetspot_dsp::fft::FftHandleStats`].
-    pub fn fft_handle_stats(&self) -> sweetspot_dsp::fft::FftHandleStats {
-        self.estimator.planner().handle_stats()
+    /// This controller's periodogram requests: one per transform, a miss
+    /// the first time it transforms a length (reboots included) and a hit
+    /// after. Summing these over a fleet in device order is
+    /// thread-count-invariant — see [`FftHandleStats`].
+    pub fn fft_handle_stats(&self) -> FftHandleStats {
+        self.fft_stats
     }
 
-    /// Heap bytes of this controller's FFT planner handle: its lists of
-    /// requested lengths (see [`sweetspot_dsp::fft::FftPlanner::handle_bytes`]).
+    /// Heap bytes of this controller's list of transformed lengths, one
+    /// `usize` per first-seen length.
     pub fn fft_handle_bytes(&self) -> usize {
-        self.estimator.planner().handle_bytes()
+        self.fft_lengths.capacity() * std::mem::size_of::<usize>()
+    }
+
+    /// Counts one periodogram of `len` samples in [`Self::fft_handle_stats`].
+    fn note_transform(&mut self, len: usize) {
+        match self.fft_lengths.binary_search(&len) {
+            Ok(_) => self.fft_stats.hits.inc(),
+            Err(i) => {
+                self.fft_stats.misses.inc();
+                self.fft_lengths.insert(i, len);
+            }
+        }
     }
 
     /// Runs one epoch at an externally `granted` rate over a fixed lockstep
@@ -668,18 +694,18 @@ impl AdaptiveSampler {
         // samples (see module docs); a short window contributes no evidence.
         let estimator_trusted = fast.len() >= MIN_EPOCH_SAMPLES;
         // One fast-stream spectrum per epoch, read by both the detector and
-        // the estimator; the estimator's planner serves both periodograms,
-        // so the same cached twiddle and window tables are reused every
-        // epoch.
-        let planner = self.estimator.planner_mut();
+        // the estimator; the scratch's planner serves both periodograms, so
+        // the same cached twiddle and window tables are reused every epoch.
         let fast_spec = (verified || estimator_trusted).then(|| {
+            self.note_transform(fast.len());
             let power = std::mem::take(&mut scratch.fast_power);
-            detector_spectrum(planner, &mut scratch.fft, &fast, power)
+            detector_spectrum(&mut scratch.planner, &fast, power)
         });
         let verdict_aliased = match (&fast_spec, &slow) {
             (Some(fast_spec), Some(slow)) if verified => {
+                self.note_transform(slow.len());
                 let power = std::mem::take(&mut scratch.slow_power);
-                let slow_spec = detector_spectrum(planner, &mut scratch.fft, slow, power);
+                let slow_spec = detector_spectrum(&mut scratch.planner, slow, power);
                 let cfg = self.config.detector;
                 let verdict = compare_spectra(fast_spec, &slow_spec, cfg, &mut scratch.bands);
                 scratch.slow_power = slow_spec.into_power();
@@ -1683,12 +1709,48 @@ mod tests {
     }
 
     #[test]
+    fn transform_misses_are_per_controller_and_survive_reboots() {
+        // Two controllers step through one scratch, as fleet members on one
+        // worker do: the second one's first lengths are misses although the
+        // scratch's tables are warm, and a reboot forgets no length.
+        let mut scratch = SamplerScratch::new();
+        let run = |ctl: &mut AdaptiveSampler, scratch: &mut SamplerScratch| {
+            let mut source = FunctionSource::new(band_signal(0.5));
+            for e in 0..4 {
+                let t = Seconds(2000.0 * e as f64);
+                full_grant(ctl, scratch, &mut source, t, Seconds(2000.0));
+            }
+        };
+        let mut first = AdaptiveSampler::new(config(4.0, 2000.0));
+        run(&mut first, &mut scratch);
+        let mut second = AdaptiveSampler::new(config(4.0, 2000.0));
+        run(&mut second, &mut scratch);
+        let before = first.fft_handle_stats();
+        assert_eq!(second.fft_handle_stats(), before);
+        assert!(
+            before.misses.get() > 0 && before.hits.get() > 0,
+            "{before:?}"
+        );
+        let lengths = before.misses.get() as usize;
+        assert!(first.fft_handle_bytes() >= lengths * std::mem::size_of::<usize>());
+
+        first.reboot();
+        run(&mut first, &mut scratch);
+        let after = first.fft_handle_stats();
+        assert_eq!(
+            after.misses, before.misses,
+            "the re-run requests known lengths"
+        );
+        assert_eq!(after.lookups(), 2 * before.lookups());
+    }
+
+    #[test]
     fn shared_spectrum_estimate_equals_estimate_samples() {
         assert_eq!(NyquistConfig::default().window, crate::aliasing::DETECTOR_PSD.window);
         let mut scratch = SamplerScratch::new();
         let mut source = FunctionSource::new(band_signal(0.5));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
-        let mut estimator = NyquistEstimator::new(NyquistConfig::default());
+        let estimator = NyquistEstimator::new(NyquistConfig::default());
         let mut est_scratch = crate::estimator::EstimatorScratch::new();
         let mut t = Seconds::ZERO;
         let window = Seconds(2000.0);

@@ -24,7 +24,7 @@
 //!   frequencies in each spectrum thanks to the non-integer ratio (footnote
 //!   1 of the paper), so it still shows up as a band-power mismatch.
 
-use sweetspot_dsp::fft::{FftPlanner, FftScratch};
+use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_dsp::psd::{periodogram_into, PsdConfig};
 use sweetspot_dsp::spectrum::Spectrum;
 use sweetspot_dsp::window::Window;
@@ -84,8 +84,8 @@ pub fn ratio_is_valid(f1: Hertz, f2: Hertz) -> bool {
 /// Compares two traces of the same signal sampled at different rates and
 /// decides whether the *slower* one is aliased.
 ///
-/// One-shot convenience around [`detect_aliasing_scratch`] with a throwaway
-/// planner and scratch; repeated callers (the §4.2 adaptive controller, the
+/// One-shot convenience around [`detect_aliasing_scratch`] with throwaway
+/// scratch; repeated callers (the §4.2 adaptive controller, the
 /// paper-claims ledger's detector entry) should hold their own so twiddle
 /// and window tables are computed once and steady state allocates nothing.
 ///
@@ -96,13 +96,7 @@ pub fn detect_aliasing(
     slow: &RegularSeries,
     cfg: DualRateConfig,
 ) -> AliasingVerdict {
-    detect_aliasing_scratch(
-        &mut FftPlanner::new(),
-        &mut DetectScratch::new(),
-        fast,
-        slow,
-        cfg,
-    )
+    detect_aliasing_scratch(&mut DetectScratch::new(), fast, slow, cfg)
 }
 
 /// The periodogram both streams are compared through: Hann-windowed,
@@ -134,12 +128,12 @@ impl BandScratch {
 }
 
 /// Reusable working storage for [`detect_aliasing_scratch`]: the FFT
-/// scratch, the two one-sided power buffers and the band-power tables.
-/// Keep one per loop or worker so steady-state detection performs no heap
-/// allocations.
-#[derive(Debug, Default)]
+/// planner, the two one-sided power buffers and the band-power tables.
+/// Keep one per loop or worker so twiddle and window tables are computed
+/// once and steady-state detection performs no heap allocations.
+#[derive(Default)]
 pub struct DetectScratch {
-    fft: FftScratch,
+    planner: FftPlanner,
     fast_power: Vec<f64>,
     slow_power: Vec<f64>,
     bands: BandScratch,
@@ -156,18 +150,16 @@ impl DetectScratch {
 /// `power` buffer (reclaim it with [`Spectrum::into_power`]).
 pub fn detector_spectrum(
     planner: &mut FftPlanner,
-    fft: &mut FftScratch,
     series: &RegularSeries,
     mut power: Vec<f64>,
 ) -> Spectrum {
-    periodogram_into(planner, fft, series.values(), DETECTOR_PSD, &mut power);
+    periodogram_into(planner, series.values(), DETECTOR_PSD, &mut power);
     Spectrum::from_psd(power, series.sample_rate().value(), series.len())
 }
 
 /// The dual-rate comparison from two traces: both [`DETECTOR_PSD`]
-/// periodograms, then [`compare_spectra`], against a caller-owned
-/// [`FftPlanner`] and caller-lent [`DetectScratch`] — zero steady-state heap
-/// allocations.
+/// periodograms, then [`compare_spectra`], through caller-lent
+/// [`DetectScratch`] — zero steady-state heap allocations.
 ///
 /// `fast` must be sampled at a higher rate than `slow`, with a non-integer
 /// rate ratio (checked). Both should cover the same time window.
@@ -175,16 +167,15 @@ pub fn detector_spectrum(
 /// # Panics
 /// Exactly as [`compare_spectra`].
 pub fn detect_aliasing_scratch(
-    planner: &mut FftPlanner,
     scratch: &mut DetectScratch,
     fast: &RegularSeries,
     slow: &RegularSeries,
     cfg: DualRateConfig,
 ) -> AliasingVerdict {
     let fast_power = std::mem::take(&mut scratch.fast_power);
-    let spec_fast = detector_spectrum(planner, &mut scratch.fft, fast, fast_power);
+    let spec_fast = detector_spectrum(&mut scratch.planner, fast, fast_power);
     let slow_power = std::mem::take(&mut scratch.slow_power);
-    let spec_slow = detector_spectrum(planner, &mut scratch.fft, slow, slow_power);
+    let spec_slow = detector_spectrum(&mut scratch.planner, slow, slow_power);
     let verdict = compare_spectra(&spec_fast, &spec_slow, cfg, &mut scratch.bands);
     scratch.fast_power = spec_fast.into_power();
     scratch.slow_power = spec_slow.into_power();

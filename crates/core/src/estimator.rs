@@ -22,7 +22,7 @@
 //!   `N/2` — you cannot learn more from a length-`N` trace.
 
 use serde::{Deserialize, Serialize};
-use sweetspot_dsp::fft::{FftPlanner, FftScratch};
+use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_dsp::psd::{periodogram_into, PsdConfig};
 use sweetspot_dsp::spectrum::{EnergyCapture, Spectrum};
 use sweetspot_dsp::window::Window;
@@ -91,19 +91,20 @@ impl NyquistEstimate {
     }
 }
 
-/// Reusable working storage for [`NyquistEstimator`]: the FFT scratch the
-/// periodogram transforms in, plus the recycled one-sided power buffer it
-/// writes (handed to `Spectrum` per estimate and reclaimed with
-/// `Spectrum::into_power` afterwards). The periodogram keeps no copy of the
-/// trace or of its complex spectrum, so these are all the buffers an
-/// estimate needs.
+/// Reusable working storage for [`NyquistEstimator`]: the FFT planner the
+/// periodogram transforms in (its cached tables and working buffers), plus
+/// the recycled one-sided power buffer it writes (handed to `Spectrum` per
+/// estimate and reclaimed with `Spectrum::into_power` afterwards). The
+/// periodogram keeps no copy of the trace or of its complex spectrum, so
+/// these are all the buffers an estimate needs.
 ///
 /// Callers lend one to [`NyquistEstimator::estimate_samples`]; a loop keeps
-/// one for all its estimates, and the fleet engine keeps one per worker for
-/// 10⁵ member estimators. Contents never influence results.
-#[derive(Debug, Default)]
+/// one for all its estimates, so repeated estimates over equal-length
+/// traces reuse twiddle and window tables and the steady state performs no
+/// heap allocations. Contents never influence results.
+#[derive(Default)]
 pub struct EstimatorScratch {
-    fft: FftScratch,
+    planner: FftPlanner,
     power: Vec<f64>,
 }
 
@@ -113,19 +114,17 @@ impl EstimatorScratch {
         Self::default()
     }
 
-    /// Heap bytes the scratch currently holds (capacities, not lengths).
-    pub fn resident_bytes(&self) -> usize {
-        self.fft.resident_bytes() + self.power.capacity() * std::mem::size_of::<f64>()
+    /// The planner the estimates transform through, for its table
+    /// accounting ([`FftPlanner::table_build_time`]).
+    pub fn planner(&self) -> &FftPlanner {
+        &self.planner
     }
 }
 
-/// The estimator: a configuration plus an [`FftPlanner`], so repeated
-/// estimates over equal-length traces reuse twiddle and window tables. With
-/// a lent [`EstimatorScratch`] the steady-state loop performs no heap
-/// allocations per trace. Create one per worker thread.
+/// The estimator: the §3.2 threshold under a [`NyquistConfig`]. It holds
+/// no tables or buffers; every estimate borrows an [`EstimatorScratch`].
 pub struct NyquistEstimator {
     config: NyquistConfig,
-    planner: FftPlanner,
 }
 
 impl NyquistEstimator {
@@ -137,23 +136,12 @@ impl NyquistEstimator {
     /// # Panics
     /// Panics unless `0 < energy_cutoff <= 1`.
     pub fn new(config: NyquistConfig) -> Self {
-        Self::with_planner(config, FftPlanner::new())
-    }
-
-    /// [`NyquistEstimator::new`] around a caller-supplied planner — pass a
-    /// clone of a shared planner so a fleet of per-device estimators holds
-    /// every FFT/window table once instead of once per device (plan tables
-    /// are pure data; sharing never changes results).
-    ///
-    /// # Panics
-    /// Panics unless `0 < energy_cutoff <= 1`.
-    pub fn with_planner(config: NyquistConfig, planner: FftPlanner) -> Self {
         assert!(
             config.energy_cutoff > 0.0 && config.energy_cutoff <= 1.0,
             "energy_cutoff must be in (0, 1], got {}",
             config.energy_cutoff
         );
-        NyquistEstimator { config, planner }
+        NyquistEstimator { config }
     }
 
     /// Estimator with [`NyquistConfig::default`]: the paper's 99% cutoff on
@@ -168,19 +156,6 @@ impl NyquistEstimator {
         &self.config
     }
 
-    /// The estimator's FFT planner, for sharing its cached tables with
-    /// sibling analyses on the same thread (e.g. the §4.1 dual-rate
-    /// detector inside the adaptive controller).
-    pub fn planner_mut(&mut self) -> &mut FftPlanner {
-        &mut self.planner
-    }
-
-    /// Read-only view of the planner, for handle-level statistics
-    /// ([`FftPlanner::handle_stats`]) without taking a mutable borrow.
-    pub fn planner(&self) -> &FftPlanner {
-        &self.planner
-    }
-
     /// Estimates the Nyquist rate of raw samples taken at `sample_rate`,
     /// through caller-lent working storage: the detrended periodogram under
     /// the configured window, then [`NyquistEstimator::estimate_spectrum`].
@@ -189,7 +164,7 @@ impl NyquistEstimator {
     /// Panics if `samples` has fewer than [`NyquistEstimator::MIN_SAMPLES`]
     /// points or `sample_rate` is not positive.
     pub fn estimate_samples(
-        &mut self,
+        &self,
         scratch: &mut EstimatorScratch,
         samples: &[f64],
         sample_rate: Hertz,
@@ -203,8 +178,7 @@ impl NyquistEstimator {
         assert!(sample_rate.value() > 0.0, "sample_rate must be positive");
         let mut power = std::mem::take(&mut scratch.power);
         periodogram_into(
-            &mut self.planner,
-            &mut scratch.fft,
+            &mut scratch.planner,
             samples,
             PsdConfig {
                 window: self.config.window,
@@ -250,7 +224,7 @@ impl NyquistEstimator {
     /// Estimates the Nyquist rate of a regular series — the one-shot
     /// convenience: builds throwaway scratch, so loops should hold an
     /// [`EstimatorScratch`] and call [`NyquistEstimator::estimate_samples`].
-    pub fn estimate_series(&mut self, series: &RegularSeries) -> NyquistEstimate {
+    pub fn estimate_series(&self, series: &RegularSeries) -> NyquistEstimate {
         let mut scratch = EstimatorScratch::new();
         self.estimate_samples(&mut scratch, series.values(), series.sample_rate())
     }
@@ -277,7 +251,7 @@ mod tests {
 
     #[test]
     fn pure_tone_yields_twice_its_frequency() {
-        let mut est = NyquistEstimator::paper_defaults();
+        let est = NyquistEstimator::paper_defaults();
         // 0.01 Hz tone sampled at 1 Hz for 1000 s: bin resolution 0.001 Hz.
         let s = tone_series(1000, 1.0, &[(0.01, 1.0)], 0.0);
         match est.estimate_series(&s) {
@@ -290,7 +264,7 @@ mod tests {
 
     #[test]
     fn two_tones_yield_twice_the_higher() {
-        let mut est = NyquistEstimator::paper_defaults();
+        let est = NyquistEstimator::paper_defaults();
         let s = tone_series(2000, 1.0, &[(0.01, 1.0), (0.05, 0.8)], 0.0);
         let rate = est.estimate_series(&s).rate().unwrap().value();
         assert!((rate - 0.1).abs() < 0.01, "rate {rate}");
@@ -298,7 +272,7 @@ mod tests {
 
     #[test]
     fn weak_high_tone_below_one_percent_is_ignored() {
-        let mut est = NyquistEstimator::paper_defaults();
+        let est = NyquistEstimator::paper_defaults();
         // Second tone carries (0.05)²/2 / ((1² + 0.05²)/2) ≈ 0.25% of energy —
         // under the 1% the cutoff discards (this is the noise-robustness the
         // paper designed the 99% threshold for).
@@ -309,7 +283,7 @@ mod tests {
 
     #[test]
     fn higher_cutoff_keeps_the_weak_tone() {
-        let mut est = NyquistEstimator::new(NyquistConfig {
+        let est = NyquistEstimator::new(NyquistConfig {
             energy_cutoff: 0.9999,
             ..NyquistConfig::default()
         });
@@ -323,7 +297,7 @@ mod tests {
         let s = tone_series(1500, 1.0, &[(0.01, 1.0), (0.07, 0.3), (0.21, 0.1)], 10.0);
         let mut prev = 0.0;
         for cutoff in [0.9, 0.99, 0.999, 0.9999] {
-            let mut est = NyquistEstimator::new(NyquistConfig {
+            let est = NyquistEstimator::new(NyquistConfig {
                 energy_cutoff: cutoff,
                 ..NyquistConfig::default()
             });
@@ -335,7 +309,7 @@ mod tests {
 
     #[test]
     fn dc_heavy_gauge_is_not_mistaken_for_static() {
-        let mut est = NyquistEstimator::paper_defaults();
+        let est = NyquistEstimator::paper_defaults();
         // 50-unit mean dwarfs a 1-unit tone; detrending must still find it.
         let s = tone_series(1000, 1.0, &[(0.05, 1.0)], 50.0);
         let rate = est.estimate_series(&s).rate().unwrap().value();
@@ -344,7 +318,7 @@ mod tests {
 
     #[test]
     fn constant_signal_floors_to_resolution() {
-        let mut est = NyquistEstimator::paper_defaults();
+        let est = NyquistEstimator::paper_defaults();
         let s = RegularSeries::new(Seconds::ZERO, Seconds(1.0), vec![5.0; 1000]);
         let rate = est.estimate_series(&s).rate().unwrap().value();
         assert!((rate - 0.002).abs() < 1e-12, "rate {rate}"); // 2 × (1/1000)
@@ -352,7 +326,7 @@ mod tests {
 
     #[test]
     fn white_noise_is_reported_aliased() {
-        let mut est = NyquistEstimator::paper_defaults();
+        let est = NyquistEstimator::paper_defaults();
         // White noise spreads energy across all bins ~uniformly: reaching
         // 99% requires ~99% of bins — including the last one.
         let mut state = 0x12345678u64;
@@ -374,7 +348,7 @@ mod tests {
         // to 0.05 Hz. The estimator *cannot* see this from the slow trace
         // alone — it reports a (wrong) low rate, which is exactly why §4.1
         // needs the dual-rate detector.
-        let mut est = NyquistEstimator::paper_defaults();
+        let est = NyquistEstimator::paper_defaults();
         let fs = 0.5;
         let s = tone_series(500, fs, &[(0.45, 1.0)], 0.0);
         let rate = est.estimate_series(&s).rate().unwrap().value();
@@ -383,7 +357,7 @@ mod tests {
 
     #[test]
     fn estimate_never_exceeds_sampling_rate() {
-        let mut est = NyquistEstimator::paper_defaults();
+        let est = NyquistEstimator::paper_defaults();
         for n in [64usize, 500, 1001] {
             let s = tone_series(n, 2.0, &[(0.9, 1.0), (0.3, 0.5)], 3.0);
             if let NyquistEstimate::Rate(r) = est.estimate_series(&s) {
@@ -395,7 +369,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 4 samples")]
     fn tiny_trace_panics() {
-        let mut est = NyquistEstimator::paper_defaults();
+        let est = NyquistEstimator::paper_defaults();
         est.estimate_samples(&mut EstimatorScratch::new(), &[1.0, 2.0], Hertz(1.0));
     }
 

@@ -112,7 +112,7 @@ pub fn recommend(series: &RegularSeries, cfg: RecommendConfig) -> Recommendation
     assert!(cfg.headroom >= 1.0, "headroom must be ≥ 1");
     assert!(cfg.min_change_factor >= 1.0, "min_change_factor must be ≥ 1");
     let current = series.sample_rate();
-    let mut estimator = NyquistEstimator::new(cfg.estimator);
+    let estimator = NyquistEstimator::new(cfg.estimator);
     match estimator.estimate_series(series) {
         NyquistEstimate::Aliased => Recommendation {
             current_rate: current,

@@ -58,7 +58,7 @@ pub struct TrackedPoint {
 ///
 /// Windows shorter than [`NyquistEstimator::MIN_SAMPLES`] are skipped.
 pub fn track(series: &RegularSeries, cfg: TrackerConfig) -> Vec<TrackedPoint> {
-    let mut estimator = NyquistEstimator::new(cfg.estimator);
+    let estimator = NyquistEstimator::new(cfg.estimator);
     let mut scratch = EstimatorScratch::new();
     let rate = series.sample_rate();
     moving_windows(series, cfg.window, cfg.step)

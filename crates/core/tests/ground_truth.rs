@@ -20,7 +20,7 @@ fn temperature_device(idx: usize) -> DeviceTrace {
 
 #[test]
 fn estimator_bounded_by_true_nyquist_on_ground_truth() {
-    let mut est = NyquistEstimator::new(NyquistConfig::default());
+    let est = NyquistEstimator::new(NyquistConfig::default());
     let mut checked = 0;
     for idx in 0..20 {
         let dev = temperature_device(idx);
@@ -55,7 +55,7 @@ fn estimator_bounded_by_true_nyquist_on_ground_truth() {
 
 #[test]
 fn reconstruction_at_estimated_rate_is_faithful() {
-    let mut est = NyquistEstimator::new(NyquistConfig::default());
+    let est = NyquistEstimator::new(NyquistConfig::default());
     let mut planner = FftPlanner::new();
     for idx in 0..6 {
         let dev = temperature_device(idx);
@@ -140,7 +140,7 @@ fn production_traces_of_undersampled_devices_alias() {
     // aliasing or report a (folded) rate at/near the sampling rate — it can
     // never report the true rate, which is what motivates §4.1.
     let profile = MetricProfile::for_kind(MetricKind::LinkUtil);
-    let mut est = NyquistEstimator::new(NyquistConfig::default());
+    let est = NyquistEstimator::new(NyquistConfig::default());
     for idx in 0..60 {
         let dev = DeviceTrace::synthesize(profile, idx, 0xA11A5);
         if !dev.is_undersampled_at_production_rate() {

@@ -64,7 +64,7 @@ proptest! {
 
     #[test]
     fn estimate_never_exceeds_sampling_rate(tones in tones_strategy()) {
-        let mut est = NyquistEstimator::new(NyquistConfig::default());
+        let est = NyquistEstimator::new(NyquistConfig::default());
         let s = series_of(&tones, 1024);
         if let NyquistEstimate::Rate(r) = est.estimate_series(&s) {
             prop_assert!(r.value() <= 1.0 + 1e-9);
@@ -80,7 +80,7 @@ proptest! {
         let mut prev = 0.0;
         let mut prev_aliased = false;
         for cutoff in [0.9, 0.99, 0.999, 0.9999] {
-            let mut est = NyquistEstimator::new(NyquistConfig {
+            let est = NyquistEstimator::new(NyquistConfig {
                 energy_cutoff: cutoff,
                 ..NyquistConfig::default()
             });
@@ -102,7 +102,7 @@ proptest! {
         tones in tones_strategy(),
         scale in 0.1f64..100.0,
     ) {
-        let mut est = NyquistEstimator::new(NyquistConfig::default());
+        let est = NyquistEstimator::new(NyquistConfig::default());
         let s = series_of(&tones, 1024);
         let scaled = RegularSeries::new(
             Seconds::ZERO,
@@ -125,7 +125,7 @@ proptest! {
         tones in tones_strategy(),
         offset in -1e4f64..1e4,
     ) {
-        let mut est = NyquistEstimator::new(NyquistConfig::default());
+        let est = NyquistEstimator::new(NyquistConfig::default());
         let s = series_of(&tones, 1024);
         let shifted = RegularSeries::new(
             Seconds::ZERO,
@@ -173,13 +173,12 @@ proptest! {
         tones in tones_strategy(),
         lens in prop::collection::vec((0usize..3, 0usize..6), 2..8),
     ) {
-        // One estimator scratch, and one detector scratch plus planner, held
-        // across a random sequence of trace lengths — as `track`, the study
-        // workers and the fleet workers hold theirs — must give bit for bit
-        // what a fresh scratch gives every call.
-        let mut est = NyquistEstimator::new(NyquistConfig::default());
+        // One estimator scratch and one detector scratch, held across a
+        // random sequence of trace lengths — as `track`, the study workers
+        // and the fleet workers hold theirs — must give bit for bit what a
+        // fresh scratch gives every call.
+        let est = NyquistEstimator::new(NyquistConfig::default());
         let mut est_scratch = EstimatorScratch::new();
-        let mut planner = FftPlanner::new();
         let mut detect = DetectScratch::new();
         let slow_rate = companion_rate(Hertz(1.0)).value();
         for (kind, k) in lens {
@@ -195,7 +194,7 @@ proptest! {
 
             let slow = sampled_at(&tones, slow_rate, (n as f64 * slow_rate) as usize);
             let cfg = DualRateConfig::default();
-            let reused = detect_aliasing_scratch(&mut planner, &mut detect, &fast, &slow, cfg);
+            let reused = detect_aliasing_scratch(&mut detect, &fast, &slow, cfg);
             let fresh = detect_aliasing(&fast, &slow, cfg);
             prop_assert_eq!(
                 verdict_bits(&reused),

@@ -18,12 +18,11 @@
 //! [`FftPlanner`] caches twiddle tables, Bluestein chirps, real-transform
 //! plans and window-coefficient tables per length, so repeated
 //! transforms of the same size (the common case when scanning a fleet of
-//! equally-long traces) pay the setup cost once. The whole table cache lives
-//! behind `Arc<Mutex<…>>`: a planner is `Send`, and [`FftPlanner::clone`]
-//! shares **one mutable cache** between the clones, so a fleet of 10⁵
-//! per-device analyzers on one worker holds every distinct plan once instead
-//! of once per device — tables are pure data and never influence results,
-//! only memory and setup time.
+//! equally-long traces) pay the setup cost once. A planner has one owner
+//! and is lent to each transform: a fleet worker keeps one for all the
+//! devices it steps, so each worker holds every distinct plan once, and
+//! tables are pure data that never influence results, only memory and
+//! setup time.
 //!
 //! By default the cache is unbounded — fine for workloads that revisit a
 //! handful of lengths. Fleet-scale workloads that sweep *many* distinct
@@ -42,14 +41,14 @@
 //! [`FftPlanner::table_build_time`] reports the wall time the cache has
 //! spent building.
 //!
-//! A planner holds tables, never working buffers: every transform borrows
-//! a caller-lent [`FftScratch`], and the `*_into` methods write into
-//! caller-owned outputs. Once those buffers have warmed up, steady-state
-//! transforms of previously seen lengths perform **no heap allocations** —
-//! the property the periodogram pipeline in [`crate::psd`] relies on. Every
-//! forward real transform runs one kernel that maps each sample as it
-//! loads it and hands each bin to a sink as it emits it, which is how the
-//! periodogram detrends, windows and squares without a copy.
+//! A planner also owns the working buffers its transforms run in, and the
+//! `*_into` methods write into caller-owned outputs. Once those buffers
+//! have warmed up, steady-state transforms of previously seen lengths
+//! perform **no heap allocations** — the property the periodogram
+//! pipeline in [`crate::psd`] relies on. Every forward real transform
+//! runs one kernel that maps each sample as it loads it and hands each
+//! bin to a sink as it emits it, which is how the periodogram detrends,
+//! windows and squares without a copy.
 //!
 //! Conventions: the forward transform is **unnormalized**
 //! (`X_k = Σ x_n e^{−2πi nk/N}`); the inverse scales by `1/N`, so
@@ -60,7 +59,7 @@ use crate::window::{Window, WindowTable};
 use std::collections::HashMap;
 use std::f64::consts::PI;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sweetspot_obs::Counter;
@@ -76,34 +75,16 @@ pub fn one_sided_len(n: usize) -> usize {
     }
 }
 
-/// Name of the algorithm a complex transform of length `n` runs: `"mixed"`
-/// for lengths with no prime factor above 5 (powers of two included),
-/// `"bluestein"` for the rest, and `"none"` for `n < 2`, which every
-/// transform returns unchanged without building a plan. A real transform of
-/// even length `n` runs the complex plan of `n/2`; one of odd length `n`
-/// runs `"mixed"` at `n`, or a one-sided Bluestein when this says
-/// `"bluestein"`.
-pub fn plan_kind(n: usize) -> &'static str {
-    match n {
-        0 | 1 => "none",
-        _ if is_smooth(n) => "mixed",
-        _ => "bluestein",
-    }
-}
-
-/// Reusable scratch space for the planner's transforms.
+/// The working buffers a planner's transforms run in. All grow on demand
+/// and are reused across calls, so steady state allocates nothing;
+/// contents never influence results.
 ///
-/// Callers lend one to every transform; a loop keeps one and passes it each
-/// iteration. All buffers grow on demand and are reused across calls —
-/// steady state allocates nothing. Contents never influence results.
-///
-/// It is all the working storage a periodogram
-/// ([`crate::psd::periodogram_into`]) needs: the real transform loads the
-/// detrended, windowed samples straight into its input buffer and emits
-/// each bin's power straight to the caller, so an even length `n` holds two
-/// `n/2`-point complex buffers (`half` and `work`) and nothing else.
+/// A periodogram ([`crate::psd::periodogram_into`]) needs nothing else:
+/// the real transform loads the detrended, windowed samples straight into
+/// `half` and emits each bin's power straight to the caller, so an even
+/// length `n` fills two `n/2`-point complex buffers (`half` and `work`).
 #[derive(Debug, Default)]
-pub struct FftScratch {
+struct Buffers {
     /// The Bluestein convolution: the chirp-weighted input, zero-padded to
     /// the convolution length.
     conv: Vec<Complex64>,
@@ -118,15 +99,9 @@ pub struct FftScratch {
     full: Vec<Complex64>,
 }
 
-impl FftScratch {
-    /// Creates empty scratch space; buffers grow on first use.
-    pub fn new() -> Self {
-        FftScratch::default()
-    }
-
-    /// Heap bytes the scratch currently holds (capacities, not lengths) —
-    /// the per-worker memory-footprint accounting of the fleet engine.
-    pub fn resident_bytes(&self) -> usize {
+impl Buffers {
+    /// Heap bytes the buffers hold (capacities, not lengths).
+    fn bytes(&self) -> usize {
         (self.conv.capacity() + self.work.capacity() + self.half.capacity() + self.full.capacity())
             * std::mem::size_of::<Complex64>()
     }
@@ -600,12 +575,12 @@ impl PackedReal {
         input: &[f64],
         map: impl Fn(usize, f64) -> f64,
         mut sink: impl FnMut(usize, Complex64),
-        scratch: &mut FftScratch,
+        buffers: &mut Buffers,
     ) {
         let n = self.n;
         let m = n / 2;
         debug_assert_eq!(input.len(), n);
-        let FftScratch { conv, work, half, .. } = scratch;
+        let Buffers { conv, work, half, .. } = buffers;
         half.clear();
         let pairs = input.chunks_exact(2).enumerate();
         half.extend(pairs.map(|(j, p)| Complex64::new(map(2 * j, p[0]), map(2 * j + 1, p[1]))));
@@ -638,11 +613,11 @@ impl PackedReal {
 
     /// Inverse: the length-`n` real signal whose one-sided spectrum is
     /// `spectrum`, scaled by `1/n` so it exactly undoes [`PackedReal::fft`].
-    fn ifft(&self, spectrum: &[Complex64], out: &mut Vec<f64>, scratch: &mut FftScratch) {
+    fn ifft(&self, spectrum: &[Complex64], out: &mut Vec<f64>, buffers: &mut Buffers) {
         let n = self.n;
         let m = n / 2;
         debug_assert_eq!(spectrum.len(), m + 1);
-        let FftScratch { conv, work, half, .. } = scratch;
+        let Buffers { conv, work, half, .. } = buffers;
         half.clear();
         half.reserve(m);
         for (k, w) in self.twiddles.iter().enumerate().take(m) {
@@ -690,19 +665,19 @@ impl RealPlan {
         input: &[f64],
         map: impl Fn(usize, f64) -> f64,
         mut sink: impl FnMut(usize, Complex64),
-        scratch: &mut FftScratch,
+        buffers: &mut Buffers,
     ) {
         match self {
-            RealPlan::Packed(p) => p.fft(input, map, sink, scratch),
+            RealPlan::Packed(p) => p.fft(input, map, sink, buffers),
             RealPlan::OneSided(p) => {
-                p.fft_real(input, map, sink, &mut scratch.conv, &mut scratch.work)
+                p.fft_real(input, map, sink, &mut buffers.conv, &mut buffers.work)
             }
             RealPlan::Promoted(p) => {
-                let full = &mut scratch.full;
+                let full = &mut buffers.full;
                 full.clear();
                 let samples = input.iter().enumerate();
                 full.extend(samples.map(|(i, &x)| Complex64::from_real(map(i, x))));
-                p.fft(full, &mut scratch.work);
+                p.fft(full, &mut buffers.work);
                 for (k, &c) in full[..one_sided_len(input.len())].iter().enumerate() {
                     sink(k, c);
                 }
@@ -722,56 +697,48 @@ impl RealPlan {
 
 /// Caching FFT planner — the per-thread spectral context.
 ///
-/// Create once and reuse: tables are computed lazily per length and cached
-/// behind [`Arc`]. The planner is `Send`, and [`Clone`] shares the cached
-/// tables (cheap `Arc` bumps), so fleet-study workers can start from a
-/// warmed planner. Working buffers are lent per call as an [`FftScratch`].
+/// Create once and lend it to every transform: tables are computed lazily
+/// per length and cached, and the working buffers are reused, so repeated
+/// transforms pay neither again. A planner has one owner (a loop, or a
+/// fleet worker stepping many devices in turn) and is `Send`, so a worker
+/// thread can take one along.
 ///
 /// ```
-/// use sweetspot_dsp::fft::{FftPlanner, FftScratch};
+/// use sweetspot_dsp::fft::FftPlanner;
 /// use sweetspot_dsp::Complex64;
 ///
 /// let mut p = FftPlanner::new();
-/// let mut scratch = FftScratch::new();
 /// // Arbitrary (non-power-of-two) lengths are fine:
 /// let mut buf = vec![Complex64::ONE; 12];
-/// p.fft_in_place(&mut buf, &mut scratch);
+/// p.fft_in_place(&mut buf);
 /// assert!((buf[0].re - 12.0).abs() < 1e-9); // DC bin = Σ x_n
 /// ```
+#[derive(Default)]
 pub struct FftPlanner {
-    /// The shared, lazily grown table cache. One lock acquisition per plan
-    /// lookup — uncontended in the per-worker usage pattern (clones that
-    /// share a cache are stepped by one thread at a time), and a rounding
-    /// error next to the transform it precedes.
-    tables: Arc<Mutex<PlanTables>>,
-    /// This handle's own lookup/hit/miss counts (see [`FftHandleStats`]).
-    handle_stats: FftHandleStats,
-    /// Sorted transform lengths this handle has requested, split by plan
-    /// kind (a length-`n` complex plan and a length-`n` real plan are
-    /// different tables). A handful of entries per handle in practice —
-    /// settled controllers revisit the same lengths, so steady state never
-    /// inserts (and never allocates).
-    seen_complex: Vec<usize>,
-    seen_real: Vec<usize>,
+    /// The lazily grown table cache.
+    tables: PlanTables,
+    /// The transforms' working storage.
+    buffers: Buffers,
 }
 
-/// Plan-request statistics of one planner *handle* (one clone).
+/// Plan-request statistics of one analysis: each transform of length `n`
+/// is one request, a *miss* the first request of that length and a *hit*
+/// every later one.
 ///
-/// Counted at the handle, not the shared cache, deliberately: the shared
-/// cache's hit pattern depends on which other clones share it — i.e. on the
-/// worker-shard topology — while a handle's request sequence is a pure
-/// function of the signal it analyzes. Summing handle stats over members in
-/// device order therefore gives the same totals for any `--threads N`, which
-/// is what lets them ride in the deterministic metrics snapshot. A "miss"
-/// here means *first request of that length by this handle*, whether or not
-/// the shared cache already held the table (warmed by a sibling) or has
-/// since evicted it.
+/// Counted per requester, not per table cache, deliberately: a cache's hit
+/// pattern depends on which requesters share it — i.e. on the worker-shard
+/// topology — while one requester's sequence of lengths is a pure function
+/// of the signal it analyzes. The §4.2 controller keeps these for its two
+/// periodograms (`AdaptiveSampler::fft_handle_stats`), so summing them over
+/// a fleet in device order gives the same totals for any `--threads N`,
+/// which is what lets them ride in the deterministic metrics snapshot. A
+/// miss says nothing about whether the worker's cache already held the
+/// table or has since evicted it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FftHandleStats {
-    /// Requests for a length this handle had already requested.
+    /// Requests for a length already requested.
     pub hits: Counter,
-    /// First-time lengths (each implies table construction unless a sibling
-    /// handle already built it).
+    /// First-time lengths.
     pub misses: Counter,
 }
 
@@ -782,7 +749,7 @@ impl FftHandleStats {
         self.hits.get() + self.misses.get()
     }
 
-    /// Folds another handle's counts into this one.
+    /// Folds another requester's counts into this one.
     pub fn merge(&mut self, other: &FftHandleStats) {
         self.hits.merge(other.hits);
         self.misses.merge(other.misses);
@@ -813,7 +780,7 @@ enum Victim {
     Window(Window, usize),
 }
 
-/// Every cached table, grouped so one lock guards them all.
+/// Every cached table, with the cache's byte budget and build clock.
 ///
 /// With `budget: Some(bytes)` the cache evicts least-recently-used tables
 /// whenever `resident` exceeds the budget; nested tables (a Bluestein plan's
@@ -977,75 +944,10 @@ impl PlanTables {
     }
 }
 
-impl Default for FftPlanner {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clone for FftPlanner {
-    /// Shares the table cache — past *and future* plans — with the clone;
-    /// the clone gets fresh handle statistics (a clone's request history is
-    /// its own). A fleet of per-device analyzers built from clones of one
-    /// planner therefore holds every distinct plan exactly once.
-    fn clone(&self) -> Self {
-        FftPlanner::sharing(Arc::clone(&self.tables))
-    }
-}
-
 impl FftPlanner {
-    /// Creates an empty planner (with its own fresh table cache — use
-    /// [`Clone`] to share a cache).
+    /// Creates a planner with an empty table cache and empty buffers.
     pub fn new() -> Self {
-        FftPlanner::sharing(Arc::new(Mutex::new(PlanTables::default())))
-    }
-
-    /// A handle on `tables` with an empty request history.
-    fn sharing(tables: Arc<Mutex<PlanTables>>) -> Self {
-        FftPlanner {
-            tables,
-            handle_stats: FftHandleStats::default(),
-            seen_complex: Vec::new(),
-            seen_real: Vec::new(),
-        }
-    }
-
-    /// Counts one plan request against this handle: a hit when `len` was
-    /// requested before (by this handle), a first-sight miss otherwise.
-    fn note_lookup(stats: &mut FftHandleStats, seen: &mut Vec<usize>, len: usize) {
-        match seen.binary_search(&len) {
-            Ok(_) => stats.hits.inc(),
-            Err(i) => {
-                stats.misses.inc();
-                seen.insert(i, len);
-            }
-        }
-    }
-
-    fn plan(&mut self, len: usize) -> Plan {
-        Self::note_lookup(&mut self.handle_stats, &mut self.seen_complex, len);
-        self.tables.lock().expect("fft plan cache poisoned").plan(len)
-    }
-
-    fn real_plan(&mut self, n: usize) -> Arc<RealPlan> {
-        Self::note_lookup(&mut self.handle_stats, &mut self.seen_real, n);
-        self.tables
-            .lock()
-            .expect("fft plan cache poisoned")
-            .real_plan(n)
-    }
-
-    /// This handle's own plan-request counts (lookups/hits/misses). See
-    /// [`FftHandleStats`] for why these are per-clone, not per-cache.
-    pub fn handle_stats(&self) -> FftHandleStats {
-        self.handle_stats
-    }
-
-    /// Heap bytes this handle holds of its own: the capacity of its lists
-    /// of requested lengths, one `usize` per first-seen length. The shared
-    /// tables are [`FftPlanner::table_bytes`].
-    pub fn handle_bytes(&self) -> usize {
-        (self.seen_complex.capacity() + self.seen_real.capacity()) * std::mem::size_of::<usize>()
+        FftPlanner::default()
     }
 
     /// The cached coefficient table for `window` at length `n`.
@@ -1053,52 +955,53 @@ impl FftPlanner {
     /// Built once per `(window, n)`; spectral estimators multiply by the
     /// table instead of re-evaluating trig per sample per segment.
     pub fn window_table(&mut self, window: Window, n: usize) -> Arc<WindowTable> {
-        self.tables
-            .lock()
-            .expect("fft plan cache poisoned")
-            .window_table(window, n)
+        self.tables.window_table(window, n)
     }
 
-    /// Caps the shared table cache at `budget` bytes (`None` removes the
-    /// cap, the default). Once over budget the cache evicts
-    /// least-recently-used tables; tables are pure functions of their
-    /// length, so eviction never changes any result — a re-requested length
-    /// rebuilds the identical table and pays only setup time. The cap
-    /// applies to every clone sharing this cache.
-    pub fn set_table_budget(&self, budget: Option<usize>) {
-        let mut tables = self.tables.lock().expect("fft plan cache poisoned");
-        tables.budget = budget;
-        tables.enforce_budget();
+    /// Caps the table cache at `budget` bytes (`None` removes the cap, the
+    /// default). Once over budget the cache evicts least-recently-used
+    /// tables; tables are pure functions of their length, so eviction never
+    /// changes any result — a re-requested length rebuilds the identical
+    /// table and pays only setup time.
+    pub fn set_table_budget(&mut self, budget: Option<usize>) {
+        self.tables.budget = budget;
+        self.tables.enforce_budget();
     }
 
-    /// Heap bytes the shared table cache currently holds.
+    /// Heap bytes the table cache currently holds.
     pub fn table_bytes(&self) -> usize {
-        self.tables.lock().expect("fft plan cache poisoned").resident
+        self.tables.resident
     }
 
-    /// Wall time the shared table cache has spent building tables —
-    /// twiddles, chirps, convolution kernels and window coefficients — over
-    /// every clone sharing it, each nested build counted once. Wall scope,
-    /// for `--timing` reports only: it varies run to run and never feeds a
-    /// result.
+    /// Heap bytes the working buffers hold (capacities, not lengths) — the
+    /// per-worker scratch of the fleet engine's memory accounting, which
+    /// counts the tables apart ([`FftPlanner::table_bytes`]).
+    pub fn buffer_bytes(&self) -> usize {
+        self.buffers.bytes()
+    }
+
+    /// Wall time the table cache has spent building tables — twiddles,
+    /// chirps, convolution kernels and window coefficients — each nested
+    /// build counted once. Wall scope, for `--timing` reports only: it
+    /// varies run to run and never feeds a result.
     pub fn table_build_time(&self) -> Duration {
-        self.tables.lock().expect("fft plan cache poisoned").build_time
+        self.tables.build_time
     }
 
     /// Forward DFT, in place, unnormalized. Any length (including 0 and 1,
     /// which are no-ops).
-    pub fn fft_in_place(&mut self, buf: &mut [Complex64], scratch: &mut FftScratch) {
+    pub fn fft_in_place(&mut self, buf: &mut [Complex64]) {
         let n = buf.len();
         if n <= 1 {
             return;
         }
-        let plan = self.plan(n);
-        plan.fft(buf, &mut scratch.conv, &mut scratch.work);
+        let plan = self.tables.plan(n);
+        plan.fft(buf, &mut self.buffers.conv, &mut self.buffers.work);
     }
 
     /// Inverse DFT, in place, scaled by `1/N` so it exactly undoes
     /// [`fft_in_place`](FftPlanner::fft_in_place).
-    pub fn ifft_in_place(&mut self, buf: &mut [Complex64], scratch: &mut FftScratch) {
+    pub fn ifft_in_place(&mut self, buf: &mut [Complex64]) {
         let n = buf.len();
         if n <= 1 {
             return;
@@ -1106,7 +1009,7 @@ impl FftPlanner {
         for x in buf.iter_mut() {
             *x = x.conj();
         }
-        self.fft_in_place(buf, scratch);
+        self.fft_in_place(buf);
         let scale = 1.0 / n as f64;
         for x in buf.iter_mut() {
             *x = x.conj().scale(scale);
@@ -1115,21 +1018,16 @@ impl FftPlanner {
 
     /// Forward DFT of a real signal into `out` as a **one-sided** spectrum:
     /// bins `0..=n/2` ([`one_sided_len`] entries; the mirror half is implied
-    /// by conjugate symmetry). Steady state allocates nothing once `out` and
-    /// `scratch` have capacity.
+    /// by conjugate symmetry). Steady state allocates nothing once `out`
+    /// and the planner's buffers have capacity.
     ///
     /// Even lengths take the packed fast path (one `n/2` complex FFT); odd
     /// lengths run a one-sided Bluestein, or the full mixed-radix transform
     /// when `n` has no prime factor above 5.
-    pub fn fft_real_into(
-        &mut self,
-        input: &[f64],
-        out: &mut Vec<Complex64>,
-        scratch: &mut FftScratch,
-    ) {
+    pub fn fft_real_into(&mut self, input: &[f64], out: &mut Vec<Complex64>) {
         out.clear();
         out.resize(one_sided_len(input.len()), Complex64::ZERO);
-        self.fft_real_with(input, |_, x| x, |k, c| out[k] = c, scratch);
+        self.fft_real_with(input, |_, x| x, |k, c| out[k] = c);
     }
 
     /// The kernel behind every forward real transform: the one-sided
@@ -1146,12 +1044,14 @@ impl FftPlanner {
         input: &[f64],
         map: impl Fn(usize, f64) -> f64,
         mut sink: impl FnMut(usize, Complex64),
-        scratch: &mut FftScratch,
     ) {
         match input {
             [] => {}
             [x] => sink(0, Complex64::from_real(map(0, *x))),
-            _ => self.real_plan(input.len()).fft(input, map, sink, scratch),
+            _ => {
+                let plan = self.tables.real_plan(input.len());
+                plan.fft(input, map, sink, &mut self.buffers)
+            }
         }
     }
 
@@ -1161,13 +1061,7 @@ impl FftPlanner {
     ///
     /// # Panics
     /// Panics if `spectrum.len() != one_sided_len(n)`.
-    pub fn ifft_real_into(
-        &mut self,
-        spectrum: &[Complex64],
-        n: usize,
-        out: &mut Vec<f64>,
-        scratch: &mut FftScratch,
-    ) {
+    pub fn ifft_real_into(&mut self, spectrum: &[Complex64], n: usize, out: &mut Vec<f64>) {
         assert_eq!(
             spectrum.len(),
             one_sided_len(n),
@@ -1179,16 +1073,16 @@ impl FftPlanner {
             0 => {}
             1 => out.push(spectrum[0].re),
             _ if n.is_multiple_of(2) => {
-                let RealPlan::Packed(plan) = &*self.real_plan(n) else {
+                let RealPlan::Packed(plan) = &*self.tables.real_plan(n) else {
                     unreachable!("even lengths get packed real plans")
                 };
-                plan.ifft(spectrum, out, scratch);
+                plan.ifft(spectrum, out, &mut self.buffers);
             }
             _ => {
                 // Odd length: expand to the full spectrum by conjugate
                 // symmetry, then a complex inverse transform.
-                let plan = self.plan(n);
-                let full = &mut scratch.full;
+                let plan = self.tables.plan(n);
+                let Buffers { conv, work, full, .. } = &mut self.buffers;
                 full.clear();
                 full.reserve(n);
                 full.extend_from_slice(spectrum);
@@ -1198,27 +1092,11 @@ impl FftPlanner {
                 for z in full.iter_mut() {
                     *z = z.conj();
                 }
-                plan.fft(full, &mut scratch.conv, &mut scratch.work);
+                plan.fft(full, conv, work);
                 let scale = 1.0 / n as f64;
                 out.extend(full.iter().map(|z| z.re * scale));
             }
         }
-    }
-
-    /// Forward DFT of a real signal; returns all `N` complex bins.
-    ///
-    /// Allocating convenience wrapper with throwaway scratch: runs
-    /// [`fft_real_into`](FftPlanner::fft_real_into) and mirrors the
-    /// one-sided half; prefer that in steady-state loops.
-    pub fn fft_real(&mut self, input: &[f64]) -> Vec<Complex64> {
-        let n = input.len();
-        let mut out = Vec::with_capacity(n);
-        self.fft_real_into(input, &mut out, &mut FftScratch::new());
-        for j in out.len()..n {
-            let c = out[n - j].conj();
-            out.push(c);
-        }
-        out
     }
 }
 
@@ -1249,6 +1127,18 @@ mod tests {
         }
     }
 
+    /// All `n` bins of a real signal's spectrum: the one-sided transform
+    /// plus its conjugate mirror.
+    fn full_spectrum(p: &mut FftPlanner, input: &[f64]) -> Vec<Complex64> {
+        let n = input.len();
+        let mut out = Vec::with_capacity(n);
+        p.fft_real_into(input, &mut out);
+        for j in out.len()..n {
+            out.push(out[n - j].conj());
+        }
+        out
+    }
+
     fn impulse(n: usize) -> Vec<Complex64> {
         let mut v = vec![Complex64::ZERO; n];
         v[0] = Complex64::ONE;
@@ -1257,11 +1147,10 @@ mod tests {
 
     #[test]
     fn impulse_has_flat_spectrum() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in [2usize, 4, 8, 64, 3, 5, 12, 100] {
             let mut buf = impulse(n);
-            p.fft_in_place(&mut buf, &mut scratch);
+            p.fft_in_place(&mut buf);
             for b in &buf {
                 assert!((b.re - 1.0).abs() < 1e-9 && b.im.abs() < 1e-9, "n={n}");
             }
@@ -1270,20 +1159,18 @@ mod tests {
 
     #[test]
     fn matches_naive_dft_pow2() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let input: Vec<Complex64> = (0..16)
             .map(|i| Complex64::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
             .collect();
         let expected = dft_naive(&input);
         let mut buf = input;
-        p.fft_in_place(&mut buf, &mut scratch);
+        p.fft_in_place(&mut buf);
         assert_close(&buf, &expected, 1e-9);
     }
 
     #[test]
     fn matches_naive_dft_arbitrary_lengths() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in [3usize, 5, 6, 7, 9, 11, 15, 17, 31, 50, 101] {
             let input: Vec<Complex64> = (0..n)
@@ -1291,22 +1178,21 @@ mod tests {
                 .collect();
             let expected = dft_naive(&input);
             let mut buf = input;
-            p.fft_in_place(&mut buf, &mut scratch);
+            p.fft_in_place(&mut buf);
             assert_close(&buf, &expected, 1e-8);
         }
     }
 
     #[test]
     fn roundtrip_identity() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in [1usize, 2, 8, 13, 64, 100, 257] {
             let orig: Vec<Complex64> = (0..n)
                 .map(|i| Complex64::new((i as f64).sin(), (i as f64 * 0.5).cos()))
                 .collect();
             let mut buf = orig.clone();
-            p.fft_in_place(&mut buf, &mut scratch);
-            p.ifft_in_place(&mut buf, &mut scratch);
+            p.fft_in_place(&mut buf);
+            p.ifft_in_place(&mut buf);
             assert_close(&buf, &orig, 1e-9);
         }
     }
@@ -1319,7 +1205,7 @@ mod tests {
         let input: Vec<f64> = (0..n)
             .map(|i| (2.0 * PI * k0 as f64 * i as f64 / n as f64).cos())
             .collect();
-        let spec = p.fft_real(&input);
+        let spec = full_spectrum(&mut p, &input);
         // cos splits into bins k0 and n−k0, each with magnitude n/2.
         assert!((spec[k0].norm() - n as f64 / 2.0).abs() < 1e-9);
         assert!((spec[n - k0].norm() - n as f64 / 2.0).abs() < 1e-9);
@@ -1333,9 +1219,11 @@ mod tests {
     #[test]
     fn real_input_spectrum_is_conjugate_symmetric() {
         let mut p = FftPlanner::new();
-        let n = 90; // even but non-pow2: packed rfft over a mixed-radix half
-        let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).sin() + 0.3).collect();
-        let spec = p.fft_real(&input);
+        let n = 90; // even, non-pow2: a mixed-radix plan
+        let mut spec: Vec<Complex64> = (0..n)
+            .map(|i| Complex64::from_real((i as f64 * 0.21).sin() + 0.3))
+            .collect();
+        p.fft_in_place(&mut spec);
         for k in 1..n {
             let a = spec[k];
             let b = spec[n - k].conj();
@@ -1345,18 +1233,17 @@ mod tests {
 
     #[test]
     fn rfft_one_sided_matches_full_complex_fft() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         // Even pow2, mixed-radix-half and Bluestein-half, odd, and tiny
         // lengths.
         for n in [2usize, 4, 8, 64, 256, 6, 10, 12, 90, 100, 1000, 14, 202, 3, 7, 45, 101] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin() + 0.2).collect();
             let mut one_sided = Vec::new();
-            p.fft_real_into(&input, &mut one_sided, &mut scratch);
+            p.fft_real_into(&input, &mut one_sided);
             assert_eq!(one_sided.len(), one_sided_len(n));
             let mut full: Vec<Complex64> =
                 input.iter().map(|&x| Complex64::from_real(x)).collect();
-            p.fft_in_place(&mut full, &mut scratch);
+            p.fft_in_place(&mut full);
             let tol = 1e-9 * n as f64;
             for (k, c) in one_sided.iter().enumerate() {
                 assert!(
@@ -1370,14 +1257,13 @@ mod tests {
 
     #[test]
     fn rfft_roundtrip_recovers_signal() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in [1usize, 2, 4, 12, 64, 90, 100, 3, 7, 101, 255] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.413).cos() - 0.7).collect();
             let mut spec = Vec::new();
-            p.fft_real_into(&input, &mut spec, &mut scratch);
+            p.fft_real_into(&input, &mut spec);
             let mut back = Vec::new();
-            p.ifft_real_into(&spec, n, &mut back, &mut scratch);
+            p.ifft_real_into(&spec, n, &mut back);
             assert_eq!(back.len(), n);
             for (a, b) in input.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-9, "n={n}: {a} vs {b}");
@@ -1386,34 +1272,19 @@ mod tests {
     }
 
     #[test]
-    fn fft_real_full_matches_one_sided_mirror() {
-        let mut scratch = FftScratch::new();
-        let mut p = FftPlanner::new();
-        for n in [8usize, 90, 101] {
-            let input: Vec<f64> = (0..n).map(|i| (i as f64 * 1.7).sin()).collect();
-            let full = p.fft_real(&input);
-            let mut one_sided = Vec::new();
-            p.fft_real_into(&input, &mut one_sided, &mut scratch);
-            for (k, c) in one_sided.iter().enumerate() {
-                assert!((full[k] - *c).norm() < 1e-9 * n as f64, "n={n} bin {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn planner_is_send_and_clone_shares_tables() {
+    fn planner_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<FftPlanner>();
 
-        let mut warm = FftPlanner::new();
         let sig: Vec<f64> = (0..64).map(|i| (i as f64).sin()).collect();
         let mut expected = Vec::new();
-        warm.fft_real_into(&sig, &mut expected, &mut FftScratch::new());
+        FftPlanner::new().fft_real_into(&sig, &mut expected);
 
-        let mut moved = warm.clone();
+        let mut warm = FftPlanner::new();
+        warm.fft_real_into(&sig, &mut Vec::new());
         let from_thread = std::thread::spawn(move || {
             let mut out = Vec::new();
-            moved.fft_real_into(&sig, &mut out, &mut FftScratch::new());
+            warm.fft_real_into(&sig, &mut out);
             out
         })
         .join()
@@ -1433,7 +1304,6 @@ mod tests {
 
     #[test]
     fn parseval_energy_conserved() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in [32usize, 77] {
             let input: Vec<Complex64> = (0..n)
@@ -1441,7 +1311,7 @@ mod tests {
                 .collect();
             let time_energy: f64 = input.iter().map(|c| c.norm_sqr()).sum();
             let mut buf = input;
-            p.fft_in_place(&mut buf, &mut scratch);
+            p.fft_in_place(&mut buf);
             let freq_energy: f64 = buf.iter().map(|c| c.norm_sqr()).sum::<f64>() / n as f64;
             assert!(
                 (time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0),
@@ -1452,7 +1322,6 @@ mod tests {
 
     #[test]
     fn linearity() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let n = 24;
         let a: Vec<Complex64> = (0..n).map(|i| Complex64::new(i as f64, 0.0)).collect();
@@ -1462,55 +1331,50 @@ mod tests {
         let sum: Vec<Complex64> = a.iter().zip(&b).map(|(&x, &y)| x + y.scale(2.0)).collect();
 
         let mut fa = a.clone();
-        p.fft_in_place(&mut fa, &mut scratch);
+        p.fft_in_place(&mut fa);
         let mut fb = b.clone();
-        p.fft_in_place(&mut fb, &mut scratch);
+        p.fft_in_place(&mut fb);
         let mut fsum = sum;
-        p.fft_in_place(&mut fsum, &mut scratch);
+        p.fft_in_place(&mut fsum);
         let expected: Vec<Complex64> = fa.iter().zip(&fb).map(|(&x, &y)| x + y.scale(2.0)).collect();
         assert_close(&fsum, &expected, 1e-8);
     }
 
     #[test]
     fn zero_and_one_point_are_noops() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let mut empty: Vec<Complex64> = vec![];
-        p.fft_in_place(&mut empty, &mut scratch);
+        p.fft_in_place(&mut empty);
         let mut one = vec![Complex64::new(3.0, -1.0)];
-        p.fft_in_place(&mut one, &mut scratch);
+        p.fft_in_place(&mut one);
         assert_eq!(one[0], Complex64::new(3.0, -1.0));
-        p.ifft_in_place(&mut one, &mut scratch);
+        p.ifft_in_place(&mut one);
         assert_eq!(one[0], Complex64::new(3.0, -1.0));
 
         let mut out = Vec::new();
-        p.fft_real_into(&[], &mut out, &mut scratch);
+        p.fft_real_into(&[], &mut out);
         assert!(out.is_empty());
-        p.fft_real_into(&[2.5], &mut out, &mut scratch);
+        p.fft_real_into(&[2.5], &mut out);
         assert_eq!(out, vec![Complex64::from_real(2.5)]);
         let mut back = Vec::new();
-        p.ifft_real_into(&out, 1, &mut back, &mut scratch);
+        p.ifft_real_into(&out, 1, &mut back);
         assert_eq!(back, vec![2.5]);
     }
 
     #[test]
     fn planner_reuse_is_consistent() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let input: Vec<Complex64> = (0..48).map(|i| Complex64::new(i as f64, 0.0)).collect();
         let mut first = input.clone();
-        p.fft_in_place(&mut first, &mut scratch);
+        p.fft_in_place(&mut first);
         let mut second = input;
-        p.fft_in_place(&mut second, &mut scratch);
+        p.fft_in_place(&mut second);
         assert_close(&first, &second, 0.0);
     }
 
     #[test]
     fn tiny_length_helpers() {
         // Lengths below 2 run no plan; `smooth_radices(0)` must not spin.
-        assert_eq!(plan_kind(0), "none");
-        assert_eq!(plan_kind(1), "none");
-        assert_eq!(plan_kind(2), "mixed");
         assert_eq!(smooth_radices(0), None);
         assert_eq!(smooth_radices(1), Some(vec![]));
         assert_eq!(smooth_radices(2), Some(vec![2]));
@@ -1525,27 +1389,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "one-sided spectrum")]
     fn ifft_real_into_rejects_wrong_bin_count() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let mut out = Vec::new();
-        p.ifft_real_into(&[Complex64::ONE; 4], 8, &mut out, &mut scratch);
+        p.ifft_real_into(&[Complex64::ONE; 4], 8, &mut out);
     }
 
     #[test]
     fn table_budget_bounds_the_cache() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let (mut buf, mut out) = (Vec::new(), Vec::new());
         // Real transforms of the `real` lengths, then complex ones of the
         // `complex` lengths.
         let mut sweep = |p: &mut FftPlanner, real: &[usize], complex: &[usize]| {
             for &n in real {
-                p.fft_real_into(&vec![1.0; n], &mut out, &mut scratch);
+                p.fft_real_into(&vec![1.0; n], &mut out);
             }
             for &n in complex {
                 buf.clear();
                 buf.resize(n, Complex64::ONE);
-                p.fft_in_place(&mut buf, &mut scratch);
+                p.fft_in_place(&mut buf);
             }
         };
         // Sweep many distinct non-power-of-two lengths: unbounded, the
@@ -1600,7 +1462,7 @@ mod tests {
         // every kind, evicting one-sided real plans along the way.
         sweep(&mut p, &fresh_odd, &fresh);
         assert!(p.table_bytes() <= budget, "{} > {budget}", p.table_bytes());
-        let tables = p.tables.lock().unwrap();
+        let tables = &p.tables;
         assert!(!tables.mixed.is_empty(), "the sweep ends on mixed plans");
         assert!(
             tables.real.len() < fresh_odd.len(),
@@ -1617,21 +1479,20 @@ mod tests {
         // bit for bit — over a mixed-radix half (300 = 2·150), a Bluestein
         // half (202 = 2·101), a power of two (256) and an odd one-sided
         // Bluestein length (203 = 7·29), churned by plans of both kinds.
-        let mut scratch = FftScratch::new();
         let mut tiny = FftPlanner::new();
         tiny.set_table_budget(Some(1));
         for n in [300usize, 202, 256, 203] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
             let mut reference = Vec::new();
-            FftPlanner::new().fft_real_into(&input, &mut reference, &mut scratch);
+            FftPlanner::new().fft_real_into(&input, &mut reference);
             let mut out = Vec::new();
             for _ in 0..3 {
                 // Alternate lengths so each request misses and rebuilds.
                 for churn_len in [77, 75] {
                     let mut churn = vec![Complex64::ONE; churn_len];
-                    tiny.fft_in_place(&mut churn, &mut scratch);
+                    tiny.fft_in_place(&mut churn);
                 }
-                tiny.fft_real_into(&input, &mut out, &mut scratch);
+                tiny.fft_real_into(&input, &mut out);
                 assert_eq!(out.len(), reference.len());
                 for (a, b) in out.iter().zip(&reference) {
                     assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
@@ -1646,7 +1507,6 @@ mod tests {
 
     #[test]
     fn every_smooth_length_up_to_512_matches_naive_dft() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in (2..=512).filter(|&n| smooth_radices(n).is_some()) {
             let input: Vec<Complex64> = (0..n)
@@ -1654,13 +1514,12 @@ mod tests {
                 .collect();
             let expected = dft_naive(&input);
             let mut buf = input;
-            p.fft_in_place(&mut buf, &mut scratch);
+            p.fft_in_place(&mut buf);
             assert_relative(&buf, &expected, n);
-            assert!(p.tables.lock().unwrap().mixed.contains_key(&n), "n={n}");
-            assert_eq!(plan_kind(n), "mixed");
+            assert!(p.tables.mixed.contains_key(&n), "n={n}");
         }
-        assert_eq!(plan_kind(2878), "bluestein");
-        assert!(p.tables.lock().unwrap().bluestein.is_empty());
+        assert!(!is_smooth(2878));
+        assert!(p.tables.bluestein.is_empty());
     }
 
     /// [`dft_naive`]'s first `bins` bins with its twiddles tabulated once:
@@ -1689,7 +1548,6 @@ mod tests {
     fn every_length_up_to_1024_matches_naive_dft() {
         // Powers of two and the other 5-smooth lengths run the mixed-radix
         // kernel; the rest run Bluestein at a ladder convolution length.
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         for n in 2..=1024usize {
             let input: Vec<Complex64> = (0..n)
@@ -1697,7 +1555,7 @@ mod tests {
                 .collect();
             let expected = dft_reference(&input, n);
             let mut buf = input;
-            p.fft_in_place(&mut buf, &mut scratch);
+            p.fft_in_place(&mut buf);
             assert_relative(&buf, &expected, n);
         }
     }
@@ -1706,19 +1564,18 @@ mod tests {
     fn every_odd_real_length_up_to_1025_matches_naive_dft() {
         // One-sided Bluestein for odd lengths with a prime factor above 5,
         // the promoted mixed-radix transform for odd 5-smooth lengths.
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let mut out = Vec::new();
         for n in (3..=1025usize).step_by(2) {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin() + 0.2).collect();
             let complex: Vec<Complex64> = input.iter().map(|&x| Complex64::from_real(x)).collect();
-            p.fft_real_into(&input, &mut out, &mut scratch);
+            p.fft_real_into(&input, &mut out);
             assert_relative(&out, &dft_reference(&complex, one_sided_len(n)), n);
-            let tables = p.tables.lock().unwrap();
+            let tables = &p.tables;
             let one_sided = matches!(*tables.real[&n].plan, RealPlan::OneSided(_));
-            assert_eq!(one_sided, plan_kind(n) == "bluestein", "n={n}");
+            assert_eq!(one_sided, !is_smooth(n), "n={n}");
         }
-        assert!(p.tables.lock().unwrap().bluestein.is_empty());
+        assert!(p.tables.bluestein.is_empty());
     }
 
     #[test]
@@ -1726,18 +1583,17 @@ mod tests {
         // A tracker window (6 h at 1 min), a day at 30 s and 90 days at
         // 1 min: real transforms over mixed-radix halves, with no Bluestein
         // chain anywhere in the cache.
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         let mut out = Vec::new();
         for n in [360usize, 2880, 129_600] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
-            p.fft_real_into(&input, &mut out, &mut scratch);
+            p.fft_real_into(&input, &mut out);
             assert!(
-                p.tables.lock().unwrap().mixed.contains_key(&(n / 2)),
+                p.tables.mixed.contains_key(&(n / 2)),
                 "n={n}"
             );
         }
-        let tables = p.tables.lock().unwrap();
+        let tables = &p.tables;
         assert!(
             tables.bluestein.is_empty(),
             "{:?}",
@@ -1758,7 +1614,6 @@ mod tests {
         // `analyze` benchmark's length): a kernel rewrite that moves any
         // output by one ulp changes the digest. Each length gets a fresh
         // planner, so the cache never holds more than one chain.
-        let mut scratch = FftScratch::new();
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |z: &Complex64| {
             for bits in [z.re.to_bits(), z.im.to_bits()] {
@@ -1770,11 +1625,11 @@ mod tests {
             let mut p = FftPlanner::new();
             buf.clear();
             buf.extend((0..n).map(|i| Complex64::new(digest_sample(i, n), digest_sample(i + n, n))));
-            p.fft_in_place(&mut buf, &mut scratch);
+            p.fft_in_place(&mut buf);
             buf.iter().for_each(&mut eat);
             real.clear();
             real.extend((0..n).map(|i| digest_sample(i, n)));
-            p.fft_real_into(&real, &mut out, &mut scratch);
+            p.fft_real_into(&real, &mut out);
             out.iter().for_each(&mut eat);
         }
         assert_eq!(hash, 0x3aaa_971c_6f26_936a, "transform output digest moved: {hash:#018x}");
@@ -1816,15 +1671,15 @@ mod tests {
         let mut p = FftPlanner::new();
         assert_eq!(p.table_build_time(), Duration::ZERO);
         let input = vec![1.0; 2880];
-        let (mut out, mut scratch) = (Vec::new(), FftScratch::new());
-        p.fft_real_into(&input, &mut out, &mut scratch);
+        let mut out = Vec::new();
+        p.fft_real_into(&input, &mut out);
         let built = p.table_build_time();
         assert!(built > Duration::ZERO);
-        // A cache hit builds nothing; a clone reports the shared cache.
-        p.fft_real_into(&input, &mut out, &mut scratch);
+        // A cache hit builds nothing; a window table is another build.
+        p.fft_real_into(&input, &mut out);
         assert_eq!(p.table_build_time(), built);
         let _window = p.window_table(Window::Hann, 2880);
-        assert!(p.clone().table_build_time() > built);
+        assert!(p.table_build_time() > built);
 
         // A build nested in a timed build is inside the outer clock: the
         // total never exceeds the outer call's wall time.
@@ -1838,62 +1693,36 @@ mod tests {
 
     #[test]
     fn oversized_single_table_is_still_served() {
-        let mut scratch = FftScratch::new();
         let mut p = FftPlanner::new();
         p.set_table_budget(Some(1));
         let mut buf = vec![Complex64::ONE; 4096];
-        p.fft_in_place(&mut buf, &mut scratch); // must not loop forever or panic
+        p.fft_in_place(&mut buf); // must not loop forever or panic
         assert!((buf[0].re - 4096.0).abs() < 1e-6);
     }
 
     #[test]
     fn handle_stats_count_lookups_hits_and_misses() {
-        let mut scratch = FftScratch::new();
-        let mut p = FftPlanner::new();
-        let mut buf = vec![Complex64::ONE; 64];
-        p.fft_in_place(&mut buf, &mut scratch); // miss (complex 64)
-        p.fft_in_place(&mut buf, &mut scratch); // hit
-        let input = vec![1.0f64; 64];
-        let mut out = Vec::new();
-        p.fft_real_into(&input, &mut out, &mut scratch); // miss (real 64 ≠ complex 64)
-        p.fft_real_into(&input, &mut out, &mut scratch); // hit
-
-        let s = p.handle_stats();
-        assert_eq!(s.lookups(), 4);
-        assert_eq!(s.hits.get(), 2);
-        assert_eq!(s.misses.get(), 2);
-
-        // A clone shares tables but starts its own request history: its
-        // first length-64 transform is a handle-level miss even though the
-        // shared cache is warm.
-        let mut clone = p.clone();
-        let mut buf2 = vec![Complex64::ONE; 64];
-        clone.fft_in_place(&mut buf2, &mut scratch);
-        assert_eq!(clone.handle_stats().lookups(), 1);
-        assert_eq!(clone.handle_stats().misses.get(), 1);
-        assert_eq!(p.handle_stats().lookups(), 4, "parent unchanged");
-
-        let mut merged = p.handle_stats();
-        merged.merge(&clone.handle_stats());
-        assert_eq!(merged.lookups(), 5);
-        assert_eq!(merged.misses.get(), 3);
+        let mut a = FftHandleStats::default();
+        a.misses.inc();
+        a.hits.inc();
+        a.hits.inc();
+        let mut b = FftHandleStats::default();
+        b.misses.inc();
+        assert_eq!(a.lookups(), 3);
+        a.merge(&b);
+        assert_eq!((a.lookups(), a.hits.get(), a.misses.get()), (4, 2, 2));
     }
 
     #[test]
-    fn handle_bytes_count_each_requested_length() {
-        let mut scratch = FftScratch::new();
+    fn buffer_bytes_grow_once_and_exclude_tables() {
         let mut p = FftPlanner::new();
-        assert_eq!(p.handle_bytes(), 0);
-        let lengths = [8, 12, 30, 64, 100];
-        for &n in &lengths {
-            let mut buf = vec![Complex64::ONE; n];
-            p.fft_in_place(&mut buf, &mut scratch);
-            p.fft_in_place(&mut buf, &mut scratch); // a repeat adds nothing
-        }
+        assert_eq!((p.buffer_bytes(), p.table_bytes()), (0, 0));
         let mut out = Vec::new();
-        p.fft_real_into(&[1.0; 64], &mut out, &mut scratch);
-        let k = lengths.len() + 1;
-        assert!(p.handle_bytes() >= 8 * k, "{} bytes for {k} lengths", p.handle_bytes());
-        assert_eq!(p.clone().handle_bytes(), 0, "a clone starts its own history");
+        p.fft_real_into(&[1.0; 202], &mut out); // packed over a Bluestein half
+        let warm = p.buffer_bytes();
+        assert!(warm >= 16 * 101, "{warm} B");
+        p.fft_real_into(&[1.0; 202], &mut out);
+        assert_eq!(p.buffer_bytes(), warm, "a repeat grows nothing");
+        assert!(p.table_bytes() > 0);
     }
 }

@@ -24,18 +24,17 @@
 //! ## Example
 //!
 //! ```
-//! use sweetspot_dsp::fft::{FftPlanner, FftScratch};
+//! use sweetspot_dsp::fft::FftPlanner;
 //! use sweetspot_dsp::Complex64;
 //!
-//! // The planner caches tables; the scratch is the lent working storage.
+//! // The planner caches tables and owns the transforms' working storage.
 //! let mut planner = FftPlanner::new();
-//! let mut scratch = FftScratch::new();
 //! let mut buf: Vec<Complex64> = (0..8)
 //!     .map(|i| Complex64::new((i as f64).sin(), 0.0))
 //!     .collect();
 //! let orig = buf.clone();
-//! planner.fft_in_place(&mut buf, &mut scratch);
-//! planner.ifft_in_place(&mut buf, &mut scratch);
+//! planner.fft_in_place(&mut buf);
+//! planner.ifft_in_place(&mut buf);
 //! for (a, b) in orig.iter().zip(&buf) {
 //!     assert!((a.re - b.re).abs() < 1e-12);
 //! }

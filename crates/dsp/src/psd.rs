@@ -10,14 +10,11 @@
 //! no copy of the signal or of its spectrum: the detrend and the window
 //! (coefficients from the planner's cached per-`(window, n)` tables) are
 //! applied as the real FFT loads each sample, and each bin's power is
-//! written as the transform emits it. Its only working storage is a lent
-//! [`FftScratch`], so the steady-state pipeline performs **zero heap
-//! allocations** (pinned by `tests/alloc_steady_state.rs`). Planners
-//! hold tables only, so the scratch is the one place working buffers live:
-//! at fleet scale every member's estimator holds a lightweight planner
-//! clone that stays empty by construction.
+//! written as the transform emits it. Its only working storage is the
+//! lent planner's buffers, so the steady-state pipeline performs **zero
+//! heap allocations** (pinned by `tests/alloc_steady_state.rs`).
 
-use crate::fft::{one_sided_len, FftPlanner, FftScratch};
+use crate::fft::{one_sided_len, FftPlanner};
 use crate::spectrum::Spectrum;
 use crate::window::Window;
 
@@ -54,7 +51,6 @@ impl Default for PsdConfig {
 /// Panics if `samples` is empty.
 pub fn periodogram_into(
     planner: &mut FftPlanner,
-    scratch: &mut FftScratch,
     samples: &[f64],
     cfg: PsdConfig,
     out: &mut Vec<f64>,
@@ -82,7 +78,6 @@ pub fn periodogram_into(
             let gain = if k == 0 || 2 * k == n { 1.0 } else { 2.0 };
             out[k] = c.norm_sqr() * gain / norm;
         },
-        scratch,
     );
 }
 
@@ -101,9 +96,8 @@ pub fn periodogram(
     cfg: PsdConfig,
 ) -> Spectrum {
     assert!(sample_rate > 0.0, "sample_rate must be positive");
-    let mut scratch = FftScratch::new();
     let mut power = Vec::new();
-    periodogram_into(planner, &mut scratch, samples, cfg, &mut power);
+    periodogram_into(planner, samples, cfg, &mut power);
     Spectrum::from_psd(power, sample_rate, samples.len())
 }
 
@@ -133,7 +127,7 @@ mod tests {
         let table = planner.window_table(cfg.window, n);
         table.apply(&mut seg);
         let mut spec = Vec::new();
-        planner.fft_real_into(&seg, &mut spec, &mut FftScratch::new());
+        planner.fft_real_into(&seg, &mut spec);
         let norm = (n as f64) * (n as f64) * table.energy_gain();
         let nyquist = n.is_multiple_of(2).then_some(n / 2);
         (spec.iter().enumerate())
@@ -155,14 +149,14 @@ mod tests {
             .into_iter()
             .flat_map(|window| [false, true].map(|detrend| PsdConfig { window, detrend }));
         let configs: Vec<PsdConfig> = configs.collect();
-        let (mut scratch, mut power) = (FftScratch::new(), Vec::new());
+        let mut power = Vec::new();
         for n in (1..=1100).chain([129_600]) {
             let sig: Vec<f64> = (0..n)
                 .map(|i| 10.0 + 3.0 * (i as f64 * 0.37).sin() - (i % 7) as f64 * 0.1)
                 .collect();
             let mut planner = FftPlanner::new();
             for &cfg in &configs {
-                periodogram_into(&mut planner, &mut scratch, &sig, cfg, &mut power);
+                periodogram_into(&mut planner, &sig, cfg, &mut power);
                 let expected = periodogram_unfused(&mut planner, &sig, cfg);
                 assert_eq!(power.len(), expected.len(), "n={n} {cfg:?}");
                 for (k, (a, b)) in power.iter().zip(&expected).enumerate() {

@@ -11,7 +11,7 @@
 //!   and inverse-transform.
 
 use crate::complex::Complex64;
-use crate::fft::{one_sided_len, FftPlanner, FftScratch};
+use crate::fft::{one_sided_len, FftPlanner};
 
 /// Keeps every `factor`-th sample, starting with the first.
 ///
@@ -46,9 +46,8 @@ pub fn resample_fft(planner: &mut FftPlanner, samples: &[f64], new_len: usize) -
     if new_len == n {
         return samples.to_vec();
     }
-    let mut scratch = FftScratch::new();
     let mut spec = Vec::with_capacity(one_sided_len(n));
-    planner.fft_real_into(samples, &mut spec, &mut scratch);
+    planner.fft_real_into(samples, &mut spec);
     let m = new_len;
     let mut out_spec = vec![Complex64::ZERO; one_sided_len(m)];
 
@@ -78,7 +77,7 @@ pub fn resample_fft(planner: &mut FftPlanner, samples: &[f64], new_len: usize) -
         *c = c.scale(scale);
     }
     let mut out = Vec::with_capacity(m);
-    planner.ifft_real_into(&out_spec, m, &mut out, &mut scratch);
+    planner.ifft_real_into(&out_spec, m, &mut out);
     out
 }
 

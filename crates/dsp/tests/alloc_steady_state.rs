@@ -1,7 +1,7 @@
 //! Allocation accounting for the spectral pipeline.
 //!
 //! Pins the pipeline's zero-allocation guarantee with a counting global allocator:
-//! once the planner, scratch and output buffers are warm, `periodogram_into`
+//! once the planner and the output buffers are warm, `periodogram_into`
 //! and `fft_real_into` must not touch the heap at all. The same allocator
 //! also counts net bytes, which pins the periodogram's working footprint.
 //!
@@ -13,7 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sweetspot_dsp::fft::{FftPlanner, FftScratch};
+use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_dsp::psd::{periodogram_into, PsdConfig};
 use sweetspot_dsp::window::Window;
 
@@ -86,7 +86,6 @@ fn spectral_pipeline_steady_state_is_allocation_free() {
         detrend: true,
     };
     let mut planner = FftPlanner::new();
-    let mut scratch = FftScratch::new();
     let mut power = Vec::new();
 
     // Periodogram: power-of-two, mixed-radix (a day at 30 s) and Bluestein
@@ -94,9 +93,9 @@ fn spectral_pipeline_steady_state_is_allocation_free() {
     // second must be allocation-free.
     for n in [4096usize, 2880, 2878] {
         let sig = signal(n);
-        periodogram_into(&mut planner, &mut scratch, &sig, cfg, &mut power);
+        periodogram_into(&mut planner, &sig, cfg, &mut power);
         let count = allocations_during(|| {
-            periodogram_into(&mut planner, &mut scratch, &sig, cfg, &mut power);
+            periodogram_into(&mut planner, &sig, cfg, &mut power);
         });
         assert_eq!(count, 0, "steady-state periodogram (n={n}) must not allocate");
     }
@@ -104,13 +103,12 @@ fn spectral_pipeline_steady_state_is_allocation_free() {
     // Bare real transforms: an odd length with a prime factor above 5
     // (2879, the one-sided Bluestein path) and a power of two (4096, the
     // packed path over the mixed-radix kernel).
-    let mut fft_scratch = FftScratch::new();
     let mut spectrum = Vec::new();
     for n in [2879usize, 4096] {
         let sig = signal(n);
-        planner.fft_real_into(&sig, &mut spectrum, &mut fft_scratch);
+        planner.fft_real_into(&sig, &mut spectrum);
         let count = allocations_during(|| {
-            planner.fft_real_into(&sig, &mut spectrum, &mut fft_scratch);
+            planner.fft_real_into(&sig, &mut spectrum);
         });
         assert_eq!(count, 0, "steady-state real FFT (n={n}) must not allocate");
     }
@@ -125,23 +123,31 @@ fn periodogram_scratch_holds_no_copy_of_the_signal_or_its_spectrum() {
         window: Window::Hann,
         detrend: true,
     };
-    let mut planner = FftPlanner::new();
-    // Build the plan and window tables (and this handle's request history)
-    // first, so the measured call allocates its own buffers and nothing else.
-    periodogram_into(&mut planner, &mut FftScratch::new(), &sig, cfg, &mut Vec::new());
+    // Two planners build the same tables for `n` into maps of the same
+    // size: `cold` has run a 4-point periodogram, so its buffers are tiny;
+    // `warm` has run a 2n-point one, so its buffers already hold the
+    // n/2-point transform. The difference of what the two calls keep is
+    // what the cold planner's buffers grew by.
+    let mut cold = FftPlanner::new();
+    periodogram_into(&mut cold, &signal(4), cfg, &mut Vec::new());
+    let mut warm = FftPlanner::new();
+    periodogram_into(&mut warm, &signal(2 * n), cfg, &mut Vec::new());
+    let tiny = cold.buffer_bytes();
 
-    let mut scratch = FftScratch::new();
-    let mut power = Vec::new();
-    let net = net_bytes_during(|| {
-        periodogram_into(&mut planner, &mut scratch, &sig, cfg, &mut power);
-    });
+    let (mut power, mut warm_power) = (Vec::new(), Vec::new());
+    let cold_net = net_bytes_during(|| periodogram_into(&mut cold, &sig, cfg, &mut power));
+    let warm_net = net_bytes_during(|| periodogram_into(&mut warm, &sig, cfg, &mut warm_power));
+    let grown = cold.buffer_bytes() - tiny;
+    assert_eq!(
+        cold_net - warm_net,
+        grown as isize,
+        "buffer_bytes() disagrees with the allocator"
+    );
     let bins = n / 2 + 1;
     assert_eq!(power.capacity(), bins);
-    let held = scratch.resident_bytes() + bins * std::mem::size_of::<f64>();
-    assert_eq!(net, held as isize, "resident_bytes() disagrees with the allocator");
     // The packed half-length input and the transform's ping-pong buffer,
     // n/2 complex points each. A windowed copy of the signal (n·8 bytes) or
     // a one-sided complex spectrum (bins·16 bytes) would show on top.
     let half_len_buffers = 2 * (n / 2) * 16;
-    assert_eq!(scratch.resident_bytes(), half_len_buffers);
+    assert_eq!(cold.buffer_bytes(), half_len_buffers);
 }

@@ -5,7 +5,7 @@
 //! stay within physical bounds.
 
 use proptest::prelude::*;
-use sweetspot_dsp::fft::{dft_naive, one_sided_len, plan_kind, FftPlanner, FftScratch};
+use sweetspot_dsp::fft::{dft_naive, one_sided_len, FftPlanner};
 use sweetspot_dsp::interp::Interp;
 use sweetspot_dsp::quantize::Quantizer;
 use sweetspot_dsp::resample::resample_fft;
@@ -20,6 +20,16 @@ fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
 fn complex_signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<Complex64>> {
     prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..max_len)
         .prop_map(|v| v.into_iter().map(|(re, im)| Complex64::new(re, im)).collect())
+}
+
+/// `true` when `n ≥ 1` has no prime factor above 5.
+fn is_smooth(mut n: usize) -> bool {
+    for p in [2, 3, 5] {
+        while n.is_multiple_of(p) {
+            n /= p;
+        }
+    }
+    n == 1
 }
 
 /// Band powers the slow way: one full scan of the spectrum per band, with
@@ -86,10 +96,9 @@ proptest! {
     #[test]
     fn fft_roundtrip_is_identity(sig in complex_signal_strategy(200)) {
         let mut planner = FftPlanner::new();
-        let mut scratch = FftScratch::new();
         let mut buf = sig.clone();
-        planner.fft_in_place(&mut buf, &mut scratch);
-        planner.ifft_in_place(&mut buf, &mut scratch);
+        planner.fft_in_place(&mut buf);
+        planner.ifft_in_place(&mut buf);
         for (a, b) in sig.iter().zip(&buf) {
             prop_assert!((a.re - b.re).abs() < 1e-6);
             prop_assert!((a.im - b.im).abs() < 1e-6);
@@ -99,10 +108,9 @@ proptest! {
     #[test]
     fn fft_matches_naive_dft(sig in complex_signal_strategy(48)) {
         let mut planner = FftPlanner::new();
-        let mut scratch = FftScratch::new();
         let expected = dft_naive(&sig);
         let mut buf = sig;
-        planner.fft_in_place(&mut buf, &mut scratch);
+        planner.fft_in_place(&mut buf);
         for (a, b) in buf.iter().zip(&expected) {
             prop_assert!((a.re - b.re).abs() < 1e-5);
             prop_assert!((a.im - b.im).abs() < 1e-5);
@@ -112,11 +120,10 @@ proptest! {
     #[test]
     fn parseval_holds(sig in complex_signal_strategy(150)) {
         let mut planner = FftPlanner::new();
-        let mut scratch = FftScratch::new();
         let n = sig.len() as f64;
         let time_energy: f64 = sig.iter().map(|c| c.norm_sqr()).sum();
         let mut buf = sig;
-        planner.fft_in_place(&mut buf, &mut scratch);
+        planner.fft_in_place(&mut buf);
         let freq_energy: f64 = buf.iter().map(|c| c.norm_sqr()).sum::<f64>() / n;
         let tol = 1e-9 * time_energy.max(1.0);
         prop_assert!((time_energy - freq_energy).abs() < tol);
@@ -128,13 +135,12 @@ proptest! {
         // (power-of-two, mixed-radix and Bluestein halves) plus the
         // odd-length fallback.
         let mut planner = FftPlanner::new();
-        let mut scratch = FftScratch::new();
         let n = sig.len();
         let mut one_sided = Vec::new();
-        planner.fft_real_into(&sig, &mut one_sided, &mut scratch);
+        planner.fft_real_into(&sig, &mut one_sided);
         prop_assert_eq!(one_sided.len(), one_sided_len(n));
         let mut full: Vec<Complex64> = sig.iter().map(|&x| Complex64::from_real(x)).collect();
-        planner.fft_in_place(&mut full, &mut scratch);
+        planner.fft_in_place(&mut full);
         let scale = sig.iter().map(|x| x.abs()).fold(1.0, f64::max);
         let tol = 1e-9 * scale * n as f64;
         for (k, c) in one_sided.iter().enumerate() {
@@ -146,11 +152,10 @@ proptest! {
     #[test]
     fn rfft_inverse_roundtrips(sig in signal_strategy(300)) {
         let mut planner = FftPlanner::new();
-        let mut scratch = FftScratch::new();
         let mut spec = Vec::new();
-        planner.fft_real_into(&sig, &mut spec, &mut scratch);
+        planner.fft_real_into(&sig, &mut spec);
         let mut back = Vec::new();
-        planner.ifft_real_into(&spec, sig.len(), &mut back, &mut scratch);
+        planner.ifft_real_into(&spec, sig.len(), &mut back);
         let scale = sig.iter().map(|x| x.abs()).fold(1.0, f64::max);
         for (a, b) in sig.iter().zip(&back) {
             prop_assert!((a - b).abs() < 1e-8 * scale, "{} vs {}", a, b);
@@ -161,14 +166,13 @@ proptest! {
     fn rfft_inverse_roundtrips_on_smooth_lengths(sig in signal_strategy(800)) {
         // Truncate to the longest 2^a·3^b·5^c prefix: the lengths the
         // mixed-radix plans serve (both directly and as real halves).
-        let n = (1..=sig.len()).rev().find(|&n| plan_kind(n) != "bluestein").expect("1 is smooth");
+        let n = (1..=sig.len()).rev().find(|&n| is_smooth(n)).expect("1 is smooth");
         let sig = &sig[..n];
         let mut planner = FftPlanner::new();
-        let mut scratch = FftScratch::new();
         let mut spec = Vec::new();
-        planner.fft_real_into(sig, &mut spec, &mut scratch);
+        planner.fft_real_into(sig, &mut spec);
         let mut back = Vec::new();
-        planner.ifft_real_into(&spec, n, &mut back, &mut scratch);
+        planner.ifft_real_into(&spec, n, &mut back);
         let scale = sig.iter().map(|x| x.abs()).fold(1.0, f64::max);
         prop_assert_eq!(back.len(), n);
         for (a, b) in sig.iter().zip(&back) {
@@ -179,7 +183,8 @@ proptest! {
     #[test]
     fn real_fft_is_conjugate_symmetric(sig in signal_strategy(120)) {
         let mut planner = FftPlanner::new();
-        let spec = planner.fft_real(&sig);
+        let mut spec: Vec<Complex64> = sig.iter().map(|&x| Complex64::from_real(x)).collect();
+        planner.fft_in_place(&mut spec);
         let n = sig.len();
         let scale = sig.iter().map(|x| x.abs()).fold(1.0, f64::max);
         for k in 1..n {

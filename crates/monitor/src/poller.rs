@@ -92,7 +92,7 @@ impl Policy {
                     Err(_) => return PolicyRun::storing_all(raw.iter().collect()),
                 };
                 let collected = cleaned.len();
-                let mut estimator = NyquistEstimator::new(NyquistConfig::default());
+                let estimator = NyquistEstimator::new(NyquistConfig::default());
                 let stored_series = match estimator.estimate_series(&cleaned).rate() {
                     Some(nyq) => {
                         let target = Hertz(nyq.value() * headroom.max(1.0));
@@ -159,19 +159,21 @@ impl Policy {
 }
 
 /// Per-worker working set for lockstep fleet epochs: the polling chain's
-/// buffers plus the sampler's detection/estimation scratch. Every buffer in
-/// here is pure scratch — cleared or overwritten before use — so one
-/// instance lent to each member of a shard in turn produces byte-identical
-/// output to per-member copies, at 1/N-members the resident footprint.
-/// This is the fleet memory wall: at 10⁵ devices the per-member working
-/// sets alone were tens of gigabytes; hoisted per worker they are a few
-/// hundred kilobytes total.
-#[derive(Debug, Default)]
+/// buffers plus the sampler's detection/estimation scratch, whose FFT
+/// planner is the worker's one plan-table cache. Every buffer in here is
+/// pure scratch — cleared or overwritten before use — and every table a
+/// pure function of its length, so one instance lent to each member of a
+/// shard in turn produces byte-identical output to per-member copies, at
+/// 1/N-members the resident footprint. This is the fleet memory wall: at
+/// 10⁵ devices the per-member working sets alone were tens of gigabytes;
+/// hoisted per worker they are a few hundred kilobytes total.
+#[derive(Default)]
 pub struct EpochScratch {
     /// Polling-chain scratch (synthesis scratch, measured buffers, cleaning
     /// scratch).
     pub poll: PollScratch,
-    /// Controller scratch (spectra, band tables, recycled series storage).
+    /// Controller scratch (FFT planner, spectra, band tables, recycled
+    /// series storage).
     pub sampler: SamplerScratch,
 }
 
@@ -181,7 +183,8 @@ impl EpochScratch {
         Self::default()
     }
 
-    /// Heap bytes currently resident in this scratch (capacity, not length).
+    /// Heap bytes currently resident in this scratch's buffers (capacity,
+    /// not length); the plan tables are counted apart.
     pub fn resident_bytes(&self) -> usize {
         self.poll.resident_bytes() + self.sampler.resident_bytes()
     }
@@ -214,25 +217,6 @@ impl FleetMember {
         FleetMember {
             device: SimDevice::new(trace),
             sampler: AdaptiveSampler::new(config),
-            index,
-        }
-    }
-
-    /// [`FleetMember::new`] with a caller-supplied FFT planner. Fleet
-    /// engines pass each member a clone of one per-worker planner, so 10⁵
-    /// members on a shard share one table cache instead of holding ~10⁵
-    /// copies of identical twiddle/chirp/window tables — at large-fleet
-    /// scale this is the difference between gigabytes and megabytes. Plan
-    /// tables never influence results.
-    pub fn with_planner(
-        index: usize,
-        trace: DeviceTrace,
-        config: AdaptiveConfig,
-        planner: sweetspot_dsp::fft::FftPlanner,
-    ) -> Self {
-        FleetMember {
-            device: SimDevice::new(trace),
-            sampler: AdaptiveSampler::with_planner(config, planner),
             index,
         }
     }
@@ -273,18 +257,18 @@ impl FleetMember {
         &self.device
     }
 
-    /// Plan-request counts of this member's FFT planner handle — per-member
-    /// and simulation-determined, so a fleet can sum them in device order
-    /// into a thread-count-invariant metrics snapshot (see
-    /// [`sweetspot_dsp::fft::FftHandleStats`]).
+    /// Periodogram request counts of this member's controller —
+    /// simulation-determined, so a fleet can sum them in device order into
+    /// a thread-count-invariant metrics snapshot (see
+    /// [`AdaptiveSampler::fft_handle_stats`]).
     pub fn fft_handle_stats(&self) -> sweetspot_dsp::fft::FftHandleStats {
         self.sampler.fft_handle_stats()
     }
 
     /// Durable heap bytes this member retains between epochs: the trace
-    /// identity and signal model, plus its FFT planner handle's lists of
-    /// requested lengths. The controller holds no working buffers — every
-    /// epoch borrows a worker's [`EpochScratch`].
+    /// identity and signal model, plus its controller's list of transformed
+    /// lengths. The controller holds no working buffers or plan tables —
+    /// every epoch borrows a worker's [`EpochScratch`].
     pub fn heap_bytes(&self) -> usize {
         self.device.heap_bytes() + self.sampler.fft_handle_bytes()
     }

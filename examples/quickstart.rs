@@ -24,7 +24,7 @@ fn main() {
     );
 
     // 2. What rate does the signal actually need? (§3.2 of the paper)
-    let mut estimator = NyquistEstimator::paper_defaults();
+    let estimator = NyquistEstimator::paper_defaults();
     let nyquist = match estimator.estimate_series(&trace) {
         NyquistEstimate::Rate(rate) => {
             println!(

@@ -595,9 +595,6 @@ fn cmd_fleetsim(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
     cfg.validate()?;
     let metrics_out = args.value("metrics-out");
     let metrics_every = args.get("metrics-every", "an integer")?.unwrap_or(1);
-    if metrics_every == 0 {
-        return Err("--metrics-every wants a positive epoch count (1 = every epoch)".into());
-    }
     if metrics_out.is_none() && args.value("metrics-every").is_some() {
         return Err("--metrics-every only makes sense with --metrics-out".into());
     }
@@ -605,7 +602,7 @@ fn cmd_fleetsim(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
         .map(|path| {
             let mut rec = fleetsim::metrics::MetricsRecorder::to_path(std::path::Path::new(path))
                 .map_err(|e| format!("cannot open --metrics-out {path:?}: {e}"))?;
-            rec.set_every(metrics_every);
+            rec.set_every(metrics_every)?;
             Ok::<_, String>(rec)
         })
         .transpose()?;

@@ -29,7 +29,7 @@
 //! let trace = device.ground_truth(profile.production_rate(), Seconds::from_days(2.0));
 //!
 //! // What rate does this signal actually need?
-//! let mut estimator = NyquistEstimator::paper_defaults();
+//! let estimator = NyquistEstimator::paper_defaults();
 //! match estimator.estimate_series(&trace) {
 //!     NyquistEstimate::Rate(rate) => {
 //!         let today = profile.production_rate();

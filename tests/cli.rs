@@ -352,6 +352,25 @@ fn repeated_flags_and_value_flags_without_a_value_are_named() {
 }
 
 #[test]
+fn metrics_cadence_needs_a_positive_count_and_an_output() {
+    let jsonl =
+        std::env::temp_dir().join(format!("sweetspot-cli-every-{}.jsonl", std::process::id()));
+    let jsonl = jsonl.to_str().unwrap();
+    let run = ["fleetsim", "--devices", "14", "--days", "1"];
+    for extra in [
+        vec!["--metrics-every", "0", "--metrics-out", jsonl],
+        vec!["--metrics-every", "2"],
+    ] {
+        let out = bin().args(run).args(&extra).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(stderr.contains("--metrics-every"), "{extra:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{extra:?} printed output");
+    }
+    std::fs::remove_file(jsonl).ok();
+}
+
+#[test]
 fn study_rejects_an_empty_fleet_and_paper_scale_with_devices() {
     for (args, diagnostic) in [
         (vec!["study", "--devices", "0"], "positive number of devices"),

@@ -162,7 +162,7 @@ fn undersampled_device_is_caught_by_dual_rate_but_not_by_one_trace() {
     let verdict = detect_aliasing(&fast, &slow, DualRateConfig::default());
     assert!(verdict.aliased, "dual-rate must catch it: {verdict:?}");
 
-    let mut est = NyquistEstimator::paper_defaults();
+    let est = NyquistEstimator::paper_defaults();
     if let NyquistEstimate::Rate(r) = est.estimate_series(&fast) {
         // Whatever the single trace claims, it cannot reach the true rate.
         assert!(r.value() < dev.true_nyquist_rate().value());

@@ -88,13 +88,13 @@ fn estimate_after(impairments: Impairments, seed: u64) -> NyquistEstimate {
         },
     )
     .expect("cleanable");
-    let mut est = NyquistEstimator::paper_defaults();
+    let est = NyquistEstimator::paper_defaults();
     est.estimate_series(&cleaned)
 }
 
 fn reference_rate() -> f64 {
     // The clean-path estimate: true edge 8e-4 ⇒ rate ≈ 1.6e-3.
-    let mut est = NyquistEstimator::paper_defaults();
+    let est = NyquistEstimator::paper_defaults();
     est.estimate_series(&truth(2880))
         .rate()
         .expect("clean signal is not aliased")
