@@ -4,7 +4,8 @@
 //! paths over them (packed even, one-sided odd), PSD
 //! estimation, Fourier resampling, the end-to-end Nyquist estimator, one
 //! verified epoch of the adaptive controller's spectral work, the table
-//! builds and the CSV ingest of one `sweetspot analyze`-sized trace.
+//! builds and the CSV ingest and clean of one `sweetspot analyze`-sized
+//! trace.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -17,7 +18,8 @@ use sweetspot_dsp::psd::{periodogram, PsdConfig};
 use sweetspot_dsp::resample::resample_fft;
 use sweetspot_dsp::window::Window;
 use sweetspot_dsp::Complex64;
-use sweetspot_timeseries::ingest::parse_csv;
+use sweetspot_timeseries::clean::{clean_owned, CleanConfig};
+use sweetspot_timeseries::ingest::{parse_csv, read_csv};
 use sweetspot_timeseries::{Hertz, RegularSeries, Seconds};
 
 fn signal(n: usize) -> Vec<f64> {
@@ -206,6 +208,20 @@ fn bench(c: &mut Criterion) {
     let csv = minutely_csv(90 * 1440);
     c.bench_function("ingest/parse_csv_129600", |b| {
         b.iter(|| black_box(parse_csv(black_box(&csv)).expect("trace parses")))
+    });
+    // The same text as a stream, through `read_csv`'s 64 KiB buffer: what
+    // `sweetspot analyze` does with a file or a pipe.
+    c.bench_function("ingest/read_csv_129600", |b| {
+        b.iter(|| black_box(read_csv(black_box(csv.as_bytes())).expect("trace reads")))
+    });
+    // `analyze`'s clean of the parsed columns, moved in and compacted in
+    // place. Each iteration clones the parsed series for `clean_owned` to
+    // consume, so the row includes copying both columns once — what
+    // `clean` of a borrowed series copies into its scratch too.
+    let parsed = parse_csv(&csv).expect("trace parses");
+    let cfg = CleanConfig { interval: None, outlier_mads: Some(8.0) };
+    c.bench_function("clean/owned_129600", |b| {
+        b.iter(|| black_box(clean_owned(black_box(parsed.clone()), cfg).expect("trace cleans")))
     });
     let _ = Hertz(1.0); // keep the import used in all cfgs
 }

@@ -14,6 +14,28 @@
 //! would outgrow [`MAX_GRID_POINTS_PER_SAMPLE`] — come back as [`CleanError`]s,
 //! never panics, so a corrupt CSV fed to the CLI dies with a diagnostic
 //! instead of a backtrace.
+//!
+//! # One kernel, three ways in
+//!
+//! Every clean runs one private kernel over a [`CleanScratch`] of three
+//! buffers: the trace's times and values, and a `work` buffer. One
+//! compaction pass over the times and values checks their order, drops NaN
+//! readings and deduplicates timestamps, in place; the MAD filter compacts
+//! them again; the median, MAD and median-gap selections run in `work`;
+//! and the re-grid is written into `work`, which becomes the returned
+//! series' buffer. The entry points differ only in how the trace gets
+//! into the scratch:
+//!
+//! * [`clean_owned`] moves an [`IrregularSeries`]' columns in — the CLI
+//!   cleans a trace it has just read this way, holding three trace-length
+//!   buffers;
+//! * [`clean_slices_into`] copies borrowed slices into a caller's
+//!   persistent scratch — the study and fleet hot loops, which lend each
+//!   result's buffer back and so clean without allocating;
+//! * [`clean`] copies a borrowed series into a fresh scratch.
+//!
+//! All three give bit-identical results, equal to the composed
+//! [`drop_invalid`] → [`drop_outliers`] → [`regularize`] reference.
 
 use crate::series::{IrregularSeries, RegularSeries};
 use crate::time::Seconds;
@@ -188,8 +210,9 @@ pub fn regularize(
 /// Full cleaning pipeline: drop invalid readings, optionally discard
 /// outliers, then re-grid at the configured (or inferred) interval.
 ///
-/// Allocates fresh working storage per call; the fleet-study hot loop calls
-/// [`clean_slices_into`] with a persistent [`CleanScratch`] instead.
+/// Copies the series into fresh working storage; [`clean_owned`] cleans a
+/// series it is handed in place, and the fleet-study hot loop calls
+/// [`clean_slices_into`] with a persistent [`CleanScratch`].
 ///
 /// # Errors
 /// * [`CleanError::TooSparse`] — fewer than 2 valid samples remain.
@@ -203,20 +226,34 @@ pub fn clean(series: &IrregularSeries, cfg: CleanConfig) -> Result<RegularSeries
     clean_slices_into(series.times(), series.values(), cfg, &mut CleanScratch::new())
 }
 
-/// Reusable working storage for [`clean_slices_into`]: the filtered trace,
-/// the median/MAD sort buffer and the re-gridded output all live here, so a
-/// steady-state cleaning loop performs no heap allocations once the buffers
-/// have grown to the trace length.
+/// [`clean`] of a series the caller gives up: its two columns become the
+/// working storage and are compacted in place, so the only buffer added
+/// is the one that becomes the returned series. For a trace just read from
+/// a file (`sweetspot analyze`), this holds three trace-length buffers at
+/// most, against five for [`clean`] of a borrowed series.
+///
+/// # Errors
+/// Exactly as [`clean`].
+pub fn clean_owned(series: IrregularSeries, cfg: CleanConfig) -> Result<RegularSeries, CleanError> {
+    let (times, values) = series.into_parts();
+    clean_in_place(&mut CleanScratch { times, values, work: Vec::new() }, cfg)
+}
+
+/// Reusable working storage for [`clean_slices_into`], three buffers: the
+/// trace's `times` and `values`, compacted in place by the drop and
+/// outlier filters, and `work`, which holds the median, MAD and
+/// median-gap selections and then the re-gridded values, and leaves as
+/// the returned series' buffer. A steady-state cleaning loop that hands
+/// each result's buffer back with [`CleanScratch::lend`] performs no heap
+/// allocations once the buffers have grown to the trace length.
 #[derive(Debug, Default)]
 pub struct CleanScratch {
-    /// Timestamps surviving the drop/outlier filters.
+    /// Timestamps, compacted to the samples surviving the filters.
     times: Vec<Seconds>,
-    /// Values surviving the drop/outlier filters (parallel to `times`).
+    /// Values, parallel to `times`.
     values: Vec<f64>,
-    /// Sort buffer for medians (values, deviations, gaps).
+    /// Selection buffer, then the re-grid; lent by the caller.
     work: Vec<f64>,
-    /// Recycled output storage for the re-gridded series.
-    grid: Vec<f64>,
 }
 
 impl CleanScratch {
@@ -225,46 +262,47 @@ impl CleanScratch {
         Self::default()
     }
 
-    /// Lends an output buffer to the next [`clean_slices_into`] call, which
-    /// moves it into the returned series. Hand each result's buffer back
-    /// (via [`RegularSeries::into_values`]) or every call allocates one.
+    /// Lends the working buffer to the next [`clean_slices_into`] call,
+    /// which selects medians in it, writes the re-grid into it and moves it
+    /// into the returned series. Hand each result's buffer back (via
+    /// [`RegularSeries::into_values`]) or every call allocates one.
     pub fn lend(&mut self, buf: Vec<f64>) {
-        self.grid = buf;
+        self.work = buf;
     }
 
-    /// Takes back the currently lent output buffer (empty if none) — for
-    /// fallback paths that need the storage after a failed clean.
+    /// Takes back the currently lent buffer (empty if none), its contents
+    /// unspecified — for fallback paths that need the storage after a
+    /// failed clean.
     pub fn take_lent(&mut self) -> Vec<f64> {
-        std::mem::take(&mut self.grid)
+        std::mem::take(&mut self.work)
     }
 
     /// Heap bytes the scratch currently holds (capacities, not lengths) —
     /// the per-worker memory-footprint accounting of the fleet engine.
     pub fn resident_bytes(&self) -> usize {
         self.times.capacity() * std::mem::size_of::<Seconds>()
-            + (self.values.capacity() + self.work.capacity() + self.grid.capacity())
-                * std::mem::size_of::<f64>()
+            + (self.values.capacity() + self.work.capacity()) * std::mem::size_of::<f64>()
     }
 }
 
-/// The cleaning kernel: [`clean`] through caller-owned scratch. The trace
-/// arrives as parallel `times`/`values` slices, so a poller or synthesis
-/// loop that holds its samples in reused buffers cleans them without
-/// wrapping an [`IrregularSeries`] first. Results are identical to
-/// [`clean`]; all working storage, including the returned series' value
-/// buffer (lent with [`CleanScratch::lend`]), is reused across calls, so the
-/// steady-state per-trace cleaning cost is zero heap allocations.
+/// [`clean`] through caller-owned scratch. The trace arrives as parallel
+/// `times`/`values` slices, so a poller or synthesis loop that holds its
+/// samples in reused buffers cleans them without wrapping an
+/// [`IrregularSeries`] first; they are copied into the scratch and cleaned
+/// there. Results are identical to [`clean`]; all working storage,
+/// including the returned series' value buffer (lent with
+/// [`CleanScratch::lend`]), is reused across calls, so the steady-state
+/// per-trace cleaning cost is zero heap allocations.
 ///
 /// # Errors
 /// Exactly as [`clean`].
 ///
 /// # Panics
 /// Panics if the slices disagree in length or `times` decreases (the
-/// [`IrregularSeries`] invariant — enforced here too, so the slice path
-/// fails as loudly as the series constructors; the scan is a single pass,
-/// cheap next to the re-gridding walk it precedes). Duplicate timestamps
-/// are allowed: they model duplicated/delayed reports landing on the same
-/// collection tick and are deduplicated deterministically below (first
+/// [`IrregularSeries`] invariant, enforced here too, so the slice path
+/// fails as loudly as the series constructors). Duplicate timestamps are
+/// allowed: they model duplicated/delayed reports landing on the same
+/// collection tick and are deduplicated deterministically (first valid
 /// arrival wins), so the re-gridding walk always sees a strictly
 /// increasing trace.
 pub fn clean_slices_into(
@@ -274,10 +312,41 @@ pub fn clean_slices_into(
     scratch: &mut CleanScratch,
 ) -> Result<RegularSeries, CleanError> {
     assert_eq!(times.len(), values.len(), "times and values must pair up");
-    assert!(
-        times.windows(2).all(|w| w[0].value() <= w[1].value()),
-        "timestamps must be non-decreasing"
-    );
+    scratch.times.clear();
+    scratch.times.extend_from_slice(times);
+    scratch.values.clear();
+    scratch.values.extend_from_slice(values);
+    clean_in_place(scratch, cfg)
+}
+
+/// The cleaning kernel behind [`clean`], [`clean_owned`] and
+/// [`clean_slices_into`]: cleans the trace in `scratch.times`/`values`
+/// (equal lengths) in place and returns the re-grid in `scratch.work`'s
+/// storage.
+fn clean_in_place(scratch: &mut CleanScratch, cfg: CleanConfig) -> Result<RegularSeries, CleanError> {
+    let CleanScratch { times, values, work } = scratch;
+
+    // One compaction pass checks the order, drops invalid readings and
+    // deduplicates identical timestamps: the first *valid* arrival at a
+    // tick wins, matching `IrregularSeries::from_pairs`. The survivors are
+    // strictly increasing. A sample is written only at or below its own
+    // index, so every read sees the input.
+    let mut kept = 0;
+    for i in 0..times.len() {
+        let (t, v) = (times[i], values[i]);
+        assert!(
+            i == 0 || times[i - 1].value() <= t.value(),
+            "timestamps must be non-decreasing"
+        );
+        if v.is_finite() && (kept == 0 || times[kept - 1] != t) {
+            times[kept] = t;
+            values[kept] = v;
+            kept += 1;
+        }
+    }
+    times.truncate(kept);
+    values.truncate(kept);
+
     if let Some(interval) = cfg.interval {
         if !(interval.value() > 0.0 && interval.value().is_finite()) {
             return Err(CleanError::BadInterval(interval.value()));
@@ -290,50 +359,36 @@ pub fn clean_slices_into(
         }
     }
 
-    // Drop invalid readings and deduplicate identical timestamps: the first
-    // *valid* arrival at a tick wins, matching `IrregularSeries::from_pairs`.
-    // The surviving trace is strictly increasing.
-    scratch.times.clear();
-    scratch.values.clear();
-    for (&t, &v) in times.iter().zip(values) {
-        if v.is_finite() && scratch.times.last() != Some(&t) {
-            scratch.times.push(t);
-            scratch.values.push(v);
-        }
-    }
-
     // MAD outlier discard, matching `drop_outliers` bit for bit (every value
     // is finite at this point).
     if let Some(mads) = cfg.outlier_mads {
-        if !scratch.values.is_empty() {
-            scratch.work.clear();
-            scratch.work.extend_from_slice(&scratch.values);
-            let median = median_of_mut(&mut scratch.work);
-            scratch.work.clear();
-            scratch
-                .work
-                .extend(scratch.values.iter().map(|v| (v - median).abs()));
-            let mad = median_of_mut(&mut scratch.work) * 1.4826;
+        if !values.is_empty() {
+            work.clear();
+            work.extend_from_slice(values);
+            let median = median_of_mut(work);
+            work.clear();
+            work.extend(values.iter().map(|v| (v - median).abs()));
+            let mad = median_of_mut(work) * 1.4826;
             if mad > 0.0 {
                 let lo = median - mads * mad;
                 let hi = median + mads * mad;
                 let mut kept = 0;
-                for i in 0..scratch.values.len() {
-                    let v = scratch.values[i];
+                for i in 0..values.len() {
+                    let v = values[i];
                     if v >= lo && v <= hi {
-                        scratch.times[kept] = scratch.times[i];
-                        scratch.values[kept] = v;
+                        times[kept] = times[i];
+                        values[kept] = v;
                         kept += 1;
                     }
                 }
-                scratch.times.truncate(kept);
-                scratch.values.truncate(kept);
+                times.truncate(kept);
+                values.truncate(kept);
             }
         }
     }
 
-    if scratch.values.len() < 2 {
-        return Err(CleanError::TooSparse(scratch.values.len()));
+    if values.len() < 2 {
+        return Err(CleanError::TooSparse(values.len()));
     }
 
     // Grid interval: configured, or the median inter-sample gap (the same
@@ -341,46 +396,42 @@ pub fn clean_slices_into(
     let interval = match cfg.interval {
         Some(i) => i,
         None => {
-            scratch.work.clear();
-            scratch
-                .work
-                .extend(scratch.times.windows(2).map(|w| (w[1] - w[0]).value()));
-            let mid = scratch.work.len() / 2;
-            Seconds(*scratch.work.select_nth_unstable_by(mid, cmp_f64).1)
+            work.clear();
+            work.extend(times.windows(2).map(|w| (w[1] - w[0]).value()));
+            let mid = work.len() / 2;
+            Seconds(*work.select_nth_unstable_by(mid, cmp_f64).1)
         }
     };
     if !(interval.value() > 0.0 && interval.value().is_finite()) {
         return Err(CleanError::BadInterval(interval.value()));
     }
 
-    // Nearest-neighbour re-gridding. Grid timestamps are non-decreasing, so
-    // one merge walk replaces the per-point binary search of `regularize`
-    // while selecting exactly the same nearest sample (ties to the earlier
-    // one, as in `IrregularSeries::nearest_value`).
-    let start = scratch.times[0];
-    let end = *scratch.times.last().expect("len >= 2");
-    let steps = grid_points((end - start).value(), interval.value(), scratch.times.len())?;
-    let mut grid = std::mem::take(&mut scratch.grid);
-    grid.clear();
-    grid.reserve(steps);
+    // Nearest-neighbour re-gridding into `work`. Grid timestamps are
+    // non-decreasing, so one merge walk replaces the per-point binary
+    // search of `regularize` while selecting exactly the same nearest
+    // sample (ties to the earlier one, as in
+    // `IrregularSeries::nearest_value`).
+    let start = times[0];
+    let end = *times.last().expect("len >= 2");
+    let steps = grid_points((end - start).value(), interval.value(), times.len())?;
+    work.clear();
+    work.reserve_exact(steps);
     let mut j = 0usize; // count of samples strictly before the grid point
     for k in 0..steps {
         let t = start + interval * k as f64;
-        while j < scratch.times.len() && scratch.times[j].value() < t.value() {
+        while j < times.len() && times[j].value() < t.value() {
             j += 1;
         }
         let v = if j == 0 {
-            scratch.values[0]
-        } else if j == scratch.times.len()
-            || (t - scratch.times[j - 1]).value() <= (scratch.times[j] - t).value()
-        {
-            scratch.values[j - 1]
+            values[0]
+        } else if j == times.len() || (t - times[j - 1]).value() <= (times[j] - t).value() {
+            values[j - 1]
         } else {
-            scratch.values[j]
+            values[j]
         };
-        grid.push(v);
+        work.push(v);
     }
-    Ok(RegularSeries::new(start, interval, grid))
+    Ok(RegularSeries::new(start, interval, std::mem::take(work)))
 }
 
 /// Points of a grid that starts at the first sample and steps by
@@ -714,6 +765,31 @@ mod tests {
         // The composed reference pipeline agrees (from_pairs dedup).
         let reference = regularize(&drop_invalid(&ir), Seconds(10.0)).unwrap();
         assert_eq!(out, reference);
+    }
+
+    #[test]
+    fn clean_owned_matches_clean() {
+        // NaN losses, a duplicated tick and a corrupt spike: every filter
+        // of the compaction passes has something to drop.
+        let ir = IrregularSeries::new(
+            (0..40).map(|i| Seconds(10.0 * (i - i % 7 / 6) as f64)).collect(),
+            (0..40)
+                .map(|i| match i {
+                    3 | 17 => f64::NAN,
+                    25 => 1e9,
+                    _ => 10.0 + (i % 5) as f64 * 0.1,
+                })
+                .collect(),
+        );
+        assert!(ir.times().windows(2).any(|w| w[0] == w[1]), "the trace has a duplicate");
+        for cfg in [
+            CleanConfig::default(),
+            CleanConfig { interval: Some(Seconds(7.5)), outlier_mads: None },
+            CleanConfig { interval: Some(Seconds(0.0)), outlier_mads: None },
+            CleanConfig { interval: None, outlier_mads: Some(-1.0) },
+        ] {
+            assert_eq!(clean_owned(ir.clone(), cfg), clean(&ir, cfg), "cfg {cfg:?}");
+        }
     }
 
     #[test]

@@ -6,10 +6,18 @@
 //! from — the `(metric, device)` pair identity used throughout the paper's
 //! §3.2 study.
 //!
+//! Two entry points share one parser core: [`parse_csv`] parses a text held
+//! in memory, and [`read_csv`] parses a stream (a file, a pipe) through a
+//! fixed [`READ_BUFFER_BYTES`] buffer, handing the core each read's
+//! complete lines, so a trace is never held as text. Both give the same
+//! series, or the same error on the same line, for the same bytes.
+//!
 //! # Accepted grammar
 //!
-//! [`parse_csv`] reads the text line by line; lines end at `\n`, so CRLF
-//! files parse like LF files. Each line is trimmed as [`str::trim`] trims
+//! The text is read line by line; lines end at `\n`, so CRLF files parse
+//! like LF files. One UTF-8 byte-order mark (`EF BB BF`, which spreadsheet
+//! exports put first) is dropped from the start of the text; anywhere else
+//! it is an ordinary character. Each line is trimmed as [`str::trim`] trims
 //! it (Unicode whitespace, `\r` included), then:
 //!
 //! * an empty line or one starting with `#` is skipped;
@@ -41,6 +49,7 @@ use crate::series::IrregularSeries;
 use crate::time::Seconds;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::io::{self, Read};
 
 /// Identity and provenance of a trace: one `(metric, device)` pair.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -57,7 +66,8 @@ impl fmt::Display for TraceMeta {
     }
 }
 
-/// Error from [`parse_csv`].
+/// Error from [`parse_csv`]: the line that breaks the grammar, and why.
+/// [`read_csv`] reports it as [`ReadCsvError::Parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// 1-based line number of the offending row.
@@ -74,56 +84,202 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a `time,value` CSV (grammar and exactness in the
-/// [module docs](crate::ingest)). Blank lines and `#` comments are skipped; a single
-/// non-numeric header row before the first data row is tolerated — even
-/// when comments or blank lines precede it. The literal value `nan`
+/// Parses a `time,value` CSV held in memory (grammar and exactness in the
+/// [module docs](crate::ingest)). Blank lines and `#` comments are skipped;
+/// a single non-numeric header row before the first data row is tolerated —
+/// even when comments or blank lines precede it. The literal value `nan`
 /// (case-insensitive) marks a lost measurement.
 ///
 /// One pass over the bytes writes straight into the time and value
-/// columns; when the times arrive strictly increasing (every trace this
-/// workspace writes) they become the series as they are, and only other
-/// inputs go through [`IrregularSeries::from_pairs`]' sort and dedup.
+/// columns, sized up front from the text's line count; when the times
+/// arrive strictly increasing (every trace this workspace writes) they
+/// become the series as they are, and only other inputs go through
+/// [`IrregularSeries::from_pairs`]' sort and dedup. [`read_csv`] parses the
+/// same grammar from a stream.
 pub fn parse_csv(text: &str) -> Result<IrregularSeries, ParseError> {
-    let bytes = text.as_bytes();
     // Every row ends at a newline or at the end of the text, so this bounds
     // the row count and the columns never reallocate.
-    let rows = bytes.iter().filter(|&&b| b == b'\n').count() + 1;
-    let mut times: Vec<Seconds> = Vec::with_capacity(rows);
-    let mut values: Vec<f64> = Vec::with_capacity(rows);
-    let mut header_allowed = true;
-    let mut increasing = true;
-    let (mut pos, mut line) = (0, 0);
-    while pos < bytes.len() {
-        line += 1;
-        let row = match fast_line(bytes, pos) {
-            Fast::Row(t, v, next) => {
-                pos = next;
-                Some((t, v))
-            }
-            Fast::Skip(next) => {
-                pos = next;
-                None
-            }
-            Fast::Slow => {
-                let end = line_end(bytes, pos);
-                let row = parse_line(&text[pos..end], line, &mut header_allowed)?;
-                pos = end + 1;
-                row
-            }
-        };
-        if let Some((t, v)) = row {
-            header_allowed = false;
-            increasing &= times.last().is_none_or(|last| last.value() < t);
-            times.push(Seconds(t));
-            values.push(v);
+    let rows = text.bytes().filter(|&b| b == b'\n').count() + 1;
+    let mut parser = Parser::with_capacity(rows);
+    parser.feed(text)?;
+    Ok(parser.finish())
+}
+
+/// Bytes [`read_csv`] reads at a time. Only a line longer than this grows
+/// the buffer, until the line fits.
+pub const READ_BUFFER_BYTES: usize = 64 * 1024;
+
+/// Error from [`read_csv`].
+#[derive(Debug)]
+pub enum ReadCsvError {
+    /// Reading failed, or the stream is not UTF-8 (`ErrorKind::InvalidData`,
+    /// the error [`std::io::Read::read_to_string`] gives).
+    Io(io::Error),
+    /// The text does not follow the grammar.
+    Parse(ParseError),
+}
+
+impl fmt::Display for ReadCsvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReadCsvError::Io(e) => e.fmt(f),
+            ReadCsvError::Parse(e) => e.fmt(f),
         }
     }
-    Ok(if increasing {
-        IrregularSeries::new(times, values)
-    } else {
-        IrregularSeries::from_pairs(times.into_iter().zip(values).collect())
-    })
+}
+
+impl std::error::Error for ReadCsvError {}
+
+/// Parses a `time,value` CSV from a stream: the grammar, line numbers,
+/// errors and result of [`parse_csv`] on the stream's whole text, without
+/// holding that text.
+///
+/// The stream is read through one [`READ_BUFFER_BYTES`] buffer, filled
+/// without being zeroed first, so a short trace touches only the pages it
+/// fills. Each fill's complete lines go to the parser and only the
+/// unfinished last line stays behind. The columns grow as rows arrive; a
+/// stream longer than one buffer gets room for a full buffer's worth of
+/// rows at once.
+///
+/// A stream that is not UTF-8 anywhere fails with [`ReadCsvError::Io`]
+/// (`stream did not contain valid UTF-8`) even after a parse error earlier
+/// in it, as reading the whole text with [`std::io::Read::read_to_string`]
+/// first would, so after a parse error the rest of the stream is still read
+/// and checked.
+pub fn read_csv(mut reader: impl Read) -> Result<IrregularSeries, ReadCsvError> {
+    // `read_to_end` fills spare capacity without zeroing it first.
+    let mut buf = Vec::with_capacity(READ_BUFFER_BYTES);
+    let mut parser = Parser::with_capacity(0);
+    let mut parsed = Ok(());
+    let mut first = true;
+    loop {
+        if buf.len() == buf.capacity() {
+            // The unfinished line fills the buffer.
+            buf.reserve(buf.len());
+        }
+        // Fill the buffer, or read to the end of the stream.
+        let start = buf.len();
+        let room = (buf.capacity() - start) as u64;
+        reader.by_ref().take(room).read_to_end(&mut buf).map_err(ReadCsvError::Io)?;
+        let at_end = buf.len() < buf.capacity();
+        if std::mem::take(&mut first) && !at_end {
+            // A stream longer than one buffer: room for the most rows a
+            // buffer holds (a row takes at least 4 bytes, `0,0\n`), so the
+            // columns skip the small sizes an allocator carves from its
+            // shared heap, whose outgrown pages stay resident.
+            parser.reserve(READ_BUFFER_BYTES / 4);
+        }
+        // Whole lines run through the last newline; at the end of the
+        // stream, through its last byte. A newline never falls inside a
+        // UTF-8 sequence, so each batch of lines is checked on its own.
+        let lines = match buf[start..].iter().rposition(|&b| b == b'\n') {
+            _ if at_end => buf.len(),
+            Some(k) => start + k + 1,
+            None => continue,
+        };
+        let text = std::str::from_utf8(&buf[..lines]).map_err(|_| {
+            ReadCsvError::Io(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            ))
+        })?;
+        if parsed.is_ok() {
+            parsed = parser.feed(text);
+        }
+        if at_end {
+            break;
+        }
+        buf.drain(..lines);
+    }
+    parsed.map_err(ReadCsvError::Parse)?;
+    Ok(parser.finish())
+}
+
+/// The parser core behind [`parse_csv`] and [`read_csv`]: the columns and
+/// the state that carries from one line to the next, fed text that ends at
+/// a line end.
+struct Parser {
+    times: Vec<Seconds>,
+    values: Vec<f64>,
+    /// No data row yet, and no header row skipped.
+    header_allowed: bool,
+    /// Every time so far exceeds the one before it.
+    increasing: bool,
+    /// Number of the last line parsed (1-based).
+    line: usize,
+    /// Nothing fed yet: the next text starts the stream.
+    at_start: bool,
+}
+
+impl Parser {
+    fn with_capacity(rows: usize) -> Self {
+        Parser {
+            times: Vec::with_capacity(rows),
+            values: Vec::with_capacity(rows),
+            header_allowed: true,
+            increasing: true,
+            line: 0,
+            at_start: true,
+        }
+    }
+
+    /// Makes room for `rows` more rows.
+    fn reserve(&mut self, rows: usize) {
+        self.times.reserve(rows);
+        self.values.reserve(rows);
+    }
+
+    /// Parses the lines of `text`, which ends after a `\n` or at the end of
+    /// the stream. A byte-order mark opening the stream is not part of its
+    /// first line.
+    fn feed(&mut self, text: &str) -> Result<(), ParseError> {
+        let text = match std::mem::take(&mut self.at_start) {
+            true => text.strip_prefix('\u{FEFF}').unwrap_or(text),
+            false => text,
+        };
+        let bytes = text.as_bytes();
+        let (times, values) = (&mut self.times, &mut self.values);
+        let (mut header_allowed, mut increasing, mut line) =
+            (self.header_allowed, self.increasing, self.line);
+        let mut pos = 0;
+        while pos < bytes.len() {
+            line += 1;
+            let row = match fast_line(bytes, pos) {
+                Fast::Row(t, v, next) => {
+                    pos = next;
+                    Some((t, v))
+                }
+                Fast::Skip(next) => {
+                    pos = next;
+                    None
+                }
+                Fast::Slow => {
+                    let end = line_end(bytes, pos);
+                    let row = parse_line(&text[pos..end], line, &mut header_allowed)?;
+                    pos = end + 1;
+                    row
+                }
+            };
+            if let Some((t, v)) = row {
+                header_allowed = false;
+                increasing &= times.last().is_none_or(|last| last.value() < t);
+                times.push(Seconds(t));
+                values.push(v);
+            }
+        }
+        (self.header_allowed, self.increasing, self.line) = (header_allowed, increasing, line);
+        Ok(())
+    }
+
+    /// The series of every row fed, sorted and deduplicated if the times
+    /// did not arrive strictly increasing.
+    fn finish(self) -> IrregularSeries {
+        if self.increasing {
+            IrregularSeries::new(self.times, self.values)
+        } else {
+            IrregularSeries::from_pairs(self.times.into_iter().zip(self.values).collect())
+        }
+    }
 }
 
 /// What [`fast_line`] made of the line starting at a byte offset.
@@ -386,6 +542,97 @@ mod tests {
             .unwrap();
         assert_eq!(s.times(), &[Seconds(0.0), Seconds(60.0)]);
         assert_eq!(s.values(), &[1.5, 2.0]);
+    }
+
+    #[test]
+    fn a_leading_byte_order_mark_is_not_part_of_the_first_row() {
+        let rows = "0,1\n60,2\n";
+        let with_bom = format!("\u{FEFF}{rows}");
+        let want = parse_csv(rows).unwrap();
+        assert_eq!(parse_csv(&with_bom).unwrap(), want);
+        assert_eq!(read_csv(with_bom.as_bytes()).unwrap(), want);
+        // Before a header the mark goes too, and the header is still skipped.
+        let header = format!("\u{FEFF}time_seconds,value\n{rows}");
+        assert_eq!(read_csv(header.as_bytes()).unwrap(), want);
+        // Only one mark, and only at the start of the text.
+        let twice = format!("\u{FEFF}\u{FEFF}{rows}");
+        assert_eq!(parse_csv(&twice).unwrap().len(), 1, "the second mark makes a header");
+        let err = parse_csv(&format!("{rows}\u{FEFF}120,3\n")).unwrap_err();
+        assert_eq!((err.line, err.message.contains("bad timestamp")), (3, true));
+    }
+
+    /// Hands out at most `chunk` bytes per read.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_csv_holds_lines_longer_than_its_buffer() {
+        let padding = " ".repeat(3 * READ_BUFFER_BYTES);
+        let text = format!("# {padding}\n0,{padding}1\n{padding}60,2{padding}");
+        let want = parse_csv(&text).unwrap();
+        assert_eq!(want.values(), &[1.0, 2.0]);
+        for chunk in [1000, READ_BUFFER_BYTES, 10 * READ_BUFFER_BYTES] {
+            let got = read_csv(Trickle { bytes: text.as_bytes(), chunk }).unwrap();
+            assert_eq!(got, want, "{chunk}-byte reads");
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_anywhere_outranks_a_parse_error() {
+        let invalid = |e: ReadCsvError| match e {
+            ReadCsvError::Io(e) => {
+                e.kind() == io::ErrorKind::InvalidData
+                    && e.to_string() == "stream did not contain valid UTF-8"
+            }
+            ReadCsvError::Parse(_) => false,
+        };
+        // The bad byte in a comment the fast path would skip, after a bad
+        // row, on a line longer than the read buffer.
+        let mut bytes = b"0,1\nxx,2\n".to_vec();
+        bytes.extend(std::iter::repeat_n(b'#', 2 * READ_BUFFER_BYTES));
+        bytes.extend(b"\xFF\n3,4\n");
+        for chunk in [7, READ_BUFFER_BYTES] {
+            assert!(invalid(read_csv(Trickle { bytes: &bytes, chunk }).unwrap_err()));
+        }
+        // A valid stream keeps its parse error, line number included.
+        match read_csv(&b"0,1\nxx,2\n"[..]) {
+            Err(ReadCsvError::Parse(e)) => assert_eq!(e, parse_csv("0,1\nxx,2\n").unwrap_err()),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn read_csv_retries_interrupted_reads_and_passes_on_other_errors() {
+        /// Answers each read with the next scripted chunk or error.
+        struct Script(std::collections::VecDeque<Result<&'static [u8], io::ErrorKind>>);
+        impl Read for Script {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                match self.0.pop_front() {
+                    Some(Ok(chunk)) => {
+                        buf[..chunk.len()].copy_from_slice(chunk);
+                        Ok(chunk.len())
+                    }
+                    Some(Err(kind)) => Err(kind.into()),
+                    None => Ok(0),
+                }
+            }
+        }
+        let script = |steps: Vec<Result<&'static [u8], io::ErrorKind>>| Script(steps.into());
+        let ok = read_csv(script(vec![Ok(b"0,1\n6"), Err(io::ErrorKind::Interrupted), Ok(b"0,2")]));
+        assert_eq!(ok.unwrap().values(), &[1.0, 2.0]);
+        let err = read_csv(script(vec![Ok(b"0,1\n"), Err(io::ErrorKind::PermissionDenied)]));
+        assert!(matches!(err, Err(ReadCsvError::Io(e)) if e.kind() == io::ErrorKind::PermissionDenied));
     }
 
     #[test]

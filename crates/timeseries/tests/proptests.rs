@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use sweetspot_timeseries::clean::{clean, drop_invalid, regularize, CleanConfig};
-use sweetspot_timeseries::ingest::{parse_csv, to_csv, ParseError};
+use sweetspot_timeseries::ingest::{
+    parse_csv, read_csv, to_csv, ParseError, ReadCsvError, READ_BUFFER_BYTES,
+};
 use sweetspot_timeseries::windowing::moving_windows;
 use sweetspot_timeseries::{IrregularSeries, RegularSeries, Seconds};
 
@@ -326,5 +328,53 @@ proptest! {
         let text = csv_text(lines, shape);
         let (got, want) = (parse_csv(&text), reference_parse_csv(&text));
         prop_assert!(same_parse(&got, &want), "{text:?}\n got {got:?}\nwant {want:?}");
+    }
+}
+
+/// A reader that hands out `bytes` in reads of 1 to 64 bytes, the lengths
+/// drawn from a xorshift stream seeded by `state`.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    state: u64,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.state ^= self.state << 13;
+        self.state ^= self.state >> 7;
+        self.state ^= self.state << 17;
+        let n = (1 + (self.state % 64) as usize).min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The streaming twin of `parse_csv_matches_the_line_based_reference`.
+    /// A comment line pads the text so that the end of `read_csv`'s first
+    /// buffer falls `cut` bytes into the generated lines, splitting a line,
+    /// a `\r\n` pair or multi-byte padding anywhere, and the stream arrives
+    /// in reads of 1 to 64 bytes. The result must still be the reference's
+    /// series, or its error on its line.
+    #[test]
+    fn read_csv_matches_the_line_based_reference(
+        lines in prop::collection::vec((0u32..100, 0u64..u64::MAX, 0u64..u64::MAX), 0..40),
+        shape in 0u64..u64::MAX,
+        cut in 0usize..usize::MAX,
+        reads in 1u64..u64::MAX,
+    ) {
+        let lines = csv_text(lines, shape);
+        let cut = cut % (lines.len() + 1);
+        let text = format!("#{}\n{lines}", "-".repeat(READ_BUFFER_BYTES - cut - 2));
+        let got = match read_csv(Trickle { bytes: text.as_bytes(), state: reads }) {
+            Err(ReadCsvError::Io(e)) => panic!("valid UTF-8 read as {e}"),
+            Err(ReadCsvError::Parse(e)) => Err(e),
+            Ok(series) => Ok(series),
+        };
+        let want = reference_parse_csv(&text);
+        prop_assert!(same_parse(&got, &want), "{lines:?} cut at {cut}\n got {got:?}\nwant {want:?}");
     }
 }

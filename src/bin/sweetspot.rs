@@ -5,10 +5,14 @@
 //! ```text
 //! sweetspot analyze <trace.csv>
 //!     Estimate a trace's Nyquist rate and print a sampling recommendation.
-//!     The CSV is `time_seconds,value` (header optional, `nan` = lost sample).
+//!     The CSV is `time_seconds,value` (header optional, `nan` = lost sample)
+//!     and may be a pipe (`/dev/stdin`): it is read as a stream, never held
+//!     as text. `--timing` prints the load/clean/estimate wall-clock split
+//!     and (on Linux) the process peak RSS to stderr.
 //!
 //! sweetspot track <trace.csv>
 //!     Moving-window Nyquist tracking (the paper's Figure 7) over a trace.
+//!     Reads the trace as `analyze` does; `--timing` likewise.
 //!
 //! sweetspot study
 //!     Run the §3.2 fleet study on the synthetic fleet and print Figure 1
@@ -79,6 +83,7 @@
 
 use std::io::{BufWriter, ErrorKind, StdoutLock, Write};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 use sweetspot::analysis::experiments::{fig1, headline};
 use sweetspot::analysis::fleetsim::{
     self, scenario::ScenarioSpec, scheduler::SchedulerPolicy, FleetSimConfig,
@@ -88,8 +93,8 @@ use sweetspot::core::recommend::{recommend, Action, RecommendConfig};
 use sweetspot::core::tracker::{summarize, track, TrackerConfig};
 use sweetspot::obs::json;
 use sweetspot::prelude::*;
-use sweetspot::timeseries::clean::{clean, CleanConfig, CleanError};
-use sweetspot::timeseries::ingest;
+use sweetspot::timeseries::clean::{clean_owned, CleanConfig, CleanError};
+use sweetspot::timeseries::ingest::{self, ReadCsvError};
 
 /// Pins glibc's mmap threshold so evicted FFT plan tables return to the OS.
 ///
@@ -221,9 +226,10 @@ struct Command {
 static COMMANDS: [Command; 5] = [
     Command { name: "analyze", positional: Some("<trace.csv>"), run: cmd_analyze, flags: &[
         ("cutoff", Some("F")), ("headroom", Some("F")), ("interval", Some("SECONDS")),
+        ("timing", None),
     ] },
     Command { name: "track", positional: Some("<trace.csv>"), run: cmd_track, flags: &[
-        ("window", Some("SECONDS")), ("step", Some("SECONDS")),
+        ("window", Some("SECONDS")), ("step", Some("SECONDS")), ("timing", None),
     ] },
     Command { name: "study", positional: None, run: cmd_study, flags: &[
         ("devices", Some("N")), ("seed", Some("S")), ("threads", Some("T")),
@@ -327,17 +333,50 @@ impl<'a> Args<'a> {
     }
 }
 
-fn load_trace(path: &str, interval: Option<f64>) -> Result<RegularSeries, String> {
-    // Drop the text once parsed so it does not add to peak memory while cleaning.
-    let raw = {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        ingest::parse_csv(&text).map_err(|e| format!("{path}: {e}"))?
-    };
+/// Wall time `analyze` or `track` spent in each stage, for `--timing`.
+struct StageTimes {
+    /// Reading and parsing the trace.
+    load: Duration,
+    /// Cleaning the parsed columns.
+    clean: Duration,
+}
+
+impl StageTimes {
+    /// The `--timing` line: the stages and `estimate` (the command's own
+    /// work on the cleaned trace) in ms, plus the process's peak RSS where
+    /// the platform reports it.
+    fn report(&self, estimate: Duration) -> String {
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let mut line = format!(
+            "timing: load {:.3} ms | clean {:.3} ms | estimate {:.3} ms",
+            ms(self.load),
+            ms(self.clean),
+            ms(estimate)
+        );
+        if let Some(kb) = sweetspot::analysis::report::peak_rss_kb() {
+            line += &format!(" | peak RSS {kb} kB");
+        }
+        line
+    }
+}
+
+/// Reads the trace at `path` (a file or a pipe such as `/dev/stdin`),
+/// streaming it into its columns, and cleans those columns in place.
+fn load_trace(path: &str, interval: Option<f64>) -> Result<(RegularSeries, StageTimes), String> {
+    let started = Instant::now();
+    let raw = std::fs::File::open(path)
+        .map_err(ReadCsvError::Io)
+        .and_then(ingest::read_csv)
+        .map_err(|e| match e {
+            ReadCsvError::Io(e) => format!("cannot read {path}: {e}"),
+            ReadCsvError::Parse(e) => format!("{path}: {e}"),
+        })?;
+    let loaded = Instant::now();
     if raw.len() < 8 {
         return Err(format!("{path}: only {} usable samples", raw.len()));
     }
-    let series = clean(
-        &raw,
+    let series = clean_owned(
+        raw,
         CleanConfig {
             interval: interval.map(Seconds),
             outlier_mads: Some(8.0),
@@ -349,11 +388,12 @@ fn load_trace(path: &str, interval: Option<f64>) -> Result<RegularSeries, String
         }
         _ => format!("{path}: {e}"),
     })?;
+    let times = StageTimes { load: loaded - started, clean: loaded.elapsed() };
     // The estimator needs `MIN_SAMPLES`: a coarse `--interval` or a trace
     // of mostly NaN rows can re-grid to fewer.
     let n = series.len();
     match interval {
-        _ if n >= NyquistEstimator::MIN_SAMPLES => Ok(series),
+        _ if n >= NyquistEstimator::MIN_SAMPLES => Ok((series, times)),
         Some(s) => Err(format!(
             "{path}: --interval {s} leaves {n} samples, the estimator needs at least {}",
             NyquistEstimator::MIN_SAMPLES
@@ -376,7 +416,8 @@ fn cmd_analyze(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
     };
     cfg.validate()?;
 
-    let series = load_trace(args.path, interval)?;
+    let (series, times) = load_trace(args.path, interval)?;
+    let started = Instant::now();
     writeln!(
         out,
         "trace: {} samples at {} ({} total)",
@@ -408,6 +449,10 @@ fn cmd_analyze(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
              trace cannot assess this signal"
         )?,
     }
+    if args.value("timing").is_some() {
+        out.flush()?;
+        eprintln!("{}", times.report(started.elapsed()));
+    }
     Ok(())
 }
 
@@ -420,7 +465,8 @@ fn cmd_track(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
         estimator: NyquistConfig::default(),
     };
     cfg.validate()?;
-    let series = load_trace(args.path, None)?;
+    let (series, times) = load_trace(args.path, None)?;
+    let started = Instant::now();
     let points = track(&series, cfg);
     if points.is_empty() {
         return Err("trace is shorter than one window".into());
@@ -441,6 +487,9 @@ fn cmd_track(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
         s.min_rate.map(|r| r.value()),
         s.max_rate.map(|r| r.value())
     );
+    if args.value("timing").is_some() {
+        eprintln!("{}", times.report(started.elapsed()));
+    }
     Ok(())
 }
 

@@ -987,6 +987,85 @@ fn analyze_on_messy_csv_matches_golden_fixture() {
     );
 }
 
+#[test]
+fn analyze_reads_its_trace_from_a_pipe() {
+    // A pipe reports size 0, so the trace is read as a stream to its end.
+    let trace = golden("messy_trace.csv");
+    let mut child = bin()
+        .args(["analyze", "/dev/stdin"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdin = child.stdin.take().unwrap();
+    let writer = std::thread::spawn(move || stdin.write_all(&trace));
+    let out = child.wait_with_output().unwrap();
+    writer.join().unwrap().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.stdout == golden("analyze_messy.txt"),
+        "analyze of a piped trace diverged:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+#[test]
+fn analyze_rejects_a_trace_that_is_not_utf8() {
+    // The bad byte sits in a comment after the rows, where the parser
+    // would never look at it: the whole stream must still be UTF-8.
+    let path = std::env::temp_dir().join(format!("sweetspot-cli-latin1-{}.csv", std::process::id()));
+    let mut bytes = oversampled_csv().into_bytes();
+    bytes.extend(b"# caf\xE9\n");
+    std::fs::write(&path, bytes).unwrap();
+    let out = bin().arg("analyze").arg(&path).output().unwrap();
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cannot read") && stderr.contains("stream did not contain valid UTF-8"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn analyze_keeps_the_first_row_after_a_byte_order_mark() {
+    let csv = oversampled_csv();
+    let rows = csv.lines().skip(1).take(9).collect::<Vec<_>>().join("\n");
+    let path = write_temp("bom", &format!("\u{FEFF}{rows}\n"));
+    let stdout = stdout_of("analyze", &path);
+    std::fs::remove_file(path).ok();
+    let first = String::from_utf8_lossy(&stdout).lines().next().unwrap_or("").to_string();
+    assert!(first.starts_with("trace: 9 samples"), "{first}");
+}
+
+#[test]
+fn analyze_and_track_timing_is_one_stderr_line() {
+    let path = write_temp("timing", &oversampled_csv());
+    for (cmd, flags) in [("analyze", &[][..]), ("track", &["--window", "21600", "--step", "3600"][..])] {
+        let run = |timing: bool| {
+            let mut c = bin();
+            c.arg(cmd).arg(&path).args(flags);
+            if timing {
+                c.arg("--timing");
+            }
+            c.output().unwrap()
+        };
+        let (timed, plain) = (run(true), run(false));
+        assert!(timed.status.success(), "{}", String::from_utf8_lossy(&timed.stderr));
+        assert_eq!(timed.stdout, plain.stdout, "{cmd}: --timing must not alter stdout");
+        let stderr = String::from_utf8_lossy(&timed.stderr);
+        let lines: Vec<_> = stderr.lines().filter(|l| l.starts_with("timing:")).collect();
+        assert_eq!(lines.len(), 1, "{cmd}: {stderr}");
+        for stage in ["load", "clean", "estimate"] {
+            assert!(lines[0].contains(&format!("{stage} ")), "{cmd} lacks {stage}: {}", lines[0]);
+        }
+        assert!(!String::from_utf8_lossy(&plain.stderr).contains("timing:"), "{cmd}: opt-in");
+    }
+    std::fs::remove_file(path).ok();
+}
+
 /// A 90-day minutely trace the size of the benchmark's `analyze` input
 /// (129 600 rows before faults): three tones, the highest at 2 mHz, plus
 /// small pseudo-random noise, dropped rows, `nan` rows and one spike the
