@@ -753,6 +753,54 @@ mod tests {
     }
 
     #[test]
+    fn every_preset_spelling_parses_to_its_fixed_spec() {
+        let none = ScenarioSpec::none();
+        let churn = ScenarioSpec {
+            leave_prob: 0.01,
+            join_prob: 0.25,
+            reboot_prob: 0.005,
+            ..none
+        };
+        let lossy = ScenarioSpec {
+            drop_prob: 0.05,
+            dup_prob: 0.02,
+            delay_prob: 0.03,
+            ..none
+        };
+        let diurnal = ScenarioSpec {
+            incident_factor: 3.0,
+            incident_period: 6,
+            ..none
+        };
+        let cases = [
+            ("none", none),
+            ("churn", churn),
+            ("incident", ScenarioSpec { incident_factor: 3.0, ..none }),
+            ("lossy-reports", lossy),
+            ("lossy", lossy),
+            ("cost-skew", ScenarioSpec { cost_spread: 4.0, ..none }),
+            ("duty", ScenarioSpec { duty_period: 4, duty_frac: 0.75, ..none }),
+            (
+                "battery",
+                ScenarioSpec { duty_period: 6, duty_frac: 0.5, sleep_prob: 0.05, ..none },
+            ),
+            ("diurnal", diurnal),
+            (
+                "staggered",
+                ScenarioSpec { incident_factor: 3.0, incident_stagger: 4, ..none },
+            ),
+            // Terms apply left to right: a preset after an override wins,
+            // an override after a preset wins.
+            ("drop=0.1+lossy-reports", lossy),
+            ("lossy-reports+drop=0.1", ScenarioSpec { drop_prob: 0.1, ..lossy }),
+            ("incident=2+diurnal", diurnal),
+        ];
+        for (text, spec) in cases {
+            assert_eq!(ScenarioSpec::parse(text), Ok(spec), "{text}");
+        }
+    }
+
+    #[test]
     fn parse_rejects_nonsense() {
         assert!(ScenarioSpec::parse("blizzard").is_err());
         assert!(ScenarioSpec::parse("drop=nope").is_err());
