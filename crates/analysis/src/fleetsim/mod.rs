@@ -1244,7 +1244,7 @@ mod tests {
         let cfg = FleetSimConfig {
             scenario: ScenarioSpec {
                 seed: 1,
-                ..ScenarioSpec::incident()
+                ..ScenarioSpec::parse("incident").unwrap()
             },
             days: 16.0,
             ..tiny_config(2)
@@ -1301,7 +1301,7 @@ mod tests {
         let cfg = FleetSimConfig {
             scenario: ScenarioSpec {
                 seed: 2,
-                ..ScenarioSpec::cost_skew()
+                ..ScenarioSpec::parse("cost-skew").unwrap()
             },
             ..tiny_config(2)
         };
@@ -1361,7 +1361,7 @@ mod tests {
         let cfg = |frac: f64| FleetSimConfig {
             scenario: ScenarioSpec {
                 seed: 1,
-                ..ScenarioSpec::incident()
+                ..ScenarioSpec::parse("incident").unwrap()
             },
             days: 24.0,
             fleet: FleetConfig {

@@ -50,6 +50,17 @@
 //! into device-index groups whose windows shift one epoch per group —
 //! device-index grouping, *not* worker shards, so activity stays a pure
 //! function of `(spec, epoch, index)` and thread counts cannot perturb it.
+//!
+//! ### One vocabulary
+//!
+//! A `--scenario` string is `+`-joined terms with one table behind them:
+//! [`ScenarioSpec::KEYS`] has one row per `key=value` override, naming the
+//! field it sets and its kind (probability, whole epochs or plain number).
+//! A preset is only a term list over those keys — [`ScenarioSpec::PRESETS`]
+//! has `churn` = `leave=0.01+join=0.25+reboot=0.005` — so `parse` expands
+//! a preset and applies every term through the one key lookup, left to
+//! right, and the diagnostics list and `validate`'s probability check read
+//! the same tables.
 
 use std::ops::Range;
 
@@ -86,9 +97,10 @@ pub enum DeviceEvent {
 /// per-device cost asymmetry. `Copy` so it rides inside
 /// [`FleetSimConfig`](super::FleetSimConfig).
 ///
-/// Build one from a CLI string with [`ScenarioSpec::parse`]: the preset
-/// names in [`ScenarioSpec::PRESETS`] compose with `+`, and `key=value`
-/// terms override individual fields.
+/// Build one from a CLI string with [`ScenarioSpec::parse`]: `+`-joined
+/// `key=value` terms over [`ScenarioSpec::KEYS`], each setting one field,
+/// and preset names from [`ScenarioSpec::PRESETS`], each standing for a
+/// list of such terms.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioSpec {
     /// Per-epoch probability an active device goes offline.
@@ -162,88 +174,6 @@ impl ScenarioSpec {
         }
     }
 
-    /// Device churn: ~1% of the fleet leaves per epoch, absentees rejoin
-    /// quickly, occasional in-place reboots.
-    pub const fn churn() -> ScenarioSpec {
-        ScenarioSpec {
-            leave_prob: 0.01,
-            join_prob: 0.25,
-            reboot_prob: 0.005,
-            ..ScenarioSpec::none()
-        }
-    }
-
-    /// Regime incident: mid-study, every signal's band edge jumps to 3× its
-    /// diurnal value, then recovers — the controller must re-discover both
-    /// transitions through its own sampling.
-    pub const fn incident() -> ScenarioSpec {
-        ScenarioSpec {
-            incident_factor: 3.0,
-            ..ScenarioSpec::none()
-        }
-    }
-
-    /// Lossy reporting: epochs are dropped, duplicated, and delayed in
-    /// flight at realistic rates.
-    pub const fn lossy_reports() -> ScenarioSpec {
-        ScenarioSpec {
-            drop_prob: 0.05,
-            dup_prob: 0.02,
-            delay_prob: 0.03,
-            ..ScenarioSpec::none()
-        }
-    }
-
-    /// Cost asymmetry: per-device sample costs spread 4× either way.
-    pub const fn cost_skew() -> ScenarioSpec {
-        ScenarioSpec {
-            cost_spread: 4.0,
-            ..ScenarioSpec::none()
-        }
-    }
-
-    /// Duty-cycled reporters: each member sleeps one epoch in four, at a
-    /// hashed per-member phase (the fleet never naps in unison).
-    pub const fn duty() -> ScenarioSpec {
-        ScenarioSpec {
-            duty_period: 4,
-            duty_frac: 0.75,
-            ..ScenarioSpec::none()
-        }
-    }
-
-    /// Battery-constrained reporters: awake half of every six epochs plus
-    /// a 5% per-epoch chance of an unscheduled conservation nap.
-    pub const fn battery() -> ScenarioSpec {
-        ScenarioSpec {
-            duty_period: 6,
-            duty_frac: 0.5,
-            sleep_prob: 0.05,
-            ..ScenarioSpec::none()
-        }
-    }
-
-    /// Diurnal regime: the 3× band-edge incident recurs within every
-    /// 6-epoch period instead of striking once mid-study.
-    pub const fn diurnal() -> ScenarioSpec {
-        ScenarioSpec {
-            incident_factor: 3.0,
-            incident_period: 6,
-            ..ScenarioSpec::none()
-        }
-    }
-
-    /// Staggered incident: the 3× regime switch rolls across four
-    /// device-index groups, one epoch apart, instead of striking the whole
-    /// fleet at once.
-    pub const fn staggered() -> ScenarioSpec {
-        ScenarioSpec {
-            incident_factor: 3.0,
-            incident_stagger: 4,
-            ..ScenarioSpec::none()
-        }
-    }
-
     /// `true` when the scenario can perturb the run at all. Every run builds
     /// a [`ScenarioEngine`]; an inactive one deals every device `Healthy`,
     /// so `--scenario none` keeps the healthy path bit-identical to a
@@ -300,132 +230,130 @@ impl ScenarioSpec {
         }
     }
 
-    /// Valid preset names, for diagnostics.
-    pub const PRESETS: &'static str =
-        "none, churn, incident, lossy-reports, cost-skew, duty, battery, diurnal, staggered";
+    /// The `key=value` overrides, one row per key: its name and the field
+    /// it sets. The row order is the order diagnostics list the keys in and
+    /// `validate` checks the probabilities in.
+    pub const KEYS: &'static [(&'static str, Field)] = &[
+        ("leave", Field::Probability(|s| &mut s.leave_prob)),
+        ("join", Field::Probability(|s| &mut s.join_prob)),
+        ("reboot", Field::Probability(|s| &mut s.reboot_prob)),
+        ("drop", Field::Probability(|s| &mut s.drop_prob)),
+        ("dup", Field::Probability(|s| &mut s.dup_prob)),
+        ("delay", Field::Probability(|s| &mut s.delay_prob)),
+        ("sleep", Field::Probability(|s| &mut s.sleep_prob)),
+        ("duty-period", Field::Epochs(|s| &mut s.duty_period)),
+        ("duty-frac", Field::Number(|s| &mut s.duty_frac)),
+        ("incident", Field::Number(|s| &mut s.incident_factor)),
+        ("incident-start", Field::Number(|s| &mut s.incident_start_frac)),
+        ("incident-end", Field::Number(|s| &mut s.incident_end_frac)),
+        ("incident-period", Field::Epochs(|s| &mut s.incident_period)),
+        ("incident-stagger", Field::Epochs(|s| &mut s.incident_stagger)),
+        ("cost-spread", Field::Number(|s| &mut s.cost_spread)),
+    ];
 
-    /// Valid `key=value` override keys, for diagnostics.
-    pub const KEYS: &'static str = "leave, join, reboot, drop, dup, delay, sleep, \
-         duty-period, duty-frac, incident, incident-start, incident-end, \
-         incident-period, incident-stagger, cost-spread";
+    /// The presets, one row per preset: the spellings that name it (the
+    /// first is the one diagnostics list) and the `+`-joined
+    /// [`ScenarioSpec::KEYS`] terms it stands for. A preset sets only
+    /// non-default values, so presets compose: `churn+incident` is churn's
+    /// probabilities plus incident's regime switch.
+    pub const PRESETS: &'static [(&'static [&'static str], &'static str)] = &[
+        // The healthy scenario.
+        (&["none"], ""),
+        // Device churn: ~1% of the fleet leaves per epoch, absentees rejoin
+        // quickly, occasional in-place reboots.
+        (&["churn"], "leave=0.01+join=0.25+reboot=0.005"),
+        // Regime incident: mid-study, every signal's band edge jumps to 3×
+        // its diurnal value, then recovers — the controller must
+        // re-discover both transitions through its own sampling.
+        (&["incident"], "incident=3"),
+        // Lossy reporting: epochs are dropped, duplicated, and delayed in
+        // flight at realistic rates.
+        (&["lossy-reports", "lossy"], "drop=0.05+dup=0.02+delay=0.03"),
+        // Cost asymmetry: per-device sample costs spread 4× either way.
+        (&["cost-skew"], "cost-spread=4"),
+        // Duty-cycled reporters: each member sleeps one epoch in four, at a
+        // hashed per-member phase (the fleet never naps in unison).
+        (&["duty"], "duty-period=4+duty-frac=0.75"),
+        // Battery-constrained reporters: awake half of every six epochs
+        // plus a 5% per-epoch chance of an unscheduled conservation nap.
+        (&["battery"], "duty-period=6+duty-frac=0.5+sleep=0.05"),
+        // Diurnal regime: the 3× band-edge incident recurs within every
+        // 6-epoch period instead of striking once mid-study.
+        (&["diurnal"], "incident=3+incident-period=6"),
+        // Staggered incident: the 3× regime switch rolls across four
+        // device-index groups, one epoch apart, instead of striking the
+        // whole fleet at once.
+        (&["staggered"], "incident=3+incident-stagger=4"),
+    ];
 
     /// Parses a `--scenario` argument: `+`-separated terms, each either a
-    /// preset name ([`ScenarioSpec::PRESETS`]) or a `key=value` override
-    /// ([`ScenarioSpec::KEYS`]; `incident` is the regime factor). Terms
-    /// apply left to right onto the healthy scenario. The seed is *not*
-    /// part of the string — set it via `--scenario-seed` / the field.
+    /// preset name ([`ScenarioSpec::PRESETS`]), which stands for its terms,
+    /// or a `key=value` override ([`ScenarioSpec::KEYS`]; `incident` is the
+    /// regime factor). Terms apply left to right onto the healthy scenario.
+    /// The seed is *not* part of the string — set it via `--scenario-seed` /
+    /// the field.
     ///
     /// # Errors
     /// A human-readable message naming the offending term and listing the
     /// valid presets and keys.
     pub fn parse(s: &str) -> Result<ScenarioSpec, String> {
         let mut spec = ScenarioSpec::none();
-        for term in s.split('+') {
-            let term = term.trim();
-            match term {
-                "" | "none" => {}
-                "churn" => spec.merge(&ScenarioSpec::churn()),
-                "incident" => spec.merge(&ScenarioSpec::incident()),
-                "lossy-reports" | "lossy" => spec.merge(&ScenarioSpec::lossy_reports()),
-                "cost-skew" => spec.merge(&ScenarioSpec::cost_skew()),
-                "duty" => spec.merge(&ScenarioSpec::duty()),
-                "battery" => spec.merge(&ScenarioSpec::battery()),
-                "diurnal" => spec.merge(&ScenarioSpec::diurnal()),
-                "staggered" => spec.merge(&ScenarioSpec::staggered()),
-                _ => {
-                    let (key, value) = term.split_once('=').ok_or_else(|| {
-                        format!(
-                            "unknown scenario term '{term}' — presets: {}; \
-                             key=value overrides: {}",
-                            Self::PRESETS,
-                            Self::KEYS
-                        )
-                    })?;
-                    let v: f64 = value
-                        .parse()
-                        .map_err(|_| format!("scenario term '{term}': bad number '{value}'"))?;
-                    let whole = |v: f64| -> Result<usize, String> {
-                        if v < 0.0 || v.fract() != 0.0 {
-                            Err(format!(
-                                "scenario term '{term}': '{value}' must be a whole number of epochs"
-                            ))
-                        } else {
-                            Ok(v as usize)
-                        }
-                    };
-                    match key {
-                        "leave" => spec.leave_prob = v,
-                        "join" => spec.join_prob = v,
-                        "reboot" => spec.reboot_prob = v,
-                        "drop" => spec.drop_prob = v,
-                        "dup" => spec.dup_prob = v,
-                        "delay" => spec.delay_prob = v,
-                        "sleep" => spec.sleep_prob = v,
-                        "duty-frac" => spec.duty_frac = v,
-                        "duty-period" => spec.duty_period = whole(v)?,
-                        "incident" => spec.incident_factor = v,
-                        "incident-start" => spec.incident_start_frac = v,
-                        "incident-end" => spec.incident_end_frac = v,
-                        "incident-period" => spec.incident_period = whole(v)?,
-                        "incident-stagger" => spec.incident_stagger = whole(v)?,
-                        "cost-spread" => spec.cost_spread = v,
-                        _ => {
-                            return Err(format!(
-                                "unknown scenario key '{key}' in term '{term}' — \
-                                 valid keys: {}; presets: {}",
-                                Self::KEYS,
-                                Self::PRESETS
-                            ))
-                        }
-                    }
-                }
+        for term in s.split('+').map(str::trim) {
+            match Self::PRESETS.iter().find(|(names, _)| names.contains(&term)) {
+                Some((_, terms)) => terms.split('+').try_for_each(|t| spec.apply(t))?,
+                None => spec.apply(term)?,
             }
         }
         spec.validate()?;
         Ok(spec)
     }
 
-    /// Overlays `other`'s non-default fields onto `self` (preset
-    /// composition: `churn+incident` is churn's probabilities plus
-    /// incident's regime switch).
-    fn merge(&mut self, other: &ScenarioSpec) {
-        let base = ScenarioSpec::none();
-        macro_rules! take {
-            ($f:ident) => {
-                if other.$f != base.$f {
-                    self.$f = other.$f;
-                }
-            };
+    /// The diagnostics' vocabulary: each preset's first spelling and every
+    /// key, `, `-joined.
+    fn vocabulary() -> (String, String) {
+        let presets: Vec<&str> = Self::PRESETS.iter().map(|(names, _)| names[0]).collect();
+        let keys: Vec<&str> = Self::KEYS.iter().map(|(key, _)| *key).collect();
+        (presets.join(", "), keys.join(", "))
+    }
+
+    /// Applies one `key=value` term; an empty term sets nothing.
+    fn apply(&mut self, term: &str) -> Result<(), String> {
+        if term.is_empty() {
+            return Ok(());
         }
-        take!(leave_prob);
-        take!(join_prob);
-        take!(reboot_prob);
-        take!(drop_prob);
-        take!(dup_prob);
-        take!(delay_prob);
-        take!(incident_factor);
-        take!(incident_start_frac);
-        take!(incident_end_frac);
-        take!(incident_period);
-        take!(incident_stagger);
-        take!(duty_period);
-        take!(duty_frac);
-        take!(sleep_prob);
-        take!(cost_spread);
+        let (key, value) = term.split_once('=').ok_or_else(|| {
+            let (presets, keys) = Self::vocabulary();
+            format!("unknown scenario term '{term}' — presets: {presets}; key=value overrides: {keys}")
+        })?;
+        let v: f64 = value
+            .parse()
+            .map_err(|_| format!("scenario term '{term}': bad number '{value}'"))?;
+        let (_, field) = Self::KEYS.iter().find(|(k, _)| *k == key).ok_or_else(|| {
+            let (presets, keys) = Self::vocabulary();
+            format!("unknown scenario key '{key}' in term '{term}' — valid keys: {keys}; presets: {presets}")
+        })?;
+        match field {
+            Field::Probability(f) | Field::Number(f) => *f(self) = v,
+            Field::Epochs(_) if v < 0.0 || v.fract() != 0.0 => {
+                return Err(format!(
+                    "scenario term '{term}': '{value}' must be a whole number of epochs"
+                ))
+            }
+            Field::Epochs(f) => *f(self) = v as usize,
+        }
+        Ok(())
     }
 
     /// Checks every probability, the incident factor and window, the cost
     /// spread and the duty fraction are in range.
     pub(crate) fn validate(&self) -> Result<(), String> {
-        for (name, p) in [
-            ("leave", self.leave_prob),
-            ("join", self.join_prob),
-            ("reboot", self.reboot_prob),
-            ("drop", self.drop_prob),
-            ("dup", self.dup_prob),
-            ("delay", self.delay_prob),
-            ("sleep", self.sleep_prob),
-        ] {
+        // The row accessors borrow mutably, so read the fields through a copy.
+        let mut spec = *self;
+        for (name, field) in Self::KEYS {
+            let Field::Probability(f) = field else {
+                continue;
+            };
+            let p = *f(&mut spec);
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("scenario {name} probability {p} outside [0, 1]"));
             }
@@ -459,6 +387,19 @@ impl ScenarioSpec {
         }
         Ok(())
     }
+}
+
+/// The field a [`ScenarioSpec::KEYS`] row sets, by kind: the kind decides
+/// how the term's value is read and whether `validate` checks it as a
+/// probability.
+#[derive(Debug, Clone, Copy)]
+pub enum Field {
+    /// A per-epoch probability, held to `[0, 1]`.
+    Probability(fn(&mut ScenarioSpec) -> &mut f64),
+    /// A whole number of epochs: a negative or fractional value is refused.
+    Epochs(fn(&mut ScenarioSpec) -> &mut usize),
+    /// A plain number, range-checked by its own rule.
+    Number(fn(&mut ScenarioSpec) -> &mut f64),
 }
 
 impl Default for ScenarioSpec {
@@ -725,21 +666,17 @@ mod tests {
     #[test]
     fn none_is_inactive_and_presets_are_active() {
         assert!(!ScenarioSpec::none().is_active());
-        for spec in [
-            ScenarioSpec::churn(),
-            ScenarioSpec::incident(),
-            ScenarioSpec::lossy_reports(),
-            ScenarioSpec::cost_skew(),
-        ] {
-            assert!(spec.is_active(), "{spec:?}");
+        for (names, _) in &ScenarioSpec::PRESETS[1..] {
+            let spec = ScenarioSpec::parse(names[0]).unwrap();
+            assert!(spec.is_active(), "{names:?}: {spec:?}");
         }
     }
 
     #[test]
     fn parse_presets_compose_with_plus() {
         let spec = ScenarioSpec::parse("churn+lossy-reports").unwrap();
-        assert_eq!(spec.leave_prob, ScenarioSpec::churn().leave_prob);
-        assert_eq!(spec.drop_prob, ScenarioSpec::lossy_reports().drop_prob);
+        assert_eq!(spec.leave_prob, 0.01);
+        assert_eq!(spec.drop_prob, 0.05);
         assert!(!spec.has_incident());
         assert_eq!(spec.label(), "churn+lossy-reports");
     }
@@ -750,6 +687,10 @@ mod tests {
         assert_eq!(spec.incident_factor, 2.0);
         assert_eq!(spec.drop_prob, 0.1);
         assert_eq!(ScenarioSpec::parse("none").unwrap(), ScenarioSpec::none());
+        let spec = ScenarioSpec::parse("churn+drop=0.1+incident=2.5").unwrap();
+        assert_eq!(spec.leave_prob, 0.01);
+        assert_eq!(spec.drop_prob, 0.1);
+        assert_eq!(spec.incident_factor, 2.5);
     }
 
     #[test]
@@ -814,7 +755,7 @@ mod tests {
     fn deal_is_pure_and_seed_sensitive() {
         let spec = ScenarioSpec {
             seed: 7,
-            ..ScenarioSpec::churn()
+            ..ScenarioSpec::parse("churn").unwrap()
         };
         let eng = ScenarioEngine::new(spec, 100);
         for epoch in 0..50 {
@@ -837,7 +778,7 @@ mod tests {
     fn deal_rates_match_probabilities_roughly() {
         let spec = ScenarioSpec {
             seed: 3,
-            ..ScenarioSpec::lossy_reports()
+            ..ScenarioSpec::parse("lossy-reports").unwrap()
         };
         let eng = ScenarioEngine::new(spec, 1000);
         let mut dropped = 0usize;
@@ -861,7 +802,7 @@ mod tests {
     fn absent_devices_only_rejoin_or_stay_absent() {
         let spec = ScenarioSpec {
             seed: 11,
-            ..ScenarioSpec::churn()
+            ..ScenarioSpec::parse("churn").unwrap()
         };
         let eng = ScenarioEngine::new(spec, 100);
         for epoch in 0..100 {
@@ -877,10 +818,10 @@ mod tests {
 
     #[test]
     fn incident_boundaries_cover_the_configured_window() {
-        let eng = ScenarioEngine::new(ScenarioSpec::incident(), 16);
+        let eng = ScenarioEngine::new(ScenarioSpec::parse("incident").unwrap(), 16);
         let inc = eng.incident().expect("incident configured");
         assert_eq!(inc, 4..10);
-        assert!(ScenarioEngine::new(ScenarioSpec::churn(), 16).incident().is_none());
+        assert!(ScenarioEngine::new(ScenarioSpec::parse("churn").unwrap(), 16).incident().is_none());
     }
 
     #[test]
@@ -888,7 +829,7 @@ mod tests {
         let eng = ScenarioEngine::new(
             ScenarioSpec {
                 seed: 5,
-                ..ScenarioSpec::cost_skew()
+                ..ScenarioSpec::parse("cost-skew").unwrap()
             },
             10,
         );
@@ -898,7 +839,7 @@ mod tests {
             / f.iter().cloned().fold(f64::MAX, f64::min);
         assert!(spread > 4.0, "spread {spread} too tight");
         assert!(eng.cost_factors(0).is_some());
-        let uniform = ScenarioEngine::new(ScenarioSpec::churn(), 10);
+        let uniform = ScenarioEngine::new(ScenarioSpec::parse("churn").unwrap(), 10);
         assert!(uniform.cost_factors(500).is_none());
     }
 
@@ -919,7 +860,7 @@ mod tests {
     fn duty_cycle_sleeps_the_configured_fraction_at_hashed_phases() {
         let spec = ScenarioSpec {
             seed: 9,
-            ..ScenarioSpec::duty()
+            ..ScenarioSpec::parse("duty").unwrap()
         };
         let eng = ScenarioEngine::new(spec, 64);
         let devices = 64;
@@ -947,7 +888,7 @@ mod tests {
     fn battery_adds_unscheduled_sleep_on_top_of_the_duty_cycle() {
         let spec = ScenarioSpec {
             seed: 21,
-            ..ScenarioSpec::battery()
+            ..ScenarioSpec::parse("battery").unwrap()
         };
         let eng = ScenarioEngine::new(spec, 600);
         let mut dormant = 0usize;
@@ -967,7 +908,7 @@ mod tests {
 
     #[test]
     fn diurnal_incident_recurs_every_period() {
-        let eng = ScenarioEngine::new(ScenarioSpec::diurnal(), 24);
+        let eng = ScenarioEngine::new(ScenarioSpec::parse("diurnal").unwrap(), 24);
         // Period 6, fracs (0.25, 0.625) ⇒ active at offsets 1, 2, 3.
         assert_eq!(eng.incident(), Some(1..4));
         for epoch in 0..24 {
@@ -978,7 +919,7 @@ mod tests {
 
     #[test]
     fn staggered_incident_shifts_one_epoch_per_device_group() {
-        let eng = ScenarioEngine::new(ScenarioSpec::staggered(), 16);
+        let eng = ScenarioEngine::new(ScenarioSpec::parse("staggered").unwrap(), 16);
         let base = eng.incident().expect("incident configured");
         assert_eq!(base, 4..10);
         for index in 0..8 {
@@ -994,7 +935,7 @@ mod tests {
             }
         }
         // The non-staggered engine switches the whole fleet at once.
-        let bulk = ScenarioEngine::new(ScenarioSpec::incident(), 16);
+        let bulk = ScenarioEngine::new(ScenarioSpec::parse("incident").unwrap(), 16);
         for epoch in 0..16 {
             assert_eq!(
                 bulk.incident_active(epoch, 0),
@@ -1015,7 +956,7 @@ mod tests {
 
     #[test]
     fn recovery_finds_the_first_post_incident_epoch_at_threshold() {
-        let eng = ScenarioEngine::new(ScenarioSpec::incident(), 16);
+        let eng = ScenarioEngine::new(ScenarioSpec::parse("incident").unwrap(), 16);
         // Baseline epochs 0..4 at 0.9; incident dips; recovery at epoch 12.
         let means = [
             0.9, 0.9, 0.9, 0.9, // baseline

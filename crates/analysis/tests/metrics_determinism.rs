@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use sweetspot_analysis::fleetsim::{
     member_config, metrics::MetricsRecorder, run_policy, run_policy_recorded,
-    scenario::ScenarioSpec, scheduler::SchedulerPolicy, FleetSimConfig, PolicyOutcome,
+    scenario::{Field, ScenarioSpec}, scheduler::SchedulerPolicy, FleetSimConfig, PolicyOutcome,
 };
 use sweetspot_telemetry::{FleetConfig, MetricProfile};
 use sweetspot_timeseries::Seconds;
@@ -132,6 +132,25 @@ const SWEEP_SCENARIOS: [&str; 9] = [
     "churn+incident+lossy-reports",
 ];
 
+/// `preset` plus one `key=value` override on row `row` of
+/// [`ScenarioSpec::KEYS`], its value drawn for the row's kind: a
+/// probability `u`, `n` whole epochs, or for a plain number the first of
+/// `0.25 + 0.375u` (inside every fraction's range and the default incident
+/// window) and `1 + 3u` (a cost spread) that parses.
+fn with_override(preset: &str, row: usize, u: f64, n: usize) -> String {
+    let (name, field) = ScenarioSpec::KEYS[row];
+    let values = match field {
+        Field::Probability(_) => vec![u],
+        Field::Epochs(_) => vec![n as f64],
+        Field::Number(_) => vec![0.25 + 0.375 * u, 1.0 + 3.0 * u],
+    };
+    values
+        .into_iter()
+        .map(|v| format!("{preset}+{name}={v}"))
+        .find(|text| ScenarioSpec::parse(text).is_ok())
+        .unwrap_or_else(|| panic!("no valid {name} override on {preset}"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -139,13 +158,14 @@ proptest! {
     /// bounds, the rate bounds and the watchdog's health census over random
     /// fleets: the policy (capped policies at budget 0 or a drawn finite
     /// budget, `uncapped` only at ∞, the way `run_point` pairs them), the
-    /// scenario preset, the verification cadence and the watchdog's
-    /// recovery slice.
+    /// scenario preset and one `key=value` override on top of it, the
+    /// verification cadence and the watchdog's recovery slice.
     #[test]
     fn metrics_thread_invariance_holds_for_arbitrary_fleets(
         (devices, seed) in (8usize..48, 0u64..1_000),
         (policy, zero_budget, budget_frac) in (0usize..4, 0usize..4, 0.3f64..1.2),
         (scenario, recovery, verify_every) in (0usize..SWEEP_SCENARIOS.len(), 0usize..2, 1usize..4),
+        (row, u, n) in (0usize..ScenarioSpec::KEYS.len(), 0f64..1.0, 0usize..8),
     ) {
         let policy = SchedulerPolicy::ALL[policy];
         let budget = if policy == SchedulerPolicy::Uncapped {
@@ -156,7 +176,8 @@ proptest! {
             budget_frac * 40.0
         };
         let mut cfg = churn_config(devices, seed, 1);
-        cfg.scenario = ScenarioSpec::parse(SWEEP_SCENARIOS[scenario]).expect("preset parses");
+        let scenario = with_override(SWEEP_SCENARIOS[scenario], row, u, n);
+        cfg.scenario = ScenarioSpec::parse(&scenario).expect("override was checked");
         cfg.scenario.seed = seed ^ 0xC0FFEE;
         cfg.recovery_budget_frac = [0.0, 0.25][recovery];
         cfg.verify_every = verify_every;
@@ -175,7 +196,7 @@ proptest! {
                 "epoch {} granted {} over budget {budget} ({policy}, {})",
                 a.epoch,
                 a.granted,
-                SWEEP_SCENARIOS[scenario]
+                scenario
             );
         }
         for d in &serial.device_quality {

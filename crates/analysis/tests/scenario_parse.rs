@@ -1,7 +1,7 @@
 //! Grammar fuzz for `--scenario`: [`ScenarioSpec::parse`] over `+`-joined
-//! terms drawn from the preset names, `key=value` overrides on every key in
-//! [`ScenarioSpec::KEYS`] (with negative, fractional, NaN, ±inf and 1e300
-//! values) and junk tokens.
+//! terms drawn from every preset spelling in [`ScenarioSpec::PRESETS`],
+//! `key=value` overrides on every key in [`ScenarioSpec::KEYS`] (with
+//! negative, fractional, NaN, ±inf and 1e300 values) and junk tokens.
 //!
 //! Properties:
 //!
@@ -27,14 +27,14 @@ const JUNK: [&str; 12] = [
     "leave==1", "\u{FF}",
 ];
 
+/// Every preset spelling in [`ScenarioSpec::PRESETS`], aliases included.
 fn presets() -> Vec<&'static str> {
-    let mut names: Vec<&str> = ScenarioSpec::PRESETS.split(", ").collect();
-    names.push("lossy");
-    names
+    ScenarioSpec::PRESETS.iter().flat_map(|(names, _)| names.iter().copied()).collect()
 }
 
+/// Every key in [`ScenarioSpec::KEYS`].
 fn keys() -> Vec<&'static str> {
-    ScenarioSpec::KEYS.split(',').map(str::trim).collect()
+    ScenarioSpec::KEYS.iter().map(|(key, _)| *key).collect()
 }
 
 /// One term: `(source, pick, value pick)` rendered as a preset, an override

@@ -99,7 +99,7 @@ fn bench(c: &mut Criterion) {
     // per-epoch event pass plus lifecycle bookkeeping costs on top of the
     // healthy waterfill row above.
     let churned = FleetSimConfig {
-        scenario: ScenarioSpec::churn(),
+        scenario: ScenarioSpec::parse("churn").unwrap(),
         ..large
     };
     c.bench_function("fleet_adaptive/scenario_churn_20k", |b| {

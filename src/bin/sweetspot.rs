@@ -39,11 +39,11 @@
 //!     caps the FFT plan-table caches at M MiB total (0 = unbounded;
 //!     default 6144) — eviction rebuilds tables bit-identically, so the cap
 //!     trades setup time for memory, never output. `--scenario` injects
-//!     fleet lifecycle failures: the preset names `churn`, `incident`,
-//!     `lossy-reports`, `cost-skew`, `duty`, `battery`, `diurnal` and
-//!     `staggered` compose with `+` (e.g. `churn+lossy-reports`) and
-//!     `key=value` terms override fields
-//!     (`drop=0.1+reboot=0.01`); `--scenario-seed S` re-deals the fault
+//!     fleet lifecycle failures: `+`-joined terms, each a `key=value`
+//!     override of one field (`drop=0.1+reboot=0.01`) or a preset name
+//!     standing for a list of them — `churn`, `incident`, `lossy-reports`,
+//!     `cost-skew`, `duty`, `battery`, `diurnal` and `staggered` (e.g.
+//!     `churn+lossy-reports`); `--scenario-seed S` re-deals the fault
 //!     schedule. Scenario runs report degraded frontiers (plus incident
 //!     time-to-recover p50/p95); `--scenario none` (the default) is inert.
 //!     `--recovery-budget-frac F` arms the fleet watchdog: each epoch a

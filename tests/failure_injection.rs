@@ -318,7 +318,7 @@ fn incident_recovery_fits_a_fixed_epoch_budget() {
         threads: 0,
         scenario: ScenarioSpec {
             seed: 7,
-            ..ScenarioSpec::incident()
+            ..ScenarioSpec::parse("incident").unwrap()
         },
         ..FleetSimConfig::default()
     };
