@@ -65,10 +65,7 @@ pub fn run(tone_hz: f64, sample_rates: &[f64], duration: f64) -> Fig2 {
             }
         })
         .collect();
-    Fig2 {
-        tone_hz,
-        cases,
-    }
+    Fig2 { tone_hz, cases }
 }
 
 impl Fig2 {
@@ -93,7 +90,13 @@ impl Fig2 {
             })
             .collect();
         out.push_str(&crate::report::table(
-            &["fs (Hz)", "predicted peak", "measured peak", "aliased?", "est. Nyquist rate"],
+            &[
+                "fs (Hz)",
+                "predicted peak",
+                "measured peak",
+                "aliased?",
+                "est. Nyquist rate",
+            ],
             &rows,
         ));
         out

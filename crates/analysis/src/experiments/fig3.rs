@@ -76,7 +76,12 @@ pub fn run(duration: f64) -> Fig3 {
             let margin = n_base / 10;
             let mut orig_int = Vec::with_capacity(n_base - 2 * margin);
             let mut recon_int = Vec::with_capacity(n_base - 2 * margin);
-            for (k, &orig) in original.iter().enumerate().take(n_base - margin).skip(margin) {
+            for (k, &orig) in original
+                .iter()
+                .enumerate()
+                .take(n_base - margin)
+                .skip(margin)
+            {
                 let t = k as f64 / BASE_RATE;
                 orig_int.push(orig);
                 recon_int.push(interp.at(&sampled, fs, t));
@@ -99,9 +104,7 @@ pub fn run(duration: f64) -> Fig3 {
 impl Fig3 {
     /// Text rendering of all eight panels' content.
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "Figure 3: 400+440 Hz two-tone, sampled at 890/800/600 Hz\n",
-        );
+        let mut out = String::from("Figure 3: 400+440 Hz two-tone, sampled at 890/800/600 Hz\n");
         out.push_str(&format!(
             "  original peaks: {:.1} Hz, {:.1} Hz\n",
             self.original_peaks[0].0, self.original_peaks[1].0
@@ -120,7 +123,13 @@ impl Fig3 {
             })
             .collect();
         out.push_str(&crate::report::table(
-            &["fs (Hz)", "peak1 (Hz)", "peak2 (Hz)", "recon NRMSE", "below Nyquist?"],
+            &[
+                "fs (Hz)",
+                "peak1 (Hz)",
+                "peak2 (Hz)",
+                "recon NRMSE",
+                "below Nyquist?",
+            ],
             &rows,
         ));
         out

@@ -78,7 +78,9 @@ pub fn evented_device(seed: u64) -> DeviceTrace {
     // estimator's 1% energy budget within a bin or two.
     let magnitude = dev.model().total_amplitude() * 0.2;
     dev.clone().with_events(vec![Event::new(
-        EventKind::LinkFlap { flap_freq: FLAP_FREQ },
+        EventKind::LinkFlap {
+            flap_freq: FLAP_FREQ,
+        },
         FLAP_START,
         FLAP_DURATION,
         magnitude,
@@ -96,12 +98,13 @@ pub fn run(seed: u64, days: f64) -> Fig6 {
     let ideal_series = dev.ground_truth(rate, duration);
     // Quantized readout (what the sensor reports, at the profile's LSB).
     let quant = sweetspot_dsp::quantize::Quantizer::new(dev.profile().quant_step);
-    let quant_values: Vec<f64> = ideal_series.values().iter().map(|v| quant.quantize(*v)).collect();
-    let quant_series = RegularSeries::new(
-        ideal_series.start(),
-        ideal_series.interval(),
-        quant_values,
-    );
+    let quant_values: Vec<f64> = ideal_series
+        .values()
+        .iter()
+        .map(|v| quant.quantize(*v))
+        .collect();
+    let quant_series =
+        RegularSeries::new(ideal_series.start(), ideal_series.interval(), quant_values);
 
     // Infer the Nyquist rate with the §4.2/Figure 7 machinery on the
     // *quantized* trace. The robust statistic is the 95th percentile of the
@@ -134,12 +137,19 @@ pub fn run(seed: u64, days: f64) -> Fig6 {
     };
     let target = Hertz(inferred.value() * 1.25);
 
-    let (_, ideal) = roundtrip(&mut planner, &ideal_series, target, ReconstructionConfig::default());
+    let (_, ideal) = roundtrip(
+        &mut planner,
+        &ideal_series,
+        target,
+        ReconstructionConfig::default(),
+    );
     let (recon_q, quantized) = roundtrip(
         &mut planner,
         &quant_series,
         target,
-        ReconstructionConfig { requantize: Some(dev.profile().quant_step) },
+        ReconstructionConfig {
+            requantize: Some(dev.profile().quant_step),
+        },
     );
     let n = recon_q.len();
     let exact = quant_series.values()[..n]
@@ -205,7 +215,11 @@ mod tests {
             "exact fraction {}",
             fig.exact_fraction
         );
-        assert!(fig.quantized.max_abs <= 1.5 + 1e-9, "max {}", fig.quantized.max_abs);
+        assert!(
+            fig.quantized.max_abs <= 1.5 + 1e-9,
+            "max {}",
+            fig.quantized.max_abs
+        );
         assert!(fig.render().contains("Figure 6"));
     }
 }

@@ -47,7 +47,11 @@ impl Fig7 {
             .iter()
             .map(|p| p.estimate.rate().map_or(f64::NAN, |r| r.value()))
             .collect();
-        let max = rates.iter().copied().filter(|r| r.is_finite()).fold(0.0, f64::max);
+        let max = rates
+            .iter()
+            .copied()
+            .filter(|r| r.is_finite())
+            .fold(0.0, f64::max);
         // Downsample the timeline to ~72 columns for display.
         let cols = 72.min(rates.len());
         let glyphs = [' ', '▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];

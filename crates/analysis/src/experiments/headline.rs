@@ -105,11 +105,7 @@ mod tests {
             "undersampled {}",
             s.undersampled_fraction
         );
-        assert!(
-            s.reducible_1000x > 0.02,
-            "1000x tail {}",
-            s.reducible_1000x
-        );
+        assert!(s.reducible_1000x > 0.02, "1000x tail {}", s.reducible_1000x);
         assert!(s.reducible_10x >= s.reducible_100x);
         assert!(s.reducible_100x >= s.reducible_1000x);
         let (lo, hi) = h.temperature_range.expect("temperature estimated");

@@ -123,7 +123,12 @@ pub fn build_devices(seed: u64, per_metric: usize) -> Vec<SimDevice> {
             // 30-minute level shift.
             let magnitude = profile.half_range() * 0.5;
             let trace = trace.with_events(vec![
-                Event::new(EventKind::Spike, 40_000.0 + idx as f64 * 971.0, 1200.0, magnitude),
+                Event::new(
+                    EventKind::Spike,
+                    40_000.0 + idx as f64 * 971.0,
+                    1200.0,
+                    magnitude,
+                ),
                 Event::new(
                     EventKind::LevelShift,
                     110_000.0 + idx as f64 * 1771.0,
@@ -169,9 +174,8 @@ pub fn run(seed: u64, per_metric: usize, days: f64, multipliers: &[f64]) -> Swee
 impl SweetSpot {
     /// Text rendering: the frontier table plus the policy points.
     pub fn render(&self) -> String {
-        let mut out = String::from(
-            "Sweet spot: cost vs quality (fixed-rate frontier + §4 policies)\n",
-        );
+        let mut out =
+            String::from("Sweet spot: cost vs quality (fixed-rate frontier + §4 policies)\n");
         let rows: Vec<Vec<String>> = self
             .frontier
             .iter()

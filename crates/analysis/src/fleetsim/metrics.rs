@@ -292,7 +292,9 @@ impl MetricsRecorder {
 
     /// A recorder writing JSON lines to `path` (truncating).
     pub fn to_path(path: &Path) -> io::Result<MetricsRecorder> {
-        Ok(MetricsRecorder::new(Some(BufWriter::new(File::create(path)?))))
+        Ok(MetricsRecorder::new(Some(BufWriter::new(File::create(
+            path,
+        )?))))
     }
 
     /// A recorder accumulating into an in-memory buffer — for tests and
@@ -350,7 +352,12 @@ impl MetricsRecorder {
     /// device order within each epoch.
     #[inline]
     pub fn journal(&mut self, epoch: u32, device: u32, kind: &'static str, value: f64) {
-        self.journal.record(JournalEvent { epoch, device, kind, value });
+        self.journal.record(JournalEvent {
+            epoch,
+            device,
+            kind,
+            value,
+        });
     }
 
     /// Whether `epoch` (0-based, of `epochs` total) is a snapshot epoch.
@@ -506,13 +513,13 @@ impl MetricsRecorder {
 /// [`FleetTimings`](super::FleetTimings) and the last point's
 /// [`MemoryStats`](super::MemoryStats). Wall and topology scope only:
 /// nothing here is, or needs to be, thread-invariant.
-pub fn timing_report(
-    frontier: &super::FleetFrontier,
-    peak_rss_kb: Option<u64>,
-) -> String {
+pub fn timing_report(frontier: &super::FleetFrontier, peak_rss_kb: Option<u64>) -> String {
     let t = frontier.timing();
-    let (build, step, schedule) =
-        (t.build.as_secs_f64(), t.step.as_secs_f64(), t.schedule.as_secs_f64());
+    let (build, step, schedule) = (
+        t.build.as_secs_f64(),
+        t.step.as_secs_f64(),
+        t.schedule.as_secs_f64(),
+    );
     let total = (build + step + schedule).max(f64::MIN_POSITIVE);
     let pct = |secs: f64| 100.0 * secs / total;
 
@@ -631,7 +638,11 @@ mod tests {
             "{}",
             lines[1]
         );
-        assert!(lines[1].contains("\"policy\":\"waterfill\""), "{}", lines[1]);
+        assert!(
+            lines[1].contains("\"policy\":\"waterfill\""),
+            "{}",
+            lines[1]
+        );
         assert!(lines[1].contains("\"grants\":{\"count\":4"), "{}", lines[1]);
         assert!(lines[1].contains("\"journal\":{\"events\":1,\"dropped\":0}"));
         // Healthy snapshot: no scenario or watchdog object at all.

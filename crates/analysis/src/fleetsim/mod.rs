@@ -599,10 +599,12 @@ impl FleetFrontier {
         }
         out.push('\n');
         // Only incidents have a recovery time worth a column.
-        let recover_col = self
-            .points
-            .iter()
-            .any(|p| p.outcome.scenario.as_ref().is_some_and(|s| s.incident.is_some()));
+        let recover_col = self.points.iter().any(|p| {
+            p.outcome
+                .scenario
+                .as_ref()
+                .is_some_and(|s| s.incident.is_some())
+        });
         let rows: Vec<Vec<String>> = self
             .points
             .iter()
@@ -1108,7 +1110,11 @@ mod tests {
             ("window -3600", |c| c.window = Seconds(-3600.0), "window"),
             ("window 0", |c| c.window = Seconds(0.0), "window"),
             ("window NaN", |c| c.window = Seconds(f64::NAN), "window"),
-            ("window inf", |c| c.window = Seconds(f64::INFINITY), "window"),
+            (
+                "window inf",
+                |c| c.window = Seconds(f64::INFINITY),
+                "window",
+            ),
             ("days 0", |c| c.days = 0.0, "--days"),
             ("days -1", |c| c.days = -1.0, "--days"),
             ("days NaN", |c| c.days = f64::NAN, "--days"),
@@ -1380,7 +1386,10 @@ mod tests {
             stuck_stats.deadlocked > 0,
             "the incident must leave devices aliasing-deadlocked without a watchdog"
         );
-        assert!(stuck.metrics.watchdog.is_none(), "frac 0 builds no watchdog state");
+        assert!(
+            stuck.metrics.watchdog.is_none(),
+            "frac 0 builds no watchdog state"
+        );
 
         let healed = run_policy(&cfg(0.25), SchedulerPolicy::WaterFill, budget);
         let healed_stats = healed.scenario.as_ref().expect("scenario stats");
@@ -1389,7 +1398,10 @@ mod tests {
             "watchdog re-probes must clear every deadlocked device"
         );
         let wd = healed.metrics.watchdog.expect("watchdog census");
-        assert!(wd.reprobes > 0, "recovery must come from scheduled re-probes");
+        assert!(
+            wd.reprobes > 0,
+            "recovery must come from scheduled re-probes"
+        );
         // The recovery slice is bounded: total spend stays within the budget
         // plus the slice (small slack for integral sample rounding).
         let cap = budget * (1.0 + 0.25) * healed.epochs as f64;
@@ -1426,7 +1438,10 @@ mod tests {
         let wd = serial.metrics.watchdog.expect("watchdog census");
         assert!(wd.reprobes > 0, "the chaos mix must exercise the watchdog");
         let dealt = serial.scenario.as_ref().unwrap();
-        assert!(dealt.counters.dormant_epochs > 0, "duty cycle must nap devices");
+        assert!(
+            dealt.counters.dormant_epochs > 0,
+            "duty cycle must nap devices"
+        );
         for threads in [2, 4] {
             let parallel = run_policy(&cfg(threads), SchedulerPolicy::WaterFill, 300_000.0);
             assert_eq!(serial.ledger.accounts(), parallel.ledger.accounts());

@@ -90,7 +90,10 @@ impl<'r> FleetRun<'r> {
         budget_per_epoch: f64,
         mut recorder: Option<&'r mut MetricsRecorder>,
     ) -> FleetRun<'r> {
-        if let Err(e) = cfg.validate().and_then(|()| validate_budget(budget_per_epoch)) {
+        if let Err(e) = cfg
+            .validate()
+            .and_then(|()| validate_budget(budget_per_epoch))
+        {
             panic!("invalid fleet config: {e}");
         }
         let work = cfg.work();
@@ -123,23 +126,37 @@ impl<'r> FleetRun<'r> {
                 ));
             }
             let sampler = SamplerScratch::with_table_budget(shard_fft_budget);
-            let scratch = EpochScratch { sampler, ..EpochScratch::new() };
-            ShardState { members, scratch, busy: Duration::ZERO }
+            let scratch = EpochScratch {
+                sampler,
+                ..EpochScratch::new()
+            };
+            ShardState {
+                members,
+                scratch,
+                busy: Duration::ZERO,
+            }
         });
         if let Some(rec) = recorder.as_deref_mut() {
             rec.begin_run(policy.name(), budget_per_epoch);
         }
-        let nyquist = members(&shards).map(|m| requirement(m, m.true_nyquist_rate())).collect();
-        let production: Vec<f64> = work.iter().map(|(p, _)| p.production_rate().value()).collect();
+        let nyquist = members(&shards)
+            .map(|m| requirement(m, m.true_nyquist_rate()))
+            .collect();
+        let production: Vec<f64> = work
+            .iter()
+            .map(|(p, _)| p.production_rate().value())
+            .collect();
         // "No scenario" is the scenario that deals every device `Healthy`:
         // nobody leaves, sleeps or reboots and nothing is counted, so the
         // one step path reproduces the healthy engine bit for bit. Only the
         // scenario *reporting* is gated on the spec.
         let engine = ScenarioEngine::new(cfg.scenario, epochs);
         let factor = cfg.scenario.incident_factor;
-        let incident = engine
-            .incident()
-            .map(|_| members(&shards).map(|m| DeviceClock::new(m, factor)).collect());
+        let incident = engine.incident().map(|_| {
+            members(&shards)
+                .map(|m| DeviceClock::new(m, factor))
+                .collect()
+        });
         let cost_factors = engine.cost_factors(n);
         timing.build = t0.elapsed();
 
@@ -283,9 +300,18 @@ impl<'r> FleetRun<'r> {
     /// devices request 0.0 and release their share — a sleeper without the
     /// request decay, so its wake epoch re-requests the full rate.
     fn request(&mut self) {
-        for (i, (r, m)) in self.requests.iter_mut().zip(members(&self.shards)).enumerate() {
+        for (i, (r, m)) in self
+            .requests
+            .iter_mut()
+            .zip(members(&self.shards))
+            .enumerate()
+        {
             let polls = self.active[i] && self.events[i] != DeviceEvent::Dormant;
-            *r = if polls { m.requested_rate().value() } else { 0.0 };
+            *r = if polls {
+                m.requested_rate().value()
+            } else {
+                0.0
+            };
         }
     }
 
@@ -301,7 +327,8 @@ impl<'r> FleetRun<'r> {
     fn allocate(&mut self) -> f64 {
         let epoch = self.epoch;
         let capacity_rate = self.budget / self.epoch_unit; // INF stays INF
-        self.sched.allocate(&self.requests, capacity_rate, &mut self.grants);
+        self.sched
+            .allocate(&self.requests, capacity_rate, &mut self.grants);
         let mut recovery_rate = 0.0f64;
         if let Some(dog) = &mut self.watchdog {
             let (wd, mut pool) = (&mut dog.counters, dog.pool);
@@ -368,7 +395,11 @@ impl<'r> FleetRun<'r> {
         let (window, chunk) = (self.window, self.chunk);
         let start = Seconds(self.epoch as f64 * window.value());
         let (grants, events) = (&self.grants, &self.events);
-        let shards = self.shards.iter_mut().zip(self.reports.chunks_mut(chunk)).enumerate();
+        let shards = self
+            .shards
+            .iter_mut()
+            .zip(self.reports.chunks_mut(chunk))
+            .enumerate();
         crate::shard::fan_out(shards, |(s, (shard, reports))| {
             let t = Instant::now();
             for (j, (member, report)) in shard.members.iter_mut().zip(reports).enumerate() {
@@ -442,12 +473,15 @@ impl<'r> FleetRun<'r> {
             spent,
             throttled_devices,
         });
-        self.epoch_means.push(covered / self.tallies.len().max(1) as f64);
+        self.epoch_means
+            .push(covered / self.tallies.len().max(1) as f64);
     }
 
     /// An attached recorder writes the epoch snapshot on its cadence.
     fn emit(&mut self) {
-        let Some(rec) = self.recorder.as_deref_mut() else { return };
+        let Some(rec) = self.recorder.as_deref_mut() else {
+            return;
+        };
         if !rec.should_emit(self.epoch, self.epochs) {
             return;
         }
@@ -487,8 +521,10 @@ impl<'r> FleetRun<'r> {
         let spec = self.engine.spec();
         let scenario = spec.is_active().then(|| {
             let (baseline_coverage, time_to_recover) = self.engine.recovery(&self.epoch_means);
-            let (ttr_p50, ttr_p95, recovered_devices, unrecovered_devices) =
-                self.incident.as_deref().map_or((None, None, 0, 0), |c| recovery(c, self.epoch));
+            let (ttr_p50, ttr_p95, recovered_devices, unrecovered_devices) = self
+                .incident
+                .as_deref()
+                .map_or((None, None, 0, 0), |c| recovery(c, self.epoch));
             // Aliasing-deadlock census: present devices that end the run both
             // *classified* suspect-deadlocked (settled below their remembered
             // max with no aliasing alarm — see [`HealthState`]) and *actually*
@@ -528,7 +564,10 @@ impl<'r> FleetRun<'r> {
         // Durable bytes are the slabs plus each member's owned heap; scratch
         // buffers only grow, so post-run capacities are the high-water.
         let memory = MemoryStats {
-            member_bytes: shards.iter().map(|s| s.members.resident_bytes()).sum::<usize>()
+            member_bytes: shards
+                .iter()
+                .map(|s| s.members.resident_bytes())
+                .sum::<usize>()
                 + members(shards).map(FleetMember::heap_bytes).sum::<usize>(),
             scratch_bytes: shards.iter().map(|s| s.scratch.resident_bytes()).sum(),
             fft_table_bytes: planners(shards).map(FftPlanner::table_bytes).sum(),
@@ -687,7 +726,12 @@ fn recovery(clocks: &[DeviceClock], epochs: usize) -> (Option<f64>, Option<f64>,
     if hist.count() == 0 {
         return (None, None, recovered, unrecovered);
     }
-    (Some(hist.quantile(0.50)), Some(hist.quantile(0.95)), recovered, unrecovered)
+    (
+        Some(hist.quantile(0.50)),
+        Some(hist.quantile(0.95)),
+        recovered,
+        unrecovered,
+    )
 }
 
 /// Steps one member through one epoch under its dealt event — the engine's

@@ -209,7 +209,11 @@ impl ScenarioSpec {
             parts.push("churn");
         }
         if self.has_incident() {
-            parts.push(if self.incident_period > 0 { "diurnal" } else { "incident" });
+            parts.push(if self.incident_period > 0 {
+                "diurnal"
+            } else {
+                "incident"
+            });
             if self.incident_stagger > 1 {
                 parts.push("staggered");
             }
@@ -218,7 +222,11 @@ impl ScenarioSpec {
             parts.push("lossy-reports");
         }
         if self.has_dormancy() {
-            parts.push(if self.sleep_prob > 0.0 { "battery" } else { "duty" });
+            parts.push(if self.sleep_prob > 0.0 {
+                "battery"
+            } else {
+                "duty"
+            });
         }
         if self.cost_spread != 1.0 {
             parts.push("cost-skew");
@@ -244,10 +252,16 @@ impl ScenarioSpec {
         ("duty-period", Field::Epochs(|s| &mut s.duty_period)),
         ("duty-frac", Field::Number(|s| &mut s.duty_frac)),
         ("incident", Field::Number(|s| &mut s.incident_factor)),
-        ("incident-start", Field::Number(|s| &mut s.incident_start_frac)),
+        (
+            "incident-start",
+            Field::Number(|s| &mut s.incident_start_frac),
+        ),
         ("incident-end", Field::Number(|s| &mut s.incident_end_frac)),
         ("incident-period", Field::Epochs(|s| &mut s.incident_period)),
-        ("incident-stagger", Field::Epochs(|s| &mut s.incident_stagger)),
+        (
+            "incident-stagger",
+            Field::Epochs(|s| &mut s.incident_stagger),
+        ),
         ("cost-spread", Field::Number(|s| &mut s.cost_spread)),
     ];
 
@@ -299,7 +313,10 @@ impl ScenarioSpec {
     pub fn parse(s: &str) -> Result<ScenarioSpec, String> {
         let mut spec = ScenarioSpec::none();
         for term in s.split('+').map(str::trim) {
-            match Self::PRESETS.iter().find(|(names, _)| names.contains(&term)) {
+            match Self::PRESETS
+                .iter()
+                .find(|(names, _)| names.contains(&term))
+            {
                 Some((_, terms)) => terms.split('+').try_for_each(|t| spec.apply(t))?,
                 None => spec.apply(term)?,
             }
@@ -323,7 +340,9 @@ impl ScenarioSpec {
         }
         let (key, value) = term.split_once('=').ok_or_else(|| {
             let (presets, keys) = Self::vocabulary();
-            format!("unknown scenario term '{term}' — presets: {presets}; key=value overrides: {keys}")
+            format!(
+                "unknown scenario term '{term}' — presets: {presets}; key=value overrides: {keys}"
+            )
         })?;
         let v: f64 = value
             .parse()
@@ -646,8 +665,7 @@ impl ScenarioEngine {
         if incident.start == 0 || incident.start > epoch_means.len() {
             return (None, None);
         }
-        let baseline =
-            epoch_means[..incident.start].iter().sum::<f64>() / incident.start as f64;
+        let baseline = epoch_means[..incident.start].iter().sum::<f64>() / incident.start as f64;
         let threshold = baseline * 0.95;
         let recover = epoch_means
             .iter()
@@ -716,24 +734,58 @@ mod tests {
         let cases = [
             ("none", none),
             ("churn", churn),
-            ("incident", ScenarioSpec { incident_factor: 3.0, ..none }),
+            (
+                "incident",
+                ScenarioSpec {
+                    incident_factor: 3.0,
+                    ..none
+                },
+            ),
             ("lossy-reports", lossy),
             ("lossy", lossy),
-            ("cost-skew", ScenarioSpec { cost_spread: 4.0, ..none }),
-            ("duty", ScenarioSpec { duty_period: 4, duty_frac: 0.75, ..none }),
+            (
+                "cost-skew",
+                ScenarioSpec {
+                    cost_spread: 4.0,
+                    ..none
+                },
+            ),
+            (
+                "duty",
+                ScenarioSpec {
+                    duty_period: 4,
+                    duty_frac: 0.75,
+                    ..none
+                },
+            ),
             (
                 "battery",
-                ScenarioSpec { duty_period: 6, duty_frac: 0.5, sleep_prob: 0.05, ..none },
+                ScenarioSpec {
+                    duty_period: 6,
+                    duty_frac: 0.5,
+                    sleep_prob: 0.05,
+                    ..none
+                },
             ),
             ("diurnal", diurnal),
             (
                 "staggered",
-                ScenarioSpec { incident_factor: 3.0, incident_stagger: 4, ..none },
+                ScenarioSpec {
+                    incident_factor: 3.0,
+                    incident_stagger: 4,
+                    ..none
+                },
             ),
             // Terms apply left to right: a preset after an override wins,
             // an override after a preset wins.
             ("drop=0.1+lossy-reports", lossy),
-            ("lossy-reports+drop=0.1", ScenarioSpec { drop_prob: 0.1, ..lossy }),
+            (
+                "lossy-reports+drop=0.1",
+                ScenarioSpec {
+                    drop_prob: 0.1,
+                    ..lossy
+                },
+            ),
             ("incident=2+diurnal", diurnal),
         ];
         for (text, spec) in cases {
@@ -768,9 +820,8 @@ mod tests {
             }
         }
         let other = ScenarioEngine::new(ScenarioSpec { seed: 8, ..spec }, 100);
-        let differs = (0..200).any(|e| {
-            (0..40).any(|i| eng.deal(e, i, true) != other.deal(e, i, true))
-        });
+        let differs =
+            (0..200).any(|e| (0..40).any(|i| eng.deal(e, i, true) != other.deal(e, i, true)));
         assert!(differs, "seed must steer the schedule");
     }
 
@@ -821,7 +872,11 @@ mod tests {
         let eng = ScenarioEngine::new(ScenarioSpec::parse("incident").unwrap(), 16);
         let inc = eng.incident().expect("incident configured");
         assert_eq!(inc, 4..10);
-        assert!(ScenarioEngine::new(ScenarioSpec::parse("churn").unwrap(), 16).incident().is_none());
+        assert!(
+            ScenarioEngine::new(ScenarioSpec::parse("churn").unwrap(), 16)
+                .incident()
+                .is_none()
+        );
     }
 
     #[test]
@@ -835,8 +890,8 @@ mod tests {
         );
         let f = eng.cost_factors(500).expect("skewed");
         assert!(f.iter().all(|&x| (0.25..=4.0).contains(&x)));
-        let spread = f.iter().cloned().fold(f64::MIN, f64::max)
-            / f.iter().cloned().fold(f64::MAX, f64::min);
+        let spread =
+            f.iter().cloned().fold(f64::MIN, f64::max) / f.iter().cloned().fold(f64::MAX, f64::min);
         assert!(spread > 4.0, "spread {spread} too tight");
         assert!(eng.cost_factors(0).is_some());
         let uniform = ScenarioEngine::new(ScenarioSpec::parse("churn").unwrap(), 10);
@@ -925,8 +980,7 @@ mod tests {
         for index in 0..8 {
             let group = index % 4;
             for epoch in 0..16 {
-                let expect = epoch >= group
-                    && base.contains(&(epoch - group));
+                let expect = epoch >= group && base.contains(&(epoch - group));
                 assert_eq!(
                     eng.incident_active(epoch, index),
                     expect,

@@ -71,7 +71,11 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Samples a CDF at log-spaced x positions — the coordinates of Figure 4's
 /// panels (x axis `10^0 … 10^3`).
-pub fn cdf_log_samples(cdf: &Cdf, decades: std::ops::Range<i32>, per_decade: usize) -> Vec<(f64, f64)> {
+pub fn cdf_log_samples(
+    cdf: &Cdf,
+    decades: std::ops::Range<i32>,
+    per_decade: usize,
+) -> Vec<(f64, f64)> {
     let mut points = Vec::new();
     for d in decades.clone() {
         for k in 0..per_decade {

@@ -34,8 +34,7 @@ use sweetspot_timeseries::ingest::TraceMeta;
 use sweetspot_timeseries::{Hertz, Seconds};
 
 /// Study parameters.
-#[derive(Debug, Clone, Copy)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StudyConfig {
     /// Fleet to build and analyze.
     pub fleet: FleetConfig,
@@ -44,7 +43,6 @@ pub struct StudyConfig {
     /// Worker threads (0 ⇒ available parallelism).
     pub threads: usize,
 }
-
 
 impl StudyConfig {
     /// Checks a `study` request before it runs, as
@@ -267,7 +265,14 @@ impl FleetStudy {
                     let is_over = p.outcome.ratio.is_some_and(|r| r >= 1.0);
                     (t + 1, o + is_over as usize)
                 });
-                (kind, if total == 0 { 0.0 } else { over as f64 / total as f64 })
+                (
+                    kind,
+                    if total == 0 {
+                        0.0
+                    } else {
+                        over as f64 / total as f64
+                    },
+                )
             })
             .collect()
     }
@@ -298,11 +303,7 @@ impl FleetStudy {
     }
 }
 
-fn analyze_pair(
-    trace: &DeviceTrace,
-    duration: Seconds,
-    ws: &mut WorkerScratch,
-) -> PairResult {
+fn analyze_pair(trace: &DeviceTrace, duration: Seconds, ws: &mut WorkerScratch) -> PairResult {
     let production_rate = trace.profile().production_rate();
 
     // Synthesis: oscillator-bank ground truth + impairments, streamed into
@@ -415,8 +416,10 @@ mod tests {
             .collect();
         let cdf = Cdf::new(all_ratios);
         assert!(cdf.len() > 40);
-        assert!(cdf.quantile(0.9) / cdf.quantile(0.1) > 10.0,
-            "ratios should span ≥1 decade");
+        assert!(
+            cdf.quantile(0.9) / cdf.quantile(0.1) > 10.0,
+            "ratios should span ≥1 decade"
+        );
     }
 
     #[test]
@@ -493,13 +496,17 @@ mod tests {
         let study = small_study();
         // Truly well-sampled pairs should overwhelmingly be classified
         // oversampled (the estimator sees their full band).
-        let (well_total, well_over) = study
-            .pairs
-            .iter()
-            .filter(|p| !p.truly_undersampled)
-            .fold((0, 0), |(t, o), p| {
-                (t + 1, o + p.outcome.ratio.is_some_and(|r| r >= 1.0) as usize)
-            });
+        let (well_total, well_over) =
+            study
+                .pairs
+                .iter()
+                .filter(|p| !p.truly_undersampled)
+                .fold((0, 0), |(t, o), p| {
+                    (
+                        t + 1,
+                        o + p.outcome.ratio.is_some_and(|r| r >= 1.0) as usize,
+                    )
+                });
         assert!(well_total > 0);
         assert!(
             well_over as f64 / well_total as f64 > 0.8,

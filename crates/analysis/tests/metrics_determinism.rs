@@ -18,8 +18,12 @@
 
 use proptest::prelude::*;
 use sweetspot_analysis::fleetsim::{
-    member_config, metrics::MetricsRecorder, run_policy, run_policy_recorded,
-    scenario::{Field, ScenarioSpec}, scheduler::SchedulerPolicy, FleetSimConfig, PolicyOutcome,
+    member_config,
+    metrics::MetricsRecorder,
+    run_policy, run_policy_recorded,
+    scenario::{Field, ScenarioSpec},
+    scheduler::SchedulerPolicy,
+    FleetSimConfig, PolicyOutcome,
 };
 use sweetspot_telemetry::{FleetConfig, MetricProfile};
 use sweetspot_timeseries::Seconds;
@@ -42,11 +46,7 @@ fn churn_config(devices: usize, seed: u64, threads: usize) -> FleetSimConfig {
     cfg
 }
 
-fn recorded(
-    cfg: &FleetSimConfig,
-    policy: SchedulerPolicy,
-    budget: f64,
-) -> (PolicyOutcome, String) {
+fn recorded(cfg: &FleetSimConfig, policy: SchedulerPolicy, budget: f64) -> (PolicyOutcome, String) {
     let mut rec = MetricsRecorder::in_memory();
     let out = run_policy_recorded(cfg, policy, budget, Some(&mut rec));
     rec.finish().expect("in-memory recorder cannot fail");

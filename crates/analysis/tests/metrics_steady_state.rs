@@ -107,8 +107,10 @@ impl Fleet {
                 )
             })
             .collect();
-        let production: Vec<f64> =
-            work.iter().map(|(p, _)| p.production_rate().value()).collect();
+        let production: Vec<f64> = work
+            .iter()
+            .map(|(p, _)| p.production_rate().value())
+            .collect();
         // Half the fleet's production rate: binding, so scheduling,
         // throttling, and deferred probes all stay active.
         let capacity: f64 = production.iter().sum::<f64>() * 0.5;
@@ -128,7 +130,12 @@ impl Fleet {
     /// path (grant feed, per-member tallies, serial journal walk, JSONL
     /// emission) and returns the number of heap allocations *the metrics
     /// calls alone* performed.
-    fn epoch(&mut self, epoch: usize, epochs: usize, mut rec: Option<&mut MetricsRecorder>) -> usize {
+    fn epoch(
+        &mut self,
+        epoch: usize,
+        epochs: usize,
+        mut rec: Option<&mut MetricsRecorder>,
+    ) -> usize {
         let start = Seconds(epoch as f64 * self.window.value());
         for (r, m) in self.requests.iter_mut().zip(self.members.iter()) {
             *r = m.requested_rate().value();
@@ -144,14 +151,14 @@ impl Fleet {
             });
         }
         let mut summary = MetricsSummary::default();
-        for (i, (m, &g)) in self
-            .members
-            .iter_mut()
-            .zip(self.grants.iter())
-            .enumerate()
-        {
-            let report =
-                m.step_epoch(&mut self.scratch, start, Hertz(g), self.window, Delivery::OnTime);
+        for (i, (m, &g)) in self.members.iter_mut().zip(self.grants.iter()).enumerate() {
+            let report = m.step_epoch(
+                &mut self.scratch,
+                start,
+                Hertz(g),
+                self.window,
+                Delivery::OnTime,
+            );
             if rec.is_some() {
                 metrics_allocs += allocations_during(|| {
                     summary.controller.record(report.action, report.verified);
@@ -163,9 +170,7 @@ impl Fleet {
             // The engine's serial journal walk: device order, action kinds
             // only — plus the epoch snapshot emission.
             metrics_allocs += allocations_during(|| {
-                for (i, (m, action)) in
-                    self.members.iter().zip(self.actions.iter()).enumerate()
-                {
+                for (i, (m, action)) in self.members.iter().zip(self.actions.iter()).enumerate() {
                     if let Some(kind) = action.and_then(action_kind) {
                         rec.journal(epoch as u32, i as u32, kind, m.requested_rate().value());
                     }

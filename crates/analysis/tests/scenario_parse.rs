@@ -23,13 +23,26 @@ const VALUES: [&str; 17] = [
 
 /// Tokens that are neither a preset nor a well-formed override.
 const JUNK: [&str; 12] = [
-    "", " ", "bogus", "=", "leave=", "=0.5", "leave=abc", "churn=1", "a=b=c", "lossy reports",
-    "leave==1", "\u{FF}",
+    "",
+    " ",
+    "bogus",
+    "=",
+    "leave=",
+    "=0.5",
+    "leave=abc",
+    "churn=1",
+    "a=b=c",
+    "lossy reports",
+    "leave==1",
+    "\u{FF}",
 ];
 
 /// Every preset spelling in [`ScenarioSpec::PRESETS`], aliases included.
 fn presets() -> Vec<&'static str> {
-    ScenarioSpec::PRESETS.iter().flat_map(|(names, _)| names.iter().copied()).collect()
+    ScenarioSpec::PRESETS
+        .iter()
+        .flat_map(|(names, _)| names.iter().copied())
+        .collect()
 }
 
 /// Every key in [`ScenarioSpec::KEYS`].
@@ -47,7 +60,10 @@ fn term((source, pick, value): (u8, usize, usize)) -> (bool, String) {
         }
         1 => {
             let k = keys();
-            (false, format!("{}={}", k[pick % k.len()], VALUES[value % VALUES.len()]))
+            (
+                false,
+                format!("{}={}", k[pick % k.len()], VALUES[value % VALUES.len()]),
+            )
         }
         _ => (false, JUNK[pick % JUNK.len()].to_string()),
     }
@@ -66,7 +82,11 @@ fn exercise(text: &str, seed: u64) -> bool {
     let label = spec.label();
     let reparsed = ScenarioSpec::parse(&label)
         .unwrap_or_else(|e| panic!("label {label:?} of {text:?} does not parse: {e}"));
-    assert_eq!(reparsed.label(), label, "label of {text:?} does not round-trip");
+    assert_eq!(
+        reparsed.label(),
+        label,
+        "label of {text:?} does not round-trip"
+    );
 
     spec.seed = seed;
     let engine = ScenarioEngine::new(spec, 8);

@@ -151,7 +151,10 @@ fn bench(c: &mut Criterion) {
     c.bench_function("psd/periodogram_hann_4096", |b| {
         let mut planner = FftPlanner::new();
         let s = signal(4096);
-        let cfg = PsdConfig { window: sweetspot_dsp::window::Window::Hann, detrend: true };
+        let cfg = PsdConfig {
+            window: sweetspot_dsp::window::Window::Hann,
+            detrend: true,
+        };
         b.iter(|| black_box(periodogram(&mut planner, &s, 1.0, cfg)))
     });
 
@@ -191,7 +194,10 @@ fn bench(c: &mut Criterion) {
             let est = NyquistEstimator::new(NyquistConfig::default());
             let (mut fast_power, mut slow_power) = (Vec::new(), Vec::new());
             b.iter(|| {
-                let (fp, sp) = (std::mem::take(&mut fast_power), std::mem::take(&mut slow_power));
+                let (fp, sp) = (
+                    std::mem::take(&mut fast_power),
+                    std::mem::take(&mut slow_power),
+                );
                 let f = detector_spectrum(&mut planner, &fast, fp);
                 let s = detector_spectrum(&mut planner, &slow, sp);
                 let verdict = compare_spectra(&f, &s, DualRateConfig::default(), &mut bands);
@@ -219,7 +225,10 @@ fn bench(c: &mut Criterion) {
     // consume, so the row includes copying both columns once — what
     // `clean` of a borrowed series copies into its scratch too.
     let parsed = parse_csv(&csv).expect("trace parses");
-    let cfg = CleanConfig { interval: None, outlier_mads: Some(8.0) };
+    let cfg = CleanConfig {
+        interval: None,
+        outlier_mads: Some(8.0),
+    };
     c.bench_function("clean/owned_129600", |b| {
         b.iter(|| black_box(clean_owned(black_box(parsed.clone()), cfg).expect("trace cleans")))
     });

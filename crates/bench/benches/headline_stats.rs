@@ -19,9 +19,7 @@ fn bench(c: &mut Criterion) {
     // workers, all cores.
     c.bench_function("headline/study_paper_scale_workers", |b| {
         b.iter(|| {
-            black_box(
-                FleetStudy::run_paper_scale(0x5EED_CAFE, Default::default(), 0).summary(),
-            )
+            black_box(FleetStudy::run_paper_scale(0x5EED_CAFE, Default::default(), 0).summary())
         })
     });
     c.bench_function("headline/small_fleet_summary", |b| {

@@ -7,9 +7,9 @@
 //! and how the two phases compare after the rework.
 
 use criterion::{criterion_group, Criterion};
-use std::hint::black_box;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
 use sweetspot_telemetry::{paper_scale_work, DeviceTrace, TraceSynth};
 use sweetspot_timeseries::clean::{clean_slices_into, CleanConfig, CleanScratch};
@@ -47,7 +47,12 @@ fn bench(c: &mut Criterion) {
                 let rate = trace.profile().production_rate();
                 let truth = trace.model().sample(Seconds::ZERO, rate, day);
                 let mut rng = StdRng::seed_from_u64(0xDA7A);
-                last = trace.impairments().apply(&mut rng, &truth).values().last().copied();
+                last = trace
+                    .impairments()
+                    .apply(&mut rng, &truth)
+                    .values()
+                    .last()
+                    .copied();
             }
             black_box(last)
         })
@@ -68,7 +73,10 @@ fn bench(c: &mut Criterion) {
                 clean_slices_into(
                     &times,
                     &values,
-                    CleanConfig { interval: Some(rate.period()), outlier_mads: Some(8.0) },
+                    CleanConfig {
+                        interval: Some(rate.period()),
+                        outlier_mads: Some(8.0),
+                    },
                     &mut scratch,
                 )
                 .ok()

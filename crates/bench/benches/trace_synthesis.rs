@@ -7,9 +7,9 @@
 //! comparison convention as `dsp_kernels`' `*_promote_*` rows.
 
 use criterion::{criterion_group, Criterion};
-use std::hint::black_box;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile, ToneBank, TraceSynth};
 use sweetspot_timeseries::Seconds;
 
@@ -28,7 +28,9 @@ fn bench(c: &mut Criterion) {
         let mut bank = ToneBank::new();
         let mut out = Vec::new();
         b.iter(|| {
-            trace.model().sample_into(&mut bank, Seconds::ZERO, rate, day, &mut out);
+            trace
+                .model()
+                .sample_into(&mut bank, Seconds::ZERO, rate, day, &mut out);
             black_box(out.last().copied())
         })
     });
@@ -40,7 +42,9 @@ fn bench(c: &mut Criterion) {
         let mut bank = ToneBank::new();
         let mut out = Vec::new();
         b.iter(|| {
-            trace.model().sample_into(&mut bank, Seconds::ZERO, rate, poll, &mut out);
+            trace
+                .model()
+                .sample_into(&mut bank, Seconds::ZERO, rate, poll, &mut out);
             black_box(out.last().copied())
         })
     });
@@ -72,7 +76,9 @@ fn bench(c: &mut Criterion) {
         let mut bank = ToneBank::new();
         let mut out = Vec::new();
         b.iter(|| {
-            trace.model().sample_into(&mut bank, Seconds::ZERO, fast_rate, day, &mut out);
+            trace
+                .model()
+                .sample_into(&mut bank, Seconds::ZERO, fast_rate, day, &mut out);
             black_box(out.last().copied())
         })
     });

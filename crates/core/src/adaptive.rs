@@ -407,7 +407,10 @@ impl AdaptiveSampler {
     /// Panics on inconsistent configuration (non-positive rates,
     /// `min > max`, non-positive epoch).
     pub fn new(mut config: AdaptiveConfig) -> Self {
-        assert!(config.initial_rate.value() > 0.0, "initial_rate must be positive");
+        assert!(
+            config.initial_rate.value() > 0.0,
+            "initial_rate must be positive"
+        );
         assert!(config.min_rate.value() > 0.0, "min_rate must be positive");
         assert!(
             config.min_rate.value() <= config.max_rate.value(),
@@ -593,9 +596,8 @@ impl AdaptiveSampler {
                 self.low_streak = 0;
                 self.quiet_streak = 0;
                 if self.missed_streak >= CUT_PATIENCE {
-                    self.rate = Hertz(
-                        (requested.value() / PROBE_STEP).max(self.config.min_rate.value()),
-                    );
+                    self.rate =
+                        Hertz((requested.value() / PROBE_STEP).max(self.config.min_rate.value()));
                 }
                 (Hertz(0.0), 0)
             }
@@ -677,10 +679,20 @@ impl AdaptiveSampler {
         let skipped_verify = detectable && !verify_due;
         let mut force_verify_next = false;
 
-        let fast = source.sample(start, primary, duration, std::mem::take(&mut scratch.fast_spare));
+        let fast = source.sample(
+            start,
+            primary,
+            duration,
+            std::mem::take(&mut scratch.fast_spare),
+        );
         let mut samples_taken = fast.len();
         let slow = worth_verifying.then(|| {
-            source.sample(start, secondary, duration, std::mem::take(&mut scratch.slow_spare))
+            source.sample(
+                start,
+                secondary,
+                duration,
+                std::mem::take(&mut scratch.slow_spare),
+            )
         });
         samples_taken += slow.as_ref().map_or(0, |slow| slow.len());
         // The detector's preconditions are re-checked on the *actual* series
@@ -915,9 +927,7 @@ mod tests {
 
     /// Band-limited test signal: tones at `edge/4` and `edge`.
     fn band_signal(edge: f64) -> impl FnMut(f64) -> f64 {
-        move |t| {
-            (2.0 * PI * edge * 0.25 * t).sin() + 0.6 * (2.0 * PI * edge * t).sin()
-        }
+        move |t| (2.0 * PI * edge * 0.25 * t).sin() + 0.6 * (2.0 * PI * edge * t).sin()
     }
 
     fn config(initial: f64, epoch: f64) -> AdaptiveConfig {
@@ -995,7 +1005,11 @@ mod tests {
             .iter()
             .filter(|r| r.mode == Mode::Steady && !r.aliased)
             .collect();
-        assert!(steady.len() >= 8, "need a settled tail, got {}", steady.len());
+        assert!(
+            steady.len() >= 8,
+            "need a settled tail, got {}",
+            steady.len()
+        );
         let held: Vec<usize> = steady.iter().map(|r| r.samples_taken).collect();
         // Window of 4: the max (verified) must exceed the min (skipped) —
         // both populations exist within every cadence period.
@@ -1227,7 +1241,14 @@ mod tests {
         for a in &reports {
             let (t, window) = (a.start, a.duration);
             let request = granted.requested_rate();
-            let b = granted.step(&mut scratch, &mut src_b, t, request, window, Delivery::OnTime);
+            let b = granted.step(
+                &mut scratch,
+                &mut src_b,
+                t,
+                request,
+                window,
+                Delivery::OnTime,
+            );
             deferred += b.deferred() as usize;
             assert_eq!(*a, b);
         }
@@ -1308,24 +1329,23 @@ mod tests {
             ..AdaptiveConfig::default()
         });
         let reports = ctl.run(&mut source, Seconds(120_000.0));
-        let steady: Vec<&EpochReport> =
-            reports.iter().filter(|r| r.mode == Mode::Steady).collect();
-        assert!(steady.len() >= 8, "need a settled stretch, got {}", steady.len());
+        let steady: Vec<&EpochReport> = reports.iter().filter(|r| r.mode == Mode::Steady).collect();
+        assert!(
+            steady.len() >= 8,
+            "need a settled stretch, got {}",
+            steady.len()
+        );
         // No steady epoch may cut the rate by more than the hysteresis
         // threshold in one step without `patience` low epochs before it.
         for w in steady.windows(patience) {
-            let dropped = w
-                .last()
-                .unwrap()
-                .next_rate
-                .value()
-                < w[0].primary_rate.value() * 0.7;
+            let dropped = w.last().unwrap().next_rate.value() < w[0].primary_rate.value() * 0.7;
             if dropped {
                 // A drop is only legitimate if every epoch in the window saw
                 // a low estimate — oscillation must have prevented that.
                 let all_low = w.iter().all(|r| {
-                    r.estimate
-                        .is_some_and(|e| e.value() * MIN_VERIFY_HEADROOM < r.primary_rate.value() * 0.7)
+                    r.estimate.is_some_and(|e| {
+                        e.value() * MIN_VERIFY_HEADROOM < r.primary_rate.value() * 0.7
+                    })
                 });
                 assert!(
                     all_low,
@@ -1360,13 +1380,27 @@ mod tests {
         // min_rate — must clamp up to min_rate, not run at the raw grant.
         let starve = Hertz((estimate.value() * MIN_VERIFY_HEADROOM) / 1e6);
         assert!(starve.value() < 0.02);
-        let r = ctl.step(&mut scratch, &mut source, t, starve, window, Delivery::OnTime);
+        let r = ctl.step(
+            &mut scratch,
+            &mut source,
+            t,
+            starve,
+            window,
+            Delivery::OnTime,
+        );
         assert_eq!(r.primary_rate, Hertz(0.02), "grant must clamp to min_rate");
         assert!(r.throttled);
         t = t + window;
 
         // An absurdly high grant clamps to max_rate and is not throttling.
-        let r = ctl.step(&mut scratch, &mut source, t, Hertz(1e9), window, Delivery::OnTime);
+        let r = ctl.step(
+            &mut scratch,
+            &mut source,
+            t,
+            Hertz(1e9),
+            window,
+            Delivery::OnTime,
+        );
         assert_eq!(r.primary_rate, Hertz(8.0), "grant must clamp to max_rate");
         assert!(!r.throttled, "a grant above the request is not a cut");
     }
@@ -1395,7 +1429,14 @@ mod tests {
 
         let k = 5;
         for miss in 1..=k {
-            let r = ctl.step(&mut scratch, &mut source, t, settled, window, Delivery::Lost);
+            let r = ctl.step(
+                &mut scratch,
+                &mut source,
+                t,
+                settled,
+                window,
+                Delivery::Lost,
+            );
             assert_eq!(r.samples_taken, 0, "nothing arrives on a missed epoch");
             deferred += r.deferred() as usize;
             assert_eq!(deferred, miss, "miss {miss} must count");
@@ -1454,8 +1495,16 @@ mod tests {
 
         ctl.reboot();
         assert_eq!(ctl.mode, Mode::Probe);
-        assert_eq!(ctl.requested_rate(), Hertz(0.3), "reboot restarts at the initial rate");
-        assert_eq!(ctl.remembered_max(), Some(remembered), "memory survives the reboot");
+        assert_eq!(
+            ctl.requested_rate(),
+            Hertz(0.3),
+            "reboot restarts at the initial rate"
+        );
+        assert_eq!(
+            ctl.remembered_max(),
+            Some(remembered),
+            "memory survives the reboot"
+        );
 
         // Re-ramp: one aliased epoch jumps to headroom × remembered max —
         // never past it (bounded, no ladder past the known requirement).
@@ -1496,14 +1545,27 @@ mod tests {
             t = t + r.duration;
         }
         let settled = ctl.requested_rate();
-        let r = ctl.step(&mut scratch, &mut source, t, settled, window, Delivery::Late);
+        let r = ctl.step(
+            &mut scratch,
+            &mut source,
+            t,
+            settled,
+            window,
+            Delivery::Late,
+        );
         // The data is real (billed, covering the signal) ...
-        assert!(r.samples_taken > 0, "a delayed report still acquires samples");
+        assert!(
+            r.samples_taken > 0,
+            "a delayed report still acquires samples"
+        );
         assert_eq!(r.primary_rate, settled);
         // ... but the controller could not adapt on it in time.
         assert_eq!(r.next_rate, settled, "late evidence must hold the request");
         assert!(r.deferred(), "a late report is a deferral");
-        assert_eq!(ctl.missed_streak, 0, "an arriving report resets the missed streak");
+        assert_eq!(
+            ctl.missed_streak, 0,
+            "an arriving report resets the missed streak"
+        );
     }
 
     #[test]
@@ -1514,7 +1576,14 @@ mod tests {
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
         let lost = Delivery::Lost;
-        let r = ctl.step(&mut scratch, &mut source, Seconds::ZERO, Hertz(0.3), window, lost);
+        let r = ctl.step(
+            &mut scratch,
+            &mut source,
+            Seconds::ZERO,
+            Hertz(0.3),
+            window,
+            lost,
+        );
         assert_eq!(r.samples_taken, 0);
         assert_eq!(r.primary_rate, Hertz(0.0));
         assert_eq!(r.action, EpochAction::Defer);
@@ -1547,7 +1616,14 @@ mod tests {
         assert_eq!(ctl.health(), HealthState::Healthy);
         // A missed epoch flips to Recovering and breaks the quiet streak.
         let request = ctl.requested_rate();
-        ctl.step(&mut scratch, &mut source, t, request, window, Delivery::Lost);
+        ctl.step(
+            &mut scratch,
+            &mut source,
+            t,
+            request,
+            window,
+            Delivery::Lost,
+        );
         t = t + window;
         assert_eq!(ctl.health(), HealthState::Recovering);
         assert_eq!(ctl.quiet_streak, 0);
@@ -1592,7 +1668,10 @@ mod tests {
                 break;
             }
         }
-        assert!(suspect_seen, "the cut-below-memory state must classify as suspect");
+        assert!(
+            suspect_seen,
+            "the cut-below-memory state must classify as suspect"
+        );
         let remembered = ctl.remembered_max().expect("settled");
         let before = ctl.requested_rate();
         assert!(before.value() < remembered.value());
@@ -1609,7 +1688,10 @@ mod tests {
         // true (now lower) requirement: suspicion retired, no deadlock.
         let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
         assert_eq!(r.primary_rate, reprobe);
-        assert!(!r.aliased, "the calmed signal verifies clean above the old max");
+        assert!(
+            !r.aliased,
+            "the calmed signal verifies clean above the old max"
+        );
         assert_eq!(ctl.mode, Mode::Steady);
         assert!(
             ctl.requested_rate().value() <= before.value() * (1.0 + 1e-9),
@@ -1702,9 +1784,15 @@ mod tests {
         let (settle, lookups) = lookups_of(&mut ctl, 0.0);
         assert!(settle.verified && settle.estimate.is_some(), "{settle:?}");
         assert_eq!(settle.action, EpochAction::Settle);
-        assert_eq!(lookups, 2, "fast and companion spectra, the fast one shared");
+        assert_eq!(
+            lookups, 2,
+            "fast and companion spectra, the fast one shared"
+        );
         let (skipped, lookups) = lookups_of(&mut ctl, 2000.0);
-        assert!(!skipped.verified && skipped.estimate.is_some(), "{skipped:?}");
+        assert!(
+            !skipped.verified && skipped.estimate.is_some(),
+            "{skipped:?}"
+        );
         assert_eq!(lookups, 1, "the estimator's fast spectrum only");
     }
 
@@ -1746,7 +1834,10 @@ mod tests {
 
     #[test]
     fn shared_spectrum_estimate_equals_estimate_samples() {
-        assert_eq!(NyquistConfig::default().window, crate::aliasing::DETECTOR_PSD.window);
+        assert_eq!(
+            NyquistConfig::default().window,
+            crate::aliasing::DETECTOR_PSD.window
+        );
         let mut scratch = SamplerScratch::new();
         let mut source = FunctionSource::new(band_signal(0.5));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
@@ -1758,7 +1849,8 @@ mod tests {
         for _ in 0..6 {
             let r = full_grant(&mut ctl, &mut scratch, &mut source, t, window);
             let fast = source.sample(t, r.primary_rate, window, Vec::new());
-            let alone = estimator.estimate_samples(&mut est_scratch, fast.values(), fast.sample_rate());
+            let alone =
+                estimator.estimate_samples(&mut est_scratch, fast.values(), fast.sample_rate());
             assert_eq!(r.estimate, alone.rate(), "epoch {}", r.index);
             probed |= r.aliased;
             t = t + window;

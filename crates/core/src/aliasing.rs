@@ -328,7 +328,10 @@ mod tests {
         let fast = sample(1.0, 1000.0, signal);
         let slow = sample(1.0 / 1.618, 1000.0, signal);
         let v = detect_aliasing(&fast, &slow, DualRateConfig::default());
-        assert!(!v.aliased, "amplitude does not matter, band shape does: {v:?}");
+        assert!(
+            !v.aliased,
+            "amplitude does not matter, band shape does: {v:?}"
+        );
     }
 
     #[test]

@@ -289,7 +289,10 @@ mod tests {
         });
         let s = tone_series(2000, 1.0, &[(0.01, 1.0), (0.2, 0.05)], 0.0);
         let rate = est.estimate_series(&s).rate().unwrap().value();
-        assert!((rate - 0.4).abs() < 0.05, "strict cutoff should keep it: {rate}");
+        assert!(
+            (rate - 0.4).abs() < 0.05,
+            "strict cutoff should keep it: {rate}"
+        );
     }
 
     #[test]

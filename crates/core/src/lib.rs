@@ -31,8 +31,8 @@
 pub mod adaptive;
 pub mod aliasing;
 pub mod estimator;
-pub mod reconstruct;
 pub mod recommend;
+pub mod reconstruct;
 pub mod reduction;
 pub mod source;
 pub mod tracker;

@@ -42,7 +42,9 @@ impl RecommendConfig {
     pub fn validate(&self) -> Result<(), String> {
         let cutoff = self.estimator.energy_cutoff;
         if !(cutoff > 0.0 && cutoff <= 1.0) {
-            return Err(format!("--cutoff wants an energy fraction in (0, 1], got {cutoff}"));
+            return Err(format!(
+                "--cutoff wants an energy fraction in (0, 1], got {cutoff}"
+            ));
         }
         if !(self.headroom.is_finite() && self.headroom >= 1.0) {
             return Err(format!(
@@ -110,7 +112,10 @@ impl Recommendation {
 /// traces the estimator rejects (fewer than 4 samples).
 pub fn recommend(series: &RegularSeries, cfg: RecommendConfig) -> Recommendation {
     assert!(cfg.headroom >= 1.0, "headroom must be ≥ 1");
-    assert!(cfg.min_change_factor >= 1.0, "min_change_factor must be ≥ 1");
+    assert!(
+        cfg.min_change_factor >= 1.0,
+        "min_change_factor must be ≥ 1"
+    );
     let current = series.sample_rate();
     let estimator = NyquistEstimator::new(cfg.estimator);
     match estimator.estimate_series(series) {
@@ -152,7 +157,9 @@ mod tests {
         RegularSeries::new(
             Seconds::ZERO,
             Seconds(1.0 / fs),
-            (0..n).map(|i| (2.0 * PI * f * i as f64 / fs).sin()).collect(),
+            (0..n)
+                .map(|i| (2.0 * PI * f * i as f64 / fs).sin())
+                .collect(),
         )
     }
 

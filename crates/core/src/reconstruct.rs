@@ -56,7 +56,10 @@ pub struct ReconstructionReport {
 /// # Panics
 /// Panics if either rate is not positive.
 pub fn decimation_factor(original_rate: Hertz, target_rate: Hertz) -> usize {
-    assert!(original_rate.value() > 0.0, "original rate must be positive");
+    assert!(
+        original_rate.value() > 0.0,
+        "original rate must be positive"
+    );
     assert!(target_rate.value() > 0.0, "target rate must be positive");
     ((original_rate.value() / target_rate.value()).floor() as usize).max(1)
 }
@@ -65,11 +68,7 @@ pub fn decimation_factor(original_rate: Hertz, target_rate: Hertz) -> usize {
 /// running `factor×` slower would have recorded.
 pub fn downsample(series: &RegularSeries, factor: usize) -> RegularSeries {
     let values = decimate(series.values(), factor);
-    RegularSeries::new(
-        series.start(),
-        series.interval() * factor as f64,
-        values,
-    )
+    RegularSeries::new(series.start(), series.interval() * factor as f64, values)
 }
 
 /// Reconstructs a full-rate signal from a downsampled one via ideal
@@ -86,7 +85,10 @@ pub fn reconstruct(
     target_len: usize,
     cfg: ReconstructionConfig,
 ) -> RegularSeries {
-    assert!(target_len >= downsampled.len(), "cannot reconstruct to fewer samples");
+    assert!(
+        target_len >= downsampled.len(),
+        "cannot reconstruct to fewer samples"
+    );
     let vals = downsampled.values();
     let n = vals.len();
     let first = vals[0];
@@ -240,7 +242,9 @@ mod tests {
             &mut planner,
             &s,
             target,
-            ReconstructionConfig { requantize: Some(1.0) },
+            ReconstructionConfig {
+                requantize: Some(1.0),
+            },
         );
         let (recon_raw, _) = roundtrip(&mut planner, &s, target, ReconstructionConfig::default());
 

@@ -15,7 +15,11 @@ use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile};
 use sweetspot_timeseries::{Hertz, Seconds};
 
 fn temperature_device(idx: usize) -> DeviceTrace {
-    DeviceTrace::synthesize(MetricProfile::for_kind(MetricKind::Temperature), idx, 0xBEEF)
+    DeviceTrace::synthesize(
+        MetricProfile::for_kind(MetricKind::Temperature),
+        idx,
+        0xBEEF,
+    )
 }
 
 #[test]
@@ -120,8 +124,10 @@ fn detector_separates_well_sampled_from_undersampled() {
             }
         }
     }
-    assert!(well_checked >= 5 && under_checked >= 2,
-        "population too small: {well_checked}/{under_checked}");
+    assert!(
+        well_checked >= 5 && under_checked >= 2,
+        "population too small: {well_checked}/{under_checked}"
+    );
     // Detection quality: allow a small error rate on each side.
     assert!(
         well_correct as f64 / well_checked as f64 >= 0.8,

@@ -227,7 +227,13 @@ impl BluesteinPlan {
         for z in &mut kernel_fft {
             *z = z.scale(scale);
         }
-        BluesteinPlan { n, bins, chirp, kernel_fft, inner }
+        BluesteinPlan {
+            n,
+            bins,
+            chirp,
+            kernel_fft,
+            inner,
+        }
     }
 
     /// Heap bytes this plan *pins*: its own chirp/kernel tables plus the
@@ -240,8 +246,7 @@ impl BluesteinPlan {
     /// it releases no memory, and an own-bytes-only charge would let the
     /// cache pin several times its budget through such stale `Arc`s.
     fn table_bytes(&self) -> usize {
-        (self.chirp.capacity() + self.kernel_fft.capacity())
-            * std::mem::size_of::<Complex64>()
+        (self.chirp.capacity() + self.kernel_fft.capacity()) * std::mem::size_of::<Complex64>()
             + self.inner.table_bytes()
     }
 
@@ -269,7 +274,11 @@ impl BluesteinPlan {
     /// Forward complex transform of `buf` (`bins == n`), in place.
     fn fft(&self, buf: &mut [Complex64], conv: &mut Vec<Complex64>, work: &mut Vec<Complex64>) {
         debug_assert_eq!(buf.len(), self.n);
-        self.convolve(buf.iter().zip(&self.chirp).map(|(x, c)| *x * *c), conv, work);
+        self.convolve(
+            buf.iter().zip(&self.chirp).map(|(x, c)| *x * *c),
+            conv,
+            work,
+        );
         for ((out, y), c) in buf.iter_mut().zip(conv.iter()).zip(&self.chirp) {
             *out = y.conj() * *c;
         }
@@ -559,8 +568,7 @@ impl PackedReal {
     /// half-length plan (see [`BluesteinPlan::table_bytes`] for why pinned,
     /// not owned).
     fn table_bytes(&self) -> usize {
-        self.twiddles.capacity() * std::mem::size_of::<Complex64>()
-            + self.inner.table_bytes()
+        self.twiddles.capacity() * std::mem::size_of::<Complex64>() + self.inner.table_bytes()
     }
 
     /// Forward: each bin `0..=n/2` of the one-sided spectrum of the real
@@ -580,7 +588,9 @@ impl PackedReal {
         let n = self.n;
         let m = n / 2;
         debug_assert_eq!(input.len(), n);
-        let Buffers { conv, work, half, .. } = buffers;
+        let Buffers {
+            conv, work, half, ..
+        } = buffers;
         half.clear();
         let pairs = input.chunks_exact(2).enumerate();
         half.extend(pairs.map(|(j, p)| Complex64::new(map(2 * j, p[0]), map(2 * j + 1, p[1]))));
@@ -617,7 +627,9 @@ impl PackedReal {
         let n = self.n;
         let m = n / 2;
         debug_assert_eq!(spectrum.len(), m + 1);
-        let Buffers { conv, work, half, .. } = buffers;
+        let Buffers {
+            conv, work, half, ..
+        } = buffers;
         half.clear();
         half.reserve(m);
         for (k, w) in self.twiddles.iter().enumerate().take(m) {
@@ -841,7 +853,14 @@ impl PlanTables {
         let plan = Arc::new(plan);
         let last_used = self.stamp();
         self.resident += bytes;
-        map(self).insert(key, Cached { plan: plan.clone(), bytes, last_used });
+        map(self).insert(
+            key,
+            Cached {
+                plan: plan.clone(),
+                bytes,
+                last_used,
+            },
+        );
         self.enforce_budget();
         plan
     }
@@ -927,9 +946,21 @@ impl PlanTables {
             let newest = self.tick;
             let victim = (self.mixed.iter())
                 .map(|(&k, e)| (Victim::Mixed(k), e.last_used))
-                .chain(self.bluestein.iter().map(|(&k, e)| (Victim::Bluestein(k), e.last_used)))
-                .chain(self.real.iter().map(|(&k, e)| (Victim::Real(k), e.last_used)))
-                .chain(self.windows.iter().map(|(&(w, n), e)| (Victim::Window(w, n), e.last_used)))
+                .chain(
+                    self.bluestein
+                        .iter()
+                        .map(|(&k, e)| (Victim::Bluestein(k), e.last_used)),
+                )
+                .chain(
+                    self.real
+                        .iter()
+                        .map(|(&k, e)| (Victim::Real(k), e.last_used)),
+                )
+                .chain(
+                    self.windows
+                        .iter()
+                        .map(|(&(w, n), e)| (Victim::Window(w, n), e.last_used)),
+                )
                 .filter(|&(_, last_used)| last_used != newest)
                 .min_by_key(|&(_, last_used)| last_used);
             let Some((key, _)) = victim else { return };
@@ -1082,7 +1113,9 @@ impl FftPlanner {
                 // Odd length: expand to the full spectrum by conjugate
                 // symmetry, then a complex inverse transform.
                 let plan = self.tables.plan(n);
-                let Buffers { conv, work, full, .. } = &mut self.buffers;
+                let Buffers {
+                    conv, work, full, ..
+                } = &mut self.buffers;
                 full.clear();
                 full.reserve(n);
                 full.extend_from_slice(spectrum);
@@ -1107,7 +1140,9 @@ pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
     (0..n)
         .map(|k| {
             (0..n)
-                .map(|t| input[t] * Complex64::cis(-2.0 * PI * (t * k % n.max(1)) as f64 / n as f64))
+                .map(|t| {
+                    input[t] * Complex64::cis(-2.0 * PI * (t * k % n.max(1)) as f64 / n as f64)
+                })
                 .sum()
         })
         .collect()
@@ -1236,13 +1271,14 @@ mod tests {
         let mut p = FftPlanner::new();
         // Even pow2, mixed-radix-half and Bluestein-half, odd, and tiny
         // lengths.
-        for n in [2usize, 4, 8, 64, 256, 6, 10, 12, 90, 100, 1000, 14, 202, 3, 7, 45, 101] {
+        for n in [
+            2usize, 4, 8, 64, 256, 6, 10, 12, 90, 100, 1000, 14, 202, 3, 7, 45, 101,
+        ] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin() + 0.2).collect();
             let mut one_sided = Vec::new();
             p.fft_real_into(&input, &mut one_sided);
             assert_eq!(one_sided.len(), one_sided_len(n));
-            let mut full: Vec<Complex64> =
-                input.iter().map(|&x| Complex64::from_real(x)).collect();
+            let mut full: Vec<Complex64> = input.iter().map(|&x| Complex64::from_real(x)).collect();
             p.fft_in_place(&mut full);
             let tol = 1e-9 * n as f64;
             for (k, c) in one_sided.iter().enumerate() {
@@ -1336,7 +1372,11 @@ mod tests {
         p.fft_in_place(&mut fb);
         let mut fsum = sum;
         p.fft_in_place(&mut fsum);
-        let expected: Vec<Complex64> = fa.iter().zip(&fb).map(|(&x, &y)| x + y.scale(2.0)).collect();
+        let expected: Vec<Complex64> = fa
+            .iter()
+            .zip(&fb)
+            .map(|(&x, &y)| x + y.scale(2.0))
+            .collect();
         assert_close(&fsum, &expected, 1e-8);
     }
 
@@ -1531,7 +1571,13 @@ mod tests {
             .map(|j| Complex64::cis(-2.0 * PI * j as f64 / n as f64))
             .collect();
         (0..bins)
-            .map(|k| input.iter().enumerate().map(|(t, x)| *x * w[t * k % n]).sum())
+            .map(|k| {
+                input
+                    .iter()
+                    .enumerate()
+                    .map(|(t, x)| *x * w[t * k % n])
+                    .sum()
+            })
             .collect()
     }
 
@@ -1540,7 +1586,10 @@ mod tests {
         assert_eq!(got.len(), expected.len(), "n={n}");
         let peak = expected.iter().map(|c| c.norm()).fold(0.0, f64::max);
         for (k, (x, y)) in got.iter().zip(expected).enumerate() {
-            assert!((*x - *y).norm() <= 1e-9 * peak, "n={n} bin {k}: {x:?} vs {y:?}");
+            assert!(
+                (*x - *y).norm() <= 1e-9 * peak,
+                "n={n} bin {k}: {x:?} vs {y:?}"
+            );
         }
     }
 
@@ -1588,10 +1637,7 @@ mod tests {
         for n in [360usize, 2880, 129_600] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
             p.fft_real_into(&input, &mut out);
-            assert!(
-                p.tables.mixed.contains_key(&(n / 2)),
-                "n={n}"
-            );
+            assert!(p.tables.mixed.contains_key(&(n / 2)), "n={n}");
         }
         let tables = &p.tables;
         assert!(
@@ -1624,7 +1670,9 @@ mod tests {
         for n in (2..=2099usize).chain([129_600]) {
             let mut p = FftPlanner::new();
             buf.clear();
-            buf.extend((0..n).map(|i| Complex64::new(digest_sample(i, n), digest_sample(i + n, n))));
+            buf.extend(
+                (0..n).map(|i| Complex64::new(digest_sample(i, n), digest_sample(i + n, n))),
+            );
             p.fft_in_place(&mut buf);
             buf.iter().for_each(&mut eat);
             real.clear();
@@ -1632,7 +1680,10 @@ mod tests {
             p.fft_real_into(&real, &mut out);
             out.iter().for_each(&mut eat);
         }
-        assert_eq!(hash, 0x3aaa_971c_6f26_936a, "transform output digest moved: {hash:#018x}");
+        assert_eq!(
+            hash, 0x3aaa_971c_6f26_936a,
+            "transform output digest moved: {hash:#018x}"
+        );
     }
 
     #[test]
@@ -1654,7 +1705,10 @@ mod tests {
             let roots = Roots::new(n);
             // About 2√n direct evaluations, never one per root.
             let direct_calls = roots.lo.len() + roots.hi.len();
-            assert!(direct_calls <= 3 * (n as f64).sqrt().ceil() as usize + 1, "n={n}");
+            assert!(
+                direct_calls <= 3 * (n as f64).sqrt().ceil() as usize + 1,
+                "n={n}"
+            );
             for e in 0..n {
                 let direct = Complex64::cis(-2.0 * PI * e as f64 / n as f64);
                 let r = roots.root(e);
@@ -1688,7 +1742,11 @@ mod tests {
         tables.timed(|t| t.timed(|_| std::thread::sleep(Duration::from_millis(5))));
         let wall = start.elapsed();
         assert!(tables.build_time >= Duration::from_millis(5));
-        assert!(tables.build_time <= wall, "{:?} > {wall:?}", tables.build_time);
+        assert!(
+            tables.build_time <= wall,
+            "{:?} > {wall:?}",
+            tables.build_time
+        );
     }
 
     #[test]

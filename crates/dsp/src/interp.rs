@@ -92,12 +92,18 @@ impl Interp {
     /// from scratch at every sample; results are identical to calling
     /// [`Interp::at`] per point.
     pub fn resample(&self, samples: &[f64], sample_rate: f64, times: &[f64]) -> Vec<f64> {
-        if let Interp::Sinc { half_width: Some(h) } = *self {
+        if let Interp::Sinc {
+            half_width: Some(h),
+        } = *self
+        {
             if times.windows(2).all(|w| w[0] <= w[1]) {
                 return sinc_resample_monotone(samples, sample_rate, h, times);
             }
         }
-        times.iter().map(|&t| self.at(samples, sample_rate, t)).collect()
+        times
+            .iter()
+            .map(|&t| self.at(samples, sample_rate, t))
+            .collect()
     }
 }
 
@@ -132,13 +138,14 @@ fn sinc_window_eval(samples: &[f64], lo: usize, hi: usize, pos: f64) -> f64 {
         // that rather than dividing by a zero-length window below.
         return 0.0;
     }
-    let (weighted, weight, sum) = window.iter().enumerate().fold(
-        (0.0, 0.0, 0.0),
-        |(ws, w, s), (i, &x)| {
-            let k = sinc(pos - (lo + i) as f64);
-            (ws + x * k, w + k, s + x)
-        },
-    );
+    let (weighted, weight, sum) =
+        window
+            .iter()
+            .enumerate()
+            .fold((0.0, 0.0, 0.0), |(ws, w, s), (i, &x)| {
+                let k = sinc(pos - (lo + i) as f64);
+                (ws + x * k, w + k, s + x)
+            });
     let mean = sum / window.len() as f64;
     weighted + mean * (1.0 - weight)
 }
@@ -254,7 +261,9 @@ mod tests {
             .map(|i| (2.0 * PI * 1.0 * i as f64 / fs).sin())
             .collect();
         let full = Interp::Sinc { half_width: None };
-        let truncated = Interp::Sinc { half_width: Some(20) };
+        let truncated = Interp::Sinc {
+            half_width: Some(20),
+        };
         let t = 4.03;
         // The sinc kernel decays like 1/x, so a 20-sample truncation leaves a
         // small but visible tail error.
@@ -274,7 +283,9 @@ mod tests {
         let samples: Vec<f64> = (0..96)
             .map(|i| (2.0 * PI * 0.7 * i as f64 / fs).sin() + 0.3)
             .collect();
-        let m = Interp::Sinc { half_width: Some(6) };
+        let m = Interp::Sinc {
+            half_width: Some(6),
+        };
         // Monotone grid including out-of-span queries on both sides (the
         // incremental window must clamp exactly like `at` does).
         let times: Vec<f64> = (0..200).map(|i| -3.0 + i as f64 * 0.11).collect();
@@ -288,7 +299,9 @@ mod tests {
     #[test]
     fn non_monotone_sinc_resample_falls_back_correctly() {
         let samples: Vec<f64> = (0..32).map(|i| (i as f64 * 0.4).cos()).collect();
-        let m = Interp::Sinc { half_width: Some(4) };
+        let m = Interp::Sinc {
+            half_width: Some(4),
+        };
         let times = [5.0, 2.0, 7.3, 1.1];
         let out = m.resample(&samples, 1.0, &times);
         for (&t, &got) in times.iter().zip(&out) {
@@ -305,7 +318,9 @@ mod tests {
     #[test]
     fn truncated_sinc_far_outside_span_is_zero_not_nan() {
         let samples = [5.0, 6.0, 7.0, 8.0];
-        let m = Interp::Sinc { half_width: Some(2) };
+        let m = Interp::Sinc {
+            half_width: Some(2),
+        };
         // Query far before and far after the record: the truncated kernel
         // window is empty on both sides.
         for t in [-100.0, 100.0] {
@@ -322,7 +337,9 @@ mod tests {
         let samples = [42.0; 6];
         for m in [
             Interp::Sinc { half_width: None },
-            Interp::Sinc { half_width: Some(64) },
+            Interp::Sinc {
+                half_width: Some(64),
+            },
         ] {
             for k in 0..50 {
                 let t = k as f64 * 0.11;

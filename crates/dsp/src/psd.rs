@@ -55,7 +55,10 @@ pub fn periodogram_into(
     cfg: PsdConfig,
     out: &mut Vec<f64>,
 ) {
-    assert!(!samples.is_empty(), "cannot estimate the PSD of an empty signal");
+    assert!(
+        !samples.is_empty(),
+        "cannot estimate the PSD of an empty signal"
+    );
     let n = samples.len();
     // Without detrending the mean is 0.0 and, for the rectangular window,
     // every coefficient is 1.0: both exact identities, so one branch-free
@@ -160,7 +163,11 @@ mod tests {
                 let expected = periodogram_unfused(&mut planner, &sig, cfg);
                 assert_eq!(power.len(), expected.len(), "n={n} {cfg:?}");
                 for (k, (a, b)) in power.iter().zip(&expected).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} {cfg:?} bin {k}: {a} vs {b}");
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "n={n} {cfg:?} bin {k}: {a} vs {b}"
+                    );
                 }
             }
         }
@@ -223,7 +230,9 @@ mod tests {
     #[test]
     fn parseval_total_power_matches_time_domain() {
         let mut p = FftPlanner::new();
-        let sig: Vec<f64> = (0..777).map(|i| (i as f64 * 0.013).sin() * 1.5 + 0.2).collect();
+        let sig: Vec<f64> = (0..777)
+            .map(|i| (i as f64 * 0.013).sin() * 1.5 + 0.2)
+            .collect();
         let s = periodogram(&mut p, &sig, 1.0, PsdConfig::default());
         let time_power = sig.iter().map(|x| x * x).sum::<f64>() / sig.len() as f64;
         assert!(

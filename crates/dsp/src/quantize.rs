@@ -27,7 +27,10 @@ impl Quantizer {
     /// # Panics
     /// Panics if `step` is not finite and positive, or `offset` is not finite.
     pub fn with_offset(step: f64, offset: f64) -> Self {
-        assert!(step.is_finite() && step > 0.0, "step must be positive, got {step}");
+        assert!(
+            step.is_finite() && step > 0.0,
+            "step must be positive, got {step}"
+        );
         assert!(offset.is_finite(), "offset must be finite");
         Quantizer { step, offset }
     }

@@ -87,7 +87,9 @@ mod tests {
     use std::f64::consts::PI;
 
     fn tone(n: usize, fs: f64, f: f64) -> Vec<f64> {
-        (0..n).map(|i| (2.0 * PI * f * i as f64 / fs).sin()).collect()
+        (0..n)
+            .map(|i| (2.0 * PI * f * i as f64 / fs).sin())
+            .collect()
     }
 
     #[test]

@@ -32,7 +32,11 @@ impl Spectrum {
             sample_rate.is_finite() && sample_rate > 0.0,
             "sample_rate must be positive, got {sample_rate}"
         );
-        let expected = if n.is_multiple_of(2) { n / 2 + 1 } else { n.div_ceil(2) };
+        let expected = if n.is_multiple_of(2) {
+            n / 2 + 1
+        } else {
+            n.div_ceil(2)
+        };
         assert_eq!(
             power.len(),
             expected,
@@ -136,8 +140,7 @@ impl Spectrum {
     /// The `count` strongest bins as `(frequency_hz, power)`, descending by
     /// power. Useful for tone detection in the aliasing experiments.
     pub fn peak_bins(&self, count: usize) -> Vec<(f64, f64)> {
-        let mut indexed: Vec<(usize, f64)> =
-            self.power.iter().copied().enumerate().collect();
+        let mut indexed: Vec<(usize, f64)> = self.power.iter().copied().enumerate().collect();
         indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         indexed
             .into_iter()
@@ -151,8 +154,7 @@ impl Spectrum {
     /// `min_separation_hz` between chosen peaks, so one smeared lobe cannot
     /// occupy several slots.
     pub fn peak_frequencies(&self, count: usize, min_separation_hz: f64) -> Vec<(f64, f64)> {
-        let mut indexed: Vec<(usize, f64)> =
-            self.power.iter().copied().enumerate().collect();
+        let mut indexed: Vec<(usize, f64)> = self.power.iter().copied().enumerate().collect();
         indexed.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         let mut chosen: Vec<(f64, f64)> = Vec::with_capacity(count);
         for (k, p) in indexed {
@@ -278,7 +280,10 @@ mod tests {
     fn energy_capture_all_bins_needed() {
         // Energy spread to the very last bin → aliased indicator.
         let s = spectrum(vec![1.0, 1.0, 1.0, 1.0, 1.0], 10.0, 8);
-        assert_eq!(s.frequency_capturing_energy(0.99), EnergyCapture::AllBinsNeeded);
+        assert_eq!(
+            s.frequency_capturing_energy(0.99),
+            EnergyCapture::AllBinsNeeded
+        );
         assert_eq!(s.frequency_capturing_energy(0.99).frequency(), None);
     }
 

@@ -25,12 +25,7 @@ pub fn l2_distance(a: &[f64], b: &[f64]) -> f64 {
 pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
     assert!(!a.is_empty(), "RMSE of empty signals is undefined");
     assert_eq!(a.len(), b.len(), "RMSE needs equal lengths");
-    (a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        / a.len() as f64)
-        .sqrt()
+    (a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>() / a.len() as f64).sqrt()
 }
 
 /// RMSE normalized by the value range of `reference`. Returns 0 when the

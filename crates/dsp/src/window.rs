@@ -238,14 +238,21 @@ mod tests {
                 assert_eq!(table.len(), n);
                 let c = &table.coeffs;
                 for i in 0..n {
-                    assert_eq!(c[i].to_bits(), c[n - 1 - i].to_bits(), "{win:?} n={n} i={i}");
+                    assert_eq!(
+                        c[i].to_bits(),
+                        c[n - 1 - i].to_bits(),
+                        "{win:?} n={n} i={i}"
+                    );
                     let direct = win.coefficient(i, n);
                     let err = (c[i] - direct).abs();
                     assert!(err <= 1e-15, "{win:?} n={n} i={i}: {} vs {direct}", c[i]);
                 }
                 let direct_gain =
                     (0..n).map(|i| win.coefficient(i, n).powi(2)).sum::<f64>() / n as f64;
-                assert!((table.energy_gain() - direct_gain).abs() <= 1e-14, "{win:?} n={n}");
+                assert!(
+                    (table.energy_gain() - direct_gain).abs() <= 1e-14,
+                    "{win:?} n={n}"
+                );
             }
         }
     }

@@ -97,7 +97,10 @@ fn spectral_pipeline_steady_state_is_allocation_free() {
         let count = allocations_during(|| {
             periodogram_into(&mut planner, &sig, cfg, &mut power);
         });
-        assert_eq!(count, 0, "steady-state periodogram (n={n}) must not allocate");
+        assert_eq!(
+            count, 0,
+            "steady-state periodogram (n={n}) must not allocate"
+        );
     }
 
     // Bare real transforms: an odd length with a prime factor above 5

@@ -18,8 +18,11 @@ fn signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
 }
 
 fn complex_signal_strategy(max_len: usize) -> impl Strategy<Value = Vec<Complex64>> {
-    prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..max_len)
-        .prop_map(|v| v.into_iter().map(|(re, im)| Complex64::new(re, im)).collect())
+    prop::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 1..max_len).prop_map(|v| {
+        v.into_iter()
+            .map(|(re, im)| Complex64::new(re, im))
+            .collect()
+    })
 }
 
 /// `true` when `n ≥ 1` has no prime factor above 5.

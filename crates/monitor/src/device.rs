@@ -214,7 +214,10 @@ impl SignalSource for DeviceSource<'_> {
         buf: Vec<f64>,
     ) -> RegularSeries {
         self.scratch.clean.lend(buf);
-        match self.device.poll_clean_into(start, rate, duration, self.scratch) {
+        match self
+            .device
+            .poll_clean_into(start, rate, duration, self.scratch)
+        {
             Some(series) => series,
             // Degenerate window (fewer than 2 samples survived): fall back
             // to the window's ground truth, which the poll just synthesized.
@@ -246,7 +249,11 @@ mod tests {
     #[test]
     fn poll_returns_measured_samples() {
         let mut d = device();
-        let out = d.poll(Seconds(1000.0), Hertz(1.0 / 300.0), Seconds::from_hours(4.0));
+        let out = d.poll(
+            Seconds(1000.0),
+            Hertz(1.0 / 300.0),
+            Seconds::from_hours(4.0),
+        );
         assert!(out.len() >= 45 && out.len() <= 48, "{}", out.len());
         // Quantized to the temperature sensor's 0.5-unit step.
         for &v in out.values() {
@@ -291,7 +298,12 @@ mod tests {
             device: &mut d,
             scratch: &mut scratch,
         };
-        let s = src.sample(Seconds::ZERO, Hertz(1.0 / 60.0), Seconds::from_hours(1.0), Vec::new());
+        let s = src.sample(
+            Seconds::ZERO,
+            Hertz(1.0 / 60.0),
+            Seconds::from_hours(1.0),
+            Vec::new(),
+        );
         assert!(s.len() >= 59);
         assert_eq!(s.interval(), Seconds(60.0));
     }

@@ -26,9 +26,9 @@ use crate::quality::evaluate;
 use sweetspot_core::adaptive::{
     AdaptiveConfig, AdaptiveSampler, Delivery, EpochReport, SamplerScratch,
 };
-use sweetspot_telemetry::{DeviceTrace, MetricKind};
 use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
 use sweetspot_core::reconstruct::{decimation_factor, downsample};
+use sweetspot_telemetry::{DeviceTrace, MetricKind};
 use sweetspot_timeseries::clean::clean;
 use sweetspot_timeseries::{Hertz, IrregularSeries, Seconds};
 
@@ -138,13 +138,21 @@ impl Policy {
     /// total cost under the default [`CostModel`], with the mean NRMSE and
     /// mean event recall over the devices whose stored record can be
     /// evaluated (infinity and 0 when none can).
-    pub fn run_fleet(&self, devices: &mut [SimDevice], duration: Seconds) -> (CostReport, f64, f64) {
+    pub fn run_fleet(
+        &self,
+        devices: &mut [SimDevice],
+        duration: Seconds,
+    ) -> (CostReport, f64, f64) {
         let model = CostModel::default();
         let mut cost = CostReport::default();
         let (mut nrmse_sum, mut recall_sum, mut evaluable) = (0.0, 0.0, 0usize);
         for device in devices.iter_mut() {
             let run = self.run(device, duration);
-            cost.accumulate(&CostReport::from_counts(&model, run.collected, run.stored.len()));
+            cost.accumulate(&CostReport::from_counts(
+                &model,
+                run.collected,
+                run.stored.len(),
+            ));
             if let Some(q) = evaluate(device, &IrregularSeries::from_pairs(run.stored), duration) {
                 nrmse_sum += q.nrmse;
                 recall_sum += q.event_recall();
@@ -154,7 +162,11 @@ impl Policy {
         if evaluable == 0 {
             return (cost, f64::INFINITY, 0.0);
         }
-        (cost, nrmse_sum / evaluable as f64, recall_sum / evaluable as f64)
+        (
+            cost,
+            nrmse_sum / evaluable as f64,
+            recall_sum / evaluable as f64,
+        )
     }
 }
 
@@ -288,8 +300,14 @@ impl FleetMember {
             device: &mut self.device,
             scratch: &mut scratch.poll,
         };
-        self.sampler
-            .step(&mut scratch.sampler, &mut source, start, granted, window, delivery)
+        self.sampler.step(
+            &mut scratch.sampler,
+            &mut source,
+            start,
+            granted,
+            window,
+            delivery,
+        )
     }
 
     /// Reboots the member mid-study: the device rewinds its noise stream and
@@ -411,7 +429,8 @@ mod tests {
             .iter_mut()
             .map(|d| Policy::ProductionScaled(1.0).run(d, duration).collected)
             .sum();
-        let (cost, nrmse, recall) = Policy::ProductionScaled(1.0).run_fleet(&mut devices(3), duration);
+        let (cost, nrmse, recall) =
+            Policy::ProductionScaled(1.0).run_fleet(&mut devices(3), duration);
         assert_eq!(cost.samples_collected, sum);
         assert!(nrmse.is_finite());
         assert!((0.0..=1.0).contains(&recall));
@@ -449,9 +468,8 @@ mod tests {
             epoch: Seconds::from_hours(12.0),
             ..AdaptiveConfig::default()
         };
-        let trace = || {
-            DeviceTrace::synthesize(MetricProfile::for_kind(MetricKind::Temperature), 1, 7)
-        };
+        let trace =
+            || DeviceTrace::synthesize(MetricProfile::for_kind(MetricKind::Temperature), 1, 7);
         let reference =
             Policy::Adaptive(config).run(&mut SimDevice::new(trace()), Seconds::from_days(4.0));
         let mut member = FleetMember::new(0, trace(), config);
@@ -478,8 +496,7 @@ mod tests {
             epoch: Seconds::from_hours(12.0),
             ..AdaptiveConfig::default()
         };
-        let trace =
-            DeviceTrace::synthesize(MetricProfile::for_kind(MetricKind::Temperature), 1, 7);
+        let trace = DeviceTrace::synthesize(MetricProfile::for_kind(MetricKind::Temperature), 1, 7);
         let nyquist = trace.true_nyquist_rate();
         let mut member = FleetMember::new(3, trace, config);
         assert_eq!(member.index(), 3);

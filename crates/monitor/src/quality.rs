@@ -98,11 +98,7 @@ pub fn evaluate(
     for k in margin..n - margin {
         let t = truth.time_of(k).value();
         truth_vals.push(truth.values()[k]);
-        recon_vals.push(interp.at(
-            cleaned.values(),
-            stored_rate.value(),
-            t - stored_start,
-        ));
+        recon_vals.push(interp.at(cleaned.values(), stored_rate.value(), t - stored_start));
     }
 
     // Event coverage.
@@ -202,12 +198,9 @@ mod tests {
     fn event_coverage_depends_on_rate() {
         // Inject a 10-minute spike; 5-minute polling covers it, 2-hour
         // polling almost certainly misses it.
-        let trace = DeviceTrace::synthesize(
-            MetricProfile::for_kind(MetricKind::Temperature),
-            3,
-            123,
-        )
-        .with_events(vec![Event::new(EventKind::Spike, 30_000.0, 600.0, 15.0)]);
+        let trace =
+            DeviceTrace::synthesize(MetricProfile::for_kind(MetricKind::Temperature), 3, 123)
+                .with_events(vec![Event::new(EventKind::Spike, 30_000.0, 600.0, 15.0)]);
         let duration = Seconds::from_days(1.0);
         let mut d = SimDevice::new(trace);
 

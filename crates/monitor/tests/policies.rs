@@ -53,7 +53,10 @@ fn all_policies_run_on_a_mixed_fleet() {
         assert!(evaluable >= 3, "{policy:?}: most devices must be evaluable");
         let (cost, nrmse, recall) = policy.run_fleet(&mut devices, duration);
         assert!(cost.total() > 0.0, "{policy:?}");
-        assert!(nrmse.is_finite() && (0.0..=1.0).contains(&recall), "{policy:?}");
+        assert!(
+            nrmse.is_finite() && (0.0..=1.0).contains(&recall),
+            "{policy:?}"
+        );
     }
 }
 
@@ -63,13 +66,12 @@ fn event_detection_latency_scales_with_polling_interval() {
     // polls within the hour.
     let mk = |idx: usize| {
         let profile = MetricProfile::for_kind(MetricKind::Temperature);
-        let trace = DeviceTrace::synthesize(profile, idx, 0x1A7E)
-            .with_events(vec![Event::new(
-                EventKind::LevelShift,
-                40_000.0,
-                3600.0,
-                20.0,
-            )]);
+        let trace = DeviceTrace::synthesize(profile, idx, 0x1A7E).with_events(vec![Event::new(
+            EventKind::LevelShift,
+            40_000.0,
+            3600.0,
+            20.0,
+        )]);
         SimDevice::new(trace)
     };
     let duration = Seconds::from_days(1.0);
@@ -133,7 +135,8 @@ fn quiet_devices_cost_almost_nothing_under_posteriori() {
         .find(|d| d.is_quiet())
         .expect("quiet device");
     let mut device = SimDevice::new(trace);
-    let run = Policy::PosterioriNyquist { headroom: 1.25 }.run(&mut device, Seconds::from_days(1.0));
+    let run =
+        Policy::PosterioriNyquist { headroom: 1.25 }.run(&mut device, Seconds::from_days(1.0));
     let kept = run.stored.len() as f64 / run.collected as f64;
     assert!(
         kept < 0.01,

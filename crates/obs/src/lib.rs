@@ -497,7 +497,12 @@ mod tests {
         assert_eq!(j.get(3), None, "index past len");
         // Partially-filled ring: head is still zero.
         let mut p = Journal::with_capacity(4);
-        p.record(JournalEvent { epoch: 9, device: 1, kind: "t", value: 0.0 });
+        p.record(JournalEvent {
+            epoch: 9,
+            device: 1,
+            kind: "t",
+            value: 0.0,
+        });
         assert_eq!(p.get(0).unwrap().epoch, 9);
         assert_eq!(p.get(1), None);
     }

@@ -48,7 +48,10 @@ impl Event {
     /// finite.
     pub fn new(kind: EventKind, start: f64, duration: f64, magnitude: f64) -> Self {
         assert!(duration > 0.0, "duration must be positive");
-        assert!(start.is_finite() && magnitude.is_finite(), "parameters must be finite");
+        assert!(
+            start.is_finite() && magnitude.is_finite(),
+            "parameters must be finite"
+        );
         Event {
             kind,
             start,

@@ -180,10 +180,8 @@ mod tests {
         let bigger = scaled_work(250);
         assert_eq!(&bigger[..100], &work[..]);
         // Device indices are distinct per metric (distinct seeds downstream).
-        let mut seen: Vec<(usize, usize)> = work
-            .iter()
-            .map(|(p, d)| (p.kind.index(), *d))
-            .collect();
+        let mut seen: Vec<(usize, usize)> =
+            work.iter().map(|(p, d)| (p.kind.index(), *d)).collect();
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), work.len());

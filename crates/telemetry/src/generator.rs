@@ -92,7 +92,11 @@ impl DeviceTrace {
             let hi = folding * 3.0;
             Hertz(log_uniform(&mut rng, lo, hi))
         } else {
-            Hertz(log_uniform(&mut rng, profile.edge_lo.value(), profile.edge_hi.value()))
+            Hertz(log_uniform(
+                &mut rng,
+                profile.edge_lo.value(),
+                profile.edge_hi.value(),
+            ))
         };
 
         // Mean and AC amplitude, kept inside the metric's physical range so
@@ -258,7 +262,15 @@ impl DeviceTrace {
     ) {
         let rate = self.profile.production_rate();
         let mut rng = self.stream_rng(0);
-        self.measured_into(synth, Seconds::ZERO, rate, duration, &mut rng, times, values);
+        self.measured_into(
+            synth,
+            Seconds::ZERO,
+            rate,
+            duration,
+            &mut rng,
+            times,
+            values,
+        );
     }
 
     /// Measured trace at an arbitrary rate. `stream` decorrelates repeated
@@ -423,7 +435,15 @@ mod tests {
         let mut times = Vec::new();
         let mut values = Vec::new();
         let mut rng = t.stream_rng(3);
-        t.measured_into(&mut synth, Seconds::ZERO, rate, day, &mut rng, &mut times, &mut values);
+        t.measured_into(
+            &mut synth,
+            Seconds::ZERO,
+            rate,
+            day,
+            &mut rng,
+            &mut times,
+            &mut values,
+        );
         assert_eq!(times, reference.times());
         assert_eq!(values, reference.values());
     }

@@ -288,7 +288,10 @@ impl SignalModel {
         amp: f64,
         n_tones: usize,
     ) -> SignalModel {
-        assert!(lo.value() > 0.0 && lo.value() < hi.value(), "need 0 < lo < hi");
+        assert!(
+            lo.value() > 0.0 && lo.value() < hi.value(),
+            "need 0 < lo < hi"
+        );
         assert!(amp >= 0.0, "amplitude must be non-negative");
         assert!(n_tones > 0, "need at least one tone");
         let per_tone = amp / n_tones as f64;
@@ -441,9 +444,17 @@ impl SignalModel {
         // Events are transient and sparse; evaluate only the grid slots a
         // given event actually covers instead of scanning every sample.
         for e in &self.events {
-            let first = ((e.start - start.value()) / interval.value()).floor().max(0.0) as usize;
-            let last = ((e.end() - start.value()) / interval.value()).ceil().max(0.0) as usize;
-            let span = out.iter_mut().enumerate().take(last.saturating_add(1)).skip(first);
+            let first = ((e.start - start.value()) / interval.value())
+                .floor()
+                .max(0.0) as usize;
+            let last = ((e.end() - start.value()) / interval.value())
+                .ceil()
+                .max(0.0) as usize;
+            let span = out
+                .iter_mut()
+                .enumerate()
+                .take(last.saturating_add(1))
+                .skip(first);
             for (k, v) in span {
                 let t = start.value() + k as f64 * interval.value();
                 *v += e.value_at(t);
@@ -478,8 +489,16 @@ mod tests {
         let m = SignalModel::new(
             0.0,
             vec![
-                Tone { freq: 0.1, amp: 1.0, phase: 0.0 },
-                Tone { freq: 0.5, amp: 0.5, phase: 1.0 },
+                Tone {
+                    freq: 0.1,
+                    amp: 1.0,
+                    phase: 0.0,
+                },
+                Tone {
+                    freq: 0.5,
+                    amp: 0.5,
+                    phase: 1.0,
+                },
             ],
             None,
         );
@@ -515,7 +534,11 @@ mod tests {
     fn value_at_is_mean_plus_tones() {
         let m = SignalModel::new(
             5.0,
-            vec![Tone { freq: 1.0, amp: 2.0, phase: 0.0 }],
+            vec![Tone {
+                freq: 1.0,
+                amp: 2.0,
+                phase: 0.0,
+            }],
             None,
         );
         assert!((m.value_at(0.0) - 5.0).abs() < 1e-12); // sin(0)=0
@@ -526,7 +549,11 @@ mod tests {
     fn clip_applies() {
         let m = SignalModel::new(
             0.0,
-            vec![Tone { freq: 1.0, amp: 10.0, phase: 0.0 }],
+            vec![Tone {
+                freq: 1.0,
+                amp: 10.0,
+                phase: 0.0,
+            }],
             Some((-1.0, 1.0)),
         );
         assert_eq!(m.value_at(0.25), 1.0);
@@ -559,11 +586,20 @@ mod tests {
         let reference = m.sample(Seconds(13.0), Hertz(1.0 / 30.0), Seconds::from_days(1.0));
         let mut bank = ToneBank::new();
         let mut fast = Vec::new();
-        m.sample_into(&mut bank, Seconds(13.0), Hertz(1.0 / 30.0), Seconds::from_days(1.0), &mut fast);
+        m.sample_into(
+            &mut bank,
+            Seconds(13.0),
+            Hertz(1.0 / 30.0),
+            Seconds::from_days(1.0),
+            &mut fast,
+        );
         assert_eq!(fast.len(), reference.len());
         let scale = 1.0 + m.total_amplitude();
         for (f, r) in fast.iter().zip(reference.values()) {
-            assert!((f - r).abs() <= 1e-9 * scale, "oscillator drifted: {f} vs {r}");
+            assert!(
+                (f - r).abs() <= 1e-9 * scale,
+                "oscillator drifted: {f} vs {r}"
+            );
         }
     }
 
@@ -572,14 +608,24 @@ mod tests {
         use crate::events::{Event, EventKind};
         let m = SignalModel::new(
             0.0,
-            vec![Tone { freq: 1e-3, amp: 2.0, phase: 0.3 }],
+            vec![Tone {
+                freq: 1e-3,
+                amp: 2.0,
+                phase: 0.3,
+            }],
             Some((-1.5, 1.5)),
         )
         .with_events(vec![Event::new(EventKind::LevelShift, 500.0, 200.0, 10.0)]);
         let reference = m.sample(Seconds::ZERO, Hertz(0.1), Seconds(1000.0));
         let mut bank = ToneBank::new();
         let mut fast = Vec::new();
-        m.sample_into(&mut bank, Seconds::ZERO, Hertz(0.1), Seconds(1000.0), &mut fast);
+        m.sample_into(
+            &mut bank,
+            Seconds::ZERO,
+            Hertz(0.1),
+            Seconds(1000.0),
+            &mut fast,
+        );
         for (k, (f, r)) in fast.iter().zip(reference.values()).enumerate() {
             assert!((f - r).abs() <= 1e-9, "slot {k}: {f} vs {r}");
         }
@@ -592,10 +638,22 @@ mod tests {
         let m = SignalModel::band_limited(&mut rng(), Hertz(1e-3), 5.0, 1.0, 0.2, 8);
         let mut bank = ToneBank::new();
         let mut out = Vec::new();
-        m.sample_into(&mut bank, Seconds::ZERO, Hertz(0.01), Seconds(10_000.0), &mut out);
+        m.sample_into(
+            &mut bank,
+            Seconds::ZERO,
+            Hertz(0.01),
+            Seconds(10_000.0),
+            &mut out,
+        );
         let ptr = out.as_ptr();
         let cap = out.capacity();
-        m.sample_into(&mut bank, Seconds::ZERO, Hertz(0.01), Seconds(10_000.0), &mut out);
+        m.sample_into(
+            &mut bank,
+            Seconds::ZERO,
+            Hertz(0.01),
+            Seconds(10_000.0),
+            &mut out,
+        );
         assert_eq!(out.as_ptr(), ptr, "output buffer must be reused");
         assert_eq!(out.capacity(), cap);
     }
@@ -605,7 +663,11 @@ mod tests {
         // A deliberately fast tone over a long grid: the worst case for the
         // recurrence. With re-seeding every RENORM_INTERVAL samples the
         // error stays far below 1e-9; this pins the interval's adequacy.
-        let tone = Tone { freq: 0.025, amp: 1.0, phase: 1.234 };
+        let tone = Tone {
+            freq: 0.025,
+            amp: 1.0,
+            phase: 1.234,
+        };
         let mut bank = ToneBank::new();
         let dt = Seconds(20.0);
         bank.load(&[tone], Seconds::ZERO, dt);
@@ -639,6 +701,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive frequency")]
     fn zero_freq_tone_panics() {
-        SignalModel::new(0.0, vec![Tone { freq: 0.0, amp: 1.0, phase: 0.0 }], None);
+        SignalModel::new(
+            0.0,
+            vec![Tone {
+                freq: 0.0,
+                amp: 1.0,
+                phase: 0.0,
+            }],
+            None,
+        );
     }
 }

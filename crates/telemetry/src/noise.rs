@@ -208,7 +208,9 @@ mod tests {
         RegularSeries::new(
             Seconds::ZERO,
             Seconds(10.0),
-            (0..500).map(|i| (i as f64 * 0.05).sin() * 10.0 + 50.0).collect(),
+            (0..500)
+                .map(|i| (i as f64 * 0.05).sin() * 10.0 + 50.0)
+                .collect(),
         )
     }
 
@@ -254,7 +256,11 @@ mod tests {
         };
         let out = imp.apply(&mut rng(), &flat);
         let mean = out.values().iter().sum::<f64>() / out.len() as f64;
-        let var = out.values().iter().map(|v| (v - mean) * (v - mean)).sum::<f64>()
+        let var = out
+            .values()
+            .iter()
+            .map(|v| (v - mean) * (v - mean))
+            .sum::<f64>()
             / out.len() as f64;
         assert!(mean.abs() < 0.1, "mean {mean}");
         assert!((var - 4.0).abs() < 0.3, "var {var}");
@@ -372,9 +378,23 @@ mod tests {
         let mut times = Vec::new();
         let mut values = Vec::new();
         let (start, interval) = (t.start(), t.interval());
-        imp.apply_grid_into(&mut rng(), start, interval, t.values(), &mut times, &mut values);
+        imp.apply_grid_into(
+            &mut rng(),
+            start,
+            interval,
+            t.values(),
+            &mut times,
+            &mut values,
+        );
         let (tp, vp) = (times.as_ptr(), values.as_ptr());
-        imp.apply_grid_into(&mut rng(), start, interval, t.values(), &mut times, &mut values);
+        imp.apply_grid_into(
+            &mut rng(),
+            start,
+            interval,
+            t.values(),
+            &mut times,
+            &mut values,
+        );
         assert_eq!(times.as_ptr(), tp, "times buffer must be reused");
         assert_eq!(values.as_ptr(), vp, "values buffer must be reused");
     }
@@ -388,11 +408,7 @@ mod tests {
         };
         let out = imp.apply(&mut rng(), &t);
         assert!(out.len() > t.len(), "duplication must add samples");
-        let dups = out
-            .times()
-            .windows(2)
-            .filter(|w| w[0] == w[1])
-            .count();
+        let dups = out.times().windows(2).filter(|w| w[0] == w[1]).count();
         assert!(
             (30..120).contains(&dups),
             "expected ~100 duplicated reports in 500, got {dups}"
@@ -417,10 +433,16 @@ mod tests {
         let out = imp.apply(&mut rng(), &t);
         // Delays shuffle arrival ticks but lose at most the one report
         // still in flight at the end of the trace.
-        assert!(out.len() >= t.len() - 1, "delay must not lose reports mid-trace");
+        assert!(
+            out.len() >= t.len() - 1,
+            "delay must not lose reports mid-trace"
+        );
         // A delayed report shares its landing tick's timestamp.
         let collisions = out.times().windows(2).filter(|w| w[0] == w[1]).count();
-        assert!(collisions > 20, "expected timestamp collisions, got {collisions}");
+        assert!(
+            collisions > 20,
+            "expected timestamp collisions, got {collisions}"
+        );
         assert!(
             out.times().windows(2).all(|w| w[0] <= w[1]),
             "delayed reports must never reorder timestamps"

@@ -54,7 +54,17 @@ impl MetricProfile {
         // Columns: poll_s, edge_lo, edge_hi, undersampled, quant, range,
         //          diurnal, noise, quiet
         let (poll_s, edge_lo, edge_hi, uf, q, range, diurnal, noise, quiet) = match kind {
-            Temperature => (300.0, 4e-7, 1.5e-3, 0.05, 0.5, (25.0, 75.0), 0.6, 0.010, 0.0),
+            Temperature => (
+                300.0,
+                4e-7,
+                1.5e-3,
+                0.05,
+                0.5,
+                (25.0, 75.0),
+                0.6,
+                0.010,
+                0.0,
+            ),
             CpuUtil5pct => (60.0, 1e-6, 2e-3, 0.14, 1.0, (5.0, 95.0), 0.5, 0.010, 0.0),
             FcsErrors => (30.0, 2e-6, 4e-3, 0.25, 1.0, (0.0, 400.0), 0.0, 0.0, 0.60),
             InboundDiscards => (30.0, 2e-6, 2e-3, 0.22, 1.0, (0.0, 800.0), 0.1, 0.0, 0.55),
@@ -64,8 +74,28 @@ impl MetricProfile {
             MemoryUsage => (300.0, 4e-7, 5e-4, 0.05, 0.01, (4.0, 60.0), 0.3, 0.005, 0.0),
             MulticastBytes => (30.0, 2e-6, 2e-3, 0.12, 1.0, (0.0, 1e6), 0.4, 0.0, 0.25),
             MulticastDrops => (30.0, 2e-6, 2e-3, 0.25, 1.0, (0.0, 500.0), 0.1, 0.0, 0.60),
-            PeakEgressBw => (60.0, 1e-6, 1.5e-3, 0.12, 1.0, (100.0, 9000.0), 0.6, 0.010, 0.0),
-            PeakIngressBw => (60.0, 1e-6, 1.5e-3, 0.12, 1.0, (100.0, 9000.0), 0.6, 0.010, 0.0),
+            PeakEgressBw => (
+                60.0,
+                1e-6,
+                1.5e-3,
+                0.12,
+                1.0,
+                (100.0, 9000.0),
+                0.6,
+                0.010,
+                0.0,
+            ),
+            PeakIngressBw => (
+                60.0,
+                1e-6,
+                1.5e-3,
+                0.12,
+                1.0,
+                (100.0, 9000.0),
+                0.6,
+                0.010,
+                0.0,
+            ),
             UnicastBytes => (30.0, 2e-6, 2e-3, 0.10, 1.0, (0.0, 1e7), 0.5, 0.0, 0.10),
             UnicastDrops => (30.0, 2e-6, 2e-3, 0.22, 1.0, (0.0, 600.0), 0.1, 0.0, 0.50),
         };
@@ -129,11 +159,7 @@ mod tests {
             assert!(p.poll_interval.value() > 0.0, "{}", p.kind);
             assert!(p.edge_lo.value() > 0.0, "{}", p.kind);
             assert!(p.edge_lo.value() < p.edge_hi.value(), "{}", p.kind);
-            assert!(
-                (0.0..1.0).contains(&p.undersampled_fraction),
-                "{}",
-                p.kind
-            );
+            assert!((0.0..1.0).contains(&p.undersampled_fraction), "{}", p.kind);
             assert!(p.quant_step > 0.0, "{}", p.kind);
             assert!(p.base_range.0 < p.base_range.1, "{}", p.kind);
             assert!((0.0..=1.0).contains(&p.diurnal_weight), "{}", p.kind);
@@ -148,7 +174,10 @@ mod tests {
         for kind in [FcsErrors, InboundDiscards, MulticastDrops, UnicastDrops] {
             let p = MetricProfile::for_kind(kind);
             assert_eq!(p.relative_noise, 0.0, "{kind}: counts are exact");
-            assert!(p.quiet_fraction >= 0.5, "{kind}: drop counters are mostly silent");
+            assert!(
+                p.quiet_fraction >= 0.5,
+                "{kind}: drop counters are mostly silent"
+            );
         }
         // Gauges are never fully quiet.
         for kind in [Temperature, CpuUtil5pct, LinkUtil, MemoryUsage] {

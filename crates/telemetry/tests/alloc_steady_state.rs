@@ -73,7 +73,10 @@ fn trace_synthesis_steady_state_is_allocation_free() {
     let count = allocations_during(|| {
         trace.production_trace_into(&mut synth, day, &mut times, &mut values);
     });
-    assert_eq!(count, 0, "steady-state measured-trace synthesis must not allocate");
+    assert_eq!(
+        count, 0,
+        "steady-state measured-trace synthesis must not allocate"
+    );
 
     // Same guarantee for a *different* device of the same metric — the whole
     // point of per-worker scratch is reuse across the fleet, not per device.
@@ -86,11 +89,18 @@ fn trace_synthesis_steady_state_is_allocation_free() {
     // Pristine ground truth into a reused buffer is allocation-free too.
     let mut bank = ToneBank::new();
     let mut out = Vec::new();
-    trace.model().sample_into(&mut bank, Seconds::ZERO, rate, day, &mut out);
+    trace
+        .model()
+        .sample_into(&mut bank, Seconds::ZERO, rate, day, &mut out);
     let count = allocations_during(|| {
-        trace.model().sample_into(&mut bank, Seconds::ZERO, rate, day, &mut out);
+        trace
+            .model()
+            .sample_into(&mut bank, Seconds::ZERO, rate, day, &mut out);
     });
-    assert_eq!(count, 0, "steady-state ground-truth synthesis must not allocate");
+    assert_eq!(
+        count, 0,
+        "steady-state ground-truth synthesis must not allocate"
+    );
 
     // Cycling the buffers through an IrregularSeries and back (the study
     // loop's shape) stays allocation-free as well.
@@ -98,5 +108,8 @@ fn trace_synthesis_steady_state_is_allocation_free() {
         let raw = IrregularSeries::new(std::mem::take(&mut times), std::mem::take(&mut values));
         (times, values) = raw.into_parts();
     });
-    assert_eq!(count, 0, "series recycling must move buffers, not copy them");
+    assert_eq!(
+        count, 0,
+        "series recycling must move buffers, not copy them"
+    );
 }

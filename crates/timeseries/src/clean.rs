@@ -110,10 +110,16 @@ impl fmt::Display for CleanError {
                 write!(f, "too few valid samples to analyze ({n} after cleaning)")
             }
             CleanError::NonFinite => {
-                write!(f, "trace contains NaN/infinite values; drop invalid samples first")
+                write!(
+                    f,
+                    "trace contains NaN/infinite values; drop invalid samples first"
+                )
             }
             CleanError::BadInterval(s) => {
-                write!(f, "re-grid interval must be a positive number of seconds, got {s}")
+                write!(
+                    f,
+                    "re-grid interval must be a positive number of seconds, got {s}"
+                )
             }
             CleanError::BadOutlierMads(m) => {
                 write!(f, "outlier MAD multiple must be positive, got {m}")
@@ -131,10 +137,7 @@ impl std::error::Error for CleanError {}
 
 /// Drops samples whose value is NaN or infinite (lost/corrupt measurements).
 pub fn drop_invalid(series: &IrregularSeries) -> IrregularSeries {
-    let pairs: Vec<(Seconds, f64)> = series
-        .iter()
-        .filter(|(_, v)| v.is_finite())
-        .collect();
+    let pairs: Vec<(Seconds, f64)> = series.iter().filter(|(_, v)| v.is_finite()).collect();
     IrregularSeries::from_pairs(pairs)
 }
 
@@ -223,7 +226,12 @@ pub fn regularize(
 /// * [`CleanError::GridTooDense`] — the grid would exceed
 ///   [`MAX_GRID_POINTS_PER_SAMPLE`] points per valid sample.
 pub fn clean(series: &IrregularSeries, cfg: CleanConfig) -> Result<RegularSeries, CleanError> {
-    clean_slices_into(series.times(), series.values(), cfg, &mut CleanScratch::new())
+    clean_slices_into(
+        series.times(),
+        series.values(),
+        cfg,
+        &mut CleanScratch::new(),
+    )
 }
 
 /// [`clean`] of a series the caller gives up: its two columns become the
@@ -236,7 +244,14 @@ pub fn clean(series: &IrregularSeries, cfg: CleanConfig) -> Result<RegularSeries
 /// Exactly as [`clean`].
 pub fn clean_owned(series: IrregularSeries, cfg: CleanConfig) -> Result<RegularSeries, CleanError> {
     let (times, values) = series.into_parts();
-    clean_in_place(&mut CleanScratch { times, values, work: Vec::new() }, cfg)
+    clean_in_place(
+        &mut CleanScratch {
+            times,
+            values,
+            work: Vec::new(),
+        },
+        cfg,
+    )
 }
 
 /// Reusable working storage for [`clean_slices_into`], three buffers: the
@@ -323,8 +338,15 @@ pub fn clean_slices_into(
 /// [`clean_slices_into`]: cleans the trace in `scratch.times`/`values`
 /// (equal lengths) in place and returns the re-grid in `scratch.work`'s
 /// storage.
-fn clean_in_place(scratch: &mut CleanScratch, cfg: CleanConfig) -> Result<RegularSeries, CleanError> {
-    let CleanScratch { times, values, work } = scratch;
+fn clean_in_place(
+    scratch: &mut CleanScratch,
+    cfg: CleanConfig,
+) -> Result<RegularSeries, CleanError> {
+    let CleanScratch {
+        times,
+        values,
+        work,
+    } = scratch;
 
     // One compaction pass checks the order, drops invalid readings and
     // deduplicates identical timestamps: the first *valid* arrival at a
@@ -555,13 +577,19 @@ mod tests {
             (0..1440).map(|i| Seconds(60.0 * i as f64)).collect(),
             vec![1.0; 1440],
         );
-        let cfg = |s: f64| CleanConfig { interval: Some(Seconds(s)), outlier_mads: None };
+        let cfg = |s: f64| CleanConfig {
+            interval: Some(Seconds(s)),
+            outlier_mads: None,
+        };
         // 1 ms asks for 86.3 M points; 1e-300 s for a count no integer
         // holds, which used to wrap the grid to zero points.
         for s in [1e-3, 1e-300] {
             for result in [regularize(&day, Seconds(s)), clean(&day, cfg(s))] {
                 match result {
-                    Err(CleanError::GridTooDense { points, samples: 1440 }) => {
+                    Err(CleanError::GridTooDense {
+                        points,
+                        samples: 1440,
+                    }) => {
                         assert!(points > 8e7, "{s}: {points}")
                     }
                     other => panic!("{s}: {other:?}"),
@@ -572,10 +600,19 @@ mod tests {
         let limit = (MAX_GRID_POINTS_PER_SAMPLE * 1440) as f64;
         let at_limit = 86_340.0 / (limit - 1.0);
         assert_eq!(clean(&day, cfg(at_limit)).unwrap().len(), limit as usize);
-        assert_eq!(regularize(&day, Seconds(at_limit)).unwrap().len(), limit as usize);
+        assert_eq!(
+            regularize(&day, Seconds(at_limit)).unwrap().len(),
+            limit as usize
+        );
         let past = 86_340.0 / limit;
-        assert!(matches!(clean(&day, cfg(past)), Err(CleanError::GridTooDense { .. })));
-        assert!(matches!(regularize(&day, Seconds(past)), Err(CleanError::GridTooDense { .. })));
+        assert!(matches!(
+            clean(&day, cfg(past)),
+            Err(CleanError::GridTooDense { .. })
+        ));
+        assert!(matches!(
+            regularize(&day, Seconds(past)),
+            Err(CleanError::GridTooDense { .. })
+        ));
         // The inferred (median) interval keeps the grid at one point per
         // sample.
         assert_eq!(clean(&day, CleanConfig::default()).unwrap().len(), 1440);
@@ -693,9 +730,17 @@ mod tests {
         assert!(CleanError::TooSparse(1).to_string().contains("too few"));
         assert!(CleanError::NonFinite.to_string().contains("NaN"));
         assert!(CleanError::BadInterval(-2.0).to_string().contains("-2"));
-        assert!(CleanError::BadOutlierMads(0.0).to_string().contains("positive"));
-        let dense = CleanError::GridTooDense { points: f64::INFINITY, samples: 9 };
-        assert!(dense.to_string().contains("inf grid points from 9 samples"), "{dense}");
+        assert!(CleanError::BadOutlierMads(0.0)
+            .to_string()
+            .contains("positive"));
+        let dense = CleanError::GridTooDense {
+            points: f64::INFINITY,
+            samples: 9,
+        };
+        assert!(
+            dense.to_string().contains("inf grid points from 9 samples"),
+            "{dense}"
+        );
     }
 
     /// The scratch pipeline must reproduce the composed reference pipeline
@@ -722,9 +767,18 @@ mod tests {
         let ir = IrregularSeries::new(times, values);
         for cfg in [
             CleanConfig::default(),
-            CleanConfig { interval: Some(Seconds(10.0)), outlier_mads: Some(8.0) },
-            CleanConfig { interval: Some(Seconds(7.5)), outlier_mads: None },
-            CleanConfig { interval: None, outlier_mads: None },
+            CleanConfig {
+                interval: Some(Seconds(10.0)),
+                outlier_mads: Some(8.0),
+            },
+            CleanConfig {
+                interval: Some(Seconds(7.5)),
+                outlier_mads: None,
+            },
+            CleanConfig {
+                interval: None,
+                outlier_mads: None,
+            },
         ] {
             let mut reference = drop_invalid(&ir);
             if let Some(mads) = cfg.outlier_mads {
@@ -772,7 +826,9 @@ mod tests {
         // NaN losses, a duplicated tick and a corrupt spike: every filter
         // of the compaction passes has something to drop.
         let ir = IrregularSeries::new(
-            (0..40).map(|i| Seconds(10.0 * (i - i % 7 / 6) as f64)).collect(),
+            (0..40)
+                .map(|i| Seconds(10.0 * (i - i % 7 / 6) as f64))
+                .collect(),
             (0..40)
                 .map(|i| match i {
                     3 | 17 => f64::NAN,
@@ -781,12 +837,24 @@ mod tests {
                 })
                 .collect(),
         );
-        assert!(ir.times().windows(2).any(|w| w[0] == w[1]), "the trace has a duplicate");
+        assert!(
+            ir.times().windows(2).any(|w| w[0] == w[1]),
+            "the trace has a duplicate"
+        );
         for cfg in [
             CleanConfig::default(),
-            CleanConfig { interval: Some(Seconds(7.5)), outlier_mads: None },
-            CleanConfig { interval: Some(Seconds(0.0)), outlier_mads: None },
-            CleanConfig { interval: None, outlier_mads: Some(-1.0) },
+            CleanConfig {
+                interval: Some(Seconds(7.5)),
+                outlier_mads: None,
+            },
+            CleanConfig {
+                interval: Some(Seconds(0.0)),
+                outlier_mads: None,
+            },
+            CleanConfig {
+                interval: None,
+                outlier_mads: Some(-1.0),
+            },
         ] {
             assert_eq!(clean_owned(ir.clone(), cfg), clean(&ir, cfg), "cfg {cfg:?}");
         }
@@ -796,15 +864,27 @@ mod tests {
     fn clean_into_recycles_the_output_buffer() {
         let ir = jittered_trace();
         let mut scratch = CleanScratch::new();
-        let first =
-            clean_slices_into(ir.times(), ir.values(), CleanConfig::default(), &mut scratch)
-                .unwrap();
+        let first = clean_slices_into(
+            ir.times(),
+            ir.values(),
+            CleanConfig::default(),
+            &mut scratch,
+        )
+        .unwrap();
         let ptr = first.values().as_ptr();
         scratch.lend(first.into_values());
-        let second =
-            clean_slices_into(ir.times(), ir.values(), CleanConfig::default(), &mut scratch)
-                .unwrap();
-        assert_eq!(second.values().as_ptr(), ptr, "grid buffer must be recycled");
+        let second = clean_slices_into(
+            ir.times(),
+            ir.values(),
+            CleanConfig::default(),
+            &mut scratch,
+        )
+        .unwrap();
+        assert_eq!(
+            second.values().as_ptr(),
+            ptr,
+            "grid buffer must be recycled"
+        );
     }
 
     /// Reference median by full sort.

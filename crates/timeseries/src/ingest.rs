@@ -160,7 +160,11 @@ pub fn read_csv(mut reader: impl Read) -> Result<IrregularSeries, ReadCsvError> 
         // Fill the buffer, or read to the end of the stream.
         let start = buf.len();
         let room = (buf.capacity() - start) as u64;
-        reader.by_ref().take(room).read_to_end(&mut buf).map_err(ReadCsvError::Io)?;
+        reader
+            .by_ref()
+            .take(room)
+            .read_to_end(&mut buf)
+            .map_err(ReadCsvError::Io)?;
         let at_end = buf.len() < buf.capacity();
         if std::mem::take(&mut first) && !at_end {
             // A stream longer than one buffer: room for the most rows a
@@ -365,7 +369,10 @@ fn parse_line(
 
 /// Offset of the `\n` ending the line that holds `i`, or the text length.
 fn line_end(b: &[u8], i: usize) -> usize {
-    b[i..].iter().position(|&c| c == b'\n').map_or(b.len(), |k| i + k)
+    b[i..]
+        .iter()
+        .position(|&c| c == b'\n')
+        .map_or(b.len(), |k| i + k)
 }
 
 /// Skips the ASCII whitespace [`str::trim`] strips, except the `\n` that
@@ -509,8 +516,8 @@ mod tests {
 
     #[test]
     fn header_after_leading_comment_and_blank_tolerated() {
-        let s = parse_csv("# exported by sweetspot demo\n\ntime_seconds,value\n0,1\n5,2\n")
-            .unwrap();
+        let s =
+            parse_csv("# exported by sweetspot demo\n\ntime_seconds,value\n0,1\n5,2\n").unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(s.values(), &[1.0, 2.0]);
     }
@@ -556,7 +563,11 @@ mod tests {
         assert_eq!(read_csv(header.as_bytes()).unwrap(), want);
         // Only one mark, and only at the start of the text.
         let twice = format!("\u{FEFF}\u{FEFF}{rows}");
-        assert_eq!(parse_csv(&twice).unwrap().len(), 1, "the second mark makes a header");
+        assert_eq!(
+            parse_csv(&twice).unwrap().len(),
+            1,
+            "the second mark makes a header"
+        );
         let err = parse_csv(&format!("{rows}\u{FEFF}120,3\n")).unwrap_err();
         assert_eq!((err.line, err.message.contains("bad timestamp")), (3, true));
     }
@@ -583,7 +594,11 @@ mod tests {
         let want = parse_csv(&text).unwrap();
         assert_eq!(want.values(), &[1.0, 2.0]);
         for chunk in [1000, READ_BUFFER_BYTES, 10 * READ_BUFFER_BYTES] {
-            let got = read_csv(Trickle { bytes: text.as_bytes(), chunk }).unwrap();
+            let got = read_csv(Trickle {
+                bytes: text.as_bytes(),
+                chunk,
+            })
+            .unwrap();
             assert_eq!(got, want, "{chunk}-byte reads");
         }
     }
@@ -603,7 +618,13 @@ mod tests {
         bytes.extend(std::iter::repeat_n(b'#', 2 * READ_BUFFER_BYTES));
         bytes.extend(b"\xFF\n3,4\n");
         for chunk in [7, READ_BUFFER_BYTES] {
-            assert!(invalid(read_csv(Trickle { bytes: &bytes, chunk }).unwrap_err()));
+            assert!(invalid(
+                read_csv(Trickle {
+                    bytes: &bytes,
+                    chunk
+                })
+                .unwrap_err()
+            ));
         }
         // A valid stream keeps its parse error, line number included.
         match read_csv(&b"0,1\nxx,2\n"[..]) {
@@ -629,10 +650,19 @@ mod tests {
             }
         }
         let script = |steps: Vec<Result<&'static [u8], io::ErrorKind>>| Script(steps.into());
-        let ok = read_csv(script(vec![Ok(b"0,1\n6"), Err(io::ErrorKind::Interrupted), Ok(b"0,2")]));
+        let ok = read_csv(script(vec![
+            Ok(b"0,1\n6"),
+            Err(io::ErrorKind::Interrupted),
+            Ok(b"0,2"),
+        ]));
         assert_eq!(ok.unwrap().values(), &[1.0, 2.0]);
-        let err = read_csv(script(vec![Ok(b"0,1\n"), Err(io::ErrorKind::PermissionDenied)]));
-        assert!(matches!(err, Err(ReadCsvError::Io(e)) if e.kind() == io::ErrorKind::PermissionDenied));
+        let err = read_csv(script(vec![
+            Ok(b"0,1\n"),
+            Err(io::ErrorKind::PermissionDenied),
+        ]));
+        assert!(
+            matches!(err, Err(ReadCsvError::Io(e)) if e.kind() == io::ErrorKind::PermissionDenied)
+        );
     }
 
     #[test]

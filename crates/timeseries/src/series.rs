@@ -374,14 +374,15 @@ mod tests {
 
     #[test]
     fn irregular_recycling_roundtrip() {
-        let ir = IrregularSeries::new(
-            vec![Seconds(0.0), Seconds(1.0)],
-            vec![10.0, 20.0],
-        );
+        let ir = IrregularSeries::new(vec![Seconds(0.0), Seconds(1.0)], vec![10.0, 20.0]);
         let (times, values) = ir.into_parts();
         let t_ptr = times.as_ptr();
         let rebuilt = IrregularSeries::new(times, values);
-        assert_eq!(rebuilt.times().as_ptr(), t_ptr, "buffers are moved, not copied");
+        assert_eq!(
+            rebuilt.times().as_ptr(),
+            t_ptr,
+            "buffers are moved, not copied"
+        );
         assert_eq!(rebuilt.values(), &[10.0, 20.0]);
     }
 

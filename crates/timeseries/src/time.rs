@@ -59,7 +59,10 @@ impl Seconds {
     /// # Panics
     /// Panics if the duration is not positive.
     pub fn as_rate(self) -> Hertz {
-        assert!(self.0 > 0.0, "cannot convert non-positive period {self} to a rate");
+        assert!(
+            self.0 > 0.0,
+            "cannot convert non-positive period {self} to a rate"
+        );
         Hertz(1.0 / self.0)
     }
 }
@@ -78,7 +81,10 @@ impl Hertz {
     /// # Panics
     /// Panics if the rate is not positive.
     pub fn period(self) -> Seconds {
-        assert!(self.0 > 0.0, "cannot convert non-positive rate {self} to a period");
+        assert!(
+            self.0 > 0.0,
+            "cannot convert non-positive rate {self} to a period"
+        );
         Seconds(1.0 / self.0)
     }
 

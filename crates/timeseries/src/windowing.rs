@@ -108,11 +108,7 @@ mod tests {
     fn paper_fig7_geometry() {
         // 7 days at 5-minute sampling; 6h windows stepping 5min.
         let n = 7 * 24 * 12;
-        let s = RegularSeries::new(
-            Seconds::ZERO,
-            Seconds::from_minutes(5.0),
-            vec![0.0; n],
-        );
+        let s = RegularSeries::new(Seconds::ZERO, Seconds::from_minutes(5.0), vec![0.0; n]);
         let win = Seconds::from_hours(6.0);
         let step = Seconds::from_minutes(5.0);
         let count = moving_windows(&s, win, step).count();

@@ -95,12 +95,14 @@ const ROWS: usize = 90 * 1440;
 #[test]
 fn streaming_load_and_owned_clean_stay_under_four_columns() {
     let csv = ninety_day_csv();
-    let cfg = CleanConfig { interval: None, outlier_mads: Some(8.0) };
+    let cfg = CleanConfig {
+        interval: None,
+        outlier_mads: Some(8.0),
+    };
     let bound = 4 * ROWS * std::mem::size_of::<f64>();
 
-    let (streamed, series) = peak_bytes_during(|| {
-        clean_owned(read_csv(csv.as_bytes()).unwrap(), cfg).unwrap()
-    });
+    let (streamed, series) =
+        peak_bytes_during(|| clean_owned(read_csv(csv.as_bytes()).unwrap(), cfg).unwrap());
     assert_eq!(series.len(), ROWS);
     assert!(
         streamed < bound,
@@ -117,5 +119,8 @@ fn streaming_load_and_owned_clean_stay_under_four_columns() {
         clean(&raw, cfg).unwrap()
     });
     assert_eq!(series, reference);
-    assert!(whole > bound, "the whole-text route peaked at only {whole} bytes");
+    assert!(
+        whole > bound,
+        "the whole-text route peaked at only {whole} bytes"
+    );
 }

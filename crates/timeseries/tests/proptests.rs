@@ -118,10 +118,16 @@ fn number(d: &mut Draw, digits: u64, messy: bool) -> String {
         5..=9 => format!("{d_k}.0"),
         10 => format!(".{d_k}"),
         11 => format!("{d_k}."),
-        12 => format!("{d_k}{}{}", d.of(&["e", "E"]), d.of(&["3", "-2", "+1", "308", "400"])),
+        12 => format!(
+            "{d_k}{}{}",
+            d.of(&["e", "E"]),
+            d.of(&["3", "-2", "+1", "308", "400"])
+        ),
         13 => d.of(&["inf", "Infinity", "-inf"]).to_string(),
         14 => d.of(&["NaN", "nan", "NAN"]).to_string(),
-        _ => d.of(&["", "x", "1.2.3", "-", "1_0", "0x10", "١"]).to_string(),
+        _ => d
+            .of(&["", "x", "1.2.3", "-", "1_0", "0x10", "١"])
+            .to_string(),
     };
     format!("{sign}{body}")
 }
@@ -343,7 +349,9 @@ impl std::io::Read for Trickle<'_> {
         self.state ^= self.state << 13;
         self.state ^= self.state >> 7;
         self.state ^= self.state << 17;
-        let n = (1 + (self.state % 64) as usize).min(buf.len()).min(self.bytes.len());
+        let n = (1 + (self.state % 64) as usize)
+            .min(buf.len())
+            .min(self.bytes.len());
         buf[..n].copy_from_slice(&self.bytes[..n]);
         self.bytes = &self.bytes[n..];
         Ok(n)

@@ -10,8 +10,8 @@
 //! cargo run --release --example sweet_spot
 //! ```
 
-use sweetspot::analysis::experiments::sweetspot;
 use ::sweetspot::monitor::Policy;
+use sweetspot::analysis::experiments::sweetspot;
 
 fn main() {
     let seed = 0x54EE7;
@@ -29,9 +29,10 @@ fn main() {
     // The narrative conclusion the paper argues for:
     if let (Some(knee), Some(production)) = (
         &result.knee,
-        result.frontier.iter().find(
-            |p| matches!(p.policy, Policy::ProductionScaled(m) if (m - 1.0).abs() < 1e-9),
-        ),
+        result
+            .frontier
+            .iter()
+            .find(|p| matches!(p.policy, Policy::ProductionScaled(m) if (m - 1.0).abs() < 1e-9)),
     ) {
         println!(
             "\ntoday's operating point (1.0x) costs {:.1}x the knee for an NRMSE \

@@ -170,7 +170,9 @@ struct Stdout(Option<BufWriter<StdoutLock<'static>>>);
 
 impl Write for Stdout {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let out = self.0.get_or_insert_with(|| BufWriter::new(std::io::stdout().lock()));
+        let out = self
+            .0
+            .get_or_insert_with(|| BufWriter::new(std::io::stdout().lock()));
         out.write(buf)
     }
 
@@ -263,7 +265,12 @@ fn usage() -> String {
             None => format!("[--{name}]"),
         });
         let mut line = format!("  sweetspot {:<8}", command.name);
-        for word in command.positional.map(String::from).into_iter().chain(flags) {
+        for word in command
+            .positional
+            .map(String::from)
+            .into_iter()
+            .chain(flags)
+        {
             if line.len() + 1 + word.len() > USAGE_COLUMNS {
                 text += &format!("\n{line}");
                 line = " ".repeat(20);
@@ -296,10 +303,15 @@ impl<'a> Args<'a> {
         };
         let mut values = vec![None; command.flags.len()];
         while let Some((arg, tail)) = rest.split_first() {
-            let name =
-                arg.strip_prefix("--").ok_or_else(|| format!("expected a --flag, got {arg:?}"))?;
+            let name = arg
+                .strip_prefix("--")
+                .ok_or_else(|| format!("expected a --flag, got {arg:?}"))?;
             let Some(i) = command.flags.iter().position(|&(n, _)| n == name) else {
-                let valid: Vec<_> = command.flags.iter().map(|(n, _)| format!("--{n}")).collect();
+                let valid: Vec<_> = command
+                    .flags
+                    .iter()
+                    .map(|(n, _)| format!("--{n}"))
+                    .collect();
                 return Err(format!(
                     "unknown flag --{name} for `sweetspot {}` (valid: {})",
                     command.name,
@@ -315,7 +327,11 @@ impl<'a> Args<'a> {
                 (Some(what), _) => return Err(format!("--{name} needs a value ({what})")),
             };
         }
-        Ok(Args { command, path, values })
+        Ok(Args {
+            command,
+            path,
+            values,
+        })
     }
 
     /// The value given for `--name`, if any.
@@ -328,7 +344,10 @@ impl<'a> Args<'a> {
     /// diagnostic naming the flag and `what` it wants when malformed.
     fn get<T: std::str::FromStr>(&self, name: &str, what: &str) -> Result<Option<T>, String> {
         self.value(name)
-            .map(|v| v.parse().map_err(|_| format!("--{name} wants {what}, got {v:?}")))
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{name} wants {what}, got {v:?}"))
+            })
             .transpose()
     }
 }
@@ -388,7 +407,10 @@ fn load_trace(path: &str, interval: Option<f64>) -> Result<(RegularSeries, Stage
         }
         _ => format!("{path}: {e}"),
     })?;
-    let times = StageTimes { load: loaded - started, clean: loaded.elapsed() };
+    let times = StageTimes {
+        load: loaded - started,
+        clean: loaded.elapsed(),
+    };
     // The estimator needs `MIN_SAMPLES`: a coarse `--interval` or a trace
     // of mostly NaN rows can re-grid to fewer.
     let n = series.len();
@@ -398,7 +420,9 @@ fn load_trace(path: &str, interval: Option<f64>) -> Result<(RegularSeries, Stage
             "{path}: --interval {s} leaves {n} samples, the estimator needs at least {}",
             NyquistEstimator::MIN_SAMPLES
         )),
-        None => Err(format!("{path}: too few valid samples to analyze ({n} after cleaning)")),
+        None => Err(format!(
+            "{path}: too few valid samples to analyze ({n} after cleaning)"
+        )),
     }
 }
 
@@ -604,7 +628,9 @@ fn cmd_fleetsim(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
     let mut scenario = args
         .value("scenario")
         .map_or(Ok(ScenarioSpec::none()), ScenarioSpec::parse)?;
-    scenario.seed = args.get("scenario-seed", "an integer")?.unwrap_or(scenario.seed);
+    scenario.seed = args
+        .get("scenario-seed", "an integer")?
+        .unwrap_or(scenario.seed);
     // Watchdog recovery slice, as a fraction of the fleet's capacity rate.
     // 0 disables the watchdog entirely (bit-identical to the plain engine).
     let recovery_budget_frac = args.get("recovery-budget-frac", "a number")?.unwrap_or(0.0);
@@ -659,9 +685,7 @@ fn cmd_fleetsim(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
     let frontier = match (budget, policy) {
         (Some(b), p) => fleetsim::run_point_recorded(&cfg, b, p, rec),
         (None, Some(p)) => fleetsim::run_frontier_for_recorded(&cfg, &[p], rec),
-        (None, None) => {
-            fleetsim::run_frontier_for_recorded(&cfg, &fleetsim::CAPPED_POLICIES, rec)
-        }
+        (None, None) => fleetsim::run_frontier_for_recorded(&cfg, &fleetsim::CAPPED_POLICIES, rec),
     };
     if let Some(mut rec) = recorder {
         rec.finish().map_err(|e| {
@@ -682,10 +706,7 @@ fn cmd_fleetsim(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
         // byte-identical across thread counts (CI compares it verbatim).
         eprint!(
             "{}",
-            fleetsim::metrics::timing_report(
-                &frontier,
-                sweetspot::analysis::report::peak_rss_kb()
-            )
+            fleetsim::metrics::timing_report(&frontier, sweetspot::analysis::report::peak_rss_kb())
         );
     }
     Ok(())

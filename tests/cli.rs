@@ -8,7 +8,8 @@ fn bin() -> Command {
 }
 
 fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("sweetspot-cli-{name}-{}.csv", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("sweetspot-cli-{name}-{}.csv", std::process::id()));
     let mut f = std::fs::File::create(&path).unwrap();
     f.write_all(content.as_bytes()).unwrap();
     path
@@ -51,7 +52,11 @@ fn analyze_recommends_reduction_for_oversampled_trace() {
     let path = write_temp("oversampled", &oversampled_csv());
     let out = bin().arg("analyze").arg(&path).output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(stdout.contains("estimated Nyquist rate"), "{stdout}");
     assert!(stdout.contains("REDUCE"), "{stdout}");
     std::fs::remove_file(path).ok();
@@ -59,7 +64,11 @@ fn analyze_recommends_reduction_for_oversampled_trace() {
 
 #[test]
 fn analyze_missing_file_fails_cleanly() {
-    let out = bin().arg("analyze").arg("/nonexistent/trace.csv").output().unwrap();
+    let out = bin()
+        .arg("analyze")
+        .arg("/nonexistent/trace.csv")
+        .output()
+        .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
@@ -75,10 +84,18 @@ fn analyze_rejects_malformed_flags() {
         .unwrap();
     assert!(!out.status.success());
     // A value that is not a number is echoed back with its flag.
-    let out = bin().arg("analyze").arg(&path).args(["--interval", "abc"]).output().unwrap();
+    let out = bin()
+        .arg("analyze")
+        .arg(&path)
+        .args(["--interval", "abc"])
+        .output()
+        .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("--interval wants seconds, got \"abc\""), "{stderr}");
+    assert!(
+        stderr.contains("--interval wants seconds, got \"abc\""),
+        "{stderr}"
+    );
     std::fs::remove_file(path).ok();
 }
 
@@ -108,11 +125,19 @@ fn analyze_and_track_reject_out_of_range_flags_cleanly() {
         ("analyze", "--interval", "1e-300"),
     ];
     for (cmd, flag, value) in cases {
-        let out = bin().arg(cmd).arg(&path).args([flag, value]).output().unwrap();
+        let out = bin()
+            .arg(cmd)
+            .arg(&path)
+            .args([flag, value])
+            .output()
+            .unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{cmd} {flag} {value}: {stderr}");
         assert!(stderr.contains(flag), "{cmd} {flag} {value}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{cmd} {flag} {value}: {stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "{cmd} {flag} {value}: {stderr}"
+        );
         assert!(out.stdout.is_empty(), "{cmd} {flag} {value} printed output");
     }
     std::fs::remove_file(path).ok();
@@ -155,7 +180,10 @@ fn demo_rejects_days_outside_zero_to_a_year() {
 
 #[test]
 fn demo_rejects_unknown_metric() {
-    let out = bin().args(["demo", "--metric", "nonsense"]).output().unwrap();
+    let out = bin()
+        .args(["demo", "--metric", "nonsense"])
+        .output()
+        .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown metric"));
 }
@@ -178,7 +206,11 @@ fn track_emits_csv_series() {
         .args(["--window", "21600", "--step", "3600"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
     assert_eq!(lines[0], "window_start_seconds,nyquist_rate_hz");
@@ -211,7 +243,11 @@ fn exits_cleanly_when_the_reader_closes_the_pipe(args: &[&str], lines: &[&str]) 
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     assert_ne!(out.status.code(), Some(101), "{args:?}: {stderr}");
-    assert!(out.status.success(), "{args:?}: a closed pipe is a clean exit: {:?}", out.status);
+    assert!(
+        out.status.success(),
+        "{args:?}: a closed pipe is a clean exit: {:?}",
+        out.status
+    );
 }
 
 #[test]
@@ -263,7 +299,15 @@ fn study_output_is_byte_identical_across_thread_counts() {
     // work is partitioned, never what is computed.
     let run = |threads: &str| {
         let out = bin()
-            .args(["study", "--devices", "4", "--seed", "11", "--threads", threads])
+            .args([
+                "study",
+                "--devices",
+                "4",
+                "--seed",
+                "11",
+                "--threads",
+                threads,
+            ])
             .output()
             .unwrap();
         assert!(
@@ -294,8 +338,17 @@ fn study_timing_prints_phase_split_on_stderr() {
         .lines()
         .find(|l| l.starts_with("timing:"))
         .unwrap_or_else(|| panic!("no timing line in: {stderr}"));
-    for phase in ["synthesis", "clean", "estimate", "fft tables built in", "total"] {
-        assert!(timing_line.contains(phase), "missing {phase}: {timing_line}");
+    for phase in [
+        "synthesis",
+        "clean",
+        "estimate",
+        "fft tables built in",
+        "total",
+    ] {
+        assert!(
+            timing_line.contains(phase),
+            "missing {phase}: {timing_line}"
+        );
     }
     assert!(timing_line.contains("pairs"), "{timing_line}");
 
@@ -336,8 +389,24 @@ fn repeated_flags_and_value_flags_without_a_value_are_named() {
     let file = path.to_str().unwrap();
     for (args, flag) in [
         (vec!["demo", "--days", "1", "--days", "2"], "--days"),
-        (vec!["fleetsim", "--devices", "14", "--days", "1", "--seed", "1", "--seed", "2"], "--seed"),
-        (vec!["study", "--devices", "1", "--json", "--json"], "--json"),
+        (
+            vec![
+                "fleetsim",
+                "--devices",
+                "14",
+                "--days",
+                "1",
+                "--seed",
+                "1",
+                "--seed",
+                "2",
+            ],
+            "--seed",
+        ),
+        (
+            vec!["study", "--devices", "1", "--json", "--json"],
+            "--json",
+        ),
         (vec!["track", file, "--window"], "--window"),
         (vec!["track", file, "--window", "--step", "300"], "--window"),
         (vec!["analyze", file, "--cutoff"], "--cutoff"),
@@ -345,7 +414,10 @@ fn repeated_flags_and_value_flags_without_a_value_are_named() {
         let out = bin().args(&args).output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stderr.starts_with(&format!("error: {flag} ")), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {flag} ")),
+            "{args:?}: {stderr}"
+        );
         assert!(out.stdout.is_empty(), "{args:?} printed output");
     }
     std::fs::remove_file(path).ok();
@@ -373,7 +445,10 @@ fn metrics_cadence_needs_a_positive_count_and_an_output() {
 #[test]
 fn study_rejects_an_empty_fleet_and_paper_scale_with_devices() {
     for (args, diagnostic) in [
-        (vec!["study", "--devices", "0"], "positive number of devices"),
+        (
+            vec!["study", "--devices", "0"],
+            "positive number of devices",
+        ),
         (vec!["study", "--paper-scale", "--devices", "3"], "conflict"),
     ] {
         let out = bin().args(&args).output().unwrap();
@@ -409,7 +484,10 @@ fn study_paper_scale_output_is_byte_identical_across_thread_counts() {
         .find(|l| l.contains("metric-device pairs"))
         .expect("headline must report the pair count");
     assert!(
-        pairs_line.split(':').nth(1).is_some_and(|v| v.trim_start().starts_with("1613")),
+        pairs_line
+            .split(':')
+            .nth(1)
+            .is_some_and(|v| v.trim_start().starts_with("1613")),
         "paper scale must analyze 1613 pairs, got: {pairs_line}"
     );
 }
@@ -433,7 +511,10 @@ fn unknown_flags_are_rejected_with_diagnostics() {
             "{args:?}: {stderr}"
         );
         let listed = stderr.split("valid:").nth(1).unwrap_or_default();
-        assert!(listed.contains(valid), "{args:?} lists no {valid}: {stderr}");
+        assert!(
+            listed.contains(valid),
+            "{args:?} lists no {valid}: {stderr}"
+        );
     }
     // analyze with an unknown flag fails before touching the file system.
     let path = write_temp("unknown-flag", &oversampled_csv());
@@ -461,7 +542,10 @@ fn study_json_emits_machine_readable_output() {
     assert!(line.contains("\"pairs\":28"));
     assert!(line.contains("\"oversampled_fraction\":"));
     assert!(line.contains("\"per_metric\":["));
-    assert!(!stdout.contains("Figure 1"), "--json must replace the tables");
+    assert!(
+        !stdout.contains("Figure 1"),
+        "--json must replace the tables"
+    );
 
     // Without --json the table output is unchanged.
     let plain = bin()
@@ -497,8 +581,18 @@ fn fleetsim_prints_frontier_for_all_policies() {
 fn fleetsim_single_point_policy_and_json() {
     let out = bin()
         .args([
-            "fleetsim", "--devices", "28", "--days", "2", "--seed", "5", "--budget", "9000",
-            "--policy", "waterfill", "--json",
+            "fleetsim",
+            "--devices",
+            "28",
+            "--days",
+            "2",
+            "--seed",
+            "5",
+            "--budget",
+            "9000",
+            "--policy",
+            "waterfill",
+            "--json",
         ])
         .output()
         .unwrap();
@@ -525,7 +619,10 @@ fn fleetsim_json_writes_seeds_exactly() {
         "1",
     );
     let stdout = String::from_utf8(stdout).unwrap();
-    assert!(stdout.contains("\"seed\":18446744073709551615,"), "{stdout}");
+    assert!(
+        stdout.contains("\"seed\":18446744073709551615,"),
+        "{stdout}"
+    );
     assert!(
         stdout.contains("\"scenario\":{\"label\":\"churn\",\"seed\":9007199254740993,"),
         "{stdout}"
@@ -549,7 +646,15 @@ fn fleetsim_and_study_reject_thread_counts_past_the_ceiling() {
     // capped before a run. Both fleets have 14 work items, so a broken
     // check would still spawn at most 14 threads here.
     for args in [
-        vec!["fleetsim", "--devices", "14", "--days", "1", "--threads", "5000"],
+        vec![
+            "fleetsim",
+            "--devices",
+            "14",
+            "--days",
+            "1",
+            "--threads",
+            "5000",
+        ],
         vec!["study", "--devices", "1", "--threads", "5000"],
     ] {
         let out = bin().args(&args).output().unwrap();
@@ -564,7 +669,11 @@ fn fleetsim_and_study_reject_thread_counts_past_the_ceiling() {
         .args(["study", "--devices", "1", "--threads", "1024"])
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 #[test]
@@ -590,8 +699,17 @@ fn fleetsim_scaled_fleet_is_balanced_beyond_per_metric_counts() {
     // exactly the requested fleet size.
     let out = bin()
         .args([
-            "fleetsim", "--devices", "30", "--days", "1", "--seed", "5", "--budget", "9000",
-            "--policy", "fair",
+            "fleetsim",
+            "--devices",
+            "30",
+            "--days",
+            "1",
+            "--seed",
+            "5",
+            "--budget",
+            "9000",
+            "--policy",
+            "fair",
         ])
         .output()
         .unwrap();
@@ -624,15 +742,28 @@ fn fleetsim_scenario_diagnostics_name_the_token_and_list_the_vocabulary() {
     // message must teach the full vocabulary: every valid preset and every
     // key=value override key, so the user never needs the docs to recover.
     let out = bin()
-        .args(["fleetsim", "--devices", "14", "--scenario", "chrun+incident"])
+        .args([
+            "fleetsim",
+            "--devices",
+            "14",
+            "--scenario",
+            "chrun+incident",
+        ])
         .output()
         .unwrap();
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown scenario term 'chrun'"), "{stderr}");
     for preset in [
-        "none", "churn", "incident", "lossy-reports", "cost-skew", "duty", "battery",
-        "diurnal", "staggered",
+        "none",
+        "churn",
+        "incident",
+        "lossy-reports",
+        "cost-skew",
+        "duty",
+        "battery",
+        "diurnal",
+        "staggered",
     ] {
         assert!(stderr.contains(preset), "missing preset {preset}: {stderr}");
     }
@@ -643,7 +774,13 @@ fn fleetsim_scenario_diagnostics_name_the_token_and_list_the_vocabulary() {
     // A bad key inside a key=value term is named too — both the key and the
     // offending term — with the same vocabulary listing.
     let out = bin()
-        .args(["fleetsim", "--devices", "14", "--scenario", "drop=0.1+frobs=2"])
+        .args([
+            "fleetsim",
+            "--devices",
+            "14",
+            "--scenario",
+            "drop=0.1+frobs=2",
+        ])
         .output()
         .unwrap();
     assert!(!out.status.success());
@@ -652,7 +789,10 @@ fn fleetsim_scenario_diagnostics_name_the_token_and_list_the_vocabulary() {
         stderr.contains("unknown scenario key 'frobs'") && stderr.contains("'frobs=2'"),
         "{stderr}"
     );
-    assert!(stderr.contains("duty-frac") && stderr.contains("staggered"), "{stderr}");
+    assert!(
+        stderr.contains("duty-frac") && stderr.contains("staggered"),
+        "{stderr}"
+    );
 
     // A malformed number names the term and the unparsable value.
     let out = bin()
@@ -674,7 +814,10 @@ fn fleetsim_rejects_out_of_range_recovery_budget_frac() {
             .args(["fleetsim", "--devices", "14", "--recovery-budget-frac", bad])
             .output()
             .unwrap();
-        assert!(!out.status.success(), "--recovery-budget-frac {bad} must fail");
+        assert!(
+            !out.status.success(),
+            "--recovery-budget-frac {bad} must fail"
+        );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("fraction in [0, 1]"), "{stderr}");
     }
@@ -684,7 +827,13 @@ fn fleetsim_rejects_out_of_range_recovery_budget_frac() {
 fn fleetsim_rejects_an_fft_cache_cap_that_overflows_bytes() {
     // 2^44 MiB is 2^64 bytes: the cap must be rejected, not wrapped to 0.
     let out = bin()
-        .args(["fleetsim", "--devices", "14", "--fft-cache-mb", "17592186044416"])
+        .args([
+            "fleetsim",
+            "--devices",
+            "14",
+            "--fft-cache-mb",
+            "17592186044416",
+        ])
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
@@ -698,8 +847,17 @@ fn fleetsim_output_is_byte_identical_across_thread_counts() {
     let run = |threads: &str| {
         let out = bin()
             .args([
-                "fleetsim", "--devices", "42", "--days", "3", "--seed", "11", "--budget", "20000",
-                "--threads", threads,
+                "fleetsim",
+                "--devices",
+                "42",
+                "--days",
+                "3",
+                "--seed",
+                "11",
+                "--budget",
+                "20000",
+                "--threads",
+                threads,
             ])
             .output()
             .unwrap();
@@ -718,7 +876,16 @@ fn fleetsim_output_is_byte_identical_across_thread_counts() {
 #[test]
 fn fleetsim_timing_is_stderr_only() {
     let timed = bin()
-        .args(["fleetsim", "--devices", "28", "--days", "2", "--seed", "3", "--timing"])
+        .args([
+            "fleetsim",
+            "--devices",
+            "28",
+            "--days",
+            "2",
+            "--seed",
+            "3",
+            "--timing",
+        ])
         .output()
         .unwrap();
     assert!(timed.status.success());
@@ -728,7 +895,10 @@ fn fleetsim_timing_is_stderr_only() {
         .find(|l| l.starts_with("timing:"))
         .unwrap_or_else(|| panic!("no timing line in: {stderr}"));
     for phase in ["build", "step", "schedule", "total"] {
-        assert!(timing_line.contains(phase), "missing {phase}: {timing_line}");
+        assert!(
+            timing_line.contains(phase),
+            "missing {phase}: {timing_line}"
+        );
     }
     let memory_line = stderr
         .lines()
@@ -743,7 +913,16 @@ fn fleetsim_timing_is_stderr_only() {
     // Nor the JSON report: table-build time is wall scope, stderr only.
     let json = |timing: bool| {
         let mut cmd = bin();
-        cmd.args(["fleetsim", "--devices", "28", "--days", "2", "--seed", "3", "--json"]);
+        cmd.args([
+            "fleetsim",
+            "--devices",
+            "28",
+            "--days",
+            "2",
+            "--seed",
+            "3",
+            "--json",
+        ]);
         if timing {
             cmd.arg("--timing");
         }
@@ -978,7 +1157,8 @@ fn analyze_on_bluestein_demo_trace_matches_golden_fixture() {
 
 #[test]
 fn analyze_on_messy_csv_matches_golden_fixture() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/messy_trace.csv");
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/messy_trace.csv");
     let analyze = stdout_of("analyze", &path);
     assert!(
         analyze == golden("analyze_messy.txt"),
@@ -1002,7 +1182,11 @@ fn analyze_reads_its_trace_from_a_pipe() {
     let writer = std::thread::spawn(move || stdin.write_all(&trace));
     let out = child.wait_with_output().unwrap();
     writer.join().unwrap().unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(
         out.stdout == golden("analyze_messy.txt"),
         "analyze of a piped trace diverged:\n{}",
@@ -1014,7 +1198,8 @@ fn analyze_reads_its_trace_from_a_pipe() {
 fn analyze_rejects_a_trace_that_is_not_utf8() {
     // The bad byte sits in a comment after the rows, where the parser
     // would never look at it: the whole stream must still be UTF-8.
-    let path = std::env::temp_dir().join(format!("sweetspot-cli-latin1-{}.csv", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("sweetspot-cli-latin1-{}.csv", std::process::id()));
     let mut bytes = oversampled_csv().into_bytes();
     bytes.extend(b"# caf\xE9\n");
     std::fs::write(&path, bytes).unwrap();
@@ -1036,14 +1221,21 @@ fn analyze_keeps_the_first_row_after_a_byte_order_mark() {
     let path = write_temp("bom", &format!("\u{FEFF}{rows}\n"));
     let stdout = stdout_of("analyze", &path);
     std::fs::remove_file(path).ok();
-    let first = String::from_utf8_lossy(&stdout).lines().next().unwrap_or("").to_string();
+    let first = String::from_utf8_lossy(&stdout)
+        .lines()
+        .next()
+        .unwrap_or("")
+        .to_string();
     assert!(first.starts_with("trace: 9 samples"), "{first}");
 }
 
 #[test]
 fn analyze_and_track_timing_is_one_stderr_line() {
     let path = write_temp("timing", &oversampled_csv());
-    for (cmd, flags) in [("analyze", &[][..]), ("track", &["--window", "21600", "--step", "3600"][..])] {
+    for (cmd, flags) in [
+        ("analyze", &[][..]),
+        ("track", &["--window", "21600", "--step", "3600"][..]),
+    ] {
         let run = |timing: bool| {
             let mut c = bin();
             c.arg(cmd).arg(&path).args(flags);
@@ -1053,15 +1245,32 @@ fn analyze_and_track_timing_is_one_stderr_line() {
             c.output().unwrap()
         };
         let (timed, plain) = (run(true), run(false));
-        assert!(timed.status.success(), "{}", String::from_utf8_lossy(&timed.stderr));
-        assert_eq!(timed.stdout, plain.stdout, "{cmd}: --timing must not alter stdout");
+        assert!(
+            timed.status.success(),
+            "{}",
+            String::from_utf8_lossy(&timed.stderr)
+        );
+        assert_eq!(
+            timed.stdout, plain.stdout,
+            "{cmd}: --timing must not alter stdout"
+        );
         let stderr = String::from_utf8_lossy(&timed.stderr);
-        let lines: Vec<_> = stderr.lines().filter(|l| l.starts_with("timing:")).collect();
+        let lines: Vec<_> = stderr
+            .lines()
+            .filter(|l| l.starts_with("timing:"))
+            .collect();
         assert_eq!(lines.len(), 1, "{cmd}: {stderr}");
         for stage in ["load", "clean", "estimate"] {
-            assert!(lines[0].contains(&format!("{stage} ")), "{cmd} lacks {stage}: {}", lines[0]);
+            assert!(
+                lines[0].contains(&format!("{stage} ")),
+                "{cmd} lacks {stage}: {}",
+                lines[0]
+            );
         }
-        assert!(!String::from_utf8_lossy(&plain.stderr).contains("timing:"), "{cmd}: opt-in");
+        assert!(
+            !String::from_utf8_lossy(&plain.stderr).contains("timing:"),
+            "{cmd}: opt-in"
+        );
     }
     std::fs::remove_file(path).ok();
 }

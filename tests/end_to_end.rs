@@ -84,7 +84,10 @@ fn adaptive_controller_beats_fixed_polling_on_cost() {
         "controller spent {spent} samples, fixed polling {fixed}"
     );
     // And it must end in steady state, not stuck probing.
-    assert_eq!(reports.last().unwrap().mode, sweetspot::core::adaptive::Mode::Steady);
+    assert_eq!(
+        reports.last().unwrap().mode,
+        sweetspot::core::adaptive::Mode::Steady
+    );
 }
 
 #[test]
@@ -122,7 +125,10 @@ fn posteriori_policy_preserves_reconstruction_quality() {
     let run = |policy: Policy| {
         let mut device = mk(2);
         let stored = policy.run(&mut device, duration).stored;
-        (stored.len(), evaluate(&device, &IrregularSeries::from_pairs(stored), duration))
+        (
+            stored.len(),
+            evaluate(&device, &IrregularSeries::from_pairs(stored), duration),
+        )
     };
     let (base_stored, qb) = run(Policy::ProductionScaled(1.0));
     let (post_stored, qp) = run(Policy::PosterioriNyquist { headroom: 1.25 });
@@ -155,10 +161,7 @@ fn undersampled_device_is_caught_by_dual_rate_but_not_by_one_trace() {
     let duration = Seconds::from_days(2.0);
     let primary = profile.production_rate();
     let fast = dev.ground_truth(primary, duration);
-    let slow = dev.ground_truth(
-        sweetspot::core::aliasing::companion_rate(primary),
-        duration,
-    );
+    let slow = dev.ground_truth(sweetspot::core::aliasing::companion_rate(primary), duration);
     let verdict = detect_aliasing(&fast, &slow, DualRateConfig::default());
     assert!(verdict.aliased, "dual-rate must catch it: {verdict:?}");
 

@@ -116,7 +116,10 @@ fn survives_five_percent_sample_loss() {
         },
         1,
     );
-    let r = est.rate().expect("loss must not alias the estimate").value();
+    let r = est
+        .rate()
+        .expect("loss must not alias the estimate")
+        .value();
     assert!(
         (r - reference_rate()).abs() < reference_rate() * 0.5,
         "estimate {r} drifted"
@@ -132,7 +135,10 @@ fn survives_timestamp_jitter() {
         },
         2,
     );
-    let r = est.rate().expect("jitter must not alias the estimate").value();
+    let r = est
+        .rate()
+        .expect("jitter must not alias the estimate")
+        .value();
     assert!(
         (r - reference_rate()).abs() < reference_rate() * 0.5,
         "estimate {r} drifted"
@@ -152,7 +158,10 @@ fn survives_corrupt_outliers_with_clipping() {
     // MAD clipping (outlier_mads = 8) absorbs the corruption; the estimate
     // may widen but must stay below 4× the reference (corruption leaves
     // residual broadband energy at the clip level).
-    let r = est.rate().expect("clipped corruption must not alias").value();
+    let r = est
+        .rate()
+        .expect("clipped corruption must not alias")
+        .value();
     assert!(r < reference_rate() * 4.0, "estimate {r} blew up");
 }
 
@@ -205,7 +214,10 @@ fn combined_fault_storm() {
         },
         5,
     );
-    let r = est.rate().expect("realistic faults must be survivable").value();
+    let r = est
+        .rate()
+        .expect("realistic faults must be survivable")
+        .value();
     assert!(
         (r - reference_rate()).abs() < reference_rate(),
         "estimate {r} vs reference {}",
