@@ -14,7 +14,7 @@ use sweetspot_core::aliasing::{
 };
 use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
 use sweetspot_dsp::fft::FftPlanner;
-use sweetspot_dsp::psd::{periodogram, PsdConfig};
+use sweetspot_dsp::psd::{periodogram, periodogram_into, periodogram_once_into, PsdConfig};
 use sweetspot_dsp::resample::resample_fft;
 use sweetspot_dsp::window::Window;
 use sweetspot_dsp::Complex64;
@@ -115,11 +115,11 @@ fn bench(c: &mut Criterion) {
         });
     }
 
-    // What a one-shot `sweetspot analyze` of a 90-day minutely trace builds
-    // before it can transform: a fresh planner's real plan (64 800-point
-    // mixed-radix twiddles plus the untangle table), its Hann table and its
-    // working buffers. The row includes the first transform; the warm
-    // `rfft/mixed_129600` row above times that alone.
+    // What a cold cached planner builds before it can transform a 90-day
+    // minutely trace: its real plan (64 800-point mixed-radix twiddles plus
+    // the untangle table), its Hann table and its working buffers. The row
+    // includes the first transform; the warm `rfft/mixed_129600` row above
+    // times that alone.
     let trace = signal(129_600);
     c.bench_function("plan/real_hann_129600", |b| {
         let mut out = Vec::new();
@@ -130,6 +130,30 @@ fn bench(c: &mut Criterion) {
             black_box(&out);
         })
     });
+    // The whole Hann-windowed, detrended periodogram of that trace on a
+    // fresh planner, by both routes: the cached route builds and keeps the
+    // tables above; the one-shot route (`estimate_series`, so `analyze`)
+    // reads every twiddle and coefficient from root tables instead.
+    // Information rows: raw wall times of one-shot work spread more between
+    // runs than the two routes differ.
+    let hann = PsdConfig {
+        window: Window::Hann,
+        detrend: true,
+    };
+    type Route = fn(&mut FftPlanner, &[f64], PsdConfig, &mut Vec<f64>);
+    let routes: [(&str, Route); 2] = [
+        ("cached", periodogram_into),
+        ("once", periodogram_once_into),
+    ];
+    for (route, run) in routes {
+        c.bench_function(&format!("plan/periodogram_{route}_hann_129600"), |b| {
+            let mut power = Vec::new();
+            b.iter(|| {
+                run(&mut FftPlanner::new(), black_box(&trace), hann, &mut power);
+                black_box(&power);
+            })
+        });
+    }
 
     // PSD estimation. 2880 is one day at 30 s (mixed-radix); 4096/8192 are the
     // power-of-two lengths the real-input fast path is judged on. The

@@ -23,7 +23,7 @@
 
 use serde::{Deserialize, Serialize};
 use sweetspot_dsp::fft::FftPlanner;
-use sweetspot_dsp::psd::{periodogram_into, PsdConfig};
+use sweetspot_dsp::psd::{periodogram_into, periodogram_once_into, PsdConfig};
 use sweetspot_dsp::spectrum::{EnergyCapture, Spectrum};
 use sweetspot_dsp::window::Window;
 use sweetspot_timeseries::{Hertz, RegularSeries};
@@ -101,7 +101,8 @@ impl NyquistEstimate {
 /// Callers lend one to [`NyquistEstimator::estimate_samples`]; a loop keeps
 /// one for all its estimates, so repeated estimates over equal-length
 /// traces reuse twiddle and window tables and the steady state performs no
-/// heap allocations. Contents never influence results.
+/// heap allocations. [`NyquistEstimator::estimate_once`] borrows only its
+/// buffers at 5-smooth lengths. Contents never influence results.
 #[derive(Default)]
 pub struct EstimatorScratch {
     planner: FftPlanner,
@@ -159,12 +160,44 @@ impl NyquistEstimator {
     /// Estimates the Nyquist rate of raw samples taken at `sample_rate`,
     /// through caller-lent working storage: the detrended periodogram under
     /// the configured window, then [`NyquistEstimator::estimate_spectrum`].
+    /// Twiddle and window tables are cached in the scratch's planner, so
+    /// repeated estimates of one length build them once.
     ///
     /// # Panics
     /// Panics if `samples` has fewer than [`NyquistEstimator::MIN_SAMPLES`]
     /// points or `sample_rate` is not positive.
     pub fn estimate_samples(
         &self,
+        scratch: &mut EstimatorScratch,
+        samples: &[f64],
+        sample_rate: Hertz,
+    ) -> NyquistEstimate {
+        self.estimate_through(periodogram_into, scratch, samples, sample_rate)
+    }
+
+    /// [`NyquistEstimator::estimate_samples`] for an estimate made once,
+    /// bit for bit: the periodogram runs [`periodogram_once_into`], which at
+    /// a 5-smooth length reads every twiddle and window coefficient from
+    /// root tables and leaves the scratch's table cache empty. Only the
+    /// scratch's buffers grow (two `n/2`-point complex buffers and the
+    /// power buffer). Other lengths still build their transform tables in
+    /// the cache.
+    ///
+    /// # Panics
+    /// As [`NyquistEstimator::estimate_samples`].
+    pub fn estimate_once(
+        &self,
+        scratch: &mut EstimatorScratch,
+        samples: &[f64],
+        sample_rate: Hertz,
+    ) -> NyquistEstimate {
+        self.estimate_through(periodogram_once_into, scratch, samples, sample_rate)
+    }
+
+    /// The estimate with the power spectrum taken by `periodogram`.
+    fn estimate_through(
+        &self,
+        periodogram: impl FnOnce(&mut FftPlanner, &[f64], PsdConfig, &mut Vec<f64>),
         scratch: &mut EstimatorScratch,
         samples: &[f64],
         sample_rate: Hertz,
@@ -177,7 +210,7 @@ impl NyquistEstimator {
         );
         assert!(sample_rate.value() > 0.0, "sample_rate must be positive");
         let mut power = std::mem::take(&mut scratch.power);
-        periodogram_into(
+        periodogram(
             &mut scratch.planner,
             samples,
             PsdConfig {
@@ -222,11 +255,15 @@ impl NyquistEstimator {
     }
 
     /// Estimates the Nyquist rate of a regular series — the one-shot
-    /// convenience: builds throwaway scratch, so loops should hold an
-    /// [`EstimatorScratch`] and call [`NyquistEstimator::estimate_samples`].
+    /// convenience behind [`crate::recommend::recommend`] and the
+    /// a-posteriori policy: [`NyquistEstimator::estimate_once`] through
+    /// throwaway scratch, so a 5-smooth trace builds no FFT or window table
+    /// (a 129 600-sample trace would otherwise build ~3 MB of them to read
+    /// each entry once). Loops should hold an [`EstimatorScratch`] and call
+    /// [`NyquistEstimator::estimate_samples`], which caches the tables.
     pub fn estimate_series(&self, series: &RegularSeries) -> NyquistEstimate {
         let mut scratch = EstimatorScratch::new();
-        self.estimate_samples(&mut scratch, series.values(), series.sample_rate())
+        self.estimate_once(&mut scratch, series.values(), series.sample_rate())
     }
 }
 
@@ -365,6 +402,35 @@ mod tests {
             let s = tone_series(n, 2.0, &[(0.9, 1.0), (0.3, 0.5)], 3.0);
             if let NyquistEstimate::Rate(r) = est.estimate_series(&s) {
                 assert!(r.value() <= 2.0 + 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn one_shot_estimate_equals_the_cached_estimate() {
+        // Packed 5-smooth (1000, 129 600 = the `analyze` length), promoted
+        // odd 5-smooth (2025) and Bluestein (865 = 5·173, 2878 = 2·1439)
+        // lengths, under both windows and a cutoff that lands mid-spectrum.
+        let configs = [
+            NyquistConfig::default(),
+            NyquistConfig::paper_literal(),
+            NyquistConfig {
+                energy_cutoff: 0.9999,
+                ..NyquistConfig::default()
+            },
+        ];
+        for n in [1000usize, 2025, 865, 2878, 129_600] {
+            let s = tone_series(n, 1.0, &[(0.01, 1.0), (0.07, 0.3), (0.21, 0.02)], 4.0);
+            for cfg in configs {
+                let est = NyquistEstimator::new(cfg);
+                let cached =
+                    est.estimate_samples(&mut EstimatorScratch::new(), s.values(), s.sample_rate());
+                let mut scratch = EstimatorScratch::new();
+                let once = est.estimate_once(&mut scratch, s.values(), s.sample_rate());
+                assert_eq!(once, cached, "n={n} {cfg:?}");
+                assert_eq!(est.estimate_series(&s), cached, "n={n} {cfg:?}");
+                let smooth = n != 865 && n != 2878;
+                assert_eq!(scratch.planner().table_bytes() == 0, smooth, "n={n}");
             }
         }
     }

@@ -7,7 +7,7 @@
 //! how much, saving how many samples), increase it, or escalate the trace
 //! for inspection (the paper's −1 / aliased case).
 
-use crate::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
+use crate::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimate, NyquistEstimator};
 use serde::{Deserialize, Serialize};
 use sweetspot_timeseries::{Hertz, RegularSeries};
 
@@ -107,10 +107,29 @@ impl Recommendation {
 
 /// Produces a recommendation for a measured (pre-cleaned) trace.
 ///
+/// A recommendation is one estimate per trace, so it takes the one-shot
+/// route ([`NyquistEstimator::estimate_once`], through throwaway scratch):
+/// a 5-smooth trace builds no FFT or window table.
+///
 /// # Panics
 /// Panics on configs with `headroom < 1` or `min_change_factor < 1`, and on
 /// traces the estimator rejects (fewer than 4 samples).
 pub fn recommend(series: &RegularSeries, cfg: RecommendConfig) -> Recommendation {
+    recommend_with(&mut EstimatorScratch::new(), series, cfg)
+}
+
+/// [`recommend`] through caller-lent scratch, for a caller that reads the
+/// scratch's accounting afterwards (`analyze --timing` prints its table
+/// bytes and build time). The estimate is still the one-shot
+/// [`NyquistEstimator::estimate_once`].
+///
+/// # Panics
+/// As [`recommend`].
+pub fn recommend_with(
+    scratch: &mut EstimatorScratch,
+    series: &RegularSeries,
+    cfg: RecommendConfig,
+) -> Recommendation {
     assert!(cfg.headroom >= 1.0, "headroom must be ≥ 1");
     assert!(
         cfg.min_change_factor >= 1.0,
@@ -118,7 +137,7 @@ pub fn recommend(series: &RegularSeries, cfg: RecommendConfig) -> Recommendation
     );
     let current = series.sample_rate();
     let estimator = NyquistEstimator::new(cfg.estimator);
-    match estimator.estimate_series(series) {
+    match estimator.estimate_once(scratch, series.values(), current) {
         NyquistEstimate::Aliased => Recommendation {
             current_rate: current,
             estimated_nyquist: None,

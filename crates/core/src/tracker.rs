@@ -58,14 +58,25 @@ pub struct TrackedPoint {
 ///
 /// Windows shorter than [`NyquistEstimator::MIN_SAMPLES`] are skipped.
 pub fn track(series: &RegularSeries, cfg: TrackerConfig) -> Vec<TrackedPoint> {
+    track_with(&mut EstimatorScratch::new(), series, cfg)
+}
+
+/// [`track`] through caller-lent scratch: every window is one
+/// [`NyquistEstimator::estimate_samples`] on it, so equal-length windows
+/// share its cached tables, and the caller can read its accounting
+/// afterwards (`track --timing` prints its table bytes and build time).
+pub fn track_with(
+    scratch: &mut EstimatorScratch,
+    series: &RegularSeries,
+    cfg: TrackerConfig,
+) -> Vec<TrackedPoint> {
     let estimator = NyquistEstimator::new(cfg.estimator);
-    let mut scratch = EstimatorScratch::new();
     let rate = series.sample_rate();
     moving_windows(series, cfg.window, cfg.step)
         .filter(|w| w.values.len() >= NyquistEstimator::MIN_SAMPLES)
         .map(|w| TrackedPoint {
             window_start: w.start,
-            estimate: estimator.estimate_samples(&mut scratch, w.values, rate),
+            estimate: estimator.estimate_samples(scratch, w.values, rate),
         })
         .collect()
 }

@@ -15,6 +15,8 @@
 //!   bins `0..=(N−1)/2` only, from a `(3N − 1)/2`-point convolution instead
 //!   of `2N − 1`. Odd 5-smooth lengths promote the input to complex.
 //!
+//! # What is cached and what is not
+//!
 //! [`FftPlanner`] caches twiddle tables, Bluestein chirps, real-transform
 //! plans and window-coefficient tables per length, so repeated
 //! transforms of the same size (the common case when scanning a fleet of
@@ -22,7 +24,21 @@
 //! and is lent to each transform: a fleet worker keeps one for all the
 //! devices it steps, so each worker holds every distinct plan once, and
 //! tables are pure data that never influence results, only memory and
-//! setup time.
+//! setup time. Every lent-scratch path (`track`, `study`, `fleetsim`,
+//! `estimate_samples`) runs this cached route.
+//!
+//! A transform run **once** has no use for a table it reads once. The
+//! one-shot route ([`crate::psd::periodogram_once_into`], behind
+//! `NyquistEstimator::estimate_series` and so `recommend` and `sweetspot
+//! analyze`) builds none at a 5-smooth length, packed even or promoted
+//! odd: each radix pass reads `Roots::new(m).root(j·t·s)` as it reaches
+//! group `j`, the untangle reads `Roots::new(n).root(k)` and the window
+//! coefficients come from `Roots::new(n − 1)` likewise. These are the
+//! products the cached tables store, so the output bits are the same, and
+//! the table cache stays empty: only the working buffers grow. Lengths with
+//! a prime factor above 5 still build their Bluestein tables in the cache.
+//! Both routes run the same radix passes and untangle, generic over where a
+//! twiddle comes from.
 //!
 //! By default the cache is unbounded — fine for workloads that revisit a
 //! handful of lengths. Fleet-scale workloads that sweep *many* distinct
@@ -37,7 +53,8 @@
 //! table: `e^{−2πi e/N} = hi[e >> k] · lo[e mod 2^k]` with `2^k ≈ √N`, so a
 //! table costs about `2√N` direct `cis` calls plus one complex multiply per
 //! entry, and each entry stays within a few ulps of direct evaluation. The
-//! root table is dropped once its table is filled.
+//! root table is dropped once its table is filled (or, on the one-shot
+//! route, once the transform is done).
 //! [`FftPlanner::table_build_time`] reports the wall time the cache has
 //! spent building.
 //!
@@ -56,6 +73,7 @@
 
 use crate::complex::Complex64;
 use crate::window::{Window, WindowTable};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::f64::consts::PI;
 use std::hash::Hash;
@@ -131,10 +149,12 @@ pub(crate) fn quantized_table<T>(len: usize) -> Vec<T> {
 /// each root stays within a few ulps of the direct value. Every trig table
 /// (mixed-radix and untangle twiddles, Bluestein chirps, window cosines)
 /// builds one, fills itself and drops it, so nothing extra stays resident.
-/// Transforms read only the filled tables, never a `Roots`: each root costs
-/// a complex multiply, which a transform would pay on every read instead of
-/// once per table — a trade against the tables' memory that favours speed
-/// for the transforms a planner repeats thousands of times.
+/// Cached transforms read only the filled tables: each root costs a complex
+/// multiply, which a transform would pay on every read instead of once per
+/// table — a trade against the tables' memory that favours speed for the
+/// transforms a planner repeats thousands of times. A one-shot transform
+/// ([`FftPlanner::fft_real_once_with`]) reads each root once either way, so
+/// it reads the `Roots` directly and builds no table.
 pub(crate) struct Roots {
     n: usize,
     shift: u32,
@@ -305,7 +325,7 @@ impl BluesteinPlan {
 
 /// `true` when `n` is nonzero and has no prime factor above 5. Unlike
 /// [`smooth_radices`] it never allocates, so transforms may call it.
-fn is_smooth(mut n: usize) -> bool {
+pub(crate) fn is_smooth(mut n: usize) -> bool {
     if n == 0 {
         return false;
     }
@@ -384,31 +404,84 @@ impl MixedPlan {
     /// In-place forward transform; `work` is the length-`n` ping-pong
     /// buffer.
     fn fft(&self, buf: &mut [Complex64], work: &mut Vec<Complex64>) {
-        let n = self.n;
-        debug_assert_eq!(buf.len(), n);
-        if work.len() < n {
-            work.resize(n, Complex64::ZERO);
+        debug_assert_eq!(buf.len(), self.n);
+        stockham(&self.radices, buf, work, &self.twiddles[..]);
+    }
+}
+
+/// Where the radix passes read their twiddles: a [`MixedPlan`]'s filled
+/// table (`&[Complex64]`, each pass's rows taken off its front) or the
+/// [`Roots`] that table is filled from (`&Roots`, one product per twiddle
+/// as the pass reaches it). Both yield the same bits.
+///
+/// A row is anything that borrows as a slice: the table lends its rows in
+/// place, while the roots compute each into an array. Rows typed as arrays
+/// on the table side too (copied, or borrowed as `&[Complex64; Q]`) made a
+/// cached 180-point transform 4–10% slower.
+trait Twiddles {
+    /// The rows of the next pass, of radix `Q + 1` at stride `s` over `m`
+    /// groups: row `j` holds `e^{−2πi j·t·s/n}` for `t = 1..=Q`.
+    fn next_pass<const Q: usize>(
+        &mut self,
+        s: usize,
+        m: usize,
+    ) -> impl Iterator<Item = impl Borrow<[Complex64]>>;
+}
+
+impl Twiddles for &[Complex64] {
+    fn next_pass<const Q: usize>(
+        &mut self,
+        _s: usize,
+        m: usize,
+    ) -> impl Iterator<Item = impl Borrow<[Complex64]>> {
+        let (pass, rest) = self.split_at(Q * m);
+        *self = rest;
+        pass.chunks_exact(Q)
+    }
+}
+
+impl Twiddles for &Roots {
+    fn next_pass<const Q: usize>(
+        &mut self,
+        s: usize,
+        m: usize,
+    ) -> impl Iterator<Item = impl Borrow<[Complex64]>> {
+        let roots = *self;
+        // j·t·s < n: every twiddle is an n-th root of unity.
+        (0..m).map(move |j| std::array::from_fn::<_, Q, _>(|t| roots.root(j * (t + 1) * s)))
+    }
+}
+
+/// The self-sorting passes `radices` (see [`smooth_radices`]) of the
+/// forward transform of `buf`, in place; `work` is the ping-pong buffer,
+/// grown to `buf.len()` if shorter.
+fn stockham(
+    radices: &[usize],
+    buf: &mut [Complex64],
+    work: &mut Vec<Complex64>,
+    mut twiddles: impl Twiddles,
+) {
+    let n = buf.len();
+    if work.len() < n {
+        work.resize(n, Complex64::ZERO);
+    }
+    let mut src: &mut [Complex64] = buf;
+    let mut dst: &mut [Complex64] = &mut work[..n];
+    let mut s = 1;
+    for &p in radices {
+        let m = n / (s * p);
+        match p {
+            2 => pass2(src, dst, s, twiddles.next_pass::<1>(s, m)),
+            3 => pass3(src, dst, s, twiddles.next_pass::<2>(s, m)),
+            4 => pass4(src, dst, s, twiddles.next_pass::<3>(s, m)),
+            _ => pass5(src, dst, s, twiddles.next_pass::<4>(s, m)),
         }
-        let mut src: &mut [Complex64] = buf;
-        let mut dst: &mut [Complex64] = &mut work[..n];
-        let mut twiddles = &self.twiddles[..];
-        let mut s = 1;
-        for &p in &self.radices {
-            let (tw, rest) = twiddles.split_at((p - 1) * (n / (s * p)));
-            match p {
-                2 => pass2(src, dst, s, tw),
-                3 => pass3(src, dst, s, tw),
-                4 => pass4(src, dst, s, tw),
-                _ => pass5(src, dst, s, tw),
-            }
-            twiddles = rest;
-            s *= p;
-            std::mem::swap(&mut src, &mut dst);
-        }
-        // After an odd number of passes the result sits in `work`.
-        if self.radices.len() % 2 == 1 {
-            dst.copy_from_slice(src);
-        }
+        s *= p;
+        std::mem::swap(&mut src, &mut dst);
+    }
+    // After an odd number of passes the result sits in `work`.
+    if radices.len() % 2 == 1 {
+        dst.copy_from_slice(src);
     }
 }
 
@@ -427,27 +500,38 @@ fn blocks<const P: usize>(src: &[Complex64]) -> [&[Complex64]; P] {
     std::array::from_fn(|r| &src[r * len..(r + 1) * len])
 }
 
-fn pass2(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
+// Each pass reads one twiddle row per group `j`, in order (see
+// `Twiddles::next_pass`).
+
+fn pass2(
+    src: &[Complex64],
+    dst: &mut [Complex64],
+    s: usize,
+    tw: impl Iterator<Item = impl Borrow<[Complex64]>>,
+) {
     let [x0, x1] = blocks::<2>(src);
     for (j, (out, w)) in dst.chunks_exact_mut(2 * s).zip(tw).enumerate() {
+        let w = w.borrow()[0];
         let (x0, x1) = (&x0[s * j..][..s], &x1[s * j..][..s]);
         let (y0, y1) = out.split_at_mut(s);
         for q in 0..s {
             let (a0, a1) = (x0[q], x1[q]);
             y0[q] = a0 + a1;
-            y1[q] = (a0 - a1) * *w;
+            y1[q] = (a0 - a1) * w;
         }
     }
 }
 
-fn pass3(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
+fn pass3(
+    src: &[Complex64],
+    dst: &mut [Complex64],
+    s: usize,
+    tw: impl Iterator<Item = impl Borrow<[Complex64]>>,
+) {
     let half_sqrt3 = 0.5 * 3f64.sqrt();
     let [x0, x1, x2] = blocks::<3>(src);
-    for (j, (out, w)) in dst
-        .chunks_exact_mut(3 * s)
-        .zip(tw.chunks_exact(2))
-        .enumerate()
-    {
+    for (j, (out, w)) in dst.chunks_exact_mut(3 * s).zip(tw).enumerate() {
+        let w = w.borrow();
         let (x0, x1, x2) = (&x0[s * j..][..s], &x1[s * j..][..s], &x2[s * j..][..s]);
         let (y0, rest) = out.split_at_mut(s);
         let (y1, y2) = rest.split_at_mut(s);
@@ -463,13 +547,15 @@ fn pass3(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
     }
 }
 
-fn pass4(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
+fn pass4(
+    src: &[Complex64],
+    dst: &mut [Complex64],
+    s: usize,
+    tw: impl Iterator<Item = impl Borrow<[Complex64]>>,
+) {
     let [x0, x1, x2, x3] = blocks::<4>(src);
-    for (j, (out, w)) in dst
-        .chunks_exact_mut(4 * s)
-        .zip(tw.chunks_exact(3))
-        .enumerate()
-    {
+    for (j, (out, w)) in dst.chunks_exact_mut(4 * s).zip(tw).enumerate() {
+        let w = w.borrow();
         let (x0, x1) = (&x0[s * j..][..s], &x1[s * j..][..s]);
         let (x2, x3) = (&x2[s * j..][..s], &x3[s * j..][..s]);
         let (y0, rest) = out.split_at_mut(s);
@@ -487,15 +573,17 @@ fn pass4(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
     }
 }
 
-fn pass5(src: &[Complex64], dst: &mut [Complex64], s: usize, tw: &[Complex64]) {
+fn pass5(
+    src: &[Complex64],
+    dst: &mut [Complex64],
+    s: usize,
+    tw: impl Iterator<Item = impl Borrow<[Complex64]>>,
+) {
     let (s1, c1) = (2.0 * PI / 5.0).sin_cos();
     let (s2, c2) = (4.0 * PI / 5.0).sin_cos();
     let [x0, x1, x2, x3, x4] = blocks::<5>(src);
-    for (j, (out, w)) in dst
-        .chunks_exact_mut(5 * s)
-        .zip(tw.chunks_exact(4))
-        .enumerate()
-    {
+    for (j, (out, w)) in dst.chunks_exact_mut(5 * s).zip(tw).enumerate() {
+        let w = w.borrow();
         let (x0, x1, x2) = (&x0[s * j..][..s], &x1[s * j..][..s], &x2[s * j..][..s]);
         let (x3, x4) = (&x3[s * j..][..s], &x4[s * j..][..s]);
         let (y0, rest) = out.split_at_mut(s);
@@ -572,53 +660,23 @@ impl PackedReal {
     }
 
     /// Forward: each bin `0..=n/2` of the one-sided spectrum of the real
-    /// samples `map(i, input[i])` to `sink`.
-    ///
-    /// Packs adjacent mapped samples into `n/2` complex points, transforms
-    /// them with the half-length plan, then untangles the interleaved even/
-    /// odd sub-spectra: with `Fe`/`Fo` the DFTs of the even- and odd-indexed
-    /// samples, `X[k] = Fe[k] + e^{−2πik/n}·Fo[k]`.
+    /// samples `map(i, input[i])` to `sink` (see [`packed_fft`]).
     fn fft(
         &self,
         input: &[f64],
         map: impl Fn(usize, f64) -> f64,
-        mut sink: impl FnMut(usize, Complex64),
+        sink: impl FnMut(usize, Complex64),
         buffers: &mut Buffers,
     ) {
-        let n = self.n;
-        let m = n / 2;
-        debug_assert_eq!(input.len(), n);
-        let Buffers {
-            conv, work, half, ..
-        } = buffers;
-        half.clear();
-        let pairs = input.chunks_exact(2).enumerate();
-        half.extend(pairs.map(|(j, p)| Complex64::new(map(2 * j, p[0]), map(2 * j + 1, p[1]))));
-        self.inner.fft(half, conv, work);
-        // k = 0 and k = m both untangle from Z[0] alone (Fe₀ = Re Z₀,
-        // Fo₀ = Im Z₀; w[0] = 1, w[m] = −1).
-        sink(0, Complex64::from_real(half[0].re + half[0].im));
-        sink(m, Complex64::from_real(half[0].re - half[0].im));
-        // Interior bins pair up: with t = w[k]·Fo[k],
-        // X[k] = Fe[k] + t and X[m−k] = conj(Fe[k] − t), so one pass over
-        // k < m/2 settles both ends with a single twiddle multiply. The
-        // midpoint of an even m takes the second form.
-        let untangle = |k: usize| {
-            let zk = half[k];
-            let zmk = half[m - k].conj();
-            let fe = (zk + zmk).scale(0.5);
-            let fo = (zk - zmk) * Complex64::new(0.0, -0.5);
-            let t = self.twiddles[k] * fo;
-            (fe + t, (fe - t).conj())
-        };
-        for k in 1..m.div_ceil(2) {
-            let (low, high) = untangle(k);
-            sink(k, low);
-            sink(m - k, high);
-        }
-        if m.is_multiple_of(2) {
-            sink(m / 2, untangle(m / 2).1);
-        }
+        debug_assert_eq!(input.len(), self.n);
+        packed_fft(
+            input,
+            map,
+            sink,
+            buffers,
+            |half, conv, work| self.inner.fft(half, conv, work),
+            |k| self.twiddles[k],
+        );
     }
 
     /// Inverse: the length-`n` real signal whose one-sided spectrum is
@@ -657,6 +715,79 @@ impl PackedReal {
     }
 }
 
+/// The packed forward transform of an even-length real input: each bin
+/// `0..=n/2` of the one-sided spectrum of the samples `map(i, input[i])`
+/// to `sink`. `half_fft` transforms the `n/2` packed points in place (with
+/// `conv` and `work` as its scratch), and `twiddle(k)` is `e^{−2πik/n}`
+/// for `k ≤ n/4`.
+///
+/// Packs adjacent mapped samples into `n/2` complex points, transforms
+/// them, then untangles the interleaved even/odd sub-spectra: with
+/// `Fe`/`Fo` the DFTs of the even- and odd-indexed samples,
+/// `X[k] = Fe[k] + e^{−2πik/n}·Fo[k]`.
+fn packed_fft(
+    input: &[f64],
+    map: impl Fn(usize, f64) -> f64,
+    mut sink: impl FnMut(usize, Complex64),
+    buffers: &mut Buffers,
+    half_fft: impl FnOnce(&mut [Complex64], &mut Vec<Complex64>, &mut Vec<Complex64>),
+    twiddle: impl Fn(usize) -> Complex64,
+) {
+    let m = input.len() / 2;
+    let Buffers {
+        conv, work, half, ..
+    } = buffers;
+    half.clear();
+    let pairs = input.chunks_exact(2).enumerate();
+    half.extend(pairs.map(|(j, p)| Complex64::new(map(2 * j, p[0]), map(2 * j + 1, p[1]))));
+    half_fft(half, conv, work);
+    // k = 0 and k = m both untangle from Z[0] alone (Fe₀ = Re Z₀,
+    // Fo₀ = Im Z₀; w[0] = 1, w[m] = −1).
+    sink(0, Complex64::from_real(half[0].re + half[0].im));
+    sink(m, Complex64::from_real(half[0].re - half[0].im));
+    // Interior bins pair up: with t = w[k]·Fo[k],
+    // X[k] = Fe[k] + t and X[m−k] = conj(Fe[k] − t), so one pass over
+    // k < m/2 settles both ends with a single twiddle multiply. The
+    // midpoint of an even m takes the second form.
+    let untangle = |k: usize| {
+        let zk = half[k];
+        let zmk = half[m - k].conj();
+        let fe = (zk + zmk).scale(0.5);
+        let fo = (zk - zmk) * Complex64::new(0.0, -0.5);
+        let t = twiddle(k) * fo;
+        (fe + t, (fe - t).conj())
+    };
+    for k in 1..m.div_ceil(2) {
+        let (low, high) = untangle(k);
+        sink(k, low);
+        sink(m - k, high);
+    }
+    if m.is_multiple_of(2) {
+        sink(m / 2, untangle(m / 2).1);
+    }
+}
+
+/// The forward transform of an odd-length real input promoted to complex:
+/// the samples `map(i, input[i])` loaded into `full`, transformed in place
+/// by `fft` (with `work` as its scratch), and the first half of the bins
+/// to `sink`.
+fn promoted_fft(
+    input: &[f64],
+    map: impl Fn(usize, f64) -> f64,
+    mut sink: impl FnMut(usize, Complex64),
+    buffers: &mut Buffers,
+    fft: impl FnOnce(&mut [Complex64], &mut Vec<Complex64>),
+) {
+    let Buffers { work, full, .. } = buffers;
+    full.clear();
+    let samples = input.iter().enumerate();
+    full.extend(samples.map(|(i, &x)| Complex64::from_real(map(i, x))));
+    fft(full, work);
+    for (k, &c) in full[..one_sided_len(input.len())].iter().enumerate() {
+        sink(k, c);
+    }
+}
+
 /// A cached real-input plan for one length `n ≥ 2`.
 enum RealPlan {
     /// Even `n`: the packed transform over the complex plan of `n/2`.
@@ -676,7 +807,7 @@ impl RealPlan {
         &self,
         input: &[f64],
         map: impl Fn(usize, f64) -> f64,
-        mut sink: impl FnMut(usize, Complex64),
+        sink: impl FnMut(usize, Complex64),
         buffers: &mut Buffers,
     ) {
         match self {
@@ -685,14 +816,7 @@ impl RealPlan {
                 p.fft_real(input, map, sink, &mut buffers.conv, &mut buffers.work)
             }
             RealPlan::Promoted(p) => {
-                let full = &mut buffers.full;
-                full.clear();
-                let samples = input.iter().enumerate();
-                full.extend(samples.map(|(i, &x)| Complex64::from_real(map(i, x))));
-                p.fft(full, &mut buffers.work);
-                for (k, &c) in full[..one_sided_len(input.len())].iter().enumerate() {
-                    sink(k, c);
-                }
+                promoted_fft(input, map, sink, buffers, |full, work| p.fft(full, work))
             }
         }
     }
@@ -1083,6 +1207,44 @@ impl FftPlanner {
                 let plan = self.tables.real_plan(input.len());
                 plan.fft(input, map, sink, &mut self.buffers)
             }
+        }
+    }
+
+    /// [`fft_real_with`](FftPlanner::fft_real_with) for a transform run
+    /// once: at a 5-smooth length every pass reads its twiddles from a
+    /// [`Roots`] table as it reaches them, so nothing of the input's length
+    /// but the working buffers is built, and the table cache is neither
+    /// read nor grown. Each twiddle is the `Roots` product the cached
+    /// tables store, so every output bit is the same. Other lengths run the
+    /// cached route.
+    pub(crate) fn fft_real_once_with(
+        &mut self,
+        input: &[f64],
+        map: impl Fn(usize, f64) -> f64,
+        sink: impl FnMut(usize, Complex64),
+    ) {
+        let n = input.len();
+        if n < 2 || !is_smooth(n) {
+            return self.fft_real_with(input, map, sink);
+        }
+        // The complex transform: n/2 packed points, or the odd n promoted.
+        let len = if n.is_multiple_of(2) { n / 2 } else { n };
+        let radices = smooth_radices(len).expect("a factor of a 5-smooth length is 5-smooth");
+        if n.is_multiple_of(2) {
+            let (roots, half_roots) = (Roots::new(n), Roots::new(len));
+            packed_fft(
+                input,
+                map,
+                sink,
+                &mut self.buffers,
+                |half, _, work| stockham(&radices, half, work, &half_roots),
+                |k| roots.root(k),
+            );
+        } else {
+            let roots = Roots::new(n);
+            promoted_fft(input, map, sink, &mut self.buffers, |full, work| {
+                stockham(&radices, full, work, &roots)
+            });
         }
     }
 

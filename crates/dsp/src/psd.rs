@@ -13,10 +13,18 @@
 //! written as the transform emits it. Its only working storage is the
 //! lent planner's buffers, so the steady-state pipeline performs **zero
 //! heap allocations** (pinned by `tests/alloc_steady_state.rs`).
+//!
+//! [`periodogram_once_into`] is the same spectrum, bit for bit, for a
+//! signal transformed once (`NyquistEstimator::estimate_series`, so
+//! `sweetspot analyze`): at a 5-smooth length it evaluates twiddles and
+//! window coefficients from root tables as it needs them and caches no
+//! table, so its footprint is the planner's buffers, the power buffer and
+//! `O(√n)` roots (pinned below 3 MB at 129 600 samples, where the cached
+//! route peaks near 5.7 MB).
 
 use crate::fft::{one_sided_len, FftPlanner};
 use crate::spectrum::Spectrum;
-use crate::window::Window;
+use crate::window::{Window, WindowRoots};
 
 /// Configuration for [`periodogram`].
 #[derive(Debug, Clone, Copy)]
@@ -46,6 +54,11 @@ impl Default for PsdConfig {
 /// Interior bins are doubled (they carry the energy of both the positive and
 /// negative frequency); DC and — for even `n` — the Nyquist bin are not.
 /// Everything is normalized by `n²` and the window energy gain.
+///
+/// Twiddles and window coefficients come from the planner's cached
+/// per-length tables, built on the first call at each length. For a
+/// spectrum taken once, [`periodogram_once_into`] gives the same bits
+/// without building them.
 ///
 /// # Panics
 /// Panics if `samples` is empty.
@@ -78,6 +91,50 @@ pub fn periodogram_into(
         |i, x| (x - mean) * coeffs[i],
         |k, c| {
             // DC and — for even `n` — the Nyquist bin are not doubled.
+            let gain = if k == 0 || 2 * k == n { 1.0 } else { 2.0 };
+            out[k] = c.norm_sqr() * gain / norm;
+        },
+    );
+}
+
+/// [`periodogram_into`] for a spectrum taken once, bit for bit: at a
+/// 5-smooth length (every `2^a·3^b·5^c` collection grid) each twiddle and
+/// window coefficient is evaluated from a two-level root table as the
+/// transform reaches it, so no table of the signal's length is built or
+/// cached. Its working storage is the planner's buffers (two `n/2`-point
+/// complex buffers for even `n`), the power buffer and `O(√n)` roots.
+/// Other lengths build their transform tables in the planner's cache, as
+/// [`periodogram_into`] does; the window is evaluated on demand at every
+/// length.
+///
+/// # Panics
+/// Panics if `samples` is empty.
+pub fn periodogram_once_into(
+    planner: &mut FftPlanner,
+    samples: &[f64],
+    cfg: PsdConfig,
+    out: &mut Vec<f64>,
+) {
+    // The steps of `periodogram_into`, written out again: helpers shared by
+    // the two measured 1–2% slower on the cached route (`sweetspot track`).
+    assert!(
+        !samples.is_empty(),
+        "cannot estimate the PSD of an empty signal"
+    );
+    let n = samples.len();
+    let mean = if cfg.detrend {
+        samples.iter().sum::<f64>() / n as f64
+    } else {
+        0.0
+    };
+    let window = WindowRoots::new(cfg.window, n);
+    let norm = (n as f64) * (n as f64) * window.energy_gain();
+    out.clear();
+    out.resize(one_sided_len(n), 0.0);
+    planner.fft_real_once_with(
+        samples,
+        |i, x| (x - mean) * window.coefficient(i),
+        |k, c| {
             let gain = if k == 0 || 2 * k == n { 1.0 } else { 2.0 };
             out[k] = c.norm_sqr() * gain / norm;
         },
@@ -169,6 +226,42 @@ mod tests {
                         "n={n} {cfg:?} bin {k}: {a} vs {b}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn one_shot_periodogram_is_bit_identical_to_the_cached_route() {
+        // Every length 2..=2099 covers packed halves of every radix mix,
+        // promoted odd 5-smooth lengths and the Bluestein lengths the
+        // one-shot route hands to the cache; 129 600 is the `analyze`
+        // length.
+        let configs = [Window::Rectangular, Window::Hann]
+            .into_iter()
+            .flat_map(|window| [false, true].map(|detrend| PsdConfig { window, detrend }));
+        let configs: Vec<PsdConfig> = configs.collect();
+        let (mut cached, mut once) = (Vec::new(), Vec::new());
+        for n in (2..=2099).chain([129_600]) {
+            let sig: Vec<f64> = (0..n)
+                .map(|i| 10.0 + 3.0 * (i as f64 * 0.37).sin() - (i % 7) as f64 * 0.1)
+                .collect();
+            let (mut warm, mut fresh) = (FftPlanner::new(), FftPlanner::new());
+            for &cfg in &configs {
+                periodogram_into(&mut warm, &sig, cfg, &mut cached);
+                periodogram_into(&mut warm, &sig, cfg, &mut cached);
+                periodogram_once_into(&mut fresh, &sig, cfg, &mut once);
+                assert_eq!(once.len(), cached.len(), "n={n} {cfg:?}");
+                for (k, (a, b)) in once.iter().zip(&cached).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "n={n} {cfg:?} bin {k}: {a} vs {b}"
+                    );
+                }
+            }
+            // A 5-smooth length builds and caches nothing.
+            if crate::fft::is_smooth(n) {
+                assert_eq!(fresh.table_bytes(), 0, "n={n}");
             }
         }
     }

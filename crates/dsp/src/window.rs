@@ -5,11 +5,13 @@
 //! estimator uses [`Window::Hann`] by default; the plain rectangular window
 //! reproduces the paper's raw-FFT methodology exactly.
 //!
-//! The Hann window is one cosine harmonic of `2πi/(n − 1)`. [`WindowTable`]
-//! is the one evaluator behind every coefficient vector: it reads that
-//! harmonic as the real part of the `(n − 1)`-th roots of unity, which a
-//! two-level root table yields for about `2√n` trig calls, and fills only the
-//! first `⌈n/2⌉` coefficients — the rest are an exact mirror.
+//! The Hann window is one cosine harmonic of `2πi/(n − 1)`. One evaluator,
+//! `WindowRoots`, is behind every coefficient: it reads that harmonic as
+//! the real part of the `(n − 1)`-th roots of unity, which a two-level root
+//! table yields for about `2√n` trig calls, at `min(i, n − 1 − i)`, so the
+//! window is exactly symmetric. [`WindowTable`] stores the first `⌈n/2⌉`
+//! coefficients it yields and mirrors the rest, for the planner's cache;
+//! the one-shot periodogram reads them from the evaluator as it needs them.
 //! [`Window::coefficient`] evaluates one sample directly and is the
 //! reference the table is tested against.
 
@@ -69,27 +71,16 @@ impl WindowTable {
     /// planner's byte-budgeted cache. The table is exactly symmetric:
     /// coefficient `n − 1 − i` is a copy of coefficient `i`.
     pub fn new(window: Window, n: usize) -> Self {
+        let roots = WindowRoots::new(window, n);
         let mut coeffs = quantized_table::<f64>(n);
-        if n < 2 || window == Window::Rectangular {
-            coeffs.resize(n, 1.0);
-        } else {
-            // cos(2πi/(n − 1)) is the real part of the (n − 1)-th root of
-            // unity at i; i < ⌈n/2⌉ ≤ n − 1 for n ≥ 2.
-            let roots = Roots::new(n - 1);
-            let half = n.div_ceil(2);
-            coeffs.extend((0..half).map(|i| window.evaluate(roots.root(i).re)));
-            coeffs.extend_from_within(..n - half);
-            coeffs[half..].reverse();
-        }
-        let energy_gain = if n == 0 {
-            1.0
-        } else {
-            coeffs.iter().map(|c| c * c).sum::<f64>() / n as f64
-        };
+        let half = n.div_ceil(2);
+        coeffs.extend((0..half).map(|i| roots.coefficient(i)));
+        coeffs.extend_from_within(..n - half);
+        coeffs[half..].reverse();
         WindowTable {
             window,
+            energy_gain: energy_gain(n, coeffs.iter().copied()),
             coeffs,
-            energy_gain,
         }
     }
 
@@ -143,6 +134,57 @@ impl WindowTable {
         for (s, &c) in samples.iter_mut().zip(&self.coeffs) {
             *s *= c;
         }
+    }
+}
+
+/// Mean of the squared coefficients `coeffs` of a length-`n` window, summed
+/// in sample order; `1.0` for `n == 0`.
+fn energy_gain(n: usize, coeffs: impl Iterator<Item = f64>) -> f64 {
+    if n == 0 {
+        1.0
+    } else {
+        coeffs.map(|c| c * c).sum::<f64>() / n as f64
+    }
+}
+
+/// A window's coefficients evaluated on demand from the `(n − 1)`-th roots
+/// of unity (see the module docs). [`WindowTable::new`] stores the first
+/// half of them and mirrors it; a transform that reads each coefficient
+/// once reads them here instead and holds none. Both give the same bits.
+pub(crate) struct WindowRoots {
+    window: Window,
+    n: usize,
+    /// `None` when every coefficient is `1.0`: the rectangular window, or
+    /// fewer than two samples.
+    roots: Option<Roots>,
+}
+
+impl WindowRoots {
+    /// The evaluator for `window` at length `n`: about `2√n` trig calls.
+    pub(crate) fn new(window: Window, n: usize) -> Self {
+        let tapered = n >= 2 && window != Window::Rectangular;
+        WindowRoots {
+            window,
+            n,
+            roots: tapered.then(|| Roots::new(n - 1)),
+        }
+    }
+
+    /// Coefficient `i < n`.
+    #[inline]
+    pub(crate) fn coefficient(&self, i: usize) -> f64 {
+        match &self.roots {
+            None => 1.0,
+            // cos(2πi/(n − 1)) is the real part of the (n − 1)-th root of
+            // unity at i; the window is symmetric, so the exponent stays
+            // below ⌈n/2⌉ ≤ n − 1.
+            Some(roots) => self.window.evaluate(roots.root(i.min(self.n - 1 - i)).re),
+        }
+    }
+
+    /// [`WindowTable::energy_gain`]'s value, summed in the same order.
+    pub(crate) fn energy_gain(&self) -> f64 {
+        energy_gain(self.n, (0..self.n).map(|i| self.coefficient(i)))
     }
 }
 

@@ -3,7 +3,8 @@
 //! Pins the pipeline's zero-allocation guarantee with a counting global allocator:
 //! once the planner and the output buffers are warm, `periodogram_into`
 //! and `fft_real_into` must not touch the heap at all. The same allocator
-//! also counts net bytes, which pins the periodogram's working footprint.
+//! also counts net bytes and their peak, which pin the periodogram's working
+//! footprint and the planner's own byte accounting.
 //!
 //! The counter is **per-thread**: libtest's harness threads (timeout
 //! watchdog, capture machinery) allocate at unpredictable times, so a
@@ -14,8 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sweetspot_dsp::fft::FftPlanner;
-use sweetspot_dsp::psd::{periodogram_into, PsdConfig};
-use sweetspot_dsp::window::Window;
+use sweetspot_dsp::psd::{periodogram_into, periodogram_once_into, PsdConfig};
+use sweetspot_dsp::window::{Window, WindowTable};
 
 std::thread_local! {
     // const-init + no Drop ⇒ accessing this inside the allocator hooks
@@ -23,10 +24,15 @@ std::thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
     // Bytes allocated minus bytes freed.
     static NET_BYTES: Cell<isize> = const { Cell::new(0) };
+    // The highest `NET_BYTES` has reached since `peak_bytes_during` reset it.
+    static PEAK_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 fn add_net_bytes(delta: isize) {
-    let _ = NET_BYTES.try_with(|c| c.set(c.get() + delta));
+    let _ = NET_BYTES.try_with(|c| {
+        c.set(c.get() + delta);
+        let _ = PEAK_BYTES.try_with(|p| p.set(p.get().max(c.get())));
+    });
 }
 
 struct CountingAllocator;
@@ -68,6 +74,15 @@ fn net_bytes_during(f: impl FnOnce()) -> isize {
     let before = NET_BYTES.with(Cell::get);
     f();
     NET_BYTES.with(Cell::get) - before
+}
+
+/// The most heap *this thread* held at once while running `f`, above what
+/// it held before.
+fn peak_bytes_during(f: impl FnOnce()) -> isize {
+    let before = NET_BYTES.with(Cell::get);
+    PEAK_BYTES.with(|p| p.set(before));
+    f();
+    PEAK_BYTES.with(Cell::get) - before
 }
 
 fn signal(n: usize) -> Vec<f64> {
@@ -153,4 +168,79 @@ fn periodogram_scratch_holds_no_copy_of_the_signal_or_its_spectrum() {
     // a one-sided complex spectrum (bins·16 bytes) would show on top.
     let half_len_buffers = 2 * (n / 2) * 16;
     assert_eq!(cold.buffer_bytes(), half_len_buffers);
+}
+
+#[test]
+fn one_shot_periodogram_peaks_at_its_buffers() {
+    // The `analyze` benchmark's length through the one-shot route: the
+    // packed half and the ping-pong buffer (n/2 complex points each), the
+    // power buffer and O(√n) roots. A table of the trace's length built
+    // for a single use — twiddles, untangle twiddles or window
+    // coefficients, 1–2 MB each here — breaks the bound.
+    let n = 129_600;
+    let sig = signal(n);
+    let cfg = PsdConfig {
+        window: Window::Hann,
+        detrend: true,
+    };
+    let (mut once, mut power) = (FftPlanner::new(), Vec::new());
+    let peak = peak_bytes_during(|| periodogram_once_into(&mut once, &sig, cfg, &mut power));
+    let buffers = 2 * (n / 2) * 16 + (n / 2 + 1) * 8;
+    assert!(peak < 3_000_000, "one-shot peak {peak} B");
+    assert!(peak >= buffers as isize, "{peak} B < {buffers} B");
+    assert_eq!(once.table_bytes(), 0);
+
+    // The cached route builds the tables it keeps on top of the same
+    // buffers.
+    let (mut cached, mut cached_power) = (FftPlanner::new(), Vec::new());
+    let cached_peak =
+        peak_bytes_during(|| periodogram_into(&mut cached, &sig, cfg, &mut cached_power));
+    assert!(cached_peak > 5_000_000, "cached peak {cached_peak} B");
+    assert_eq!(power, cached_power);
+}
+
+#[test]
+fn byte_accounting_matches_the_allocator() {
+    // `WindowTable::resident_bytes` is the table's one allocation; the
+    // roots it is filled from are freed before it returns.
+    for window in [Window::Rectangular, Window::Hann] {
+        for n in [1usize, 97, 4096, 129_600] {
+            let mut table = None;
+            let net = net_bytes_during(|| table = Some(WindowTable::new(window, n)));
+            let table = table.unwrap();
+            assert_eq!(net, table.resident_bytes() as isize, "{window:?} n={n}");
+        }
+    }
+
+    // `FftPlanner::buffer_bytes` is everything a one-shot transform keeps:
+    // at a 5-smooth length it builds no table.
+    let cfg = PsdConfig {
+        window: Window::Hann,
+        detrend: true,
+    };
+    for n in [4096usize, 2880, 2025, 129_600] {
+        let (mut planner, mut power) = (FftPlanner::new(), Vec::new());
+        let sig = signal(n);
+        let net = net_bytes_during(|| periodogram_once_into(&mut planner, &sig, cfg, &mut power));
+        assert_eq!(planner.table_bytes(), 0, "n={n}");
+        let kept = planner.buffer_bytes() + power.capacity() * 8;
+        assert_eq!(net, kept as isize, "n={n}");
+    }
+
+    // `FftPlanner::table_bytes` charges every cache entry its whole pinned
+    // chain, so a packed real plan's half-length complex plan is counted
+    // under both the real and the mixed entries: an upper bound on the
+    // heap the cache holds, by the half-length plan's bytes less the
+    // maps' and `Arc`s' own overhead.
+    let n = 4096;
+    let (mut planner, mut out) = (FftPlanner::new(), Vec::new());
+    let sig = signal(n);
+    let net = net_bytes_during(|| planner.fft_real_into(&sig, &mut out));
+    let tables = net - (planner.buffer_bytes() + out.capacity() * 16) as isize;
+    let reported = planner.table_bytes() as isize;
+    let half_plan = ((n / 2 - 1) * 16) as isize;
+    assert!(
+        (half_plan - 1024..=half_plan).contains(&(reported - tables)),
+        "table_bytes {reported} B, net table heap {tables} B"
+    );
 }

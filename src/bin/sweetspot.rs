@@ -89,8 +89,9 @@ use sweetspot::analysis::fleetsim::{
     self, scenario::ScenarioSpec, scheduler::SchedulerPolicy, FleetSimConfig,
 };
 use sweetspot::analysis::study::{FleetStudy, StudyConfig};
-use sweetspot::core::recommend::{recommend, Action, RecommendConfig};
-use sweetspot::core::tracker::{summarize, track, TrackerConfig};
+use sweetspot::core::estimator::EstimatorScratch;
+use sweetspot::core::recommend::{recommend_with, Action, RecommendConfig};
+use sweetspot::core::tracker::{summarize, track_with, TrackerConfig};
 use sweetspot::obs::json;
 use sweetspot::prelude::*;
 use sweetspot::timeseries::clean::{clean_owned, CleanConfig, CleanError};
@@ -362,15 +363,20 @@ struct StageTimes {
 
 impl StageTimes {
     /// The `--timing` line: the stages and `estimate` (the command's own
-    /// work on the cleaned trace) in ms, plus the process's peak RSS where
-    /// the platform reports it.
-    fn report(&self, estimate: Duration) -> String {
+    /// work on the cleaned trace) in ms, the FFT and window tables the
+    /// estimates' scratch holds and the time it spent building them, plus
+    /// the process's peak RSS where the platform reports it.
+    fn report(&self, estimate: Duration, scratch: &EstimatorScratch) -> String {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        let planner = scratch.planner();
         let mut line = format!(
-            "timing: load {:.3} ms | clean {:.3} ms | estimate {:.3} ms",
+            "timing: load {:.3} ms | clean {:.3} ms | estimate {:.3} ms \
+             | fft tables {:.1} MB, built in {:.3} ms",
             ms(self.load),
             ms(self.clean),
-            ms(estimate)
+            ms(estimate),
+            planner.table_bytes() as f64 / 1e6,
+            ms(planner.table_build_time())
         );
         if let Some(kb) = sweetspot::analysis::report::peak_rss_kb() {
             line += &format!(" | peak RSS {kb} kB");
@@ -449,7 +455,8 @@ fn cmd_analyze(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
         series.sample_rate(),
         series.duration()
     )?;
-    let rec = recommend(&series, cfg);
+    let mut scratch = EstimatorScratch::new();
+    let rec = recommend_with(&mut scratch, &series, cfg);
     match rec.estimated_nyquist {
         Some(rate) => writeln!(out, "estimated Nyquist rate: {rate}")?,
         None => writeln!(out, "estimated Nyquist rate: none (trace looks aliased)")?,
@@ -475,7 +482,7 @@ fn cmd_analyze(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
     }
     if args.value("timing").is_some() {
         out.flush()?;
-        eprintln!("{}", times.report(started.elapsed()));
+        eprintln!("{}", times.report(started.elapsed(), &scratch));
     }
     Ok(())
 }
@@ -491,7 +498,8 @@ fn cmd_track(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
     cfg.validate()?;
     let (series, times) = load_trace(args.path, None)?;
     let started = Instant::now();
-    let points = track(&series, cfg);
+    let mut scratch = EstimatorScratch::new();
+    let points = track_with(&mut scratch, &series, cfg);
     if points.is_empty() {
         return Err("trace is shorter than one window".into());
     }
@@ -512,7 +520,7 @@ fn cmd_track(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
         s.max_rate.map(|r| r.value())
     );
     if args.value("timing").is_some() {
-        eprintln!("{}", times.report(started.elapsed()));
+        eprintln!("{}", times.report(started.elapsed(), &scratch));
     }
     Ok(())
 }

@@ -1260,13 +1260,17 @@ fn analyze_and_track_timing_is_one_stderr_line() {
             .filter(|l| l.starts_with("timing:"))
             .collect();
         assert_eq!(lines.len(), 1, "{cmd}: {stderr}");
-        for stage in ["load", "clean", "estimate"] {
+        for stage in ["load", "clean", "estimate", "fft tables"] {
             assert!(
                 lines[0].contains(&format!("{stage} ")),
                 "{cmd} lacks {stage}: {}",
                 lines[0]
             );
         }
+        // 2880 samples is 5-smooth: `analyze`'s one estimate builds no
+        // table, while `track` caches its windows' tables.
+        let untabled = lines[0].contains("fft tables 0.0 MB, built in 0.000 ms");
+        assert_eq!(untabled, cmd == "analyze", "{cmd}: {}", lines[0]);
         assert!(
             !String::from_utf8_lossy(&plain.stderr).contains("timing:"),
             "{cmd}: opt-in"
