@@ -85,11 +85,12 @@ pub struct FleetSimConfig {
     /// Byte cap on the FFT plan-table caches, split evenly across worker
     /// shards (`None` = unbounded). Tables are pure functions of transform
     /// length, so the cap **never changes output** — over budget, each
-    /// shard's cache evicts least-recently-used tables and rebuilds them
-    /// bit-identically on demand, trading table-setup time for memory. The
-    /// default ([`FFT_TABLE_BUDGET_DEFAULT`]) only binds when a fleet sweeps
-    /// many distinct stream lengths — ~10⁵ adaptive controllers each polling
-    /// at its own rate; smaller fleets never evict.
+    /// shard's cache drops every table nothing outside it references and
+    /// rebuilds it bit-identically on demand, trading table-setup time for
+    /// memory. The default ([`FFT_TABLE_BUDGET_DEFAULT`]) binds on no
+    /// measured fleet; a lower cap binds when a fleet sweeps many distinct
+    /// stream lengths (adaptive controllers each polling at its own
+    /// rate).
     pub fft_table_budget: Option<usize>,
     /// Fleet lifecycle & failure injection (see [`scenario`]). The default
     /// — [`ScenarioSpec::none`] — deals `Healthy` to every device every
@@ -111,11 +112,13 @@ pub struct FleetSimConfig {
     pub recovery_budget_frac: f64,
 }
 
-/// Default total FFT plan-cache budget: 6 GiB across all shards. An
-/// uncapped 10⁵-device run sweeps enough distinct stream lengths to grow
-/// unbounded caches past 19 GB (every rate a controller ever probes is a
-/// new transform length); 6 GiB keeps the hot set resident while stale
-/// ramp-era lengths are evicted.
+/// Default total FFT plan-cache budget: 6 GiB across all shards, a
+/// backstop that binds on no measured shape. Uncapped controllers sweep
+/// many distinct stream lengths (every rate a controller ever probes is a
+/// new transform length), and the tables grow with the fleet: a 10⁴-device
+/// uncapped run (3 days, 2 workers) ends holding 209.4 MB, and the largest
+/// measured fleet, 10⁵ devices uncapped for 3 days, held 1814.8 MB by an
+/// older accounting that charged nested plans twice, so less than that.
 pub const FFT_TABLE_BUDGET_DEFAULT: usize = 6 << 30;
 
 impl Default for FleetSimConfig {
@@ -1078,8 +1081,8 @@ mod tests {
 
     #[test]
     fn fft_table_budget_caps_the_cache_without_changing_output() {
-        // A cap tight enough to force eviction churn on even this small
-        // fleet must leave every observable output bit-identical to the
+        // A cap tight enough to force drop-and-rebuild churn on even this
+        // small fleet must leave every observable output bit-identical to the
         // unbounded run — tables are pure data — while actually holding
         // the post-run cache at or under the per-shard floor.
         let cfg = |budget| FleetSimConfig {
@@ -1091,7 +1094,7 @@ mod tests {
         assert_eq!(unbounded.ledger.accounts(), capped.ledger.accounts());
         assert_eq!(unbounded.device_quality, capped.device_quality);
         assert_eq!(unbounded.quality, capped.quality);
-        // A 1-byte total budget evicts everything but each in-flight table.
+        // A 1-byte total budget drops everything but each in-flight table.
         assert!(
             capped.memory.fft_table_bytes < unbounded.memory.fft_table_bytes,
             "capped cache ({} B) did not shrink below unbounded ({} B)",

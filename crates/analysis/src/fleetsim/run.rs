@@ -110,8 +110,8 @@ impl<'r> FleetRun<'r> {
         // twiddle/chirp/window table once for the whole shard.
         let t0 = Instant::now();
         let (seed, window) = (cfg.fleet.seed, cfg.window);
-        // Split the plan-cache budget across shards. Eviction rebuilds
-        // tables bit-identically, so neither the budget nor the split
+        // Split the plan-cache budget across shards. Dropped tables
+        // rebuild bit-identically, so neither the budget nor the split
         // affects output.
         let shard_fft_budget = cfg.fft_table_budget.map(|total| total / threads.max(1));
         let shards = crate::shard::fan_out(work.chunks(chunk).enumerate(), |(shard, span)| {

@@ -12,8 +12,10 @@
 //!
 //! Also pins the memory-wall invariants themselves: durable per-member
 //! bytes stay flat as the fleet scales (the working set lives in the
-//! worker scratch, not the members), and the scratch-sharing engine is
-//! bit-identical to members each stepping through a private scratch.
+//! worker scratch, not the members), a member's reported bytes are the net
+//! heap its construction and its epochs leave, and the scratch-sharing
+//! engine is bit-identical to members each stepping through a private
+//! scratch.
 //!
 //! The counter is **per-thread** (see the telemetry test for why), so the
 //! engine runs at `threads: 1`: its one shard steps inline on the calling
@@ -40,6 +42,12 @@ std::thread_local! {
     // const-init + no Drop ⇒ accessing this inside the allocator hooks
     // never itself allocates or registers a TLS destructor.
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    // Bytes allocated minus bytes freed.
+    static NET_BYTES: Cell<isize> = const { Cell::new(0) };
+}
+
+fn add_net_bytes(delta: isize) {
+    let _ = NET_BYTES.try_with(|c| c.set(c.get() + delta));
 }
 
 struct CountingAllocator;
@@ -50,15 +58,18 @@ struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        add_net_bytes(layout.size() as isize);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        add_net_bytes(-(layout.size() as isize));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        add_net_bytes(new_size as isize - layout.size() as isize);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -71,6 +82,13 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Net heap bytes *this thread* still holds from what `f` allocated.
+fn net_bytes_during(f: impl FnOnce()) -> isize {
+    let before = NET_BYTES.with(Cell::get);
+    f();
+    NET_BYTES.with(Cell::get) - before
 }
 
 /// Cost units per epoch that buy `frac` of the fleet's summed production
@@ -177,6 +195,46 @@ fn per_member_resident_bytes_flat_under_scale() {
         small.memory.scratch_bytes,
         large.memory.scratch_bytes
     );
+}
+
+#[test]
+fn member_heap_bytes_match_the_allocator() {
+    // `FleetMember::heap_bytes` — the device's trace identity and signal
+    // model (`SimDevice`, `DeviceTrace` and `SignalModel::heap_bytes`) plus
+    // the controller's list of transformed lengths — is everything a
+    // member's construction leaves on the heap: one member of every metric.
+    let (window, seed) = (Seconds::from_days(1.0), 7);
+    let work = scaled_work(14);
+    let build = |i: usize| {
+        let (profile, device) = work[i];
+        let trace = DeviceTrace::synthesize(profile, device, seed);
+        FleetMember::new(i, trace, member_config(&profile, window))
+    };
+    for i in 0..work.len() {
+        let mut member = None;
+        let net = net_bytes_during(|| member = Some(build(i)));
+        let member = member.unwrap();
+        assert_eq!(net, member.heap_bytes() as isize, "{:?}", member.kind());
+    }
+
+    // Epochs through a scratch whose buffers and plan tables a twin has
+    // already warmed leave exactly the controller's new transformed
+    // lengths behind: `AdaptiveSampler::fft_handle_bytes`.
+    let step = |member: &mut FleetMember, scratch: &mut EpochScratch, epochs: usize| {
+        for epoch in 0..epochs {
+            let start = Seconds(epoch as f64 * window.value());
+            let rate = member.requested_rate();
+            member.step_epoch(scratch, start, rate, window, Delivery::OnTime);
+        }
+    };
+    let (mut twin, mut member, mut scratch) = (build(0), build(0), EpochScratch::new());
+    step(&mut twin, &mut scratch, 4);
+    let before = (member.heap_bytes(), member.sampler().fft_handle_bytes());
+    let net = net_bytes_during(|| step(&mut member, &mut scratch, 4));
+    let handle_bytes = member.sampler().fft_handle_bytes();
+    assert!(handle_bytes > before.1, "the epochs transformed nothing");
+    assert_eq!(net, (handle_bytes - before.1) as isize);
+    assert_eq!(member.heap_bytes() - before.0, handle_bytes - before.1);
 }
 
 proptest! {

@@ -339,8 +339,8 @@ impl SamplerScratch {
     }
 
     /// Empty scratch whose plan-table cache is capped at `budget` bytes
-    /// (see [`FftPlanner::set_table_budget`]); eviction never changes a
-    /// result.
+    /// (see [`FftPlanner::set_table_budget`]): over budget it drops every
+    /// table nothing else holds, which never changes a result.
     pub fn with_table_budget(budget: Option<usize>) -> Self {
         let mut scratch = Self::default();
         scratch.planner.set_table_budget(budget);

@@ -43,10 +43,13 @@
 //! By default the cache is unbounded — fine for workloads that revisit a
 //! handful of lengths. Fleet-scale workloads that sweep *many* distinct
 //! lengths (10⁵ adaptive controllers each polling at its own rate) can cap it
-//! with [`FftPlanner::set_table_budget`]: the cache then evicts
-//! least-recently-used tables once the cap is exceeded. Because tables are
-//! pure functions of their length, eviction is invisible to results — a
-//! re-requested length rebuilds the identical table and pays only setup time.
+//! with [`FftPlanner::set_table_budget`]: an admission that takes the cache
+//! over the cap drops every table nothing outside the cache references, so
+//! only the plan being served (and any table a caller holds) stays. Because
+//! tables are pure functions of their length, a drop is invisible to
+//! results — a re-requested length rebuilds the identical table and pays
+//! only setup time. Each table is charged its own bytes once, so
+//! [`FftPlanner::table_bytes`] is the heap the cached tables hold.
 //!
 //! Every trig table — mixed-radix twiddles, packed-real untangle twiddles,
 //! Bluestein chirps and window cosines — is filled from a two-level root
@@ -128,8 +131,8 @@ impl Buffers {
 /// Allocates a table `Vec` whose capacity is `len` rounded up to a power
 /// of two.
 ///
-/// Plan tables live in a byte-budgeted cache that continuously evicts and
-/// rebuilds as adaptive controllers sweep through stream lengths. Exact-size
+/// Plan tables live in a byte-budgeted cache that drops and rebuilds them
+/// as adaptive controllers sweep through stream lengths. Exact-size
 /// allocations at ever-growing lengths defeat every allocator's free lists —
 /// each new table is slightly larger than any freed hole, so process RSS
 /// ratchets toward the *cumulative* churn instead of the budget. Capacities
@@ -256,18 +259,10 @@ impl BluesteinPlan {
         }
     }
 
-    /// Heap bytes this plan *pins*: its own chirp/kernel tables plus the
-    /// inner mixed-radix plan its `Arc` keeps alive.
-    ///
-    /// The inner plan usually also sits in the cache's mixed map, so summing
-    /// entries double-counts it — deliberately. Charging every entry its
-    /// full pinned chain makes the budget counter an upper bound on actual
-    /// heap: evicting an inner entry while an outer plan still references
-    /// it releases no memory, and an own-bytes-only charge would let the
-    /// cache pin several times its budget through such stale `Arc`s.
+    /// Heap bytes of this plan's own chirp and kernel tables. The inner
+    /// mixed-radix plan is a cache entry of its own and charged there.
     fn table_bytes(&self) -> usize {
         (self.chirp.capacity() + self.kernel_fft.capacity()) * std::mem::size_of::<Complex64>()
-            + self.inner.table_bytes()
     }
 
     /// Convolves the chirp-weighted input with the kernel: loads `weighted`
@@ -622,12 +617,19 @@ impl Plan {
         }
     }
 
-    /// Heap bytes the plan pins (own tables + inner chain; see
-    /// [`BluesteinPlan::table_bytes`] for why pinned, not owned).
+    /// Heap bytes of the plan's own tables.
     fn table_bytes(&self) -> usize {
         match self {
             Plan::Mixed(p) => p.table_bytes(),
             Plan::Bluestein(p) => p.table_bytes(),
+        }
+    }
+
+    /// Strong references to the plan: 1 when only the cache holds it.
+    fn refs(&self) -> usize {
+        match self {
+            Plan::Mixed(p) => Arc::strong_count(p),
+            Plan::Bluestein(p) => Arc::strong_count(p),
         }
     }
 }
@@ -652,11 +654,10 @@ impl PackedReal {
         PackedReal { n, twiddles, inner }
     }
 
-    /// Heap bytes this plan pins: its untangle twiddles plus the inner
-    /// half-length plan (see [`BluesteinPlan::table_bytes`] for why pinned,
-    /// not owned).
+    /// Heap bytes of the untangle twiddles; the inner half-length plan is
+    /// a cache entry of its own.
     fn table_bytes(&self) -> usize {
-        self.twiddles.capacity() * std::mem::size_of::<Complex64>() + self.inner.table_bytes()
+        self.twiddles.capacity() * std::mem::size_of::<Complex64>()
     }
 
     /// Forward: each bin `0..=n/2` of the one-sided spectrum of the real
@@ -821,12 +822,13 @@ impl RealPlan {
         }
     }
 
-    /// Heap bytes the plan pins (see [`BluesteinPlan::table_bytes`]).
+    /// Heap bytes of the plan's own tables. A promoted plan has none: its
+    /// mixed-radix plan is a cache entry of its own.
     fn table_bytes(&self) -> usize {
         match self {
             RealPlan::Packed(p) => p.table_bytes(),
             RealPlan::OneSided(p) => p.table_bytes(),
-            RealPlan::Promoted(p) => p.table_bytes(),
+            RealPlan::Promoted(_) => 0,
         }
     }
 }
@@ -869,7 +871,7 @@ pub struct FftPlanner {
 /// a fleet in device order gives the same totals for any `--threads N`,
 /// which is what lets them ride in the deterministic metrics snapshot. A
 /// miss says nothing about whether the worker's cache already held the
-/// table or has since evicted it.
+/// table or has since dropped it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FftHandleStats {
     /// Requests for a length already requested.
@@ -892,50 +894,24 @@ impl FftHandleStats {
     }
 }
 
-/// One cached table plus the bookkeeping the byte-budgeted cache needs:
-/// its heap footprint (computed once at build) and a last-use stamp for
-/// least-recently-used eviction.
-struct Cached<T> {
-    plan: Arc<T>,
-    bytes: usize,
-    last_used: u64,
-}
-
-/// The cached table under `key`, stamped as used at `tick`.
-fn touch<K: Hash + Eq, T>(map: &mut HashMap<K, Cached<T>>, key: &K, tick: u64) -> Option<Arc<T>> {
-    let e = map.get_mut(key)?;
-    e.last_used = tick;
-    Some(e.plan.clone())
-}
-
-/// Which cache map an eviction victim lives in.
-enum Victim {
-    Mixed(usize),
-    Bluestein(usize),
-    Real(usize),
-    Window(Window, usize),
-}
-
 /// Every cached table, with the cache's byte budget and build clock.
 ///
-/// With `budget: Some(bytes)` the cache evicts least-recently-used tables
-/// whenever `resident` exceeds the budget; nested tables (a Bluestein plan's
-/// inner mixed-radix plan, a real plan's inner complex plan) are accounted
-/// at their own cache entry, and an evicted entry that is still referenced
-/// through such a nesting simply stays alive behind its `Arc` until the
-/// referencing plan is evicted too.
+/// Each table is charged its own bytes once, under its own entry: a plan
+/// nested in another (a Bluestein plan's convolution plan, a real plan's
+/// complex plan) is an entry of `complex` in its own right, shared through
+/// its `Arc`. Nothing leaves a map while anything references it (see
+/// [`PlanTables::enforce_budget`]), so `resident` is exactly the heap the
+/// cached tables hold.
 #[derive(Default)]
 struct PlanTables {
-    mixed: HashMap<usize, Cached<MixedPlan>>,
-    bluestein: HashMap<usize, Cached<BluesteinPlan>>,
-    real: HashMap<usize, Cached<RealPlan>>,
-    windows: HashMap<(Window, usize), Cached<WindowTable>>,
+    /// Complex plans: mixed-radix for 5-smooth lengths, Bluestein for the
+    /// rest.
+    complex: HashMap<usize, Plan>,
+    real: HashMap<usize, Arc<RealPlan>>,
+    windows: HashMap<(Window, usize), Arc<WindowTable>>,
     /// Byte cap on `resident`; `None` (the default) means unbounded.
     budget: Option<usize>,
-    /// Monotonic access counter; every lookup stamps its entry so eviction
-    /// can pick the least-recently-used victim.
-    tick: u64,
-    /// Sum of the `bytes` of every entry currently held.
+    /// Sum of the own bytes of every table held.
     resident: usize,
     /// Wall time spent building tables (see [`PlanTables::timed`]).
     build_time: Duration,
@@ -944,11 +920,6 @@ struct PlanTables {
 }
 
 impl PlanTables {
-    fn stamp(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
     /// Runs the table build `build`, adding its wall time to `build_time`.
     /// A build nested in a timed one (a real plan's inner complex plan, a
     /// Bluestein plan's convolution plan) is already inside that clock, so
@@ -965,40 +936,44 @@ impl PlanTables {
         out
     }
 
-    /// Caches a freshly built `plan` of `bytes` heap bytes under `key` in
-    /// the map `map` selects, as the newest entry, then enforces the budget.
-    fn admit<K: Hash + Eq, T>(
+    /// Caches a freshly built `table` of `bytes` own heap bytes under `key`
+    /// in the map `map` selects, then enforces the budget. The copy handed
+    /// back is a reference from outside the cache, so the enforcement keeps
+    /// `table` and every table it nests.
+    fn admit<K: Hash + Eq, T: Clone>(
         &mut self,
-        map: fn(&mut PlanTables) -> &mut HashMap<K, Cached<T>>,
+        map: fn(&mut PlanTables) -> &mut HashMap<K, T>,
         key: K,
-        plan: T,
+        table: T,
         bytes: usize,
-    ) -> Arc<T> {
-        let plan = Arc::new(plan);
-        let last_used = self.stamp();
+    ) -> T {
         self.resident += bytes;
-        map(self).insert(
-            key,
-            Cached {
-                plan: plan.clone(),
-                bytes,
-                last_used,
-            },
-        );
+        map(self).insert(key, table.clone());
         self.enforce_budget();
-        plan
+        table
+    }
+
+    /// The complex plan for `len`: mixed-radix for lengths with no prime
+    /// factor above 5, Bluestein for the rest. A hit is one lookup and never
+    /// allocates.
+    fn plan(&mut self, len: usize) -> Plan {
+        if let Some(plan) = self.complex.get(&len) {
+            return plan.clone();
+        }
+        let plan = self.timed(|t| match smooth_radices(len) {
+            Some(radices) => Plan::Mixed(Arc::new(MixedPlan::new(len, radices))),
+            None => Plan::Bluestein(Arc::new(t.bluestein_plan(len, len))),
+        });
+        let bytes = plan.table_bytes();
+        self.admit(|t| &mut t.complex, len, plan, bytes)
     }
 
     /// The mixed-radix plan for a length with no prime factor above 5.
     fn mixed_plan(&mut self, len: usize) -> Arc<MixedPlan> {
-        let tick = self.stamp();
-        if let Some(plan) = touch(&mut self.mixed, &len, tick) {
-            return plan;
+        match self.plan(len) {
+            Plan::Mixed(plan) => plan,
+            Plan::Bluestein(_) => unreachable!("5-smooth lengths get mixed-radix plans"),
         }
-        let radices = smooth_radices(len).expect("mixed-radix lengths are 5-smooth");
-        let plan = self.timed(|_| MixedPlan::new(len, radices));
-        let bytes = plan.table_bytes();
-        self.admit(|t| &mut t.mixed, len, plan, bytes)
     }
 
     /// A Bluestein plan yielding `bins` outputs of length `n`, its inner
@@ -1009,31 +984,11 @@ impl PlanTables {
         BluesteinPlan::new(n, bins, inner)
     }
 
-    /// The complex plan for `len`: mixed-radix for lengths with no prime
-    /// factor above 5, Bluestein for the rest. Both caches are consulted
-    /// before the length is factored, so a hit never allocates.
-    fn plan(&mut self, len: usize) -> Plan {
-        let tick = self.stamp();
-        if let Some(plan) = touch(&mut self.mixed, &len, tick) {
-            return Plan::Mixed(plan);
-        }
-        if let Some(plan) = touch(&mut self.bluestein, &len, tick) {
-            return Plan::Bluestein(plan);
-        }
-        if is_smooth(len) {
-            return Plan::Mixed(self.mixed_plan(len));
-        }
-        let plan = self.timed(|t| t.bluestein_plan(len, len));
-        let bytes = plan.table_bytes();
-        Plan::Bluestein(self.admit(|t| &mut t.bluestein, len, plan, bytes))
-    }
-
     /// The real-input plan for `n ≥ 2` (see [`RealPlan`]).
     fn real_plan(&mut self, n: usize) -> Arc<RealPlan> {
         debug_assert!(n >= 2);
-        let tick = self.stamp();
-        if let Some(plan) = touch(&mut self.real, &n, tick) {
-            return plan;
+        if let Some(plan) = self.real.get(&n) {
+            return plan.clone();
         }
         let plan = self.timed(|t| {
             if n.is_multiple_of(2) {
@@ -1045,57 +1000,55 @@ impl PlanTables {
             }
         });
         let bytes = plan.table_bytes();
-        self.admit(|t| &mut t.real, n, plan, bytes)
+        self.admit(|t| &mut t.real, n, Arc::new(plan), bytes)
     }
 
     fn window_table(&mut self, window: Window, n: usize) -> Arc<WindowTable> {
-        let tick = self.stamp();
-        if let Some(table) = touch(&mut self.windows, &(window, n), tick) {
-            return table;
+        if let Some(table) = self.windows.get(&(window, n)) {
+            return table.clone();
         }
         let table = self.timed(|_| WindowTable::new(window, n));
         let bytes = table.resident_bytes();
-        self.admit(|t| &mut t.windows, (window, n), table, bytes)
+        self.admit(|t| &mut t.windows, (window, n), Arc::new(table), bytes)
     }
 
-    /// Evicts least-recently-used entries until `resident` fits the budget.
+    /// Over budget, drops every table nothing outside the cache references,
+    /// and repeats until nothing more drops: an outer plan holds its inner
+    /// plan's `Arc`, so dropping it can free the inner one.
     ///
-    /// The entry stamped at the current `tick` — the one the caller is about
-    /// to hand out — is never the victim, so a single table larger than the
-    /// whole budget still gets built and returned (the cache just holds
-    /// nothing else alongside it).
+    /// The table an admission is about to hand out is held by its caller,
+    /// and so is every table it nests, so the newest plan is always served,
+    /// however large (the cache just holds nothing unreferenced alongside
+    /// it).
     fn enforce_budget(&mut self) {
-        let Some(budget) = self.budget else { return };
-        while self.resident > budget {
-            let newest = self.tick;
-            let victim = (self.mixed.iter())
-                .map(|(&k, e)| (Victim::Mixed(k), e.last_used))
-                .chain(
-                    self.bluestein
-                        .iter()
-                        .map(|(&k, e)| (Victim::Bluestein(k), e.last_used)),
-                )
-                .chain(
-                    self.real
-                        .iter()
-                        .map(|(&k, e)| (Victim::Real(k), e.last_used)),
-                )
-                .chain(
-                    self.windows
-                        .iter()
-                        .map(|(&(w, n), e)| (Victim::Window(w, n), e.last_used)),
-                )
-                .filter(|&(_, last_used)| last_used != newest)
-                .min_by_key(|&(_, last_used)| last_used);
-            let Some((key, _)) = victim else { return };
-            let bytes = match key {
-                Victim::Mixed(k) => self.mixed.remove(&k).map(|e| e.bytes),
-                Victim::Bluestein(k) => self.bluestein.remove(&k).map(|e| e.bytes),
-                Victim::Real(k) => self.real.remove(&k).map(|e| e.bytes),
-                Victim::Window(w, n) => self.windows.remove(&(w, n)).map(|e| e.bytes),
-            };
-            self.resident -= bytes.unwrap_or(0);
+        if self.budget.is_none_or(|budget| self.resident <= budget) {
+            return;
         }
+        loop {
+            let before = self.len();
+            let resident = &mut self.resident;
+            // Keeps a table referenced outside the cache; the rest drop, and
+            // their bytes leave `resident`.
+            let mut keep = |refs: usize, bytes: usize| {
+                if refs == 1 {
+                    *resident -= bytes;
+                }
+                refs > 1
+            };
+            self.real
+                .retain(|_, p| keep(Arc::strong_count(p), p.table_bytes()));
+            self.complex.retain(|_, p| keep(p.refs(), p.table_bytes()));
+            self.windows
+                .retain(|_, w| keep(Arc::strong_count(w), w.resident_bytes()));
+            if self.len() == before {
+                return;
+            }
+        }
+    }
+
+    /// Number of cached tables.
+    fn len(&self) -> usize {
+        self.complex.len() + self.real.len() + self.windows.len()
     }
 }
 
@@ -1114,16 +1067,25 @@ impl FftPlanner {
     }
 
     /// Caps the table cache at `budget` bytes (`None` removes the cap, the
-    /// default). Once over budget the cache evicts least-recently-used
-    /// tables; tables are pure functions of their length, so eviction never
-    /// changes any result — a re-requested length rebuilds the identical
-    /// table and pays only setup time.
+    /// default). Whenever a new table (or a lowered cap) takes the cache
+    /// over budget, it drops every table nothing outside it references;
+    /// tables are pure functions of their length, so a drop never changes
+    /// any result — a re-requested length rebuilds the identical table and
+    /// pays only setup time.
     pub fn set_table_budget(&mut self, budget: Option<usize>) {
         self.tables.budget = budget;
         self.tables.enforce_budget();
     }
 
-    /// Heap bytes the table cache currently holds.
+    /// Heap bytes the cached tables hold: each table's allocated capacity,
+    /// charged once (a plan nested in another is charged under its own
+    /// entry); the maps' buckets and the `Arc` headers are not counted.
+    ///
+    /// Capacity is not resident pages. Chirp, untangle and window tables
+    /// round their capacity up to a power of two (`quantized_table`), and
+    /// the slots past a table's length are never written: the untangle
+    /// table of a 129 600-sample real transform is charged 2.10 MB
+    /// (131 072 slots) for 1.04 MB written (64 801 entries).
     pub fn table_bytes(&self) -> usize {
         self.tables.resident
     }
@@ -1657,15 +1619,18 @@ mod tests {
         let budget = (unbounded / 8).max(largest_chain);
         assert!(budget < unbounded / 2, "{budget} vs {unbounded}");
 
-        // Capping evicts down to the budget immediately...
+        // Capping drops down to the budget immediately...
         p.set_table_budget(Some(budget));
         assert!(p.table_bytes() <= budget, "{} > {budget}", p.table_bytes());
         // ...and the cap holds across further sweeps of fresh lengths of
-        // every kind, evicting one-sided real plans along the way.
+        // every kind, dropping one-sided real plans along the way.
         sweep(&mut p, &fresh_odd, &fresh);
         assert!(p.table_bytes() <= budget, "{} > {budget}", p.table_bytes());
         let tables = &p.tables;
-        assert!(!tables.mixed.is_empty(), "the sweep ends on mixed plans");
+        assert!(
+            tables.complex.values().any(|p| matches!(p, Plan::Mixed(_))),
+            "the sweep ends on mixed plans"
+        );
         assert!(
             tables.real.len() < fresh_odd.len(),
             "{} real plans survived",
@@ -1676,7 +1641,7 @@ mod tests {
     #[test]
     fn eviction_and_rebuild_is_bit_identical() {
         // Same input, three regimes: unbounded cache, a cache so small every
-        // plan is rebuilt from scratch, and a rebuilt-after-eviction plan.
+        // plan is rebuilt from scratch, and a plan rebuilt after a drop.
         // Tables are pure functions of length, so all spectra must match
         // bit for bit — over a mixed-radix half (300 = 2·150), a Bluestein
         // half (202 = 2·101), a power of two (256) and an odd one-sided
@@ -1718,10 +1683,19 @@ mod tests {
             let mut buf = input;
             p.fft_in_place(&mut buf);
             assert_relative(&buf, &expected, n);
-            assert!(p.tables.mixed.contains_key(&n), "n={n}");
+            assert!(matches!(p.tables.complex[&n], Plan::Mixed(_)), "n={n}");
         }
         assert!(!is_smooth(2878));
-        assert!(p.tables.bluestein.is_empty());
+        assert_eq!(bluestein_lengths(&p.tables), []);
+    }
+
+    /// The lengths of the cached complex Bluestein plans.
+    fn bluestein_lengths(tables: &PlanTables) -> Vec<usize> {
+        let bluestein = tables.complex.iter();
+        bluestein
+            .filter(|(_, p)| matches!(p, Plan::Bluestein(_)))
+            .map(|(&n, _)| n)
+            .collect()
     }
 
     /// [`dft_naive`]'s first `bins` bins with its twiddles tabulated once:
@@ -1783,10 +1757,10 @@ mod tests {
             p.fft_real_into(&input, &mut out);
             assert_relative(&out, &dft_reference(&complex, one_sided_len(n)), n);
             let tables = &p.tables;
-            let one_sided = matches!(*tables.real[&n].plan, RealPlan::OneSided(_));
+            let one_sided = matches!(*tables.real[&n], RealPlan::OneSided(_));
             assert_eq!(one_sided, !is_smooth(n), "n={n}");
         }
-        assert!(p.tables.bluestein.is_empty());
+        assert_eq!(bluestein_lengths(&p.tables), []);
     }
 
     #[test]
@@ -1799,14 +1773,12 @@ mod tests {
         for n in [360usize, 2880, 129_600] {
             let input: Vec<f64> = (0..n).map(|i| (i as f64 * 0.01).sin()).collect();
             p.fft_real_into(&input, &mut out);
-            assert!(p.tables.mixed.contains_key(&(n / 2)), "n={n}");
+            assert!(
+                matches!(p.tables.complex[&(n / 2)], Plan::Mixed(_)),
+                "n={n}"
+            );
         }
-        let tables = &p.tables;
-        assert!(
-            tables.bluestein.is_empty(),
-            "{:?}",
-            tables.bluestein.keys().collect::<Vec<_>>()
-        );
+        assert_eq!(bluestein_lengths(&p.tables), []);
     }
 
     /// Exactly representable test samples from integer arithmetic alone, so
@@ -1918,6 +1890,28 @@ mod tests {
         let mut buf = vec![Complex64::ONE; 4096];
         p.fft_in_place(&mut buf); // must not loop forever or panic
         assert!((buf[0].re - 4096.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_held_table_survives_a_drop_until_released() {
+        let mut p = FftPlanner::new();
+        let held = p.window_table(Window::Hann, 4096);
+        p.window_table(Window::Hann, 1000);
+        let held_bytes = held.resident_bytes();
+        // Over budget, the cache drops what only it holds; the table a
+        // caller holds stays cached and counted, and is served again.
+        p.set_table_budget(Some(1));
+        assert_eq!(p.table_bytes(), held_bytes);
+        assert_eq!(p.tables.windows.len(), 1);
+        assert!(Arc::ptr_eq(&held, &p.window_table(Window::Hann, 4096)));
+        // Released, it goes with the next drop: the admission of the
+        // newest plan, which alone stays.
+        drop(held);
+        assert_eq!(p.table_bytes(), held_bytes);
+        let mut buf = vec![Complex64::ONE; 8];
+        p.fft_in_place(&mut buf);
+        assert!(p.tables.windows.is_empty());
+        assert_eq!(p.table_bytes(), p.tables.complex[&8].table_bytes());
     }
 
     #[test]

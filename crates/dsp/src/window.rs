@@ -67,8 +67,9 @@ impl WindowTable {
     /// Materializes `window` at length `n` and precomputes its energy gain.
     ///
     /// Coefficients are stored with power-of-two capacity (see
-    /// `fft::quantized_table`) so evicted tables recycle exactly in the
-    /// planner's byte-budgeted cache. The table is exactly symmetric:
+    /// `fft::quantized_table`) so the blocks of tables the planner's
+    /// byte-budgeted cache drops are reused exactly by the tables it
+    /// rebuilds. The table is exactly symmetric:
     /// coefficient `n − 1 − i` is a copy of coefficient `i`.
     pub fn new(window: Window, n: usize) -> Self {
         let roots = WindowRoots::new(window, n);

@@ -227,20 +227,39 @@ fn byte_accounting_matches_the_allocator() {
         assert_eq!(net, kept as isize, "n={n}");
     }
 
-    // `FftPlanner::table_bytes` charges every cache entry its whole pinned
-    // chain, so a packed real plan's half-length complex plan is counted
-    // under both the real and the mixed entries: an upper bound on the
-    // heap the cache holds, by the half-length plan's bytes less the
-    // maps' and `Arc`s' own overhead.
-    let n = 4096;
+    // `FftPlanner::table_bytes` charges each cached table its own bytes
+    // once, a plan nested in another included, so it is the net heap the
+    // tables hold up to the maps' buckets and the `Arc` headers, which
+    // nothing charges: packed over mixed radix (4096), packed over
+    // Bluestein (202 = 2·101), one-sided Bluestein (2879) and promoted odd
+    // (2025 = 3⁴·5²), each on a fresh planner...
+    for n in [4096usize, 202, 2879, 2025] {
+        let (mut planner, mut out) = (FftPlanner::new(), Vec::new());
+        let sig = signal(n);
+        let net = net_bytes_during(|| planner.fft_real_into(&sig, &mut out));
+        assert_tables_match_the_allocator(&planner, net - (out.capacity() * 16) as isize, n);
+    }
+    // ...and after over-budget drops: with a one-byte cap every admission
+    // drops all the cache alone holds, so what stays is 2025's chain.
     let (mut planner, mut out) = (FftPlanner::new(), Vec::new());
-    let sig = signal(n);
-    let net = net_bytes_during(|| planner.fft_real_into(&sig, &mut out));
-    let tables = net - (planner.buffer_bytes() + out.capacity() * 16) as isize;
+    let sigs: Vec<Vec<f64>> = [4096usize, 202, 2879, 2025].map(signal).into();
+    let net = net_bytes_during(|| {
+        planner.set_table_budget(Some(1));
+        for sig in &sigs {
+            planner.fft_real_into(sig, &mut out);
+        }
+    });
+    assert_tables_match_the_allocator(&planner, net - (out.capacity() * 16) as isize, 2025);
+}
+
+/// `planner.table_bytes()` against `net`, the heap its transforms left
+/// behind (outputs already taken off): the two differ by the planner's
+/// working buffers and at most 1 KiB of map buckets and `Arc` headers.
+fn assert_tables_match_the_allocator(planner: &FftPlanner, net: isize, n: usize) {
+    let tables = net - planner.buffer_bytes() as isize;
     let reported = planner.table_bytes() as isize;
-    let half_plan = ((n / 2 - 1) * 16) as isize;
     assert!(
-        (half_plan - 1024..=half_plan).contains(&(reported - tables)),
-        "table_bytes {reported} B, net table heap {tables} B"
+        (0..=1024).contains(&(tables - reported)),
+        "n={n}: table_bytes {reported} B, net table heap {tables} B"
     );
 }

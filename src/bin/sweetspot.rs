@@ -37,7 +37,8 @@
 //!     instead of continuously (probes always verify; anomalies pull
 //!     verification forward; default 1 = continuous). `--fft-cache-mb M`
 //!     caps the FFT plan-table caches at M MiB total (0 = unbounded;
-//!     default 6144) — eviction rebuilds tables bit-identically, so the cap
+//!     default 6144) — over the cap a cache drops every table nothing else
+//!     holds and rebuilds it bit-identically on its next use, so the cap
 //!     trades setup time for memory, never output. `--scenario` injects
 //!     fleet lifecycle failures: `+`-joined terms, each a `key=value`
 //!     override of one field (`drop=0.1+reboot=0.01`) or a preset name
@@ -97,7 +98,7 @@ use sweetspot::prelude::*;
 use sweetspot::timeseries::clean::{clean_owned, CleanConfig, CleanError};
 use sweetspot::timeseries::ingest::{self, ReadCsvError};
 
-/// Pins glibc's mmap threshold so evicted FFT plan tables return to the OS.
+/// Pins glibc's mmap threshold so dropped FFT plan tables return to the OS.
 ///
 /// glibc's threshold is adaptive: the first time a freed mmap'd block is
 /// seen it ratchets the threshold toward that size (up to 32 MiB), after
@@ -105,8 +106,8 @@ use sweetspot::timeseries::ingest::{self, ReadCsvError};
 /// — and arena pages freed below the heap top are never returned to the
 /// kernel. A 10⁵-device uncapped fleetsim churns tens of GB of Bluestein
 /// tables through the byte-budgeted plan cache, so without this pin the
-/// LRU eviction frees memory that stays resident and peak RSS barely
-/// drops. 128 KiB is glibc's static default: small control allocations
+/// tables a cache drops over budget free memory that stays resident and
+/// peak RSS barely drops. 128 KiB is glibc's static default: small control allocations
 /// stay in the arena, every plan table gets a private mmap whose pages
 /// `munmap` hands straight back. Affects memory only, never output.
 /// No-op on non-glibc targets.
@@ -616,7 +617,7 @@ fn cmd_fleetsim(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
     let threads = args.get("threads", "an integer")?.unwrap_or(0);
     let verify_every = args.get("verify-every", "an integer")?.unwrap_or(1);
     // Total FFT plan-cache cap in MiB, split across shards; 0 = unbounded.
-    // Eviction rebuilds tables bit-identically, so this never changes output.
+    // Dropped tables rebuild bit-identically, so this never changes output.
     let fft_cache_mb: u64 = args
         .get("fft-cache-mb", "an integer")?
         .unwrap_or((fleetsim::FFT_TABLE_BUDGET_DEFAULT >> 20) as u64);
