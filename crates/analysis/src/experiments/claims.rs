@@ -21,11 +21,10 @@ use crate::study::FleetStudy;
 use std::f64::consts::PI;
 use std::fmt::Write;
 use sweetspot_core::adaptive::{AdaptiveConfig, AdaptiveSampler};
-use sweetspot_core::aliasing::{
-    companion_rate, detect_aliasing_scratch, DetectScratch, DualRateConfig,
-};
-use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
+use sweetspot_core::aliasing::{companion_rate, detect_aliasing, DualRateConfig};
+use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
 use sweetspot_core::reconstruct::{roundtrip, ReconstructionConfig};
+use sweetspot_core::scratch::SpectrumScratch;
 use sweetspot_core::source::FunctionSource;
 use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_dsp::quantize::Quantizer;
@@ -241,7 +240,7 @@ impl Ledger {
 fn cutoff(seed: u64) -> [RateError; CUTOFFS.len()] {
     let profile = MetricProfile::for_kind(MetricKind::Temperature);
     let mut planner = FftPlanner::new();
-    let mut scratch = EstimatorScratch::new();
+    let mut scratch = SpectrumScratch::new();
     CUTOFFS.map(|c| {
         let est = NyquistEstimator::new(NyquistConfig {
             energy_cutoff: c,
@@ -303,7 +302,7 @@ fn detector_accuracy() -> Confusion {
     let f2 = companion_rate(Hertz(f1)).value();
     let fold = f2 / 2.0; // ≈ 0.309
     let duration = 3000.0;
-    let mut scratch = DetectScratch::new();
+    let mut scratch = SpectrumScratch::new();
     let mut acc = Confusion::default();
     let mut lcg = 0x0123_4567_89AB_CDEFu64;
     let mut noise = move || {
@@ -328,7 +327,7 @@ fn detector_accuracy() -> Confusion {
             };
             let (fast, slow) = (make(f1), make(f2));
             let cfg = DualRateConfig::default();
-            let verdict = detect_aliasing_scratch(&mut scratch, &fast, &slow, cfg);
+            let verdict = detect_aliasing(&mut scratch, &fast, &slow, cfg);
             acc.count(is_aliased, verdict.aliased);
         }
     }
@@ -375,7 +374,7 @@ fn quantization(seed: u64) -> [RateError; QUANT_STEPS.len()] {
     let fs = Hertz(dev.true_nyquist_rate().value() * 8.0);
     let series = dev.ground_truth(fs, Seconds(4096.0 / fs.value()));
     let est = NyquistEstimator::new(NyquistConfig::default());
-    let mut scratch = EstimatorScratch::new();
+    let mut scratch = SpectrumScratch::new();
     let mut planner = FftPlanner::new();
     QUANT_STEPS.map(|step| {
         let values = Quantizer::new(step).quantized(series.values());

@@ -116,9 +116,10 @@ pub struct FleetSimConfig {
 /// backstop that binds on no measured shape. Uncapped controllers sweep
 /// many distinct stream lengths (every rate a controller ever probes is a
 /// new transform length), and the tables grow with the fleet: a 10⁴-device
-/// uncapped run (3 days, 2 workers) ends holding 209.4 MB, and the largest
+/// uncapped run (3 days, 2 workers) ends holding 172.9 MB, and the largest
 /// measured fleet, 10⁵ devices uncapped for 3 days, held 1814.8 MB by an
-/// older accounting that charged nested plans twice, so less than that.
+/// older accounting that charged nested plans twice and rounded table
+/// capacities up to powers of two, so less than that.
 pub const FFT_TABLE_BUDGET_DEFAULT: usize = 6 << 30;
 
 impl Default for FleetSimConfig {

@@ -5,7 +5,8 @@
 
 use std::time::{Duration, Instant};
 use sweetspot_arena::Slab;
-use sweetspot_core::adaptive::{Delivery, EpochReport, HealthState, SamplerScratch};
+use sweetspot_core::adaptive::{Delivery, EpochReport, HealthState};
+use sweetspot_core::scratch::SpectrumScratch;
 use sweetspot_dsp::fft::{FftHandleStats, FftPlanner};
 use sweetspot_monitor::poller::{EpochScratch, FleetMember};
 use sweetspot_monitor::{CostModel, EpochAccount, EpochLedger};
@@ -125,9 +126,8 @@ impl<'r> FleetRun<'r> {
                     config,
                 ));
             }
-            let sampler = SamplerScratch::with_table_budget(shard_fft_budget);
             let scratch = EpochScratch {
-                sampler,
+                spectrum: SpectrumScratch::with_table_budget(shard_fft_budget),
                 ..EpochScratch::new()
             };
             ShardState {
@@ -622,7 +622,7 @@ fn members(shards: &[ShardState]) -> impl Iterator<Item = &FleetMember> {
 
 /// Every shard's FFT planner, for the post-run table accounting.
 fn planners(shards: &[ShardState]) -> impl Iterator<Item = &FftPlanner> {
-    shards.iter().map(|s| s.scratch.sampler.planner())
+    shards.iter().map(|s| s.scratch.spectrum.planner())
 }
 
 /// [`members`], mutably.

@@ -23,10 +23,9 @@
 //! `parallel_and_serial_agree` test pins this.
 
 use std::time::{Duration, Instant};
-use sweetspot_core::estimator::{
-    EstimatorScratch, NyquistConfig, NyquistEstimate, NyquistEstimator,
-};
+use sweetspot_core::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
 use sweetspot_core::reduction::{reduction_outcome, summarize, ReductionOutcome, ReductionSummary};
+use sweetspot_core::scratch::SpectrumScratch;
 use sweetspot_dsp::stats::{Cdf, FiveNumber};
 use sweetspot_telemetry::{DeviceTrace, FleetConfig, MetricKind, MetricProfile, TraceSynth};
 use sweetspot_timeseries::clean::{clean_slices_into, CleanConfig, CleanScratch};
@@ -139,7 +138,7 @@ pub struct WorkerScratch {
     values: Vec<f64>,
     clean: CleanScratch,
     estimator: NyquistEstimator,
-    estimate: EstimatorScratch,
+    estimate: SpectrumScratch,
     timings: PhaseTimings,
 }
 
@@ -152,7 +151,7 @@ impl WorkerScratch {
             values: Vec::new(),
             clean: CleanScratch::new(),
             estimator: NyquistEstimator::new(cfg),
-            estimate: EstimatorScratch::new(),
+            estimate: SpectrumScratch::new(),
             timings: PhaseTimings::default(),
         }
     }

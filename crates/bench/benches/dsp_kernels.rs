@@ -12,7 +12,8 @@ use std::hint::black_box;
 use sweetspot_core::aliasing::{
     compare_spectra, detector_spectrum, BandScratch, DualRateConfig, COMPANION_RATIO,
 };
-use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
+use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
+use sweetspot_core::scratch::SpectrumScratch;
 use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_dsp::psd::{periodogram, periodogram_into, periodogram_once_into, PsdConfig};
 use sweetspot_dsp::resample::resample_fft;
@@ -192,7 +193,7 @@ fn bench(c: &mut Criterion) {
     // End-to-end §3.2 estimation of a day-long trace.
     c.bench_function("estimator/day_trace_2880", |b| {
         let est = NyquistEstimator::new(NyquistConfig::default());
-        let mut scratch = EstimatorScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let series = RegularSeries::new(Seconds::ZERO, Seconds(30.0), sig.clone());
         b.iter(|| {
             black_box(est.estimate_samples(&mut scratch, series.values(), series.sample_rate()))

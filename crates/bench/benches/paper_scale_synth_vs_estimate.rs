@@ -10,7 +10,8 @@ use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
-use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
+use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
+use sweetspot_core::scratch::SpectrumScratch;
 use sweetspot_telemetry::{paper_scale_work, DeviceTrace, TraceSynth};
 use sweetspot_timeseries::clean::{clean_slices_into, CleanConfig, CleanScratch};
 use sweetspot_timeseries::Seconds;
@@ -84,7 +85,7 @@ fn bench(c: &mut Criterion) {
             })
             .collect();
         let estimator = NyquistEstimator::new(NyquistConfig::default());
-        let mut est_scratch = EstimatorScratch::new();
+        let mut est_scratch = SpectrumScratch::new();
         b.iter(|| {
             let mut aliased = 0usize;
             for s in &cleaned {

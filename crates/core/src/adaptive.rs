@@ -77,12 +77,11 @@
 //! arbiter of aliasing). Probe-mode epochs always verify. `k = 1` is
 //! bit-identical to the classic controller.
 
-use crate::aliasing::{
-    companion_rate, compare_spectra, detector_spectrum, BandScratch, DualRateConfig,
-};
+use crate::aliasing::{companion_rate, compare_spectra, detector_spectrum, DualRateConfig};
 use crate::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
+use crate::scratch::SpectrumScratch;
 use crate::source::SignalSource;
-use sweetspot_dsp::fft::{FftHandleStats, FftPlanner};
+use sweetspot_dsp::fft::FftHandleStats;
 use sweetspot_timeseries::{grid_len, Hertz, Seconds};
 
 /// Minimum steady-state headroom compatible with continuous dual-rate
@@ -303,69 +302,6 @@ impl EpochReport {
     }
 }
 
-/// The controller's transient working set for one epoch: the FFT planner
-/// (cached tables and working buffers), the recycled power buffers of the
-/// two streams' spectra, the detector's band tables, and the recycled value
-/// buffers for the primary and companion streams.
-///
-/// Callers lend one to [`AdaptiveSampler::step`]; [`AdaptiveSampler::run`]
-/// keeps one for the whole run, and the fleet engine keeps one *per worker*,
-/// so 10⁵ member controllers share a handful of warmed-up working sets and
-/// plan tables, and hold only durable control state (rates, hysteresis and
-/// cadence counters, remembered max). Scratch contents never influence
-/// results — every buffer is cleared or overwritten before use, and every
-/// table is a pure function of its length.
-#[derive(Default)]
-pub struct SamplerScratch {
-    /// The FFT planner both streams' periodograms run through.
-    planner: FftPlanner,
-    /// Power buffers of the primary and companion spectra.
-    fast_power: Vec<f64>,
-    slow_power: Vec<f64>,
-    /// §4.1 band-power tables.
-    bands: BandScratch,
-    /// Value buffers for the primary/companion streams: each epoch lends them
-    /// to [`SignalSource::sample`] and takes them back from the returned
-    /// series, so a source with a zero-allocation path (e.g.
-    /// `monitor::DeviceSource`) makes the whole epoch allocation-free.
-    fast_spare: Vec<f64>,
-    slow_spare: Vec<f64>,
-}
-
-impl SamplerScratch {
-    /// Empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empty scratch whose plan-table cache is capped at `budget` bytes
-    /// (see [`FftPlanner::set_table_budget`]): over budget it drops every
-    /// table nothing else holds, which never changes a result.
-    pub fn with_table_budget(budget: Option<usize>) -> Self {
-        let mut scratch = Self::default();
-        scratch.planner.set_table_budget(budget);
-        scratch
-    }
-
-    /// The planner the periodograms run through, for its table accounting
-    /// ([`FftPlanner::table_bytes`], [`FftPlanner::table_build_time`]).
-    pub fn planner(&self) -> &FftPlanner {
-        &self.planner
-    }
-
-    /// Heap bytes the working buffers currently hold (capacities, not
-    /// lengths). The planner's tables are [`FftPlanner::table_bytes`].
-    pub fn resident_bytes(&self) -> usize {
-        self.planner.buffer_bytes()
-            + self.bands.resident_bytes()
-            + (self.fast_power.capacity()
-                + self.slow_power.capacity()
-                + self.fast_spare.capacity()
-                + self.slow_spare.capacity())
-                * std::mem::size_of::<f64>()
-    }
-}
-
 /// The dynamic sampler. It keeps only the state its next decision reads;
 /// everything that happened is in the [`EpochReport`]s it returns.
 pub struct AdaptiveSampler {
@@ -557,7 +493,7 @@ impl AdaptiveSampler {
 
     /// Runs one epoch at an externally `granted` rate over a fixed lockstep
     /// `window` (see the module docs on budget grants), through caller-lent
-    /// working storage (see [`SamplerScratch`]). `delivery` says whether the
+    /// working storage (see [`SpectrumScratch`]). `delivery` says whether the
     /// epoch's report reaches the controller on time, late or not at all.
     ///
     /// `granted` is clamped into `[min_rate, max_rate]`; the window is used
@@ -567,7 +503,7 @@ impl AdaptiveSampler {
     /// `run`. A late or lost epoch reports [`EpochAction::Defer`].
     pub fn step<S: SignalSource>(
         &mut self,
-        scratch: &mut SamplerScratch,
+        scratch: &mut SpectrumScratch,
         source: &mut S,
         start: Seconds,
         granted: Hertz,
@@ -652,7 +588,7 @@ impl AdaptiveSampler {
     /// estimate, then update the request for the next epoch.
     fn step_at<S: SignalSource>(
         &mut self,
-        scratch: &mut SamplerScratch,
+        scratch: &mut SpectrumScratch,
         source: &mut S,
         start: Seconds,
         primary: Hertz,
@@ -899,9 +835,9 @@ impl AdaptiveSampler {
 
     /// Runs self-paced epochs back-to-back from `t = 0` until `total` time is
     /// covered, each at the requested rate over an auto-extended window, all
-    /// through one local [`SamplerScratch`].
+    /// through one local [`SpectrumScratch`].
     pub fn run<S: SignalSource>(&mut self, source: &mut S, total: Seconds) -> Vec<EpochReport> {
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let mut reports = Vec::new();
         let mut t = Seconds::ZERO;
         while t.value() < total.value() {
@@ -943,7 +879,7 @@ mod tests {
     /// One epoch granted exactly the controller's request, reported on time.
     fn full_grant<S: SignalSource>(
         ctl: &mut AdaptiveSampler,
-        scratch: &mut SamplerScratch,
+        scratch: &mut SpectrumScratch,
         source: &mut S,
         t: Seconds,
         window: Seconds,
@@ -1230,7 +1166,7 @@ mod tests {
         // With grant == request and the lockstep window equal to what run()
         // would pick, the budget-aware path must be bit-identical to the
         // classic controller (the fleetsim uncapped-policy guarantee).
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let edge = 0.5;
         let mut src_a = FunctionSource::new(band_signal(edge));
         let mut src_b = FunctionSource::new(band_signal(edge));
@@ -1261,7 +1197,7 @@ mod tests {
         // Settle on a signal, force a deep cut for a few epochs, then restore
         // the grant: the remembered maximum must carry the request straight
         // back up instead of re-climbing the probe ladder from the cut rate.
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let edge = 0.5; // true Nyquist sampling rate = 1.0 Hz
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
@@ -1357,7 +1293,7 @@ mod tests {
 
     #[test]
     fn grant_clamps_to_min_and_max_rate() {
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let edge = 0.05;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(AdaptiveConfig {
@@ -1410,7 +1346,7 @@ mod tests {
         // A device that misses k consecutive epochs must report exactly k
         // deferred epochs — deferral cannot only follow a cut grant (the
         // report never arriving IS the deferral).
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
@@ -1479,7 +1415,7 @@ mod tests {
 
     #[test]
     fn reboot_reramps_bounded_by_remembered_max() {
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let edge = 0.5; // true Nyquist sampling rate = 1.0 Hz
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
@@ -1534,7 +1470,7 @@ mod tests {
 
     #[test]
     fn delayed_epoch_samples_but_freezes_adaptation() {
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
@@ -1571,7 +1507,7 @@ mod tests {
     #[test]
     fn lost_epoch_never_samples_the_source() {
         // A lost report carries nothing: the device is not even polled.
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let mut source = FunctionSource::new(|_: f64| -> f64 { panic!("a lost epoch polled") });
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let window = Seconds(2000.0);
@@ -1593,7 +1529,7 @@ mod tests {
 
     #[test]
     fn health_classifier_tracks_the_controller_lifecycle() {
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
@@ -1644,7 +1580,7 @@ mod tests {
         // the SuspectDeadlocked signature (over-inclusive by design). A
         // forced re-probe runs one epoch above the old requirement and
         // re-settles, retiring the suspicion.
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let mut source = FunctionSource::new(|t: f64| {
             let base = (2.0 * PI * 0.01 * t).sin();
             if t < 60_000.0 {
@@ -1703,7 +1639,7 @@ mod tests {
 
     #[test]
     fn dormant_epochs_age_state_without_decaying_the_request() {
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let edge = 0.5;
         let mut source = FunctionSource::new(band_signal(edge));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
@@ -1745,7 +1681,7 @@ mod tests {
     fn unverifiable_epoch_skips_companion_stream() {
         // A window too short for 16 detector samples must not panic, must
         // not bill for a companion stream, and must stay conservative.
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let mut source = FunctionSource::new(band_signal(0.5));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         // 0.02 Hz over 600 s = 12 primary samples < 16.
@@ -1769,7 +1705,7 @@ mod tests {
     fn verified_epoch_runs_two_transforms_and_unverified_one() {
         // A 4 Hz start oversamples the 1 Hz-Nyquist signal: the probe epoch
         // verifies and settles; under a cadence of 3 the next is unverified.
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let mut source = FunctionSource::new(band_signal(0.5));
         let mut ctl = AdaptiveSampler::new(AdaptiveConfig {
             verify_every: 3,
@@ -1801,8 +1737,8 @@ mod tests {
         // Two controllers step through one scratch, as fleet members on one
         // worker do: the second one's first lengths are misses although the
         // scratch's tables are warm, and a reboot forgets no length.
-        let mut scratch = SamplerScratch::new();
-        let run = |ctl: &mut AdaptiveSampler, scratch: &mut SamplerScratch| {
+        let mut scratch = SpectrumScratch::new();
+        let run = |ctl: &mut AdaptiveSampler, scratch: &mut SpectrumScratch| {
             let mut source = FunctionSource::new(band_signal(0.5));
             for e in 0..4 {
                 let t = Seconds(2000.0 * e as f64);
@@ -1838,11 +1774,11 @@ mod tests {
             NyquistConfig::default().window,
             crate::aliasing::DETECTOR_PSD.window
         );
-        let mut scratch = SamplerScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let mut source = FunctionSource::new(band_signal(0.5));
         let mut ctl = AdaptiveSampler::new(config(0.3, 2000.0));
         let estimator = NyquistEstimator::new(NyquistConfig::default());
-        let mut est_scratch = crate::estimator::EstimatorScratch::new();
+        let mut est_scratch = SpectrumScratch::new();
         let mut t = Seconds::ZERO;
         let window = Seconds(2000.0);
         let mut probed = false;

@@ -24,6 +24,7 @@
 //!   frequencies in each spectrum thanks to the non-integer ratio (footnote
 //!   1 of the paper), so it still shows up as a band-power mismatch.
 
+use crate::scratch::SpectrumScratch;
 use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_dsp::psd::{periodogram_into, PsdConfig};
 use sweetspot_dsp::spectrum::Spectrum;
@@ -81,24 +82,6 @@ pub fn ratio_is_valid(f1: Hertz, f2: Hertz) -> bool {
     (ratio - ratio.round()).abs() > 1e-6
 }
 
-/// Compares two traces of the same signal sampled at different rates and
-/// decides whether the *slower* one is aliased.
-///
-/// One-shot convenience around [`detect_aliasing_scratch`] with throwaway
-/// scratch; repeated callers (the §4.2 adaptive controller, the
-/// paper-claims ledger's detector entry) should hold their own so twiddle
-/// and window tables are computed once and steady state allocates nothing.
-///
-/// # Panics
-/// Exactly as [`detect_aliasing_scratch`].
-pub fn detect_aliasing(
-    fast: &RegularSeries,
-    slow: &RegularSeries,
-    cfg: DualRateConfig,
-) -> AliasingVerdict {
-    detect_aliasing_scratch(&mut DetectScratch::new(), fast, slow, cfg)
-}
-
 /// The periodogram both streams are compared through: Hann-windowed,
 /// detrended (see the module docs). The §3.2 estimator's default
 /// configuration computes the same PSD, which is what lets the §4.2
@@ -127,25 +110,6 @@ impl BandScratch {
     }
 }
 
-/// Reusable working storage for [`detect_aliasing_scratch`]: the FFT
-/// planner, the two one-sided power buffers and the band-power tables.
-/// Keep one per loop or worker so twiddle and window tables are computed
-/// once and steady-state detection performs no heap allocations.
-#[derive(Default)]
-pub struct DetectScratch {
-    planner: FftPlanner,
-    fast_power: Vec<f64>,
-    slow_power: Vec<f64>,
-    bands: BandScratch,
-}
-
-impl DetectScratch {
-    /// Empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// The [`DETECTOR_PSD`] periodogram of `series`, built in the recycled
 /// `power` buffer (reclaim it with [`Spectrum::into_power`]).
 pub fn detector_spectrum(
@@ -157,17 +121,21 @@ pub fn detector_spectrum(
     Spectrum::from_psd(power, series.sample_rate().value(), series.len())
 }
 
-/// The dual-rate comparison from two traces: both [`DETECTOR_PSD`]
+/// Compares two traces of the same signal sampled at different rates and
+/// decides whether the *slower* one is aliased: both [`DETECTOR_PSD`]
 /// periodograms, then [`compare_spectra`], through caller-lent
-/// [`DetectScratch`] — zero steady-state heap allocations.
+/// [`SpectrumScratch`]. A loop that keeps one scratch (the paper-claims
+/// ledger's detector entry) computes twiddle and window tables once and
+/// allocates nothing in steady state; a one-off call lends
+/// `&mut SpectrumScratch::new()`.
 ///
 /// `fast` must be sampled at a higher rate than `slow`, with a non-integer
 /// rate ratio (checked). Both should cover the same time window.
 ///
 /// # Panics
 /// Exactly as [`compare_spectra`].
-pub fn detect_aliasing_scratch(
-    scratch: &mut DetectScratch,
+pub fn detect_aliasing(
+    scratch: &mut SpectrumScratch,
     fast: &RegularSeries,
     slow: &RegularSeries,
     cfg: DualRateConfig,
@@ -287,13 +255,23 @@ mod tests {
         move |t| (2.0 * PI * f_lo * t).sin() + a_hi * (2.0 * PI * f_hi * t).sin()
     }
 
+    /// [`detect_aliasing`] with the default configuration and fresh scratch.
+    fn detect(fast: &RegularSeries, slow: &RegularSeries) -> AliasingVerdict {
+        detect_aliasing(
+            &mut SpectrumScratch::new(),
+            fast,
+            slow,
+            DualRateConfig::default(),
+        )
+    }
+
     #[test]
     fn clean_signal_is_not_flagged() {
         // Content at 0.05/0.02 Hz; f2 = 0.618 Hz ⇒ f2/2 = 0.309 ≫ 0.05.
         let signal = two_tone(0.05, 0.02, 0.5);
         let fast = sample(1.0, 2000.0, &signal);
         let slow = sample(1.0 / 1.618, 2000.0, &signal);
-        let v = detect_aliasing(&fast, &slow, DualRateConfig::default());
+        let v = detect(&fast, &slow);
         assert!(!v.aliased, "verdict {v:?}");
         assert!(v.compared > 0);
     }
@@ -305,7 +283,7 @@ mod tests {
         let signal = two_tone(0.05, 0.4, 1.0);
         let fast = sample(1.0, 2000.0, &signal);
         let slow = sample(1.0 / 1.618, 2000.0, &signal);
-        let v = detect_aliasing(&fast, &slow, DualRateConfig::default());
+        let v = detect(&fast, &slow);
         assert!(v.aliased, "verdict {v:?}");
         assert!(v.max_discrepancy > 0.8);
     }
@@ -318,7 +296,7 @@ mod tests {
         let signal = two_tone(0.01, 0.9, 1.0);
         let fast = sample(1.0, 2000.0, &signal);
         let slow = sample(1.0 / 1.618, 2000.0, &signal);
-        let v = detect_aliasing(&fast, &slow, DualRateConfig::default());
+        let v = detect(&fast, &slow);
         assert!(v.aliased, "verdict {v:?}");
     }
 
@@ -327,7 +305,7 @@ mod tests {
         let signal = |t: f64| 1e-9 * (2.0 * PI * 0.01 * t).sin();
         let fast = sample(1.0, 1000.0, signal);
         let slow = sample(1.0 / 1.618, 1000.0, signal);
-        let v = detect_aliasing(&fast, &slow, DualRateConfig::default());
+        let v = detect(&fast, &slow);
         assert!(
             !v.aliased,
             "amplitude does not matter, band shape does: {v:?}"
@@ -338,7 +316,7 @@ mod tests {
     fn zero_signal_compares_nothing() {
         let fast = sample(1.0, 500.0, |_| 5.0); // constant → detrended to 0
         let slow = sample(1.0 / 1.618, 500.0, |_| 5.0);
-        let v = detect_aliasing(&fast, &slow, DualRateConfig::default());
+        let v = detect(&fast, &slow);
         assert!(!v.aliased);
         assert_eq!(v.compared, 0);
     }
@@ -348,7 +326,7 @@ mod tests {
         let signal = two_tone(0.02, 0.4, 2.0);
         let fast = sample(1.0, 4000.0, &signal);
         let slow = sample(1.0 / 1.618, 4000.0, &signal);
-        let v = detect_aliasing(&fast, &slow, DualRateConfig::default());
+        let v = detect(&fast, &slow);
         // 0.4 Hz folds under f2=0.618: |0.4 − 0.618| = 0.218 Hz. Band width
         // is 0.309/24 ≈ 0.0129, so the worst band centers within one band.
         let worst = v.worst_frequency.unwrap();
@@ -377,7 +355,7 @@ mod tests {
             .collect();
         let fast = RegularSeries::new(Seconds::ZERO, Seconds(1.0), fast_vals);
         let slow = RegularSeries::new(Seconds::ZERO, Seconds(1.618), slow_vals);
-        let v = detect_aliasing(&fast, &slow, DualRateConfig::default());
+        let v = detect(&fast, &slow);
         assert!(!v.aliased, "1% noise must not fire the detector: {v:?}");
     }
 
@@ -403,6 +381,6 @@ mod tests {
         let signal = |t: f64| (2.0 * PI * 0.05 * t).sin();
         let fast = sample(1.0, 500.0, signal);
         let slow = sample(0.5, 500.0, signal);
-        detect_aliasing(&fast, &slow, DualRateConfig::default());
+        detect(&fast, &slow);
     }
 }

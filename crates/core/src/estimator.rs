@@ -21,6 +21,7 @@
 //!   capture frequency to one FFT bin width, bounding reduction ratios at
 //!   `N/2` — you cannot learn more from a length-`N` trace.
 
+use crate::scratch::SpectrumScratch;
 use serde::{Deserialize, Serialize};
 use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_dsp::psd::{periodogram_into, periodogram_once_into, PsdConfig};
@@ -91,39 +92,12 @@ impl NyquistEstimate {
     }
 }
 
-/// Reusable working storage for [`NyquistEstimator`]: the FFT planner the
-/// periodogram transforms in (its cached tables and working buffers), plus
-/// the recycled one-sided power buffer it writes (handed to `Spectrum` per
+/// The estimator: the §3.2 threshold under a [`NyquistConfig`]. It holds
+/// no tables or buffers; every estimate borrows a [`SpectrumScratch`] and
+/// uses its planner and one power buffer (handed to `Spectrum` per
 /// estimate and reclaimed with `Spectrum::into_power` afterwards). The
 /// periodogram keeps no copy of the trace or of its complex spectrum, so
-/// these are all the buffers an estimate needs.
-///
-/// Callers lend one to [`NyquistEstimator::estimate_samples`]; a loop keeps
-/// one for all its estimates, so repeated estimates over equal-length
-/// traces reuse twiddle and window tables and the steady state performs no
-/// heap allocations. [`NyquistEstimator::estimate_once`] borrows only its
-/// buffers at 5-smooth lengths. Contents never influence results.
-#[derive(Default)]
-pub struct EstimatorScratch {
-    planner: FftPlanner,
-    power: Vec<f64>,
-}
-
-impl EstimatorScratch {
-    /// Empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The planner the estimates transform through, for its table
-    /// accounting ([`FftPlanner::table_build_time`]).
-    pub fn planner(&self) -> &FftPlanner {
-        &self.planner
-    }
-}
-
-/// The estimator: the §3.2 threshold under a [`NyquistConfig`]. It holds
-/// no tables or buffers; every estimate borrows an [`EstimatorScratch`].
+/// those are all the buffers an estimate needs.
 pub struct NyquistEstimator {
     config: NyquistConfig,
 }
@@ -168,7 +142,7 @@ impl NyquistEstimator {
     /// points or `sample_rate` is not positive.
     pub fn estimate_samples(
         &self,
-        scratch: &mut EstimatorScratch,
+        scratch: &mut SpectrumScratch,
         samples: &[f64],
         sample_rate: Hertz,
     ) -> NyquistEstimate {
@@ -187,7 +161,7 @@ impl NyquistEstimator {
     /// As [`NyquistEstimator::estimate_samples`].
     pub fn estimate_once(
         &self,
-        scratch: &mut EstimatorScratch,
+        scratch: &mut SpectrumScratch,
         samples: &[f64],
         sample_rate: Hertz,
     ) -> NyquistEstimate {
@@ -198,7 +172,7 @@ impl NyquistEstimator {
     fn estimate_through(
         &self,
         periodogram: impl FnOnce(&mut FftPlanner, &[f64], PsdConfig, &mut Vec<f64>),
-        scratch: &mut EstimatorScratch,
+        scratch: &mut SpectrumScratch,
         samples: &[f64],
         sample_rate: Hertz,
     ) -> NyquistEstimate {
@@ -209,7 +183,7 @@ impl NyquistEstimator {
             samples.len()
         );
         assert!(sample_rate.value() > 0.0, "sample_rate must be positive");
-        let mut power = std::mem::take(&mut scratch.power);
+        let mut power = std::mem::take(&mut scratch.fast_power);
         periodogram(
             &mut scratch.planner,
             samples,
@@ -221,7 +195,7 @@ impl NyquistEstimator {
         );
         let spectrum = Spectrum::from_psd(power, sample_rate.value(), samples.len());
         let estimate = self.estimate_spectrum(&spectrum);
-        scratch.power = spectrum.into_power();
+        scratch.fast_power = spectrum.into_power();
         estimate
     }
 
@@ -259,10 +233,10 @@ impl NyquistEstimator {
     /// a-posteriori policy: [`NyquistEstimator::estimate_once`] through
     /// throwaway scratch, so a 5-smooth trace builds no FFT or window table
     /// (a 129 600-sample trace would otherwise build ~3 MB of them to read
-    /// each entry once). Loops should hold an [`EstimatorScratch`] and call
+    /// each entry once). Loops should hold a [`SpectrumScratch`] and call
     /// [`NyquistEstimator::estimate_samples`], which caches the tables.
     pub fn estimate_series(&self, series: &RegularSeries) -> NyquistEstimate {
-        let mut scratch = EstimatorScratch::new();
+        let mut scratch = SpectrumScratch::new();
         self.estimate_once(&mut scratch, series.values(), series.sample_rate())
     }
 }
@@ -424,8 +398,8 @@ mod tests {
             for cfg in configs {
                 let est = NyquistEstimator::new(cfg);
                 let cached =
-                    est.estimate_samples(&mut EstimatorScratch::new(), s.values(), s.sample_rate());
-                let mut scratch = EstimatorScratch::new();
+                    est.estimate_samples(&mut SpectrumScratch::new(), s.values(), s.sample_rate());
+                let mut scratch = SpectrumScratch::new();
                 let once = est.estimate_once(&mut scratch, s.values(), s.sample_rate());
                 assert_eq!(once, cached, "n={n} {cfg:?}");
                 assert_eq!(est.estimate_series(&s), cached, "n={n} {cfg:?}");
@@ -439,7 +413,7 @@ mod tests {
     #[should_panic(expected = "at least 4 samples")]
     fn tiny_trace_panics() {
         let est = NyquistEstimator::paper_defaults();
-        est.estimate_samples(&mut EstimatorScratch::new(), &[1.0, 2.0], Hertz(1.0));
+        est.estimate_samples(&mut SpectrumScratch::new(), &[1.0, 2.0], Hertz(1.0));
     }
 
     #[test]

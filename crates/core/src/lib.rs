@@ -19,6 +19,8 @@
 //! * [`recommend`] — the operational endpoint: trace in, decision out
 //!   (keep / reduce / increase / inspect) with the savings attached.
 //! * [`reduction`] — "possible reduction ratio" bookkeeping (Figures 1 and 4).
+//! * [`scratch`] — the one working set (FFT planner and recycled buffers)
+//!   the estimator, the detector and the controller borrow.
 //!
 //! The crate is deliberately independent of where the signals come from: it
 //! consumes [`sweetspot_timeseries::RegularSeries`] and a [`SignalSource`]
@@ -34,12 +36,12 @@ pub mod estimator;
 pub mod recommend;
 pub mod reconstruct;
 pub mod reduction;
+pub mod scratch;
 pub mod source;
 pub mod tracker;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveSampler, EpochReport};
-pub use aliasing::{
-    detect_aliasing, detect_aliasing_scratch, AliasingVerdict, DetectScratch, DualRateConfig,
-};
+pub use aliasing::{detect_aliasing, AliasingVerdict, DualRateConfig};
 pub use estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
+pub use scratch::SpectrumScratch;
 pub use source::SignalSource;

@@ -7,7 +7,8 @@
 //! how much, saving how many samples), increase it, or escalate the trace
 //! for inspection (the paper's −1 / aliased case).
 
-use crate::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimate, NyquistEstimator};
+use crate::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
+use crate::scratch::SpectrumScratch;
 use serde::{Deserialize, Serialize};
 use sweetspot_timeseries::{Hertz, RegularSeries};
 
@@ -115,7 +116,7 @@ impl Recommendation {
 /// Panics on configs with `headroom < 1` or `min_change_factor < 1`, and on
 /// traces the estimator rejects (fewer than 4 samples).
 pub fn recommend(series: &RegularSeries, cfg: RecommendConfig) -> Recommendation {
-    recommend_with(&mut EstimatorScratch::new(), series, cfg)
+    recommend_with(&mut SpectrumScratch::new(), series, cfg)
 }
 
 /// [`recommend`] through caller-lent scratch, for a caller that reads the
@@ -126,7 +127,7 @@ pub fn recommend(series: &RegularSeries, cfg: RecommendConfig) -> Recommendation
 /// # Panics
 /// As [`recommend`].
 pub fn recommend_with(
-    scratch: &mut EstimatorScratch,
+    scratch: &mut SpectrumScratch,
     series: &RegularSeries,
     cfg: RecommendConfig,
 ) -> Recommendation {

@@ -4,7 +4,8 @@
 //! 6-hour window stepping every 5 minutes; the timestamps mark the beginning
 //! of each window. [`track`] reproduces that computation for any series.
 
-use crate::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimate, NyquistEstimator};
+use crate::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
+use crate::scratch::SpectrumScratch;
 use sweetspot_timeseries::windowing::moving_windows;
 use sweetspot_timeseries::{Hertz, RegularSeries, Seconds};
 
@@ -58,7 +59,7 @@ pub struct TrackedPoint {
 ///
 /// Windows shorter than [`NyquistEstimator::MIN_SAMPLES`] are skipped.
 pub fn track(series: &RegularSeries, cfg: TrackerConfig) -> Vec<TrackedPoint> {
-    track_with(&mut EstimatorScratch::new(), series, cfg)
+    track_with(&mut SpectrumScratch::new(), series, cfg)
 }
 
 /// [`track`] through caller-lent scratch: every window is one
@@ -66,7 +67,7 @@ pub fn track(series: &RegularSeries, cfg: TrackerConfig) -> Vec<TrackedPoint> {
 /// share its cached tables, and the caller can read its accounting
 /// afterwards (`track --timing` prints its table bytes and build time).
 pub fn track_with(
-    scratch: &mut EstimatorScratch,
+    scratch: &mut SpectrumScratch,
     series: &RegularSeries,
     cfg: TrackerConfig,
 ) -> Vec<TrackedPoint> {

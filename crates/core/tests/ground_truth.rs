@@ -10,6 +10,7 @@
 use sweetspot_core::aliasing::{companion_rate, detect_aliasing, DualRateConfig};
 use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
 use sweetspot_core::reconstruct::{roundtrip, ReconstructionConfig};
+use sweetspot_core::SpectrumScratch;
 use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile};
 use sweetspot_timeseries::{Hertz, Seconds};
@@ -100,6 +101,7 @@ fn detector_separates_well_sampled_from_undersampled() {
     let mut under_checked = 0;
     let mut well_correct = 0;
     let mut under_correct = 0;
+    let mut scratch = SpectrumScratch::new();
     for idx in 0..40 {
         let dev = DeviceTrace::synthesize(profile, idx, 0xFACE);
         let primary = profile.production_rate();
@@ -108,7 +110,7 @@ fn detector_separates_well_sampled_from_undersampled() {
         // detector's behaviour from impairment effects.
         let fast = dev.ground_truth(primary, duration);
         let slow = dev.ground_truth(secondary, duration);
-        let verdict = detect_aliasing(&fast, &slow, cfg);
+        let verdict = detect_aliasing(&mut scratch, &fast, &slow, cfg);
         // The secondary stream covers band edges up to primary/(2φ).
         let detectable_edge = secondary.value() / 2.0;
         let edge = dev.true_band_edge().value();

@@ -3,13 +3,12 @@
 use proptest::prelude::*;
 use std::f64::consts::PI;
 use sweetspot_core::aliasing::{
-    companion_rate, detect_aliasing, detect_aliasing_scratch, ratio_is_valid, AliasingVerdict,
-    DetectScratch, DualRateConfig,
+    companion_rate, detect_aliasing, ratio_is_valid, AliasingVerdict, DualRateConfig,
 };
-use sweetspot_core::estimator::{EstimatorScratch, NyquistConfig, NyquistEstimator};
+use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
 use sweetspot_core::reconstruct::{decimation_factor, roundtrip, ReconstructionConfig};
 use sweetspot_core::reduction::{reduction_outcome, PairClass};
-use sweetspot_core::NyquistEstimate;
+use sweetspot_core::{NyquistEstimate, SpectrumScratch};
 use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_timeseries::{Hertz, RegularSeries, Seconds};
 
@@ -173,18 +172,17 @@ proptest! {
         tones in tones_strategy(),
         lens in prop::collection::vec((0usize..3, 0usize..6), 2..8),
     ) {
-        // One estimator scratch and one detector scratch, held across a
-        // random sequence of trace lengths — as `track`, the study workers
+        // One scratch, lent to the estimator and the detector in turn across
+        // a random sequence of trace lengths — as `track`, the study workers
         // and the fleet workers hold theirs — must give bit for bit what a
         // fresh scratch gives every call.
         let est = NyquistEstimator::new(NyquistConfig::default());
-        let mut est_scratch = EstimatorScratch::new();
-        let mut detect = DetectScratch::new();
+        let mut scratch = SpectrumScratch::new();
         let slow_rate = companion_rate(Hertz(1.0)).value();
         for (kind, k) in lens {
             let n = trace_len(kind, k);
             let fast = series_of(&tones, n);
-            let reused = est.estimate_samples(&mut est_scratch, fast.values(), fast.sample_rate());
+            let reused = est.estimate_samples(&mut scratch, fast.values(), fast.sample_rate());
             let fresh = NyquistEstimator::new(NyquistConfig::default()).estimate_series(&fast);
             prop_assert_eq!(
                 reused.rate().map(|r| r.value().to_bits()),
@@ -194,8 +192,8 @@ proptest! {
 
             let slow = sampled_at(&tones, slow_rate, (n as f64 * slow_rate) as usize);
             let cfg = DualRateConfig::default();
-            let reused = detect_aliasing_scratch(&mut detect, &fast, &slow, cfg);
-            let fresh = detect_aliasing(&fast, &slow, cfg);
+            let reused = detect_aliasing(&mut scratch, &fast, &slow, cfg);
+            let fresh = detect_aliasing(&mut SpectrumScratch::new(), &fast, &slow, cfg);
             prop_assert_eq!(
                 verdict_bits(&reused),
                 verdict_bits(&fresh),

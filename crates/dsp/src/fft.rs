@@ -128,21 +128,6 @@ impl Buffers {
     }
 }
 
-/// Allocates a table `Vec` whose capacity is `len` rounded up to a power
-/// of two.
-///
-/// Plan tables live in a byte-budgeted cache that drops and rebuilds them
-/// as adaptive controllers sweep through stream lengths. Exact-size
-/// allocations at ever-growing lengths defeat every allocator's free lists —
-/// each new table is slightly larger than any freed hole, so process RSS
-/// ratchets toward the *cumulative* churn instead of the budget. Capacities
-/// quantized to power-of-two size classes make freed blocks exactly
-/// reusable; `table_bytes`/`resident_bytes` charge capacity, so the budget
-/// accounting stays honest about the rounding.
-pub(crate) fn quantized_table<T>(len: usize) -> Vec<T> {
-    Vec::with_capacity(len.next_power_of_two())
-}
-
 /// The `n`-th roots of unity `e^{−2πi e/n}`, `e < n`, from two short tables
 /// of direct [`Complex64::cis`] values: with `2^shift ≈ √n`,
 /// `root(e) = hi[e >> shift] · lo[e mod 2^shift]`.
@@ -226,7 +211,7 @@ impl BluesteinPlan {
         // e^{−iπ k²/n} = e^{−2πi (k² mod 2n)/2n}: k² mod 2n, kept exactly by
         // (k+1)² = k² + 2k + 1, indexes the 2n-th roots of unity.
         let roots = Roots::new(2 * n);
-        let mut chirp = quantized_table::<Complex64>(n);
+        let mut chirp = Vec::with_capacity(n);
         let mut k2 = 0;
         for k in 0..n {
             chirp.push(roots.root(k2));
@@ -363,7 +348,7 @@ fn smooth_radices(mut n: usize) -> Option<Vec<usize>> {
 struct MixedPlan {
     n: usize,
     /// Pass radices, in order (see [`smooth_radices`]).
-    radices: Vec<usize>,
+    radices: Box<[usize]>,
     /// Every pass's twiddles, concatenated: the pass of radix `p` over
     /// sub-length `l = p·m` holds `e^{−2πi jt/l}` at `j·(p−1) + t − 1` for
     /// `j < m`, `1 ≤ t < p` — `n − 1` entries over all passes.
@@ -385,15 +370,15 @@ impl MixedPlan {
         }
         MixedPlan {
             n,
-            radices,
+            radices: radices.into_boxed_slice(),
             twiddles,
         }
     }
 
-    /// Heap bytes this plan's tables hold (capacities, not lengths).
+    /// Heap bytes this plan's tables hold.
     fn table_bytes(&self) -> usize {
         self.twiddles.capacity() * std::mem::size_of::<Complex64>()
-            + self.radices.capacity() * std::mem::size_of::<usize>()
+            + self.radices.len() * std::mem::size_of::<usize>()
     }
 
     /// In-place forward transform; `work` is the length-`n` ping-pong
@@ -649,8 +634,7 @@ impl PackedReal {
         debug_assert!(n >= 2 && n.is_multiple_of(2));
         let m = n / 2;
         let roots = Roots::new(n);
-        let mut twiddles = quantized_table::<Complex64>(m + 1);
-        twiddles.extend((0..=m).map(|k| roots.root(k)));
+        let twiddles = (0..=m).map(|k| roots.root(k)).collect();
         PackedReal { n, twiddles, inner }
     }
 
@@ -1077,15 +1061,12 @@ impl FftPlanner {
         self.tables.enforce_budget();
     }
 
-    /// Heap bytes the cached tables hold: each table's allocated capacity,
-    /// charged once (a plan nested in another is charged under its own
-    /// entry); the maps' buckets and the `Arc` headers are not counted.
-    ///
-    /// Capacity is not resident pages. Chirp, untangle and window tables
-    /// round their capacity up to a power of two (`quantized_table`), and
-    /// the slots past a table's length are never written: the untangle
-    /// table of a 129 600-sample real transform is charged 2.10 MB
-    /// (131 072 slots) for 1.04 MB written (64 801 entries).
+    /// Heap bytes the cached tables hold: every table is allocated at its
+    /// own length and charged once (a plan nested in another is charged
+    /// under its own entry), so this is each table's entries times their
+    /// size; the maps' buckets and the `Arc` headers are not counted. The
+    /// untangle table of a 129 600-sample real transform, for one, is its
+    /// 64 801 entries: 1.04 MB.
     pub fn table_bytes(&self) -> usize {
         self.tables.resident
     }
@@ -1667,7 +1648,7 @@ mod tests {
             }
         }
         // A one-byte budget keeps at most the in-flight plan chain: the
-        // length-203 one-sided plan pins its quantized chirp plus the
+        // length-203 one-sided plan pins its chirp plus the
         // kernel and twiddles of its 320-point convolution — ~14 kB deep.
         assert!(tiny.table_bytes() <= 32 * 1024, "{}", tiny.table_bytes());
     }

@@ -15,7 +15,7 @@
 //! [`Window::coefficient`] evaluates one sample directly and is the
 //! reference the table is tested against.
 
-use crate::fft::{quantized_table, Roots};
+use crate::fft::Roots;
 use std::f64::consts::PI;
 
 /// Supported window shapes.
@@ -66,14 +66,12 @@ pub struct WindowTable {
 impl WindowTable {
     /// Materializes `window` at length `n` and precomputes its energy gain.
     ///
-    /// Coefficients are stored with power-of-two capacity (see
-    /// `fft::quantized_table`) so the blocks of tables the planner's
-    /// byte-budgeted cache drops are reused exactly by the tables it
-    /// rebuilds. The table is exactly symmetric:
-    /// coefficient `n − 1 − i` is a copy of coefficient `i`.
+    /// The coefficients are allocated at exactly `n` entries, which is what
+    /// [`WindowTable::resident_bytes`] charges. The table is exactly
+    /// symmetric: coefficient `n − 1 − i` is a copy of coefficient `i`.
     pub fn new(window: Window, n: usize) -> Self {
         let roots = WindowRoots::new(window, n);
-        let mut coeffs = quantized_table::<f64>(n);
+        let mut coeffs = Vec::with_capacity(n);
         let half = n.div_ceil(2);
         coeffs.extend((0..half).map(|i| roots.coefficient(i)));
         coeffs.extend_from_within(..n - half);
@@ -100,7 +98,7 @@ impl WindowTable {
         self.coeffs.is_empty()
     }
 
-    /// Heap bytes the table holds (capacity, not length) — feeds the FFT
+    /// Heap bytes the table holds, one `f64` per sample — feeds the FFT
     /// planner's byte-budgeted cache accounting.
     pub fn resident_bytes(&self) -> usize {
         self.coeffs.capacity() * std::mem::size_of::<f64>()

@@ -203,12 +203,14 @@ fn one_shot_periodogram_peaks_at_its_buffers() {
 fn byte_accounting_matches_the_allocator() {
     // `WindowTable::resident_bytes` is the table's one allocation; the
     // roots it is filled from are freed before it returns.
+    // It is allocated at the window's length: one `f64` per sample.
     for window in [Window::Rectangular, Window::Hann] {
         for n in [1usize, 97, 4096, 129_600] {
             let mut table = None;
             let net = net_bytes_during(|| table = Some(WindowTable::new(window, n)));
             let table = table.unwrap();
             assert_eq!(net, table.resident_bytes() as isize, "{window:?} n={n}");
+            assert_eq!(table.resident_bytes(), n * 8, "{window:?} n={n}");
         }
     }
 
@@ -238,6 +240,7 @@ fn byte_accounting_matches_the_allocator() {
         let sig = signal(n);
         let net = net_bytes_during(|| planner.fft_real_into(&sig, &mut out));
         assert_tables_match_the_allocator(&planner, net - (out.capacity() * 16) as isize, n);
+        assert_eq!(planner.table_bytes(), exact_table_bytes(n), "n={n}");
     }
     // ...and after over-budget drops: with a one-byte cap every admission
     // drops all the cache alone holds, so what stays is 2025's chain.
@@ -250,6 +253,31 @@ fn byte_accounting_matches_the_allocator() {
         }
     });
     assert_tables_match_the_allocator(&planner, net - (out.capacity() * 16) as isize, 2025);
+    assert_eq!(planner.table_bytes(), exact_table_bytes(2025));
+}
+
+/// What the tables of a fresh real transform of length `n` hold, entry by
+/// entry: 16-byte complex twiddles, untangle twiddles, chirps and kernels,
+/// and 8-byte pass radices, each table allocated at its own length.
+fn exact_table_bytes(n: usize) -> usize {
+    let (complex, radices) = match n {
+        // Untangle `n/2 + 1`, then the 2048-point mixed plan: 2047
+        // twiddles over the passes [4, 4, 4, 4, 4, 2].
+        4096 => (2049 + 2047, 6),
+        // Untangle 102, then Bluestein of 101 (chirp 101, kernel at the
+        // 240-point convolution) over the 240-point plan: 239 twiddles,
+        // passes [4, 4, 3, 5].
+        202 => (102 + 101 + 240 + 239, 4),
+        // One-sided Bluestein: chirp 2879 and kernel at the 4608-point
+        // convolution (≥ 2879 + 1440 − 1), over the 4608-point plan: 4607
+        // twiddles, passes [4, 4, 4, 4, 2, 3, 3].
+        2879 => (2879 + 4608 + 4607, 7),
+        // Promoted odd: the 2025-point plan, 2024 twiddles, passes
+        // [3, 3, 3, 3, 5, 5].
+        2025 => (2024, 6),
+        _ => unreachable!("no table layout written down for n={n}"),
+    };
+    complex * 16 + radices * 8
 }
 
 /// `planner.table_bytes()` against `net`, the heap its transforms left

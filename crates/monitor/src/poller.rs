@@ -23,11 +23,10 @@
 use crate::cost::{CostModel, CostReport};
 use crate::device::{precleaning, DeviceSource, PollScratch, SimDevice};
 use crate::quality::evaluate;
-use sweetspot_core::adaptive::{
-    AdaptiveConfig, AdaptiveSampler, Delivery, EpochReport, SamplerScratch,
-};
+use sweetspot_core::adaptive::{AdaptiveConfig, AdaptiveSampler, Delivery, EpochReport};
 use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
 use sweetspot_core::reconstruct::{decimation_factor, downsample};
+use sweetspot_core::scratch::SpectrumScratch;
 use sweetspot_telemetry::{DeviceTrace, MetricKind};
 use sweetspot_timeseries::clean::clean;
 use sweetspot_timeseries::{Hertz, IrregularSeries, Seconds};
@@ -186,7 +185,7 @@ pub struct EpochScratch {
     pub poll: PollScratch,
     /// Controller scratch (FFT planner, spectra, band tables, recycled
     /// series storage).
-    pub sampler: SamplerScratch,
+    pub spectrum: SpectrumScratch,
 }
 
 impl EpochScratch {
@@ -198,7 +197,7 @@ impl EpochScratch {
     /// Heap bytes currently resident in this scratch's buffers (capacity,
     /// not length); the plan tables are counted apart.
     pub fn resident_bytes(&self) -> usize {
-        self.poll.resident_bytes() + self.sampler.resident_bytes()
+        self.poll.resident_bytes() + self.spectrum.resident_bytes()
     }
 }
 
@@ -301,7 +300,7 @@ impl FleetMember {
             scratch: &mut scratch.poll,
         };
         self.sampler.step(
-            &mut scratch.sampler,
+            &mut scratch.spectrum,
             &mut source,
             start,
             granted,

@@ -44,16 +44,6 @@ impl Seconds {
         self.0
     }
 
-    /// This duration expressed in minutes.
-    pub fn minutes(self) -> f64 {
-        self.0 / 60.0
-    }
-
-    /// This duration expressed in hours.
-    pub fn hours(self) -> f64 {
-        self.0 / 3600.0
-    }
-
     /// The sampling rate whose period is this duration.
     ///
     /// # Panics

@@ -38,7 +38,12 @@ fn main() {
     };
     let fast = sample(1.0);
     let slow = sample(1.0 / 1.618_033_988_749_895);
-    let verdict = detect_aliasing(&fast, &slow, DualRateConfig::default());
+    let verdict = detect_aliasing(
+        &mut SpectrumScratch::new(),
+        &fast,
+        &slow,
+        DualRateConfig::default(),
+    );
     println!(
         "dual-rate detector (f1=1 Hz, f2=0.618 Hz) on a 0.4 Hz signal:\n  \
          aliased = {}  max discrepancy = {:.2}  worst at {:.3} Hz (0.4 folds to 0.218)",

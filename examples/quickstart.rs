@@ -75,7 +75,12 @@ fn main() {
     let window = Seconds(128.0 / companion.value());
     let fast = device.ground_truth(verify_rate, window);
     let slow = device.ground_truth(companion, window);
-    let verdict = detect_aliasing(&fast, &slow, DualRateConfig::default());
+    let verdict = detect_aliasing(
+        &mut SpectrumScratch::new(),
+        &fast,
+        &slow,
+        DualRateConfig::default(),
+    );
     println!(
         "dual-rate verification at {verify_rate}: aliased = {} (max discrepancy {:.3})",
         verdict.aliased, verdict.max_discrepancy

@@ -90,46 +90,15 @@ use sweetspot::analysis::fleetsim::{
     self, scenario::ScenarioSpec, scheduler::SchedulerPolicy, FleetSimConfig,
 };
 use sweetspot::analysis::study::{FleetStudy, StudyConfig};
-use sweetspot::core::estimator::EstimatorScratch;
 use sweetspot::core::recommend::{recommend_with, Action, RecommendConfig};
+use sweetspot::core::scratch::SpectrumScratch;
 use sweetspot::core::tracker::{summarize, track_with, TrackerConfig};
 use sweetspot::obs::json;
 use sweetspot::prelude::*;
 use sweetspot::timeseries::clean::{clean_owned, CleanConfig, CleanError};
 use sweetspot::timeseries::ingest::{self, ReadCsvError};
 
-/// Pins glibc's mmap threshold so dropped FFT plan tables return to the OS.
-///
-/// glibc's threshold is adaptive: the first time a freed mmap'd block is
-/// seen it ratchets the threshold toward that size (up to 32 MiB), after
-/// which multi-megabyte allocations are carved from the main arena instead
-/// — and arena pages freed below the heap top are never returned to the
-/// kernel. A 10⁵-device uncapped fleetsim churns tens of GB of Bluestein
-/// tables through the byte-budgeted plan cache, so without this pin the
-/// tables a cache drops over budget free memory that stays resident and
-/// peak RSS barely drops. 128 KiB is glibc's static default: small control allocations
-/// stay in the arena, every plan table gets a private mmap whose pages
-/// `munmap` hands straight back. Affects memory only, never output.
-/// No-op on non-glibc targets.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
-fn pin_malloc_mmap_threshold() {
-    /// `M_MMAP_THRESHOLD` from glibc's `malloc.h`.
-    const M_MMAP_THRESHOLD: i32 = -3;
-    extern "C" {
-        fn mallopt(param: i32, value: i32) -> i32;
-    }
-    // SAFETY: mallopt is async-signal-unsafe but we call it before any
-    // other thread exists; both arguments are plain integers.
-    unsafe {
-        mallopt(M_MMAP_THRESHOLD, 128 * 1024);
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
-fn pin_malloc_mmap_threshold() {}
-
 fn main() -> ExitCode {
-    pin_malloc_mmap_threshold();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(name) = args.first() else {
         eprintln!("{}", usage());
@@ -367,7 +336,7 @@ impl StageTimes {
     /// work on the cleaned trace) in ms, the FFT and window tables the
     /// estimates' scratch holds and the time it spent building them, plus
     /// the process's peak RSS where the platform reports it.
-    fn report(&self, estimate: Duration, scratch: &EstimatorScratch) -> String {
+    fn report(&self, estimate: Duration, scratch: &SpectrumScratch) -> String {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         let planner = scratch.planner();
         let mut line = format!(
@@ -456,7 +425,7 @@ fn cmd_analyze(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
         series.sample_rate(),
         series.duration()
     )?;
-    let mut scratch = EstimatorScratch::new();
+    let mut scratch = SpectrumScratch::new();
     let rec = recommend_with(&mut scratch, &series, cfg);
     match rec.estimated_nyquist {
         Some(rate) => writeln!(out, "estimated Nyquist rate: {rate}")?,
@@ -499,7 +468,7 @@ fn cmd_track(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
     cfg.validate()?;
     let (series, times) = load_trace(args.path, None)?;
     let started = Instant::now();
-    let mut scratch = EstimatorScratch::new();
+    let mut scratch = SpectrumScratch::new();
     let points = track_with(&mut scratch, &series, cfg);
     if points.is_empty() {
         return Err("trace is shorter than one window".into());

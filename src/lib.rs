@@ -58,6 +58,7 @@ pub mod prelude {
     pub use sweetspot_core::aliasing::{detect_aliasing, AliasingVerdict, DualRateConfig};
     pub use sweetspot_core::estimator::{NyquistConfig, NyquistEstimate, NyquistEstimator};
     pub use sweetspot_core::reconstruct::{roundtrip, ReconstructionConfig};
+    pub use sweetspot_core::scratch::SpectrumScratch;
     pub use sweetspot_core::source::{FunctionSource, SignalSource};
     pub use sweetspot_core::tracker::{track, TrackerConfig};
     pub use sweetspot_monitor::Policy;

@@ -162,7 +162,12 @@ fn undersampled_device_is_caught_by_dual_rate_but_not_by_one_trace() {
     let primary = profile.production_rate();
     let fast = dev.ground_truth(primary, duration);
     let slow = dev.ground_truth(sweetspot::core::aliasing::companion_rate(primary), duration);
-    let verdict = detect_aliasing(&fast, &slow, DualRateConfig::default());
+    let verdict = detect_aliasing(
+        &mut SpectrumScratch::new(),
+        &fast,
+        &slow,
+        DualRateConfig::default(),
+    );
     assert!(verdict.aliased, "dual-rate must catch it: {verdict:?}");
 
     let est = NyquistEstimator::paper_defaults();
