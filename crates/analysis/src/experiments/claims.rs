@@ -11,10 +11,10 @@
 //!   sizes: the 99% energy cutoff (§3.2), the dual-rate detector (§4.1),
 //!   the Nyquist memory (§4.2) and quantization tolerance (§4.3).
 //!
-//! `tests/golden/claims.txt` pins [`Ledger::render`] byte for byte, and the
-//! `headline_stats` bench prints it. To regenerate the fixture after an
-//! intended change, write the rendering the failing golden test prints
-//! into that file.
+//! The ledger is `tests/golden/claims.txt`: `ledger_matches_golden_fixture`
+//! checks [`Ledger::render`] against it byte for byte and prints the whole
+//! rendering on a mismatch. To regenerate the fixture after an intended
+//! change, write that printed rendering into the file.
 
 use super::headline::{self, Headline};
 use crate::study::FleetStudy;
@@ -26,7 +26,6 @@ use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
 use sweetspot_core::reconstruct::{roundtrip, ReconstructionConfig};
 use sweetspot_core::scratch::SpectrumScratch;
 use sweetspot_core::source::FunctionSource;
-use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_dsp::quantize::Quantizer;
 use sweetspot_telemetry::{DeviceTrace, MetricKind, MetricProfile};
 use sweetspot_timeseries::clean::{clean, CleanConfig};
@@ -239,7 +238,6 @@ impl Ledger {
 /// captured is often just the noise".
 fn cutoff(seed: u64) -> [RateError; CUTOFFS.len()] {
     let profile = MetricProfile::for_kind(MetricKind::Temperature);
-    let mut planner = FftPlanner::new();
     let mut scratch = SpectrumScratch::new();
     CUTOFFS.map(|c| {
         let est = NyquistEstimator::new(NyquistConfig {
@@ -272,7 +270,7 @@ fn cutoff(seed: u64) -> [RateError; CUTOFFS.len()] {
                 // against the measured trace would reward keeping noise.)
                 let target = Hertz(rate.value() * 1.25);
                 let (recon, _) = roundtrip(
-                    &mut planner,
+                    scratch.planner_mut(),
                     &series,
                     target,
                     ReconstructionConfig::default(),
@@ -375,7 +373,6 @@ fn quantization(seed: u64) -> [RateError; QUANT_STEPS.len()] {
     let series = dev.ground_truth(fs, Seconds(4096.0 / fs.value()));
     let est = NyquistEstimator::new(NyquistConfig::default());
     let mut scratch = SpectrumScratch::new();
-    let mut planner = FftPlanner::new();
     QUANT_STEPS.map(|step| {
         let values = Quantizer::new(step).quantized(series.values());
         let quantized = RegularSeries::new(series.start(), series.interval(), values);
@@ -386,7 +383,7 @@ fn quantization(seed: u64) -> [RateError; QUANT_STEPS.len()] {
         let requantize = ReconstructionConfig {
             requantize: Some(step),
         };
-        let (_, report) = roundtrip(&mut planner, &quantized, rate * 1.25, requantize);
+        let (_, report) = roundtrip(scratch.planner_mut(), &quantized, rate * 1.25, requantize);
         RateError {
             rate: rate.value(),
             nrmse: report.interior_nrmse,

@@ -9,7 +9,6 @@
 
 use sweetspot_core::estimator::{NyquistConfig, NyquistEstimator};
 use sweetspot_core::scratch::SpectrumScratch;
-use sweetspot_dsp::fft::FftPlanner;
 use sweetspot_dsp::psd::{periodogram, PsdConfig};
 use sweetspot_timeseries::Hertz;
 
@@ -39,7 +38,6 @@ pub struct Fig2 {
 
 /// Runs the spectral-copies experiment for `tone_hz` under each rate.
 pub fn run(tone_hz: f64, sample_rates: &[f64], duration: f64) -> Fig2 {
-    let mut planner = FftPlanner::new();
     let estimator = NyquistEstimator::new(NyquistConfig::default());
     let mut scratch = SpectrumScratch::new();
     let cases = sample_rates
@@ -49,7 +47,7 @@ pub fn run(tone_hz: f64, sample_rates: &[f64], duration: f64) -> Fig2 {
             let samples: Vec<f64> = (0..n)
                 .map(|i| (2.0 * std::f64::consts::PI * tone_hz * i as f64 / fs).sin())
                 .collect();
-            let spec = periodogram(&mut planner, &samples, fs, PsdConfig::default());
+            let spec = periodogram(scratch.planner_mut(), &samples, fs, PsdConfig::default());
             let measured_peak = spec.peak_bins(1)[0].0;
             let folded = tone_hz % fs;
             let predicted_peak = folded.min((fs - folded).abs());

@@ -932,7 +932,7 @@ mod tests {
 
     #[test]
     fn informed_policies_beat_naive_uniform_throttling() {
-        // The acceptance criterion: under a binding budget, fair-share and
+        // The acceptance test: under a binding budget, fair-share and
         // water-filling buy measurably more fleet quality per cost unit
         // than scaling every device's production rate uniformly — the
         // controllers' Nyquist knowledge is what the scheduler monetizes.

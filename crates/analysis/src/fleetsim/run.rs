@@ -85,6 +85,7 @@ impl<'r> FleetRun<'r> {
     /// # Panics
     /// Panics if [`FleetSimConfig::validate`] rejects `cfg` or
     /// [`validate_budget`] rejects `budget_per_epoch`.
+    #[allow(clippy::disallowed_methods, reason = "build time, for `--timing`")]
     pub fn new(
         cfg: &FleetSimConfig,
         policy: SchedulerPolicy,
@@ -201,6 +202,7 @@ impl<'r> FleetRun<'r> {
 
     /// Runs the next epoch's passes. Returns `false`, running nothing, once
     /// every epoch of the horizon has run.
+    #[allow(clippy::disallowed_methods, reason = "pass times, for `--timing`")]
     pub fn next_epoch(&mut self) -> bool {
         if self.epoch == self.epochs {
             return false;
@@ -391,6 +393,7 @@ impl<'r> FleetRun<'r> {
     /// Every shard's members, each writing its own report: inline for one
     /// shard, on scoped threads for several. Each shard adds up its own
     /// busy time.
+    #[allow(clippy::disallowed_methods, reason = "shard busy time, for `--timing`")]
     fn step(&mut self) {
         let (window, chunk) = (self.window, self.chunk);
         let start = Seconds(self.epoch as f64 * window.value());
@@ -497,6 +500,7 @@ impl<'r> FleetRun<'r> {
 
     /// Scores the run: per-device and fleet quality, the scenario report,
     /// memory and timing, over the epochs run so far.
+    #[allow(clippy::disallowed_methods, reason = "roll-up time, for `--timing`")]
     pub fn finish(mut self) -> PolicyOutcome {
         let t_quality = Instant::now();
         let shards = &self.shards;

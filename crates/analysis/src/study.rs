@@ -302,6 +302,7 @@ impl FleetStudy {
     }
 }
 
+#[allow(clippy::disallowed_methods, reason = "phase times, for `--timing`")]
 fn analyze_pair(trace: &DeviceTrace, duration: Seconds, ws: &mut WorkerScratch) -> PairResult {
     let production_rate = trace.profile().production_rate();
 

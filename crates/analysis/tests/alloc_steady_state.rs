@@ -115,13 +115,17 @@ fn fleetsim_steady_state_epoch_is_allocation_free() {
     // that is a property of the workload, not the engine. The second case
     // runs the chaos mix (churn, a staggered regime incident, duty-cycled
     // sleep) with the watchdog armed; its incident keeps controllers moving
-    // longer, so it settles later.
+    // longer, so it settles later. The third arms the watchdog on the
+    // healthy fleet, where it finds nothing to do: its recovery slice and
+    // health census must cost the settled epochs no allocation either.
     let window = Seconds::from_days(1.0);
     let budget = production_budget(28, window, 0.5);
     let chaos = ScenarioSpec::parse("churn+incident+duty").expect("preset mix");
-    for (scenario, recovery_budget_frac, settled) in
-        [(ScenarioSpec::none(), 0.0, 10), (chaos, 0.25, 13)]
-    {
+    for (scenario, recovery_budget_frac, settled) in [
+        (ScenarioSpec::none(), 0.0, 10),
+        (chaos, 0.25, 13),
+        (ScenarioSpec::none(), 0.1, 10),
+    ] {
         let mut cfg = FleetSimConfig {
             devices: Some(28),
             days: 16.0,
@@ -142,7 +146,8 @@ fn fleetsim_steady_state_epoch_is_allocation_free() {
                 assert_eq!(
                     count,
                     0,
-                    "{}: steady-state fleet epoch {epoch} must not allocate",
+                    "{} (recovery slice {recovery_budget_frac}): steady-state \
+                     fleet epoch {epoch} must not allocate",
                     scenario.label()
                 );
             }

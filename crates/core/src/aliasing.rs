@@ -93,17 +93,12 @@ pub const DETECTOR_PSD: PsdConfig = PsdConfig {
 
 /// Reusable band-power tables for [`compare_spectra`], one per stream.
 #[derive(Debug, Default)]
-pub struct BandScratch {
+pub(crate) struct BandScratch {
     fast: Vec<f64>,
     slow: Vec<f64>,
 }
 
 impl BandScratch {
-    /// Empty tables; they grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Heap bytes the tables currently hold (capacities, not lengths).
     pub fn resident_bytes(&self) -> usize {
         (self.fast.capacity() + self.slow.capacity()) * std::mem::size_of::<f64>()
@@ -112,7 +107,7 @@ impl BandScratch {
 
 /// The [`DETECTOR_PSD`] periodogram of `series`, built in the recycled
 /// `power` buffer (reclaim it with [`Spectrum::into_power`]).
-pub fn detector_spectrum(
+pub(crate) fn detector_spectrum(
     planner: &mut FftPlanner,
     series: &RegularSeries,
     mut power: Vec<f64>,
@@ -123,17 +118,18 @@ pub fn detector_spectrum(
 
 /// Compares two traces of the same signal sampled at different rates and
 /// decides whether the *slower* one is aliased: both [`DETECTOR_PSD`]
-/// periodograms, then [`compare_spectra`], through caller-lent
-/// [`SpectrumScratch`]. A loop that keeps one scratch (the paper-claims
-/// ledger's detector entry) computes twiddle and window tables once and
-/// allocates nothing in steady state; a one-off call lends
+/// periodograms, then their band powers compared (see the module docs),
+/// through caller-lent [`SpectrumScratch`]. A loop that keeps one scratch
+/// (the paper-claims ledger's detector entry) computes twiddle and window
+/// tables once and allocates nothing in steady state; a one-off call lends
 /// `&mut SpectrumScratch::new()`.
 ///
 /// `fast` must be sampled at a higher rate than `slow`, with a non-integer
 /// rate ratio (checked). Both should cover the same time window.
 ///
 /// # Panics
-/// Exactly as [`compare_spectra`].
+/// Panics unless `fast`'s rate exceeds `slow`'s by a non-integer ratio,
+/// each holds at least 16 samples, and `relative_floor` is in `[0, 1)`.
 pub fn detect_aliasing(
     scratch: &mut SpectrumScratch,
     fast: &RegularSeries,
@@ -158,7 +154,7 @@ pub fn detect_aliasing(
 /// Panics unless the fast spectrum's rate exceeds the slow one's by a
 /// non-integer ratio, both came from at least 16 samples, and
 /// `relative_floor` is in `[0, 1)`.
-pub fn compare_spectra(
+pub(crate) fn compare_spectra(
     fast: &Spectrum,
     slow: &Spectrum,
     cfg: DualRateConfig,

@@ -208,7 +208,7 @@ impl NyquistEstimator {
         match spectrum.frequency_capturing_energy(self.config.energy_cutoff) {
             EnergyCapture::AllBinsNeeded => NyquistEstimate::Aliased,
             EnergyCapture::Captured { frequency } => {
-                // The paper's literal criterion ("all bins needed") only
+                // The paper's literal rule ("all bins needed") only
                 // fires when the cutoff crossing lands in the very last bin.
                 // A spectrum that is flat out to the folding frequency — the
                 // signature of folded (aliased) content or white noise —

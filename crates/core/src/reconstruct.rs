@@ -51,7 +51,7 @@ pub struct ReconstructionReport {
 
 /// The integer decimation factor that downsamples `original_rate` as close
 /// to `target_rate` as possible without going below it (so the kept samples
-/// still satisfy the Nyquist criterion).
+/// still satisfy the Nyquist condition).
 ///
 /// # Panics
 /// Panics if either rate is not positive.

@@ -58,6 +58,12 @@ impl SpectrumScratch {
         &self.planner
     }
 
+    /// The same planner lent mutably, so work beside the estimator (a
+    /// reconstruction, a plain periodogram) reuses the tables it built.
+    pub fn planner_mut(&mut self) -> &mut FftPlanner {
+        &mut self.planner
+    }
+
     /// Heap bytes the working buffers currently hold (capacities, not
     /// lengths). The planner's tables are [`FftPlanner::table_bytes`].
     pub fn resident_bytes(&self) -> usize {
@@ -68,5 +74,32 @@ impl SpectrumScratch {
                 + self.fast_spare.capacity()
                 + self.slow_spare.capacity())
                 * std::mem::size_of::<f64>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aliasing::DETECTOR_PSD;
+    use crate::estimator::{NyquistConfig, NyquistEstimator};
+    use sweetspot_dsp::psd::periodogram;
+    use sweetspot_timeseries::Hertz;
+
+    #[test]
+    fn lent_planner_shares_its_tables_with_the_estimator() {
+        // A spectrum taken through `planner_mut` builds its tables in the
+        // scratch's own cache, and an estimate of the same trace (the
+        // default estimator reads the detector's PSD) then builds none.
+        let samples: Vec<f64> = (0..4096).map(|i| (0.01 * i as f64).sin()).collect();
+        let mut scratch = SpectrumScratch::new();
+        periodogram(scratch.planner_mut(), &samples, 1.0, DETECTOR_PSD);
+        let built = scratch.planner().table_bytes();
+        assert!(built > 0);
+        NyquistEstimator::new(NyquistConfig::default()).estimate_samples(
+            &mut scratch,
+            &samples,
+            Hertz(1.0),
+        );
+        assert_eq!(scratch.planner().table_bytes(), built);
     }
 }

@@ -77,7 +77,6 @@
 use crate::complex::Complex64;
 use crate::window::{Window, WindowTable};
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::f64::consts::PI;
 use std::hash::Hash;
 use std::sync::Arc;
@@ -878,6 +877,12 @@ impl FftHandleStats {
     }
 }
 
+/// The map each kind of table is cached in. Its hash order never reaches a
+/// result: tables are only looked up by key, and an over-budget sweep drops
+/// every unreferenced table whatever order it meets them in.
+#[allow(clippy::disallowed_types, reason = "lookups by key only")]
+type TableMap<K, V> = std::collections::HashMap<K, V>;
+
 /// Every cached table, with the cache's byte budget and build clock.
 ///
 /// Each table is charged its own bytes once, under its own entry: a plan
@@ -890,9 +895,9 @@ impl FftHandleStats {
 struct PlanTables {
     /// Complex plans: mixed-radix for 5-smooth lengths, Bluestein for the
     /// rest.
-    complex: HashMap<usize, Plan>,
-    real: HashMap<usize, Arc<RealPlan>>,
-    windows: HashMap<(Window, usize), Arc<WindowTable>>,
+    complex: TableMap<usize, Plan>,
+    real: TableMap<usize, Arc<RealPlan>>,
+    windows: TableMap<(Window, usize), Arc<WindowTable>>,
     /// Byte cap on `resident`; `None` (the default) means unbounded.
     budget: Option<usize>,
     /// Sum of the own bytes of every table held.
@@ -908,6 +913,7 @@ impl PlanTables {
     /// A build nested in a timed one (a real plan's inner complex plan, a
     /// Bluestein plan's convolution plan) is already inside that clock, so
     /// it is not counted again.
+    #[allow(clippy::disallowed_methods, reason = "build time, for `--timing`")]
     fn timed<T>(&mut self, build: impl FnOnce(&mut PlanTables) -> T) -> T {
         if self.building {
             return build(self);
@@ -926,7 +932,7 @@ impl PlanTables {
     /// `table` and every table it nests.
     fn admit<K: Hash + Eq, T: Clone>(
         &mut self,
-        map: fn(&mut PlanTables) -> &mut HashMap<K, T>,
+        map: fn(&mut PlanTables) -> &mut TableMap<K, T>,
         key: K,
         table: T,
         bytes: usize,
@@ -1046,7 +1052,7 @@ impl FftPlanner {
     ///
     /// Built once per `(window, n)`; spectral estimators multiply by the
     /// table instead of re-evaluating trig per sample per segment.
-    pub fn window_table(&mut self, window: Window, n: usize) -> Arc<WindowTable> {
+    pub(crate) fn window_table(&mut self, window: Window, n: usize) -> Arc<WindowTable> {
         self.tables.window_table(window, n)
     }
 
@@ -1238,8 +1244,8 @@ impl FftPlanner {
     }
 }
 
-/// Reference `O(N²)` DFT used to validate the fast paths in tests and to
-/// cross-check odd lengths in benches. Forward, unnormalized.
+/// Reference `O(N²)` DFT used to validate the fast paths in tests.
+/// Forward, unnormalized.
 pub fn dft_naive(input: &[Complex64]) -> Vec<Complex64> {
     let n = input.len();
     (0..n)
@@ -1836,6 +1842,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "compared with wall time")]
     fn table_build_time_counts_builds_once() {
         let mut p = FftPlanner::new();
         assert_eq!(p.table_build_time(), Duration::ZERO);

@@ -55,7 +55,7 @@ impl Window {
 /// Evaluating a window coefficient directly costs up to three trig calls
 /// per sample; a table costs about `2√n` for all of them (see the module
 /// docs). The spectral pipeline builds one per `(window, n)` (cached by
-/// `FftPlanner::window_table`) and multiplies segments by it.
+/// the `FftPlanner`) and multiplies segments by it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowTable {
     window: Window,

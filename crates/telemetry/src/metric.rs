@@ -138,12 +138,12 @@ impl fmt::Display for MetricKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn fourteen_distinct_metrics() {
         assert_eq!(MetricKind::ALL.len(), 14);
-        let names: HashSet<&str> = MetricKind::ALL.iter().map(|m| m.name()).collect();
+        let names: BTreeSet<&str> = MetricKind::ALL.iter().map(|m| m.name()).collect();
         assert_eq!(names.len(), 14);
     }
 

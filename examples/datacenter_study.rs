@@ -11,6 +11,7 @@ use sweetspot::analysis::study::FleetStudy;
 use sweetspot::prelude::*;
 use sweetspot::telemetry::fleet::PAPER_PAIR_COUNT;
 
+#[allow(clippy::disallowed_methods, reason = "a wall-clock line on stderr")]
 fn main() {
     let seed = std::env::args()
         .nth(1)

@@ -357,6 +357,7 @@ impl StageTimes {
 
 /// Reads the trace at `path` (a file or a pipe such as `/dev/stdin`),
 /// streaming it into its columns, and cleans those columns in place.
+#[allow(clippy::disallowed_methods, reason = "stage times, for `--timing`")]
 fn load_trace(path: &str, interval: Option<f64>) -> Result<(RegularSeries, StageTimes), String> {
     let started = Instant::now();
     let raw = std::fs::File::open(path)
@@ -402,6 +403,7 @@ fn load_trace(path: &str, interval: Option<f64>) -> Result<(RegularSeries, Stage
     }
 }
 
+#[allow(clippy::disallowed_methods, reason = "stage times, for `--timing`")]
 fn cmd_analyze(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
     let cutoff = args.get("cutoff", "a number")?.unwrap_or(0.99);
     let headroom = args.get("headroom", "a number")?.unwrap_or(1.25);
@@ -457,6 +459,7 @@ fn cmd_analyze(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
     Ok(())
 }
 
+#[allow(clippy::disallowed_methods, reason = "stage times, for `--timing`")]
 fn cmd_track(args: &Args, out: &mut Stdout) -> Result<(), Failure> {
     let window = args.get("window", "a number")?.unwrap_or(6.0 * 3600.0);
     let step = args.get("step", "a number")?.unwrap_or(300.0);
